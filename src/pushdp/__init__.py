@@ -50,7 +50,7 @@ from .privacy import (
     lr_at,
     moments_bound,
 )
-from .pushsum import NodeState, RoundOutcome, deviation_bound_eval, local_half_step, mix_round
+from .pushsum import NodeState, deviation_bound_eval, local_half_step, mix_round
 from .theory import (
     TheoryParams,
     convergence_bound,

@@ -75,7 +75,7 @@ def cmd_run(args) -> int:
             return 1
         with open(planned[f"metrics_{seed}"], "w") as fh:
             for record in result.records:
-                fh.write(json.dumps(record.as_dict()))
+                fh.write(json.dumps(_sanitize(record.as_dict()), allow_nan=False))
                 fh.write("\n")
         _write_json(planned[f"summary_{seed}"], result.summary)
         _write_json(planned[f"partition_{seed}"], result.partition)

@@ -289,8 +289,7 @@ def run(
             fused_norms.append(float(np.linalg.norm(fused)))
             states[i] = local_half_step(states[i], fused, eta_t)
 
-        outcome = mix_round(states, matrices[t % period])
-        states = outcome.states
+        states = mix_round(states, matrices[t % period])
         bad = [s for s in states if not np.all(np.isfinite(s.x))]
         if bad:
             raise NumericalBreakdownError(

@@ -61,13 +61,6 @@ def local_half_step(state: NodeState, fused: np.ndarray, step: float) -> NodeSta
     )
 
 
-@dataclass
-class RoundOutcome:
-    states: List[NodeState]
-    consensus_error: float  # (1/n) sum_i ||z_i - xbar||^2
-    mean_param: np.ndarray
-
-
 def consensus_error(states: Sequence[NodeState]) -> float:
     """Mean squared deviation of the debiased vectors from the x-average."""
     X = np.stack([s.x for s in states])
@@ -76,7 +69,7 @@ def consensus_error(states: Sequence[NodeState]) -> float:
     return float(np.mean(np.sum((Z - xbar) ** 2, axis=1)))
 
 
-def mix_round(states: Sequence[NodeState], P: np.ndarray) -> RoundOutcome:
+def mix_round(states: Sequence[NodeState], P: np.ndarray) -> List[NodeState]:
     """Mix all nodes through P at a barrier: x <- P x, w <- P w, z = x / w.
 
     Summations run in fixed node order (matrix products), so the result is
@@ -93,15 +86,10 @@ def mix_round(states: Sequence[NodeState], P: np.ndarray) -> RoundOutcome:
         bad = int(np.argmin(new_w))
         raise NumericalBreakdownError(f"node {bad}: push-sum weight {new_w[bad]} <= 0")
     new_Z = new_X / new_w[:, None]
-    out = [
+    return [
         NodeState(node_id=s.node_id, x=new_X[i], w=float(new_w[i]), z=new_Z[i])
         for i, s in enumerate(states)
     ]
-    return RoundOutcome(
-        states=out,
-        consensus_error=consensus_error(out),
-        mean_param=new_X.mean(axis=0),
-    )
 
 
 @dataclass

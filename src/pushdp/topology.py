@@ -9,9 +9,8 @@ standard weight rule each node can compute from local information alone.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,37 +19,48 @@ from .errors import ConfigurationError, OutOfRegimeError
 COLUMN_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedEdgeSet:
-    """Directed edge set for one iteration.
-
-    edges holds (receiver, sender) pairs; self-loops are mandatory and are
-    added on construction if missing.
+    """Directed edge set for one iteration: edge e runs from node send[e] to
+    node recv[e].  The arrays may come in any order and broadcastable shapes;
+    they are stored flat, sorted by (recv, send), without repeats and with
+    every self-loop added.
     """
 
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    recv: np.ndarray
+    send: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"node count must be >= 1, got {self.n}")
-        full = set(self.edges)
-        for (i, j) in full:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-        full.update((i, i) for i in range(self.n))
-        object.__setattr__(self, "edges", frozenset(full))
+        recv, send = np.broadcast_arrays(np.asarray(self.recv, int), np.asarray(self.send, int))
+        bad = (recv < 0) | (recv >= self.n) | (send < 0) | (send >= self.n)
+        if bad.any():
+            raise ValueError(f"edge ({recv[bad][0]},{send[bad][0]}) out of range for n={self.n}")
+        adj = np.eye(self.n, dtype=bool)
+        adj[recv, send] = True
+        recv, send = np.nonzero(adj)
+        object.__setattr__(self, "recv", recv)
+        object.__setattr__(self, "send", send)
 
-    def out_neighbors(self, j: int) -> list:
-        """Nodes that receive from j (self included), sorted."""
-        return sorted(i for (i, s) in self.edges if s == j)
+    def pairs(self) -> frozenset:
+        """The edges as a set of (receiver, sender) tuples."""
+        return frozenset(zip(self.recv.tolist(), self.send.tolist()))
 
-    def in_neighbors(self, i: int) -> list:
-        """Nodes that transmit to i (self included), sorted."""
-        return sorted(j for (r, j) in self.edges if r == i)
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree of every node, self-loop included."""
+        return np.bincount(self.send, minlength=self.n)
 
-    def max_out_degree(self) -> int:
-        return max(len(self.out_neighbors(j)) for j in range(self.n))
+    def __eq__(self, other):  # the self-loops fix n
+        return isinstance(other, DirectedEdgeSet) and np.array_equal(
+            (self.recv, self.send), (other.recv, other.send))
+
+
+def _circulant(n: int, offsets) -> DirectedEdgeSet:
+    """Edge set in which every node j sends to (j + o) mod n for each offset o."""
+    send = np.arange(n)[:, None]
+    return DirectedEdgeSet(n, (send + offsets) % n, send)
 
 
 def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:
@@ -58,13 +68,8 @@ def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:
 
     Column j carries 1/outdeg(j) at each out-neighbor of j and 0 elsewhere.
     """
-    n = edges.n
-    P = np.zeros((n, n))
-    for j in range(n):
-        outs = edges.out_neighbors(j)
-        if not outs:  # unreachable: self-loop invariant guarantees outdeg >= 1
-            raise ValueError(f"node {j} has zero out-degree")
-        P[outs, j] = 1.0 / len(outs)
+    P = np.zeros((edges.n, edges.n))
+    P[edges.recv, edges.send] = 1.0 / edges.out_degrees()[edges.send]
     sums = P.sum(axis=0)
     assert np.all(np.abs(sums - 1.0) <= COLUMN_SUM_TOL)
     return P
@@ -113,12 +118,10 @@ def topology_at(schedule: TopologySchedule, t: int) -> DirectedEdgeSet:
         raise ValueError(f"iteration index must be >= 0, got {t}")
     n = schedule.n
     if schedule.kind == "static-ring":
-        edges = {(i, (i - m) % n) for i in range(n) for m in range(1, schedule.k + 1)}
-        return DirectedEdgeSet(n, frozenset(edges))
+        return _circulant(n, np.arange(1, schedule.k + 1))
     if schedule.kind == "exponential-periodic":
         step = 2 ** (t % int(np.log2(n)))
-        edges = {((i + j * step) % n, i) for i in range(n) for j in range(n // 2)}
-        return DirectedEdgeSet(n, frozenset(edges))
+        return _circulant(n, np.arange(n // 2) * step)
     return schedule.edge_sets[t % len(schedule.edge_sets)]
 
 
@@ -135,16 +138,16 @@ def load_edge_list(path, n: int) -> TopologySchedule:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            edges = set()
+            pairs = []
             for token in line.split():
                 try:
                     recv, sender = token.split("<")
-                    edges.add((int(recv), int(sender)))
+                    pairs.append((int(recv), int(sender)))
                 except ValueError as exc:
                     raise ConfigurationError(
                         f"{path}:{lineno}: bad edge token {token!r}, expected i<j"
                     ) from exc
-            sets.append(DirectedEdgeSet(n, frozenset(edges)))
+            sets.append(DirectedEdgeSet(n, *zip(*pairs)))
     if not sets:
         raise ConfigurationError(f"{path}: no edge sets found")
     return TopologySchedule(kind="explicit-list", n=n, edge_sets=tuple(sets))
@@ -160,26 +163,34 @@ class ConnectivityReport:
     witness: Optional[int] = None  # first violating window index
 
 
-def _bfs_ecc(adj: Sequence[Sequence[int]], source: int) -> list:
-    """Hop distances from source along sender->receiver arcs; -1 if unreachable."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _hop_diameter(edges: DirectedEdgeSet) -> Optional[int]:
+    """Largest hop distance from any node to any other along sender->receiver
+    arcs, or None if the graph is not strongly connected.
+
+    R_h[i, j] = 1 when j reaches i within h hops, and R_(a+b) = R_a R_b.
+    Squaring finds the first power of two with a full R; binary lifting then
+    finds the largest h whose R_h is not full, in O(log diameter) products.
+    """
+    n = edges.n
+    powers = [np.zeros((n, n))]  # powers[i] is R_(2^i)
+    powers[0][edges.recv, edges.send] = 1.0
+    while not powers[-1].all():
+        nxt = (powers[-1] @ powers[-1] > 0).astype(float)
+        if np.array_equal(nxt, powers[-1]):  # transitive closure, not full
+            return None
+        powers.append(nxt)
+    reach, hops = np.eye(n), 0
+    for i in reversed(range(len(powers) - 1)):
+        cand = (reach @ powers[i] > 0).astype(float)
+        if not cand.all():
+            reach, hops = cand, hops + 2**i
+    return hops + 1 if n > 1 else 0
 
 
 def union_window(schedule: TopologySchedule, start: int, length: int) -> DirectedEdgeSet:
     """Union of the edge sets over iterations [start, start + length)."""
-    edges = set()
-    for t in range(start, start + length):
-        edges |= topology_at(schedule, t).edges
-    return DirectedEdgeSet(schedule.n, frozenset(edges))
+    sets = [topology_at(schedule, t) for t in range(start, start + length)]
+    return DirectedEdgeSet(schedule.n, *np.hstack([(s.recv, s.send) for s in sets]))
 
 
 def verify_joint_connectivity(
@@ -192,18 +203,10 @@ def verify_joint_connectivity(
         raise ValueError(f"need J >= 1 and kappa >= 1, got J={J}, kappa={kappa}")
     if horizon < J:
         raise ValueError(f"horizon {horizon} shorter than window J={J}")
-    n = schedule.n
     for l in range(horizon // J):
-        union = union_window(schedule, l * J, J)
-        # sender -> receiver adjacency, self-loops dropped (they add no hops)
-        adj = [[] for _ in range(n)]
-        for (i, j) in union.edges:
-            if i != j:
-                adj[j].append(i)
-        for src in range(n):
-            dist = _bfs_ecc(adj, src)
-            if min(dist) < 0 or max(dist) > kappa:
-                return ConnectivityReport(J, kappa, satisfied=False, witness=l)
+        diameter = _hop_diameter(union_window(schedule, l * J, J))
+        if diameter is None or diameter > kappa:
+            return ConnectivityReport(J, kappa, satisfied=False, witness=l)
     return ConnectivityReport(J, kappa, satisfied=True)
 
 
@@ -214,16 +217,10 @@ def window_diameter(schedule: TopologySchedule, J: int) -> Optional[int]:
     cycle = period * J // np.gcd(period, J)
     worst = 0
     for l in range(cycle // J):
-        union = union_window(schedule, l * J, J)
-        adj = [[] for _ in range(schedule.n)]
-        for (i, j) in union.edges:
-            if i != j:
-                adj[j].append(i)
-        for src in range(schedule.n):
-            dist = _bfs_ecc(adj, src)
-            if min(dist) < 0:
-                return None
-            worst = max(worst, max(dist))
+        diameter = _hop_diameter(union_window(schedule, l * J, J))
+        if diameter is None:
+            return None
+        worst = max(worst, diameter)
     return worst
 
 
@@ -256,6 +253,8 @@ def propagation_params(n: int, U: int, kappa: int, J: int, d: int) -> Propagatio
             f"requires U^(kappa*J) > n, got U^(kappa*J) = {float(U)**kb:.6g}, n = {n}"
         )
     q = lam ** (1.0 / (kb + 1))
+    if not q < 1.0:  # n*U^(-kappa*J) is below double precision next to 1
+        raise OutOfRegimeError(f"q = lambda^(1/(kappa*J+1)) rounds to 1, lambda = {lam!r}")
     c_bound = 2.0 * np.sqrt(d) * float(U) ** kb / lam ** ((kb + 2) / (kb + 1))
     return PropagationParams(lam=lam, q=q, c_bound=c_bound, U=U)
 
@@ -263,4 +262,4 @@ def propagation_params(n: int, U: int, kappa: int, J: int, d: int) -> Propagatio
 def max_out_degree(schedule: TopologySchedule, horizon: Optional[int] = None) -> int:
     """Maximum out-degree (self included) over one period or a horizon."""
     span = schedule.period() if horizon is None else horizon
-    return max(topology_at(schedule, t).max_out_degree() for t in range(span))
+    return max(int(topology_at(schedule, t).out_degrees().max()) for t in range(span))

@@ -155,6 +155,27 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "fusion.tau" in err and "noise.tau" in err
 
+    def test_metrics_jsonl_is_strict_json(self, tmp_path, monkeypatch):
+        from pushdp import cli
+
+        real_run = cli.engine.run
+
+        def run_with_inf(config, master_seed=None):
+            result = real_run(config, master_seed=master_seed)
+            result.records[0].train_loss = float("inf")
+            return result
+
+        monkeypatch.setattr(cli.engine, "run", run_with_inf)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path), "--seeds", "1", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        lines = (out / "seed_1_metrics.jsonl").read_text().splitlines()
+        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        assert rows[0]["train_loss"] == "inf" and len(rows) == 30
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path)
         target = tmp_path / "env_out"

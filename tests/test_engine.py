@@ -148,6 +148,23 @@ class TestFailureModes:
         assert theory["enabled"] and not theory["in_regime"]
         assert "disabled" in theory["warning"]
 
+    def test_q_rounding_to_one_warns_and_continues(self):
+        # one full period of the n=64 exponential rule is connected, but
+        # n*U^(-kappa*J) vanishes next to 1, so q rounds to 1.0
+        cfg = make_config(
+            n=64,
+            T=20,
+            topology=TopologySchedule(kind="exponential-periodic", n=64),
+            data=DataSpec(kind="blobs", n_samples=800, test_fraction=0.2, alpha_conc=1.0),
+            theory_enabled=True,
+            window_J=6,
+        )
+        result = run(cfg, master_seed=0)
+        assert len(result.records) == 20
+        theory = result.summary["theory"]
+        assert theory["enabled"] and not theory["in_regime"]
+        assert "rounds to 1" in theory["warning"]
+
     def test_in_regime_theory_block_present(self):
         cfg = make_config(
             T=15,

@@ -6,6 +6,7 @@ from pushdp.errors import NumericalBreakdownError
 from pushdp.pushsum import (
     NodeState,
     RunHistory,
+    consensus_error,
     deviation_bound_eval,
     initial_states,
     local_half_step,
@@ -52,15 +53,15 @@ class TestMixRound:
         P = np.full((2, 2), 0.5)
         states = [NodeState(0, np.array([0.0])), NodeState(1, np.array([2.0]))]
         out = mix_round(states, P)
-        assert all(np.array_equal(s.x, [1.0]) for s in out.states)
-        assert all(s.w == 1.0 for s in out.states)
-        assert all(np.array_equal(s.z, [1.0]) for s in out.states)
-        assert out.consensus_error == 0.0
+        assert all(np.array_equal(s.x, [1.0]) for s in out)
+        assert all(s.w == 1.0 for s in out)
+        assert all(np.array_equal(s.z, [1.0]) for s in out)
+        assert consensus_error(out) == 0.0
 
     def test_identity_matrix_noop(self):
         states = [NodeState(0, np.array([1.0])), NodeState(1, np.array([5.0]))]
         out = mix_round(states, np.eye(2))
-        for before, after in zip(states, out.states):
+        for before, after in zip(states, out):
             assert np.array_equal(before.x, after.x) and before.w == after.w
 
     def test_directed_ring_conserves_and_reaches_consensus(self):
@@ -71,11 +72,11 @@ class TestMixRound:
             NodeState(2, np.array([0.0])),
         ]
         out = mix_round(states, P)
-        assert sum(s.x[0] for s in out.states) == pytest.approx(3.0, rel=1e-12)
-        assert sum(s.w for s in out.states) == pytest.approx(3.0, rel=1e-12)
-        states = out.states
+        assert sum(s.x[0] for s in out) == pytest.approx(3.0, rel=1e-12)
+        assert sum(s.w for s in out) == pytest.approx(3.0, rel=1e-12)
+        states = out
         for _ in range(59):
-            states = mix_round(states, P).states
+            states = mix_round(states, P)
         # power-iteration limit: z -> average of the initial x
         assert max(abs(s.z[0] - 1.0) for s in states) < 1e-8
 
@@ -86,7 +87,7 @@ class TestMixRound:
             s.x = rng.normal(size=2)
         total_x = sum(s.x.sum() for s in states)
         for _ in range(200):
-            states = mix_round(states, P).states
+            states = mix_round(states, P)
             assert sum(s.w for s in states) == pytest.approx(8.0, rel=1e-10)
             assert sum(s.x.sum() for s in states) == pytest.approx(total_x, rel=1e-10)
 
@@ -97,7 +98,7 @@ class TestMixRound:
         for s in states:
             s.x = rng.normal(size=3)
         for _ in range(50):
-            states = mix_round(states, P).states
+            states = mix_round(states, P)
             assert all(s.w == 1.0 for s in states)
             assert all(np.array_equal(s.z, s.x) for s in states)
 
@@ -115,9 +116,8 @@ class TestMixRound:
             s.x = rng.normal(size=2)
         errors = []
         for _ in range(500):
-            out = mix_round(states, P)
-            states = out.states
-            errors.append(out.consensus_error)
+            states = mix_round(states, P)
+            errors.append(consensus_error(states))
         assert errors[-1] < 1e-12
         # monotone after burn-in, modulo float dust once the error sits at
         # the representable floor (~1e-32)

@@ -20,19 +20,24 @@ def ring(n, k=1):
     return TopologySchedule(kind="static-ring", n=n, k=k)
 
 
+def edge_set(n, pairs):
+    """Edge set from (receiver, sender) pairs."""
+    return DirectedEdgeSet(n, [i for i, _ in pairs], [j for _, j in pairs])
+
+
 class TestEdgeSet:
     def test_self_loops_added(self):
-        es = DirectedEdgeSet(3, frozenset({(0, 1)}))
-        assert {(0, 0), (1, 1), (2, 2), (0, 1)} == set(es.edges)
+        es = edge_set(3, {(0, 1)})
+        assert {(0, 0), (1, 1), (2, 2), (0, 1)} == set(es.pairs())
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            DirectedEdgeSet(2, frozenset({(0, 5)}))
+            edge_set(2, {(0, 5)})
 
 
 class TestMixingMatrix:
     def test_symmetric_complete_pair(self):
-        es = DirectedEdgeSet(2, frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}))
+        es = edge_set(2, {(0, 0), (1, 1), (0, 1), (1, 0)})
         P = build_mixing_matrix(es)
         assert np.allclose(P, [[0.5, 0.5], [0.5, 0.5]], atol=0)
 
@@ -71,21 +76,21 @@ class TestTopologyAt:
     def test_static_ring_k2_receivers(self):
         es = topology_at(ring(8, k=2), t=17)
         for i in range(8):
-            assert set(es.in_neighbors(i)) == {i, (i - 1) % 8, (i - 2) % 8}
+            assert {j for (r, j) in es.pairs() if r == i} == {i, (i - 1) % 8, (i - 2) % 8}
 
     def test_exponential_step_two_out_set(self):
         expo = TopologySchedule(kind="exponential-periodic", n=8)
         es = topology_at(expo, 1)
-        assert es.out_neighbors(0) == [0, 2, 4, 6]
+        assert sorted(i for (i, s) in es.pairs() if s == 0) == [0, 2, 4, 6]
 
     def test_explicit_list_is_cycled(self):
-        single = DirectedEdgeSet(3, frozenset({(1, 0)}))
+        single = edge_set(3, {(1, 0)})
         sched = TopologySchedule(kind="explicit-list", n=3, edge_sets=(single,))
         assert topology_at(sched, 0) == topology_at(sched, 99) == single
 
     def test_pure_function(self):
         expo = TopologySchedule(kind="exponential-periodic", n=8)
-        assert topology_at(expo, 4).edges == topology_at(expo, 4).edges
+        assert topology_at(expo, 4).pairs() == topology_at(expo, 4).pairs()
 
     def test_power_of_two_required(self):
         with pytest.raises(ConfigurationError, match="power-of-2"):
@@ -98,12 +103,12 @@ class TestConnectivity:
         assert report.satisfied and report.witness is None
 
     def test_disjoint_cliques_unsatisfied(self):
-        clique = frozenset(
+        clique = (
             [(i, j) for i in range(4) for j in range(4)]
             + [(i, j) for i in range(4, 8) for j in range(4, 8)]
         )
         sched = TopologySchedule(
-            kind="explicit-list", n=8, edge_sets=(DirectedEdgeSet(8, clique),)
+            kind="explicit-list", n=8, edge_sets=(edge_set(8, clique),)
         )
         report = verify_joint_connectivity(sched, J=2, kappa=7, horizon=10)
         assert not report.satisfied and report.witness == 0
@@ -144,6 +149,11 @@ class TestPropagationParams:
         with pytest.raises(OutOfRegimeError, match="U\\^\\(kappa\\*J\\) > n"):
             propagation_params(n=8, U=2, kappa=2, J=1, d=1)
 
+    def test_q_rounding_to_one_is_out_of_regime(self):
+        # n*U^(-kappa*J) = 64 * 32^-12 vanishes next to 1, so lambda = q = 1.0
+        with pytest.raises(OutOfRegimeError, match="rounds to 1"):
+            propagation_params(n=64, U=32, kappa=2, J=6, d=6)
+
 
 class TestEdgeListFile:
     def test_round_trip(self, tmp_path):
@@ -152,9 +162,9 @@ class TestEdgeListFile:
         sched = load_edge_list(path, n=3)
         assert sched.period() == 2
         first = topology_at(sched, 0)
-        assert (0, 1) in first.edges and (1, 2) in first.edges
-        assert all((i, i) in first.edges for i in range(3))
-        assert (2, 0) in topology_at(sched, 1).edges
+        assert (0, 1) in first.pairs() and (1, 2) in first.pairs()
+        assert all((i, i) in first.pairs() for i in range(3))
+        assert (2, 0) in topology_at(sched, 1).pairs()
 
     def test_bad_token(self, tmp_path):
         path = tmp_path / "edges.txt"
@@ -166,3 +176,42 @@ class TestEdgeListFile:
 def test_max_out_degree_ring():
     assert max_out_degree(ring(8, k=2)) == 3
     assert max_out_degree(TopologySchedule(kind="exponential-periodic", n=8)) == 4
+
+
+def old_ring_pairs(n, k):
+    """The set-comprehension definition the index arrays replaced."""
+    return {(i, (i - m) % n) for i in range(n) for m in range(1, k + 1)}
+
+
+def old_expo_pairs(n, t):
+    step = 2 ** (t % int(np.log2(n)))
+    return {((i + j * step) % n, i) for i in range(n) for j in range(n // 2)}
+
+
+def per_column_matrix(n, pairs):
+    """Column j gets 1/len(outs) at each out-neighbor, one column at a time."""
+    P = np.zeros((n, n))
+    for j in range(n):
+        outs = sorted(i for (i, s) in pairs if s == j)
+        P[outs, j] = 1.0 / len(outs)
+    return P
+
+
+SET_DEFINITION_CASES = [
+    (ring(n, k), 0, old_ring_pairs(n, k)) for n in (2, 3, 8, 16) for k in sorted({1, 2, n - 1}) if k < n
+] + [
+    (TopologySchedule(kind="exponential-periodic", n=n), t, old_expo_pairs(n, t))
+    for n in (2, 8, 64)
+    for t in range(int(np.log2(n)))
+]
+
+
+@pytest.mark.parametrize("sched, t, old_pairs", SET_DEFINITION_CASES)
+def test_index_arrays_match_set_definition(sched, t, old_pairs):
+    n = sched.n
+    es = topology_at(sched, t)
+    expected = old_pairs | {(i, i) for i in range(n)}
+    assert es.pairs() == expected and len(es.recv) == len(expected)
+    keys = es.recv * n + es.send
+    assert np.all(np.diff(keys) > 0)  # sorted by (recv, send), no repeats
+    assert np.array_equal(build_mixing_matrix(es), per_column_matrix(n, expected))
