@@ -13,8 +13,6 @@ from .errors import (
 )
 from .fusion import (
     ClipConfig,
-    ClipResult,
-    FusedGradientState,
     FusionConfig,
     clip,
     decay_threshold,
@@ -49,8 +47,9 @@ from .privacy import (
     epsilon_spent,
     lr_at,
     moments_bound,
+    starts_interval,
 )
-from .pushsum import NodeState, deviation_bound_eval, local_half_step, mix_round
+from .pushsum import deviation_bound_eval, mix_round
 from .theory import (
     TheoryParams,
     convergence_bound,

@@ -105,6 +105,8 @@ class ExperimentConfig:
             )
         if self.window_J < 1:
             raise ConfigurationError(f"topology.J: must be >= 1, got {self.window_J}")
+        if self.sigma_override is not None and not self.sigma_override >= 0:
+            raise ConfigurationError(f"privacy.sigma: must be >= 0, got {self.sigma_override}")
 
 
 # ------------------------------------------------------------- parsing

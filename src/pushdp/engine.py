@@ -20,7 +20,6 @@ from . import rng as rngmod
 from .config import ExperimentConfig
 from .errors import NumericalBreakdownError, OutOfRegimeError
 from .fusion import (
-    FusedGradientState,
     REPORTED_TAU,
     clip,
     decay_threshold,
@@ -45,8 +44,16 @@ from .models import (
     sample_batch,
     split_test,
 )
-from .privacy import PrivacyBudget, alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent
-from .pushsum import RunHistory, consensus_error, initial_states, local_half_step, mix_round
+from .privacy import (
+    PrivacyBudget,
+    alpha_at,
+    beta_at,
+    calibrate_sigma,
+    delta_bound,
+    epsilon_spent,
+    starts_interval,
+)
+from .pushsum import consensus_error, mix_round
 from .theory import (
     OPTIMAL_P_ERRATUM,
     convergence_bound,
@@ -90,7 +97,7 @@ class MetricsRecord:
 class RunResult:
     records: List[MetricsRecord]
     summary: dict
-    history: RunHistory
+    fused_norms: np.ndarray  # (T, n) ||g_fused|| per (round, node), 0 for empty nodes
     node_deviations: np.ndarray  # (T, n) measured ||z_i - xbar||
     partition: dict
     trajectory: Optional[List[np.ndarray]] = None  # (n, d) post-mix states
@@ -204,13 +211,14 @@ def run(
 
     model = build_model(config, seed)
     dataset = build_dataset(config, seed)
-    occupied = [i for i in range(n) if len(dataset.node_indices[i])]
+    occupied = np.array([len(idx) > 0 for idx in dataset.node_indices])
     budgets = _calibrated_budgets(config)
 
+    # every node starts from the shared x0 with unit weight, so Z = X
     x0 = np.zeros(model.dim)
-    states = initial_states(n, x0)
-    fusion_states = [FusedGradientState() for _ in range(n)]
-    history = RunHistory(x0_norms=[float(np.linalg.norm(s.x)) for s in states])
+    X = np.tile(x0, (n, 1))
+    w = np.ones(n)
+    Z = X.copy()
 
     theory_summary, theory_params = (
         _theory_block(config, model, dataset, x0, budgets, seed)
@@ -222,8 +230,10 @@ def run(
     matrices = [build_mixing_matrix(topology_at(config.topology, t)) for t in range(period)]
 
     G = config.clip.g0
-    interval_clips: List[list] = [[] for _ in range(n)]
+    F = None  # fused gradients of the previous round
+    interval_clips: List[np.ndarray] = []  # clipped occupied rows, this interval
     records: List[MetricsRecord] = []
+    fused_norms = np.zeros((T, n))
     deviations = np.zeros((T, n))
     trajectory: Optional[List[np.ndarray]] = [] if record_states else None
     upsilon_total = 0.0
@@ -234,76 +244,66 @@ def run(
         alpha_inj = alpha_at(config.noise, T - t)
         beta_t = beta_at(config.noise, config.lr, t)
         eta_t = config.lr.eta_base / beta_t
+        new_interval = starts_interval(config.noise, t)
+        if new_interval:
+            interval_clips = []
 
-        # interval boundary: the injected multiplier just changed value
-        if t == 0 or alpha_at(config.noise, T - t + 1) != alpha_inj:
-            interval_clips = [[] for _ in range(n)]
-
-        # observables at the current state
-        X = np.stack([s.x for s in states])
+        # observables at the current state, then each node's stochastic
+        # gradient and noise draw; empty nodes keep zero rows
         xbar = X.mean(axis=0)
-        cons = consensus_error(states)
+        cons = consensus_error(X, Z)
         full_sq = []
         losses_at_mean = []
-        for i in occupied:
+        Grad = np.zeros_like(X)
+        Noise = np.zeros_like(X)
+        for i in np.flatnonzero(occupied):
             idx = dataset.node_indices[i]
             batch = (dataset.features[idx], dataset.labels[idx])
-            _, g_full = loss_and_grad(model, states[i].z, batch)
+            _, g_full = loss_and_grad(model, Z[i], batch)
             full_sq.append(float(g_full @ g_full))
             losses_at_mean.append(loss_and_grad(model, xbar, batch)[0])
+            batch_idx = sample_batch(
+                idx, budgets[i].sampling_ratio, rngmod.stream(seed, i, t, rngmod.BATCH)
+            )
+            _, Grad[i] = loss_and_grad(
+                model, Z[i], (dataset.features[batch_idx], dataset.labels[batch_idx])
+            )
+            if budgets[i].sigma > 0:
+                noise_rng = rngmod.stream(seed, i, t, rngmod.NOISE)
+                Noise[i] = noise_rng.normal(0.0, budgets[i].sigma, size=X.shape[1])
         mean_sq = float(np.mean(full_sq))
         train_loss = float(np.mean(losses_at_mean))
         test_acc = None
         if dataset.test_features is not None:
             test_acc = accuracy(model, xbar, dataset.test_features, dataset.test_labels)
-        Z = np.stack([s.z for s in states])
         deviations[t] = np.linalg.norm(Z - xbar, axis=1)
 
-        # per-node gradient pipeline and half-step
-        resid = []
+        # clip, perturb, fuse and half-step on all nodes at once
+        clipped, resid = clip(Grad, G)
+        active = clipped[occupied]
         d_tau_t = 0.0
-        fused_norms = []
-        for i in range(n):
-            if i not in occupied:
-                fused_norms.append(0.0)
-                continue
-            idx = dataset.node_indices[i]
-            batch_idx = sample_batch(
-                idx, budgets[i].sampling_ratio, rngmod.stream(seed, i, t, rngmod.BATCH)
-            )
-            _, g = loss_and_grad(
-                model, states[i].z, (dataset.features[batch_idx], dataset.labels[batch_idx])
-            )
-            cr = clip(g, G)
-            resid.append(cr.residual_sq)
-            for past in interval_clips[i]:
-                d_tau_t = max(d_tau_t, float(np.sum((cr.clipped - past) ** 2)))
-            interval_clips[i].append(cr.clipped)
-            noisy = perturb(
-                cr.clipped, alpha_inj, budgets[i].sigma, rngmod.stream(seed, i, t, rngmod.NOISE)
-            )
-            if vrsgp:
-                fused = fuse(noisy, fusion_states[i], alpha_inj, config.fusion.theta, t)
-            else:
-                fused = noisy
-            fused_norms.append(float(np.linalg.norm(fused)))
-            states[i] = local_half_step(states[i], fused, eta_t)
+        for past in interval_clips:
+            d_tau_t = max(d_tau_t, float(np.max(np.sum((active - past) ** 2, axis=1))))
+        interval_clips.append(active)
+        noisy = perturb(clipped, alpha_inj, Noise)
+        F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
+        fused_norms[t] = np.linalg.norm(F, axis=1)
+        X = X - eta_t * F
 
-        states = mix_round(states, matrices[t % period])
-        bad = [s for s in states if not np.all(np.isfinite(s.x))]
-        if bad:
+        X, w, Z = mix_round(X, w, matrices[t % period])
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
             raise NumericalBreakdownError(
-                f"non-finite state at iteration {t} (node {bad[0].node_id})"
+                f"non-finite state at iteration {t} (node {int(np.argmin(finite))})"
             )
         if trajectory is not None:
-            trajectory.append(np.stack([s.x for s in states]))
+            trajectory.append(X)
 
-        clip_res_mean = float(np.mean(resid)) if resid else 0.0
+        clip_res_mean = float(np.mean(resid[occupied]))
         upsilon_total += clip_res_mean
         if vrsgp and config.fusion.theta > 0:
             rho_total += staleness_bound(config.fusion.theta, config.fusion.tau, d_tau_t)
         msg_sum += mean_sq
-        history.record(eta_t, fused_norms)
         records.append(
             MetricsRecord(
                 t=t,
@@ -328,7 +328,7 @@ def run(
     return RunResult(
         records=records,
         summary=summary,
-        history=history,
+        fused_norms=fused_norms,
         node_deviations=deviations,
         partition=partition_report(dataset.labels, dataset.node_indices),
         trajectory=trajectory,
@@ -376,7 +376,7 @@ def _summarize(
         "final_consensus_error": last.consensus_error,
         "upsilon_total": upsilon_total,
         "rho_total_bound": rho_total,
-        "empty_nodes": [i for i in range(config.n) if i not in occupied],
+        "empty_nodes": np.flatnonzero(~occupied).tolist(),
         "errata": {
             "optimal_p_relation": OPTIMAL_P_ERRATUM,
             "tau_intervals": {

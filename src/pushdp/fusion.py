@@ -1,5 +1,5 @@
-"""Per-node gradient pipeline: clipping, Gaussian perturbation, and
-progressive fusion of noisy gradients within noise-constant intervals.
+"""Gradient pipeline, one row per node: clipping, Gaussian perturbation,
+and progressive fusion of noisy gradients within noise-constant intervals.
 
 Fusion blends the current noisy clipped gradient with the previous fused one,
 g_fused = (1 - theta) * g_noisy + theta * g_prev, but only while the injected
@@ -12,13 +12,11 @@ coefficient of the staleness cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-CLIP_NORM_SLACK = 1e-12
 
 # Interval lengths quoted alongside the threshold rule in the original
 # experiments, for theta in {0.3, 0.5, 0.7}.  They disagree with the strict
@@ -58,39 +56,26 @@ class FusionConfig:
             raise ConfigurationError(f"tau must be >= 1, got {self.tau}")
 
 
-@dataclass
-class FusedGradientState:
-    """Per-node fusion memory: previous fused gradient and the injected
-    multiplier it was produced under."""
+def clip(g: np.ndarray, G: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Scale every row of the (m, d) array g onto the ball of radius G and
+    record the removed mass.
 
-    prev: Optional[np.ndarray] = None
-    last_alpha: Optional[float] = None
-
-    def reset(self):
-        self.prev = None
-        self.last_alpha = None
-
-
-@dataclass(frozen=True)
-class ClipResult:
-    clipped: np.ndarray
-    residual_sq: float  # squared norm of the part removed by clipping
-
-
-def clip(g: np.ndarray, G: float) -> ClipResult:
-    """Scale g onto the ball of radius G and record the removed mass.
-
-    The scaling factor is min(1, G/||g||); residual_sq is
-    ||(1 - factor) * g||^2 and is 0 whenever no clipping occurs.
+    A row's scaling factor is min(1, G/||row||) and its residual_sq is
+    ||(1 - factor) * row||^2, 0 whenever the row is not clipped.  Returns
+    (clipped, residual_sq), of shapes (m, d) and (m,).  Each row norm is the
+    1-D np.linalg.norm of that row, which keeps the result bit-identical to
+    clipping the rows one at a time.
     """
     if G <= 0:
         raise ValueError(f"clip threshold must be > 0, got {G}")
     g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    if norm <= G:
-        return ClipResult(clipped=g.copy(), residual_sq=0.0)
-    factor = G / norm
-    return ClipResult(clipped=factor * g, residual_sq=((1.0 - factor) * norm) ** 2)
+    if g.ndim != 2:
+        raise ValueError(f"clip expects an (m, d) array of rows, got shape {g.shape}")
+    norms = np.array([np.linalg.norm(row) for row in g])
+    factor = np.ones_like(norms)
+    over = norms > G
+    factor[over] = G / norms[over]
+    return factor[:, None] * g, ((1.0 - factor) * norms) ** 2
 
 
 def decay_threshold(config: ClipConfig, current: float) -> float:
@@ -100,44 +85,28 @@ def decay_threshold(config: ClipConfig, current: float) -> float:
     return config.psi * current
 
 
-def perturb(
-    clipped: np.ndarray, multiplier: float, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add multiplier-scaled Gaussian noise N(0, sigma^2 I) to a clipped
-    gradient; deterministic given the generator."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+def perturb(clipped: np.ndarray, multiplier: float, noise: np.ndarray) -> np.ndarray:
+    """Add multiplier-scaled Gaussian noise to clipped gradients.
+
+    noise holds the N(0, sigma^2 I) draws, shaped like clipped; a node with
+    sigma = 0 draws nothing and has a zero row.
+    """
     if multiplier <= 0:
         raise ValueError(f"multiplier must be > 0, got {multiplier}")
-    clipped = np.asarray(clipped, dtype=float)
-    if sigma == 0:
-        return clipped.copy()
-    return clipped + multiplier * rng.normal(0.0, sigma, size=clipped.shape)
+    return clipped + multiplier * noise
 
 
-def fuse(
-    noisy: np.ndarray,
-    state: FusedGradientState,
-    alpha_now: float,
-    theta: float,
-    t: int,
-) -> np.ndarray:
-    """One fusion step; mutates state and returns the fused gradient.
+def fuse(noisy: np.ndarray, prev: Optional[np.ndarray], theta: float) -> np.ndarray:
+    """One fusion step: (1 - theta) * noisy + theta * prev.
 
-    Blends with the previous fused gradient only when the injected
-    multiplier is unchanged since the last step and t != 0; otherwise the
-    noisy gradient passes through (interval-boundary reset).  Multiplier
-    comparison is exact float equality: alpha values come from integer floor
-    division, so equal intervals produce bit-identical values.
+    prev is the previous fused gradient, or None at the first step of a
+    noise-constant interval, where the noisy gradient passes through
+    (returned as given).  The caller decides where intervals start
+    (privacy.starts_interval).
     """
-    noisy = np.asarray(noisy, dtype=float)
-    if t != 0 and state.prev is not None and state.last_alpha == alpha_now:
-        fused = (1.0 - theta) * noisy + theta * state.prev
-    else:
-        fused = noisy.copy()
-    state.prev = fused
-    state.last_alpha = alpha_now
-    return fused
+    if prev is None:
+        return noisy
+    return (1.0 - theta) * noisy + theta * prev
 
 
 def noise_factor(theta: float, tau: int) -> float:

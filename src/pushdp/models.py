@@ -157,14 +157,6 @@ class Dataset:
         if len(self.features) != len(self.labels):
             raise ValueError("features and labels disagree in length")
 
-    def node_batch(self, node: int, indices: np.ndarray) -> Batch:
-        return self.features[indices], self.labels[indices]
-
-    def node_slice(self, node: int) -> np.ndarray:
-        if self.node_indices is None:
-            raise ValueError("dataset not partitioned")
-        return self.node_indices[node]
-
 
 def sample_batch(indices: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
     """Poisson-style batch draw: each sample joins independently with

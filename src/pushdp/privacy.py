@@ -97,6 +97,15 @@ def alpha_at(schedule: NoiseSchedule, t: int) -> float:
     return schedule.a1 * float(t // schedule.tau + schedule.a2) ** schedule.s
 
 
+def starts_interval(schedule: NoiseSchedule, t: int) -> bool:
+    """Whether iteration t starts a noise-constant interval: t == 0, or the
+    injected multiplier alpha(T - t) differs from the previous iteration's
+    alpha(T - t + 1).  Exact float comparison is safe: alpha values come from
+    integer floor division, so equal intervals give bit-identical values."""
+    T = schedule.T
+    return t == 0 or alpha_at(schedule, T - t + 1) != alpha_at(schedule, T - t)
+
+
 def beta_at(schedule: NoiseSchedule, lr: LrSchedule, t: int) -> float:
     """Piecewise learning-rate coefficient beta(t)."""
     if not (0 <= t < schedule.T):

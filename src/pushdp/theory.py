@@ -109,16 +109,17 @@ def min_iterations(theory: TheoryParams, n: int, p: float, K: float) -> Iteratio
     return IterationFloor(terms=terms, floor=math.inf if math.isinf(worst) else float(math.ceil(worst)))
 
 
+def _node_noise_terms(budgets: Sequence[PrivacyBudget], G: float) -> list:
+    """Per-node G^2 c2_i^2 varsigma_i^2 ln(1/delta_i) / epsilon_i^2."""
+    return [
+        G**2 * b.c2**2 * b.sampling_ratio**2 * np.log(1.0 / b.delta) / b.epsilon**2
+        for b in budgets
+    ]
+
+
 def budget_noise_term(budgets: Sequence[PrivacyBudget], G: float) -> float:
     """(1/n) sum_i G^2 c2_i^2 varsigma_i^2 ln(1/delta_i) / epsilon_i^2."""
-    return float(
-        np.mean(
-            [
-                G**2 * b.c2**2 * b.sampling_ratio**2 * np.log(1.0 / b.delta) / b.epsilon**2
-                for b in budgets
-            ]
-        )
-    )
+    return float(np.mean(_node_noise_terms(budgets, G)))
 
 
 def noise_sum_M(
@@ -138,10 +139,7 @@ def noise_sum_M(
         for t in range(schedule.T)
     )
     s2 = inverse_square_sum(schedule)
-    per_node = sum(
-        G**2 * b.c2**2 * b.sampling_ratio**2 * np.log(1.0 / b.delta) / b.epsilon**2
-        for b in budgets
-    )
+    per_node = sum(_node_noise_terms(budgets, G))
     return float(lr.eta_base**2 / n**2 * per_node * s1 * s2)
 
 

@@ -141,12 +141,16 @@ def load_edge_list(path, n: int) -> TopologySchedule:
             pairs = []
             for token in line.split():
                 try:
-                    recv, sender = token.split("<")
-                    pairs.append((int(recv), int(sender)))
+                    recv, sender = (int(v) for v in token.split("<"))
                 except ValueError as exc:
                     raise ConfigurationError(
                         f"{path}:{lineno}: bad edge token {token!r}, expected i<j"
                     ) from exc
+                if not (0 <= recv < n and 0 <= sender < n):
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: edge token {token!r} names a node outside [0, {n})"
+                    )
+                pairs.append((recv, sender))
             sets.append(DirectedEdgeSet(n, *zip(*pairs)))
     if not sets:
         raise ConfigurationError(f"{path}: no edge sets found")

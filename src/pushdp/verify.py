@@ -15,7 +15,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .fusion import FusedGradientState, fuse, noise_factor, perturb
+from .fusion import fuse, noise_factor, perturb
 from .models import LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic
 from .privacy import (
     LrSchedule,
@@ -24,7 +24,7 @@ from .privacy import (
     beta_sum_dominance,
     calibrate_sigma,
 )
-from .pushsum import initial_states, mix_round
+from .pushsum import mix_round
 from .topology import (
     DirectedEdgeSet,
     TopologySchedule,
@@ -72,13 +72,12 @@ def simulate_fused_noise(
     and returns E||g_fused||^2 / (alpha*sigma)^2, estimated over `trials`
     scalar chains; matches the closed form h(theta, tau) in expectation.
     """
-    state = FusedGradientState()
     zeros = np.zeros(trials)
-    fused = zeros
+    fused = None  # the interval starts at k = 0
     for k in range(tau):
         rng = np.random.default_rng(np.random.SeedSequence((seed, theta_key(theta), tau, k)))
-        noisy = perturb(zeros, alpha, sigma, rng)
-        fused = fuse(noisy, state, alpha, theta, t=k)
+        noisy = perturb(zeros, alpha, rng.normal(0.0, sigma, size=trials))
+        fused = fuse(noisy, fused, theta)
     return float(np.mean(fused**2) / (alpha * sigma) ** 2)
 
 
@@ -125,16 +124,13 @@ def consensus_suite(seed: int = 7) -> List[CheckResult]:
     n, rounds = 8, 1000
     schedule = TopologySchedule(kind="exponential-periodic", n=n)
     rng = np.random.default_rng(seed)
-    states = [s for s in initial_states(n, np.zeros(3))]
-    for i, s in enumerate(states):
-        s.x = rng.normal(size=3)
-        s.z = s.x / s.w
+    X, w = rng.normal(size=(n, 3)), np.ones(n)
     worst = 0.0
     period = schedule.period()
     matrices = [build_mixing_matrix(topology_at(schedule, t)) for t in range(period)]
     for t in range(rounds):
-        states = mix_round(states, matrices[t % period])
-        worst = max(worst, abs(sum(s.w for s in states) - n) / n)
+        X, w, _ = mix_round(X, w, matrices[t % period])
+        worst = max(worst, abs(sum(w) - n) / n)
     results.append(
         CheckResult(
             name=f"mass conservation, exponential-periodic n={n}, {rounds} rounds",
@@ -148,16 +144,11 @@ def consensus_suite(seed: int = 7) -> List[CheckResult]:
     # zero-gradient consensus on a static directed ring
     schedule = TopologySchedule(kind="static-ring", n=8, k=2)
     P = build_mixing_matrix(topology_at(schedule, 0))
-    states = initial_states(8, np.zeros(2))
     rng = np.random.default_rng(seed + 1)
-    for s in states:
-        s.x = rng.normal(size=2)
-        s.z = s.x / s.w
+    X, w = rng.normal(size=(8, 2)), np.ones(8)
     max_dev = np.inf
     for t in range(500):
-        states = mix_round(states, P)
-        X = np.stack([s.x for s in states])
-        Z = np.stack([s.z for s in states])
+        X, w, Z = mix_round(X, w, P)
         max_dev = float(np.max(np.linalg.norm(Z - X.mean(axis=0), axis=1)))
         if max_dev < 1e-8:
             break

@@ -92,6 +92,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="privacy.epsilon"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("sigma", ["-0.1", "nan"])
+    def test_sigma_override_must_be_non_negative(self, tmp_path, sigma):
+        text = BASE_CONFIG.replace("sampling_ratio = 0.5", f"sampling_ratio = 0.5\nsigma = {sigma}")
+        with pytest.raises(ConfigurationError, match="privacy.sigma"):
+            load_config(write_config(tmp_path, text))
+
     def test_eta_from_exponent(self, tmp_path):
         text = BASE_CONFIG.replace("eta = 1.0", "K = 2.0\np = 0.1")
         cfg = load_config(write_config(tmp_path, text))
@@ -154,6 +160,17 @@ class TestCliRun:
         assert code == 1
         err = capsys.readouterr().err
         assert "fusion.tau" in err and "noise.tau" in err
+
+    @pytest.mark.parametrize("token", ["1<9", "-1<2"])
+    def test_out_of_range_edge_token_is_config_error(self, tmp_path, capsys, token):
+        (tmp_path / "edges.txt").write_text(f"0<1 1<2\n2<3 {token}\n")
+        text = BASE_CONFIG.replace(
+            "kind = static-ring\nk = 2", "kind = explicit-list\npath = edges.txt"
+        )
+        code = main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"edges.txt:2: edge token '{token}'" in err
 
     def test_metrics_jsonl_is_strict_json(self, tmp_path, monkeypatch):
         from pushdp import cli

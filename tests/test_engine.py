@@ -201,3 +201,34 @@ class TestSummary:
                 assert len(result.records) == 8
                 return
         pytest.skip("no seed produced an empty node at this size")
+
+
+class TestNoiseDraws:
+    @staticmethod
+    def noise_draws(monkeypatch, cfg, seed):
+        """Run cfg and list the (node, t) of every NOISE stream it opens."""
+        from pushdp import engine, rng as rngmod
+
+        drawn = []
+        real_stream = rngmod.stream
+
+        def counting_stream(master_seed, node, t, purpose):
+            if purpose == rngmod.NOISE:
+                drawn.append((int(node), t))
+            return real_stream(master_seed, node, t, purpose)
+
+        monkeypatch.setattr(engine.rngmod, "stream", counting_stream)
+        return run(cfg, master_seed=seed), drawn
+
+    def test_no_noise_stream_when_sigma_is_zero(self, monkeypatch):
+        _, drawn = self.noise_draws(monkeypatch, degenerate_config(T=10), 4)
+        assert drawn == []
+
+    def test_only_occupied_nodes_draw(self, monkeypatch):
+        cfg = make_config(T=6, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
+        result, drawn = self.noise_draws(monkeypatch, cfg, 0)
+        empty = result.summary["empty_nodes"]
+        assert empty  # seed 0 leaves nodes 0, 1 and 4 without samples
+        occupied = [i for i in range(cfg.n) if i not in empty]
+        assert drawn == [(i, t) for t in range(cfg.T) for i in occupied]
+        assert np.all(result.fused_norms[:, empty] == 0.0)

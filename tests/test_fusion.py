@@ -5,7 +5,6 @@ import pytest
 
 from pushdp.fusion import (
     ClipConfig,
-    FusedGradientState,
     clip,
     decay_threshold,
     fuse,
@@ -14,39 +13,54 @@ from pushdp.fusion import (
     select_tau,
     staleness_bound,
 )
-from pushdp.privacy import NoiseSchedule, alpha_at
+from pushdp.privacy import NoiseSchedule, alpha_at, starts_interval
 from pushdp.verify import simulate_fused_noise
 
 
 class TestClip:
     def test_on_boundary_untouched(self):
-        res = clip(np.array([0.06, 0.08]), 0.1)
-        assert np.array_equal(res.clipped, [0.06, 0.08])
-        assert res.residual_sq == 0.0
+        clipped, residual_sq = clip(np.array([[0.06, 0.08]]), 0.1)
+        assert np.array_equal(clipped, [[0.06, 0.08]])
+        assert np.array_equal(residual_sq, [0.0])
 
     def test_scaled_with_residual(self):
-        res = clip(np.array([0.3, 0.4]), 0.1)
-        assert res.clipped == pytest.approx([0.06, 0.08], abs=1e-15)
+        clipped, residual_sq = clip(np.array([[0.3, 0.4]]), 0.1)
+        assert clipped[0] == pytest.approx([0.06, 0.08], abs=1e-15)
         # removed part is (0.24, 0.32), squared norm 0.16
-        assert res.residual_sq == pytest.approx(0.16, rel=1e-12)
+        assert residual_sq[0] == pytest.approx(0.16, rel=1e-12)
 
     def test_zero_vector(self):
-        res = clip(np.zeros(3), 0.5)
-        assert np.array_equal(res.clipped, np.zeros(3))
-        assert res.residual_sq == 0.0
+        clipped, residual_sq = clip(np.zeros((1, 3)), 0.5)
+        assert np.array_equal(clipped, np.zeros((1, 3)))
+        assert np.array_equal(residual_sq, [0.0])
+
+    def test_rows_match_scalar_formula(self, rng):
+        # a clipped row, a zero row and an unclipped row, each against
+        # factor = min(1, G/||g||), residual = ((1 - factor) * ||g||)^2
+        G = 0.5
+        g = np.stack([rng.normal(size=4) * 3.0, np.zeros(4), np.full(4, 0.1)])
+        clipped, residual_sq = clip(g, G)
+        for row, out, res in zip(g, clipped, residual_sq):
+            norm = np.linalg.norm(row)
+            factor = min(1.0, G / norm) if norm > 0 else 1.0
+            assert np.array_equal(out, factor * row)
+            assert res == ((1.0 - factor) * norm) ** 2
+        assert np.linalg.norm(clipped[0]) == pytest.approx(G, rel=1e-12)
+        assert residual_sq[0] > 0 and residual_sq[1] == residual_sq[2] == 0.0
 
     def test_norm_never_exceeds_threshold(self, rng):
         for _ in range(300):
-            g = rng.normal(size=rng.integers(1, 8)) * rng.uniform(0, 10)
+            g = rng.normal(size=(1, rng.integers(1, 8))) * rng.uniform(0, 10)
             G = rng.uniform(0.01, 2.0)
-            res = clip(g, G)
-            assert np.linalg.norm(res.clipped) <= G + 1e-12
+            (clipped,), (residual_sq,) = clip(g, G)
+            g = g[0]
+            assert np.linalg.norm(clipped) <= G + 1e-12
             if np.linalg.norm(g) <= G:
-                assert np.array_equal(res.clipped, g)
-                assert res.residual_sq == 0.0
+                assert np.array_equal(clipped, g)
+                assert residual_sq == 0.0
             else:
                 # direction preserved
-                cos = g @ res.clipped / (np.linalg.norm(g) * np.linalg.norm(res.clipped))
+                cos = g @ clipped / (np.linalg.norm(g) * np.linalg.norm(clipped))
                 assert cos == pytest.approx(1.0, abs=1e-12)
 
 
@@ -68,60 +82,64 @@ class TestDecay:
 
 class TestPerturb:
     def test_sigma_zero_exact(self):
+        # a node with sigma = 0 draws no noise and has a zero noise row
         g = np.array([1.0, -2.0])
-        out = perturb(g, 3.0, 0.0, np.random.default_rng(0))
+        out = perturb(g, 3.0, np.zeros(2))
         assert np.array_equal(out, g)
 
     def test_seed_determinism(self):
         g = np.zeros(3)
-        a = perturb(g, 2.0, 0.5, np.random.default_rng(123))
-        b = perturb(g, 2.0, 0.5, np.random.default_rng(123))
+        a = perturb(g, 2.0, np.random.default_rng(123).normal(0.0, 0.5, size=3))
+        b = perturb(g, 2.0, np.random.default_rng(123).normal(0.0, 0.5, size=3))
         assert np.array_equal(a, b)
 
     def test_monte_carlo_variance(self):
         # per-coordinate variance of multiplier*noise is (2 * 0.5)^2 = 1
-        out = perturb(np.zeros(1_000_000), 2.0, 0.5, np.random.default_rng(99))
+        noise = np.random.default_rng(99).normal(0.0, 0.5, size=1_000_000)
+        out = perturb(np.zeros(1_000_000), 2.0, noise)
         assert abs(np.var(out) - 1.0) < 0.005
 
 
 class TestFuse:
     def test_theta_zero_passthrough(self):
-        state = FusedGradientState(prev=np.array([5.0]), last_alpha=1.0)
         noisy = np.array([2.0])
-        assert fuse(noisy, state, 1.0, 0.0, t=3) == pytest.approx([2.0], abs=0)
+        assert fuse(noisy, np.array([5.0]), 0.0) == pytest.approx([2.0], abs=0)
 
     def test_t_zero_passthrough(self):
-        state = FusedGradientState(prev=np.array([5.0]), last_alpha=1.0)
-        out = fuse(np.array([2.0]), state, 1.0, 0.9, t=0)
+        # the engine passes prev=None at t = 0, where the first interval starts
+        assert starts_interval(NoiseSchedule(form="stepwise", T=10, s=0.2, tau=5), 0)
+        out = fuse(np.array([2.0]), None, 0.9)
         assert np.array_equal(out, [2.0])
 
     def test_convex_combination(self):
-        state = FusedGradientState(prev=np.array([0.0, 1.0]), last_alpha=2.0)
-        out = fuse(np.array([1.0, 0.0]), state, 2.0, 0.5, t=4)
+        out = fuse(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
         assert out == pytest.approx([0.5, 0.5], abs=0)
-        assert np.array_equal(state.prev, out)
 
     def test_alpha_change_resets(self):
-        state = FusedGradientState(prev=np.array([9.0]), last_alpha=2.0)
-        out = fuse(np.array([1.0]), state, 1.75, 0.5, t=4)
+        # alpha(T - t) steps from alpha(6) to alpha(5) at t = 5 (T = 10, tau = 3),
+        # so t = 5 starts an interval and the engine passes prev=None
+        sched = NoiseSchedule(form="stepwise", T=10, s=0.2, tau=3, a1=1.0, a2=10.0)
+        assert alpha_at(sched, 6) != alpha_at(sched, 5)
+        assert starts_interval(sched, 5) and not starts_interval(sched, 4)
+        out = fuse(np.array([1.0]), None, 0.5)
         assert np.array_equal(out, [1.0])
 
     def test_boundary_structure_against_schedule(self):
         # the step right after alpha(T-t) changes value must pass through
         T, tau = 40, 5
         sched = NoiseSchedule(form="stepwise", T=T, s=0.2, tau=tau, a1=1.0, a2=10.0)
-        state = FusedGradientState()
         rng = np.random.default_rng(5)
+        out = None
         for t in range(T):
-            a_now = alpha_at(sched, T - t)
             noisy = rng.normal(size=2)
-            prev_alpha = state.last_alpha
-            out = fuse(noisy, state, a_now, 0.7, t)
-            if t == 0 or prev_alpha != a_now:
+            new_interval = starts_interval(sched, t)
+            # the multiplier steps whenever T - t + 1 crosses a tau multiple
+            assert new_interval == (t == 0 or (T - t + 1) % tau == 0)
+            out = fuse(noisy, None if new_interval else out, 0.7)
+            if new_interval:
                 assert np.array_equal(out, noisy)
             else:
                 assert not np.array_equal(out, noisy)
-        # the multiplier steps whenever T - t + 1 crosses a tau multiple
         boundaries = [t for t in range(1, T) if alpha_at(sched, T - t) != alpha_at(sched, T - t + 1)]
         assert boundaries == [t for t in range(1, T) if (T - t + 1) % tau == 0]
 
@@ -206,8 +224,8 @@ class TestStalenessMonteCarlo:
             u = rng.normal(size=(tau, dim))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             stream = base + 0.5 * math.sqrt(d_tau) * u
-            state = FusedGradientState()
+            fused = None  # the interval starts at k = 0
             for k in range(tau):
-                fused = fuse(stream[k], state, 1.0, theta, t=k)
+                fused = fuse(stream[k], fused, theta)
             deviations[trial] = np.sum((fused - stream[-1]) ** 2)
         assert deviations.mean() <= bound * 1.05

@@ -3,15 +3,7 @@ import pytest
 
 from pushdp.engine import run
 from pushdp.errors import NumericalBreakdownError
-from pushdp.pushsum import (
-    NodeState,
-    RunHistory,
-    consensus_error,
-    deviation_bound_eval,
-    initial_states,
-    local_half_step,
-    mix_round,
-)
+from pushdp.pushsum import consensus_error, deviation_bound_eval, mix_round
 from pushdp.topology import (
     PropagationParams,
     TopologySchedule,
@@ -29,95 +21,65 @@ def ring_matrix(n, k=1):
     return build_mixing_matrix(topology_at(TopologySchedule(kind="static-ring", n=n, k=k), 0))
 
 
-class TestHalfStep:
-    def test_zero_gradient(self):
-        s = NodeState(node_id=0, x=np.array([1.0, 2.0]))
-        out = local_half_step(s, np.zeros(2), 0.1)
-        assert np.array_equal(out.x, s.x)
-
-    def test_arithmetic(self):
-        s = NodeState(node_id=0, x=np.array([1.0, 1.0]))
-        out = local_half_step(s, np.array([1.0, -1.0]), 0.5)
-        assert np.array_equal(out.x, [0.5, 1.5])
-        assert out.w == s.w and np.array_equal(out.z, s.z)
-
-    def test_purity(self):
-        s = NodeState(node_id=0, x=np.array([3.0]))
-        a = local_half_step(s, np.array([1.0]), 0.25)
-        b = local_half_step(s, np.array([1.0]), 0.25)
-        assert np.array_equal(a.x, b.x) and np.array_equal(s.x, [3.0])
-
-
 class TestMixRound:
     def test_symmetric_pair_averages_in_one_step(self):
         P = np.full((2, 2), 0.5)
-        states = [NodeState(0, np.array([0.0])), NodeState(1, np.array([2.0]))]
-        out = mix_round(states, P)
-        assert all(np.array_equal(s.x, [1.0]) for s in out)
-        assert all(s.w == 1.0 for s in out)
-        assert all(np.array_equal(s.z, [1.0]) for s in out)
-        assert consensus_error(out) == 0.0
+        X, w, Z = mix_round(np.array([[0.0], [2.0]]), np.ones(2), P)
+        assert np.array_equal(X, [[1.0], [1.0]])
+        assert np.array_equal(w, [1.0, 1.0])
+        assert np.array_equal(Z, [[1.0], [1.0]])
+        assert consensus_error(X, Z) == 0.0
 
     def test_identity_matrix_noop(self):
-        states = [NodeState(0, np.array([1.0])), NodeState(1, np.array([5.0]))]
-        out = mix_round(states, np.eye(2))
-        for before, after in zip(states, out):
-            assert np.array_equal(before.x, after.x) and before.w == after.w
+        X0, w0 = np.array([[1.0], [5.0]]), np.ones(2)
+        X, w, _ = mix_round(X0, w0, np.eye(2))
+        assert np.array_equal(X, X0) and np.array_equal(w, w0)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            mix_round(np.zeros((3, 1)), np.ones(3), np.eye(2))
 
     def test_directed_ring_conserves_and_reaches_consensus(self):
         P = ring_matrix(3)
-        states = [
-            NodeState(0, np.array([3.0])),
-            NodeState(1, np.array([0.0])),
-            NodeState(2, np.array([0.0])),
-        ]
-        out = mix_round(states, P)
-        assert sum(s.x[0] for s in out) == pytest.approx(3.0, rel=1e-12)
-        assert sum(s.w for s in out) == pytest.approx(3.0, rel=1e-12)
-        states = out
+        X, w, Z = mix_round(np.array([[3.0], [0.0], [0.0]]), np.ones(3), P)
+        assert X[:, 0].sum() == pytest.approx(3.0, rel=1e-12)
+        assert w.sum() == pytest.approx(3.0, rel=1e-12)
         for _ in range(59):
-            states = mix_round(states, P)
+            X, w, Z = mix_round(X, w, P)
         # power-iteration limit: z -> average of the initial x
-        assert max(abs(s.z[0] - 1.0) for s in states) < 1e-8
+        assert np.max(np.abs(Z[:, 0] - 1.0)) < 1e-8
 
     def test_mass_conserved_every_round(self, rng):
         P = ring_matrix(8, k=2)
-        states = initial_states(8, np.zeros(2))
-        for s in states:
-            s.x = rng.normal(size=2)
-        total_x = sum(s.x.sum() for s in states)
+        X, w = rng.normal(size=(8, 2)), np.ones(8)
+        total_x = X.sum()
         for _ in range(200):
-            states = mix_round(states, P)
-            assert sum(s.w for s in states) == pytest.approx(8.0, rel=1e-10)
-            assert sum(s.x.sum() for s in states) == pytest.approx(total_x, rel=1e-10)
+            X, w, _ = mix_round(X, w, P)
+            assert w.sum() == pytest.approx(8.0, rel=1e-10)
+            assert X.sum() == pytest.approx(total_x, rel=1e-10)
 
     def test_doubly_stochastic_keeps_unit_weights(self, rng):
         # complete graph with 1/8 weights is doubly stochastic and binary-exact
         P = ring_matrix(8, k=7)
-        states = initial_states(8, np.zeros(3))
-        for s in states:
-            s.x = rng.normal(size=3)
+        X, w = rng.normal(size=(8, 3)), np.ones(8)
         for _ in range(50):
-            states = mix_round(states, P)
-            assert all(s.w == 1.0 for s in states)
-            assert all(np.array_equal(s.z, s.x) for s in states)
+            X, w, Z = mix_round(X, w, P)
+            assert np.all(w == 1.0)
+            assert np.array_equal(Z, X)
 
     def test_weight_positive_guard(self):
-        states = [NodeState(0, np.array([1.0])), NodeState(1, np.array([1.0]))]
         bad = np.array([[1.0, 0.0], [-1.0, 1.0]])  # malformed on purpose
         with pytest.raises(NumericalBreakdownError, match="weight"):
-            mix_round(states, bad)
+            mix_round(np.ones((2, 1)), np.ones(2), bad)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_consensus_monotone_and_tiny(self, n, rng):
         P = ring_matrix(n, k=2)
-        states = initial_states(n, np.zeros(2))
-        for s in states:
-            s.x = rng.normal(size=2)
+        X, w = rng.normal(size=(n, 2)), np.ones(n)
         errors = []
         for _ in range(500):
-            states = mix_round(states, P)
-            errors.append(consensus_error(states))
+            X, w, Z = mix_round(X, w, P)
+            errors.append(consensus_error(X, Z))
         assert errors[-1] < 1e-12
         # monotone after burn-in, modulo float dust once the error sits at
         # the representable floor (~1e-32)
@@ -129,16 +91,26 @@ class TestMixRound:
 class TestDeviationBound:
     def test_all_zero(self):
         params = PropagationParams(lam=0.5, q=0.5, c_bound=2.0, U=2)
-        hist = RunHistory(x0_norms=[0.0, 0.0])
-        hist.record(0.1, [0.0, 0.0])
-        assert deviation_bound_eval(0, 0, params, hist) == 0.0
+        assert deviation_bound_eval(0, 0, params, 0.1, np.zeros((1, 2)), 0.0) == 0.0
 
     def test_decay_term_only(self):
         params = PropagationParams(lam=0.5, q=0.5, c_bound=2.0, U=2)
-        hist = RunHistory(x0_norms=[1.0])
-        for _ in range(4):
-            hist.record(0.1, [0.0])
-        assert deviation_bound_eval(0, 3, params, hist) == pytest.approx(0.25, abs=1e-15)
+        bound = deviation_bound_eval(0, 3, params, 0.1, np.zeros((4, 1)), 1.0)
+        assert bound == pytest.approx(0.25, abs=1e-15)
+
+    def test_gradient_term_against_literal_sum(self, rng):
+        params = PropagationParams(lam=0.5, q=0.7, c_bound=3.0, U=2)
+        norms = rng.uniform(0, 2, size=(6, 3))
+        literal = 3.0 * 0.7**5 * 2.0 + 0.05 * 3.0 * sum(
+            0.7 ** (5 - s) * norms[s, 1] for s in range(6)
+        )
+        bound = deviation_bound_eval(1, 5, params, 0.05, norms, 2.0)
+        assert bound == pytest.approx(literal, rel=1e-12)
+
+    def test_round_beyond_norms_rejected(self):
+        params = PropagationParams(lam=0.5, q=0.5, c_bound=2.0, U=2)
+        with pytest.raises(ValueError, match="cover 2 rounds"):
+            deviation_bound_eval(0, 2, params, 0.1, np.zeros((2, 1)), 0.0)
 
     def test_run_harness_measured_below_bound(self):
         # quadratic model, in-regime ring: U = 3, kappa = 4, J = 1
@@ -156,7 +128,10 @@ class TestDeviationBound:
         params = propagation_params(
             cfg.n, max_out_degree(sched), window_diameter(sched, 1), 1, 3
         )
-        for t in (5, 20, 49):
+        for rec in result.records:
             for node in range(cfg.n):
-                bound = deviation_bound_eval(node, t, params, result.history)
-                assert result.node_deviations[t, node] <= bound
+                # every node starts from x0 = 0
+                bound = deviation_bound_eval(
+                    node, rec.t, params, rec.eta_t, result.fused_norms, x0_norm=0.0
+                )
+                assert result.node_deviations[rec.t, node] <= bound
