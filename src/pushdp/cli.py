@@ -11,6 +11,7 @@ PUSHDP_OUT sets the default output directory for `run`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -36,10 +37,34 @@ def _sanitize(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Open a temp file next to `path` for writing and move it onto `path`
+    once the block completes, so `path` never holds a partial file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(_sanitize(payload), fh, indent=2)
         fh.write("\n")
+
+
+def _seed_list(text: str) -> list:
+    """argparse type of --seeds: a comma list of non-negative integers."""
+    parts = [s.strip() for s in text.split(",") if s.strip()]
+    if not all(p.isdecimal() for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of non-negative integers, got {text!r}"
+        )
+    return [int(p) for p in parts]
 
 
 def cmd_run(args) -> int:
@@ -48,11 +73,7 @@ def cmd_run(args) -> int:
     except PushdpError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [config.master_seed]
-    )
+    seeds = args.seeds or [config.master_seed]
     out_dir = args.out or os.environ.get("PUSHDP_OUT") or "runs"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -73,7 +94,7 @@ def cmd_run(args) -> int:
         except PushdpError as exc:
             print(f"run failed (seed {seed}): {exc}", file=sys.stderr)
             return 1
-        with open(planned[f"metrics_{seed}"], "w") as fh:
+        with _atomic_open(planned[f"metrics_{seed}"]) as fh:
             for record in result.records:
                 fh.write(json.dumps(_sanitize(record.as_dict()), allow_nan=False))
                 fh.write("\n")
@@ -232,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment config over seeds")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seeds", default=None, help="comma list, default: config master_seed")
+    p_run.add_argument("--seeds", type=_seed_list, default=None,
+                       help="comma list, default: config master_seed")
     p_run.add_argument("--out", default=None, help="output dir (default $PUSHDP_OUT or ./runs)")
     p_run.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
     p_run.set_defaults(func=cmd_run)

@@ -36,6 +36,8 @@ class ModelSpec:
             raise ConfigurationError(f"model.kind: unknown kind {self.kind!r}")
         if self.features < 1:
             raise ConfigurationError(f"model.features: must be >= 1, got {self.features}")
+        if self.classes < 1:
+            raise ConfigurationError(f"model.classes: must be >= 1, got {self.classes}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,13 @@ class DataSpec:
             raise ConfigurationError(f"data.kind: unknown kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ConfigurationError("data.path: required when data.kind = csv")
+        if self.n_samples < 1:
+            raise ConfigurationError(f"data.n_samples: must be >= 1, got {self.n_samples}")
         if self.alpha_conc <= 0:
             raise ConfigurationError(f"data.alpha_conc: must be > 0, got {self.alpha_conc}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     algorithm: str
     n: int
@@ -105,6 +109,10 @@ class ExperimentConfig:
             )
         if self.window_J < 1:
             raise ConfigurationError(f"topology.J: must be >= 1, got {self.window_J}")
+        if self.diameter_kappa is not None and self.diameter_kappa < 1:
+            raise ConfigurationError(f"topology.kappa: must be >= 1, got {self.diameter_kappa}")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"run.master_seed: must be >= 0, got {self.master_seed}")
         if self.sigma_override is not None and not self.sigma_override >= 0:
             raise ConfigurationError(f"privacy.sigma: must be >= 0, got {self.sigma_override}")
 

@@ -10,8 +10,7 @@ intervals.  Both mix through the per-iteration column-stochastic matrix.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -45,7 +44,6 @@ from .models import (
     split_test,
 )
 from .privacy import (
-    PrivacyBudget,
     alpha_at,
     beta_at,
     calibrate_sigma,
@@ -60,7 +58,7 @@ from .theory import (
     estimate_theory_params,
     min_iterations,
 )
-from .topology import build_mixing_matrix, max_out_degree, propagation_params, topology_at, window_diameter
+from .topology import build_mixing_matrix, max_out_degree, propagation_params, window_diameter
 
 
 @dataclass
@@ -79,18 +77,7 @@ class MetricsRecord:
     empirical_d_tau: float
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "mean_sq_grad_norm": self.mean_sq_grad_norm,
-            "consensus_error": self.consensus_error,
-            "train_loss": self.train_loss,
-            "test_accuracy": self.test_accuracy,
-            "current_g": self.current_g,
-            "alpha_injected": self.alpha_injected,
-            "eta_t": self.eta_t,
-            "clip_residual_mean": self.clip_residual_mean,
-            "empirical_d_tau": self.empirical_d_tau,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -134,17 +121,14 @@ def build_dataset(config: ExperimentConfig, master_seed: int) -> Dataset:
     return dataset
 
 
-def _calibrated_budgets(config: ExperimentConfig) -> List[PrivacyBudget]:
-    budgets = [copy.copy(b) for b in config.budgets]
-    for b in budgets:
-        if config.sigma_override is not None:
-            b.sigma = float(config.sigma_override)
-        else:
-            calibrate_sigma(b, config.clip.g0, config.noise)
-    return budgets
+def _node_sigmas(config: ExperimentConfig) -> List[float]:
+    """Per-node base noise scale: the override, or each budget calibrated."""
+    if config.sigma_override is not None:
+        return [float(config.sigma_override)] * config.n
+    return [calibrate_sigma(b, config.clip.g0, config.noise) for b in config.budgets]
 
 
-def _theory_block(config, model, dataset, x0, budgets, master_seed):
+def _theory_block(config, model, dataset, x0, master_seed):
     """Propagation constants plus estimated problem constants; returns
     (summary-dict, TheoryParams or None)."""
     block = {"enabled": True, "in_regime": False, "warning": None}
@@ -212,7 +196,7 @@ def run(
     model = build_model(config, seed)
     dataset = build_dataset(config, seed)
     occupied = np.array([len(idx) > 0 for idx in dataset.node_indices])
-    budgets = _calibrated_budgets(config)
+    sigmas = _node_sigmas(config)
 
     # every node starts from the shared x0 with unit weight, so Z = X
     x0 = np.zeros(model.dim)
@@ -221,13 +205,12 @@ def run(
     Z = X.copy()
 
     theory_summary, theory_params = (
-        _theory_block(config, model, dataset, x0, budgets, seed)
+        _theory_block(config, model, dataset, x0, seed)
         if config.theory_enabled
         else ({"enabled": False, "in_regime": False, "warning": None}, None)
     )
 
-    period = config.topology.period()
-    matrices = [build_mixing_matrix(topology_at(config.topology, t)) for t in range(period)]
+    matrices = [build_mixing_matrix(edges) for edges in config.topology.edge_sets]
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -263,14 +246,14 @@ def run(
             full_sq.append(float(g_full @ g_full))
             losses_at_mean.append(loss_and_grad(model, xbar, batch)[0])
             batch_idx = sample_batch(
-                idx, budgets[i].sampling_ratio, rngmod.stream(seed, i, t, rngmod.BATCH)
+                idx, config.budgets[i].sampling_ratio, rngmod.stream(seed, i, t, rngmod.BATCH)
             )
             _, Grad[i] = loss_and_grad(
                 model, Z[i], (dataset.features[batch_idx], dataset.labels[batch_idx])
             )
-            if budgets[i].sigma > 0:
+            if sigmas[i] > 0:
                 noise_rng = rngmod.stream(seed, i, t, rngmod.NOISE)
-                Noise[i] = noise_rng.normal(0.0, budgets[i].sigma, size=X.shape[1])
+                Noise[i] = noise_rng.normal(0.0, sigmas[i], size=X.shape[1])
         mean_sq = float(np.mean(full_sq))
         train_loss = float(np.mean(losses_at_mean))
         test_acc = None
@@ -290,7 +273,7 @@ def run(
         fused_norms[t] = np.linalg.norm(F, axis=1)
         X = X - eta_t * F
 
-        X, w, Z = mix_round(X, w, matrices[t % period])
+        X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             raise NumericalBreakdownError(
@@ -322,7 +305,7 @@ def run(
             G = decay_threshold(config.clip, G)
 
     summary = _summarize(
-        config, seed, budgets, records, theory_summary, theory_params,
+        config, seed, sigmas, records, theory_summary, theory_params,
         upsilon_total, rho_total, msg_sum / T, occupied,
     )
     return RunResult(
@@ -335,19 +318,18 @@ def run(
     )
 
 
-def _privacy_spent(config, budgets):
+def _privacy_spent(config, sigmas):
     if config.sigma_override is not None:
         return None
     spent = []
-    for i, b in enumerate(budgets):
+    for i, (b, sigma) in enumerate(zip(config.budgets, sigmas)):
         # the accountant consumes the sensitivity-normalized multiplier
-        normalized = copy.copy(b)
-        normalized.sigma = b.sigma / config.clip.g0
+        z = sigma / config.clip.g0
         spent.append(
             {
                 "node": i,
-                "epsilon_bound": epsilon_spent(normalized, config.noise),
-                "delta_at_epsilon": delta_bound(normalized, config.noise),
+                "epsilon_bound": epsilon_spent(b, z, config.noise),
+                "delta_at_epsilon": delta_bound(b, z, config.noise),
                 "label": "bound, constants-dependent",
             }
         )
@@ -355,7 +337,7 @@ def _privacy_spent(config, budgets):
 
 
 def _summarize(
-    config, seed, budgets, records, theory_summary, theory_params,
+    config, seed, sigmas, records, theory_summary, theory_params,
     upsilon_total, rho_total, time_avg_msg, occupied,
 ):
     from .config import to_sections  # local import to keep module load light
@@ -367,9 +349,9 @@ def _summarize(
         "T": config.T,
         "master_seed": seed,
         "config": to_sections(config),
-        "sigma_per_node": [b.sigma for b in budgets],
+        "sigma_per_node": sigmas,
         "sigma_calibrated": config.sigma_override is None,
-        "privacy_spent": _privacy_spent(config, budgets),
+        "privacy_spent": _privacy_spent(config, sigmas),
         "time_avg_mean_sq_grad_norm": time_avg_msg,
         "final_train_loss": last.train_loss,
         "final_test_accuracy": last.test_accuracy,

@@ -17,8 +17,7 @@ class OutOfRegimeError(PushdpError):
 
 
 class CalibrationError(PushdpError):
-    """Noise calibration preconditions are violated, or a budget is used
-    before its sigma has been calibrated."""
+    """Noise calibration or accounting preconditions are violated."""
 
 
 class NumericalBreakdownError(PushdpError):

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import rng as rngmod
 from .errors import ConfigurationError
 
 Batch = Tuple[np.ndarray, np.ndarray]  # (features, labels)
@@ -191,7 +192,7 @@ class PartitionSpec:
 def dirichlet_partition(labels: np.ndarray, spec: PartitionSpec) -> List[np.ndarray]:
     """Split sample indices across nodes, one Dirichlet proportion draw per
     class; exhaustive, disjoint, and deterministic in the seed."""
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0, 0, 3)))
+    rng = rngmod.stream(spec.seed, 0, 0, rngmod.PARTITION)
     out = [[] for _ in range(spec.n)]
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
@@ -239,7 +240,7 @@ def make_synthetic(
     """
     if n_samples < 1 or d < 1:
         raise ValueError("n_samples and d must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0, 4)))
+    rng = rngmod.stream(seed, 0, 0, rngmod.DATA)
     if kind == "blobs":
         if classes > d:
             raise ConfigurationError(f"blobs need classes <= d, got {classes} > {d}")
@@ -260,7 +261,7 @@ def make_synthetic(
 def make_quadratic_model(d: int, seed: int, eps: float = 0.1) -> QuadraticModel:
     """Random SPD quadratic objective: A = M'M / d + eps*I (min eigenvalue
     >= eps by construction), b standard normal."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1, 0, 4)))
+    rng = rngmod.stream(seed, 1, 0, rngmod.DATA)
     M = rng.normal(size=(d, d))
     A = M.T @ M / d + eps * np.eye(d)
     b = rng.normal(size=d)
@@ -273,7 +274,7 @@ def split_test(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         raise ConfigurationError(f"test fraction must lie in [0,1), got {fraction}")
     if fraction == 0.0:
         return dataset
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2, 0, 4)))
+    rng = rngmod.stream(seed, 2, 0, rngmod.DATA)
     N = len(dataset.labels)
     perm = rng.permutation(N)
     n_test = int(round(N * fraction))

@@ -31,8 +31,7 @@ class NoiseSchedule:
                      intervals of length tau.
 
     s >= 0 gives the non-decreasing multiplier the calibration formula
-    expects; negative s is accepted to reproduce decreasing-form sums and is
-    flagged by is_monotone().
+    expects; negative s is accepted to reproduce decreasing-form sums.
     """
 
     form: str
@@ -54,9 +53,6 @@ class NoiseSchedule:
             raise ConfigurationError(f"K must be > 0, got {self.K}")
         if self.form == "stepwise" and (self.a1 <= 0 or self.a2 <= 0):
             raise ConfigurationError("stepwise form needs a1 > 0 and a2 > 0")
-
-    def is_monotone(self) -> bool:
-        return self.s >= 0
 
 
 @dataclass(frozen=True)
@@ -137,14 +133,13 @@ def beta_sum_dominance(schedule: NoiseSchedule, lr: LrSchedule) -> Tuple[float, 
     return lhs, inverse_square_sum(schedule)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrivacyBudget:
-    """Per-node privacy budget plus the calibrated base noise scale.
+    """Per-node privacy budget.
 
     sampling_ratio is the per-sample inclusion probability of the node's
     batch draw.  c1 and c2 are the accountant constants; they have no
-    canonical values, so both default to 1 and stay configurable.  sigma is
-    filled in by calibrate_sigma.
+    canonical values, so both default to 1 and stay configurable.
     """
 
     epsilon: float
@@ -152,7 +147,6 @@ class PrivacyBudget:
     sampling_ratio: float
     c1: float = 1.0
     c2: float = 1.0
-    sigma: Optional[float] = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -173,8 +167,7 @@ def calibrate_sigma(budget: PrivacyBudget, G: float, schedule: NoiseSchedule) ->
     sigma = G * c2 * varsigma * sqrt(ln(1/delta)) / epsilon
             * sqrt(sum_t 1/alpha(t)^2)
 
-    The result is stored into budget.sigma and returned.  Requires the
-    regime condition epsilon < c1 * varsigma^2 * T.
+    Requires the regime condition epsilon < c1 * varsigma^2 * T.
     """
     if G <= 0:
         raise ValueError(f"clip threshold must be > 0, got {G}")
@@ -184,7 +177,7 @@ def calibrate_sigma(budget: PrivacyBudget, G: float, schedule: NoiseSchedule) ->
             f"epsilon={budget.epsilon:.6g} violates epsilon < c1*varsigma^2*T "
             f"= {limit:.6g}; raise c1, the sampling ratio, or T"
         )
-    sigma = (
+    return float(
         G
         * budget.c2
         * budget.sampling_ratio
@@ -192,27 +185,23 @@ def calibrate_sigma(budget: PrivacyBudget, G: float, schedule: NoiseSchedule) ->
         / budget.epsilon
         * np.sqrt(inverse_square_sum(schedule))
     )
-    budget.sigma = float(sigma)
-    return budget.sigma
 
 
-def moments_bound(order: float, budget: PrivacyBudget, schedule: NoiseSchedule) -> float:
+def moments_bound(order: float, budget: PrivacyBudget, z: float, schedule: NoiseSchedule) -> float:
     """Log-MGF bound of the privacy loss at a given order.
 
-    order*(order+1) * varsigma^2 / (2*sigma^2) * sum_t 1/alpha(t)^2, where
-    sigma is read as the sensitivity-normalized noise multiplier.
+    order*(order+1) * varsigma^2 / (2*z^2) * sum_t 1/alpha(t)^2, where
+    z = sigma / G is the sensitivity-normalized noise multiplier.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if budget.sigma is None:
-        raise CalibrationError("budget.sigma not calibrated; run calibrate_sigma first")
-    if budget.sigma == 0:
-        raise CalibrationError("moments bound undefined for sigma = 0")
+    if z == 0:
+        raise CalibrationError("moments bound undefined for z = 0")
     return (
         order
         * (order + 1)
         * budget.sampling_ratio**2
-        / (2.0 * budget.sigma**2)
+        / (2.0 * z**2)
         * inverse_square_sum(schedule)
     )
 
@@ -222,6 +211,7 @@ DEFAULT_ORDERS = tuple(range(1, 65))
 
 def delta_bound(
     budget: PrivacyBudget,
+    z: float,
     schedule: NoiseSchedule,
     epsilon: Optional[float] = None,
     orders: Iterable[int] = DEFAULT_ORDERS,
@@ -230,12 +220,13 @@ def delta_bound(
     exp(moments_bound(order) - order * epsilon)."""
     eps = budget.epsilon if epsilon is None else epsilon
     # exp is monotone: exponentiate the smallest log to avoid overflow
-    best = min(moments_bound(lam, budget, schedule) - lam * eps for lam in orders)
+    best = min(moments_bound(lam, budget, z, schedule) - lam * eps for lam in orders)
     return float(np.exp(min(best, 700.0)))
 
 
 def epsilon_spent(
     budget: PrivacyBudget,
+    z: float,
     schedule: NoiseSchedule,
     delta: Optional[float] = None,
     orders: Iterable[int] = DEFAULT_ORDERS,
@@ -244,6 +235,6 @@ def epsilon_spent(
     (moments_bound(order) + ln(1/delta)) / order."""
     dlt = budget.delta if delta is None else delta
     return min(
-        float((moments_bound(lam, budget, schedule) + np.log(1.0 / dlt)) / lam)
+        float((moments_bound(lam, budget, z, schedule) + np.log(1.0 / dlt)) / lam)
         for lam in orders
     )

@@ -9,7 +9,7 @@ are never fed back into the algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -69,9 +69,6 @@ class TheoryParams:
 class IterationFloor:
     terms: dict
     floor: float  # ceil of the max term; inf when the network is degenerate
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.floor)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -156,17 +153,7 @@ class BoundBreakdown:
     h: float
 
     def as_dict(self) -> dict:
-        return {
-            "fixed_term": self.fixed_term,
-            "noise_term": self.noise_term,
-            "bias_term": self.bias_term,
-            "total": self.total,
-            "A1": self.A1,
-            "A2": self.A2,
-            "A3": self.A3,
-            "M": self.M,
-            "h": self.h,
-        }
+        return asdict(self)
 
 
 def convergence_bound(

@@ -77,12 +77,13 @@ def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TopologySchedule:
-    """Deterministic per-iteration edge-set generator.
+    """Deterministic per-iteration edge sets: edge_sets holds one period,
+    cycled over t.
 
     kind is one of:
       static-ring           each node receives from its k predecessors
       exponential-periodic  out-offsets {j * 2^(t mod log2 n)}, n a power of 2
-      explicit-list         a fixed list of edge sets, cycled over t
+      explicit-list         the given edge_sets
     """
 
     kind: str
@@ -93,22 +94,23 @@ class TopologySchedule:
     def __post_init__(self):
         if self.kind not in ("static-ring", "exponential-periodic", "explicit-list"):
             raise ConfigurationError(f"unknown topology kind {self.kind!r}")
-        if self.kind == "static-ring" and not (1 <= self.k < self.n):
-            raise ConfigurationError(f"static-ring needs 1 <= k < n, got k={self.k}, n={self.n}")
+        if self.kind == "static-ring":
+            if not (1 <= self.k < self.n):
+                raise ConfigurationError(f"static-ring needs 1 <= k < n, got k={self.k}, n={self.n}")
+            object.__setattr__(self, "edge_sets", (_circulant(self.n, np.arange(1, self.k + 1)),))
         if self.kind == "exponential-periodic":
             if self.n < 2 or (self.n & (self.n - 1)) != 0:
                 raise ConfigurationError(
                     f"exponential-periodic topology needs a power-of-2 node count, got n={self.n}"
                 )
-        if self.kind == "explicit-list" and not self.edge_sets:
+            steps = 2 ** np.arange(int(np.log2(self.n)))
+            sets = tuple(_circulant(self.n, np.arange(self.n // 2) * step) for step in steps)
+            object.__setattr__(self, "edge_sets", sets)
+        if not self.edge_sets:
             raise ConfigurationError("explicit-list topology needs at least one edge set")
 
     def period(self) -> int:
         """Length after which the schedule repeats."""
-        if self.kind == "static-ring":
-            return 1
-        if self.kind == "exponential-periodic":
-            return int(np.log2(self.n))
         return len(self.edge_sets)
 
 
@@ -116,12 +118,6 @@ def topology_at(schedule: TopologySchedule, t: int) -> DirectedEdgeSet:
     """Edge set at iteration t; pure in (schedule, t)."""
     if t < 0:
         raise ValueError(f"iteration index must be >= 0, got {t}")
-    n = schedule.n
-    if schedule.kind == "static-ring":
-        return _circulant(n, np.arange(1, schedule.k + 1))
-    if schedule.kind == "exponential-periodic":
-        step = 2 ** (t % int(np.log2(n)))
-        return _circulant(n, np.arange(n // 2) * step)
     return schedule.edge_sets[t % len(schedule.edge_sets)]
 
 
@@ -263,7 +259,6 @@ def propagation_params(n: int, U: int, kappa: int, J: int, d: int) -> Propagatio
     return PropagationParams(lam=lam, q=q, c_bound=c_bound, U=U)
 
 
-def max_out_degree(schedule: TopologySchedule, horizon: Optional[int] = None) -> int:
-    """Maximum out-degree (self included) over one period or a horizon."""
-    span = schedule.period() if horizon is None else horizon
-    return max(int(topology_at(schedule, t).out_degrees().max()) for t in range(span))
+def max_out_degree(schedule: TopologySchedule) -> int:
+    """Maximum out-degree (self included) over one period."""
+    return max(int(edges.out_degrees().max()) for edges in schedule.edge_sets)

@@ -1,4 +1,6 @@
 import json
+import os
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -98,6 +100,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="privacy.sigma"):
             load_config(write_config(tmp_path, text))
 
+    def test_config_is_frozen(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        with pytest.raises(FrozenInstanceError):
+            cfg.n = 4
+
     def test_eta_from_exponent(self, tmp_path):
         text = BASE_CONFIG.replace("eta = 1.0", "K = 2.0\np = 0.1")
         cfg = load_config(write_config(tmp_path, text))
@@ -171,6 +178,49 @@ class TestCliRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"edges.txt:2: edge token '{token}'" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("k = 2", "k = 2\nkappa = 0", "topology.kappa: must be >= 1, got 0"),
+        ("n_samples = 160", "n_samples = 0", "data.n_samples: must be >= 1, got 0"),
+        ("master_seed = 3", "master_seed = -1", "run.master_seed: must be >= 0, got -1"),
+        ("kind = logistic", "kind = mlp\nclasses = 0", "model.classes: must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, old, new, message):
+        text = BASE_CONFIG.replace(old, new)
+        code = main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("seeds", ["-3", "1,x"])
+    def test_bad_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", write_config(tmp_path), "--seeds", seeds,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "pushdp run: error: argument --seeds: expected a comma list of "
+            f"non-negative integers, got {seeds!r}"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_summary_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        from pushdp import cli
+
+        real_run = cli.engine.run
+
+        def run_with_unserializable_summary(config, master_seed=None):
+            result = real_run(config, master_seed=master_seed)
+            result.summary["unserializable"] = object()
+            return result
+
+        monkeypatch.setattr(cli.engine, "run", run_with_unserializable_summary)
+        out = tmp_path / "out"
+        with pytest.raises(TypeError):
+            main(["run", "--config", write_config(tmp_path), "--seeds", "1", "--out", str(out)])
+        assert os.listdir(out) == ["seed_1_metrics.jsonl"]
+        lines = (out / "seed_1_metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == list(range(30))
 
     def test_metrics_jsonl_is_strict_json(self, tmp_path, monkeypatch):
         from pushdp import cli

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -101,7 +102,6 @@ class TestCalibration:
         closed = 0.1 * 0.01 * math.sqrt(math.log(1e5)) * math.sqrt(1000) / 2.0
         assert sigma == pytest.approx(closed, rel=1e-12)
         assert abs(sigma - 0.05364) < 1e-5
-        assert budget.sigma == sigma
 
     def test_linear_in_G(self):
         sched = stepwise(T=20)
@@ -136,25 +136,22 @@ class TestCalibration:
 class TestMomentsBound:
     def test_order_one_example(self):
         budget = PrivacyBudget(epsilon=1.0, delta=1e-5, sampling_ratio=0.01)
-        budget.sigma = 1.0
         sched = NoiseSchedule(form="power", T=100, s=0.0, K=1.0)
-        assert moments_bound(1, budget, sched) == pytest.approx(
+        assert moments_bound(1, budget, 1.0, sched) == pytest.approx(
             1 * 2 * 1e-4 / 2.0 * 100, rel=1e-12
         )
 
     def test_vanishes_as_sigma_grows(self):
         budget = PrivacyBudget(epsilon=1.0, delta=1e-5, sampling_ratio=0.1)
         sched = NoiseSchedule(form="power", T=100, s=0.0, K=1.0)
-        budget.sigma = 1e3
-        small = moments_bound(4, budget, sched)
-        budget.sigma = 1e9
-        tiny = moments_bound(4, budget, sched)
+        small = moments_bound(4, budget, 1e3, sched)
+        tiny = moments_bound(4, budget, 1e9, sched)
         assert tiny < small and tiny < 1e-12
 
-    def test_requires_calibration(self):
+    def test_zero_multiplier_rejected(self):
         budget = PrivacyBudget(epsilon=1.0, delta=1e-5, sampling_ratio=0.1)
-        with pytest.raises(CalibrationError, match="not calibrated"):
-            moments_bound(2, budget, stepwise())
+        with pytest.raises(CalibrationError, match="z = 0"):
+            moments_bound(2, budget, 0.0, stepwise())
 
     def test_self_consistency_at_c2_two(self):
         # with unit sensitivity and c2=2, the grid-search delta' satisfies
@@ -162,11 +159,16 @@ class TestMomentsBound:
         # inherited without values)
         sched = stepwise(T=1000, tau=5, s=0.2)
         tight = PrivacyBudget(epsilon=2.0, delta=1e-5, sampling_ratio=0.01, c1=25.0, c2=2.0)
-        calibrate_sigma(tight, 1.0, sched)
-        assert delta_bound(tight, sched) <= tight.delta
+        z = calibrate_sigma(tight, 1.0, sched)  # G = 1, so sigma is the multiplier z
+        assert delta_bound(tight, z, sched) <= tight.delta
         loose = PrivacyBudget(epsilon=2.0, delta=1e-5, sampling_ratio=0.01, c1=25.0, c2=1.0)
-        calibrate_sigma(loose, 1.0, sched)
-        assert delta_bound(loose, sched) > tight.delta  # the c2=1 slack
+        z = calibrate_sigma(loose, 1.0, sched)
+        assert delta_bound(loose, z, sched) > tight.delta  # the c2=1 slack
+
+    def test_budget_is_frozen(self):
+        budget = PrivacyBudget(epsilon=1.0, delta=1e-5, sampling_ratio=0.1)
+        with pytest.raises(FrozenInstanceError):
+            budget.epsilon = 2.0
 
 
 class TestBetaSumDominance:

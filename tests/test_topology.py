@@ -178,6 +178,12 @@ def test_max_out_degree_ring():
     assert max_out_degree(TopologySchedule(kind="exponential-periodic", n=8)) == 4
 
 
+@pytest.mark.parametrize("sched", [ring(8, k=2), TopologySchedule(kind="exponential-periodic", n=16)])
+def test_period_edge_sets_built_once(sched):
+    for t in range(2 * sched.period()):
+        assert topology_at(sched, t) is topology_at(sched, t + sched.period())
+
+
 def old_ring_pairs(n, k):
     """The set-comprehension definition the index arrays replaced."""
     return {(i, (i - m) % n) for i in range(n) for m in range(1, k + 1)}
