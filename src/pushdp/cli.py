@@ -146,7 +146,7 @@ def _budget_from_args(args) -> PrivacyBudget:
 def _theory_from_args(args) -> TheoryParams:
     return TheoryParams(
         L=args.L, a=args.a_const, m=args.m_const, C=args.C, q=args.q,
-        lam=1.0 - args.q, F0=args.F0, d=args.d, x0_norm=args.x0_norm,
+        F0=args.F0, d=args.d, x0_norm=args.x0_norm,
     )
 
 

@@ -3,17 +3,18 @@ field-path errors, and a canonical echo that reparses to an equal config.
 
 Sections: [run], [topology], [noise], [lr], [clip], [fusion], [privacy],
 [model], [data].  Scalar privacy keys broadcast across nodes; comma lists
-give per-node values.
+give per-node values.  An unknown section or key is an error.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
+import typing
+from dataclasses import MISSING, dataclass, fields
+from typing import List, Optional
 
 import numpy as np
-from dataclasses import dataclass
-from typing import List, Optional
 
 from .errors import ConfigurationError
 from .fusion import ClipConfig, FusionConfig
@@ -118,134 +119,150 @@ class ExperimentConfig:
 
 
 # ------------------------------------------------------------- parsing
+#
+# [noise], [clip], [fusion], [model], [data] and the per-node lists of
+# [privacy] map one-to-one onto the fields of their spec dataclass: the key
+# is the lower-cased field name, the cast comes from the annotation and the
+# default from the field.  [run], [topology], [lr] and privacy.sigma are read
+# by hand, because their keys differ from the fields they set.
 
 
-def _get(sections: dict, section: str, key: str, cast, default=None, required=False):
-    sec = sections.get(section, {})
-    if key not in sec:
-        if required:
-            raise ConfigurationError(f"{section}.{key}: required key missing")
-        return default
-    raw = sec[key]
-    try:
-        if cast is bool:
-            if str(raw).lower() in ("1", "true", "yes", "on"):
-                return True
-            if str(raw).lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{section}.{key}: cannot parse {raw!r} as {cast.__name__}") from exc
+def _cast(annotation):
+    """Parse function for a field annotation; Optional[X] parses as X."""
+    args = [a for a in typing.get_args(annotation) if a is not type(None)]
+    return args[0] if args else annotation
 
 
-def _get_list(sections: dict, section: str, key: str, n: int, default=None):
-    """Float value broadcast to n entries, or an n-length comma list."""
-    sec = sections.get(section, {})
-    if key not in sec:
-        if default is None:
-            raise ConfigurationError(f"{section}.{key}: required key missing")
-        return [default] * n
-    raw = str(sec[key])
-    parts = [p for p in raw.split(",") if p.strip()]
-    try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key}: cannot parse {raw!r}") from exc
-    if len(values) == 1:
-        return values * n
-    if len(values) != n:
-        raise ConfigurationError(
-            f"{section}.{key}: got {len(values)} values for {n} nodes"
-        )
-    return values
+class _Reader:
+    """Lower-cased config sections that remember every (section, key) the
+    parser asked for, so that the keys nobody asked for can be rejected."""
+
+    def __init__(self, sections: dict):
+        self.sections = {
+            str(sec).lower(): {str(k).lower(): v for k, v in body.items()}
+            for sec, body in sections.items()
+        }
+        self.asked = set()
+
+    def _raw(self, section: str, key: str):
+        self.asked.add((section, key))
+        return self.sections.get(section, {}).get(key, MISSING)
+
+    def get(self, section: str, key: str, cast, default=MISSING):
+        """One value parsed by cast; without a default the key is required."""
+        raw = self._raw(section, key)
+        if raw is MISSING:
+            if default is MISSING:
+                raise ConfigurationError(f"{section}.{key}: required key missing")
+            return default
+        try:
+            if cast is bool:
+                if str(raw).lower() in ("1", "true", "yes", "on"):
+                    return True
+                if str(raw).lower() in ("0", "false", "no", "off"):
+                    return False
+                raise ValueError(raw)
+            return cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{section}.{key}: cannot parse {raw!r} as {cast.__name__}"
+            ) from exc
+
+    def get_list(self, section: str, key: str, n: int, default=MISSING):
+        """Float value broadcast to n entries, or an n-length comma list."""
+        raw = self._raw(section, key)
+        if raw is MISSING:
+            if default is MISSING:
+                raise ConfigurationError(f"{section}.{key}: required key missing")
+            return [default] * n
+        parts = [p for p in str(raw).split(",") if p.strip()]
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ConfigurationError(f"{section}.{key}: cannot parse {str(raw)!r}") from exc
+        if len(values) == 1:
+            return values * n
+        if len(values) != n:
+            raise ConfigurationError(
+                f"{section}.{key}: got {len(values)} values for {n} nodes"
+            )
+        return values
+
+    def spec(self, section: str, cls, given=None, defaults=None) -> dict:
+        """Keyword arguments for the spec dataclass cls: the given values,
+        plus one key of [section] per other field, whose default is
+        defaults[name] if named there and the field's own otherwise."""
+        hints = typing.get_type_hints(cls)
+        values = dict(given or {})
+        for f in fields(cls):
+            if f.name not in values:
+                default = (defaults or {}).get(f.name, f.default)
+                values[f.name] = self.get(section, f.name.lower(), _cast(hints[f.name]), default)
+        return values
+
+    def reject_unknown(self):
+        known = {section for section, _ in self.asked}
+        for section, body in self.sections.items():
+            if section not in known:
+                raise ConfigurationError(f"[{section}]: unknown section")
+            for key in body:
+                if (section, key) not in self.asked:
+                    raise ConfigurationError(f"{section}.{key}: unknown key")
 
 
 def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build a validated ExperimentConfig from a dict of string sections."""
-    sections = {
-        str(sec).lower(): {str(k).lower(): v for k, v in body.items()}
-        for sec, body in sections.items()
-    }
-    algorithm = _get(sections, "run", "algorithm", str, required=True)
-    n = _get(sections, "run", "n", int, required=True)
-    T = _get(sections, "run", "t", int, required=True)
-    master_seed = _get(sections, "run", "master_seed", int, default=0)
-    theory_enabled = _get(sections, "run", "theory", bool, default=True)
+    r = _Reader(sections)
+    algorithm = r.get("run", "algorithm", str)
+    n = r.get("run", "n", int)
+    T = r.get("run", "t", int)
+    master_seed = r.get("run", "master_seed", int, 0)
+    theory_enabled = r.get("run", "theory", bool, True)
 
-    kind = _get(sections, "topology", "kind", str, required=True)
-    topo_path = _get(sections, "topology", "path", str)
+    kind = r.get("topology", "kind", str)
+    topo_path = r.get("topology", "path", str, None)
+    k = r.get("topology", "k", int, 1)
     if kind == "explicit-list":
         if not topo_path:
             raise ConfigurationError("topology.path: required for explicit-list")
         resolved = topo_path if os.path.isabs(topo_path) else os.path.join(base_dir, topo_path)
         topology = load_edge_list(resolved, n)
     else:
-        topology = TopologySchedule(kind=kind, n=n, k=_get(sections, "topology", "k", int, default=1))
-    window_J = _get(sections, "topology", "j", int, default=1)
-    diameter_kappa = _get(sections, "topology", "kappa", int)
+        topology = TopologySchedule(kind=kind, n=n, k=k)
+    window_J = r.get("topology", "j", int, 1)
+    diameter_kappa = r.get("topology", "kappa", int, None)
 
-    form = _get(sections, "noise", "form", str, required=True)
-    noise = NoiseSchedule(
-        form=form,
-        T=T,
-        s=_get(sections, "noise", "s", float, required=True),
-        tau=_get(sections, "noise", "tau", int, default=1),
-        K=_get(sections, "noise", "k", float, default=1.0),
-        a1=_get(sections, "noise", "a1", float, default=1.0),
-        a2=_get(sections, "noise", "a2", float, default=10.0),
-    )
+    noise = NoiseSchedule(**r.spec("noise", NoiseSchedule, given={"T": T}))
 
-    xi = _get(sections, "lr", "xi", float, default=0.5)
-    eta = _get(sections, "lr", "eta", float)
-    lr_K = _get(sections, "lr", "k", float)
-    p = _get(sections, "lr", "p", float)
+    xi = r.get("lr", "xi", float, 0.5)
+    eta = r.get("lr", "eta", float, None)
+    lr_K = r.get("lr", "k", float, None)
+    p = r.get("lr", "p", float, None)
     if eta is None:
         if lr_K is None or p is None:
             raise ConfigurationError("lr: give either lr.eta or both lr.K and lr.p")
         eta = eta_from_exponent(lr_K, n, T, p)
     lr = LrSchedule(eta_base=eta, xi=xi, p=p)
 
-    clip = ClipConfig(
-        g0=_get(sections, "clip", "g0", float, required=True),
-        psi=_get(sections, "clip", "psi", float, default=1.0),
-    )
-    fusion = FusionConfig(
-        theta=_get(sections, "fusion", "theta", float, default=0.0),
-        tau=_get(sections, "fusion", "tau", int, default=noise.tau),
-    )
+    clip = ClipConfig(**r.spec("clip", ClipConfig))
+    fusion = FusionConfig(**r.spec("fusion", FusionConfig, defaults={"tau": noise.tau}))
 
-    eps = _get_list(sections, "privacy", "epsilon", n)
-    delta = _get_list(sections, "privacy", "delta", n)
-    ratio = _get_list(sections, "privacy", "sampling_ratio", n)
-    c1 = _get_list(sections, "privacy", "c1", n, default=1.0)
-    c2 = _get_list(sections, "privacy", "c2", n, default=1.0)
+    per_node = {
+        f.name: r.get_list("privacy", f.name.lower(), n, f.default)
+        for f in fields(PrivacyBudget)
+    }
     budgets = [
-        PrivacyBudget(epsilon=eps[i], delta=delta[i], sampling_ratio=ratio[i], c1=c1[i], c2=c2[i])
+        PrivacyBudget(**{name: values[i] for name, values in per_node.items()})
         for i in range(n)
     ]
-    sigma_override = _get(sections, "privacy", "sigma", float)
+    sigma_override = r.get("privacy", "sigma", float, None)
 
-    model = ModelSpec(
-        kind=_get(sections, "model", "kind", str, required=True),
-        features=_get(sections, "model", "features", int, default=2),
-        l2=_get(sections, "model", "l2", float, default=0.0),
-        hidden=_get(sections, "model", "hidden", int, default=8),
-        classes=_get(sections, "model", "classes", int, default=2),
-    )
-    data_kind = _get(sections, "data", "kind", str, required=True)
-    data_path = _get(sections, "data", "path", str)
-    if data_path and not os.path.isabs(data_path):
-        data_path = os.path.join(base_dir, data_path)
-    data = DataSpec(
-        kind=data_kind,
-        n_samples=_get(sections, "data", "n_samples", int, default=400),
-        path=data_path,
-        separation=_get(sections, "data", "separation", float, default=4.0),
-        spread=_get(sections, "data", "spread", float, default=0.1),
-        test_fraction=_get(sections, "data", "test_fraction", float, default=0.0),
-        alpha_conc=_get(sections, "data", "alpha_conc", float, default=1.0),
-    )
+    model = ModelSpec(**r.spec("model", ModelSpec))
+    data = r.spec("data", DataSpec)
+    if data["path"] and not os.path.isabs(data["path"]):
+        data["path"] = os.path.join(base_dir, data["path"])
+    data = DataSpec(**data)
+    r.reject_unknown()
 
     return ExperimentConfig(
         algorithm=algorithm,
@@ -284,13 +301,22 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
+def _echo(spec, skip=()) -> dict:
+    """Section body for a spec dataclass: one lower-cased key per field not
+    in skip, leaving out fields that are None."""
+    return {
+        f.name.lower(): _fmt(getattr(spec, f.name))
+        for f in fields(spec)
+        if f.name not in skip and getattr(spec, f.name) is not None
+    }
+
+
 def to_sections(cfg: ExperimentConfig) -> dict:
     """Canonical echo of a validated config; parse_sections() on the result
     reproduces an equal ExperimentConfig."""
-    b0 = cfg.budgets[0]
 
-    def per_node(attr):
-        vals = [getattr(b, attr) for b in cfg.budgets]
+    def per_node(name):
+        vals = [getattr(b, name) for b in cfg.budgets]
         if all(v == vals[0] for v in vals):
             return _fmt(vals[0])
         return ",".join(_fmt(v) for v in vals)
@@ -304,39 +330,13 @@ def to_sections(cfg: ExperimentConfig) -> dict:
             "theory": "true" if cfg.theory_enabled else "false",
         },
         "topology": {"kind": cfg.topology.kind, "j": str(cfg.window_J)},
-        "noise": {
-            "form": cfg.noise.form,
-            "s": _fmt(cfg.noise.s),
-            "tau": str(cfg.noise.tau),
-            "k": _fmt(cfg.noise.K),
-            "a1": _fmt(cfg.noise.a1),
-            "a2": _fmt(cfg.noise.a2),
-        },
+        "noise": _echo(cfg.noise, skip=("T",)),
         "lr": {"eta": _fmt(cfg.lr.eta_base), "xi": _fmt(cfg.lr.xi)},
-        "clip": {"g0": _fmt(cfg.clip.g0), "psi": _fmt(cfg.clip.psi)},
-        "fusion": {"theta": _fmt(cfg.fusion.theta), "tau": str(cfg.fusion.tau)},
-        "privacy": {
-            "epsilon": per_node("epsilon"),
-            "delta": per_node("delta"),
-            "sampling_ratio": per_node("sampling_ratio"),
-            "c1": per_node("c1"),
-            "c2": per_node("c2"),
-        },
-        "model": {
-            "kind": cfg.model.kind,
-            "features": str(cfg.model.features),
-            "l2": _fmt(cfg.model.l2),
-            "hidden": str(cfg.model.hidden),
-            "classes": str(cfg.model.classes),
-        },
-        "data": {
-            "kind": cfg.data.kind,
-            "n_samples": str(cfg.data.n_samples),
-            "separation": _fmt(cfg.data.separation),
-            "spread": _fmt(cfg.data.spread),
-            "test_fraction": _fmt(cfg.data.test_fraction),
-            "alpha_conc": _fmt(cfg.data.alpha_conc),
-        },
+        "clip": _echo(cfg.clip),
+        "fusion": _echo(cfg.fusion),
+        "privacy": {f.name.lower(): per_node(f.name) for f in fields(PrivacyBudget)},
+        "model": _echo(cfg.model),
+        "data": _echo(cfg.data),
     }
     if cfg.topology.kind == "static-ring":
         sections["topology"]["k"] = str(cfg.topology.k)
@@ -350,14 +350,4 @@ def to_sections(cfg: ExperimentConfig) -> dict:
         sections["lr"]["k"] = _fmt(cfg.lr_K)
     if cfg.sigma_override is not None:
         sections["privacy"]["sigma"] = _fmt(cfg.sigma_override)
-    if cfg.data.path is not None:
-        sections["data"]["path"] = cfg.data.path
     return sections
-
-
-def write_config(cfg: ExperimentConfig, path: str):
-    parser = configparser.ConfigParser()
-    for name, body in to_sections(cfg).items():
-        parser[name] = body
-    with open(path, "w") as fh:
-        parser.write(fh)

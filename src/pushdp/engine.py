@@ -10,7 +10,9 @@ intervals.  Both mix through the per-iteration column-stochastic matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import List, Optional
 
 import numpy as np
@@ -219,9 +221,6 @@ def run(
     fused_norms = np.zeros((T, n))
     deviations = np.zeros((T, n))
     trajectory: Optional[List[np.ndarray]] = [] if record_states else None
-    upsilon_total = 0.0
-    rho_total = 0.0
-    msg_sum = 0.0
 
     for t in range(T):
         alpha_inj = alpha_at(config.noise, T - t)
@@ -282,11 +281,6 @@ def run(
         if trajectory is not None:
             trajectory.append(X)
 
-        clip_res_mean = float(np.mean(resid[occupied]))
-        upsilon_total += clip_res_mean
-        if vrsgp and config.fusion.theta > 0:
-            rho_total += staleness_bound(config.fusion.theta, config.fusion.tau, d_tau_t)
-        msg_sum += mean_sq
         records.append(
             MetricsRecord(
                 t=t,
@@ -297,17 +291,14 @@ def run(
                 current_g=G,
                 alpha_injected=alpha_inj,
                 eta_t=eta_t,
-                clip_residual_mean=clip_res_mean,
+                clip_residual_mean=float(np.mean(resid[occupied])),
                 empirical_d_tau=d_tau_t,
             )
         )
         if vrsgp:
             G = decay_threshold(config.clip, G)
 
-    summary = _summarize(
-        config, seed, sigmas, records, theory_summary, theory_params,
-        upsilon_total, rho_total, msg_sum / T, occupied,
-    )
+    summary = _summarize(config, seed, sigmas, records, theory_summary, theory_params, occupied)
     return RunResult(
         records=records,
         summary=summary,
@@ -336,13 +327,24 @@ def _privacy_spent(config, sigmas):
     return spent
 
 
-def _summarize(
-    config, seed, sigmas, records, theory_summary, theory_params,
-    upsilon_total, rho_total, time_avg_msg, occupied,
-):
+def _running_sum(values) -> float:
+    # left-to-right float addition, as a loop accumulator would do it;
+    # the built-in sum() compensates rounding from Python 3.12 on
+    return reduce(operator.add, values, 0.0)
+
+
+def _summarize(config, seed, sigmas, records, theory_summary, theory_params, occupied):
     from .config import to_sections  # local import to keep module load light
 
     last = records[-1]
+    upsilon_total = _running_sum(r.clip_residual_mean for r in records)
+    rho_total = 0.0
+    if config.algorithm == "adp-vrsgp" and config.fusion.theta > 0:
+        rho_total = _running_sum(
+            staleness_bound(config.fusion.theta, config.fusion.tau, r.empirical_d_tau)
+            for r in records
+        )
+    time_avg_msg = _running_sum(r.mean_sq_grad_norm for r in records) / config.T
     summary = {
         "algorithm": config.algorithm,
         "n": config.n,

@@ -46,7 +46,7 @@ class FusionConfig:
     when the injected multiplier steps.
     """
 
-    theta: float
+    theta: float = 0.0
     tau: int = 1
 
     def __post_init__(self):

@@ -271,13 +271,16 @@ def make_quadratic_model(d: int, seed: int, eps: float = 0.1) -> QuadraticModel:
 def split_test(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """Hold out a deterministic test split; returns a new Dataset."""
     if not (0.0 <= fraction < 1.0):
-        raise ConfigurationError(f"test fraction must lie in [0,1), got {fraction}")
+        raise ConfigurationError(f"data.test_fraction: must lie in [0,1), got {fraction}")
     if fraction == 0.0:
         return dataset
-    rng = rngmod.stream(seed, 2, 0, rngmod.DATA)
     N = len(dataset.labels)
-    perm = rng.permutation(N)
     n_test = int(round(N * fraction))
+    if n_test >= N:
+        raise ConfigurationError(
+            f"data.test_fraction: {fraction} leaves no training sample out of {N}"
+        )
+    perm = rngmod.stream(seed, 2, 0, rngmod.DATA).permutation(N)
     test, train = perm[:n_test], perm[n_test:]
     return Dataset(
         features=dataset.features[train],

@@ -43,7 +43,7 @@ class TheoryParams:
     """Constants feeding the bound evaluators.
 
     L is the gradient Lipschitz constant, (a, m) the gradient-heterogeneity
-    and sample-variance constants, (lam, q, C) the propagation constants,
+    and sample-variance constants, (q, C) the propagation constants,
     F0 = f(x0) - f*, d the parameter dimension, x0_norm = ||x0||.
     """
 
@@ -52,7 +52,6 @@ class TheoryParams:
     m: float
     C: float
     q: float
-    lam: float
     F0: float
     d: int
     x0_norm: float = 0.0
@@ -370,7 +369,6 @@ def estimate_theory_params(
         m=float(np.sqrt(m_sq)),
         C=propagation.c_bound,
         q=propagation.q,
-        lam=propagation.lam,
         F0=max(float(f0 - f_star), 0.0),
         d=int(np.size(x0)),
         x0_norm=float(np.linalg.norm(x0)),

@@ -257,7 +257,7 @@ def test_criterion_10_theory_calculators():
             for _ in range(n)
         ],
     )
-    th = TheoryParams(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, lam=0.5, F0=1.0, d=1, x0_norm=1.0)
+    th = TheoryParams(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, F0=1.0, d=1, x0_norm=1.0)
     got = convergence_bound(th, cfg, upsilon_total=1.0, rho_total=1.0)
     A1 = (6 + 108 + 18 * 4) / 0.25
     A2 = 6 * (2 + 9) / 0.25
@@ -278,7 +278,7 @@ def test_criterion_10_theory_calculators():
 
     # (b) the six iteration-floor terms individually
     floor = min_iterations(
-        TheoryParams(L=1.0, a=0.0, m=0.0, C=1.0, q=0.0, lam=1.0, F0=0.0, d=1),
+        TheoryParams(L=1.0, a=0.0, m=0.0, C=1.0, q=0.0, F0=0.0, d=1),
         n=1,
         p=0.5,
         K=1.0,

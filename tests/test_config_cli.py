@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -55,6 +56,9 @@ n_samples = 160
 test_fraction = 0.25
 alpha_conc = 1.0
 """
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="exp.ini"):
@@ -121,6 +125,25 @@ class TestConfigParsing:
         )
         cfg = load_config(write_config(tmp_path, text))
         assert parse_sections(to_sections(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads_and_round_trips(self, path):
+        cfg = load_config(str(path))
+        assert parse_sections(to_sections(cfg)) == cfg
+
+    def test_fusion_theta_defaults_to_zero(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, BASE_CONFIG.replace("theta = 0.5\n", "")))
+        assert cfg.fusion.theta == 0.0
+
+    def test_missing_required_spec_key(self, tmp_path):
+        text = BASE_CONFIG.replace("g0 = 0.1\n", "")
+        with pytest.raises(ConfigurationError, match=r"^clip\.g0: required key missing$"):
+            load_config(write_config(tmp_path, text))
+
+    def test_unparseable_spec_value(self, tmp_path):
+        text = BASE_CONFIG.replace("l2 = 0.01", "l2 = 0.01\nhidden = x")
+        with pytest.raises(ConfigurationError, match=r"^model\.hidden: cannot parse 'x' as int$"):
+            load_config(write_config(tmp_path, text))
 
 
 class TestCliRun:
@@ -190,6 +213,36 @@ class TestCliRun:
         code = main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("run", "master_sead = 1", "run.master_sead: unknown key"),
+        ("topology", "kapa = 2", "topology.kapa: unknown key"),
+        ("noise", "tua = 5", "noise.tua: unknown key"),
+        ("lr", "xii = 0.5", "lr.xii: unknown key"),
+        ("clip", "pis = 0.5", "clip.pis: unknown key"),
+        ("fusion", "theeta = 0.5", "fusion.theeta: unknown key"),
+        ("privacy", "sampling_rate = 0.5", "privacy.sampling_rate: unknown key"),
+        ("model", "hiden = 8", "model.hiden: unknown key"),
+        ("data", "n_sample = 100", "data.n_sample: unknown key"),
+        ("fussion", "theta = 0.5", "[fussion]: unknown section"),
+    ])
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, capsys, section, line, message):
+        header = f"[{section}]\n"
+        if header in BASE_CONFIG:
+            text = BASE_CONFIG.replace(header, header + line + "\n")
+        else:
+            text = BASE_CONFIG + header + line + "\n"
+        code = main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_test_split_leaving_no_training_sample_is_rejected(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("test_fraction = 0.25", "test_fraction = 0.999")
+        code = main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "run failed (seed 3): data.test_fraction: 0.999 leaves no training sample out of 160\n"
+        )
 
     @pytest.mark.parametrize("seeds", ["-3", "1,x"])
     def test_bad_seed_list_is_usage_error(self, tmp_path, capsys, seeds):

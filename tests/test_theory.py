@@ -24,7 +24,7 @@ from conftest import make_config
 
 
 def theory(L=1.0, a=0.0, m=0.0, C=1.0, q=0.0, F0=0.0, d=1, x0_norm=0.0):
-    return TheoryParams(L=L, a=a, m=m, C=C, q=q, lam=1 - q, F0=F0, d=d, x0_norm=x0_norm)
+    return TheoryParams(L=L, a=a, m=m, C=C, q=q, F0=F0, d=d, x0_norm=x0_norm)
 
 
 class TestOptimalP:
