@@ -340,7 +340,7 @@ def to_sections(cfg: ExperimentConfig) -> dict:
     }
     if cfg.topology.kind == "static-ring":
         sections["topology"]["k"] = str(cfg.topology.k)
-    if cfg.topology.kind == "explicit-list":
+    if cfg.topology.kind == "explicit-list" and cfg.topology_path is not None:
         sections["topology"]["path"] = cfg.topology_path
     if cfg.diameter_kappa is not None:
         sections["topology"]["kappa"] = str(cfg.diameter_kappa)
