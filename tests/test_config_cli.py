@@ -385,3 +385,65 @@ class TestCliCalc:
         assert payload["total"] == pytest.approx(
             payload["fixed_term"] + payload["noise_term"] + payload["bias_term"]
         )
+
+
+# Every calc flag: its dest, its default (given only the required flags) and
+# the type its value parses to.  Pinned so that generating the flags from
+# the dataclass fields cannot change a spelling, default or type.
+SCHEDULE_FLAGS = {"form": "stepwise", "T": 1000, "s": 0.2, "tau": 5, "K": 1.0, "a1": 1.0, "a2": 10.0}
+BUDGET_FLAGS = {"epsilon": 2.0, "delta": 1e-5, "ratio": 0.5, "c1": 1.0, "c2": 1.0, "g": 0.1}
+THEORY_FLAGS = {"L": 1.0, "a_const": 0.0, "m_const": 0.0, "C": 1.0, "q": 0.0, "F0": 0.0, "d": 1,
+                "x0_norm": 0.0}
+CALC_DEFAULTS = [
+    (["sigma"], {**SCHEDULE_FLAGS, **BUDGET_FLAGS}),
+    (["tau", "--theta", "0.5"], {"theta": 0.5, "tol": 0.01}),
+    (["minT", "--n", "4", "--p", "0.1"],
+     {"n": 4, "p": 0.1, "K": 1.0, "s": None, **THEORY_FLAGS}),
+    (["bound", "--n", "4", "--eta", "1.0"],
+     {"n": 4, "eta": 1.0, "xi": 0.5, "theta": 0.0, "fusion_tau": None, "upsilon": 0.0,
+      "rho": 0.0, **SCHEDULE_FLAGS, **BUDGET_FLAGS, **THEORY_FLAGS}),
+    (["regime", "--p", "0.1", "--n", "4", "--s", "0.2"],
+     {"p": 0.1, "n": 4, "T": 1000, "s": 0.2, "h": None, "theta": 0.5, "tau": 5, "a1": 1.0,
+      "a2": 10.0, "a3": 5.0, **BUDGET_FLAGS, **THEORY_FLAGS}),
+]
+
+SCHEDULE_ARGV = ["--form", "power", "--T", "7", "--s", "3", "--tau", "3", "--K", "3",
+                 "--a1", "3", "--a2", "3"]
+BUDGET_ARGV = ["--epsilon", "3", "--delta", "3", "--ratio", "3", "--c1", "3", "--c2", "3",
+               "--g", "3"]
+THEORY_ARGV = ["--L", "3", "--a-const", "3", "--m-const", "3", "--C", "3", "--q", "3",
+               "--F0", "3", "--d", "3", "--x0-norm", "3"]
+SCHEDULE_GIVEN = {"form": "power", "T": 7, "s": 3.0, "tau": 3, "K": 3.0, "a1": 3.0, "a2": 3.0}
+BUDGET_GIVEN = {"epsilon": 3.0, "delta": 3.0, "ratio": 3.0, "c1": 3.0, "c2": 3.0, "g": 3.0}
+THEORY_GIVEN = {"L": 3.0, "a_const": 3.0, "m_const": 3.0, "C": 3.0, "q": 3.0, "F0": 3.0, "d": 3,
+                "x0_norm": 3.0}
+CALC_GIVEN = [
+    (["sigma", *SCHEDULE_ARGV, *BUDGET_ARGV], {**SCHEDULE_GIVEN, **BUDGET_GIVEN}),
+    (["tau", "--theta", "3", "--tol", "3"], {"theta": 3.0, "tol": 3.0}),
+    (["minT", "--n", "3", "--p", "3", "--K", "3", "--s", "3", *THEORY_ARGV],
+     {"n": 3, "p": 3.0, "K": 3.0, "s": 3.0, **THEORY_GIVEN}),
+    (["bound", "--n", "3", "--eta", "3", "--xi", "3", "--theta", "3", "--fusion-tau", "3",
+      "--upsilon", "3", "--rho", "3", *SCHEDULE_ARGV, *BUDGET_ARGV, *THEORY_ARGV],
+     {"n": 3, "eta": 3.0, "xi": 3.0, "theta": 3.0, "fusion_tau": 3, "upsilon": 3.0, "rho": 3.0,
+      **SCHEDULE_GIVEN, **BUDGET_GIVEN, **THEORY_GIVEN}),
+    (["regime", "--p", "3", "--n", "3", "--T", "7", "--s", "3", "--h", "3", "--theta", "3",
+      "--tau", "3", "--a1", "3", "--a2", "3", "--a3", "3", *BUDGET_ARGV, *THEORY_ARGV],
+     {"p": 3.0, "n": 3, "T": 7, "s": 3.0, "h": 3.0, "theta": 3.0, "tau": 3, "a1": 3.0, "a2": 3.0,
+      "a3": 3.0, **BUDGET_GIVEN, **THEORY_GIVEN}),
+]
+
+
+def _typed(mapping):
+    return {key: (value, type(value)) for key, value in mapping.items()}
+
+
+class TestCalcFlags:
+    @pytest.mark.parametrize("argv, flags", CALC_DEFAULTS + CALC_GIVEN,
+                             ids=[f"{a[0]}-defaults" for a, _ in CALC_DEFAULTS]
+                             + [f"{a[0]}-given" for a, _ in CALC_GIVEN])
+    def test_flags_parse_to_the_pinned_namespace(self, argv, flags):
+        from pushdp.cli import build_parser
+
+        got = vars(build_parser().parse_args(["calc", *argv]))
+        assert got.pop("func").__name__ == "cmd_calc"
+        assert _typed(got) == _typed({"command": "calc", "sub": argv[0], **flags})

@@ -2,7 +2,9 @@
 stored baseline.
 
 Each case stores the per-round metrics records (one list per field), the
-summary's non-dict fields and the final post-mix parameter stack X (n, d).
+summary's non-dict fields, its config echo and theory block, and the final
+post-mix parameter stack X (n, d).  One case runs with the theory block on,
+so the convergence-bound breakdown is pinned too.
 The comparison is exact: a change that keeps the arithmetic must reproduce
 every float.  A change that alters the arithmetic on purpose (a new stream
 contract, a new summation order) re-baselines with
@@ -62,7 +64,7 @@ TOPOLOGIES = {
 def _case_config(name):
     if name == "empty-node":
         return make_config(T=T, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05)), 0
-    algorithm, topology, model = name.split("/")
+    algorithm, topology, model, *theory = name.split("/")
     model_spec, data_spec = MODELS[model]
     cfg = make_config(
         algorithm=algorithm,
@@ -71,6 +73,7 @@ def _case_config(name):
         topology=TOPOLOGIES[topology](),
         model=model_spec,
         data=data_spec,
+        **({"theory": True, "p": 0.1} if theory else {}),
     )
     return cfg, 3
 
@@ -80,7 +83,7 @@ CASES = [
     for algorithm in ("sdlr", "adp-vrsgp")
     for topology in TOPOLOGIES
     for model in MODELS
-] + ["empty-node"]
+] + ["empty-node", "adp-vrsgp/static-ring/logistic/theory"]
 
 
 def trace(name):
@@ -91,6 +94,8 @@ def trace(name):
     payload = {
         "records": {key: [row[key] for row in rows] for key in rows[0]},
         "summary": {k: v for k, v in result.summary.items() if not isinstance(v, dict)},
+        "config": result.summary["config"],
+        "theory": result.summary["theory"],
         "final_X": result.trajectory[-1].tolist(),
     }
     return json.loads(json.dumps(payload, allow_nan=False))
@@ -122,6 +127,8 @@ def test_trace_is_bit_identical(name, golden):
     for key, values in want["records"].items():
         assert got["records"][key] == values, f"records differ in {key}"
     assert got["summary"] == want["summary"]
+    assert got["config"] == want["config"]
+    assert got["theory"] == want["theory"]
     assert got["final_X"] == want["final_X"]
 
 
