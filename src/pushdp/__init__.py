@@ -2,7 +2,16 @@
 directed graphs, with calculators and oracles for every closed-form quantity
 of the underlying analysis."""
 
-from .config import DataSpec, ExperimentConfig, ModelSpec, load_config, parse_sections, to_sections
+from .config import (
+    DataSpec,
+    ExperimentConfig,
+    ModelSpec,
+    RunSpec,
+    TopologySpec,
+    load_config,
+    parse_sections,
+    to_sections,
+)
 from .engine import MetricsRecord, RunResult, run
 from .errors import (
     CalibrationError,

@@ -16,9 +16,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 from . import engine
-from .config import load_config
+from .config import field_types, load_config
 from .errors import PushdpError
 from .fusion import REPORTED_TAU, noise_factor, select_tau
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, calibrate_sigma
@@ -73,7 +74,7 @@ def cmd_run(args) -> int:
     except PushdpError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    seeds = args.seeds or [config.master_seed]
+    seeds = args.seeds or [config.run.master_seed]
     out_dir = args.out or os.environ.get("PUSHDP_OUT") or "runs"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -121,130 +122,110 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _schedule_from_args(args, T=None) -> NoiseSchedule:
-    return NoiseSchedule(
-        form=args.form,
-        T=T if T is not None else args.T,
-        s=args.s,
-        tau=args.tau,
-        K=args.K,
-        a1=args.a1,
-        a2=args.a2,
-    )
+# calc's own defaults, choices and spellings for the flags generated from
+# the NoiseSchedule, PrivacyBudget and TheoryParams fields, keyed by field
+# name (no name is shared by two of those classes).  A flag not named here
+# is --<field> with the field's default.
+CALC_FLAGS = {
+    "form": {"default": "stepwise", "choices": ["power", "stepwise"]},
+    "T": {"default": 1000},
+    "s": {"default": 0.2},
+    "tau": {"default": 5},
+    "epsilon": {"default": 2.0},
+    "delta": {"default": 1e-5},
+    "sampling_ratio": {"flag": "--ratio", "default": 0.5, "help": "sampling ratio"},
+    "a": {"flag": "--a-const"},
+    "m": {"flag": "--m-const"},
+    "x0_norm": {"flag": "--x0-norm"},
+}
 
 
-def _budget_from_args(args) -> PrivacyBudget:
-    return PrivacyBudget(
-        epsilon=args.epsilon,
-        delta=args.delta,
-        sampling_ratio=args.ratio,
-        c1=args.c1,
-        c2=args.c2,
-    )
+def _flag(name: str) -> str:
+    return CALC_FLAGS.get(name, {}).get("flag", f"--{name}")
 
 
-def _theory_from_args(args) -> TheoryParams:
-    return TheoryParams(
-        L=args.L, a=args.a_const, m=args.m_const, C=args.C, q=args.q,
-        F0=args.F0, d=args.d, x0_norm=args.x0_norm,
-    )
+def _add_fields(parser, cls, skip=(), **extra):
+    """One flag per field of cls not in skip, typed by the field's
+    annotation; CALC_FLAGS, then extra[name], set its argparse keywords."""
+    types = field_types(cls)
+    for f in fields(cls):
+        if f.name not in skip:
+            kwargs = {"type": types[f.name], "default": f.default,
+                      **CALC_FLAGS.get(f.name, {}), **extra.get(f.name, {})}
+            kwargs.pop("flag", None)
+            parser.add_argument(_flag(f.name), **kwargs)
 
 
-def cmd_calc(args) -> int:
-    out = {}
+def _from_args(args, cls):
+    """cls built from the flags _add_fields made for it."""
+    return cls(**{f.name: getattr(args, _flag(f.name)[2:].replace("-", "_")) for f in fields(cls)})
+
+
+def _calculate(args) -> dict:
     if args.sub == "sigma":
-        budget = _budget_from_args(args)
-        schedule = _schedule_from_args(args)
-        sigma = calibrate_sigma(budget, args.g, schedule)
-        out = {
-            "inputs": {
-                "epsilon": args.epsilon, "delta": args.delta, "sampling_ratio": args.ratio,
-                "c1": args.c1, "c2": args.c2, "G": args.g, "T": args.T,
-                "form": args.form, "s": args.s, "tau": args.tau,
-            },
-            "sigma": sigma,
+        budget = _from_args(args, PrivacyBudget)
+        return {
+            "inputs": {**asdict(budget), "G": args.g, "T": args.T,
+                       "form": args.form, "s": args.s, "tau": args.tau},
+            "sigma": calibrate_sigma(budget, args.g, _from_args(args, NoiseSchedule)),
         }
-    elif args.sub == "tau":
+    if args.sub == "tau":
         tau = select_tau(args.theta, args.tol)
-        out = {
+        return {
             "inputs": {"theta": args.theta, "tol": args.tol},
             "tau": tau,
             "h_at_tau": noise_factor(args.theta, tau),
             "paper_reported": REPORTED_TAU.get(args.theta),
         }
-    elif args.sub == "minT":
-        theory = _theory_from_args(args)
+    theory = _from_args(args, TheoryParams)
+    if args.sub == "minT":
         floor = min_iterations(theory, args.n, args.p, args.K)
-        out = {
+        return {
             "inputs": {"n": args.n, "p": args.p, "K": args.K, "L": args.L,
                        "C": args.C, "q": args.q},
             "terms": floor.terms,
             "floor": floor.floor,
             "optimal_p_for_s": optimal_p(args.s) if args.s is not None else None,
         }
-    elif args.sub == "bound":
-        theory = _theory_from_args(args)
-        schedule = _schedule_from_args(args)
-        cfg = argparse.Namespace(
-            n=args.n,
-            noise=schedule,
-            lr=LrSchedule(eta_base=args.eta, xi=args.xi),
-            budgets=[_budget_from_args(args)] * args.n,
-            clip=argparse.Namespace(g0=args.g),
-            fusion=argparse.Namespace(theta=args.theta, tau=args.fusion_tau or args.tau),
+    budgets = [_from_args(args, PrivacyBudget)] * args.n
+    if args.sub == "bound":
+        breakdown = convergence_bound(
+            theory, args.n, _from_args(args, NoiseSchedule), LrSchedule(eta=args.eta, xi=args.xi),
+            budgets, args.g, noise_factor(args.theta, args.fusion_tau or args.tau),
+            args.upsilon, args.rho,
         )
-        breakdown = convergence_bound(theory, cfg, args.upsilon, args.rho)
-        out = {"inputs": {"n": args.n, "T": args.T, "eta": args.eta, "xi": args.xi,
-                          "upsilon": args.upsilon, "rho": args.rho},
-               **breakdown.as_dict()}
-    elif args.sub == "regime":
-        theory = _theory_from_args(args)
-        result = corollary_regime(
-            args.p, args.n, args.T, args.s,
-            [_budget_from_args(args)] * args.n,
-            args.g, args.h if args.h is not None else noise_factor(args.theta, args.tau),
-            theory, a1=args.a1, a2=args.a2, a3=args.a3,
-        )
-        out = {
-            "inputs": {"p": args.p, "n": args.n, "T": args.T, "s": args.s},
-            "regime": result.label,
-            "value": result.value,
-            "H": result.H,
-            "nu": result.nu,
-            "budget_term": result.budget_term,
-        }
+        return {"inputs": {"n": args.n, "T": args.T, "eta": args.eta, "xi": args.xi,
+                           "upsilon": args.upsilon, "rho": args.rho},
+                **breakdown.as_dict()}
+    h = args.h if args.h is not None else noise_factor(args.theta, args.tau)
+    result = corollary_regime(args.p, args.n, args.T, args.s, budgets, args.g, h, theory,
+                              a1=args.a1, a2=args.a2, a3=args.a3)
+    return {
+        "inputs": {"p": args.p, "n": args.n, "T": args.T, "s": args.s},
+        "regime": result.label,
+        "value": result.value,
+        "H": result.H,
+        "nu": result.nu,
+        "budget_term": result.budget_term,
+    }
+
+
+def cmd_calc(args) -> int:
+    try:
+        out = _calculate(args)
+    except ValueError as exc:  # a calculator's own input check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(_sanitize(out), indent=2))
     return 0
 
 
-def _add_schedule_flags(p):
-    p.add_argument("--form", default="stepwise", choices=["power", "stepwise"])
-    p.add_argument("--s", type=float, default=0.2)
-    p.add_argument("--tau", type=int, default=5)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--a1", type=float, default=1.0)
-    p.add_argument("--a2", type=float, default=10.0)
-    p.add_argument("--T", type=int, default=1000)
-
-
-def _add_budget_flags(p):
-    p.add_argument("--epsilon", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--ratio", type=float, default=0.5, help="sampling ratio")
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--g", type=float, default=0.1, help="clip threshold")
-
-
-def _add_theory_flags(p):
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=0.0)
-    p.add_argument("--a-const", type=float, default=0.0, dest="a_const")
-    p.add_argument("--m-const", type=float, default=0.0, dest="m_const")
-    p.add_argument("--F0", type=float, default=0.0)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--x0-norm", type=float, default=0.0, dest="x0_norm")
+def _node_count(text: str) -> int:
+    """argparse type of calc's --n: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 node, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,45 +249,39 @@ def build_parser() -> argparse.ArgumentParser:
     calc_sub = p_calc.add_subparsers(dest="sub", required=True)
 
     p_sigma = calc_sub.add_parser("sigma", help="noise calibration")
-    _add_schedule_flags(p_sigma)
-    _add_budget_flags(p_sigma)
 
     p_tau = calc_sub.add_parser("tau", help="interval selection")
     p_tau.add_argument("--theta", type=float, required=True)
     p_tau.add_argument("--tol", type=float, default=0.01)
 
     p_mint = calc_sub.add_parser("minT", help="iteration floor")
-    p_mint.add_argument("--n", type=int, required=True)
     p_mint.add_argument("--p", type=float, required=True)
     p_mint.add_argument("--K", type=float, default=1.0)
     p_mint.add_argument("--s", type=float, default=None)
-    _add_theory_flags(p_mint)
 
     p_bound = calc_sub.add_parser("bound", help="convergence-bound breakdown")
-    p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--eta", type=float, required=True)
     p_bound.add_argument("--xi", type=float, default=0.5)
     p_bound.add_argument("--theta", type=float, default=0.0)
     p_bound.add_argument("--fusion-tau", type=int, default=None, dest="fusion_tau")
     p_bound.add_argument("--upsilon", type=float, default=0.0)
     p_bound.add_argument("--rho", type=float, default=0.0)
-    _add_schedule_flags(p_bound)
-    _add_budget_flags(p_bound)
-    _add_theory_flags(p_bound)
 
     p_reg = calc_sub.add_parser("regime", help="regime-dependent refined bound")
     p_reg.add_argument("--p", type=float, required=True)
-    p_reg.add_argument("--n", type=int, required=True)
-    p_reg.add_argument("--T", type=int, default=1000)
-    p_reg.add_argument("--s", type=float, required=True)
     p_reg.add_argument("--h", type=float, default=None)
     p_reg.add_argument("--theta", type=float, default=0.5)
-    p_reg.add_argument("--tau", type=int, default=5)
-    p_reg.add_argument("--a1", type=float, default=1.0)
-    p_reg.add_argument("--a2", type=float, default=10.0)
     p_reg.add_argument("--a3", type=float, default=5.0)
-    _add_budget_flags(p_reg)
-    _add_theory_flags(p_reg)
+
+    for p in (p_sigma, p_bound):
+        _add_fields(p, NoiseSchedule)
+    _add_fields(p_reg, NoiseSchedule, skip=("form", "K"), s={"required": True})
+    for p in (p_sigma, p_bound, p_reg):
+        _add_fields(p, PrivacyBudget)
+        p.add_argument("--g", type=float, default=0.1, help="clip threshold")
+    for p in (p_mint, p_bound, p_reg):
+        p.add_argument("--n", type=_node_count, required=True)
+        _add_fields(p, TheoryParams)
 
     p_calc.set_defaults(func=cmd_calc)
     return parser

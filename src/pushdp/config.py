@@ -63,25 +63,12 @@ class DataSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    algorithm: str
+class RunSpec:
+    algorithm: str  # sdlr | adp-vrsgp
     n: int
     T: int
-    topology: TopologySchedule
-    noise: NoiseSchedule
-    lr: LrSchedule
-    clip: ClipConfig
-    fusion: FusionConfig
-    budgets: List[PrivacyBudget]
-    model: ModelSpec
-    data: DataSpec
     master_seed: int = 0
-    window_J: int = 1
-    diameter_kappa: Optional[int] = None
-    sigma_override: Optional[float] = None
-    theory_enabled: bool = True
-    lr_K: Optional[float] = None
-    topology_path: Optional[str] = None
+    theory: bool = True  # run the theory block
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -92,45 +79,93 @@ class ExperimentConfig:
             raise ConfigurationError(f"run.n: need at least 2 nodes, got {self.n}")
         if self.T < 1:
             raise ConfigurationError(f"run.T: must be >= 1, got {self.T}")
-        if self.topology.n != self.n:
+        if self.master_seed < 0:
+            raise ConfigurationError(f"run.master_seed: must be >= 0, got {self.master_seed}")
+
+
+@dataclass(frozen=True)
+class TopologySpec:
+    """The graph kind, with k the static ring's in-degree and path the
+    explicit list's edge file; J and kappa are the connectivity window and
+    the diameter bound the theory block assumes (kappa is measured from the
+    schedule when None).  Other kinds drop k and path."""
+
+    kind: str  # static-ring | exponential-periodic | explicit-list
+    k: Optional[int] = 1
+    path: Optional[str] = None
+    J: int = 1
+    kappa: Optional[int] = None
+
+    def __post_init__(self):
+        if self.kind != "static-ring":
+            object.__setattr__(self, "k", None)
+        if self.kind != "explicit-list":
+            object.__setattr__(self, "path", None)
+        if self.J < 1:
+            raise ConfigurationError(f"topology.J: must be >= 1, got {self.J}")
+        if self.kappa is not None and self.kappa < 1:
+            raise ConfigurationError(f"topology.kappa: must be >= 1, got {self.kappa}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One spec per config section; graph is the edge schedule that the
+    [topology] spec describes, sigma_override the optional privacy.sigma."""
+
+    run: RunSpec
+    topology: TopologySpec
+    graph: TopologySchedule
+    noise: NoiseSchedule
+    lr: LrSchedule
+    clip: ClipConfig
+    fusion: FusionConfig
+    budgets: List[PrivacyBudget]
+    model: ModelSpec
+    data: DataSpec
+    sigma_override: Optional[float] = None
+
+    @property
+    def n(self) -> int:
+        return self.run.n
+
+    @property
+    def T(self) -> int:
+        return self.run.T
+
+    def __post_init__(self):
+        if self.graph.n != self.n:
             raise ConfigurationError(
-                f"topology: node count {self.topology.n} does not match run.n = {self.n}"
+                f"topology: node count {self.graph.n} does not match run.n = {self.n}"
             )
         if self.noise.T != self.T:
             raise ConfigurationError(
                 f"noise: schedule horizon {self.noise.T} does not match run.T = {self.T}"
             )
-        if self.fusion.tau != self.noise.tau:
-            raise ConfigurationError(
-                f"fusion.tau = {self.fusion.tau} must equal noise.tau = {self.noise.tau}"
-            )
         if len(self.budgets) != self.n:
             raise ConfigurationError(
                 f"privacy: {len(self.budgets)} budgets for {self.n} nodes"
             )
-        if self.window_J < 1:
-            raise ConfigurationError(f"topology.J: must be >= 1, got {self.window_J}")
-        if self.diameter_kappa is not None and self.diameter_kappa < 1:
-            raise ConfigurationError(f"topology.kappa: must be >= 1, got {self.diameter_kappa}")
-        if self.master_seed < 0:
-            raise ConfigurationError(f"run.master_seed: must be >= 0, got {self.master_seed}")
         if self.sigma_override is not None and not self.sigma_override >= 0:
             raise ConfigurationError(f"privacy.sigma: must be >= 0, got {self.sigma_override}")
 
 
 # ------------------------------------------------------------- parsing
 #
-# [noise], [clip], [fusion], [model], [data] and the per-node lists of
-# [privacy] map one-to-one onto the fields of their spec dataclass: the key
-# is the lower-cased field name, the cast comes from the annotation and the
-# default from the field.  [run], [topology], [lr] and privacy.sigma are read
-# by hand, because their keys differ from the fields they set.
+# Every section maps one-to-one onto the fields of its spec dataclass: the
+# key is the lower-cased field name, the cast comes from the annotation and
+# the default from the field.  Only derived values are handled by hand:
+# noise.T (from run.T), lr.eta (from lr.K and lr.p when absent), the paths,
+# the per-node [privacy] lists, the fusion.tau check and privacy.sigma.
 
 
-def _cast(annotation):
-    """Parse function for a field annotation; Optional[X] parses as X."""
-    args = [a for a in typing.get_args(annotation) if a is not type(None)]
-    return args[0] if args else annotation
+def field_types(cls) -> dict:
+    """Parse function per field of the dataclass cls, from its annotation;
+    Optional[X] parses as X."""
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        types[name] = args[0] if args else hint
+    return types
 
 
 class _Reader:
@@ -192,12 +227,12 @@ class _Reader:
         """Keyword arguments for the spec dataclass cls: the given values,
         plus one key of [section] per other field, whose default is
         defaults[name] if named there and the field's own otherwise."""
-        hints = typing.get_type_hints(cls)
+        types = field_types(cls)
         values = dict(given or {})
         for f in fields(cls):
             if f.name not in values:
                 default = (defaults or {}).get(f.name, f.default)
-                values[f.name] = self.get(section, f.name.lower(), _cast(hints[f.name]), default)
+                values[f.name] = self.get(section, f.name.lower(), types[f.name], default)
         return values
 
     def reject_unknown(self):
@@ -213,39 +248,31 @@ class _Reader:
 def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build a validated ExperimentConfig from a dict of string sections."""
     r = _Reader(sections)
-    algorithm = r.get("run", "algorithm", str)
-    n = r.get("run", "n", int)
-    T = r.get("run", "t", int)
-    master_seed = r.get("run", "master_seed", int, 0)
-    theory_enabled = r.get("run", "theory", bool, True)
+    run = RunSpec(**r.spec("run", RunSpec))
+    n, T = run.n, run.T
 
-    kind = r.get("topology", "kind", str)
-    topo_path = r.get("topology", "path", str, None)
-    k = r.get("topology", "k", int, 1)
-    if kind == "explicit-list":
-        if not topo_path:
+    topology = TopologySpec(**r.spec("topology", TopologySpec))
+    if topology.kind == "explicit-list":
+        if not topology.path:
             raise ConfigurationError("topology.path: required for explicit-list")
-        resolved = topo_path if os.path.isabs(topo_path) else os.path.join(base_dir, topo_path)
-        topology = load_edge_list(resolved, n)
+        graph = load_edge_list(os.path.join(base_dir, topology.path), n)
     else:
-        topology = TopologySchedule(kind=kind, n=n, k=k)
-    window_J = r.get("topology", "j", int, 1)
-    diameter_kappa = r.get("topology", "kappa", int, None)
+        graph = TopologySchedule(kind=topology.kind, n=n, k=topology.k)
 
     noise = NoiseSchedule(**r.spec("noise", NoiseSchedule, given={"T": T}))
 
-    xi = r.get("lr", "xi", float, 0.5)
-    eta = r.get("lr", "eta", float, None)
-    lr_K = r.get("lr", "k", float, None)
-    p = r.get("lr", "p", float, None)
-    if eta is None:
-        if lr_K is None or p is None:
+    lr = r.spec("lr", LrSchedule, defaults={"eta": None})
+    if lr["eta"] is None:
+        if lr["K"] is None or lr["p"] is None:
             raise ConfigurationError("lr: give either lr.eta or both lr.K and lr.p")
-        eta = eta_from_exponent(lr_K, n, T, p)
-    lr = LrSchedule(eta_base=eta, xi=xi, p=p)
+        lr["eta"] = eta_from_exponent(lr["K"], n, T, lr["p"])
+    lr = LrSchedule(**lr)
 
     clip = ClipConfig(**r.spec("clip", ClipConfig))
-    fusion = FusionConfig(**r.spec("fusion", FusionConfig, defaults={"tau": noise.tau}))
+    fusion = FusionConfig(**r.spec("fusion", FusionConfig))
+    fusion_tau = r.get("fusion", "tau", int, noise.tau)
+    if fusion_tau != noise.tau:
+        raise ConfigurationError(f"fusion.tau = {fusion_tau} must equal noise.tau = {noise.tau}")
 
     per_node = {
         f.name: r.get_list("privacy", f.name.lower(), n, f.default)
@@ -259,30 +286,15 @@ def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
 
     model = ModelSpec(**r.spec("model", ModelSpec))
     data = r.spec("data", DataSpec)
-    if data["path"] and not os.path.isabs(data["path"]):
+    if data["path"]:
         data["path"] = os.path.join(base_dir, data["path"])
     data = DataSpec(**data)
     r.reject_unknown()
 
     return ExperimentConfig(
-        algorithm=algorithm,
-        n=n,
-        T=T,
-        topology=topology,
-        noise=noise,
-        lr=lr,
-        clip=clip,
-        fusion=fusion,
-        budgets=budgets,
-        model=model,
-        data=data,
-        master_seed=master_seed,
-        window_J=window_J,
-        diameter_kappa=diameter_kappa,
+        run=run, topology=topology, graph=graph, noise=noise, lr=lr, clip=clip,
+        fusion=fusion, budgets=budgets, model=model, data=data,
         sigma_override=sigma_override,
-        theory_enabled=theory_enabled,
-        lr_K=lr_K,
-        topology_path=topo_path,
     )
 
 
@@ -298,6 +310,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _fmt(value) -> str:
     # repr of a python float round-trips exactly; coerce numpy scalars first
+    if isinstance(value, bool):
+        return str(value).lower()
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
@@ -322,32 +336,16 @@ def to_sections(cfg: ExperimentConfig) -> dict:
         return ",".join(_fmt(v) for v in vals)
 
     sections = {
-        "run": {
-            "algorithm": cfg.algorithm,
-            "n": str(cfg.n),
-            "t": str(cfg.T),
-            "master_seed": str(cfg.master_seed),
-            "theory": "true" if cfg.theory_enabled else "false",
-        },
-        "topology": {"kind": cfg.topology.kind, "j": str(cfg.window_J)},
+        "run": _echo(cfg.run),
+        "topology": _echo(cfg.topology),
         "noise": _echo(cfg.noise, skip=("T",)),
-        "lr": {"eta": _fmt(cfg.lr.eta_base), "xi": _fmt(cfg.lr.xi)},
+        "lr": _echo(cfg.lr),
         "clip": _echo(cfg.clip),
-        "fusion": _echo(cfg.fusion),
+        "fusion": {**_echo(cfg.fusion), "tau": _fmt(cfg.noise.tau)},
         "privacy": {f.name.lower(): per_node(f.name) for f in fields(PrivacyBudget)},
         "model": _echo(cfg.model),
         "data": _echo(cfg.data),
     }
-    if cfg.topology.kind == "static-ring":
-        sections["topology"]["k"] = str(cfg.topology.k)
-    if cfg.topology.kind == "explicit-list" and cfg.topology_path is not None:
-        sections["topology"]["path"] = cfg.topology_path
-    if cfg.diameter_kappa is not None:
-        sections["topology"]["kappa"] = str(cfg.diameter_kappa)
-    if cfg.lr.p is not None:
-        sections["lr"]["p"] = _fmt(cfg.lr.p)
-    if cfg.lr_K is not None:
-        sections["lr"]["k"] = _fmt(cfg.lr_K)
     if cfg.sigma_override is not None:
         sections["privacy"]["sigma"] = _fmt(cfg.sigma_override)
     return sections

@@ -19,12 +19,13 @@ import numpy as np
 
 from . import rng as rngmod
 from .config import ExperimentConfig
-from .errors import NumericalBreakdownError, OutOfRegimeError
+from .errors import ConfigurationError, NumericalBreakdownError, OutOfRegimeError
 from .fusion import (
     REPORTED_TAU,
     clip,
     decay_threshold,
     fuse,
+    noise_factor,
     perturb,
     select_tau,
     staleness_bound,
@@ -103,8 +104,15 @@ def build_model(config: ExperimentConfig, master_seed: int) -> Model:
 
 def build_dataset(config: ExperimentConfig, master_seed: int) -> Dataset:
     spec = config.data
+    classes = config.model.classes if config.model.kind == "mlp" else 2
     if spec.kind == "csv":
         dataset = load_csv(spec.path)
+        outside = dataset.labels[(dataset.labels < 0) | (dataset.labels >= classes)]
+        if config.model.kind != "quadratic" and outside.size:
+            raise ConfigurationError(
+                f"data.path: {spec.path} has label {outside[0]}, but model.kind = "
+                f"{config.model.kind} needs labels in [0, {classes})"
+            )
     else:
         kind = "quadratic" if spec.kind == "quadratic" else "blobs"
         dataset = make_synthetic(
@@ -112,7 +120,7 @@ def build_dataset(config: ExperimentConfig, master_seed: int) -> Dataset:
             spec.n_samples,
             config.model.features,
             master_seed,
-            classes=config.model.classes if config.model.kind == "mlp" else 2,
+            classes=classes,
             separation=spec.separation,
             spread=spec.spread,
         )
@@ -135,15 +143,14 @@ def _theory_block(config, model, dataset, x0, master_seed):
     (summary-dict, TheoryParams or None)."""
     block = {"enabled": True, "in_regime": False, "warning": None}
     try:
-        U = max_out_degree(config.topology)
-        kappa = config.diameter_kappa
+        J = config.topology.J
+        U = max_out_degree(config.graph)
+        kappa = config.topology.kappa
         if kappa is None:
-            kappa = window_diameter(config.topology, config.window_J)
+            kappa = window_diameter(config.graph, J)
             if kappa is None:
-                raise OutOfRegimeError(
-                    f"a window of length J={config.window_J} is not strongly connected"
-                )
-        prop = propagation_params(config.n, U, kappa, config.window_J, int(np.size(x0)))
+                raise OutOfRegimeError(f"a window of length J={J} is not strongly connected")
+        prop = propagation_params(config.n, U, kappa, J, int(np.size(x0)))
     except OutOfRegimeError as exc:
         block["warning"] = f"theory calculators disabled: {exc}"
         return block, None
@@ -161,7 +168,7 @@ def _theory_block(config, model, dataset, x0, master_seed):
         "q": prop.q,
         "c_bound": prop.c_bound,
         "U": prop.U,
-        "J": config.window_J,
+        "J": J,
         "kappa": kappa,
     }
     block["estimated"] = {
@@ -172,7 +179,7 @@ def _theory_block(config, model, dataset, x0, master_seed):
         "d": params.d,
         "x0_norm": params.x0_norm,
     }
-    K = config.lr_K if config.lr_K is not None else config.noise.K
+    K = config.lr.K if config.lr.K is not None else config.noise.K
     if config.lr.p is not None:
         floor = min_iterations(params, config.n, config.lr.p, K)
         block["min_iterations"] = {"terms": floor.terms, "floor": floor.floor}
@@ -191,9 +198,9 @@ def run(
     record_states keeps the post-mix (n, d) parameter stack of every round
     for trajectory-level diagnostics.
     """
-    seed = config.master_seed if master_seed is None else int(master_seed)
+    seed = config.run.master_seed if master_seed is None else int(master_seed)
     n, T = config.n, config.T
-    vrsgp = config.algorithm == "adp-vrsgp"
+    vrsgp = config.run.algorithm == "adp-vrsgp"
 
     model = build_model(config, seed)
     dataset = build_dataset(config, seed)
@@ -208,11 +215,11 @@ def run(
 
     theory_summary, theory_params = (
         _theory_block(config, model, dataset, x0, seed)
-        if config.theory_enabled
+        if config.run.theory
         else ({"enabled": False, "in_regime": False, "warning": None}, None)
     )
 
-    matrices = [build_mixing_matrix(edges) for edges in config.topology.edge_sets]
+    matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -225,7 +232,7 @@ def run(
     for t in range(T):
         alpha_inj = alpha_at(config.noise, T - t)
         beta_t = beta_at(config.noise, config.lr, t)
-        eta_t = config.lr.eta_base / beta_t
+        eta_t = config.lr.eta / beta_t
         new_interval = starts_interval(config.noise, t)
         if new_interval:
             interval_clips = []
@@ -339,14 +346,14 @@ def _summarize(config, seed, sigmas, records, theory_summary, theory_params, occ
     last = records[-1]
     upsilon_total = _running_sum(r.clip_residual_mean for r in records)
     rho_total = 0.0
-    if config.algorithm == "adp-vrsgp" and config.fusion.theta > 0:
+    if config.run.algorithm == "adp-vrsgp" and config.fusion.theta > 0:
         rho_total = _running_sum(
-            staleness_bound(config.fusion.theta, config.fusion.tau, r.empirical_d_tau)
+            staleness_bound(config.fusion.theta, config.noise.tau, r.empirical_d_tau)
             for r in records
         )
     time_avg_msg = _running_sum(r.mean_sq_grad_norm for r in records) / config.T
     summary = {
-        "algorithm": config.algorithm,
+        "algorithm": config.run.algorithm,
         "n": config.n,
         "T": config.T,
         "master_seed": seed,
@@ -371,7 +378,10 @@ def _summarize(config, seed, sigmas, records, theory_summary, theory_params, occ
     }
     theory_summary = dict(theory_summary)
     if theory_params is not None:
-        bound = convergence_bound(theory_params, config, upsilon_total, rho_total)
+        bound = convergence_bound(
+            theory_params, config.n, config.noise, config.lr, config.budgets, config.clip.g0,
+            noise_factor(config.fusion.theta, config.noise.tau), upsilon_total, rho_total,
+        )
         theory_summary["convergence_bound"] = bound.as_dict()
         theory_summary["bound_inputs"] = {
             "upsilon_total": upsilon_total,

@@ -40,20 +40,15 @@ class ClipConfig:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Fusion weight theta and the interval length tau.
-
-    tau must equal the noise schedule's interval so fusion resets exactly
-    when the injected multiplier steps.
-    """
+    """Fusion weight theta.  Fusion runs over the noise schedule's intervals
+    of length noise.tau, so that it resets exactly when the injected
+    multiplier steps."""
 
     theta: float = 0.0
-    tau: int = 1
 
     def __post_init__(self):
         if not (0.0 <= self.theta < 1.0):
             raise ConfigurationError(f"theta must lie in [0,1), got {self.theta}")
-        if self.tau < 1:
-            raise ConfigurationError(f"tau must be >= 1, got {self.tau}")
 
 
 def clip(g: np.ndarray, G: float) -> Tuple[np.ndarray, np.ndarray]:

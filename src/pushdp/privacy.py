@@ -59,17 +59,19 @@ class NoiseSchedule:
 class LrSchedule:
     """Base step size eta and the switch fraction Xi of the beta coefficient.
 
-    p records the exponent when eta was derived as K*sqrt(n)/T^p; it is
-    informational here and consumed by the theory calculators.
+    p and K record the exponent and constant when eta was derived as
+    K*sqrt(n)/T^p; they are informational here and consumed by the theory
+    calculators.
     """
 
-    eta_base: float
-    xi: float
+    eta: float
+    xi: float = 0.5
     p: Optional[float] = None
+    K: Optional[float] = None
 
     def __post_init__(self):
-        if self.eta_base <= 0:
-            raise ConfigurationError(f"eta must be > 0, got {self.eta_base}")
+        if self.eta <= 0:
+            raise ConfigurationError(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.xi < 1.0):
             raise ConfigurationError(f"xi must lie in (0,1), got {self.xi}")
 
@@ -114,7 +116,7 @@ def beta_at(schedule: NoiseSchedule, lr: LrSchedule, t: int) -> float:
 
 def lr_at(schedule: NoiseSchedule, lr: LrSchedule, t: int) -> float:
     """Step size at iteration t: eta / beta(t)."""
-    return lr.eta_base / beta_at(schedule, lr, t)
+    return lr.eta / beta_at(schedule, lr, t)
 
 
 @lru_cache(maxsize=256)

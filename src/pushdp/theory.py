@@ -15,7 +15,6 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .fusion import noise_factor
 from .models import Dataset, Model, QuadraticModel, LogisticModel, loss_and_grad
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, alpha_at, beta_at, inverse_square_sum
 
@@ -44,16 +43,18 @@ class TheoryParams:
 
     L is the gradient Lipschitz constant, (a, m) the gradient-heterogeneity
     and sample-variance constants, (q, C) the propagation constants,
-    F0 = f(x0) - f*, d the parameter dimension, x0_norm = ||x0||.
+    F0 = f(x0) - f*, d the parameter dimension, x0_norm = ||x0||.  The
+    defaults (unit L, C and d, every other constant zero) are those of the
+    standalone `calc` flags.
     """
 
-    L: float
-    a: float
-    m: float
-    C: float
-    q: float
-    F0: float
-    d: int
+    L: float = 1.0
+    a: float = 0.0
+    m: float = 0.0
+    C: float = 1.0
+    q: float = 0.0
+    F0: float = 0.0
+    d: int = 1
     x0_norm: float = 0.0
 
     def __post_init__(self):
@@ -136,7 +137,7 @@ def noise_sum_M(
     )
     s2 = inverse_square_sum(schedule)
     per_node = sum(_node_noise_terms(budgets, G))
-    return float(lr.eta_base**2 / n**2 * per_node * s1 * s2)
+    return float(lr.eta**2 / n**2 * per_node * s1 * s2)
 
 
 @dataclass(frozen=True)
@@ -157,28 +158,31 @@ class BoundBreakdown:
 
 def convergence_bound(
     theory: TheoryParams,
-    config,
+    n: int,
+    schedule: NoiseSchedule,
+    lr: LrSchedule,
+    budgets: Sequence[PrivacyBudget],
+    G: float,
+    h: float,
     upsilon_total: float,
     rho_total: float,
 ) -> BoundBreakdown:
     """Evaluate the three-term bound on the time-averaged mean squared
-    gradient norm at the end of a run.
+    gradient norm at the end of a run of n nodes over schedule.T rounds.
 
-    config supplies n, the schedules, budgets, clip threshold, and fusion
-    parameters (any object with those attributes works, the engine passes
-    its ExperimentConfig).  upsilon_total and rho_total are the measured
-    clipping-residual and staleness totals.
+    G is the clip threshold and h the fused-noise factor h(theta, tau).
+    upsilon_total and rho_total are the measured clipping-residual and
+    staleness totals.
     """
     q, C, L = theory.q, theory.C, theory.L
     if q >= 1.0:
         raise OutOfRegimeError(f"q must be < 1, got {q}")
-    n, T = config.n, config.noise.T
+    T = schedule.T
     one_minus_q_sq = (1.0 - q) ** 2
     A1 = (6 * C**2 * theory.x0_norm + 108 * C**2 * theory.F0 + 18 * C**2 * (theory.m**2 + 3 * theory.a**2)) / one_minus_q_sq
     A2 = 6 * C**2 * (n + 9 * L) / one_minus_q_sq
     A3 = 110 * C**2 / one_minus_q_sq
-    h = noise_factor(config.fusion.theta, config.fusion.tau)
-    M = noise_sum_M(config.noise, config.lr, config.budgets, config.clip.g0, n)
+    M = noise_sum_M(schedule, lr, budgets, G, n)
     root = math.sqrt(n * T)
     fixed = (4 * theory.F0 + 5 * L * A1) / root
     noise = 4 * h * theory.d * L * (5 * A2 + 1) * M / root
@@ -259,6 +263,8 @@ def corollary_regime(
     if s < 0.5:
         H = S / T ** (1 - 2 * s)
     elif s == 0.5:
+        if T < 2:
+            raise OutOfRegimeError(f"s = 1/2 normalizes by log T, which needs T >= 2, got T = {T}")
         H = S / math.log(T)
     else:
         H = S

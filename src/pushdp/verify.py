@@ -233,7 +233,7 @@ def random_schedule(rng) -> tuple:
             a1=float(rng.uniform(0.2, 3.0)),
             a2=float(rng.uniform(1.0, 20.0)),
         )
-    lr = LrSchedule(eta_base=1.0, xi=float(rng.uniform(0.05, 0.95)))
+    lr = LrSchedule(eta=1.0, xi=float(rng.uniform(0.05, 0.95)))
     return sched, lr
 
 

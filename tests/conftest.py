@@ -9,36 +9,36 @@ from pushdp import (
     PrivacyBudget,
     TopologySchedule,
 )
-from pushdp.config import DataSpec, ExperimentConfig, ModelSpec
+from pushdp.config import DataSpec, ExperimentConfig, ModelSpec, RunSpec, TopologySpec
 
 
 def make_config(**overrides) -> ExperimentConfig:
     """Small, fast experiment config; override any field by keyword.
-    theory=True switches the theory block on and p sets lr.p."""
+    algorithm, theory=True (the theory block on) and J set the run and
+    topology specs, topology takes the edge schedule and p sets lr.p."""
     n = overrides.pop("n", 8)
     T = overrides.pop("T", 60)
     tau = overrides.pop("tau", 5)
     theta = overrides.pop("theta", 0.5)
     epsilon = overrides.pop("epsilon", 1.0)
     ratio = overrides.pop("sampling_ratio", 0.5)
-    theory = overrides.pop("theory", False)
-    p = overrides.pop("p", None)
+    run = RunSpec(algorithm=overrides.pop("algorithm", "adp-vrsgp"), n=n, T=T,
+                  theory=overrides.pop("theory", False))
+    graph = overrides.pop("topology", TopologySchedule(kind="static-ring", n=n, k=min(2, n - 1)))
     defaults = dict(
-        algorithm="adp-vrsgp",
-        n=n,
-        T=T,
-        topology=TopologySchedule(kind="static-ring", n=n, k=min(2, n - 1)),
+        run=run,
+        topology=TopologySpec(kind=graph.kind, k=graph.k, J=overrides.pop("J", 1)),
+        graph=graph,
         noise=NoiseSchedule(form="stepwise", T=T, s=0.2, tau=tau, a1=1.0, a2=10.0),
-        lr=LrSchedule(eta_base=1.0, xi=0.5, p=p),
+        lr=LrSchedule(eta=1.0, xi=0.5, p=overrides.pop("p", None)),
         clip=ClipConfig(g0=0.1, psi=0.99),
-        fusion=FusionConfig(theta=theta, tau=tau),
+        fusion=FusionConfig(theta=theta),
         budgets=[
             PrivacyBudget(epsilon=epsilon, delta=1e-5, sampling_ratio=ratio)
             for _ in range(n)
         ],
         model=ModelSpec(kind="logistic", features=5, l2=0.01),
         data=DataSpec(kind="blobs", n_samples=240, test_fraction=0.2, alpha_conc=1.0),
-        theory_enabled=theory,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)

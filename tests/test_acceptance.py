@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from pushdp.engine import build_dataset, build_model, run
-from pushdp.fusion import REPORTED_TAU, select_tau
+from pushdp.fusion import REPORTED_TAU, noise_factor, select_tau
 from pushdp.privacy import (
     LrSchedule,
     NoiseSchedule,
@@ -111,9 +111,9 @@ def test_criterion_05_degenerate_reduction():
         sampling_ratio=1.0,
         topology=TopologySchedule(kind="static-ring", n=8, k=7),
         noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=1),
-        lr=LrSchedule(eta_base=0.05, xi=0.5),
+        lr=LrSchedule(eta=0.05, xi=0.5),
         clip=ClipConfig(g0=1e9, psi=1.0),
-        fusion=FusionConfig(theta=0.0, tau=1),
+        fusion=FusionConfig(theta=0.0),
         sigma_override=0.0,
         data=DataSpec(kind="blobs", n_samples=160, test_fraction=0.0, alpha_conc=5.0),
     )
@@ -168,7 +168,7 @@ def _fig3_config(eps, theta, T=400):
         theta=theta,
         epsilon=eps,
         noise=NoiseSchedule(form="stepwise", T=T, s=0.2, tau=5, a1=1.0, a2=10.0),
-        lr=LrSchedule(eta_base=1.0, xi=0.5),
+        lr=LrSchedule(eta=1.0, xi=0.5),
     )
 
 
@@ -211,9 +211,9 @@ def _optimal_p_config(p, T=2000, K=1.0):
         epsilon=6.0,
         sampling_ratio=0.5,
         noise=NoiseSchedule(form="power", T=T, s=0.25, K=K, tau=1),
-        lr=LrSchedule(eta_base=eta_from_exponent(K, 8, T, p), xi=0.5, p=p),
+        lr=LrSchedule(eta=eta_from_exponent(K, 8, T, p), xi=0.5, p=p),
         clip=ClipConfig(g0=0.1, psi=1.0),
-        fusion=FusionConfig(theta=0.0, tau=1),
+        fusion=FusionConfig(theta=0.0),
         model=ModelSpec(kind="quadratic", features=4),
         data=DataSpec(kind="quadratic", n_samples=240, spread=0.1, alpha_conc=5.0),
     )
@@ -244,21 +244,17 @@ def test_criterion_10_theory_calculators():
     # (a) spreadsheet audit of A1, A2, A3, M, h on the all-ones input (q=1 is
     # degenerate, so the propagation decay sits at q=0.5)
     n, T = 2, 4
-    cfg = make_config(
-        n=n,
-        T=T,
-        tau=6,
-        theta=0.5,
-        noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=6),
-        lr=LrSchedule(eta_base=1.0, xi=0.5),
-        clip=ClipConfig(g0=1.0, psi=1.0),
-        budgets=[
-            PrivacyBudget(epsilon=1.0, delta=math.exp(-1.0), sampling_ratio=1.0)
-            for _ in range(n)
-        ],
-    )
     th = TheoryParams(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, F0=1.0, d=1, x0_norm=1.0)
-    got = convergence_bound(th, cfg, upsilon_total=1.0, rho_total=1.0)
+    got = convergence_bound(
+        th, n,
+        schedule=NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=6),
+        lr=LrSchedule(eta=1.0, xi=0.5),
+        budgets=[PrivacyBudget(epsilon=1.0, delta=math.exp(-1.0), sampling_ratio=1.0)] * n,
+        G=1.0,
+        h=noise_factor(0.5, 6),
+        upsilon_total=1.0,
+        rho_total=1.0,
+    )
     A1 = (6 + 108 + 18 * 4) / 0.25
     A2 = 6 * (2 + 9) / 0.25
     A3 = 110 / 0.25
@@ -300,7 +296,7 @@ def test_criterion_10_theory_calculators():
         T=120,
         model=ModelSpec(kind="quadratic", features=3),
         data=DataSpec(kind="quadratic", n_samples=160, alpha_conc=5.0),
-        theory_enabled=True,
+        theory=True,
     )
     summary = run(sound_cfg, master_seed=7).summary
     theory = summary["theory"]

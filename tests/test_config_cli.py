@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 from dataclasses import FrozenInstanceError
 
@@ -70,10 +71,10 @@ def write_config(tmp_path, text=BASE_CONFIG, name="exp.ini"):
 class TestConfigParsing:
     def test_load_and_fields(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.algorithm == "adp-vrsgp" and cfg.n == 8 and cfg.T == 30
-        assert cfg.noise.tau == cfg.fusion.tau == 5
+        assert cfg.run.algorithm == "adp-vrsgp" and cfg.n == 8 and cfg.T == 30
+        assert cfg.noise.tau == 5 and to_sections(cfg)["fusion"]["tau"] == "5"
         assert cfg.budgets[0].epsilon == 1.0 and len(cfg.budgets) == 8
-        assert cfg.lr.eta_base == 1.0
+        assert cfg.lr.eta == 1.0
 
     def test_missing_key_path_in_message(self, tmp_path):
         broken = BASE_CONFIG.replace("kind = static-ring", "")
@@ -112,8 +113,8 @@ class TestConfigParsing:
     def test_eta_from_exponent(self, tmp_path):
         text = BASE_CONFIG.replace("eta = 1.0", "K = 2.0\np = 0.1")
         cfg = load_config(write_config(tmp_path, text))
-        assert cfg.lr.eta_base == pytest.approx(2.0 * np.sqrt(8) / 30**0.1)
-        assert cfg.lr.p == 0.1 and cfg.lr_K == 2.0
+        assert cfg.lr.eta == pytest.approx(2.0 * np.sqrt(8) / 30**0.1)
+        assert cfg.lr.p == 0.1 and cfg.lr.K == 2.0
 
     def test_round_trip_equality(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -139,6 +140,30 @@ class TestConfigParsing:
         text = BASE_CONFIG.replace("g0 = 0.1\n", "")
         with pytest.raises(ConfigurationError, match=r"^clip\.g0: required key missing$"):
             load_config(write_config(tmp_path, text))
+
+    def test_readme_config_block_lists_exactly_the_parsed_keys(self, monkeypatch):
+        from pushdp import config
+
+        asked = set()
+        reject_unknown = config._Reader.reject_unknown
+
+        def record(reader):
+            asked.update(reader.asked)
+            reject_unknown(reader)
+
+        monkeypatch.setattr(config._Reader, "reject_unknown", record)
+        load_config(str(SHIPPED_CONFIGS[0]))
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Config format")[1].split("```ini\n")[1].split("```")[0]
+        documented, section = set(), None
+        for line in block.splitlines():
+            if line.startswith("["):
+                section, line = line[1:].split("]", 1)
+            for part in re.sub(r"\(.*?\)", "", line).split(";"):
+                if part.strip():
+                    documented.add((section, re.match(r"\w+", part.strip()).group().lower()))
+        assert documented == asked
 
     def test_unparseable_spec_value(self, tmp_path):
         text = BASE_CONFIG.replace("l2 = 0.01", "l2 = 0.01\nhidden = x")
@@ -374,6 +399,30 @@ class TestCliCalc:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["floor"] == 162
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["sigma", "--g", "0"], 1, "error: clip threshold must be > 0, got 0.0"),
+        (["tau", "--theta", "1.5"], 1, "error: theta must lie in [0,1), got 1.5"),
+        (["tau", "--theta", "0.5", "--tol", "0"], 1, "error: tol must be > 0, got 0.0"),
+        (["minT", "--n", "4", "--p", "0.1", "--L", "-1"], 1, "error: L must be >= 0"),
+        (["minT", "--n", "0", "--p", "0.5"], 2,
+         "pushdp calc minT: error: argument --n: need at least 1 node, got 0"),
+        (["bound", "--n", "0", "--eta", "1"], 2,
+         "pushdp calc bound: error: argument --n: need at least 1 node, got 0"),
+        (["regime", "--p", "0", "--n", "8", "--s", "0.5", "--T", "1"], 1,
+         "error: s = 1/2 normalizes by log T, which needs T >= 2, got T = 1"),
+    ])
+    def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, argv, code, message):
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(["calc", *argv])
+            assert exc.value.code == 2
+        else:
+            assert main(["calc", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines()[-1] == message
+        if code == 1:
+            assert captured.err == message + "\n"
 
     def test_bound_runs(self, capsys):
         code = main([

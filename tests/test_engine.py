@@ -3,7 +3,7 @@ import pytest
 
 from pushdp.config import DataSpec, ModelSpec
 from pushdp.engine import build_dataset, build_model, run
-from pushdp.errors import NumericalBreakdownError
+from pushdp.errors import ConfigurationError, NumericalBreakdownError
 from pushdp.fusion import ClipConfig, FusionConfig
 from pushdp.privacy import LrSchedule, NoiseSchedule, beta_at
 from pushdp.topology import TopologySchedule
@@ -22,9 +22,9 @@ def degenerate_config(T=60, eta=0.05):
         sampling_ratio=1.0,
         topology=TopologySchedule(kind="static-ring", n=8, k=7),
         noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=1),
-        lr=LrSchedule(eta_base=eta, xi=0.5),
+        lr=LrSchedule(eta=eta, xi=0.5),
         clip=ClipConfig(g0=1e9, psi=1.0),
-        fusion=FusionConfig(theta=0.0, tau=1),
+        fusion=FusionConfig(theta=0.0),
         sigma_override=0.0,
         data=DataSpec(kind="blobs", n_samples=160, test_fraction=0.0, alpha_conc=5.0),
     )
@@ -65,7 +65,7 @@ class TestRecordedSchedules:
         cfg = make_config(T=50)
         result = run(cfg, master_seed=1)
         for rec in result.records:
-            assert rec.eta_t == cfg.lr.eta_base / beta_at(cfg.noise, cfg.lr, rec.t)
+            assert rec.eta_t == cfg.lr.eta / beta_at(cfg.noise, cfg.lr, rec.t)
 
     def test_alpha_injected_is_decaying_multiplier(self):
         cfg = make_config(T=30)
@@ -92,9 +92,9 @@ class TestNoiselessDescent:
             tau=1,
             sampling_ratio=1.0,
             noise=NoiseSchedule(form="power", T=400, s=0.0, K=1.0, tau=1),
-            lr=LrSchedule(eta_base=0.4, xi=0.5),
+            lr=LrSchedule(eta=0.4, xi=0.5),
             clip=ClipConfig(g0=1e9, psi=1.0),
-            fusion=FusionConfig(theta=0.0, tau=1),
+            fusion=FusionConfig(theta=0.0),
             sigma_override=0.0,
             model=ModelSpec(kind="quadratic", features=3),
             data=DataSpec(kind="quadratic", n_samples=160, spread=0.0, alpha_conc=5.0),
@@ -125,6 +125,24 @@ class TestFailureModes:
             with np.errstate(over="ignore", invalid="ignore"):
                 run(cfg, master_seed=0)
 
+    @pytest.mark.parametrize("model, labels, bad", [
+        (ModelSpec(kind="logistic", features=2), [0, 1, 2, 3, 4], 2),
+        (ModelSpec(kind="mlp", features=2, classes=3), [0, 1, 2, -1], -1),
+        (ModelSpec(kind="mlp", features=2, classes=3), [0, 1, 2, 4], 4),
+    ], ids=["logistic-label-2", "mlp-label-minus-1", "mlp-label-4"])
+    def test_csv_label_outside_the_model_classes_is_config_error(self, tmp_path, model, labels, bad):
+        path = tmp_path / "data.csv"
+        rows = ["f1,f2,label"] + [f"{0.1 * i},1.0,{labels[i % len(labels)]}" for i in range(60)]
+        path.write_text("\n".join(rows) + "\n")
+        cfg = make_config(model=model, data=DataSpec(kind="csv", path=str(path)))
+        classes = 2 if model.kind == "logistic" else 3
+        with pytest.raises(ConfigurationError) as err:
+            build_dataset(cfg, 0)
+        assert str(err.value) == (
+            f"data.path: {path} has label {bad}, but model.kind = {model.kind} "
+            f"needs labels in [0, {classes})"
+        )
+
     def test_calibration_regime_error_propagates(self):
         # tiny sampling ratio at default c1 violates eps < c1*ratio^2*T
         cfg = make_config(T=20, sampling_ratio=0.01, epsilon=2.0)
@@ -139,8 +157,8 @@ class TestFailureModes:
         cfg = make_config(
             T=15,
             topology=TopologySchedule(kind="exponential-periodic", n=8),
-            theory_enabled=True,
-            window_J=1,
+            theory=True,
+            J=1,
         )
         result = run(cfg, master_seed=1)
         assert len(result.records) == 15
@@ -156,8 +174,8 @@ class TestFailureModes:
             T=20,
             topology=TopologySchedule(kind="exponential-periodic", n=64),
             data=DataSpec(kind="blobs", n_samples=800, test_fraction=0.2, alpha_conc=1.0),
-            theory_enabled=True,
-            window_J=6,
+            theory=True,
+            J=6,
         )
         result = run(cfg, master_seed=0)
         assert len(result.records) == 20
@@ -170,7 +188,7 @@ class TestFailureModes:
             T=15,
             model=ModelSpec(kind="quadratic", features=3),
             data=DataSpec(kind="quadratic", n_samples=80, alpha_conc=5.0),
-            theory_enabled=True,
+            theory=True,
         )
         result = run(cfg, master_seed=1)
         theory = result.summary["theory"]

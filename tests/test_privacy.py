@@ -58,20 +58,20 @@ class TestAlpha:
 
 class TestBeta:
     def test_first_piece(self):
-        val = beta_at(power(), LrSchedule(eta_base=1.0, xi=0.5), 40)
+        val = beta_at(power(), LrSchedule(eta=1.0, xi=0.5), 40)
         assert val == pytest.approx((40 * 60) ** 0.25, abs=1e-12)
 
     def test_second_piece(self):
-        val = beta_at(power(), LrSchedule(eta_base=1.0, xi=0.5), 80)
+        val = beta_at(power(), LrSchedule(eta=1.0, xi=0.5), 80)
         assert val == pytest.approx(math.sqrt(80), abs=1e-12)
 
     def test_s_zero_collapses_to_K(self):
         sched = NoiseSchedule(form="power", T=50, s=0.0, K=3.0)
-        lr = LrSchedule(eta_base=1.0, xi=0.3)
+        lr = LrSchedule(eta=1.0, xi=0.3)
         assert all(beta_at(sched, lr, t) == pytest.approx(3.0) for t in range(50))
 
     def test_piecewise_matches_alpha_products(self):
-        sched, lr = stepwise(T=30, tau=3), LrSchedule(eta_base=1.0, xi=0.4)
+        sched, lr = stepwise(T=30, tau=3), LrSchedule(eta=1.0, xi=0.4)
         for t in range(30):
             a_t = alpha_at(sched, t)
             expected = a_t * alpha_at(sched, 30 - t) if t <= lr.xi * 30 else a_t * a_t
@@ -81,16 +81,16 @@ class TestBeta:
 class TestLr:
     def test_division(self):
         sched = NoiseSchedule(form="power", T=50, s=0.0, K=2.0)
-        lr = LrSchedule(eta_base=0.1, xi=0.5)
+        lr = LrSchedule(eta=0.1, xi=0.5)
         assert lr_at(sched, lr, 7) == pytest.approx(0.1 / 2.0, abs=1e-15)
 
     def test_constant_when_s_zero(self):
         sched = NoiseSchedule(form="power", T=50, s=0.0, K=1.0)
-        lr = LrSchedule(eta_base=0.1, xi=0.5)
+        lr = LrSchedule(eta=0.1, xi=0.5)
         assert {lr_at(sched, lr, t) for t in range(50)} == {0.1}
 
     def test_power_example(self):
-        lr = LrSchedule(eta_base=1.0, xi=0.5)
+        lr = LrSchedule(eta=1.0, xi=0.5)
         assert lr_at(power(), lr, 40) == pytest.approx(1.0 / (40 * 60) ** 0.25, rel=1e-12)
 
 
@@ -175,15 +175,15 @@ class TestBetaSumDominance:
     def test_equality_when_alpha_constant(self):
         # beta = alpha^2 = K when s = 0, so both sides are T/K exactly
         sched = NoiseSchedule(form="power", T=30, s=0.0, K=2.0)
-        lhs, rhs = beta_sum_dominance(sched, LrSchedule(eta_base=1.0, xi=0.5))
+        lhs, rhs = beta_sum_dominance(sched, LrSchedule(eta=1.0, xi=0.5))
         assert lhs == pytest.approx(30 / 2.0, rel=1e-12)
         assert rhs == pytest.approx(30 / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("T,xi", [(100, 0.5), (10, 0.9)])
     def test_power_quarter_strict(self, T, xi):
         sched = NoiseSchedule(form="power", T=T, s=0.25, K=1.0)
-        lhs, rhs = beta_sum_dominance(sched, LrSchedule(eta_base=1.0, xi=xi))
-        brute_lhs = sum(1.0 / beta_at(sched, LrSchedule(eta_base=1.0, xi=xi), t) for t in range(T))
+        lhs, rhs = beta_sum_dominance(sched, LrSchedule(eta=1.0, xi=xi))
+        brute_lhs = sum(1.0 / beta_at(sched, LrSchedule(eta=1.0, xi=xi), t) for t in range(T))
         brute_rhs = sum(1.0 / alpha_at(sched, t) ** 2 for t in range(T))
         assert lhs == pytest.approx(brute_lhs, rel=1e-12)
         assert rhs == pytest.approx(brute_rhs, rel=1e-12)

@@ -20,12 +20,6 @@ from pushdp.theory import (
 )
 from pushdp.topology import PropagationParams
 
-from conftest import make_config
-
-
-def theory(L=1.0, a=0.0, m=0.0, C=1.0, q=0.0, F0=0.0, d=1, x0_norm=0.0):
-    return TheoryParams(L=L, a=a, m=m, C=C, q=q, F0=F0, d=d, x0_norm=x0_norm)
-
 
 class TestOptimalP:
     @pytest.mark.parametrize("s,expected", [(0.2, 0.1), (0.25, 0.0), (0.3, -0.1)])
@@ -41,7 +35,7 @@ class TestOptimalP:
 
 class TestMinIterations:
     def test_six_terms_individually(self):
-        floor = min_iterations(theory(L=1.0, C=1.0, q=0.0), n=1, p=0.5, K=1.0)
+        floor = min_iterations(TheoryParams(L=1.0, C=1.0, q=0.0), n=1, p=0.5, K=1.0)
         t = floor.terms
         assert t["4nL^2"] == pytest.approx(4.0)
         assert t["(162nC^2L^2/(1-q^2))^(2/(1+2p))"] == pytest.approx(162.0)
@@ -52,35 +46,38 @@ class TestMinIterations:
         assert floor.floor == 162
 
     def test_network_term_scales_linearly_in_n(self):
-        a = min_iterations(theory(L=2.0), n=4, p=0.5, K=1.0).terms["4nL^2"]
-        b = min_iterations(theory(L=2.0), n=16, p=0.5, K=1.0).terms["4nL^2"]
+        a = min_iterations(TheoryParams(L=2.0), n=4, p=0.5, K=1.0).terms["4nL^2"]
+        b = min_iterations(TheoryParams(L=2.0), n=16, p=0.5, K=1.0).terms["4nL^2"]
         assert b == pytest.approx(4.0 * a, rel=0)
 
     def test_isolated_network_blows_up(self):
         # floor grows without bound as q -> 1, overflowing to the inf sentinel
         floors = [
-            min_iterations(theory(q=q), n=4, p=-0.45, K=1.0).floor
+            min_iterations(TheoryParams(q=q), n=4, p=-0.45, K=1.0).floor
             for q in (0.9, 0.99, 0.999999, 1.0 - 1e-16)
         ]
         assert all(b >= a for a, b in zip(floors, floors[1:]))
         assert math.isinf(floors[-1])
         # exactly degenerate q is rejected by the params type itself
         with pytest.raises(OutOfRegimeError):
-            theory(q=1.0)
+            TheoryParams(q=1.0)
 
     def test_p_guard(self):
         with pytest.raises(OutOfRegimeError, match="p"):
-            min_iterations(theory(), n=4, p=-0.5, K=1.0)
+            min_iterations(TheoryParams(), n=4, p=-0.5, K=1.0)
 
 
 class TestConvergenceBound:
     def test_only_fixed_term_when_error_sources_vanish(self):
-        cfg = make_config(
-            n=2, T=4, tau=1, theta=0.0,
-            noise=NoiseSchedule(form="power", T=4, s=0.0, K=1.0, tau=1),
-            epsilon=1e12,  # drives the noise moment to ~0
+        n = 2
+        breakdown = convergence_bound(
+            TheoryParams(L=1.0, F0=2.0, q=0.5), n,
+            schedule=NoiseSchedule(form="power", T=4, s=0.0, K=1.0, tau=1),
+            lr=LrSchedule(eta=1.0),
+            # epsilon = 1e12 drives the noise moment to ~0
+            budgets=[PrivacyBudget(epsilon=1e12, delta=1e-5, sampling_ratio=0.5)] * n,
+            G=0.1, h=1.0, upsilon_total=0.0, rho_total=0.0,
         )
-        breakdown = convergence_bound(theory(L=1.0, F0=2.0, q=0.5), cfg, 0.0, 0.0)
         assert breakdown.bias_term == 0.0
         assert breakdown.noise_term < 1e-18
         assert breakdown.fixed_term > 0
@@ -89,21 +86,21 @@ class TestConvergenceBound:
     def test_spreadsheet_audit(self):
         # independent longhand evaluation of every constant
         n, T, eps, delta, ratio, G, eta, xi = 2, 4, 1.0, math.exp(-1.0), 0.5, 1.0, 1.0, 0.5
-        cfg = make_config(
-            n=n, T=T, tau=6, theta=0.5,
-            noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=6),
-            lr=LrSchedule(eta_base=eta, xi=xi),
-            budgets=[PrivacyBudget(epsilon=eps, delta=delta, sampling_ratio=ratio) for _ in range(n)],
-            clip=ClipConfig(g0=1.0, psi=1.0),
-        )
-        th = theory(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, F0=1.0, d=1, x0_norm=1.0)
+        theta, tau = 0.5, 6
+        th = TheoryParams(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, F0=1.0, d=1, x0_norm=1.0)
         upsilon, rho = 0.3, 0.2
-        got = convergence_bound(th, cfg, upsilon, rho)
+        got = convergence_bound(
+            th, n,
+            schedule=NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=tau),
+            lr=LrSchedule(eta=eta, xi=xi),
+            budgets=[PrivacyBudget(epsilon=eps, delta=delta, sampling_ratio=ratio)] * n,
+            G=G, h=noise_factor(theta, tau), upsilon_total=upsilon, rho_total=rho,
+        )
 
         A1 = (6 * 1 * 1.0 + 108 * 1 * 1.0 + 18 * 1 * (1.0 + 3 * 1.0)) / (1 - 0.5) ** 2
         A2 = 6 * 1 * (2 + 9 * 1.0) / (1 - 0.5) ** 2
         A3 = 110 * 1 / (1 - 0.5) ** 2
-        h = (1 - 0.5) / (1 + 0.5) + 2 * 0.5 ** (2 * cfg.fusion.tau - 1) / (1 + 0.5)
+        h = (1 - theta) / (1 + theta) + 2 * theta ** (2 * tau - 1) / (1 + theta)
         per_node = G**2 * 1.0 * ratio**2 * math.log(1 / delta) / eps**2
         M = eta**2 / n**2 * (n * per_node) * T * T  # alpha = beta = 1
         root = math.sqrt(n * T)
@@ -122,17 +119,16 @@ class TestConvergenceBound:
         assert got.total == pytest.approx(fixed + noise + bias, rel=1e-9)
 
     def test_sqrt_nT_structure(self):
-        th = theory(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, F0=1.0, x0_norm=1.0)
-        small = make_config(
-            n=2, T=8, tau=1, theta=0.0,
-            noise=NoiseSchedule(form="power", T=8, s=0.0, K=1.0, tau=1),
-        )
-        large = make_config(
-            n=2, T=16, tau=1, theta=0.0,
-            noise=NoiseSchedule(form="power", T=16, s=0.0, K=1.0, tau=1),
-        )
-        b_small = convergence_bound(th, small, 0.5, 0.5)
-        b_large = convergence_bound(th, large, 0.5, 0.5)
+        th = TheoryParams(L=1.0, a=1.0, m=1.0, C=1.0, q=0.5, F0=1.0, x0_norm=1.0)
+
+        def bound(T):
+            return convergence_bound(
+                th, 2, NoiseSchedule(form="power", T=T, s=0.0, K=1.0, tau=1), LrSchedule(eta=1.0),
+                [PrivacyBudget(epsilon=1.0, delta=1e-5, sampling_ratio=0.5)] * 2,
+                G=0.1, h=1.0, upsilon_total=0.5, rho_total=0.5,
+            )
+
+        b_small, b_large = bound(8), bound(16)
         assert b_large.fixed_term == pytest.approx(b_small.fixed_term / math.sqrt(2), rel=1e-12)
         assert b_large.bias_term == pytest.approx(b_small.bias_term / math.sqrt(2), rel=1e-12)
         # noise term carries M's own T growth on top of the 1/sqrt(nT) shell
@@ -142,7 +138,7 @@ class TestConvergenceBound:
 
     def test_q_guard(self):
         with pytest.raises(OutOfRegimeError):
-            theory(q=1.2)
+            TheoryParams(q=1.2)
 
 
 class TestCorollaryRegime:
@@ -150,7 +146,7 @@ class TestCorollaryRegime:
         return [PrivacyBudget(epsilon=6.0, delta=1e-5, sampling_ratio=0.5) for _ in range(n)]
 
     def test_labels(self):
-        th = theory(q=0.5, C=1.0, L=1.0)
+        th = TheoryParams(q=0.5, C=1.0, L=1.0)
         h = noise_factor(0.5, 5)
         zero = corollary_regime(0.0, 8, 1000, 0.25, self.budgets(), 0.1, h, th)
         pos = corollary_regime(0.1, 8, 1000, 0.2, self.budgets(), 0.1, h, th)
@@ -162,7 +158,7 @@ class TestCorollaryRegime:
     def test_ordering_at_large_T(self):
         # evaluated second terms order as p=-0.1 < p=0 < p=+0.1 at T=1e4,
         # both with s tied to p and with s held fixed
-        th = theory(q=0.5, C=1.0, L=1.0)
+        th = TheoryParams(q=0.5, C=1.0, L=1.0)
         h = noise_factor(0.5, 5)
         T = 10_000
         tied = [
@@ -186,7 +182,7 @@ class TestCorollaryRegime:
 
     def test_p_range_guard(self):
         with pytest.raises(OutOfRegimeError):
-            corollary_regime(0.5, 8, 100, 0.25, self.budgets(), 0.1, 1.0, theory())
+            corollary_regime(0.5, 8, 100, 0.25, self.budgets(), 0.1, 1.0, TheoryParams())
 
     def test_budget_term_literal(self):
         buds = [
@@ -204,7 +200,7 @@ class TestCorollaryRegime:
 class TestNoiseSumM:
     def test_constant_schedule_literal(self):
         sched = NoiseSchedule(form="power", T=5, s=0.0, K=1.0)
-        lr = LrSchedule(eta_base=2.0, xi=0.5)
+        lr = LrSchedule(eta=2.0, xi=0.5)
         buds = [PrivacyBudget(epsilon=1.0, delta=math.exp(-1.0), sampling_ratio=0.5)] * 2
         got = noise_sum_M(sched, lr, buds, 1.0, 2)
         # alpha = beta = 1: both sums are T; per-node factor 0.25 each
