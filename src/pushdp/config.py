@@ -245,6 +245,14 @@ class _Reader:
                     raise ConfigurationError(f"{section}.{key}: unknown key")
 
 
+def _existing(key: str, base_dir: str, path: str) -> str:
+    """path resolved against the config's directory, which must name a file."""
+    full = os.path.join(base_dir, path)
+    if not os.path.isfile(full):
+        raise ConfigurationError(f"{key}: no such file {full}")
+    return full
+
+
 def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build a validated ExperimentConfig from a dict of string sections."""
     r = _Reader(sections)
@@ -255,7 +263,7 @@ def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     if topology.kind == "explicit-list":
         if not topology.path:
             raise ConfigurationError("topology.path: required for explicit-list")
-        graph = load_edge_list(os.path.join(base_dir, topology.path), n)
+        graph = load_edge_list(_existing("topology.path", base_dir, topology.path), n)
     else:
         graph = TopologySchedule(kind=topology.kind, n=n, k=topology.k)
 
@@ -287,7 +295,7 @@ def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     model = ModelSpec(**r.spec("model", ModelSpec))
     data = r.spec("data", DataSpec)
     if data["path"]:
-        data["path"] = os.path.join(base_dir, data["path"])
+        data["path"] = _existing("data.path", base_dir, data["path"])
     data = DataSpec(**data)
     r.reject_unknown()
 

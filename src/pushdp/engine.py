@@ -21,46 +21,16 @@ from . import rng as rngmod
 from .config import ExperimentConfig
 from .errors import ConfigurationError, NumericalBreakdownError, OutOfRegimeError
 from .fusion import (
-    REPORTED_TAU,
-    clip,
-    decay_threshold,
-    fuse,
-    noise_factor,
-    perturb,
-    select_tau,
-    staleness_bound,
+    REPORTED_TAU, clip, decay_threshold, fuse, noise_factor, perturb, select_tau, staleness_bound,
 )
 from .models import (
-    Dataset,
-    LogisticModel,
-    MlpModel,
-    Model,
-    PartitionSpec,
-    accuracy,
-    dirichlet_partition,
-    load_csv,
-    loss_and_grad,
-    make_quadratic_model,
-    make_synthetic,
-    partition_report,
-    sample_batch,
-    split_test,
+    Dataset, LogisticModel, MlpModel, Model, PartitionSpec, accuracy, dirichlet_partition,
+    load_csv, make_quadratic_model, make_synthetic, node_sorted, partition_report, row_pass,
+    sample_batch, split_test,
 )
-from .privacy import (
-    alpha_at,
-    beta_at,
-    calibrate_sigma,
-    delta_bound,
-    epsilon_spent,
-    starts_interval,
-)
+from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent, starts_interval
 from .pushsum import consensus_error, mix_round
-from .theory import (
-    OPTIMAL_P_ERRATUM,
-    convergence_bound,
-    estimate_theory_params,
-    min_iterations,
-)
+from .theory import OPTIMAL_P_ERRATUM, convergence_bound, estimate_theory_params, min_iterations
 from .topology import build_mixing_matrix, max_out_degree, propagation_params, window_diameter
 
 
@@ -115,15 +85,8 @@ def build_dataset(config: ExperimentConfig, master_seed: int) -> Dataset:
             )
     else:
         kind = "quadratic" if spec.kind == "quadratic" else "blobs"
-        dataset = make_synthetic(
-            kind,
-            spec.n_samples,
-            config.model.features,
-            master_seed,
-            classes=classes,
-            separation=spec.separation,
-            spread=spec.spread,
-        )
+        dataset = make_synthetic(kind, spec.n_samples, config.model.features, master_seed,
+                                 classes=classes, separation=spec.separation, spread=spec.spread)
     dataset = split_test(dataset, spec.test_fraction, master_seed)
     dataset.node_indices = dirichlet_partition(
         dataset.labels, PartitionSpec(alpha_conc=spec.alpha_conc, n=config.n, seed=master_seed)
@@ -154,31 +117,12 @@ def _theory_block(config, model, dataset, x0, master_seed):
     except OutOfRegimeError as exc:
         block["warning"] = f"theory calculators disabled: {exc}"
         return block, None
-    params = estimate_theory_params(
-        model,
-        dataset,
-        dataset.node_indices,
-        x0,
-        prop,
-        rngmod.stream(master_seed, 0, 0, rngmod.THEORY),
-    )
+    params = estimate_theory_params(model, dataset, dataset.node_indices, x0, prop,
+                                    rngmod.stream(master_seed, 0, 0, rngmod.THEORY))
     block["in_regime"] = True
-    block["propagation"] = {
-        "lambda": prop.lam,
-        "q": prop.q,
-        "c_bound": prop.c_bound,
-        "U": prop.U,
-        "J": J,
-        "kappa": kappa,
-    }
-    block["estimated"] = {
-        "L": params.L,
-        "a": params.a,
-        "m": params.m,
-        "F0": params.F0,
-        "d": params.d,
-        "x0_norm": params.x0_norm,
-    }
+    block["propagation"] = {"lambda": prop.lam, "q": prop.q, "c_bound": prop.c_bound,
+                            "U": prop.U, "J": J, "kappa": kappa}
+    block["estimated"] = {k: getattr(params, k) for k in ("L", "a", "m", "F0", "d", "x0_norm")}
     K = config.lr.K if config.lr.K is not None else config.noise.K
     if config.lr.p is not None:
         floor = min_iterations(params, config.n, config.lr.p, K)
@@ -188,11 +132,8 @@ def _theory_block(config, model, dataset, x0, master_seed):
     return block, params
 
 
-def run(
-    config: ExperimentConfig,
-    master_seed: Optional[int] = None,
-    record_states: bool = False,
-) -> RunResult:
+def run(config: ExperimentConfig, master_seed: Optional[int] = None,
+        record_states: bool = False) -> RunResult:
     """Execute one full run; a pure function of (config, master_seed).
 
     record_states keeps the post-mix (n, d) parameter stack of every round
@@ -220,6 +161,10 @@ def run(
     )
 
     matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
+    # node i's rows are segments[i] of the node-sorted training rows; its
+    # batch draws are positions within them
+    train_X, train_y, segments = node_sorted(dataset, dataset.node_indices)
+    positions = np.arange(len(train_y))
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -238,25 +183,24 @@ def run(
             interval_clips = []
 
         # observables at the current state, then each node's stochastic
-        # gradient and noise draw; empty nodes keep zero rows
+        # gradient and noise draw; empty nodes keep zero rows.  One pass over
+        # node i's rows at Z[i] gives both its full and its batch gradient.
         xbar = X.mean(axis=0)
         cons = consensus_error(X, Z)
+        at_mean = row_pass(model, xbar, (train_X, train_y), grad=False)
         full_sq = []
         losses_at_mean = []
         Grad = np.zeros_like(X)
         Noise = np.zeros_like(X)
         for i in np.flatnonzero(occupied):
-            idx = dataset.node_indices[i]
-            batch = (dataset.features[idx], dataset.labels[idx])
-            _, g_full = loss_and_grad(model, Z[i], batch)
+            seg = segments[i]
+            rows = row_pass(model, Z[i], (train_X[seg], train_y[seg]))
+            g_full = rows.grad()
             full_sq.append(float(g_full @ g_full))
-            losses_at_mean.append(loss_and_grad(model, xbar, batch)[0])
-            batch_idx = sample_batch(
-                idx, config.budgets[i].sampling_ratio, rngmod.stream(seed, i, t, rngmod.BATCH)
-            )
-            _, Grad[i] = loss_and_grad(
-                model, Z[i], (dataset.features[batch_idx], dataset.labels[batch_idx])
-            )
+            losses_at_mean.append(at_mean.loss(seg))
+            draw = rngmod.stream(seed, i, t, rngmod.BATCH)
+            local = positions[: seg.stop - seg.start]
+            Grad[i] = rows.grad(sample_batch(local, config.budgets[i].sampling_ratio, draw))
             if sigmas[i] > 0:
                 noise_rng = rngmod.stream(seed, i, t, rngmod.NOISE)
                 Noise[i] = noise_rng.normal(0.0, sigmas[i], size=X.shape[1])
@@ -288,20 +232,11 @@ def run(
         if trajectory is not None:
             trajectory.append(X)
 
-        records.append(
-            MetricsRecord(
-                t=t,
-                mean_sq_grad_norm=mean_sq,
-                consensus_error=cons,
-                train_loss=train_loss,
-                test_accuracy=test_acc,
-                current_g=G,
-                alpha_injected=alpha_inj,
-                eta_t=eta_t,
-                clip_residual_mean=float(np.mean(resid[occupied])),
-                empirical_d_tau=d_tau_t,
-            )
-        )
+        records.append(MetricsRecord(
+            t=t, mean_sq_grad_norm=mean_sq, consensus_error=cons, train_loss=train_loss,
+            test_accuracy=test_acc, current_g=G, alpha_injected=alpha_inj, eta_t=eta_t,
+            clip_residual_mean=float(np.mean(resid[occupied])), empirical_d_tau=d_tau_t,
+        ))
         if vrsgp:
             G = decay_threshold(config.clip, G)
 
@@ -383,10 +318,7 @@ def _summarize(config, seed, sigmas, records, theory_summary, theory_params, occ
             noise_factor(config.fusion.theta, config.noise.tau), upsilon_total, rho_total,
         )
         theory_summary["convergence_bound"] = bound.as_dict()
-        theory_summary["bound_inputs"] = {
-            "upsilon_total": upsilon_total,
-            "rho_total": rho_total,
-        }
+        theory_summary["bound_inputs"] = {"upsilon_total": upsilon_total, "rho_total": rho_total}
         theory_summary["lhs_time_avg_mean_sq_grad_norm"] = time_avg_msg
     summary["theory"] = theory_summary
     return summary

@@ -10,14 +10,17 @@ Three model kinds stand in for the training objectives:
               unregularized intercept.
   mlp         one tanh hidden layer with softmax cross-entropy.
 
-All gradients are analytic; the finite-difference oracle in the verification
-suite checks every kind.
+Each model makes one pass over a row block (`row_pass`): per-row losses and
+the per-row pieces of the gradient.  Mean losses and gradients
+(`loss_and_grad`) and per-row gradient distances are reductions of it; the
+finite-difference and single-sample oracles in the verification suite check
+every kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +33,58 @@ Batch = Tuple[np.ndarray, np.ndarray]  # (features, labels)
 # ---------------------------------------------------------------- models
 
 
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+class Rows(NamedTuple):
+    """One forward (and, unless loss-only, backward) pass of a model over a
+    row block.
+
+    Row j's loss is losses[j] + reg.  Its single-sample gradient is
+    const + concat_k vec([A_k[j], 1] (x) E_k[j]) over the (A_k, E_k) pairs of
+    `blocks`, where A_k = None stands for an empty A_k[j].  Means over any
+    subset of the rows and each row's distance to a given gradient are
+    reductions of these pieces; none builds a (rows, dim) matrix.
+    """
+
+    losses: np.ndarray
+    reg: float
+    const: "np.ndarray | float | None" = None  # None for a loss-only pass
+    blocks: tuple = ()
+
+    def loss(self, sel=slice(None)) -> float:
+        """Mean loss over the rows `sel` (all rows by default)."""
+        return float(np.mean(self.losses[sel])) + self.reg
+
+    def grad(self, sel=slice(None)) -> np.ndarray:
+        """Exact mean gradient over the rows `sel` (all rows by default)."""
+        parts = []
+        for A, E in self.blocks:
+            E = E[sel]
+            if A is not None:
+                parts.append((A[sel].T @ E / len(E)).ravel())
+            parts.append(E.sum(axis=0) / len(E))
+        return self.const + np.concatenate(parts)
+
+    def dev_sq(self, g: np.ndarray) -> np.ndarray:
+        """||g_j - g||^2 for every row j: blocks occupy disjoint coordinates,
+        so it is ||u||^2 plus, per block, ||[a,1]||^2 ||e||^2 + 2 [a,1].U e,
+        with u = const - g and U its block."""
+        u = self.const - g
+        out = np.full(len(self.losses), u @ u)
+        start = 0
+        for A, E in self.blocks:
+            width = (1 if A is None else A.shape[1] + 1) * E.shape[1]
+            U = u[start : start + width].reshape(-1, E.shape[1])
+            start += width
+            cross = E @ U[-1]
+            if A is not None:
+                cross += _row_dot(A @ U[:-1], E)
+            out += (1.0 if A is None else _row_dot(A, A) + 1.0) * _row_dot(E, E) + 2.0 * cross
+        return out
+
+
 @dataclass(frozen=True)
 class QuadraticModel:
     A: np.ndarray
@@ -39,11 +94,10 @@ class QuadraticModel:
     def dim(self) -> int:
         return self.b.shape[0]
 
-    def loss_and_grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray):
-        c = X.mean(axis=0)
+    def rows(self, params, X, y, grad=True) -> Rows:
+        # row j's perturbation c_j is X[j]: its gradient is Ax - b + c_j
         Ax = self.A @ params
-        loss = 0.5 * params @ Ax - self.b @ params + c @ params
-        return float(loss), Ax - self.b + c
+        return Rows(X @ params, 0.5 * params @ Ax - self.b @ params, Ax - self.b, ((None, X),))
 
     def predict(self, params, X):
         return None
@@ -61,25 +115,20 @@ class LogisticModel:
     def dim(self) -> int:
         return self.n_features + 1  # weights + intercept
 
-    def _split(self, params):
-        return params[:-1], params[-1]
-
-    def loss_and_grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray):
-        w, bias = self._split(params)
+    def rows(self, params, X, y, grad=True) -> Rows:
+        # row j's gradient is (r_j x_j + l2 w, r_j), r_j = p_j - y_j its residual
+        w, bias = params[:-1], params[-1]
         margin = X @ w + bias
-        # mean of log(1 + e^m) - y*m, numerically stable for large |m|
-        loss = float(np.mean(np.logaddexp(0.0, margin) - y * margin))
-        loss += 0.5 * self.l2 * float(w @ w)
-        p = 1.0 / (1.0 + np.exp(-margin))
-        resid = p - y
-        grad = np.empty_like(params)
-        grad[:-1] = X.T @ resid / len(y) + self.l2 * w
-        grad[-1] = resid.mean()
-        return loss, grad
+        # log(1 + e^m) - y*m, numerically stable for large |m|
+        losses = np.logaddexp(0.0, margin) - y * margin
+        reg = 0.5 * self.l2 * float(w @ w)
+        if not grad:
+            return Rows(losses, reg)
+        resid = 1.0 / (1.0 + np.exp(-margin)) - y
+        return Rows(losses, reg, np.concatenate((self.l2 * w, (0.0,))), ((X, resid[:, None]),))
 
     def predict(self, params, X):
-        w, bias = self._split(params)
-        return (X @ w + bias > 0).astype(int)
+        return (X @ params[:-1] + params[-1] > 0).astype(int)
 
     def lipschitz_bound(self, X: np.ndarray) -> float:
         """0.25 * lambda_max of the mean augmented outer product, plus l2."""
@@ -107,25 +156,31 @@ class MlpModel:
         b2 = params[i : i + c]
         return W1, b1, W2, b2
 
-    def loss_and_grad(self, params: np.ndarray, X: np.ndarray, y: np.ndarray):
+    def rows(self, params, X, y, grad=True) -> Rows:
+        # hid and dhid share one allocation and nothing else of their size is
+        # made: at a few thousand rows, page faults on fresh (rows, hidden)
+        # arrays cost more than the arithmetic
         W1, b1, W2, b2 = self._unpack(params)
-        B = len(y)
-        hid = np.tanh(X @ W1 + b1)
-        logits = hid @ W2 + b2
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logZ = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(logZ - shifted[np.arange(B), y]))
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        dlogits = probs
-        dlogits[np.arange(B), y] -= 1.0
-        dlogits /= B
-        gW2 = hid.T @ dlogits
-        gb2 = dlogits.sum(axis=0)
-        dhid = (dlogits @ W2.T) * (1.0 - hid**2)
-        gW1 = X.T @ dhid
-        gb1 = dhid.sum(axis=0)
-        grad = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
-        return loss, grad
+        out = np.empty((2 if grad else 1, len(X), self.hidden))
+        hid = np.matmul(X, W1, out=out[0])
+        hid += b1
+        np.tanh(hid, out=hid)
+        shifted = hid @ W2
+        shifted += b2
+        shifted -= shifted.max(axis=1, keepdims=True)
+        label = (np.arange(len(X)), y)
+        at_label = shifted[label]
+        dl = np.exp(shifted, out=shifted)
+        total = dl.sum(axis=1)
+        losses = np.log(total) - at_label
+        if not grad:
+            return Rows(losses, 0.0)
+        dl /= total[:, None]
+        dl[label] -= 1.0  # dlogits of one row: softmax - onehot
+        dhid = np.matmul(dl, W2.T, out=out[1])
+        for s in range(0, len(X), 128):  # times tanh' = 1 - hid^2, in small blocks
+            dhid[s : s + 128] *= 1.0 - np.square(hid[s : s + 128])
+        return Rows(losses, 0.0, 0.0, ((X, dhid), (hid, dl)))
 
     def predict(self, params, X):
         W1, b1, W2, b2 = self._unpack(params)
@@ -135,12 +190,18 @@ class MlpModel:
 Model = QuadraticModel | LogisticModel | MlpModel
 
 
-def loss_and_grad(model: Model, params: np.ndarray, batch: Batch):
-    """Mean loss and exact mean gradient of a model over a batch."""
+def row_pass(model: Model, params: np.ndarray, batch: Batch, grad: bool = True) -> Rows:
+    """One pass of a model over a row block; grad=False skips the backward."""
     X, y = batch
     if len(X) == 0:
         raise ValueError("batch must be non-empty")
-    return model.loss_and_grad(np.asarray(params, dtype=float), X, y)
+    return model.rows(np.asarray(params, dtype=float), X, y, grad)
+
+
+def loss_and_grad(model: Model, params: np.ndarray, batch: Batch):
+    """Mean loss and exact mean gradient of a model over a batch."""
+    rows = row_pass(model, params, batch)
+    return rows.loss(), rows.grad()
 
 
 # ---------------------------------------------------------------- data
@@ -157,6 +218,15 @@ class Dataset:
     def __post_init__(self):
         if len(self.features) != len(self.labels):
             raise ValueError("features and labels disagree in length")
+
+
+def node_sorted(dataset: Dataset, node_indices: List[np.ndarray]):
+    """The training rows sorted by node, as (features, labels, slices): node
+    k's rows are features[slices[k]], in the order node_indices[k] lists."""
+    order = np.concatenate(node_indices)
+    ends = np.cumsum([len(idx) for idx in node_indices])
+    slices = [slice(end - len(idx), end) for end, idx in zip(ends, node_indices)]
+    return dataset.features[order], dataset.labels[order], slices
 
 
 def sample_batch(indices: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -296,7 +366,11 @@ def load_csv(path) -> Dataset:
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if raw.shape[1] < 2:
         raise ConfigurationError(f"{path}: need at least one feature column plus a label")
-    return Dataset(features=raw[:, :-1], labels=raw[:, -1].astype(int))
+    labels = raw[:, -1]
+    fractional = labels[labels != np.round(labels)]
+    if fractional.size:
+        raise ConfigurationError(f"data.path: {path} has non-integer label {fractional[0]}")
+    return Dataset(features=raw[:, :-1], labels=labels.astype(int))
 
 
 def accuracy(model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> Optional[float]:

@@ -15,7 +15,9 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import OutOfRegimeError
-from .models import Dataset, Model, QuadraticModel, LogisticModel, loss_and_grad
+from .models import (
+    Dataset, LogisticModel, Model, QuadraticModel, loss_and_grad, node_sorted, row_pass,
+)
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, alpha_at, beta_at, inverse_square_sum
 
 # The optimal-exponent relation is implemented as p = 1/2 - 2*s, the only
@@ -187,17 +189,8 @@ def convergence_bound(
     fixed = (4 * theory.F0 + 5 * L * A1) / root
     noise = 4 * h * theory.d * L * (5 * A2 + 1) * M / root
     bias = (4 + 5 * L * A3) * (rho_total + upsilon_total) / root
-    return BoundBreakdown(
-        fixed_term=fixed,
-        noise_term=noise,
-        bias_term=bias,
-        total=fixed + noise + bias,
-        A1=A1,
-        A2=A2,
-        A3=A3,
-        M=M,
-        h=h,
-    )
+    return BoundBreakdown(fixed_term=fixed, noise_term=noise, bias_term=bias,
+                          total=fixed + noise + bias, A1=A1, A2=A2, A3=A3, M=M, h=h)
 
 
 REGIME_LABELS = {
@@ -290,84 +283,62 @@ def corollary_regime(
 # ------------------------------------------------- empirical estimation
 
 
-def _node_grad(model: Model, params: np.ndarray, dataset: Dataset, idx: np.ndarray):
-    return loss_and_grad(model, params, (dataset.features[idx], dataset.labels[idx]))[1]
-
-
 def estimate_theory_params(
-    model: Model,
-    dataset: Dataset,
-    node_indices: List[np.ndarray],
-    x0: np.ndarray,
-    propagation,
-    rng: np.random.Generator,
-    n_probe: int = 8,
-    radius: float = 1.0,
-    f_star_steps: int = 400,
+    model: Model, dataset: Dataset, node_indices: List[np.ndarray], x0: np.ndarray, propagation,
+    rng: np.random.Generator, n_probe: int = 8, radius: float = 1.0, f_star_steps: int = 400,
 ) -> TheoryParams:
     """Estimate (L, a, m, F0) on the generated problem.
 
     L is exact for the quadratic model (max eigenvalue of A) and a closed
     bound for logistic; otherwise an empirical ratio over probe pairs.  The
     heterogeneity constants a and m are brute-force maxima over probe points
-    near x0.  f* comes from the exact minimizer when available, else from a
-    long noiseless full-batch descent.
+    near x0, each probe one model pass over the node-sorted training rows.
+    f* comes from the exact minimizer when available, else from a long
+    noiseless full-batch descent.
     """
-    occupied = [idx for idx in node_indices if len(idx)]
+    X, y, segments = node_sorted(dataset, [idx for idx in node_indices if len(idx)])
     probes = [x0] + [x0 + radius * rng.normal(size=x0.shape) for _ in range(n_probe)]
 
     def global_grad(params):
-        gs = [_node_grad(model, params, dataset, idx) for idx in occupied]
-        return np.mean(gs, axis=0), gs
+        rows = row_pass(model, params, (X, y))
+        gs = [rows.grad(seg) for seg in segments]
+        return np.mean(gs, axis=0), gs, rows
 
+    empirical_L = False
     if isinstance(model, QuadraticModel):
         L = model.lipschitz()
     elif isinstance(model, LogisticModel):
         L = model.lipschitz_bound(dataset.features)
     else:
-        L = 0.0
-        for x in probes:
-            y = x + 0.5 * radius * rng.normal(size=x.shape)
-            gx, _ = global_grad(x)
-            gy, _ = global_grad(y)
-            denom = np.linalg.norm(x - y)
-            if denom > 0:
-                L = max(L, float(np.linalg.norm(gx - gy) / denom))
+        L, empirical_L = 0.0, True
 
     a_sq = 0.0
     m_sq = 0.0
     for x in probes:
-        g, per_node = global_grad(x)
+        g, per_node, rows = global_grad(x)
         a_sq = max(a_sq, max(float(np.sum((gi - g) ** 2)) for gi in per_node))
-        worst = []
-        for idx in occupied:
-            per_sample = [
-                float(np.sum((_node_grad(model, x, dataset, np.array([j])) - g) ** 2))
-                for j in idx
-            ]
-            worst.append(max(per_sample))
-        m_sq = max(m_sq, float(np.mean(worst)))
+        dev = rows.dev_sq(g)
+        del rows  # free its row pieces before the pass at x_near
+        m_sq = max(m_sq, float(np.mean([dev[seg].max() for seg in segments])))
+        if empirical_L:
+            x_near = x + 0.5 * radius * rng.normal(size=x.shape)
+            denom = np.linalg.norm(x - x_near)
+            if denom > 0:
+                L = max(L, float(np.linalg.norm(g - global_grad(x_near)[0]) / denom))
 
-    all_idx = np.concatenate(occupied)
-    f0 = loss_and_grad(model, x0, (dataset.features[all_idx], dataset.labels[all_idx]))[0]
+    f0 = loss_and_grad(model, x0, (X, y))[0]
     if isinstance(model, QuadraticModel):
-        c_bar = dataset.features[all_idx].mean(axis=0)
-        x_star = np.linalg.solve(model.A, model.b - c_bar)
-        f_star = model.loss_and_grad(x_star, dataset.features[all_idx], None)[0]
+        x_star = np.linalg.solve(model.A, model.b - X.mean(axis=0))
+        f_star = loss_and_grad(model, x_star, (X, y))[0]
     else:
         params = x0.copy()
         step = 1.0 / max(L, 1e-9)
         f_star = f0
         for _ in range(f_star_steps):
-            loss, g = loss_and_grad(
-                model, params, (dataset.features[all_idx], dataset.labels[all_idx])
-            )
+            loss, g = loss_and_grad(model, params, (X, y))
             f_star = min(f_star, loss)
             params = params - step * g
-        f_star = min(
-            f_star,
-            loss_and_grad(model, params, (dataset.features[all_idx], dataset.labels[all_idx]))[0],
-        )
+        f_star = min(f_star, loss_and_grad(model, params, (X, y))[0])
 
     return TheoryParams(
         L=float(L),

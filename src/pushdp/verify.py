@@ -4,8 +4,8 @@ closed-form quantity, runnable from the command line.
 Each suite pits an implementation against a second route that shares no code
 with it: the fused-noise factor against a vectorized simulation of the
 fusion chain, the connectivity hop diameter against Floyd-Warshall, analytic
-gradients against central finite differences, the schedule inequality against
-literal summation.
+gradients against central finite differences and per-row gradient distances
+against single-sample gradients, the schedule inequality against summation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .fusion import fuse, noise_factor, perturb
-from .models import LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic
+from .models import (
+    LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic, row_pass,
+)
 from .privacy import (
     LrSchedule,
     NoiseSchedule,
@@ -179,6 +181,15 @@ def finite_difference_grad(model, params, batch, step: float = 1e-6) -> np.ndarr
     return g
 
 
+def single_sample_dev_sq(model, params, batch, g) -> np.ndarray:
+    """||g_j - g||^2 row by row, from one single-sample gradient per row."""
+    X, y = batch
+    return np.array([
+        np.sum((loss_and_grad(model, params, (X[j : j + 1], y[j : j + 1]))[1] - g) ** 2)
+        for j in range(len(X))
+    ])
+
+
 def _gradient_cases(seed: int):
     quad = make_quadratic_model(4, seed)
     quad_data = make_synthetic("quadratic", 40, 4, seed)
@@ -191,27 +202,31 @@ def _gradient_cases(seed: int):
     ]
 
 
-def gradients_suite(points: int = 100, seed: int = 11, rel_tol: float = 1e-5) -> List[CheckResult]:
+def gradients_suite(
+    points: int = 100, seed: int = 11, rel_tol: float = 1e-5, row_tol: float = 1e-10
+) -> List[CheckResult]:
+    """Analytic mean gradients against finite differences, and each model's
+    closed-form per-row ||g_j - g||^2 (g the mean gradient) against a loop
+    of single-sample gradients."""
     results = []
     rng = np.random.default_rng(seed)
     for name, model, data in _gradient_cases(seed):
         batch = (data.features, data.labels)
-        worst = 0.0
+        worst = worst_row = 0.0
         for _ in range(points):
             params = rng.normal(size=model.dim)
-            analytic = loss_and_grad(model, params, batch)[1]
+            rows = row_pass(model, params, batch)
+            analytic = rows.grad()
             numeric = finite_difference_grad(model, params, batch)
             denom = max(float(np.linalg.norm(numeric)), 1e-12)
             worst = max(worst, float(np.linalg.norm(analytic - numeric)) / denom)
-        results.append(
-            CheckResult(
-                name=f"gradient check ({name}, {points} points)",
-                passed=worst < rel_tol,
-                measured=worst,
-                expected=0.0,
-                detail=f"max relative error, tol {rel_tol}",
-            )
-        )
+            looped = single_sample_dev_sq(model, params, batch, analytic)
+            row_err = np.abs(rows.dev_sq(analytic) - looped) / looped
+            worst_row = max(worst_row, float(np.max(row_err)))
+        for label, measured, tol in (("gradient check", worst, rel_tol),
+                                     ("per-row deviation", worst_row, row_tol)):
+            results.append(CheckResult(f"{label} ({name}, {points} points)", measured < tol,
+                                       measured, 0.0, f"max relative error, tol {tol}"))
     return results
 
 

@@ -10,6 +10,7 @@ from pushdp import (
     TopologySchedule,
 )
 from pushdp.config import DataSpec, ExperimentConfig, ModelSpec, RunSpec, TopologySpec
+from pushdp.models import loss_and_grad
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -54,8 +55,8 @@ def reference_dsgd(model, dataset, node_indices, P, eta, T):
     for _ in range(T):
         grads = np.stack(
             [
-                model.loss_and_grad(
-                    X[i], dataset.features[node_indices[i]], dataset.labels[node_indices[i]]
+                loss_and_grad(
+                    model, X[i], (dataset.features[node_indices[i]], dataset.labels[node_indices[i]])
                 )[1]
                 for i in range(n)
             ]

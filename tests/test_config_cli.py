@@ -227,6 +227,17 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"edges.txt:2: edge token '{token}'" in err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("kind = static-ring\nk = 2", "kind = explicit-list\npath = nope.txt", "topology.path"),
+        ("kind = blobs", "kind = csv\npath = nope.csv", "data.path"),
+    ], ids=["edge-list", "csv"])
+    def test_missing_data_file_is_config_error(self, tmp_path, capsys, old, new, key):
+        code = main(["run", "--config", write_config(tmp_path, BASE_CONFIG.replace(old, new)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        missing = tmp_path / new.rsplit(" = ", 1)[1]
+        assert capsys.readouterr().err == f"config error: {key}: no such file {missing}\n"
+
     @pytest.mark.parametrize("old, new, message", [
         ("k = 2", "k = 2\nkappa = 0", "topology.kappa: must be >= 1, got 0"),
         ("n_samples = 160", "n_samples = 0", "data.n_samples: must be >= 1, got 0"),

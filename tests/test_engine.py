@@ -250,3 +250,24 @@ class TestNoiseDraws:
         occupied = [i for i in range(cfg.n) if i not in empty]
         assert drawn == [(i, t) for t in range(cfg.T) for i in occupied]
         assert np.all(result.fused_norms[:, empty] == 0.0)
+
+
+def test_one_model_pass_per_occupied_node_round(monkeypatch):
+    """Each round makes one shared loss-only pass at xbar over all training
+    rows and one pass per occupied node at its z_i."""
+    from pushdp import engine
+
+    passes = []  # the grad flag of every row-block pass
+    real_pass = engine.row_pass
+
+    def counting_pass(model, params, batch, grad=True):
+        passes.append(grad)
+        return real_pass(model, params, batch, grad)
+
+    monkeypatch.setattr(engine, "row_pass", counting_pass)
+    cfg = make_config(T=6, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
+    result = run(cfg, master_seed=0)
+    occupied = cfg.n - len(result.summary["empty_nodes"])
+    assert occupied < cfg.n
+    assert passes.count(False) == cfg.T
+    assert passes.count(True) <= occupied * cfg.T

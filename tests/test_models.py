@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from pushdp import rng as rngmod
+from pushdp.config import DataSpec, ModelSpec, load_config
+from pushdp.engine import build_dataset, build_model
+from pushdp.errors import ConfigurationError
 from pushdp.models import (
     LogisticModel,
     MlpModel,
@@ -13,12 +19,15 @@ from pushdp.models import (
     make_quadratic_model,
     make_synthetic,
     partition_report,
+    row_pass,
     sample_batch,
     split_test,
 )
 from pushdp.theory import estimate_theory_params
 from pushdp.topology import PropagationParams
-from pushdp.verify import finite_difference_grad
+from pushdp.verify import finite_difference_grad, single_sample_dev_sq
+
+from conftest import make_config
 
 
 class TestLossAndGrad:
@@ -62,6 +71,52 @@ class TestLossAndGrad:
             assert np.linalg.norm(analytic - numeric) <= 1e-5 * max(
                 np.linalg.norm(numeric), 1e-12
             )
+
+
+ROW_CASES = [
+    (make_quadratic_model(4, seed=1), make_synthetic("quadratic", 30, 4, seed=1)),
+    (LogisticModel(n_features=4, l2=0.05), make_synthetic("blobs", 30, 4, seed=2)),
+    (MlpModel(n_features=3, hidden=5, classes=3), make_synthetic("blobs", 30, 3, seed=3, classes=3)),
+]
+
+
+class TestRowPass:
+    @pytest.mark.parametrize("model, data", ROW_CASES, ids=["quadratic", "logistic", "mlp"])
+    def test_reductions_match_single_sample_loop(self, model, data, rng):
+        batch = (data.features, data.labels)
+        for _ in range(5):
+            params = rng.normal(size=model.dim)
+            rows = row_pass(model, params, batch)
+            g = rows.grad()
+            looped = single_sample_dev_sq(model, params, batch, g)
+            assert rows.dev_sq(g) == pytest.approx(looped, rel=1e-10)
+            # a subset's mean is the mean over the subset's own rows
+            sel = np.flatnonzero(rng.random(len(data.labels)) < 0.5)
+            loss, grad = loss_and_grad(model, params, (data.features[sel], data.labels[sel]))
+            assert rows.loss(sel) == pytest.approx(loss, rel=1e-12)
+            assert rows.grad(sel) == pytest.approx(grad, rel=1e-12)
+            assert row_pass(model, params, batch, grad=False).loss() == rows.loss()
+
+    @pytest.mark.parametrize("case, expected", [
+        ("ring8", {"m": 4.305551487357075, "a": 1.357657190186812,
+                   "L": 1.5892306979204425, "F0": 0.5841483370541595}),
+        ("mlp8", {"m": 40.256718671273454, "a": 2.7090955421309704,
+                  "L": 0.13040623461464354, "F0": 0.0}),
+    ])
+    def test_theory_estimates_at_seed_zero(self, case, expected):
+        # the estimates of the per-sample loop that the row pass replaced
+        if case == "ring8":
+            cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs/logistic-ring.ini"))
+        else:
+            cfg = make_config(model=ModelSpec(kind="mlp", features=20, hidden=64, classes=3),
+                              data=DataSpec(kind="blobs", n_samples=3000, test_fraction=0.2))
+        model, dataset = build_model(cfg, 0), build_dataset(cfg, 0)
+        got = estimate_theory_params(
+            model, dataset, dataset.node_indices, np.zeros(model.dim),
+            PropagationParams(lam=0.9, q=0.3, c_bound=10.0, U=3), rngmod.stream(0, 0, 0, rngmod.THEORY),
+        )
+        for name, value in expected.items():
+            assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=0.0)
 
 
 class TestSampleBatch:
@@ -172,6 +227,14 @@ class TestCsvAndSplit:
         assert data.features.shape == (3, 2)
         assert np.array_equal(data.labels, [0, 1, 1])
         assert data.features[2, 0] == 3.25
+
+    def test_fractional_label_is_config_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        rows = ["f1,label"] + [f"{0.1 * i},{0.5 * (i % 2)}" for i in range(40)]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ConfigurationError) as err:
+            load_csv(path)
+        assert str(err.value) == f"data.path: {path} has non-integer label 0.5"
 
     def test_split_test_partitions(self):
         data = make_synthetic("blobs", 100, 2, seed=1)
