@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-from . import engine
+from . import engine, rng as rngmod
 from .config import field_types, load_config
 from .errors import PushdpError
 from .fusion import REPORTED_TAU, noise_factor, select_tau
@@ -105,7 +105,7 @@ def cmd_run(args) -> int:
     _write_json(
         planned["manifest"],
         {"config": os.path.abspath(args.config), "out_dir": os.path.abspath(out_dir),
-         "seeds": seeds, "files": planned},
+         "seeds": seeds, "stream_version": rngmod.STREAM_VERSION, "files": planned},
     )
     return 0
 

@@ -173,6 +173,8 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     fused_norms = np.zeros((T, n))
     deviations = np.zeros((T, n))
     trajectory: Optional[List[np.ndarray]] = [] if record_states else None
+    batch_streams = rngmod.Streams(seed, rngmod.BATCH, n)
+    noise_streams = rngmod.Streams(seed, rngmod.NOISE, n)
 
     for t in range(T):
         alpha_inj = alpha_at(config.noise, T - t)
@@ -198,12 +200,11 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
             g_full = rows.grad()
             full_sq.append(float(g_full @ g_full))
             losses_at_mean.append(at_mean.loss(seg))
-            draw = rngmod.stream(seed, i, t, rngmod.BATCH)
+            draw = batch_streams.at(i, t)
             local = positions[: seg.stop - seg.start]
             Grad[i] = rows.grad(sample_batch(local, config.budgets[i].sampling_ratio, draw))
             if sigmas[i] > 0:
-                noise_rng = rngmod.stream(seed, i, t, rngmod.NOISE)
-                Noise[i] = noise_rng.normal(0.0, sigmas[i], size=X.shape[1])
+                Noise[i] = noise_streams.at(i, t).normal(0.0, sigmas[i], size=X.shape[1])
         mean_sq = float(np.mean(full_sq))
         train_loss = float(np.mean(losses_at_mean))
         test_acc = None

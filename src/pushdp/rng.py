@@ -2,10 +2,13 @@
 
 Every stochastic draw in a run pulls from a generator derived from
 (master_seed, node_id, t, purpose), so results are reproducible bit for bit
-and independent of any node evaluation order.
+and independent of any node evaluation order.  `stream` defines this
+contract; `Streams` reproduces it in bulk for the round loop's draws.
 """
 
 import numpy as np
+
+STREAM_VERSION = 1  # of the contract `stream` defines, written to the manifest
 
 # purpose tags; fixed small ints so stream identities never move
 INIT = 0
@@ -15,8 +18,83 @@ PARTITION = 3
 DATA = 4
 THEORY = 5
 
+# slots a Streams derives at once: whole rounds of every node
+BLOCK_SLOTS = 4096
+
+# numpy's SeedSequence pool hash (pool size 4) and PCG64's LCG multiplier
+_MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
 
 def stream(master_seed: int, node_id: int = 0, t: int = 0, purpose: int = 0) -> np.random.Generator:
     """Return a fresh Generator for one (seed, node, step, purpose) slot."""
     ss = np.random.SeedSequence((int(master_seed), int(node_id), int(t), int(purpose)))
     return np.random.default_rng(ss)
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix with its running multiplier, which stays a
+    masked Python int, so only uint32 arrays overflow (and wrap silently)."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _pool_state(entropy):
+    """SeedSequence(column).generate_state(4, uint64) for every column of a
+    (words >= 4, m) uint32 entropy array, as an (m, 4) uint64 array."""
+    hashmix, xorshift = _hasher(_INIT_A, _MULT_A), lambda v: v ^ v >> np.uint32(16)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
+        pool[dst] = xorshift(_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = xorshift(_MIX_L * pool[dst] - _MIX_R * hashmix(word))
+    final = _hasher(_INIT_B, _MULT_B)
+    out = [final(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
+
+
+class Streams:
+    """The streams of one (master_seed, purpose) for nodes 0..n-1.  `at(node, t)`
+    sets one reused Generator exactly where `stream(master_seed, node, t,
+    purpose)` starts, so finish a draw before the next `at`.  The pool hash
+    runs vectorised over one block of whole rounds, derived when first used."""
+
+    def __init__(self, master_seed: int, purpose: int, n: int):
+        seed = int(master_seed)
+        if seed < 0 or not 0 <= purpose <= _MASK32 or not 1 <= n <= 2**32:
+            raise ValueError(f"no v1 streams for seed {seed}, purpose {purpose}, n {n}")
+        self.master_seed, self.purpose, self.n = seed, purpose, n
+        # SeedSequence's uint32 words of an int, low word first (0 is one word)
+        self._seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        self._rounds = max(1, BLOCK_SLOTS // n)
+        self._t0, self._block, self._bitgen = None, None, np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bitgen)
+
+    def _derive(self, t0: int) -> None:
+        # one entropy column (seed words, node, t, purpose) per slot, t-major
+        entropy = np.empty((len(self._seed_words) + 3, self._rounds * self.n), dtype=np.uint32)
+        entropy[:-3] = np.array(self._seed_words, dtype=np.uint32)[:, None]
+        entropy[-3] = np.tile(np.arange(self.n), self._rounds)
+        entropy[-2] = np.repeat(np.arange(t0, t0 + self._rounds), self.n)
+        entropy[-1] = self.purpose
+        self._t0, self._block = t0, _pool_state(entropy)
+
+    def at(self, node: int, t: int) -> np.random.Generator:
+        if not (0 <= node < self.n and 0 <= t <= _MASK32):
+            raise ValueError(f"slot (node {node}, t {t}) is outside nodes < {self.n}, t < 2^32")
+        if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
+            self._derive(t - t % self._rounds)
+        s_hi, s_lo, i_hi, i_lo = self._block[(t - self._t0) * self.n + node].tolist()
+        # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around += initstate
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        self._bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                              "has_uint32": 0, "uinteger": 0}
+        return self._gen

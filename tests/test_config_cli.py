@@ -192,6 +192,7 @@ class TestCliRun:
             assert (out / f"seed_{seed}_partition.json").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [1, 2]
+        assert manifest["stream_version"] == 1
 
     def test_summary_config_echo_reparses(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -224,27 +224,36 @@ class TestSummary:
 class TestNoiseDraws:
     @staticmethod
     def noise_draws(monkeypatch, cfg, seed):
-        """Run cfg and list the (node, t) of every NOISE stream it opens."""
-        from pushdp import engine, rng as rngmod
+        """Run cfg and list the (node, t) of every NOISE slot it uses, at the
+        round loop's per-slot accessor `rng.Streams.at`, and the first round
+        of every NOISE block it derives."""
+        from pushdp import rng as rngmod
 
-        drawn = []
-        real_stream = rngmod.stream
+        drawn, derived = [], []
+        real_at, real_derive = rngmod.Streams.at, rngmod.Streams._derive
 
-        def counting_stream(master_seed, node, t, purpose):
-            if purpose == rngmod.NOISE:
+        def counting_at(streams, node, t):
+            if streams.purpose == rngmod.NOISE:
                 drawn.append((int(node), t))
-            return real_stream(master_seed, node, t, purpose)
+            return real_at(streams, node, t)
 
-        monkeypatch.setattr(engine.rngmod, "stream", counting_stream)
-        return run(cfg, master_seed=seed), drawn
+        def counting_derive(streams, t0):
+            if streams.purpose == rngmod.NOISE:
+                derived.append(t0)
+            return real_derive(streams, t0)
+
+        monkeypatch.setattr(rngmod.Streams, "at", counting_at)
+        monkeypatch.setattr(rngmod.Streams, "_derive", counting_derive)
+        return run(cfg, master_seed=seed), drawn, derived
 
     def test_no_noise_stream_when_sigma_is_zero(self, monkeypatch):
-        _, drawn = self.noise_draws(monkeypatch, degenerate_config(T=10), 4)
+        _, drawn, derived = self.noise_draws(monkeypatch, degenerate_config(T=10), 4)
         assert drawn == []
+        assert derived == []
 
     def test_only_occupied_nodes_draw(self, monkeypatch):
         cfg = make_config(T=6, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
-        result, drawn = self.noise_draws(monkeypatch, cfg, 0)
+        result, drawn, _ = self.noise_draws(monkeypatch, cfg, 0)
         empty = result.summary["empty_nodes"]
         assert empty  # seed 0 leaves nodes 0, 1 and 4 without samples
         occupied = [i for i in range(cfg.n) if i not in empty]
