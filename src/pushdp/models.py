@@ -12,9 +12,10 @@ Three model kinds stand in for the training objectives:
 
 Each model makes one pass over a row block (`row_pass`): per-row losses and
 the per-row pieces of the gradient.  Mean losses and gradients
-(`loss_and_grad`) and per-row gradient distances are reductions of it; the
-finite-difference and single-sample oracles in the verification suite check
-every kind.
+(`loss_and_grad`), per-segment means and per-row gradient distances are
+reductions of it; the finite-difference, single-sample and per-node oracles
+in the verification suite check every kind.  `node_grads` gives every node's
+gradients at its own point, in one gathered pass for logistic and quadratic.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
+def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean of values[starts[k]:starts[k+1]] for every k (the last segment
+    runs to the end), summed in row order; every segment must be non-empty."""
+    counts = np.diff(starts, append=len(values))
+    if len(counts) == 0 or counts.min() < 1:
+        raise ValueError("segments must be non-empty")
+    sums = np.add.reduceat(values, starts)
+    return sums / (counts[:, None] if sums.ndim > 1 else counts)
+
+
 class Rows(NamedTuple):
     """One forward (and, unless loss-only, backward) pass of a model over a
     row block.
@@ -44,8 +55,9 @@ class Rows(NamedTuple):
     Row j's loss is losses[j] + reg.  Its single-sample gradient is
     const + concat_k vec([A_k[j], 1] (x) E_k[j]) over the (A_k, E_k) pairs of
     `blocks`, where A_k = None stands for an empty A_k[j].  Means over any
-    subset of the rows and each row's distance to a given gradient are
-    reductions of these pieces; none builds a (rows, dim) matrix.
+    subset of the rows, per-segment means and each row's distance to a given
+    gradient are reductions of these pieces; none builds a (rows, dim) matrix.
+    A gathered pass (`node_grads`) holds one reg and one const row per node.
     """
 
     losses: np.ndarray
@@ -66,6 +78,24 @@ class Rows(NamedTuple):
                 parts.append((A[sel].T @ E / len(E)).ravel())
             parts.append(E.sum(axis=0) / len(E))
         return self.const + np.concatenate(parts)
+
+    def segment_losses(self, starts: np.ndarray) -> np.ndarray:
+        """Mean loss of every segment of the rows (see `segment_grads`)."""
+        return _segment_means(self.losses, starts) + self.reg
+
+    def segment_grads(self, starts: np.ndarray, sel=slice(None)) -> np.ndarray:
+        """Mean gradient of every segment of the rows `sel`, one row each:
+        segment k is sel[starts[k]:starts[k+1]], the last one runs to the end.
+        The sums run in row order, so they can differ from `grad` in the last
+        bits."""
+        parts = []
+        for A, E in self.blocks:
+            E = E[sel]
+            if A is not None:
+                outer = A[sel][:, :, None] * E[:, None, :]
+                parts.append(_segment_means(outer.reshape(len(E), -1), starts))
+            parts.append(_segment_means(E, starts))
+        return self.const + np.hstack(parts)
 
     def dev_sq(self, g: np.ndarray) -> np.ndarray:
         """||g_j - g||^2 for every row j: blocks occupy disjoint coordinates,
@@ -94,10 +124,16 @@ class QuadraticModel:
     def dim(self) -> int:
         return self.b.shape[0]
 
-    def rows(self, params, X, y, grad=True) -> Rows:
-        # row j's perturbation c_j is X[j]: its gradient is Ax - b + c_j
-        Ax = self.A @ params
-        return Rows(X @ params, 0.5 * params @ Ax - self.b @ params, Ax - self.b, ((None, X),))
+    def rows(self, params, X, y, grad=True, owner=None) -> Rows:
+        # row j's perturbation c_j is X[j]: its gradient is Ax - b + c_j.  With
+        # owner, params holds one point per node and row j is at params[owner[j]]
+        if owner is None:
+            Ax = self.A @ params
+            return Rows(X @ params, 0.5 * params @ Ax - self.b @ params, Ax - self.b,
+                        ((None, X),))
+        Ax = params @ self.A  # A is symmetric
+        return Rows(_row_dot(X, params[owner]), 0.5 * _row_dot(params, Ax) - params @ self.b,
+                    Ax - self.b, ((None, X),))
 
     def predict(self, params, X):
         return None
@@ -115,17 +151,21 @@ class LogisticModel:
     def dim(self) -> int:
         return self.n_features + 1  # weights + intercept
 
-    def rows(self, params, X, y, grad=True) -> Rows:
-        # row j's gradient is (r_j x_j + l2 w, r_j), r_j = p_j - y_j its residual
-        w, bias = params[:-1], params[-1]
-        margin = X @ w + bias
+    def rows(self, params, X, y, grad=True, owner=None) -> Rows:
+        # row j's gradient is (r_j x_j + l2 w, r_j), r_j = p_j - y_j its residual.
+        # With owner, params holds one point per node and row j is at params[owner[j]]
+        w, bias = params[..., :-1], params[..., -1]
+        if owner is None:
+            margin, reg = X @ w + bias, 0.5 * self.l2 * float(w @ w)
+        else:
+            margin, reg = _row_dot(X, w[owner]) + bias[owner], 0.5 * self.l2 * _row_dot(w, w)
         # log(1 + e^m) - y*m, numerically stable for large |m|
         losses = np.logaddexp(0.0, margin) - y * margin
-        reg = 0.5 * self.l2 * float(w @ w)
         if not grad:
             return Rows(losses, reg)
         resid = 1.0 / (1.0 + np.exp(-margin)) - y
-        return Rows(losses, reg, np.concatenate((self.l2 * w, (0.0,))), ((X, resid[:, None]),))
+        const = np.concatenate((self.l2 * w, np.zeros_like(bias)[..., None]), axis=-1)
+        return Rows(losses, reg, const, ((X, resid[:, None]),))
 
     def predict(self, params, X):
         return (X @ params[:-1] + params[-1] > 0).astype(int)
@@ -202,6 +242,38 @@ def loss_and_grad(model: Model, params: np.ndarray, batch: Batch):
     """Mean loss and exact mean gradient of a model over a batch."""
     rows = row_pass(model, params, batch)
     return rows.loss(), rows.grad()
+
+
+def node_grads(model: Model, Z: np.ndarray, batch: Batch, segments: List[slice], picks):
+    """Every node's full-slice and batch mean gradient, both at its own Z[i].
+
+    Node i's rows are batch[segments[i]]; the segments are `node_sorted`'s
+    slices, contiguous and in node order, covering the batch.  picks[i] are
+    node i's drawn rows, as indices into the batch (ignored for an empty
+    node).  Returns two (n, dim) arrays with zero rows for empty nodes.
+    Logistic and quadratic take one pass over all rows, each at its node's
+    point, and reduce by segment sums.  The MLP takes one pass per node,
+    because a gathered W1 would hold rows x features x hidden floats.
+    """
+    X, y = batch
+    Z = np.asarray(Z, dtype=float)
+    full, drawn = np.zeros_like(Z), np.zeros_like(Z)
+    occupied = [i for i, seg in enumerate(segments) if seg.stop > seg.start]
+    if isinstance(model, MlpModel):
+        for i in occupied:
+            seg = segments[i]
+            rows = row_pass(model, Z[i], (X[seg], y[seg]))
+            full[i], drawn[i] = rows.grad(), rows.grad(picks[i] - seg.start)
+        return full, drawn
+    counts = np.array([segments[i].stop - segments[i].start for i in occupied], dtype=int)
+    if counts.sum() != len(X):
+        raise ValueError(f"segments cover {counts.sum()} of {len(X)} rows")
+    rows = model.rows(Z[occupied], X, y, owner=np.repeat(np.arange(len(occupied)), counts))
+    full[occupied] = rows.segment_grads(np.cumsum(counts) - counts)
+    sizes = np.array([len(picks[i]) for i in occupied], dtype=int)
+    sel = np.concatenate([picks[i] for i in occupied])
+    drawn[occupied] = rows.segment_grads(np.cumsum(sizes) - sizes, sel)
+    return full, drawn
 
 
 # ---------------------------------------------------------------- data

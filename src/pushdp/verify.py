@@ -4,8 +4,9 @@ closed-form quantity, runnable from the command line.
 Each suite pits an implementation against a second route that shares no code
 with it: the fused-noise factor against a vectorized simulation of the
 fusion chain, the connectivity hop diameter against Floyd-Warshall, analytic
-gradients against central finite differences and per-row gradient distances
-against single-sample gradients, the schedule inequality against summation.
+gradients against central finite differences, per-row gradient distances
+against single-sample gradients and the gathered per-node gradients against
+one pass per node, the schedule inequality against summation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .fusion import fuse, noise_factor, perturb
 from .models import (
-    LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic, row_pass,
+    LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic, node_grads,
+    row_pass, sample_batch,
 )
 from .privacy import (
     LrSchedule,
@@ -190,6 +192,34 @@ def single_sample_dev_sq(model, params, batch, g) -> np.ndarray:
     ])
 
 
+def per_node_grads(model, Z, batch, segments, picks):
+    """node_grads node by node: one row pass per occupied node at its own
+    point, reduced over its whole slice and over its drawn rows."""
+    X, y = batch
+    full, drawn = np.zeros_like(Z), np.zeros_like(Z)
+    for i, seg in enumerate(segments):
+        if seg.stop > seg.start:
+            rows = row_pass(model, Z[i], (X[seg], y[seg]))
+            full[i], drawn[i] = rows.grad(), rows.grad(picks[i] - seg.start)
+    return full, drawn
+
+
+# the node layout of the per-node check: an empty node, a one-row node, a
+# full draw (ratio 1), a forced single-sample draw and an ordinary draw
+NODE_SIZES = (0, 1, 9, 14, 16)
+NODE_RATIOS = (0.5, 0.5, 1.0, 1e-12, 0.3)
+
+
+def node_draws(rng, sizes=NODE_SIZES, ratios=NODE_RATIOS):
+    """Segments of the given sizes over consecutive rows, and one batch draw
+    per node at its ratio."""
+    ends = np.cumsum(sizes)
+    segments = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    picks = [sample_batch(np.arange(seg.start, seg.stop), ratio, rng) if seg.stop > seg.start
+             else None for seg, ratio in zip(segments, ratios)]
+    return segments, picks
+
+
 def _gradient_cases(seed: int):
     quad = make_quadratic_model(4, seed)
     quad_data = make_synthetic("quadratic", 40, 4, seed)
@@ -203,16 +233,18 @@ def _gradient_cases(seed: int):
 
 
 def gradients_suite(
-    points: int = 100, seed: int = 11, rel_tol: float = 1e-5, row_tol: float = 1e-10
+    points: int = 100, seed: int = 11, rel_tol: float = 1e-5, row_tol: float = 1e-10,
+    node_tol: float = 1e-12,
 ) -> List[CheckResult]:
-    """Analytic mean gradients against finite differences, and each model's
+    """Analytic mean gradients against finite differences, each model's
     closed-form per-row ||g_j - g||^2 (g the mean gradient) against a loop
-    of single-sample gradients."""
+    of single-sample gradients, and `node_grads` at random per-node points
+    against one pass per node (relative error of each node's gradient)."""
     results = []
     rng = np.random.default_rng(seed)
     for name, model, data in _gradient_cases(seed):
         batch = (data.features, data.labels)
-        worst = worst_row = 0.0
+        worst = worst_row = worst_node = 0.0
         for _ in range(points):
             params = rng.normal(size=model.dim)
             rows = row_pass(model, params, batch)
@@ -223,8 +255,15 @@ def gradients_suite(
             looped = single_sample_dev_sq(model, params, batch, analytic)
             row_err = np.abs(rows.dev_sq(analytic) - looped) / looped
             worst_row = max(worst_row, float(np.max(row_err)))
+            Z = rng.normal(size=(len(NODE_SIZES), model.dim))
+            segments, picks = node_draws(rng)
+            got = node_grads(model, Z, batch, segments, picks)
+            for g, ref in zip(got, per_node_grads(model, Z, batch, segments, picks)):
+                err = np.linalg.norm(g - ref, axis=1) / np.maximum(np.linalg.norm(ref, axis=1), 1e-300)
+                worst_node = max(worst_node, float(np.max(err)))
         for label, measured, tol in (("gradient check", worst, rel_tol),
-                                     ("per-row deviation", worst_row, row_tol)):
+                                     ("per-row deviation", worst_row, row_tol),
+                                     ("per-node gradients", worst_node, node_tol)):
             results.append(CheckResult(f"{label} ({name}, {points} points)", measured < tol,
                                        measured, 0.0, f"max relative error, tol {tol}"))
     return results

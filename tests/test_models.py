@@ -18,6 +18,7 @@ from pushdp.models import (
     loss_and_grad,
     make_quadratic_model,
     make_synthetic,
+    node_grads,
     partition_report,
     row_pass,
     sample_batch,
@@ -25,7 +26,7 @@ from pushdp.models import (
 )
 from pushdp.theory import estimate_theory_params
 from pushdp.topology import PropagationParams
-from pushdp.verify import finite_difference_grad, single_sample_dev_sq
+from pushdp.verify import finite_difference_grad, node_draws, per_node_grads, single_sample_dev_sq
 
 from conftest import make_config
 
@@ -117,6 +118,41 @@ class TestRowPass:
         )
         for name, value in expected.items():
             assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=0.0)
+
+
+class TestNodeGrads:
+    # 30 rows: an empty node, a one-row node, a full draw (ratio 1), a forced
+    # single-sample draw and an ordinary draw
+    SIZES, RATIOS = (0, 1, 8, 10, 11), (0.5, 0.5, 1.0, 1e-12, 0.3)
+
+    @pytest.mark.parametrize("model, data", ROW_CASES, ids=["quadratic", "logistic", "mlp"])
+    def test_matches_one_pass_per_node(self, model, data, rng):
+        batch = (data.features, data.labels)
+        for _ in range(5):
+            Z = rng.normal(size=(len(self.SIZES), model.dim))
+            segments, picks = node_draws(rng, self.SIZES, self.RATIOS)
+            assert [len(p) for p in picks[1:4]] == [1, 8, 1]
+            full, drawn = node_grads(model, Z, batch, segments, picks)
+            ref_full, ref_drawn = per_node_grads(model, Z, batch, segments, picks)
+            assert not full[0].any() and not drawn[0].any()
+            for got, ref in ((full, ref_full), (drawn, ref_drawn)):
+                err = np.linalg.norm(got[1:] - ref[1:], axis=1) / np.linalg.norm(ref[1:], axis=1)
+                assert err.max() <= 1e-12
+            # a one-row node's batch and full gradients are that row's
+            assert np.allclose(drawn[1], full[1], rtol=1e-12, atol=0.0)
+
+    def test_segments_must_cover_the_rows(self):
+        model, data = ROW_CASES[1]
+        segments = [slice(0, 10), slice(10, 20)]
+        with pytest.raises(ValueError, match="cover 20 of 30"):
+            node_grads(model, np.zeros((2, model.dim)), (data.features, data.labels), segments,
+                       [np.arange(10), np.arange(10, 20)])
+
+    def test_empty_segment_rejected(self):
+        model, data = ROW_CASES[1]
+        rows = row_pass(model, np.zeros(model.dim), (data.features, data.labels))
+        with pytest.raises(ValueError, match="non-empty"):
+            rows.segment_grads(np.array([0, 5, 5]))
 
 
 class TestSampleBatch:
