@@ -61,16 +61,19 @@ def _pool_state(entropy):
 
 
 class Streams:
-    """The streams of one (master_seed, purpose) for nodes 0..n-1.  `at(node, t)`
-    sets one reused Generator exactly where `stream(master_seed, node, t,
-    purpose)` starts, so finish a draw before the next `at`.  The pool hash
-    runs vectorised over one block of whole rounds, derived when first used."""
+    """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
+    t < horizon.  `at(node, t)` sets one reused Generator exactly where
+    `stream(master_seed, node, t, purpose)` starts, so finish a draw before
+    the next `at`.  The pool hash runs vectorised over one block of whole
+    rounds, derived when first used; the last block stops at the horizon."""
 
-    def __init__(self, master_seed: int, purpose: int, n: int):
+    def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
-        if seed < 0 or not 0 <= purpose <= _MASK32 or not 1 <= n <= 2**32:
-            raise ValueError(f"no v1 streams for seed {seed}, purpose {purpose}, n {n}")
-        self.master_seed, self.purpose, self.n = seed, purpose, n
+        if (seed < 0 or not 0 <= purpose <= _MASK32 or not 1 <= n <= 2**32
+                or not 1 <= horizon <= 2**32):
+            raise ValueError(f"no v1 streams for seed {seed}, purpose {purpose}, n {n}, "
+                             f"horizon {horizon}")
+        self.master_seed, self.purpose, self.n, self.horizon = seed, purpose, n, horizon
         # SeedSequence's uint32 words of an int, low word first (0 is one word)
         self._seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
         self._rounds = max(1, BLOCK_SLOTS // n)
@@ -79,16 +82,18 @@ class Streams:
 
     def _derive(self, t0: int) -> None:
         # one entropy column (seed words, node, t, purpose) per slot, t-major
-        entropy = np.empty((len(self._seed_words) + 3, self._rounds * self.n), dtype=np.uint32)
+        rounds = min(self._rounds, self.horizon - t0)
+        entropy = np.empty((len(self._seed_words) + 3, rounds * self.n), dtype=np.uint32)
         entropy[:-3] = np.array(self._seed_words, dtype=np.uint32)[:, None]
-        entropy[-3] = np.tile(np.arange(self.n), self._rounds)
-        entropy[-2] = np.repeat(np.arange(t0, t0 + self._rounds), self.n)
+        entropy[-3] = np.tile(np.arange(self.n), rounds)
+        entropy[-2] = np.repeat(np.arange(t0, t0 + rounds), self.n)
         entropy[-1] = self.purpose
         self._t0, self._block = t0, _pool_state(entropy)
 
     def at(self, node: int, t: int) -> np.random.Generator:
-        if not (0 <= node < self.n and 0 <= t <= _MASK32):
-            raise ValueError(f"slot (node {node}, t {t}) is outside nodes < {self.n}, t < 2^32")
+        if not (0 <= node < self.n and 0 <= t < self.horizon):
+            raise ValueError(f"slot (node {node}, t {t}) is outside nodes < {self.n}, "
+                             f"t < {self.horizon}")
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
         s_hi, s_lo, i_hi, i_lo = self._block[(t - self._t0) * self.n + node].tolist()

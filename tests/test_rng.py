@@ -5,10 +5,13 @@ derives the same slots a block of rounds at a time and repositions one
 reused generator; these tests require its draws to be identical.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pushdp import rng as rngmod
+from pushdp.config import load_config
 from pushdp.engine import run
 
 from conftest import make_config
@@ -51,15 +54,16 @@ def test_bulk_slots_match_stream(seed, n):
 
 
 def test_last_one_word_t_matches_stream():
-    # with n=3 the block holding t = 2^32 - 1 runs past 2^32; its tail is
-    # never handed out
+    # with n=3 the block holding t = 2^32 - 1 is cut short at the default
+    # horizon 2^32
     streams = rngmod.Streams(2**40 + 3, rngmod.NOISE, 3)
     ref = rngmod.stream(2**40 + 3, 2, 2**32 - 1, rngmod.NOISE)
     assert np.array_equal(streams.at(2, 2**32 - 1).normal(size=9), ref.normal(size=9))
 
 
 @pytest.mark.parametrize("args", [(-1, rngmod.BATCH, 4), (0, 2**32, 4), (0, -1, 4),
-                                  (0, rngmod.BATCH, 0), (0, rngmod.BATCH, 2**32 + 1)])
+                                  (0, rngmod.BATCH, 0), (0, rngmod.BATCH, 2**32 + 1),
+                                  (0, rngmod.BATCH, 4, 0), (0, rngmod.BATCH, 4, 2**32 + 1)])
 def test_rejects_fields_outside_one_word(args):
     with pytest.raises(ValueError):
         rngmod.Streams(*args)
@@ -69,6 +73,42 @@ def test_rejects_fields_outside_one_word(args):
 def test_rejects_slots_outside_one_word(node, t):
     with pytest.raises(ValueError):
         rngmod.Streams(0, rngmod.BATCH, 4).at(node, t)
+
+
+def derived_blocks(monkeypatch):
+    """Record (purpose, t0, slots) of every block a Streams derives."""
+    blocks = []
+    real_derive = rngmod.Streams._derive
+
+    def recording_derive(streams, t0):
+        real_derive(streams, t0)
+        blocks.append((streams.purpose, t0, len(streams._block)))
+
+    monkeypatch.setattr(rngmod.Streams, "_derive", recording_derive)
+    return blocks
+
+
+def test_last_block_stops_at_the_horizon(monkeypatch):
+    # 4 rounds a block and horizon 9: a block boundary at t = 8 = T - 1
+    monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 12)
+    blocks = derived_blocks(monkeypatch)
+    n, T = 3, 9
+    streams = rngmod.Streams(7, rngmod.NOISE, n, horizon=T)
+    for t in range(T):
+        for node in range(n):
+            ref = rngmod.stream(7, node, t, rngmod.NOISE)
+            assert np.array_equal(streams.at(node, t).normal(size=3), ref.normal(size=3))
+    assert blocks == [(rngmod.NOISE, 0, 12), (rngmod.NOISE, 4, 12), (rngmod.NOISE, 8, 3)]
+    with pytest.raises(ValueError, match="t < 9"):
+        streams.at(0, T)
+
+
+def test_ring_config_derives_only_its_rounds(monkeypatch):
+    # n=8, T=400: one block of 400 rounds per purpose, not 512
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs/logistic-ring.ini"))
+    blocks = derived_blocks(monkeypatch)
+    run(cfg, master_seed=0)
+    assert sorted(blocks) == [(rngmod.BATCH, 0, cfg.n * cfg.T), (rngmod.NOISE, 0, cfg.n * cfg.T)]
 
 
 def test_engine_run_matches_stream_backed_run(monkeypatch):
