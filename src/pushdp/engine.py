@@ -25,8 +25,8 @@ from .fusion import (
 )
 from .models import (
     Dataset, LogisticModel, MlpModel, Model, PartitionSpec, accuracy, dirichlet_partition,
-    load_csv, make_quadratic_model, make_synthetic, node_sorted, partition_report, row_pass,
-    sample_batch, split_test,
+    load_csv, make_quadratic_model, make_synthetic, node_grads, node_sorted, partition_report,
+    row_pass, sample_batch, split_test,
 )
 from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent, starts_interval
 from .pushsum import consensus_error, mix_round
@@ -161,10 +161,11 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     )
 
     matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
-    # node i's rows are segments[i] of the node-sorted training rows; its
-    # batch draws are positions within them
+    # node i's rows are segments[i] of the node-sorted training rows, and its
+    # batch draws are positions among them
     train_X, train_y, segments = node_sorted(dataset, dataset.node_indices)
     positions = np.arange(len(train_y))
+    starts = np.array([seg.start for seg, occ in zip(segments, occupied) if occ])
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -173,8 +174,8 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     fused_norms = np.zeros((T, n))
     deviations = np.zeros((T, n))
     trajectory: Optional[List[np.ndarray]] = [] if record_states else None
-    batch_streams = rngmod.Streams(seed, rngmod.BATCH, n)
-    noise_streams = rngmod.Streams(seed, rngmod.NOISE, n)
+    batch_streams = rngmod.Streams(seed, rngmod.BATCH, n, horizon=T)
+    noise_streams = rngmod.Streams(seed, rngmod.NOISE, n, horizon=T)
 
     for t in range(T):
         alpha_inj = alpha_at(config.noise, T - t)
@@ -184,29 +185,22 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         if new_interval:
             interval_clips = []
 
-        # observables at the current state, then each node's stochastic
-        # gradient and noise draw; empty nodes keep zero rows.  One pass over
-        # node i's rows at Z[i] gives both its full and its batch gradient.
+        # observables at the current state; each occupied node's batch and
+        # noise draws (one v1 slot each), then every node's full and batch
+        # gradient at its z_i in one call; empty nodes keep zero rows
         xbar = X.mean(axis=0)
         cons = consensus_error(X, Z)
-        at_mean = row_pass(model, xbar, (train_X, train_y), grad=False)
-        full_sq = []
-        losses_at_mean = []
-        Grad = np.zeros_like(X)
+        train_loss = float(np.mean(row_pass(model, xbar, (train_X, train_y), grad=False)
+                                   .segment_losses(starts)))
+        picks = [None] * n
         Noise = np.zeros_like(X)
         for i in np.flatnonzero(occupied):
-            seg = segments[i]
-            rows = row_pass(model, Z[i], (train_X[seg], train_y[seg]))
-            g_full = rows.grad()
-            full_sq.append(float(g_full @ g_full))
-            losses_at_mean.append(at_mean.loss(seg))
             draw = batch_streams.at(i, t)
-            local = positions[: seg.stop - seg.start]
-            Grad[i] = rows.grad(sample_batch(local, config.budgets[i].sampling_ratio, draw))
+            picks[i] = sample_batch(positions[segments[i]], config.budgets[i].sampling_ratio, draw)
             if sigmas[i] > 0:
                 Noise[i] = noise_streams.at(i, t).normal(0.0, sigmas[i], size=X.shape[1])
-        mean_sq = float(np.mean(full_sq))
-        train_loss = float(np.mean(losses_at_mean))
+        Full, Grad = node_grads(model, Z, (train_X, train_y), segments, picks)
+        mean_sq = float(np.mean(np.einsum("ij,ij->i", Full[occupied], Full[occupied])))
         test_acc = None
         if dataset.test_features is not None:
             test_acc = accuracy(model, xbar, dataset.test_features, dataset.test_labels)

@@ -263,20 +263,27 @@ class TestNoiseDraws:
 
 def test_one_model_pass_per_occupied_node_round(monkeypatch):
     """Each round makes one shared loss-only pass at xbar over all training
-    rows and one pass per occupied node at its z_i."""
-    from pushdp import engine
+    rows.  Logistic (and quadratic) then make one gathered pass over all
+    rows, each at its node's z_i; the MLP makes one pass per occupied node."""
+    from pushdp import models
 
-    passes = []  # the grad flag of every row-block pass
-    real_pass = engine.row_pass
+    for model in (ModelSpec(kind="logistic", features=5, l2=0.01),
+                  ModelSpec(kind="mlp", features=5, hidden=6, classes=2)):
+        cfg = make_config(T=6, model=model,
+                          data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
+        kind = type(build_model(cfg, 0))
+        passes = []  # (grad flag, gathered) of every row-block pass
+        real_rows = kind.rows
 
-    def counting_pass(model, params, batch, grad=True):
-        passes.append(grad)
-        return real_pass(model, params, batch, grad)
+        def counting_rows(self, params, X, y, grad=True, **gather):
+            passes.append((grad, bool(gather)))
+            return real_rows(self, params, X, y, grad, **gather)
 
-    monkeypatch.setattr(engine, "row_pass", counting_pass)
-    cfg = make_config(T=6, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
-    result = run(cfg, master_seed=0)
-    occupied = cfg.n - len(result.summary["empty_nodes"])
-    assert occupied < cfg.n
-    assert passes.count(False) == cfg.T
-    assert passes.count(True) <= occupied * cfg.T
+        with monkeypatch.context() as patch:
+            patch.setattr(kind, "rows", counting_rows)
+            result = run(cfg, master_seed=0)
+        occupied = cfg.n - len(result.summary["empty_nodes"])
+        assert 1 < occupied < cfg.n
+        node_passes = {(True, True): cfg.T} if kind is models.LogisticModel else {
+            (True, False): occupied * cfg.T}
+        assert {p: passes.count(p) for p in set(passes)} == {(False, False): cfg.T, **node_passes}
