@@ -259,11 +259,14 @@ def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     run = RunSpec(**r.spec("run", RunSpec))
     n, T = run.n, run.T
 
-    topology = TopologySpec(**r.spec("topology", TopologySpec))
-    if topology.kind == "explicit-list":
-        if not topology.path:
+    topology = r.spec("topology", TopologySpec)
+    if topology["kind"] == "explicit-list":
+        if not topology["path"]:
             raise ConfigurationError("topology.path: required for explicit-list")
-        graph = load_edge_list(_existing("topology.path", base_dir, topology.path), n)
+        topology["path"] = _existing("topology.path", base_dir, topology["path"])
+    topology = TopologySpec(**topology)
+    if topology.kind == "explicit-list":
+        graph = load_edge_list(topology.path, n)
     else:
         graph = TopologySchedule(kind=topology.kind, n=n, k=topology.k)
 

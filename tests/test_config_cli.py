@@ -202,6 +202,20 @@ class TestCliRun:
         parsed = parse_sections(summary["config"])
         assert parsed == load_config(cfg_path)
 
+    def test_explicit_list_echo_reparses_from_another_directory(self, tmp_path, monkeypatch):
+        # the echo names the edge file resolved against the config's directory
+        (tmp_path / "edges.txt").write_text("0<1 1<2 2<3 3<4 4<5 5<6 6<7 7<0\n")
+        text = BASE_CONFIG.replace("kind = static-ring\nk = 2", "kind = explicit-list\npath = edges.txt")
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--seeds", "1", "--out", str(out)]) == 0
+        summary = json.loads((out / "seed_1_summary.json").read_text())
+        assert summary["config"]["topology"]["path"] == str(tmp_path / "edges.txt")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert parse_sections(summary["config"]) == load_config(cfg_path)
+
     def test_overwrite_needs_force(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
