@@ -61,7 +61,7 @@ class Rows(NamedTuple):
     """
 
     losses: np.ndarray
-    reg: float
+    reg: "float | np.ndarray"
     const: "np.ndarray | float | None" = None  # None for a loss-only pass
     blocks: tuple = ()
 
@@ -164,7 +164,8 @@ class LogisticModel:
         if not grad:
             return Rows(losses, reg)
         resid = 1.0 / (1.0 + np.exp(-margin)) - y
-        const = np.concatenate((self.l2 * w, np.zeros_like(bias)[..., None]), axis=-1)
+        const = self.l2 * params
+        const[..., -1] = 0.0
         return Rows(losses, reg, const, ((X, resid[:, None]),))
 
     def predict(self, params, X):
