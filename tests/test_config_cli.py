@@ -205,7 +205,9 @@ class TestCliRun:
     def test_explicit_list_echo_reparses_from_another_directory(self, tmp_path, monkeypatch):
         # the echo names the edge file resolved against the config's directory
         (tmp_path / "edges.txt").write_text("0<1 1<2 2<3 3<4 4<5 5<6 6<7 7<0\n")
-        text = BASE_CONFIG.replace("kind = static-ring\nk = 2", "kind = explicit-list\npath = edges.txt")
+        text = BASE_CONFIG.replace(
+            "kind = static-ring\nk = 2", "kind = explicit-list\npath = edges.txt"
+        )
         cfg_path = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--seeds", "1", "--out", str(out)]) == 0
