@@ -161,11 +161,11 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     )
 
     matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
-    # node i's rows are segments[i] of the node-sorted training rows, and its
-    # batch draws are positions among them
+    # node i's rows are segments[i] of the node-sorted training rows; its
+    # batch draws are positions within them
     train_X, train_y, segments = node_sorted(dataset, dataset.node_indices)
     positions = np.arange(len(train_y))
-    starts = np.array([seg.start for seg, occ in zip(segments, occupied) if occ])
+    sizes = np.array([len(idx) for idx in dataset.node_indices if len(idx)])  # occupied nodes
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -191,7 +191,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         xbar = X.mean(axis=0)
         cons = consensus_error(X, Z)
         train_loss = float(np.mean(row_pass(model, xbar, (train_X, train_y), grad=False)
-                                   .segment_losses(starts)))
+                                   .segment_losses(sizes)))
         picks = [None] * n
         Noise = np.zeros_like(X)
         for i in np.flatnonzero(occupied):

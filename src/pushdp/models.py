@@ -38,13 +38,12 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def _segment_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Mean of values[starts[k]:starts[k+1]] for every k (the last segment
-    runs to the end), summed in row order; every segment must be non-empty."""
-    counts = np.diff(starts, append=len(values))
-    if len(counts) == 0 or counts.min() < 1:
-        raise ValueError("segments must be non-empty")
-    sums = np.add.reduceat(values, starts)
+def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of every segment of values, the k-th holding the next counts[k]
+    rows, summed in row order.  The segments are non-empty and cover values."""
+    if not len(counts) or counts.min() < 1 or counts.sum() != len(values):
+        raise ValueError(f"segments {counts} do not split {len(values)} rows")
+    sums = np.add.reduceat(values, np.cumsum(counts) - counts)
     return sums / (counts[:, None] if sums.ndim > 1 else counts)
 
 
@@ -79,22 +78,21 @@ class Rows(NamedTuple):
             parts.append(E.sum(axis=0) / len(E))
         return self.const + np.concatenate(parts)
 
-    def segment_losses(self, starts: np.ndarray) -> np.ndarray:
+    def segment_losses(self, counts: np.ndarray) -> np.ndarray:
         """Mean loss of every segment of the rows (see `segment_grads`)."""
-        return _segment_means(self.losses, starts) + self.reg
+        return _segment_means(self.losses, counts) + self.reg
 
-    def segment_grads(self, starts: np.ndarray, sel=slice(None)) -> np.ndarray:
+    def segment_grads(self, counts: np.ndarray, sel=slice(None)) -> np.ndarray:
         """Mean gradient of every segment of the rows `sel`, one row each:
-        segment k is sel[starts[k]:starts[k+1]], the last one runs to the end.
-        The sums run in row order, so they can differ from `grad` in the last
-        bits."""
+        segment k holds the next counts[k] of them.  The sums run in row
+        order, so they can differ from `grad` in the last bits."""
         parts = []
         for A, E in self.blocks:
             E = E[sel]
             if A is not None:
                 outer = A[sel][:, :, None] * E[:, None, :]
-                parts.append(_segment_means(outer.reshape(len(E), -1), starts))
-            parts.append(_segment_means(E, starts))
+                parts.append(_segment_means(outer.reshape(len(E), -1), counts))
+            parts.append(_segment_means(E, counts))
         return self.const + np.hstack(parts)
 
     def dev_sq(self, g: np.ndarray) -> np.ndarray:
@@ -267,13 +265,10 @@ def node_grads(model: Model, Z: np.ndarray, batch: Batch, segments: List[slice],
             full[i], drawn[i] = rows.grad(), rows.grad(picks[i] - seg.start)
         return full, drawn
     counts = np.array([segments[i].stop - segments[i].start for i in occupied], dtype=int)
-    if counts.sum() != len(X):
-        raise ValueError(f"segments cover {counts.sum()} of {len(X)} rows")
     rows = model.rows(Z[occupied], X, y, owner=np.repeat(np.arange(len(occupied)), counts))
-    full[occupied] = rows.segment_grads(np.cumsum(counts) - counts)
-    sizes = np.array([len(picks[i]) for i in occupied], dtype=int)
+    full[occupied] = rows.segment_grads(counts)
     sel = np.concatenate([picks[i] for i in occupied])
-    drawn[occupied] = rows.segment_grads(np.cumsum(sizes) - sizes, sel)
+    drawn[occupied] = rows.segment_grads(np.array([len(picks[i]) for i in occupied]), sel)
     return full, drawn
 
 

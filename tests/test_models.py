@@ -141,18 +141,12 @@ class TestNodeGrads:
             # a one-row node's batch and full gradients are that row's
             assert np.allclose(drawn[1], full[1], rtol=1e-12, atol=0.0)
 
-    def test_segments_must_cover_the_rows(self):
-        model, data = ROW_CASES[1]
-        segments = [slice(0, 10), slice(10, 20)]
-        with pytest.raises(ValueError, match="cover 20 of 30"):
-            node_grads(model, np.zeros((2, model.dim)), (data.features, data.labels), segments,
-                       [np.arange(10), np.arange(10, 20)])
-
-    def test_empty_segment_rejected(self):
+    @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
+    def test_segments_must_split_the_rows(self, counts):
         model, data = ROW_CASES[1]
         rows = row_pass(model, np.zeros(model.dim), (data.features, data.labels))
-        with pytest.raises(ValueError, match="non-empty"):
-            rows.segment_grads(np.array([0, 5, 5]))
+        with pytest.raises(ValueError, match="do not split 30 rows"):
+            rows.segment_grads(np.array(counts, dtype=int))
 
 
 class TestSampleBatch:
