@@ -314,6 +314,69 @@ def sample_batch(indices: np.ndarray, ratio: float, rng: np.random.Generator) ->
     return indices[[rng.integers(len(indices))]]
 
 
+class NodeRows(NamedTuple):
+    """Where the occupied nodes' rows lie among node-sorted rows: node
+    nodes[k] holds the counts[k] rows from starts[k] on, and row j belongs to
+    node nodes[owner[j]]."""
+
+    nodes: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    owner: np.ndarray
+
+
+def node_rows(sizes) -> NodeRows:
+    """The NodeRows of nodes holding sizes[i] consecutive rows each."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    nodes = np.flatnonzero(sizes)
+    counts = sizes[nodes]
+    return NodeRows(nodes, np.cumsum(counts) - counts, counts,
+                    np.repeat(np.arange(len(nodes)), counts))
+
+
+class BatchDraws:
+    """Every occupied node's batch draw of a round, at once.
+
+    Node layout.nodes[k] draws the same rows as `sample_batch` over its row
+    positions at its ratio on `streams.at(node, t)`.  Each node's first draw
+    goes into one uniform per row, and one mask over all rows selects; a node
+    whose first draw comes up empty is replayed through `sample_batch` on
+    its repositioned stream, so the retry and the forced pick stay its own.
+    """
+
+    def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
+        ratios = np.asarray(ratios, dtype=float)[layout.nodes]
+        if not np.all((ratios > 0.0) & (ratios <= 1.0)):
+            raise ValueError(f"ratios must lie in (0,1], got {ratios}")
+        self.layout, self.ratios, self.streams = layout, ratios, streams
+        self._row_ratio = np.repeat(ratios, layout.counts)
+        # a ratio-1 node takes every row without a draw: its uniforms stay 0
+        self._uniform = np.zeros(len(layout.owner))
+        sampled = ratios < 1.0
+        self._sampled = layout.nodes[sampled]
+        starts = layout.starts[sampled]
+        self._spans = np.stack([starts, starts + layout.counts[sampled]], axis=1).tolist()
+
+    def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Round t's drawn rows of every occupied node, node after node, and
+        how many each node drew (see `node_grads`)."""
+        uniform = self._uniform
+        for (a, b), gen in zip(self._spans, self.streams.each(t, self._sampled)):
+            gen.random(out=uniform[a:b])
+        mask = uniform < self._row_ratio
+        nodes, starts, counts, _ = self.layout
+        drawn = np.add.reduceat(mask, starts, dtype=np.intp)
+        sel = np.flatnonzero(mask)
+        if drawn.all():
+            return sel, drawn
+        parts = np.split(sel, np.cumsum(drawn)[:-1])
+        for k in np.flatnonzero(drawn == 0).tolist():
+            rows = np.arange(starts[k], starts[k] + counts[k])
+            parts[k] = sample_batch(rows, self.ratios[k], self.streams.at(nodes[k], t))
+            drawn[k] = len(parts[k])
+        return np.concatenate(parts), drawn
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     alpha_conc: float

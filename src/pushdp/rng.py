@@ -6,6 +6,8 @@ and independent of any node evaluation order.  `stream` defines this
 contract; `Streams` reproduces it in bulk for the round loop's draws.
 """
 
+from typing import Iterator
+
 import numpy as np
 
 STREAM_VERSION = 1  # of the contract `stream` defines, written to the manifest
@@ -62,10 +64,11 @@ def _pool_state(entropy):
 
 class Streams:
     """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
-    t < horizon.  `at(node, t)` sets one reused Generator exactly where
-    `stream(master_seed, node, t, purpose)` starts, so finish a draw before
-    the next `at`.  The pool hash runs vectorised over one block of whole
-    rounds, derived when first used; the last block stops at the horizon."""
+    t < horizon.  `each(t, nodes)` sets one reused Generator, node after
+    node, exactly where `stream(master_seed, node, t, purpose)` starts, so
+    finish a draw before the next node's; `at(node, t)` is the one-node case.
+    The pool hash runs vectorised over one block of whole rounds, derived
+    when first used; the last block stops at the horizon."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -79,6 +82,8 @@ class Streams:
         self._rounds = max(1, BLOCK_SLOTS // n)
         self._t0, self._block, self._bitgen = None, None, np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
+        self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
+                       "has_uint32": 0, "uinteger": 0}
 
     def _derive(self, t0: int) -> None:
         # one entropy column (seed words, node, t, purpose) per slot, t-major
@@ -90,16 +95,26 @@ class Streams:
         entropy[-1] = self.purpose
         self._t0, self._block = t0, _pool_state(entropy)
 
-    def at(self, node: int, t: int) -> np.random.Generator:
-        if not (0 <= node < self.n and 0 <= t < self.horizon):
-            raise ValueError(f"slot (node {node}, t {t}) is outside nodes < {self.n}, "
-                             f"t < {self.horizon}")
+    def each(self, t: int, nodes) -> Iterator[np.random.Generator]:
+        """The reused Generator at round t's slot of every node in `nodes`,
+        in their order; no block is derived for no nodes."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if not 0 <= t < self.horizon or len(nodes) and not (
+                0 <= nodes.min() and nodes.max() < self.n):
+            raise ValueError(f"slots (nodes {nodes.tolist()}, t {t}) are outside nodes < "
+                             f"{self.n}, t < {self.horizon}")
+        if not len(nodes):
+            return
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
-        s_hi, s_lo, i_hi, i_lo = self._block[(t - self._t0) * self.n + node].tolist()
-        # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around += initstate
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        self._bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                              "has_uint32": 0, "uinteger": 0}
-        return self._gen
+        state, pcg = self._state, self._state["state"]
+        for s_hi, s_lo, i_hi, i_lo in self._block[(t - self._t0) * self.n + nodes].tolist():
+            # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around += initstate
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            self._bitgen.state = state
+            yield self._gen
+
+    def at(self, node: int, t: int) -> np.random.Generator:
+        return next(self.each(t, [node]))

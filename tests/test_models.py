@@ -8,6 +8,7 @@ from pushdp.config import DataSpec, ModelSpec, load_config
 from pushdp.engine import build_dataset, build_model
 from pushdp.errors import ConfigurationError
 from pushdp.models import (
+    BatchDraws,
     LogisticModel,
     MlpModel,
     PartitionSpec,
@@ -19,6 +20,7 @@ from pushdp.models import (
     make_quadratic_model,
     make_synthetic,
     node_grads,
+    node_rows,
     partition_report,
     row_pass,
     sample_batch,
@@ -26,7 +28,10 @@ from pushdp.models import (
 )
 from pushdp.theory import estimate_theory_params
 from pushdp.topology import PropagationParams
-from pushdp.verify import finite_difference_grad, node_draws, per_node_grads, single_sample_dev_sq
+from pushdp.verify import (
+    NODE_RATIOS, NODE_SIZES, finite_difference_grad, node_draws, per_node_grads,
+    single_sample_dev_sq,
+)
 
 from conftest import make_config
 
@@ -173,6 +178,36 @@ class TestSampleBatch:
         idx = np.arange(3)
         out = sample_batch(idx, 1e-12, np.random.default_rng(5))
         assert len(out) == 1 and out[0] in idx
+
+
+class TestBatchDraws:
+    # NODE_SIZES/NODE_RATIOS: an empty node, a one-row node, ratio 1, ratio
+    # 1e-12 (two empty draws, so the pick is forced) and an ordinary ratio
+    @pytest.mark.parametrize("seed", [0, 2**32 + 17])
+    def test_matches_sample_batch_on_each_stream(self, monkeypatch, seed):
+        monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 2 * len(NODE_SIZES))  # two rounds a block
+        n, T = len(NODE_SIZES), 7
+        layout = node_rows(NODE_SIZES)
+        draws = BatchDraws(layout, NODE_RATIOS, rngmod.Streams(seed, rngmod.BATCH, n, T))
+        ends = np.cumsum(NODE_SIZES)
+        for t in range(T):
+            sel, drawn = draws.draw(t)
+            ref = [sample_batch(np.arange(end - size, end), ratio,
+                                rngmod.stream(seed, i, t, rngmod.BATCH))
+                   for i, (size, end, ratio) in enumerate(zip(NODE_SIZES, ends, NODE_RATIOS))
+                   if size]
+            assert drawn.tolist() == [len(r) for r in ref]
+            assert drawn[:3].tolist() == [1, 9, 1]  # one row, ratio 1, forced pick
+            assert np.array_equal(sel, np.concatenate(ref))
+
+    def test_layout_of_the_occupied_nodes(self):
+        layout = node_rows([0, 2, 0, 3])
+        assert [a.tolist() for a in layout] == [[1, 3], [0, 2], [2, 3], [0, 0, 1, 1, 1]]
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.5])
+    def test_rejects_ratio_outside_unit_interval(self, ratio):
+        with pytest.raises(ValueError, match="ratios must lie in"):
+            BatchDraws(node_rows([2, 3]), [0.5, ratio], rngmod.Streams(0, rngmod.BATCH, 2))
 
 
 class TestDirichletPartition:

@@ -53,6 +53,52 @@ def test_bulk_slots_match_stream(seed, n):
                 assert np.array_equal(a, b), (seed, n, purpose, node, t)
 
 
+def out_draws(gen, k):
+    """The round loop's draws into given buffers, `integers` first as in
+    `draws`."""
+    uniform, normal = np.empty(k), np.empty(k + 4)
+    ints = gen.integers(0, 2**31, k)
+    gen.random(out=uniform)
+    gen.standard_normal(out=normal)
+    return ints, uniform, normal
+
+
+@pytest.mark.parametrize("block_slots", [rngmod.BLOCK_SLOTS, 10])
+@pytest.mark.parametrize("seed", [0, 2**32 + 17])
+def test_each_matches_stream(monkeypatch, seed, block_slots):
+    # 11 nodes, a subset in a scrambled order, rounds on both sides of the
+    # first two block boundaries (10 slots: one round a block)
+    monkeypatch.setattr(rngmod, "BLOCK_SLOTS", block_slots)
+    n = 11
+    nodes = [9, 2, 3, 10, 0]
+    rounds = max(1, block_slots // n)
+    ts = [0, rounds - 1, rounds, 2 * rounds - 1, 2 * rounds, 2 * rounds + 1]
+    for purpose in (rngmod.BATCH, rngmod.NOISE):
+        streams = rngmod.Streams(seed, purpose, n)
+        for t in ts:
+            got = [out_draws(gen, 2 * k + 1) for k, gen in enumerate(streams.each(t, nodes))]
+            assert len(got) == len(nodes)
+            for k, (node, drawn) in enumerate(zip(nodes, got)):
+                ref = rngmod.stream(seed, node, t, purpose)
+                ref_draws = (ref.integers(0, 2**31, 2 * k + 1), ref.random(2 * k + 1),
+                             ref.standard_normal(2 * k + 5))
+                for a, b in zip(drawn, ref_draws):
+                    assert np.array_equal(a, b), (seed, purpose, node, t)
+
+
+def test_each_of_no_nodes_derives_nothing(monkeypatch):
+    blocks = derived_blocks(monkeypatch)
+    streams = rngmod.Streams(3, rngmod.NOISE, 4)
+    assert list(streams.each(5, [])) == []
+    assert blocks == []
+
+
+@pytest.mark.parametrize("t, nodes", [(0, [0, 4]), (0, [-1]), (-1, [0]), (9, [0])])
+def test_each_rejects_slots_outside_the_streams(t, nodes):
+    with pytest.raises(ValueError):
+        list(rngmod.Streams(0, rngmod.BATCH, 4, horizon=9).each(t, nodes))
+
+
 def test_last_one_word_t_matches_stream():
     # with n=3 the block holding t = 2^32 - 1 is cut short at the default
     # horizon 2^32
