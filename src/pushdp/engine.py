@@ -24,12 +24,12 @@ from .fusion import (
     REPORTED_TAU, clip, decay_threshold, fuse, noise_factor, perturb, select_tau, staleness_bound,
 )
 from .models import (
-    Dataset, LogisticModel, MlpModel, Model, PartitionSpec, accuracy, dirichlet_partition,
-    load_csv, make_quadratic_model, make_synthetic, node_grads, node_sorted, partition_report,
-    row_pass, sample_batch, split_test,
+    BatchDraws, Dataset, LogisticModel, MlpModel, Model, PartitionSpec, accuracy,
+    dirichlet_partition, load_csv, make_quadratic_model, make_synthetic, node_grads, node_rows,
+    node_sorted, partition_report, row_pass, split_test,
 )
 from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent, starts_interval
-from .pushsum import consensus_error, mix_round
+from .pushsum import mix_round, sq_deviations
 from .theory import OPTIMAL_P_ERRATUM, convergence_bound, estimate_theory_params, min_iterations
 from .topology import build_mixing_matrix, max_out_degree, propagation_params, window_diameter
 
@@ -161,11 +161,9 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     )
 
     matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
-    # node i's rows are segments[i] of the node-sorted training rows; its
-    # batch draws are positions within them
-    train_X, train_y, segments = node_sorted(dataset, dataset.node_indices)
-    positions = np.arange(len(train_y))
-    sizes = np.array([len(idx) for idx in dataset.node_indices if len(idx)])  # occupied nodes
+    # the training rows sorted by node, and where each occupied node's lie
+    train_X, train_y, _ = node_sorted(dataset, dataset.node_indices)
+    layout = node_rows([len(idx) for idx in dataset.node_indices])
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -174,8 +172,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     fused_norms = np.zeros((T, n))
     deviations = np.zeros((T, n))
     trajectory: Optional[List[np.ndarray]] = [] if record_states else None
-    batch_streams = rngmod.Streams(seed, rngmod.BATCH, n, horizon=T)
+    batches = BatchDraws(layout, [b.sampling_ratio for b in config.budgets],
+                         rngmod.Streams(seed, rngmod.BATCH, n, horizon=T))
     noise_streams = rngmod.Streams(seed, rngmod.NOISE, n, horizon=T)
+    noise_nodes = [i for i in layout.nodes.tolist() if sigmas[i] > 0]
+    sigma_column = np.array(sigmas)[:, None]
+    Noise = np.zeros_like(X)  # rows of the nodes that draw no noise stay 0
 
     for t in range(T):
         alpha_inj = alpha_at(config.noise, T - t)
@@ -189,22 +191,20 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         # noise draws (one v1 slot each), then every node's full and batch
         # gradient at its z_i in one call; empty nodes keep zero rows
         xbar = X.mean(axis=0)
-        cons = consensus_error(X, Z)
+        sq_dev = sq_deviations(Z, xbar)
+        cons = float(np.mean(sq_dev))
         train_loss = float(np.mean(row_pass(model, xbar, (train_X, train_y), grad=False)
-                                   .segment_losses(sizes)))
-        picks = [None] * n
-        Noise = np.zeros_like(X)
-        for i in np.flatnonzero(occupied):
-            draw = batch_streams.at(i, t)
-            picks[i] = sample_batch(positions[segments[i]], config.budgets[i].sampling_ratio, draw)
-            if sigmas[i] > 0:
-                Noise[i] = noise_streams.at(i, t).normal(0.0, sigmas[i], size=X.shape[1])
-        Full, Grad = node_grads(model, Z, (train_X, train_y), segments, picks)
+                                   .segment_losses(layout.counts)))
+        sel, drawn = batches.draw(t)
+        for i, gen in zip(noise_nodes, noise_streams.each(t, noise_nodes)):
+            gen.standard_normal(out=Noise[i])
+        Noise *= sigma_column  # as normal(0, sigma) draws it: 0.0 + sigma * z
+        Full, Grad = node_grads(model, Z, (train_X, train_y), layout, sel, drawn)
         mean_sq = float(np.mean(np.einsum("ij,ij->i", Full[occupied], Full[occupied])))
         test_acc = None
         if dataset.test_features is not None:
             test_acc = accuracy(model, xbar, dataset.test_features, dataset.test_labels)
-        deviations[t] = np.linalg.norm(Z - xbar, axis=1)
+        deviations[t] = np.sqrt(sq_dev)
 
         # clip, perturb, fuse and half-step on all nodes at once
         clipped, resid = clip(Grad, G)
@@ -249,19 +249,15 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
 def _privacy_spent(config, sigmas):
     if config.sigma_override is not None:
         return None
-    spent = []
-    for i, (b, sigma) in enumerate(zip(config.budgets, sigmas)):
-        # the accountant consumes the sensitivity-normalized multiplier
-        z = sigma / config.clip.g0
-        spent.append(
-            {
-                "node": i,
-                "epsilon_bound": epsilon_spent(b, z, config.noise),
-                "delta_at_epsilon": delta_bound(b, z, config.noise),
-                "label": "bound, constants-dependent",
-            }
-        )
-    return spent
+    bounds = {}  # (budget, sigma) -> (epsilon, delta), each pair evaluated once
+    for b, sigma in zip(config.budgets, sigmas):
+        if (b, sigma) not in bounds:
+            # the accountant consumes the sensitivity-normalized multiplier
+            z = sigma / config.clip.g0
+            bounds[b, sigma] = epsilon_spent(b, z, config.noise), delta_bound(b, z, config.noise)
+    return [{"node": i, "epsilon_bound": eps, "delta_at_epsilon": delta,
+             "label": "bound, constants-dependent"}
+            for i, (eps, delta) in enumerate(bounds[key] for key in zip(config.budgets, sigmas))]
 
 
 def _running_sum(values) -> float:

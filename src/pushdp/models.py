@@ -243,33 +243,33 @@ def loss_and_grad(model: Model, params: np.ndarray, batch: Batch):
     return rows.loss(), rows.grad()
 
 
-def node_grads(model: Model, Z: np.ndarray, batch: Batch, segments: List[slice], picks):
+def node_grads(model: Model, Z: np.ndarray, batch: Batch, layout: NodeRows, sel: np.ndarray,
+               drawn: np.ndarray):
     """Every node's full-slice and batch mean gradient, both at its own Z[i].
 
-    Node i's rows are batch[segments[i]]; the segments are `node_sorted`'s
-    slices, contiguous and in node order, covering the batch.  picks[i] are
-    node i's drawn rows, as indices into the batch (ignored for an empty
-    node).  Returns two (n, dim) arrays with zero rows for empty nodes.
-    Logistic and quadratic take one pass over all rows, each at its node's
-    point, and reduce by segment sums.  The MLP takes one pass per node,
-    because a gathered W1 would hold rows x features x hidden floats.
+    The batch rows are node-sorted as `layout` describes.  sel lists every
+    occupied node's drawn rows, as indices into the batch, node after node:
+    drawn[k] of them for node layout.nodes[k] (see `BatchDraws`).  Returns
+    two (n, dim) arrays with zero rows for empty nodes.  Logistic and
+    quadratic take one pass over all rows, each at its node's point, and
+    reduce by segment sums.  The MLP takes one pass per node, because a
+    gathered W1 would hold rows x features x hidden floats.
     """
     X, y = batch
     Z = np.asarray(Z, dtype=float)
-    full, drawn = np.zeros_like(Z), np.zeros_like(Z)
-    occupied = [i for i, seg in enumerate(segments) if seg.stop > seg.start]
+    full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
+    nodes, starts, counts, owner = layout
     if isinstance(model, MlpModel):
-        for i in occupied:
-            seg = segments[i]
-            rows = row_pass(model, Z[i], (X[seg], y[seg]))
-            full[i], drawn[i] = rows.grad(), rows.grad(picks[i] - seg.start)
-        return full, drawn
-    counts = np.array([segments[i].stop - segments[i].start for i in occupied], dtype=int)
-    rows = model.rows(Z[occupied], X, y, owner=np.repeat(np.arange(len(occupied)), counts))
-    full[occupied] = rows.segment_grads(counts)
-    sel = np.concatenate([picks[i] for i in occupied])
-    drawn[occupied] = rows.segment_grads(np.array([len(picks[i]) for i in occupied]), sel)
-    return full, drawn
+        sel_ends = np.cumsum(drawn).tolist()
+        for i, a, c, e, k in zip(nodes.tolist(), starts.tolist(), counts.tolist(), sel_ends,
+                                 drawn.tolist()):
+            rows = row_pass(model, Z[i], (X[a : a + c], y[a : a + c]))
+            full[i], batch_mean[i] = rows.grad(), rows.grad(sel[e - k : e] - a)
+        return full, batch_mean
+    rows = model.rows(Z[nodes], X, y, owner=owner)
+    full[nodes] = rows.segment_grads(counts)
+    batch_mean[nodes] = rows.segment_grads(drawn, sel)
+    return full, batch_mean
 
 
 # ---------------------------------------------------------------- data
@@ -367,14 +367,15 @@ class BatchDraws:
         nodes, starts, counts, _ = self.layout
         drawn = np.add.reduceat(mask, starts, dtype=np.intp)
         sel = np.flatnonzero(mask)
-        if drawn.all():
+        empty = np.flatnonzero(drawn == 0)
+        if not len(empty):
             return sel, drawn
-        parts = np.split(sel, np.cumsum(drawn)[:-1])
-        for k in np.flatnonzero(drawn == 0).tolist():
-            rows = np.arange(starts[k], starts[k] + counts[k])
-            parts[k] = sample_batch(rows, self.ratios[k], self.streams.at(nodes[k], t))
-            drawn[k] = len(parts[k])
-        return np.concatenate(parts), drawn
+        replays = [sample_batch(np.arange(starts[k], starts[k] + counts[k]), self.ratios[k],
+                                self.streams.at(nodes[k], t)) for k in empty.tolist()]
+        drawn[empty] = [len(rows) for rows in replays]
+        # each node's rows are contiguous and in node order, so sorting puts
+        # the replayed rows in their nodes' places
+        return np.sort(np.concatenate([sel, *replays])), drawn
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,16 @@ import numpy as np
 from .errors import NumericalBreakdownError
 from .topology import PropagationParams
 
+
+def sq_deviations(Z: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    """||z_i - xbar||^2 of every debiased row of Z."""
+    return np.sum((Z - xbar) ** 2, axis=1)
+
+
 def consensus_error(X: np.ndarray, Z: np.ndarray) -> float:
     """Mean squared deviation of the debiased rows of Z from the row average
     of X."""
-    xbar = X.mean(axis=0)
-    return float(np.mean(np.sum((Z - xbar) ** 2, axis=1)))
+    return float(np.mean(sq_deviations(Z, X.mean(axis=0))))
 
 
 def mix_round(

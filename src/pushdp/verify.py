@@ -16,10 +16,11 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from . import rng as rngmod
 from .fusion import fuse, noise_factor, perturb
 from .models import (
-    LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic, node_grads,
-    row_pass, sample_batch,
+    BatchDraws, LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic,
+    node_grads, node_rows, row_pass,
 )
 from .privacy import (
     LrSchedule,
@@ -192,16 +193,17 @@ def single_sample_dev_sq(model, params, batch, g) -> np.ndarray:
     ])
 
 
-def per_node_grads(model, Z, batch, segments, picks):
+def per_node_grads(model, Z, batch, layout, sel, drawn):
     """node_grads node by node: one row pass per occupied node at its own
     point, reduced over its whole slice and over its drawn rows."""
     X, y = batch
-    full, drawn = np.zeros_like(Z), np.zeros_like(Z)
-    for i, seg in enumerate(segments):
-        if seg.stop > seg.start:
-            rows = row_pass(model, Z[i], (X[seg], y[seg]))
-            full[i], drawn[i] = rows.grad(), rows.grad(picks[i] - seg.start)
-    return full, drawn
+    full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
+    picks = np.split(sel, np.cumsum(drawn)[:-1])
+    for i, start, count, pick in zip(layout.nodes, layout.starts, layout.counts, picks):
+        seg = slice(start, start + count)
+        rows = row_pass(model, Z[i], (X[seg], y[seg]))
+        full[i], batch_mean[i] = rows.grad(), rows.grad(pick - start)
+    return full, batch_mean
 
 
 # the node layout of the per-node check: an empty node, a one-row node, a
@@ -211,13 +213,12 @@ NODE_RATIOS = (0.5, 0.5, 1.0, 1e-12, 0.3)
 
 
 def node_draws(rng, sizes=NODE_SIZES, ratios=NODE_RATIOS):
-    """Segments of the given sizes over consecutive rows, and one batch draw
-    per node at its ratio."""
-    ends = np.cumsum(sizes)
-    segments = [slice(end - size, end) for end, size in zip(ends, sizes)]
-    picks = [sample_batch(np.arange(seg.start, seg.stop), ratio, rng) if seg.stop > seg.start
-             else None for seg, ratio in zip(segments, ratios)]
-    return segments, picks
+    """The NodeRows of nodes with the given sizes over consecutive rows, and
+    one batch draw per node at its ratio, on streams of a seed drawn from
+    rng: (layout, drawn rows, how many each node drew)."""
+    layout = node_rows(sizes)
+    streams = rngmod.Streams(int(rng.integers(2**32)), rngmod.BATCH, len(sizes), horizon=1)
+    return (layout, *BatchDraws(layout, ratios, streams).draw(0))
 
 
 def _gradient_cases(seed: int):
@@ -256,9 +257,9 @@ def gradients_suite(
             row_err = np.abs(rows.dev_sq(analytic) - looped) / looped
             worst_row = max(worst_row, float(np.max(row_err)))
             Z = rng.normal(size=(len(NODE_SIZES), model.dim))
-            segments, picks = node_draws(rng)
-            got = node_grads(model, Z, batch, segments, picks)
-            for g, ref in zip(got, per_node_grads(model, Z, batch, segments, picks)):
+            draws = node_draws(rng)
+            got = node_grads(model, Z, batch, *draws)
+            for g, ref in zip(got, per_node_grads(model, Z, batch, *draws)):
                 scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)  # empty nodes: 0 / tiny
                 err = np.linalg.norm(g - ref, axis=1) / scale
                 worst_node = max(worst_node, float(np.max(err)))

@@ -5,7 +5,9 @@ from pushdp.config import DataSpec, ModelSpec
 from pushdp.engine import build_dataset, build_model, run
 from pushdp.errors import ConfigurationError, NumericalBreakdownError
 from pushdp.fusion import ClipConfig, FusionConfig
-from pushdp.privacy import LrSchedule, NoiseSchedule, beta_at
+from pushdp.privacy import (
+    LrSchedule, NoiseSchedule, PrivacyBudget, beta_at, delta_bound, epsilon_spent,
+)
 from pushdp.topology import TopologySchedule
 
 from conftest import make_config, reference_dsgd
@@ -209,6 +211,28 @@ class TestSummary:
         assert summary["errata"]["tau_intervals"]["paper_reported"] == {"0.3": 12, "0.5": 6, "0.7": 4}
         assert summary["final_test_accuracy"] is not None
 
+    @pytest.mark.parametrize("epsilons", [[1.0] * 8, [1.0, 0.5] * 4], ids=["same", "two"])
+    def test_privacy_spent_evaluates_each_budget_once(self, monkeypatch, epsilons):
+        # the summary makes the moments_bound calls of one node per distinct
+        # (budget, sigma), and every entry is that node's own evaluation
+        from pushdp import privacy
+
+        cfg = make_config(T=6, budgets=[PrivacyBudget(epsilon=e, delta=1e-5, sampling_ratio=0.5)
+                                        for e in epsilons])
+        calls = []
+        real = privacy.moments_bound
+        monkeypatch.setattr(privacy, "moments_bound", lambda *a: calls.append(a) or real(*a))
+        summary = run(cfg, master_seed=0).summary
+        in_run = len(calls)
+        expected = []
+        for i, (b, sigma) in enumerate(zip(cfg.budgets, summary["sigma_per_node"])):
+            z = sigma / cfg.clip.g0
+            expected.append({"node": i, "epsilon_bound": epsilon_spent(b, z, cfg.noise),
+                             "delta_at_epsilon": delta_bound(b, z, cfg.noise),
+                             "label": "bound, constants-dependent"})
+        assert in_run * cfg.n == (len(calls) - in_run) * len(set(epsilons))
+        assert summary["privacy_spent"] == expected
+
     def test_empty_node_flagged_and_survives(self):
         # alpha small enough to starve some node eventually; find a seed that
         # produces one and check the run still completes
@@ -224,25 +248,26 @@ class TestSummary:
 class TestNoiseDraws:
     @staticmethod
     def noise_draws(monkeypatch, cfg, seed):
-        """Run cfg and list the (node, t) of every NOISE slot it uses, at the
-        round loop's per-slot accessor `rng.Streams.at`, and the first round
-        of every NOISE block it derives."""
+        """Run cfg and list the (node, t) of every NOISE slot it positions, at
+        the round loop's per-round accessor `rng.Streams.each` (which `at`
+        calls too), and the first round of every NOISE block it derives."""
         from pushdp import rng as rngmod
 
         drawn, derived = [], []
-        real_at, real_derive = rngmod.Streams.at, rngmod.Streams._derive
+        real_each, real_derive = rngmod.Streams.each, rngmod.Streams._derive
 
-        def counting_at(streams, node, t):
-            if streams.purpose == rngmod.NOISE:
-                drawn.append((int(node), t))
-            return real_at(streams, node, t)
+        def counting_each(streams, t, nodes):
+            for node, gen in zip(nodes, real_each(streams, t, nodes)):
+                if streams.purpose == rngmod.NOISE:
+                    drawn.append((int(node), t))
+                yield gen
 
         def counting_derive(streams, t0):
             if streams.purpose == rngmod.NOISE:
                 derived.append(t0)
             return real_derive(streams, t0)
 
-        monkeypatch.setattr(rngmod.Streams, "at", counting_at)
+        monkeypatch.setattr(rngmod.Streams, "each", counting_each)
         monkeypatch.setattr(rngmod.Streams, "_derive", counting_derive)
         return run(cfg, master_seed=seed), drawn, derived
 

@@ -135,10 +135,10 @@ class TestNodeGrads:
         batch = (data.features, data.labels)
         for _ in range(5):
             Z = rng.normal(size=(len(self.SIZES), model.dim))
-            segments, picks = node_draws(rng, self.SIZES, self.RATIOS)
-            assert [len(p) for p in picks[1:4]] == [1, 8, 1]
-            full, drawn = node_grads(model, Z, batch, segments, picks)
-            ref_full, ref_drawn = per_node_grads(model, Z, batch, segments, picks)
+            draws = node_draws(rng, self.SIZES, self.RATIOS)
+            assert draws[2][:3].tolist() == [1, 8, 1]  # per occupied node
+            full, drawn = node_grads(model, Z, batch, *draws)
+            ref_full, ref_drawn = per_node_grads(model, Z, batch, *draws)
             assert not full[0].any() and not drawn[0].any()
             for got, ref in ((full, ref_full), (drawn, ref_drawn)):
                 err = np.linalg.norm(got[1:] - ref[1:], axis=1) / np.linalg.norm(ref[1:], axis=1)

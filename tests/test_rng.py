@@ -174,8 +174,9 @@ def test_engine_run_matches_stream_backed_run(monkeypatch):
     bulk = run(cfg, master_seed=seed, record_states=True)
     assert derived == [(p, t0) for t0 in range(0, cfg.T, 2) for p in (rngmod.BATCH, rngmod.NOISE)]
 
-    monkeypatch.setattr(rngmod.Streams, "at", lambda streams, node, t: rngmod.stream(
-        streams.master_seed, node, t, streams.purpose))
+    # `at` calls `each`, so every slot of the reference run comes from `rng.stream`
+    monkeypatch.setattr(rngmod.Streams, "each", lambda streams, t, nodes: (
+        rngmod.stream(streams.master_seed, node, t, streams.purpose) for node in nodes))
     reference = run(cfg, master_seed=seed, record_states=True)
     assert [r.as_dict() for r in bulk.records] == [r.as_dict() for r in reference.records]
     assert np.array_equal(bulk.trajectory[-1], reference.trajectory[-1])
