@@ -249,15 +249,16 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
 def _privacy_spent(config, sigmas):
     if config.sigma_override is not None:
         return None
-    bounds = {}  # (budget, sigma) -> (epsilon, delta), each pair evaluated once
-    for b, sigma in zip(config.budgets, sigmas):
+    spent, bounds = [], {}  # bounds: (budget, sigma) -> (epsilon, delta), each evaluated once
+    for i, (b, sigma) in enumerate(zip(config.budgets, sigmas)):
         if (b, sigma) not in bounds:
             # the accountant consumes the sensitivity-normalized multiplier
             z = sigma / config.clip.g0
             bounds[b, sigma] = epsilon_spent(b, z, config.noise), delta_bound(b, z, config.noise)
-    return [{"node": i, "epsilon_bound": eps, "delta_at_epsilon": delta,
-             "label": "bound, constants-dependent"}
-            for i, (eps, delta) in enumerate(bounds[key] for key in zip(config.budgets, sigmas))]
+        eps, delta = bounds[b, sigma]
+        spent.append({"node": i, "epsilon_bound": eps, "delta_at_epsilon": delta,
+                      "label": "bound, constants-dependent"})
+    return spent
 
 
 def _running_sum(values) -> float:

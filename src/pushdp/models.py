@@ -370,8 +370,8 @@ class BatchDraws:
         empty = np.flatnonzero(drawn == 0)
         if not len(empty):
             return sel, drawn
-        replays = [sample_batch(np.arange(starts[k], starts[k] + counts[k]), self.ratios[k],
-                                self.streams.at(nodes[k], t)) for k in empty.tolist()]
+        replays = [sample_batch(np.arange(starts[k], starts[k] + counts[k]), self.ratios[k], gen)
+                   for k, gen in zip(empty.tolist(), self.streams.each(t, nodes[empty]))]
         drawn[empty] = [len(rows) for rows in replays]
         # each node's rows are contiguous and in node order, so sorting puts
         # the replayed rows in their nodes' places

@@ -82,8 +82,9 @@ class Streams:
         self._rounds = max(1, BLOCK_SLOTS // n)
         self._t0, self._block, self._bitgen = None, None, np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
-        self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 1},
-                       "has_uint32": 0, "uinteger": 0}
+        self._pcg = {"state": 0, "inc": 1}
+        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
+                       "uinteger": 0}
 
     def _derive(self, t0: int) -> None:
         # one entropy column (seed words, node, t, purpose) per slot, t-major
@@ -97,24 +98,27 @@ class Streams:
 
     def each(self, t: int, nodes) -> Iterator[np.random.Generator]:
         """The reused Generator at round t's slot of every node in `nodes`,
-        in their order; no block is derived for no nodes."""
+        set node after node, in their order, as the iterator advances; no
+        block is derived for no nodes."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        if not 0 <= t < self.horizon or len(nodes) and not (
-                0 <= nodes.min() and nodes.max() < self.n):
+        if not 0 <= t < self.horizon or nodes.size and not (
+                nodes.min() >= 0 and nodes.max() < self.n):
             raise ValueError(f"slots (nodes {nodes.tolist()}, t {t}) are outside nodes < "
                              f"{self.n}, t < {self.horizon}")
-        if not len(nodes):
-            return
+        if not nodes.size:
+            return iter(())
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
-        state, pcg = self._state, self._state["state"]
-        for s_hi, s_lo, i_hi, i_lo in self._block[(t - self._t0) * self.n + nodes].tolist():
-            # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around += initstate
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            pcg["inc"] = inc
-            self._bitgen.state = state
-            yield self._gen
+        return map(self._position, self._block[(t - self._t0) * self.n + nodes].tolist())
+
+    def _position(self, slot) -> np.random.Generator:
+        # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around += initstate
+        s_hi, s_lo, i_hi, i_lo = slot
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        self._pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        self._pcg["inc"] = inc
+        self._bitgen.state = self._state
+        return self._gen
 
     def at(self, node: int, t: int) -> np.random.Generator:
         return next(self.each(t, [node]))

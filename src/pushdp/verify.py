@@ -198,11 +198,11 @@ def per_node_grads(model, Z, batch, layout, sel, drawn):
     point, reduced over its whole slice and over its drawn rows."""
     X, y = batch
     full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
-    picks = np.split(sel, np.cumsum(drawn)[:-1])
-    for i, start, count, pick in zip(layout.nodes, layout.starts, layout.counts, picks):
+    node_sel = np.split(sel, np.cumsum(drawn)[:-1])
+    for i, start, count, chosen in zip(layout.nodes, layout.starts, layout.counts, node_sel):
         seg = slice(start, start + count)
         rows = row_pass(model, Z[i], (X[seg], y[seg]))
-        full[i], batch_mean[i] = rows.grad(), rows.grad(pick - start)
+        full[i], batch_mean[i] = rows.grad(), rows.grad(chosen - start)
     return full, batch_mean
 
 
