@@ -15,7 +15,8 @@ the per-row pieces of the gradient.  Mean losses and gradients
 (`loss_and_grad`), per-segment means and per-row gradient distances are
 reductions of it; the finite-difference, single-sample and per-node oracles
 in the verification suite check every kind.  `node_grads` gives every node's
-gradients at its own point, in one gathered pass for logistic and quadratic.
+gradients at its own point, in one gathered pass for logistic and quadratic,
+and `BatchDraws` draws every node's batch of a round at once.
 """
 
 from __future__ import annotations
