@@ -30,7 +30,8 @@ from .models import (
 )
 from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent, starts_interval
 from .pushsum import mix_round, sq_deviations
-from .theory import OPTIMAL_P_ERRATUM, convergence_bound, estimate_theory_params, min_iterations
+from .theory import (CERTIFIED, OPTIMAL_P_ERRATUM, convergence_bound, estimate_theory_params,
+                     min_iterations)
 from .topology import build_mixing_matrix, max_out_degree, propagation_params, window_diameter
 
 
@@ -123,6 +124,7 @@ def _theory_block(config, model, dataset, x0, master_seed):
     block["propagation"] = {"lambda": prop.lam, "q": prop.q, "c_bound": prop.c_bound,
                             "U": prop.U, "J": J, "kappa": kappa}
     block["estimated"] = {k: getattr(params, k) for k in ("L", "a", "m", "F0", "d", "x0_norm")}
+    block["certified"] = list(CERTIFIED[type(model)])
     K = config.lr.K if config.lr.K is not None else config.noise.K
     if config.lr.p is not None:
         floor = min_iterations(params, config.n, config.lr.p, K)
@@ -194,7 +196,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         sq_dev = sq_deviations(Z, xbar)
         cons = float(np.mean(sq_dev))
         train_loss = float(np.mean(row_pass(model, xbar, (train_X, train_y), grad=False)
-                                   .segment_losses(layout.counts)))
+                                   .segment_losses(layout.starts, layout.counts)))
         sel, drawn = batches.draw(t)
         for i, gen in zip(noise_nodes, noise_streams.each(t, noise_nodes)):
             gen.standard_normal(out=Noise[i])

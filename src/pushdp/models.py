@@ -39,12 +39,11 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of every segment of values, the k-th holding the next counts[k]
-    rows, summed in row order.  The segments are non-empty and cover values."""
-    if not len(counts) or counts.min() < 1 or counts.sum() != len(values):
-        raise ValueError(f"segments {counts} do not split {len(values)} rows")
-    sums = np.add.reduceat(values, np.cumsum(counts) - counts)
+def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of every segment of values, the k-th holding the counts[k] rows
+    from starts[k] on, summed in row order.  The segments are consecutive,
+    non-empty and cover values."""
+    sums = np.add.reduceat(values, starts)
     return sums / (counts[:, None] if sums.ndim > 1 else counts)
 
 
@@ -79,21 +78,21 @@ class Rows(NamedTuple):
             parts.append(E.sum(axis=0) / len(E))
         return self.const + np.concatenate(parts)
 
-    def segment_losses(self, counts: np.ndarray) -> np.ndarray:
+    def segment_losses(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Mean loss of every segment of the rows (see `segment_grads`)."""
-        return _segment_means(self.losses, counts) + self.reg
+        return _segment_means(self.losses, starts, counts) + self.reg
 
-    def segment_grads(self, counts: np.ndarray, sel=slice(None)) -> np.ndarray:
+    def segment_grads(self, starts: np.ndarray, counts: np.ndarray, sel=slice(None)) -> np.ndarray:
         """Mean gradient of every segment of the rows `sel`, one row each:
-        segment k holds the next counts[k] of them.  The sums run in row
-        order, so they can differ from `grad` in the last bits."""
+        segment k holds counts[k] of them from starts[k] on.  The sums run in
+        row order, so they can differ from `grad` in the last bits."""
         parts = []
         for A, E in self.blocks:
             E = E[sel]
             if A is not None:
                 outer = A[sel][:, :, None] * E[:, None, :]
-                parts.append(_segment_means(outer.reshape(len(E), -1), counts))
-            parts.append(_segment_means(E, counts))
+                parts.append(_segment_means(outer.reshape(len(E), -1), starts, counts))
+            parts.append(_segment_means(E, starts, counts))
         return self.const + np.hstack(parts)
 
     def dev_sq(self, g: np.ndarray) -> np.ndarray:
@@ -260,16 +259,18 @@ def node_grads(model: Model, Z: np.ndarray, batch: Batch, layout: NodeRows, sel:
     Z = np.asarray(Z, dtype=float)
     full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
     nodes, starts, counts, owner = layout
+    if not len(drawn) or drawn.min() < 1 or drawn.sum() != len(sel):
+        raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
+    sel_starts = np.cumsum(drawn) - drawn
     if isinstance(model, MlpModel):
-        sel_ends = np.cumsum(drawn).tolist()
-        for i, a, c, e, k in zip(nodes.tolist(), starts.tolist(), counts.tolist(), sel_ends,
-                                 drawn.tolist()):
+        for i, a, c, s, k in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
+                                 sel_starts.tolist(), drawn.tolist()):
             rows = row_pass(model, Z[i], (X[a : a + c], y[a : a + c]))
-            full[i], batch_mean[i] = rows.grad(), rows.grad(sel[e - k : e] - a)
+            full[i], batch_mean[i] = rows.grad(), rows.grad(sel[s : s + k] - a)
         return full, batch_mean
     rows = model.rows(Z[nodes], X, y, owner=owner)
-    full[nodes] = rows.segment_grads(counts)
-    batch_mean[nodes] = rows.segment_grads(drawn, sel)
+    full[nodes] = rows.segment_grads(starts, counts)
+    batch_mean[nodes] = rows.segment_grads(sel_starts, drawn, sel)
     return full, batch_mean
 
 

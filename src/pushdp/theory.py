@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import OutOfRegimeError
 from .models import (
-    Dataset, LogisticModel, Model, QuadraticModel, loss_and_grad, node_sorted, row_pass,
+    Dataset, LogisticModel, MlpModel, Model, QuadraticModel, node_sorted, row_pass,
 )
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, alpha_at, beta_at, inverse_square_sum
 
@@ -283,18 +283,25 @@ def corollary_regime(
 # ------------------------------------------------- empirical estimation
 
 
+# The constants of summary.theory.estimated that are exact or closed upper
+# bounds, per model type; the others are maxima over probe points.
+CERTIFIED = {QuadraticModel: ("L", "a", "m", "F0"), LogisticModel: ("L", "F0"),
+             MlpModel: ("F0",)}
+
+
 def estimate_theory_params(
     model: Model, dataset: Dataset, node_indices: List[np.ndarray], x0: np.ndarray, propagation,
-    rng: np.random.Generator, n_probe: int = 8, radius: float = 1.0, f_star_steps: int = 400,
+    rng: np.random.Generator, n_probe: int = 8, radius: float = 1.0,
 ) -> TheoryParams:
     """Estimate (L, a, m, F0) on the generated problem.
 
     L is exact for the quadratic model (max eigenvalue of A) and a closed
     bound for logistic; otherwise an empirical ratio over probe pairs.  The
     heterogeneity constants a and m are brute-force maxima over probe points
-    near x0, each probe one model pass over the node-sorted training rows.
-    f* comes from the exact minimizer when available, else from a long
-    noiseless full-batch descent.
+    near x0, each probe one model pass over the node-sorted training rows
+    (exact for the quadratic model, whose deviations do not depend on x).
+    F0 = f(x0) - f* takes f(x0) from the pass at x0 and f* from the exact
+    minimizer for the quadratic model; the other losses are >= 0, so f* = 0.
     """
     X, y, segments = node_sorted(dataset, [idx for idx in node_indices if len(idx)])
     probes = [x0] + [x0 + radius * rng.normal(size=x0.shape) for _ in range(n_probe)]
@@ -304,41 +311,29 @@ def estimate_theory_params(
         gs = [rows.grad(seg) for seg in segments]
         return np.mean(gs, axis=0), gs, rows
 
-    empirical_L = False
+    L = F0 = 0.0
     if isinstance(model, QuadraticModel):
         L = model.lipschitz()
+        x_star = np.linalg.solve(model.A, model.b - X.mean(axis=0))
+        F0 = -row_pass(model, x_star, (X, y), grad=False).loss()  # the pass at x0 adds f(x0)
     elif isinstance(model, LogisticModel):
         L = model.lipschitz_bound(dataset.features)
-    else:
-        L, empirical_L = 0.0, True
 
     a_sq = 0.0
     m_sq = 0.0
     for x in probes:
         g, per_node, rows = global_grad(x)
+        if x is x0:
+            F0 += rows.loss()
         a_sq = max(a_sq, max(float(np.sum((gi - g) ** 2)) for gi in per_node))
         dev = rows.dev_sq(g)
         del rows  # free its row pieces before the pass at x_near
         m_sq = max(m_sq, float(np.mean([dev[seg].max() for seg in segments])))
-        if empirical_L:
+        if isinstance(model, MlpModel):  # no closed L: a ratio over probe pairs
             x_near = x + 0.5 * radius * rng.normal(size=x.shape)
             denom = np.linalg.norm(x - x_near)
             if denom > 0:
                 L = max(L, float(np.linalg.norm(g - global_grad(x_near)[0]) / denom))
-
-    f0 = loss_and_grad(model, x0, (X, y))[0]
-    if isinstance(model, QuadraticModel):
-        x_star = np.linalg.solve(model.A, model.b - X.mean(axis=0))
-        f_star = loss_and_grad(model, x_star, (X, y))[0]
-    else:
-        params = x0.copy()
-        step = 1.0 / max(L, 1e-9)
-        f_star = f0
-        for _ in range(f_star_steps):
-            loss, g = loss_and_grad(model, params, (X, y))
-            f_star = min(f_star, loss)
-            params = params - step * g
-        f_star = min(f_star, loss_and_grad(model, params, (X, y))[0])
 
     return TheoryParams(
         L=float(L),
@@ -346,7 +341,7 @@ def estimate_theory_params(
         m=float(np.sqrt(m_sq)),
         C=propagation.c_bound,
         q=propagation.q,
-        F0=max(float(f0 - f_star), 0.0),
+        F0=max(float(F0), 0.0),
         d=int(np.size(x0)),
         x0_norm=float(np.linalg.norm(x0)),
     )

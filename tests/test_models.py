@@ -105,12 +105,13 @@ class TestRowPass:
 
     @pytest.mark.parametrize("case, expected", [
         ("ring8", {"m": 4.305551487357075, "a": 1.357657190186812,
-                   "L": 1.5892306979204425, "F0": 0.5841483370541595}),
+                   "L": 1.5892306979204425, "F0": np.log(2)}),
         ("mlp8", {"m": 40.256718671273454, "a": 2.7090955421309704,
-                  "L": 0.13040623461464354, "F0": 0.0}),
+                  "L": 0.13040623461464354, "F0": np.log(3)}),
     ])
     def test_theory_estimates_at_seed_zero(self, case, expected):
-        # the estimates of the per-sample loop that the row pass replaced
+        # L, a and m are the estimates of the per-sample loop that the row
+        # pass replaced; F0 = f(x0), the loss of 2 or 3 classes at x0 = 0
         if case == "ring8":
             cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs/logistic-ring.ini"))
         else:
@@ -147,11 +148,13 @@ class TestNodeGrads:
             assert np.allclose(drawn[1], full[1], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
-    def test_segments_must_split_the_rows(self, counts):
+    def test_segments_must_split_the_rows(self, counts, rng):
+        # a batch layout is checked once, where node_grads computes its starts
         model, data = ROW_CASES[1]
-        rows = row_pass(model, np.zeros(model.dim), (data.features, data.labels))
+        layout = node_rows([30])
         with pytest.raises(ValueError, match="do not split 30 rows"):
-            rows.segment_grads(np.array(counts, dtype=int))
+            node_grads(model, rng.normal(size=(1, model.dim)), (data.features, data.labels),
+                       layout, np.arange(30), np.array(counts, dtype=np.intp))
 
 
 class TestSampleBatch:

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pushdp import models, theory
 from pushdp.errors import OutOfRegimeError
 from pushdp.fusion import ClipConfig, noise_factor
-from pushdp.models import PartitionSpec, dirichlet_partition, make_quadratic_model, make_synthetic
+from pushdp.models import (
+    LogisticModel, MlpModel, PartitionSpec, dirichlet_partition, make_quadratic_model,
+    make_synthetic, row_pass,
+)
 from pushdp.privacy import LrSchedule, NoiseSchedule, PrivacyBudget
 from pushdp.theory import (
     TheoryParams,
@@ -225,3 +231,73 @@ class TestEstimation:
         assert est.F0 == pytest.approx(hand_F0, rel=1e-9)
         assert est.a >= 0 and est.m >= est.a * 0  # finite, non-negative
         assert est.C == prop.c_bound and est.q == prop.q
+
+    @staticmethod
+    def _problem(kind, seed=6):
+        """A small problem of each model kind, split over 4 nodes."""
+        if kind == "quadratic":
+            model, data = make_quadratic_model(4, seed=seed), make_synthetic("quadratic", 120, 4, seed)
+        elif kind == "logistic":
+            model, data = LogisticModel(n_features=4, l2=0.05), make_synthetic("blobs", 120, 4, seed)
+        else:
+            model = MlpModel(n_features=3, hidden=5, classes=3)
+            data = make_synthetic("blobs", 120, 3, seed, classes=3)
+        parts = dirichlet_partition(data.labels, PartitionSpec(alpha_conc=1.0, n=4, seed=seed))
+        return model, data, parts
+
+    @pytest.mark.parametrize("kind, grad_passes, loss_passes",
+                             [("quadratic", 4, 1), ("logistic", 4, 0), ("mlp", 8, 0)])
+    def test_model_passes(self, kind, grad_passes, loss_passes, monkeypatch):
+        # one pass per probe (the first at x0 also gives f(x0)), plus the MLP's
+        # pass per probe for its empirical L and the quadratic's loss at x*
+        model, data, parts = self._problem(kind)
+        passes, rows = [], type(model).rows
+
+        def counted(self, params, X, y, grad=True, **kwargs):
+            passes.append(grad)
+            return rows(self, params, X, y, grad, **kwargs)
+
+        def forbidden(*args):
+            raise AssertionError("loss_and_grad called")
+
+        monkeypatch.setattr(type(model), "rows", counted)
+        monkeypatch.setattr(models, "loss_and_grad", forbidden)
+        monkeypatch.setattr(theory, "loss_and_grad", forbidden, raising=False)
+        estimate_theory_params(model, data, parts, np.zeros(model.dim),
+                               PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3),
+                               np.random.default_rng(0), n_probe=3)
+        assert (passes.count(True), passes.count(False)) == (grad_passes, loss_passes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["logistic", "mlp"]), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.0, 50.0))
+    def test_F0_is_f_x0_for_non_negative_losses(self, kind, seed, scale):
+        # the certificate's premise: every row loss and the regulariser are
+        # >= 0, so f* >= 0 and f(x0) bounds f(x0) - f*
+        model, data, parts = self._problem(kind, seed)
+        x0 = np.random.default_rng(seed).normal(scale=scale, size=model.dim)
+        rows = row_pass(model, x0, (data.features, data.labels), grad=False)
+        assert rows.losses.min() >= 0.0 and rows.reg >= 0.0
+        est = estimate_theory_params(model, data, parts, x0,
+                                     PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3),
+                                     np.random.default_rng(0), n_probe=1)
+        assert est.F0 == pytest.approx(rows.loss(), rel=1e-12)
+
+    def test_quadratic_a_and_m_are_exact(self, rng):
+        # row j's gradient is Ax - b + c_j, so the deviations c_j - mean c,
+        # and the probe maxima a and m built from them, do not depend on x
+        model, data, parts = self._problem("quadratic")
+        batch = (data.features, data.labels)
+
+        def deviations(x):
+            rows = row_pass(model, x, batch)
+            return rows.dev_sq(rows.grad())
+
+        x = rng.normal(scale=3.0, size=model.dim)
+        assert deviations(x) == pytest.approx(deviations(np.zeros(model.dim)), rel=1e-12)
+        prop = PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3)
+        at_x0, probed = (estimate_theory_params(model, data, parts, np.zeros(model.dim), prop,
+                                                np.random.default_rng(0), n_probe=k)
+                         for k in (0, 8))
+        assert probed.a == pytest.approx(at_x0.a, rel=1e-12)
+        assert probed.m == pytest.approx(at_x0.m, rel=1e-12)
