@@ -54,7 +54,6 @@ from .privacy import (
     calibrate_sigma,
     delta_bound,
     epsilon_spent,
-    lr_at,
     moments_bound,
     starts_interval,
 )

@@ -59,9 +59,9 @@ def _write_json(path, payload):
 
 
 def _seed_list(text: str) -> list:
-    """argparse type of --seeds: a comma list of non-negative integers."""
+    """argparse type of --seeds: a non-empty comma list of non-negative integers."""
     parts = [s.strip() for s in text.split(",") if s.strip()]
-    if not all(p.isdecimal() for p in parts):
+    if not parts or not all(p.isdecimal() for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected a comma list of non-negative integers, got {text!r}"
         )

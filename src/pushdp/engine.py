@@ -18,15 +18,15 @@ from typing import List, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .config import ExperimentConfig
+from .config import ExperimentConfig, to_sections
 from .errors import ConfigurationError, NumericalBreakdownError, OutOfRegimeError
 from .fusion import (
     REPORTED_TAU, clip, decay_threshold, fuse, noise_factor, perturb, select_tau, staleness_bound,
 )
 from .models import (
     BatchDraws, Dataset, LogisticModel, MlpModel, Model, PartitionSpec, accuracy,
-    dirichlet_partition, load_csv, make_quadratic_model, make_synthetic, node_grads, node_rows,
-    node_sorted, partition_report, row_pass, split_test,
+    dirichlet_partition, load_csv, make_quadratic_model, make_synthetic, node_grads, node_sorted,
+    partition_report, row_pass, split_test,
 )
 from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent, starts_interval
 from .pushsum import mix_round, sq_deviations
@@ -102,7 +102,7 @@ def _node_sigmas(config: ExperimentConfig) -> List[float]:
     return [calibrate_sigma(b, config.clip.g0, config.noise) for b in config.budgets]
 
 
-def _theory_block(config, model, dataset, x0, master_seed):
+def _theory_block(config, model, dataset, batch, layout, x0, master_seed):
     """Propagation constants plus estimated problem constants; returns
     (summary-dict, TheoryParams or None)."""
     block = {"enabled": True, "in_regime": False, "warning": None}
@@ -118,7 +118,7 @@ def _theory_block(config, model, dataset, x0, master_seed):
     except OutOfRegimeError as exc:
         block["warning"] = f"theory calculators disabled: {exc}"
         return block, None
-    params = estimate_theory_params(model, dataset, dataset.node_indices, x0, prop,
+    params = estimate_theory_params(model, dataset, batch, layout, x0, prop,
                                     rngmod.stream(master_seed, 0, 0, rngmod.THEORY))
     block["in_regime"] = True
     block["propagation"] = {"lambda": prop.lam, "q": prop.q, "c_bound": prop.c_bound,
@@ -147,7 +147,8 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
 
     model = build_model(config, seed)
     dataset = build_dataset(config, seed)
-    occupied = np.array([len(idx) > 0 for idx in dataset.node_indices])
+    # the training rows sorted by node, and where each occupied node's lie
+    train_X, train_y, layout = node_sorted(dataset)
     sigmas = _node_sigmas(config)
 
     # every node starts from the shared x0 with unit weight, so Z = X
@@ -157,15 +158,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     Z = X.copy()
 
     theory_summary, theory_params = (
-        _theory_block(config, model, dataset, x0, seed)
+        _theory_block(config, model, dataset, (train_X, train_y), layout, x0, seed)
         if config.run.theory
         else ({"enabled": False, "in_regime": False, "warning": None}, None)
     )
 
     matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
-    # the training rows sorted by node, and where each occupied node's lie
-    train_X, train_y, _ = node_sorted(dataset, dataset.node_indices)
-    layout = node_rows([len(idx) for idx in dataset.node_indices])
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -202,7 +200,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
             gen.standard_normal(out=Noise[i])
         Noise *= sigma_column  # as normal(0, sigma) draws it: 0.0 + sigma * z
         Full, Grad = node_grads(model, Z, (train_X, train_y), layout, sel, drawn)
-        mean_sq = float(np.mean(np.einsum("ij,ij->i", Full[occupied], Full[occupied])))
+        mean_sq = float(np.mean(np.einsum("ij,ij->i", Full[layout.nodes], Full[layout.nodes])))
         test_acc = None
         if dataset.test_features is not None:
             test_acc = accuracy(model, xbar, dataset.test_features, dataset.test_labels)
@@ -210,10 +208,10 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
 
         # clip, perturb, fuse and half-step on all nodes at once
         clipped, resid = clip(Grad, G)
-        active = clipped[occupied]
+        active = clipped[layout.nodes]
         d_tau_t = 0.0
         for past in interval_clips:
-            d_tau_t = max(d_tau_t, float(np.max(np.sum((active - past) ** 2, axis=1))))
+            d_tau_t = max(d_tau_t, float(np.max(sq_deviations(active, past))))
         interval_clips.append(active)
         noisy = perturb(clipped, alpha_inj, Noise)
         F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
@@ -232,12 +230,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         records.append(MetricsRecord(
             t=t, mean_sq_grad_norm=mean_sq, consensus_error=cons, train_loss=train_loss,
             test_accuracy=test_acc, current_g=G, alpha_injected=alpha_inj, eta_t=eta_t,
-            clip_residual_mean=float(np.mean(resid[occupied])), empirical_d_tau=d_tau_t,
+            clip_residual_mean=float(np.mean(resid[layout.nodes])), empirical_d_tau=d_tau_t,
         ))
         if vrsgp:
             G = decay_threshold(config.clip, G)
 
-    summary = _summarize(config, seed, sigmas, records, theory_summary, theory_params, occupied)
+    summary = _summarize(config, seed, sigmas, records, theory_summary, theory_params, layout)
     return RunResult(
         records=records,
         summary=summary,
@@ -269,9 +267,7 @@ def _running_sum(values) -> float:
     return reduce(operator.add, values, 0.0)
 
 
-def _summarize(config, seed, sigmas, records, theory_summary, theory_params, occupied):
-    from .config import to_sections  # local import to keep module load light
-
+def _summarize(config, seed, sigmas, records, theory_summary, theory_params, layout):
     last = records[-1]
     upsilon_total = _running_sum(r.clip_residual_mean for r in records)
     rho_total = 0.0
@@ -296,7 +292,7 @@ def _summarize(config, seed, sigmas, records, theory_summary, theory_params, occ
         "final_consensus_error": last.consensus_error,
         "upsilon_total": upsilon_total,
         "rho_total_bound": rho_total,
-        "empty_nodes": np.flatnonzero(~occupied).tolist(),
+        "empty_nodes": np.setdiff1d(np.arange(config.n), layout.nodes).tolist(),
         "errata": {
             "optimal_p_relation": OPTIMAL_P_ERRATUM,
             "tau_intervals": {

@@ -161,7 +161,8 @@ class LogisticModel:
         losses = np.logaddexp(0.0, margin) - y * margin
         if not grad:
             return Rows(losses, reg)
-        resid = 1.0 / (1.0 + np.exp(-margin)) - y
+        with np.errstate(over="ignore"):  # exp(-m) = inf below m = -709: p_j is 0 there
+            resid = 1.0 / (1.0 + np.exp(-margin)) - y
         const = self.l2 * params
         const[..., -1] = 0.0
         return Rows(losses, reg, const, ((X, resid[:, None]),))
@@ -290,15 +291,6 @@ class Dataset:
             raise ValueError("features and labels disagree in length")
 
 
-def node_sorted(dataset: Dataset, node_indices: List[np.ndarray]):
-    """The training rows sorted by node, as (features, labels, slices): node
-    k's rows are features[slices[k]], in the order node_indices[k] lists."""
-    order = np.concatenate(node_indices)
-    ends = np.cumsum([len(idx) for idx in node_indices])
-    slices = [slice(end - len(idx), end) for end, idx in zip(ends, node_indices)]
-    return dataset.features[order], dataset.labels[order], slices
-
-
 def sample_batch(indices: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
     """Poisson-style batch draw: each sample joins independently with
     probability ratio.  An empty draw is retried once; a second empty draw
@@ -336,14 +328,24 @@ def node_rows(sizes) -> NodeRows:
                     np.repeat(np.arange(len(nodes)), counts))
 
 
+def node_sorted(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray, NodeRows]:
+    """The training rows sorted by node, as (features, labels, layout): node
+    layout.nodes[k] holds the layout.counts[k] rows from layout.starts[k]
+    on, in the order its dataset.node_indices entry lists."""
+    order = np.concatenate(dataset.node_indices)
+    layout = node_rows([len(idx) for idx in dataset.node_indices])
+    return dataset.features[order], dataset.labels[order], layout
+
+
 class BatchDraws:
     """Every occupied node's batch draw of a round, at once.
 
     Node layout.nodes[k] draws the same rows as `sample_batch` over its row
-    positions at its ratio on `streams.at(node, t)`.  Each node's first draw
-    goes into one uniform per row, and one mask over all rows selects; a node
-    whose first draw comes up empty is replayed through `sample_batch` on
-    its repositioned stream, so the retry and the forced pick stay its own.
+    positions at its ratio on the generator `streams.each(t, [node])` sets.
+    Each node's first draw goes into one uniform per row, and one mask over
+    all rows selects; a node whose first draw comes up empty is replayed
+    through `sample_batch` on its repositioned stream, so the retry and the
+    forced pick stay its own.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -480,9 +482,10 @@ def split_test(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         return dataset
     N = len(dataset.labels)
     n_test = int(round(N * fraction))
-    if n_test >= N:
+    if not 0 < n_test < N:
+        side = "test" if n_test == 0 else "training"
         raise ConfigurationError(
-            f"data.test_fraction: {fraction} leaves no training sample out of {N}"
+            f"data.test_fraction: {fraction} leaves no {side} sample out of {N}"
         )
     perm = rngmod.stream(seed, 2, 0, rngmod.DATA).permutation(N)
     test, train = perm[:n_test], perm[n_test:]

@@ -114,11 +114,6 @@ def beta_at(schedule: NoiseSchedule, lr: LrSchedule, t: int) -> float:
     return a_t * a_t
 
 
-def lr_at(schedule: NoiseSchedule, lr: LrSchedule, t: int) -> float:
-    """Step size at iteration t: eta / beta(t)."""
-    return lr.eta / beta_at(schedule, lr, t)
-
-
 @lru_cache(maxsize=256)
 def inverse_square_sum(schedule: NoiseSchedule) -> float:
     """Sum of 1/alpha(t)^2 over t = 0..T-1 (the calibration sum)."""

@@ -24,12 +24,6 @@ def sq_deviations(Z: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     return np.sum((Z - xbar) ** 2, axis=1)
 
 
-def consensus_error(X: np.ndarray, Z: np.ndarray) -> float:
-    """Mean squared deviation of the debiased rows of Z from the row average
-    of X."""
-    return float(np.mean(sq_deviations(Z, X.mean(axis=0))))
-
-
 def mix_round(
     X: np.ndarray, w: np.ndarray, P: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -66,9 +66,9 @@ class Streams:
     """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
     t < horizon.  `each(t, nodes)` sets one reused Generator, node after
     node, exactly where `stream(master_seed, node, t, purpose)` starts, so
-    finish a draw before the next node's; `at(node, t)` is the one-node case.
-    The pool hash runs vectorised over one block of whole rounds, derived
-    when first used; the last block stops at the horizon."""
+    finish a draw before the next node's.  The pool hash runs vectorised
+    over one block of whole rounds, derived when first used; the last block
+    stops at the horizon."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -119,6 +119,3 @@ class Streams:
         self._pcg["inc"] = inc
         self._bitgen.state = self._state
         return self._gen
-
-    def at(self, node: int, t: int) -> np.random.Generator:
-        return next(self.each(t, [node]))

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import OutOfRegimeError
 from .models import (
-    Dataset, LogisticModel, MlpModel, Model, QuadraticModel, node_sorted, row_pass,
+    Batch, Dataset, LogisticModel, MlpModel, Model, NodeRows, QuadraticModel, row_pass,
 )
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, alpha_at, beta_at, inverse_square_sum
+from .pushsum import sq_deviations
 
 # The optimal-exponent relation is implemented as p = 1/2 - 2*s, the only
 # form consistent with both the schedule condition s = 1/4 - p/2 and the
@@ -290,33 +291,37 @@ CERTIFIED = {QuadraticModel: ("L", "a", "m", "F0"), LogisticModel: ("L", "F0"),
 
 
 def estimate_theory_params(
-    model: Model, dataset: Dataset, node_indices: List[np.ndarray], x0: np.ndarray, propagation,
+    model: Model, dataset: Dataset, batch: Batch, layout: NodeRows, x0: np.ndarray, propagation,
     rng: np.random.Generator, n_probe: int = 8, radius: float = 1.0,
 ) -> TheoryParams:
     """Estimate (L, a, m, F0) on the generated problem.
 
-    L is exact for the quadratic model (max eigenvalue of A) and a closed
-    bound for logistic; otherwise an empirical ratio over probe pairs.  The
-    heterogeneity constants a and m are brute-force maxima over probe points
-    near x0, each probe one model pass over the node-sorted training rows
-    (exact for the quadratic model, whose deviations do not depend on x).
-    F0 = f(x0) - f* takes f(x0) from the pass at x0 and f* from the exact
-    minimizer for the quadratic model; the other losses are >= 0, so f* = 0.
+    batch holds the training rows of dataset sorted by node, as `layout`
+    describes (see `models.node_sorted`).  L is exact for the quadratic model
+    (max eigenvalue of A) and a closed bound for logistic; otherwise an
+    empirical ratio over probe pairs.  The heterogeneity constants a and m
+    are brute-force maxima over probe points near x0, each probe one model
+    pass over the sorted rows (exact for the quadratic model, whose
+    deviations do not depend on x).  F0 = f(x0) - f* takes f(x0) from the
+    pass at x0 and f* from the exact minimizer for the quadratic model; the
+    other losses are >= 0, so f* = 0.
     """
-    X, y, segments = node_sorted(dataset, [idx for idx in node_indices if len(idx)])
+    spans = list(zip(layout.starts.tolist(), (layout.starts + layout.counts).tolist()))
     probes = [x0] + [x0 + radius * rng.normal(size=x0.shape) for _ in range(n_probe)]
 
     def global_grad(params):
-        rows = row_pass(model, params, (X, y))
-        gs = [rows.grad(seg) for seg in segments]
-        return np.mean(gs, axis=0), gs, rows
+        rows = row_pass(model, params, batch)
+        per_node = np.array([rows.grad(slice(a, b)) for a, b in spans])
+        return per_node.mean(axis=0), per_node, rows
 
     L = F0 = 0.0
     if isinstance(model, QuadraticModel):
         L = model.lipschitz()
-        x_star = np.linalg.solve(model.A, model.b - X.mean(axis=0))
-        F0 = -row_pass(model, x_star, (X, y), grad=False).loss()  # the pass at x0 adds f(x0)
+        x_star = np.linalg.solve(model.A, model.b - batch[0].mean(axis=0))
+        F0 = -row_pass(model, x_star, batch, grad=False).loss()  # the pass at x0 adds f(x0)
     elif isinstance(model, LogisticModel):
+        # over the rows in dataset order: the sorted rows sum in another order
+        # and move the bound in its last bits
         L = model.lipschitz_bound(dataset.features)
 
     a_sq = 0.0
@@ -325,10 +330,10 @@ def estimate_theory_params(
         g, per_node, rows = global_grad(x)
         if x is x0:
             F0 += rows.loss()
-        a_sq = max(a_sq, max(float(np.sum((gi - g) ** 2)) for gi in per_node))
+        a_sq = max(a_sq, float(sq_deviations(per_node, g).max()))
         dev = rows.dev_sq(g)
         del rows  # free its row pieces before the pass at x_near
-        m_sq = max(m_sq, float(np.mean([dev[seg].max() for seg in segments])))
+        m_sq = max(m_sq, float(np.mean(np.maximum.reduceat(dev, layout.starts))))
         if isinstance(model, MlpModel):  # no closed L: a ratio over probe pairs
             x_near = x + 0.5 * radius * rng.normal(size=x.shape)
             denom = np.linalg.norm(x - x_near)

@@ -297,7 +297,15 @@ class TestCliRun:
             "run failed (seed 3): data.test_fraction: 0.999 leaves no training sample out of 160\n"
         )
 
-    @pytest.mark.parametrize("seeds", ["-3", "1,x"])
+    def test_test_split_leaving_no_test_sample_is_rejected(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("test_fraction = 0.25", "test_fraction = 0.001")
+        code = main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "run failed (seed 3): data.test_fraction: 0.001 leaves no test sample out of 160\n"
+        )
+
+    @pytest.mark.parametrize("seeds", ["-3", "1,x", "", ","])
     def test_bad_seed_list_is_usage_error(self, tmp_path, capsys, seeds):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", write_config(tmp_path), "--seeds", seeds,

@@ -21,6 +21,7 @@ from pushdp.models import (
     make_synthetic,
     node_grads,
     node_rows,
+    node_sorted,
     partition_report,
     row_pass,
     sample_batch,
@@ -118,8 +119,9 @@ class TestRowPass:
             cfg = make_config(model=ModelSpec(kind="mlp", features=20, hidden=64, classes=3),
                               data=DataSpec(kind="blobs", n_samples=3000, test_fraction=0.2))
         model, dataset = build_model(cfg, 0), build_dataset(cfg, 0)
+        X, y, layout = node_sorted(dataset)
         got = estimate_theory_params(
-            model, dataset, dataset.node_indices, np.zeros(model.dim),
+            model, dataset, (X, y), layout, np.zeros(model.dim),
             PropagationParams(lam=0.9, q=0.3, c_bound=10.0, U=3), rngmod.stream(0, 0, 0, rngmod.THEORY),
         )
         for name, value in expected.items():
@@ -206,6 +208,17 @@ class TestBatchDraws:
     def test_layout_of_the_occupied_nodes(self):
         layout = node_rows([0, 2, 0, 3])
         assert [a.tolist() for a in layout] == [[1, 3], [0, 2], [2, 3], [0, 0, 1, 1, 1]]
+        # node_sorted on a partition whose first and last nodes are empty
+        data = make_synthetic("blobs", 9, 2, seed=3)
+        data.node_indices = [np.array([], dtype=int), np.array([4, 7]), np.array([], dtype=int),
+                             np.array([8, 0, 2]), np.array([5]), np.array([], dtype=int)]
+        X, y, got = node_sorted(data)
+        sizes = [len(idx) for idx in data.node_indices]
+        assert all(np.array_equal(a, b) for a, b in zip(got, node_rows(sizes)))
+        assert got.nodes.tolist() == [1, 3, 4]
+        for i, a, c in zip(got.nodes, got.starts, got.counts):
+            assert np.array_equal(X[a : a + c], data.features[data.node_indices[i]])
+            assert np.array_equal(y[a : a + c], data.labels[data.node_indices[i]])
 
     @pytest.mark.parametrize("ratio", [0.0, 1.5])
     def test_rejects_ratio_outside_unit_interval(self, ratio):
@@ -314,10 +327,12 @@ class TestLipschitzTie:
     def test_quadratic_L_matches_spectral_norm(self):
         model = make_quadratic_model(5, seed=2)
         data = make_synthetic("quadratic", 80, 5, seed=2)
-        parts = dirichlet_partition(data.labels, PartitionSpec(alpha_conc=5.0, n=4, seed=2))
+        data.node_indices = dirichlet_partition(data.labels,
+                                                PartitionSpec(alpha_conc=5.0, n=4, seed=2))
+        X, y, layout = node_sorted(data)
         prop = PropagationParams(lam=0.9, q=0.3, c_bound=10.0, U=3)
         params = estimate_theory_params(
-            model, data, parts, np.zeros(5), prop, np.random.default_rng(0), n_probe=3
+            model, data, (X, y), layout, np.zeros(5), prop, np.random.default_rng(0), n_probe=3
         )
         # independent route: spectral norm via SVD
         assert abs(params.L - np.linalg.norm(model.A, 2)) <= 1e-8

@@ -14,7 +14,6 @@ from pushdp.privacy import (
     beta_sum_dominance,
     calibrate_sigma,
     delta_bound,
-    lr_at,
     moments_bound,
 )
 from pushdp.verify import random_schedule
@@ -82,16 +81,17 @@ class TestLr:
     def test_division(self):
         sched = NoiseSchedule(form="power", T=50, s=0.0, K=2.0)
         lr = LrSchedule(eta=0.1, xi=0.5)
-        assert lr_at(sched, lr, 7) == pytest.approx(0.1 / 2.0, abs=1e-15)
+        assert lr.eta / beta_at(sched, lr, 7) == pytest.approx(0.1 / 2.0, abs=1e-15)
 
     def test_constant_when_s_zero(self):
         sched = NoiseSchedule(form="power", T=50, s=0.0, K=1.0)
         lr = LrSchedule(eta=0.1, xi=0.5)
-        assert {lr_at(sched, lr, t) for t in range(50)} == {0.1}
+        assert {lr.eta / beta_at(sched, lr, t) for t in range(50)} == {0.1}
 
     def test_power_example(self):
         lr = LrSchedule(eta=1.0, xi=0.5)
-        assert lr_at(power(), lr, 40) == pytest.approx(1.0 / (40 * 60) ** 0.25, rel=1e-12)
+        assert lr.eta / beta_at(power(), lr, 40) == pytest.approx(1.0 / (40 * 60) ** 0.25,
+                                                                  rel=1e-12)
 
 
 class TestCalibration:

@@ -48,7 +48,7 @@ def test_bulk_slots_match_stream(seed, n):
         for node, t in slots(n, picker, 12):
             k = int(picker.integers(1, 6)) * 2 + 1
             ref = rngmod.stream(seed, node, t, purpose)
-            got = draws(streams.at(node, t), k)
+            got = draws(next(streams.each(t, [node])), k)
             for a, b in zip(got, draws(ref, k)):
                 assert np.array_equal(a, b), (seed, n, purpose, node, t)
 
@@ -104,7 +104,7 @@ def test_last_one_word_t_matches_stream():
     # horizon 2^32
     streams = rngmod.Streams(2**40 + 3, rngmod.NOISE, 3)
     ref = rngmod.stream(2**40 + 3, 2, 2**32 - 1, rngmod.NOISE)
-    assert np.array_equal(streams.at(2, 2**32 - 1).normal(size=9), ref.normal(size=9))
+    assert np.array_equal(next(streams.each(2**32 - 1, [2])).normal(size=9), ref.normal(size=9))
 
 
 @pytest.mark.parametrize("args", [(-1, rngmod.BATCH, 4), (0, 2**32, 4), (0, -1, 4),
@@ -118,7 +118,7 @@ def test_rejects_fields_outside_one_word(args):
 @pytest.mark.parametrize("node, t", [(4, 0), (-1, 0), (0, -1), (0, 2**32)])
 def test_rejects_slots_outside_one_word(node, t):
     with pytest.raises(ValueError):
-        rngmod.Streams(0, rngmod.BATCH, 4).at(node, t)
+        next(rngmod.Streams(0, rngmod.BATCH, 4).each(t, [node]))
 
 
 def derived_blocks(monkeypatch):
@@ -143,10 +143,10 @@ def test_last_block_stops_at_the_horizon(monkeypatch):
     for t in range(T):
         for node in range(n):
             ref = rngmod.stream(7, node, t, rngmod.NOISE)
-            assert np.array_equal(streams.at(node, t).normal(size=3), ref.normal(size=3))
+            assert np.array_equal(next(streams.each(t, [node])).normal(size=3), ref.normal(size=3))
     assert blocks == [(rngmod.NOISE, 0, 12), (rngmod.NOISE, 4, 12), (rngmod.NOISE, 8, 3)]
     with pytest.raises(ValueError, match="t < 9"):
-        streams.at(0, T)
+        next(streams.each(T, [0]))
 
 
 def test_ring_config_derives_only_its_rounds(monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushdp import models, theory
@@ -10,7 +10,7 @@ from pushdp.errors import OutOfRegimeError
 from pushdp.fusion import ClipConfig, noise_factor
 from pushdp.models import (
     LogisticModel, MlpModel, PartitionSpec, dirichlet_partition, make_quadratic_model,
-    make_synthetic, row_pass,
+    make_synthetic, node_sorted, row_pass,
 )
 from pushdp.privacy import LrSchedule, NoiseSchedule, PrivacyBudget
 from pushdp.theory import (
@@ -218,11 +218,13 @@ class TestEstimation:
     def test_quadratic_F0_exact(self):
         model = make_quadratic_model(4, seed=6)
         data = make_synthetic("quadratic", 120, 4, seed=6, spread=0.1)
-        parts = dirichlet_partition(data.labels, PartitionSpec(alpha_conc=5.0, n=4, seed=6))
+        data.node_indices = dirichlet_partition(data.labels,
+                                                PartitionSpec(alpha_conc=5.0, n=4, seed=6))
+        X, y, layout = node_sorted(data)
         prop = PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3)
         x0 = np.zeros(4)
         est = estimate_theory_params(
-            model, data, parts, x0, prop, np.random.default_rng(0), n_probe=3
+            model, data, (X, y), layout, x0, prop, np.random.default_rng(0), n_probe=3
         )
         # hand solve: occupied nodes cover everything, features centered, so
         # x* = A^-1 b and F0 = f(0) - f(x*) = 0.5 b' A^-1 b
@@ -234,7 +236,8 @@ class TestEstimation:
 
     @staticmethod
     def _problem(kind, seed=6):
-        """A small problem of each model kind, split over 4 nodes."""
+        """A small problem of each model kind, split over 4 nodes, and its
+        node-sorted rows."""
         if kind == "quadratic":
             model, data = make_quadratic_model(4, seed=seed), make_synthetic("quadratic", 120, 4, seed)
         elif kind == "logistic":
@@ -242,15 +245,17 @@ class TestEstimation:
         else:
             model = MlpModel(n_features=3, hidden=5, classes=3)
             data = make_synthetic("blobs", 120, 3, seed, classes=3)
-        parts = dirichlet_partition(data.labels, PartitionSpec(alpha_conc=1.0, n=4, seed=seed))
-        return model, data, parts
+        data.node_indices = dirichlet_partition(data.labels,
+                                                PartitionSpec(alpha_conc=1.0, n=4, seed=seed))
+        X, y, layout = node_sorted(data)
+        return model, data, (X, y), layout
 
     @pytest.mark.parametrize("kind, grad_passes, loss_passes",
                              [("quadratic", 4, 1), ("logistic", 4, 0), ("mlp", 8, 0)])
     def test_model_passes(self, kind, grad_passes, loss_passes, monkeypatch):
         # one pass per probe (the first at x0 also gives f(x0)), plus the MLP's
         # pass per probe for its empirical L and the quadratic's loss at x*
-        model, data, parts = self._problem(kind)
+        model, data, batch, layout = self._problem(kind)
         passes, rows = [], type(model).rows
 
         def counted(self, params, X, y, grad=True, **kwargs):
@@ -263,7 +268,7 @@ class TestEstimation:
         monkeypatch.setattr(type(model), "rows", counted)
         monkeypatch.setattr(models, "loss_and_grad", forbidden)
         monkeypatch.setattr(theory, "loss_and_grad", forbidden, raising=False)
-        estimate_theory_params(model, data, parts, np.zeros(model.dim),
+        estimate_theory_params(model, data, batch, layout, np.zeros(model.dim),
                                PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3),
                                np.random.default_rng(0), n_probe=3)
         assert (passes.count(True), passes.count(False)) == (grad_passes, loss_passes)
@@ -271,14 +276,15 @@ class TestEstimation:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["logistic", "mlp"]), seed=st.integers(0, 2**32 - 1),
            scale=st.floats(0.0, 50.0))
+    @example(kind="logistic", seed=39916799, scale=39.0)  # margins below -709 at x0
     def test_F0_is_f_x0_for_non_negative_losses(self, kind, seed, scale):
         # the certificate's premise: every row loss and the regulariser are
         # >= 0, so f* >= 0 and f(x0) bounds f(x0) - f*
-        model, data, parts = self._problem(kind, seed)
+        model, data, batch, layout = self._problem(kind, seed)
         x0 = np.random.default_rng(seed).normal(scale=scale, size=model.dim)
         rows = row_pass(model, x0, (data.features, data.labels), grad=False)
         assert rows.losses.min() >= 0.0 and rows.reg >= 0.0
-        est = estimate_theory_params(model, data, parts, x0,
+        est = estimate_theory_params(model, data, batch, layout, x0,
                                      PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3),
                                      np.random.default_rng(0), n_probe=1)
         assert est.F0 == pytest.approx(rows.loss(), rel=1e-12)
@@ -286,18 +292,17 @@ class TestEstimation:
     def test_quadratic_a_and_m_are_exact(self, rng):
         # row j's gradient is Ax - b + c_j, so the deviations c_j - mean c,
         # and the probe maxima a and m built from them, do not depend on x
-        model, data, parts = self._problem("quadratic")
-        batch = (data.features, data.labels)
+        model, data, batch, layout = self._problem("quadratic")
 
         def deviations(x):
-            rows = row_pass(model, x, batch)
+            rows = row_pass(model, x, (data.features, data.labels))
             return rows.dev_sq(rows.grad())
 
         x = rng.normal(scale=3.0, size=model.dim)
         assert deviations(x) == pytest.approx(deviations(np.zeros(model.dim)), rel=1e-12)
         prop = PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3)
-        at_x0, probed = (estimate_theory_params(model, data, parts, np.zeros(model.dim), prop,
-                                                np.random.default_rng(0), n_probe=k)
+        at_x0, probed = (estimate_theory_params(model, data, batch, layout, np.zeros(model.dim),
+                                                prop, np.random.default_rng(0), n_probe=k)
                          for k in (0, 8))
         assert probed.a == pytest.approx(at_x0.a, rel=1e-12)
         assert probed.m == pytest.approx(at_x0.m, rel=1e-12)
