@@ -57,16 +57,18 @@ def clip(g: np.ndarray, G: float) -> Tuple[np.ndarray, np.ndarray]:
 
     A row's scaling factor is min(1, G/||row||) and its residual_sq is
     ||(1 - factor) * row||^2, 0 whenever the row is not clipped.  Returns
-    (clipped, residual_sq), of shapes (m, d) and (m,).  Each row norm is the
-    1-D np.linalg.norm of that row, which keeps the result bit-identical to
-    clipping the rows one at a time.
+    (clipped, residual_sq), of shapes (m, d) and (m,).  The norms are
+    sqrt(np.vecdot(g, g)) over C-contiguous rows: vecdot then runs each row
+    through the BLAS dot of its 1-D np.linalg.norm, so the result is
+    bit-identical to clipping the rows one at a time.  Strided rows (whose
+    vecdot path differs in the last bits) are copied to C order first.
     """
     if G <= 0:
         raise ValueError(f"clip threshold must be > 0, got {G}")
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(g, dtype=float, order="C")
     if g.ndim != 2:
         raise ValueError(f"clip expects an (m, d) array of rows, got shape {g.shape}")
-    norms = np.array([np.linalg.norm(row) for row in g])
+    norms = np.sqrt(np.vecdot(g, g))
     factor = np.ones_like(norms)
     over = norms > G
     factor[over] = G / norms[over]

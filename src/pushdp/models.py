@@ -415,17 +415,15 @@ def dirichlet_partition(labels: np.ndarray, spec: PartitionSpec) -> List[np.ndar
 
 def partition_report(labels: np.ndarray, node_indices: List[np.ndarray]) -> dict:
     """Per-node sample counts and class histograms, with empty nodes flagged."""
-    classes = [int(c) for c in np.unique(labels)]
-    nodes = []
-    for i, idx in enumerate(node_indices):
-        hist = {str(c): int(np.sum(labels[idx] == c)) for c in classes}
-        nodes.append({"node": i, "count": int(len(idx)), "classes": hist})
-    return {
-        "n_nodes": len(node_indices),
-        "n_samples": int(sum(len(i) for i in node_indices)),
-        "empty_nodes": [i for i, idx in enumerate(node_indices) if len(idx) == 0],
-        "nodes": nodes,
-    }
+    classes, counts = np.unique(labels), [len(idx) for idx in node_indices]
+    owner = np.repeat(np.arange(len(counts)), counts)  # one bincount over node * C + class
+    codes = owner * len(classes) + np.searchsorted(classes, labels[np.concatenate(node_indices)])
+    hists = np.bincount(codes, minlength=len(counts) * len(classes)).reshape(len(counts), -1)
+    keys = [str(int(c)) for c in classes]
+    nodes = [{"node": i, "count": count, "classes": dict(zip(keys, hist))}
+             for i, (count, hist) in enumerate(zip(counts, hists.tolist()))]
+    return {"n_nodes": len(counts), "n_samples": sum(counts),
+            "empty_nodes": [i for i, count in enumerate(counts) if count == 0], "nodes": nodes}
 
 
 def make_synthetic(

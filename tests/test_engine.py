@@ -249,8 +249,8 @@ class TestNoiseDraws:
     @staticmethod
     def noise_draws(monkeypatch, cfg, seed):
         """Run cfg and list the (node, t) of every NOISE slot it positions, at
-        the round loop's per-round accessor `rng.Streams.each` (which `at`
-        calls too), and the first round of every NOISE block it derives."""
+        the round loop's per-round accessor `rng.Streams.each`, and the first
+        round of every NOISE block it derives."""
         from pushdp import rng as rngmod
 
         drawn, derived = [], []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pushdp.fusion import (
     ClipConfig,
@@ -62,6 +64,62 @@ class TestClip:
                 # direction preserved
                 cos = g @ clipped / (np.linalg.norm(g) * np.linalg.norm(clipped))
                 assert cos == pytest.approx(1.0, abs=1e-12)
+
+
+def _rows(seed, m, d, scale, layout, zero_rows=(), inf_entries=()):
+    """An (m, d) array of normal rows times scale, with the given rows zeroed
+    and +-inf at the given (row, column) pairs, laid out C-ordered,
+    F-ordered or as every other column of a wider array."""
+    g = np.random.default_rng(seed).normal(size=(m, d)) * scale
+    g[[r % m for r in zero_rows]] = 0.0
+    for k, (r, c) in enumerate(inf_entries):
+        g[r % m, c % d] = np.inf if k % 2 else -np.inf
+    if layout == "F":
+        return np.asfortranarray(g)
+    if layout == "strided":
+        wide = np.zeros((m, 2 * d))
+        wide[:, ::2] = g
+        return wide[:, ::2]
+    return g
+
+
+@st.composite
+def clip_cases(draw):
+    m, d = draw(st.integers(1, 40)), draw(st.sampled_from([1, 2, 3, 6, 17, 64, 1539]))
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, d - 1))
+    g = _rows(draw(st.integers(0, 2**32 - 1)), m, d, scale,
+              draw(st.sampled_from(["C", "F", "strided"])),
+              draw(st.lists(st.integers(0, m - 1), max_size=3)), draw(st.lists(cells, max_size=3)))
+    return g, scale * 10.0 ** draw(st.floats(-3.0, 1.0))
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.uint64),
+                          np.asarray(want, dtype=float).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=clip_cases())
+@example(case=(_rows(0, 256, 6, 1.0, "F"), 0.5))
+@example(case=(_rows(1, 256, 6, 1.0, "strided"), 0.5))
+@example(case=(_rows(2, 64, 1539, 1e-3, "F", zero_rows=(5,), inf_entries=((7, 9),)), 1e-3))
+def test_clip_is_the_per_row_norm_formula_bit_for_bit(case):
+    # clip against each row's own 1-D np.linalg.norm and the scalar formula,
+    # whatever the memory layout of g: without clip's C-order copy, F-ordered
+    # and strided rows take vecdot's strided loop.  Overflow and inf * 0 stay
+    # silent here.
+    # The residual is squared by a product, as numpy's array ** 2 does: the
+    # scalar float64 ** 2 goes through pow() and can differ in the last bit.
+    g, G = case
+    with np.errstate(all="ignore"):
+        clipped, residual_sq = clip(g, G)
+        for row, out, res in zip(g, clipped, residual_sq):
+            norm = np.linalg.norm(row)
+            factor = min(1.0, G / norm) if norm > 0 else 1.0
+            removed = (1.0 - factor) * norm
+            assert _same_bits(out, factor * row)
+            assert _same_bits(res, removed * removed)
 
 
 class TestDecay:

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,26 @@ class TestDirichletPartition:
         report = partition_report(labels, parts)
         assert report["empty_nodes"] == [1]
         assert report["nodes"][0]["count"] == 3
+
+    def test_report_matches_per_pair_counts(self):
+        # the same JSON as one count per (node, class), on classes 1, 3, 5, 7
+        # and a partition with empty nodes at both ends and in between
+        labels = np.random.default_rng(3).integers(0, 4, size=300) * 2 + 1
+        parts = dirichlet_partition(labels, PartitionSpec(alpha_conc=0.05, n=12, seed=4))
+        parts = [np.array([], dtype=int), *parts, np.array([], dtype=int)]
+        classes = [int(c) for c in np.unique(labels)]
+        want = {
+            "n_nodes": len(parts),
+            "n_samples": sum(len(idx) for idx in parts),
+            "empty_nodes": [i for i, idx in enumerate(parts) if len(idx) == 0],
+            "nodes": [{"node": i, "count": len(idx),
+                       "classes": {str(c): int(np.sum(labels[idx] == c)) for c in classes}}
+                      for i, idx in enumerate(parts)],
+        }
+        inner_empty = [i for i in want["empty_nodes"] if 0 < i < len(parts) - 1]
+        lacking = [n for n in want["nodes"] if n["count"] and 0 in n["classes"].values()]
+        assert inner_empty and lacking
+        assert json.dumps(partition_report(labels, parts)) == json.dumps(want)
 
 
 class TestSynthetic:

@@ -174,7 +174,7 @@ def test_engine_run_matches_stream_backed_run(monkeypatch):
     bulk = run(cfg, master_seed=seed, record_states=True)
     assert derived == [(p, t0) for t0 in range(0, cfg.T, 2) for p in (rngmod.BATCH, rngmod.NOISE)]
 
-    # `at` calls `each`, so every slot of the reference run comes from `rng.stream`
+    # the run positions every slot through `each`, so the reference run takes each from `rng.stream`
     monkeypatch.setattr(rngmod.Streams, "each", lambda streams, t, nodes: (
         rngmod.stream(streams.master_seed, node, t, streams.purpose) for node in nodes))
     reference = run(cfg, master_seed=seed, record_states=True)
