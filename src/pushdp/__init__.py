@@ -39,7 +39,6 @@ from .models import (
     QuadraticModel,
     dirichlet_partition,
     load_csv,
-    loss_and_grad,
     make_quadratic_model,
     make_synthetic,
     sample_batch,
@@ -66,14 +65,12 @@ from .theory import (
     optimal_p,
 )
 from .topology import (
-    ConnectivityReport,
     DirectedEdgeSet,
     PropagationParams,
     TopologySchedule,
     build_mixing_matrix,
     propagation_params,
     topology_at,
-    verify_joint_connectivity,
 )
 
 __version__ = "0.1.0"

@@ -86,15 +86,14 @@ class RunSpec:
 @dataclass(frozen=True)
 class TopologySpec:
     """The graph kind, with k the static ring's in-degree and path the
-    explicit list's edge file; J and kappa are the connectivity window and
-    the diameter bound the theory block assumes (kappa is measured from the
-    schedule when None).  Other kinds drop k and path."""
+    explicit list's edge file; J is the connectivity window over which the
+    theory block measures the window diameter kappa.  Other kinds drop k and
+    path."""
 
     kind: str  # static-ring | exponential-periodic | explicit-list
     k: Optional[int] = 1
     path: Optional[str] = None
     J: int = 1
-    kappa: Optional[int] = None
 
     def __post_init__(self):
         if self.kind != "static-ring":
@@ -103,8 +102,6 @@ class TopologySpec:
             object.__setattr__(self, "path", None)
         if self.J < 1:
             raise ConfigurationError(f"topology.J: must be >= 1, got {self.J}")
-        if self.kappa is not None and self.kappa < 1:
-            raise ConfigurationError(f"topology.kappa: must be >= 1, got {self.kappa}")
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,9 @@ def _theory_block(config, model, dataset, batch, layout, x0, master_seed):
     try:
         J = config.topology.J
         U = max_out_degree(config.graph)
-        kappa = config.topology.kappa
+        kappa = window_diameter(config.graph, J)
         if kappa is None:
-            kappa = window_diameter(config.graph, J)
-            if kappa is None:
-                raise OutOfRegimeError(f"a window of length J={J} is not strongly connected")
+            raise OutOfRegimeError(f"a window of length J={J} is not strongly connected")
         prop = propagation_params(config.n, U, kappa, J, int(np.size(x0)))
     except OutOfRegimeError as exc:
         block["warning"] = f"theory calculators disabled: {exc}"

@@ -12,8 +12,8 @@ Three model kinds stand in for the training objectives:
 
 Each model makes one pass over a row block (`row_pass`): per-row losses and
 the per-row pieces of the gradient.  Mean losses and gradients
-(`loss_and_grad`), per-segment means and per-row gradient distances are
-reductions of it; the finite-difference, single-sample and per-node oracles
+(`Rows.loss`, `Rows.grad`), per-segment means and per-row gradient distances
+are reductions of it; the finite-difference, single-sample and per-node oracles
 in the verification suite check every kind.  `node_grads` gives every node's
 gradients at its own point, in one gathered pass for logistic and quadratic,
 and `BatchDraws` draws every node's batch of a round at once.
@@ -236,12 +236,6 @@ def row_pass(model: Model, params: np.ndarray, batch: Batch, grad: bool = True) 
     if len(X) == 0:
         raise ValueError("batch must be non-empty")
     return model.rows(np.asarray(params, dtype=float), X, y, grad)
-
-
-def loss_and_grad(model: Model, params: np.ndarray, batch: Batch):
-    """Mean loss and exact mean gradient of a model over a batch."""
-    rows = row_pass(model, params, batch)
-    return rows.loss(), rows.grad()
 
 
 def node_grads(model: Model, Z: np.ndarray, batch: Batch, layout: NodeRows, sel: np.ndarray,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -206,32 +206,19 @@ def moments_bound(order: float, budget: PrivacyBudget, z: float, schedule: Noise
 DEFAULT_ORDERS = tuple(range(1, 65))
 
 
-def delta_bound(
-    budget: PrivacyBudget,
-    z: float,
-    schedule: NoiseSchedule,
-    epsilon: Optional[float] = None,
-    orders: Iterable[int] = DEFAULT_ORDERS,
-) -> float:
-    """Smallest delta certified at epsilon: min over orders of
-    exp(moments_bound(order) - order * epsilon)."""
-    eps = budget.epsilon if epsilon is None else epsilon
+def delta_bound(budget: PrivacyBudget, z: float, schedule: NoiseSchedule) -> float:
+    """Smallest delta certified at the budget's epsilon: min over
+    DEFAULT_ORDERS of exp(moments_bound(order) - order * epsilon)."""
     # exp is monotone: exponentiate the smallest log to avoid overflow
-    best = min(moments_bound(lam, budget, z, schedule) - lam * eps for lam in orders)
+    best = min(moments_bound(lam, budget, z, schedule) - lam * budget.epsilon
+               for lam in DEFAULT_ORDERS)
     return float(np.exp(min(best, 700.0)))
 
 
-def epsilon_spent(
-    budget: PrivacyBudget,
-    z: float,
-    schedule: NoiseSchedule,
-    delta: Optional[float] = None,
-    orders: Iterable[int] = DEFAULT_ORDERS,
-) -> float:
-    """Smallest epsilon certified at delta: min over orders of
-    (moments_bound(order) + ln(1/delta)) / order."""
-    dlt = budget.delta if delta is None else delta
+def epsilon_spent(budget: PrivacyBudget, z: float, schedule: NoiseSchedule) -> float:
+    """Smallest epsilon certified at the budget's delta: min over
+    DEFAULT_ORDERS of (moments_bound(order) + ln(1/delta)) / order."""
     return min(
-        float((moments_bound(lam, budget, z, schedule) + np.log(1.0 / dlt)) / lam)
-        for lam in orders
+        float((moments_bound(lam, budget, z, schedule) + np.log(1.0 / budget.delta)) / lam)
+        for lam in DEFAULT_ORDERS
     )

@@ -153,16 +153,6 @@ def load_edge_list(path, n: int) -> TopologySchedule:
     return TopologySchedule(kind="explicit-list", n=n, edge_sets=tuple(sets))
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Result of the windowed joint-connectivity check."""
-
-    window: int
-    diameter_bound: int
-    satisfied: bool
-    witness: Optional[int] = None  # first violating window index
-
-
 def _hop_diameter(edges: DirectedEdgeSet) -> Optional[int]:
     """Largest hop distance from any node to any other along sender->receiver
     arcs, or None if the graph is not strongly connected.
@@ -191,23 +181,6 @@ def union_window(schedule: TopologySchedule, start: int, length: int) -> Directe
     """Union of the edge sets over iterations [start, start + length)."""
     sets = [topology_at(schedule, t) for t in range(start, start + length)]
     return DirectedEdgeSet(schedule.n, *np.hstack([(s.recv, s.send) for s in sets]))
-
-
-def verify_joint_connectivity(
-    schedule: TopologySchedule, J: int, kappa: int, horizon: int
-) -> ConnectivityReport:
-    """Check that every J-length window unions to a strongly connected graph
-    of diameter at most kappa, over all complete windows within the horizon.
-    """
-    if J < 1 or kappa < 1:
-        raise ValueError(f"need J >= 1 and kappa >= 1, got J={J}, kappa={kappa}")
-    if horizon < J:
-        raise ValueError(f"horizon {horizon} shorter than window J={J}")
-    for l in range(horizon // J):
-        diameter = _hop_diameter(union_window(schedule, l * J, J))
-        if diameter is None or diameter > kappa:
-            return ConnectivityReport(J, kappa, satisfied=False, witness=l)
-    return ConnectivityReport(J, kappa, satisfied=True)
 
 
 def window_diameter(schedule: TopologySchedule, J: int) -> Optional[int]:

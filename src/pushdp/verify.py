@@ -3,7 +3,7 @@ closed-form quantity, runnable from the command line.
 
 Each suite pits an implementation against a second route that shares no code
 with it: the fused-noise factor against a vectorized simulation of the
-fusion chain, the connectivity hop diameter against Floyd-Warshall, analytic
+fusion chain, the window diameter against Floyd-Warshall, analytic
 gradients against central finite differences, per-row gradient distances
 against single-sample gradients and the gathered per-node gradients against
 one pass per node, the schedule inequality against summation.
@@ -11,16 +11,17 @@ one pass per node, the schedule inequality against summation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from . import rng as rngmod
 from .fusion import fuse, noise_factor, perturb
 from .models import (
-    BatchDraws, LogisticModel, MlpModel, loss_and_grad, make_quadratic_model, make_synthetic,
-    node_grads, node_rows, row_pass,
+    BatchDraws, LogisticModel, MlpModel, make_quadratic_model, make_synthetic, node_grads,
+    node_rows, row_pass,
 )
 from .privacy import (
     LrSchedule,
@@ -36,7 +37,7 @@ from .topology import (
     build_mixing_matrix,
     topology_at,
     union_window,
-    verify_joint_connectivity,
+    window_diameter,
 )
 
 NOISE_GRID_THETA = (0.3, 0.5, 0.7)
@@ -178,8 +179,8 @@ def finite_difference_grad(model, params, batch, step: float = 1e-6) -> np.ndarr
     for k in range(len(params)):
         bump = np.zeros_like(g)
         bump[k] = step
-        up = loss_and_grad(model, params + bump, batch)[0]
-        down = loss_and_grad(model, params - bump, batch)[0]
+        up = row_pass(model, params + bump, batch, grad=False).loss()
+        down = row_pass(model, params - bump, batch, grad=False).loss()
         g[k] = (up - down) / (2 * step)
     return g
 
@@ -188,7 +189,7 @@ def single_sample_dev_sq(model, params, batch, g) -> np.ndarray:
     """||g_j - g||^2 row by row, from one single-sample gradient per row."""
     X, y = batch
     return np.array([
-        np.sum((loss_and_grad(model, params, (X[j : j + 1], y[j : j + 1]))[1] - g) ** 2)
+        np.sum((row_pass(model, params, (X[j : j + 1], y[j : j + 1])).grad() - g) ** 2)
         for j in range(len(X))
     ])
 
@@ -340,24 +341,25 @@ def schedules_suite(configs: int = 200, seed: int = 5) -> List[CheckResult]:
 # ----------------------------------------------------------- connectivity
 
 
-def floyd_warshall_window_ok(edges: DirectedEdgeSet, kappa: int) -> bool:
-    """Brute-force oracle: all-pairs hop distances over sender->receiver arcs."""
+def floyd_warshall_diameter(edges: DirectedEdgeSet) -> Optional[int]:
+    """Brute-force oracle: the largest all-pairs hop distance over
+    sender->receiver arcs, or None if some node does not reach another."""
     n = edges.n
     dist = np.full((n, n), np.inf)
+    dist[edges.send, edges.recv] = 1.0
     np.fill_diagonal(dist, 0.0)
-    for (i, j) in edges.pairs():
-        if i != j:
-            dist[j, i] = 1.0
     for k in range(n):
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-    return bool(np.all(np.isfinite(dist)) and np.max(dist) <= kappa)
+    return int(dist.max()) if np.all(np.isfinite(dist)) else None
 
 
-def brute_force_connectivity(schedule, J, kappa, horizon) -> tuple:
-    for l in range(horizon // J):
-        if not floyd_warshall_window_ok(union_window(schedule, l * J, J), kappa):
-            return False, l
-    return True, None
+def brute_force_window_diameter(schedule: TopologySchedule, J: int) -> Optional[int]:
+    """Largest Floyd-Warshall diameter of the J-window unions over one full
+    schedule cycle, or None if some union is not strongly connected."""
+    period = len(schedule.edge_sets)
+    diameters = [floyd_warshall_diameter(union_window(schedule, l * J, J))
+                 for l in range(period // math.gcd(period, J))]
+    return None if None in diameters else max(diameters)
 
 
 def random_explicit_schedule(rng, n: int, length: int) -> TopologySchedule:
@@ -370,63 +372,35 @@ def random_explicit_schedule(rng, n: int, length: int) -> TopologySchedule:
 
 
 def connectivity_suite(cases: int = 60, seed: int = 13) -> List[CheckResult]:
-    results = []
+    """`window_diameter`, which the theory block calls for kappa, against the
+    Floyd-Warshall diameter on random explicit schedules and three fixed
+    graphs."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(cases):
         n = int(rng.integers(2, 7))
         schedule = random_explicit_schedule(rng, n, int(rng.integers(1, 6)))
         J = int(rng.integers(1, 5))
-        horizon = int(rng.integers(J, 21))
-        kappa = int(rng.integers(1, n + 1))
-        report = verify_joint_connectivity(schedule, J, kappa, horizon)
-        ok, witness = brute_force_connectivity(schedule, J, kappa, horizon)
-        if (report.satisfied, report.witness) != (ok, witness):
+        if window_diameter(schedule, J) != brute_force_window_diameter(schedule, J):
             mismatches += 1
-    results.append(
-        CheckResult(
-            name=f"hop diameter vs Floyd-Warshall on {cases} random schedules",
-            passed=mismatches == 0,
-            measured=float(mismatches),
-            expected=0.0,
-        )
-    )
+    results = [CheckResult(f"window diameter vs Floyd-Warshall on {cases} random schedules",
+                           mismatches == 0, float(mismatches), 0.0)]
 
-    ring = TopologySchedule(kind="static-ring", n=8, k=2)
-    report = verify_joint_connectivity(ring, 1, 7, 10)
-    results.append(
-        CheckResult(
-            name="static ring (k=2, n=8) satisfies J=1, kappa=7",
-            passed=report.satisfied,
-            measured=float(report.satisfied),
-            expected=1.0,
-        )
-    )
     block = np.arange(8) // 4
-    cliques = DirectedEdgeSet(8, *np.nonzero(block[:, None] == block))  # two disjoint 4-cliques
-    disjoint = TopologySchedule(kind="explicit-list", n=8, edge_sets=(cliques,))
-    report = verify_joint_connectivity(disjoint, 2, 7, 8)
-    results.append(
-        CheckResult(
-            name="two disjoint 4-cliques are unsatisfied with witness 0",
-            passed=(not report.satisfied) and report.witness == 0,
-            measured=float(report.witness if report.witness is not None else -1),
-            expected=0.0,
-        )
+    cliques = DirectedEdgeSet(8, *np.nonzero(block[:, None] == block))
+    fixed = (
+        ("static ring (k=2, n=8), J=1", TopologySchedule(kind="static-ring", n=8, k=2), 1, 4),
+        ("two disjoint 4-cliques, J=2",
+         TopologySchedule(kind="explicit-list", n=8, edge_sets=(cliques,)), 2, None),
+        # one period reaches offsets {1,2,3,4,6} directly; 5 and 7 take two hops
+        ("exponential-periodic n=8, J=3", TopologySchedule(kind="exponential-periodic", n=8), 3, 2),
     )
-    # one period of the exponential rule reaches offsets {1,2,3,4,6} directly,
-    # so the union diameter is 2 (5 and 7 need two hops)
-    expo = TopologySchedule(kind="exponential-periodic", n=8)
-    at_two = verify_joint_connectivity(expo, 3, 2, 9)
-    at_one = verify_joint_connectivity(expo, 3, 1, 9)
-    results.append(
-        CheckResult(
-            name="exponential-periodic n=8 satisfies J=3 at kappa=2, not kappa=1",
-            passed=at_two.satisfied and not at_one.satisfied,
-            measured=float(at_two.satisfied) - float(at_one.satisfied),
-            expected=1.0,
-        )
-    )
+    for label, schedule, J, expected in fixed:
+        got = window_diameter(schedule, J)
+        passed = got == expected == brute_force_window_diameter(schedule, J)
+        results.append(CheckResult(f"{label}: window diameter {expected}", passed,
+                                   float(-1 if got is None else got),
+                                   float(-1 if expected is None else expected), "None reads -1"))
     return results
 
 

@@ -10,7 +10,7 @@ from pushdp import (
     TopologySchedule,
 )
 from pushdp.config import DataSpec, ExperimentConfig, ModelSpec, RunSpec, TopologySpec
-from pushdp.models import loss_and_grad
+from pushdp.models import row_pass
 
 
 def make_config(**overrides) -> ExperimentConfig:
@@ -53,14 +53,10 @@ def reference_dsgd(model, dataset, node_indices, P, eta, T):
     X = np.zeros((n, model.dim))
     trajectory = []
     for _ in range(T):
-        grads = np.stack(
-            [
-                loss_and_grad(
-                    model, X[i], (dataset.features[node_indices[i]], dataset.labels[node_indices[i]])
-                )[1]
-                for i in range(n)
-            ]
-        )
+        grads = np.stack([
+            row_pass(model, X[i], (dataset.features[idx], dataset.labels[idx])).grad()
+            for i, idx in enumerate(node_indices)
+        ])
         X = P @ (X - eta * grads)
         trajectory.append(X.copy())
     return trajectory

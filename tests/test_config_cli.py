@@ -256,7 +256,6 @@ class TestCliRun:
         assert capsys.readouterr().err == f"config error: {key}: no such file {missing}\n"
 
     @pytest.mark.parametrize("old, new, message", [
-        ("k = 2", "k = 2\nkappa = 0", "topology.kappa: must be >= 1, got 0"),
         ("n_samples = 160", "n_samples = 0", "data.n_samples: must be >= 1, got 0"),
         ("master_seed = 3", "master_seed = -1", "run.master_seed: must be >= 0, got -1"),
         ("kind = logistic", "kind = mlp\nclasses = 0", "model.classes: must be >= 1, got 0"),
@@ -270,6 +269,7 @@ class TestCliRun:
     @pytest.mark.parametrize("section, line, message", [
         ("run", "master_sead = 1", "run.master_sead: unknown key"),
         ("topology", "kapa = 2", "topology.kapa: unknown key"),
+        ("topology", "kappa = 4", "topology.kappa: unknown key"),  # measured, never set
         ("noise", "tua = 5", "noise.tua: unknown key"),
         ("lr", "xii = 0.5", "lr.xii: unknown key"),
         ("clip", "pis = 0.5", "clip.pis: unknown key"),
@@ -379,6 +379,10 @@ class TestCliVerify:
     def test_noise_factor_small_trials(self, capsys):
         assert main(["verify", "noise-factor", "--trials", "50000"]) == 0
         assert "fused-noise" in capsys.readouterr().out
+
+    def test_connectivity_suite_passes(self, capsys):
+        assert main(["verify", "connectivity"]) == 0
+        assert "window diameter vs Floyd-Warshall" in capsys.readouterr().out
 
     def test_all_aggregates_and_fails_on_any_red(self, monkeypatch, capsys):
         import pushdp.verify as verify

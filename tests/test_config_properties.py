@@ -18,7 +18,7 @@ FRACTION = _floats(0.01, 0.99)
 def config_sections(draw):
     """String sections of a random valid static-ring or exponential-periodic
     config: both noise forms, eta or K/p, scalar or per-node privacy lists,
-    and optional kappa and sigma."""
+    and an optional sigma."""
     kind = draw(st.sampled_from(["static-ring", "exponential-periodic"]))
     n = draw(st.sampled_from([2, 4, 8, 16]) if kind == "exponential-periodic" else st.integers(2, 12))
     tau = draw(st.integers(1, 10))
@@ -32,8 +32,6 @@ def config_sections(draw):
     topology = {"kind": kind, "j": str(draw(st.integers(1, 4)))}
     if kind == "static-ring":
         topology["k"] = str(draw(st.integers(1, n - 1)))
-    if draw(st.booleans()):
-        topology["kappa"] = str(draw(st.integers(1, 10)))
 
     noise = {"form": draw(st.sampled_from(["power", "stepwise"])),
              "s": repr(draw(_floats(-1.0, 1.0))), "tau": str(tau)}

