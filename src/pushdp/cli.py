@@ -2,7 +2,7 @@
 the closed-form calculators standalone.
 
     pushdp run --config cfg.ini --seeds 1,2,3 --out results [--force]
-    pushdp verify {noise-factor,consensus,gradients,schedules,connectivity,all}
+    pushdp verify {noise-factor,consensus,gradients,schedules,connectivity,streams,all}
     pushdp calc {sigma,tau,minT,bound,regime} [flags]
 
 PUSHDP_OUT sets the default output directory for `run`.

@@ -6,6 +6,8 @@ and independent of any node evaluation order.  `stream` defines this
 contract; `Streams` reproduces it in bulk for the round loop's draws.
 """
 
+import ctypes
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -62,13 +64,43 @@ def _pool_state(entropy):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
+def _positioned(pool):
+    """PCG64's set-seed, mod 2^128, on (m, 4) uint64 (initstate, initseq) words,
+    high first: inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc."""
+    s_hi, s_lo, i_hi, i_lo = pool.T
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
+    lo, hi = inc_lo + s_lo, inc_hi + s_hi
+    hi += lo < inc_lo
+    # the high word of lo * m_lo from 32-bit halves, so no product overflows
+    (m_hi, m_lo), a0, a1 = divmod(_PCG_MULT, 2**64), lo & _MASK32, lo >> 32
+    p00, p01, p10 = a0 * (m_lo & _MASK32), a0 * (m_lo >> 32), a1 * (m_lo & _MASK32)
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    state_lo = lo * m_lo + inc_lo
+    state_hi = (a1 * (m_lo >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * m_hi
+                + hi * m_lo + inc_hi + (state_lo < inc_lo))
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+
+
+@functools.cache
+def _word_order():
+    """Which (state, inc) word, high first, each raw PCG64 word holds (low first if native)."""
+    probe = Streams(0, INIT, 1)
+    known = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x33445566778899AB)
+    probe._bitgen.state = {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": 7, "state": {
+        "state": known[0] << 64 | known[1], "inc": known[2] << 64 | known[3]}}
+    raw, buffered = probe._words.tolist(), probe._buffer.view(np.uint32).tolist()
+    if sorted(raw) != sorted(known) or buffered != [1, 7]:
+        raise RuntimeError(f"unknown PCG64 memory layout: words {raw}, buffer {buffered}")
+    return tuple(known.index(word) for word in raw)
+
+
 class Streams:
     """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
     t < horizon.  `each(t, nodes)` sets one reused Generator, node after
     node, exactly where `stream(master_seed, node, t, purpose)` starts, so
-    finish a draw before the next node's.  The pool hash runs vectorised
-    over one block of whole rounds, derived when first used; the last block
-    stops at the horizon."""
+    finish a draw before the next node's.  The pool hash and PCG64's set-seed
+    run vectorised over a block of whole rounds, derived when first used and
+    cut at the horizon; each slot's words are written into the generator."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -82,9 +114,14 @@ class Streams:
         self._rounds = max(1, BLOCK_SLOTS // n)
         self._t0, self._block, self._bitgen = None, None, np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
-        self._pcg = {"state": 0, "inc": 1}
-        self._state = {"bit_generator": "PCG64", "state": self._pcg, "has_uint32": 0,
-                       "uinteger": 0}
+        # views of the PCG64's (state, inc) words and (has_uint32, uinteger) word
+        address = self._bitgen.ctypes.state_address
+        words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+        buffer = (ctypes.c_uint64 * 1).from_address(address + ctypes.sizeof(ctypes.c_void_p))
+        self._words, self._buffer = np.frombuffer(words, np.uint64), np.frombuffer(buffer, np.uint64)
+
+    def __reduce_ex__(self, protocol):  # copy, deepcopy and pickle all call this
+        raise TypeError("a Streams writes into its own generator's memory: build a new one")
 
     def _derive(self, t0: int) -> None:
         # one entropy column (seed words, node, t, purpose) per slot, t-major
@@ -94,7 +131,14 @@ class Streams:
         entropy[-3] = np.tile(np.arange(self.n), rounds)
         entropy[-2] = np.repeat(np.arange(t0, t0 + rounds), self.n)
         entropy[-1] = self.purpose
-        self._t0, self._block = t0, _pool_state(entropy)
+        pool = _pool_state(entropy)
+        self._t0, self._block = t0, _positioned(pool)[:, list(_word_order())]
+        s_hi, s_lo, i_hi, i_lo = pool[0].tolist()  # self-check: slot 0 via the public getter
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        want = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
+        if (got := self._position(self._block[0]).bit_generator.state) != want:
+            raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
     def each(self, t: int, nodes) -> Iterator[np.random.Generator]:
         """The reused Generator at round t's slot of every node in `nodes`,
@@ -109,13 +153,9 @@ class Streams:
             return iter(())
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
-        return map(self._position, self._block[(t - self._t0) * self.n + nodes].tolist())
+        return map(self._position, self._block[(t - self._t0) * self.n + nodes])
 
-    def _position(self, slot) -> np.random.Generator:
-        # pcg64_set_seed: inc = 2*initseq + 1, two LCG steps around += initstate
-        s_hi, s_lo, i_hi, i_lo = slot
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        self._pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        self._pcg["inc"] = inc
-        self._bitgen.state = self._state
+    def _position(self, words) -> np.random.Generator:
+        self._words[:] = words
+        self._buffer[0] = 0
         return self._gen

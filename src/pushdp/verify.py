@@ -6,7 +6,8 @@ with it: the fused-noise factor against a vectorized simulation of the
 fusion chain, the window diameter against Floyd-Warshall, analytic
 gradients against central finite differences, per-row gradient distances
 against single-sample gradients and the gathered per-node gradients against
-one pass per node, the schedule inequality against summation.
+one pass per node, the schedule inequality against summation, and the bulk
+random streams against one fresh stream per slot.
 """
 
 from __future__ import annotations
@@ -363,10 +364,16 @@ def brute_force_window_diameter(schedule: TopologySchedule, J: int) -> Optional[
 
 
 def random_explicit_schedule(rng, n: int, length: int) -> TopologySchedule:
+    """`length` edge sets of random arcs, each holding a random spanning
+    cycle with probability 1/2, so that most window unions are strongly
+    connected and their diameters range from 1 to n - 1."""
     sets = []
     for _ in range(length):
         m = int(rng.integers(0, n * (n - 1) + 1))
         edges = [(int(rng.integers(n)), int(rng.integers(n))) for _ in range(m)]
+        if rng.random() < 0.5:
+            cycle = rng.permutation(n).tolist()
+            edges += list(zip(cycle, cycle[1:] + cycle[:1]))
         sets.append(DirectedEdgeSet(n, [i for i, _ in edges], [j for _, j in edges]))
     return TopologySchedule(kind="explicit-list", n=n, edge_sets=tuple(sets))
 
@@ -376,15 +383,20 @@ def connectivity_suite(cases: int = 60, seed: int = 13) -> List[CheckResult]:
     Floyd-Warshall diameter on random explicit schedules and three fixed
     graphs."""
     rng = np.random.default_rng(seed)
-    mismatches = 0
+    mismatches, finite = 0, []
     for _ in range(cases):
         n = int(rng.integers(2, 7))
         schedule = random_explicit_schedule(rng, n, int(rng.integers(1, 6)))
         J = int(rng.integers(1, 5))
-        if window_diameter(schedule, J) != brute_force_window_diameter(schedule, J):
-            mismatches += 1
+        expected = brute_force_window_diameter(schedule, J)
+        mismatches += window_diameter(schedule, J) != expected
+        finite += [] if expected is None else [expected]
     results = [CheckResult(f"window diameter vs Floyd-Warshall on {cases} random schedules",
-                           mismatches == 0, float(mismatches), 0.0)]
+                           mismatches == 0, float(mismatches), 0.0),
+               # the comparison means little unless most unions connect
+               CheckResult(f"finite diameters, some >= 3, in half of {cases} random schedules",
+                           2 * len(finite) >= cases and max(finite, default=0) >= 3,
+                           float(len(finite)), cases / 2, f"diameters {sorted(set(finite))}")]
 
     block = np.arange(8) // 4
     cliques = DirectedEdgeSet(8, *np.nonzero(block[:, None] == block))
@@ -404,12 +416,54 @@ def connectivity_suite(cases: int = 60, seed: int = 13) -> List[CheckResult]:
     return results
 
 
+# ---------------------------------------------------------------- streams
+
+
+def stream_draws(gen, k: int):
+    """`integers` first, an odd count of them, so the 32-bit buffer is left
+    full for the next slot's positioning; below 2^31 every 32-bit word is
+    accepted, so a stale buffered word cannot hide behind a rejection."""
+    return gen.integers(0, 2**31, k), gen.random(k), gen.standard_normal(k + 3)
+
+
+def streams_suite(slots: int = 40, seed: int = 17) -> List[CheckResult]:
+    """`Streams.each`, which writes each slot's PCG64 words into one reused
+    generator's memory, against a fresh `rng.stream` at random slots of one-,
+    two- and three-word seeds, BATCH and NOISE, with rounds on both sides of
+    the first block edges; each slot is positioned over the buffered word
+    the previous slot's draws left."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for words in (1, 2, 3):
+        master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
+        for purpose, label in ((rngmod.BATCH, "BATCH"), (rngmod.NOISE, "NOISE")):
+            n = int(rng.integers(1, 300))
+            streams = rngmod.Streams(master, purpose, n)
+            rounds = max(1, rngmod.BLOCK_SLOTS // n)
+            ts = [b * rounds + off for b in (1, 2) for off in (-1, 0)]
+            ts += rng.integers(0, 3 * rounds, slots - len(ts)).tolist()
+            mismatches, detail = 0, "slots whose draws differ"
+            try:
+                for t in ts:
+                    node, k = int(rng.integers(n)), 2 * int(rng.integers(4)) + 1
+                    got = stream_draws(next(streams.each(t, [node])), k)
+                    ref = stream_draws(rngmod.stream(master, node, t, purpose), k)
+                    mismatches += not all(np.array_equal(a, b) for a, b in zip(got, ref))
+            except RuntimeError as exc:  # a block's self-check of the raw write
+                mismatches, detail = slots, str(exc)
+            results.append(CheckResult(
+                f"Streams.each vs rng.stream, {words}-word seed, {label}, n={n}, {slots} slots",
+                mismatches == 0, float(mismatches), 0.0, detail))
+    return results
+
+
 SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
     "noise-factor": noise_factor_suite,
     "consensus": consensus_suite,
     "gradients": gradients_suite,
     "schedules": schedules_suite,
     "connectivity": connectivity_suite,
+    "streams": streams_suite,
 }
 
 

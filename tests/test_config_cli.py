@@ -384,6 +384,10 @@ class TestCliVerify:
         assert main(["verify", "connectivity"]) == 0
         assert "window diameter vs Floyd-Warshall" in capsys.readouterr().out
 
+    def test_streams_suite_passes(self, capsys):
+        assert main(["verify", "streams"]) == 0
+        assert "Streams.each vs rng.stream" in capsys.readouterr().out
+
     def test_all_aggregates_and_fails_on_any_red(self, monkeypatch, capsys):
         import pushdp.verify as verify
         from pushdp.verify import CheckResult

@@ -5,10 +5,13 @@ derives the same slots a block of rounds at a time and repositions one
 reused generator; these tests require its draws to be identical.
 """
 
+import copy
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pushdp import rng as rngmod
 from pushdp.config import load_config
@@ -180,3 +183,86 @@ def test_engine_run_matches_stream_backed_run(monkeypatch):
     reference = run(cfg, master_seed=seed, record_states=True)
     assert [r.as_dict() for r in bulk.records] == [r.as_dict() for r in reference.records]
     assert np.array_equal(bulk.trajectory[-1], reference.trajectory[-1])
+
+
+# PCG64's 128-bit LCG multiplier, as the PCG reference implementation gives it
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+WORD128 = st.integers(0, 2**128 - 1)
+
+
+def set_seed(initstate, initseq):
+    """pcg64_set_seed in Python ints: (state, inc)."""
+    inc = (initseq << 1 | 1) % 2**128
+    return ((inc + initstate) * PCG_MULT + inc) % 2**128, inc
+
+
+def positioned(pairs):
+    """`_positioned` on (initstate, initseq) pairs, read back as Python ints."""
+    pool = np.array([[s >> 64, s % 2**64, q >> 64, q % 2**64] for s, q in pairs], dtype=np.uint64)
+    return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+            for s_hi, s_lo, i_hi, i_lo in rngmod._positioned(pool).tolist()]
+
+
+# initseq 2^63 - 1 gives inc's low word 2^64 - 1, so initstate 2 carries out
+# of the low word of inc + initstate, and the product's low word (MULT's)
+# carries out of the low word of product + inc
+CARRY_SEQ = 2**63 - 1
+
+
+@pytest.mark.parametrize("initstate, initseq", [
+    (0, 0), (2**128 - 1, 2**128 - 1), (0, 2**127), (2**127 + 5, 2**127 + 2**64),
+    (2, CARRY_SEQ), (2**64 - 1, CARRY_SEQ), (2**128 - 1, CARRY_SEQ)])
+def test_positioned_matches_set_seed_at_edges(initstate, initseq):
+    assert positioned([(initstate, initseq)]) == [set_seed(initstate, initseq)]
+
+
+def test_carry_edge_carries_twice():
+    inc = (CARRY_SEQ << 1 | 1) % 2**128
+    assert inc % 2**64 + 2 >= 2**64
+    assert ((inc + 2) * PCG_MULT) % 2**64 + inc % 2**64 >= 2**64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WORD128, WORD128), min_size=1, max_size=16))
+def test_positioned_matches_set_seed(pairs):
+    assert positioned(pairs) == [set_seed(s, q) for s, q in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**96 - 1), purpose=st.sampled_from([rngmod.BATCH, rngmod.NOISE]),
+       node=st.integers(0, 6), t=st.integers(0, 40), k=st.integers(0, 4))
+@example(seed=2**64 + 5, purpose=rngmod.NOISE, node=6, t=40, k=0)
+def test_repositioned_state_matches_stream(seed, purpose, node, t, k):
+    streams = rngmod.Streams(seed, purpose, 7, horizon=41)
+    gen = next(streams.each(t, [node]))
+    gen.integers(0, 2**31, 2 * k + 1)  # an odd count leaves the 32-bit buffer full
+    assert gen.bit_generator.state["has_uint32"] == 1
+    gen = next(streams.each(t, [node]))
+    assert gen.bit_generator.state == rngmod.stream(seed, node, t, purpose).bit_generator.state
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, pickle.dumps])
+def test_streams_refuse_to_be_copied(duplicate):
+    # a copy's views would write into the original generator's memory
+    streams = rngmod.Streams(3, rngmod.BATCH, 4)
+    next(streams.each(0, [1]))
+    with pytest.raises(TypeError):
+        duplicate(streams)
+
+
+def test_self_check_catches_a_wrong_word_order(monkeypatch):
+    monkeypatch.setattr(rngmod, "_word_order", lambda: (3, 2, 1, 0))
+    with pytest.raises(RuntimeError, match="raw PCG64 write"):
+        next(rngmod.Streams(0, rngmod.NOISE, 4).each(0, [0]))
+
+
+def test_layout_probe_rejects_memory_it_cannot_place(monkeypatch):
+    class Blind(rngmod.Streams):
+        """Views of memory the generator does not use: no known word reads back."""
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._words, self._buffer = np.zeros(4, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+
+    monkeypatch.setattr(rngmod, "Streams", Blind)
+    with pytest.raises(RuntimeError, match="unknown PCG64 memory layout"):
+        rngmod._word_order.__wrapped__()
