@@ -11,7 +11,7 @@ intervals.  Both mix through the per-iteration column-stochastic matrix.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import List, Optional
 
@@ -51,7 +51,7 @@ class MetricsRecord:
     empirical_d_tau: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)  # every field is a scalar: no deep copy
 
 
 @dataclass
@@ -173,35 +173,36 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     batches = BatchDraws(layout, [b.sampling_ratio for b in config.budgets],
                          rngmod.Streams(seed, rngmod.BATCH, n, horizon=T))
     noise_streams = rngmod.Streams(seed, rngmod.NOISE, n, horizon=T)
-    noise_nodes = [i for i in layout.nodes.tolist() if sigmas[i] > 0]
     sigma_column = np.array(sigmas)[:, None]
+    noise_nodes = layout.nodes[sigma_column[layout.nodes, 0] > 0]
     Noise = np.zeros_like(X)  # rows of the nodes that draw no noise stay 0
+    noise_rows = [Noise[i] for i in noise_nodes.tolist()]  # views, filled every round
 
     for t in range(T):
         alpha_inj = alpha_at(config.noise, T - t)
-        beta_t = beta_at(config.noise, config.lr, t)
-        eta_t = config.lr.eta / beta_t
+        eta_t = config.lr.eta / beta_at(config.noise, config.lr, t)
         new_interval = starts_interval(config.noise, t)
         if new_interval:
             interval_clips = []
 
         # observables at the current state; each occupied node's batch and
         # noise draws (one v1 slot each), then every node's full and batch
-        # gradient at its z_i in one call; empty nodes keep zero rows
-        xbar = X.mean(axis=0)
+        # gradient at its z_i in one call; empty nodes keep zero rows.  A mean
+        # is x.sum() / x.size, np.mean's own arithmetic without its dispatch
+        xbar = X.sum(axis=0) / n
         sq_dev = sq_deviations(Z, xbar)
-        cons = float(np.mean(sq_dev))
-        train_loss = float(np.mean(row_pass(model, xbar, (train_X, train_y), grad=False)
-                                   .segment_losses(layout.starts, layout.counts)))
+        cons = float(sq_dev.sum() / n)
+        train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
+                           .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
         sel, drawn = batches.draw(t)
-        for i, gen in zip(noise_nodes, noise_streams.each(t, noise_nodes)):
-            gen.standard_normal(out=Noise[i])
+        for row, gen in zip(noise_rows, noise_streams.each(t, noise_nodes)):
+            gen.standard_normal(out=row)
         Noise *= sigma_column  # as normal(0, sigma) draws it: 0.0 + sigma * z
         Full, Grad = node_grads(model, Z, (train_X, train_y), layout, sel, drawn)
-        mean_sq = float(np.mean(np.einsum("ij,ij->i", Full[layout.nodes], Full[layout.nodes])))
-        test_acc = None
-        if dataset.test_features is not None:
-            test_acc = accuracy(model, xbar, dataset.test_features, dataset.test_labels)
+        occupied = Full[layout.nodes]
+        mean_sq = float(np.einsum("ij,ij->i", occupied, occupied).sum() / len(occupied))
+        test_acc = (None if dataset.test_features is None
+                    else accuracy(model, xbar, dataset.test_features, dataset.test_labels))
         deviations[t] = np.sqrt(sq_dev)
 
         # clip, perturb, fuse and half-step on all nodes at once
@@ -217,18 +218,17 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         X = X - eta_t * F
 
         X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise NumericalBreakdownError(
-                f"non-finite state at iteration {t} (node {int(np.argmin(finite))})"
-            )
+        if not np.isfinite(X).all():
+            bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+            raise NumericalBreakdownError(f"non-finite state at iteration {t} (node {bad})")
         if trajectory is not None:
             trajectory.append(X)
 
         records.append(MetricsRecord(
             t=t, mean_sq_grad_norm=mean_sq, consensus_error=cons, train_loss=train_loss,
             test_accuracy=test_acc, current_g=G, alpha_injected=alpha_inj, eta_t=eta_t,
-            clip_residual_mean=float(np.mean(resid[layout.nodes])), empirical_d_tau=d_tau_t,
+            clip_residual_mean=float(resid[layout.nodes].sum() / len(layout.nodes)),
+            empirical_d_tau=d_tau_t,
         ))
         if vrsgp:
             G = decay_threshold(config.clip, G)

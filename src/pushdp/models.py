@@ -12,11 +12,11 @@ Three model kinds stand in for the training objectives:
 
 Each model makes one pass over a row block (`row_pass`): per-row losses and
 the per-row pieces of the gradient.  Mean losses and gradients
-(`Rows.loss`, `Rows.grad`), per-segment means and per-row gradient distances
+(`Rows.loss`, `Rows.grad`), per-segment losses and per-row gradient distances
 are reductions of it; the finite-difference, single-sample and per-node oracles
 in the verification suite check every kind.  `node_grads` gives every node's
-gradients at its own point, in one gathered pass for logistic and quadratic,
-and `BatchDraws` draws every node's batch of a round at once.
+gradients at its own point, for logistic and quadratic in one gathered,
+gradient-only pass reduced once, and `BatchDraws` draws every node's batch.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
-def _segment_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Mean of every segment of values, the k-th holding the counts[k] rows
-    from starts[k] on, summed in row order.  The segments are consecutive,
-    non-empty and cover values."""
-    sums = np.add.reduceat(values, starts)
-    return sums / (counts[:, None] if sums.ndim > 1 else counts)
-
-
 class Rows(NamedTuple):
     """One forward (and, unless loss-only, backward) pass of a model over a
     row block.
@@ -54,13 +46,14 @@ class Rows(NamedTuple):
     Row j's loss is losses[j] + reg.  Its single-sample gradient is
     const + concat_k vec([A_k[j], 1] (x) E_k[j]) over the (A_k, E_k) pairs of
     `blocks`, where A_k = None stands for an empty A_k[j].  Means over any
-    subset of the rows, per-segment means and each row's distance to a given
-    gradient are reductions of these pieces; none builds a (rows, dim) matrix.
-    A gathered pass (`node_grads`) holds one reg and one const row per node.
+    subset of the rows and each row's distance to a given gradient are
+    reductions of these pieces; only `pieces` builds a (rows, dim) matrix.
+    A gathered pass (`node_grads`) is gradient-only: it has no losses and no
+    reg, and one const row per node.
     """
 
-    losses: np.ndarray
-    reg: "float | np.ndarray"
+    losses: "np.ndarray | None"
+    reg: "float | np.ndarray | None"
     const: "np.ndarray | float | None" = None  # None for a loss-only pass
     blocks: tuple = ()
 
@@ -79,21 +72,18 @@ class Rows(NamedTuple):
         return self.const + np.concatenate(parts)
 
     def segment_losses(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Mean loss of every segment of the rows (see `segment_grads`)."""
-        return _segment_means(self.losses, starts, counts) + self.reg
+        """Mean loss of every segment k of the rows, the counts[k] from
+        starts[k] on, summed in row order; the segments cover the rows."""
+        return np.add.reduceat(self.losses, starts) / counts + self.reg
 
-    def segment_grads(self, starts: np.ndarray, counts: np.ndarray, sel=slice(None)) -> np.ndarray:
-        """Mean gradient of every segment of the rows `sel`, one row each:
-        segment k holds counts[k] of them from starts[k] on.  The sums run in
-        row order, so they can differ from `grad` in the last bits."""
+    def pieces(self) -> np.ndarray:
+        """Every row's gradient minus const, one (rows, dim) row each."""
         parts = []
         for A, E in self.blocks:
-            E = E[sel]
             if A is not None:
-                outer = A[sel][:, :, None] * E[:, None, :]
-                parts.append(_segment_means(outer.reshape(len(E), -1), starts, counts))
-            parts.append(_segment_means(E, starts, counts))
-        return self.const + np.hstack(parts)
+                parts.append((A[:, :, None] * E[:, None, :]).reshape(len(E), -1))
+            parts.append(E)
+        return np.hstack(parts)
 
     def dev_sq(self, g: np.ndarray) -> np.ndarray:
         """||g_j - g||^2 for every row j: blocks occupy disjoint coordinates,
@@ -124,14 +114,13 @@ class QuadraticModel:
 
     def rows(self, params, X, y, grad=True, owner=None) -> Rows:
         # row j's perturbation c_j is X[j]: its gradient is Ax - b + c_j.  With
-        # owner, params holds one point per node and row j is at params[owner[j]]
+        # owner, params holds one point per node, row j is at params[owner[j]]
+        # and the pass is gradient-only
         if owner is None:
             Ax = self.A @ params
             return Rows(X @ params, 0.5 * params @ Ax - self.b @ params, Ax - self.b,
                         ((None, X),))
-        Ax = params @ self.A  # A is symmetric
-        return Rows(_row_dot(X, params[owner]), 0.5 * _row_dot(params, Ax) - params @ self.b,
-                    Ax - self.b, ((None, X),))
+        return Rows(None, None, params @ self.A - self.b, ((None, X),))  # A is symmetric
 
     def predict(self, params, X):
         return None
@@ -151,16 +140,18 @@ class LogisticModel:
 
     def rows(self, params, X, y, grad=True, owner=None) -> Rows:
         # row j's gradient is (r_j x_j + l2 w, r_j), r_j = p_j - y_j its residual.
-        # With owner, params holds one point per node and row j is at params[owner[j]]
+        # With owner, params holds one point per node, row j is at
+        # params[owner[j]] and the pass is gradient-only
         w, bias = params[..., :-1], params[..., -1]
         if owner is None:
-            margin, reg = X @ w + bias, 0.5 * self.l2 * float(w @ w)
+            margin = X @ w + bias
+            # log(1 + e^m) - y*m, numerically stable for large |m|
+            losses, reg = np.logaddexp(0.0, margin) - y * margin, 0.5 * self.l2 * float(w @ w)
+            if not grad:
+                return Rows(losses, reg)
         else:
-            margin, reg = _row_dot(X, w[owner]) + bias[owner], 0.5 * self.l2 * _row_dot(w, w)
-        # log(1 + e^m) - y*m, numerically stable for large |m|
-        losses = np.logaddexp(0.0, margin) - y * margin
-        if not grad:
-            return Rows(losses, reg)
+            losses = reg = None
+            margin = _row_dot(X, np.take(w, owner, axis=0)) + np.take(bias, owner)
         with np.errstate(over="ignore"):  # exp(-m) = inf below m = -709: p_j is 0 there
             resid = 1.0 / (1.0 + np.exp(-margin)) - y
         const = self.l2 * params
@@ -246,9 +237,11 @@ def node_grads(model: Model, Z: np.ndarray, batch: Batch, layout: NodeRows, sel:
     occupied node's drawn rows, as indices into the batch, node after node:
     drawn[k] of them for node layout.nodes[k] (see `BatchDraws`).  Returns
     two (n, dim) arrays with zero rows for empty nodes.  Logistic and
-    quadratic take one pass over all rows, each at its node's point, and
-    reduce by segment sums.  The MLP takes one pass per node, because a
-    gathered W1 would hold rows x features x hidden floats.
+    quadratic take one gradient-only pass over all rows, each at its node's
+    point; one `np.add.reduceat` over the row pieces stacked on the drawn
+    ones sums each segment of each column on its own, bit for bit as per
+    segment.  The MLP takes one pass per node, because a gathered W1 would
+    hold rows x features x hidden floats.
     """
     X, y = batch
     Z = np.asarray(Z, dtype=float)
@@ -264,8 +257,11 @@ def node_grads(model: Model, Z: np.ndarray, batch: Batch, layout: NodeRows, sel:
             full[i], batch_mean[i] = rows.grad(), rows.grad(sel[s : s + k] - a)
         return full, batch_mean
     rows = model.rows(Z[nodes], X, y, owner=owner)
-    full[nodes] = rows.segment_grads(starts, counts)
-    batch_mean[nodes] = rows.segment_grads(sel_starts, drawn, sel)
+    P = rows.pieces()
+    sums = np.add.reduceat(np.concatenate([P, np.take(P, sel, axis=0)]),
+                           np.concatenate([starts, len(P) + sel_starts]))
+    means, k = sums / np.concatenate([counts, drawn])[:, None], len(nodes)
+    full[nodes], batch_mean[nodes] = rows.const + means[:k], rows.const + means[k:]
     return full, batch_mean
 
 
@@ -506,4 +502,4 @@ def accuracy(model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> 
     pred = model.predict(params, X)
     if pred is None:
         return None
-    return float(np.mean(pred == y))
+    return np.count_nonzero(pred == y) / len(y)

@@ -13,6 +13,7 @@ random streams against one fresh stream per slot.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -442,18 +443,15 @@ def streams_suite(slots: int = 40, seed: int = 17) -> List[CheckResult]:
             rounds = max(1, rngmod.BLOCK_SLOTS // n)
             ts = [b * rounds + off for b in (1, 2) for off in (-1, 0)]
             ts += rng.integers(0, 3 * rounds, slots - len(ts)).tolist()
-            mismatches, detail = 0, "slots whose draws differ"
-            try:
-                for t in ts:
-                    node, k = int(rng.integers(n)), 2 * int(rng.integers(4)) + 1
-                    got = stream_draws(next(streams.each(t, [node])), k)
-                    ref = stream_draws(rngmod.stream(master, node, t, purpose), k)
-                    mismatches += not all(np.array_equal(a, b) for a, b in zip(got, ref))
-            except RuntimeError as exc:  # a block's self-check of the raw write
-                mismatches, detail = slots, str(exc)
+            mismatches = 0
+            for t in ts:
+                node, k = int(rng.integers(n)), 2 * int(rng.integers(4)) + 1
+                got = stream_draws(next(streams.each(t, [node])), k)
+                ref = stream_draws(rngmod.stream(master, node, t, purpose), k)
+                mismatches += not all(np.array_equal(a, b) for a, b in zip(got, ref))
             results.append(CheckResult(
                 f"Streams.each vs rng.stream, {words}-word seed, {label}, n={n}, {slots} slots",
-                mismatches == 0, float(mismatches), 0.0, detail))
+                mismatches == 0, float(mismatches), 0.0, "slots whose draws differ"))
     return results
 
 
@@ -468,11 +466,17 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 
 
 def run_suite(name: str, **kwargs) -> List[CheckResult]:
-    if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite())
-        return out
-    if name not in SUITES:
+    """The checks of suite `name` (of every suite for "all"), given kwargs; a
+    suite that raises gives one failing check naming it and its exception."""
+    if name != "all" and name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](**kwargs)
+    out = []
+    for suite in SUITES if name == "all" else [name]:
+        try:
+            out += SUITES[suite](**kwargs)
+        except Exception as exc:  # a failure to report, not to end the run on
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            out.append(CheckResult(f"suite {suite} raised", False, math.nan, math.nan,
+                                   f"{type(exc).__name__}: {exc} (in {where.name}, line "
+                                   f"{where.lineno})"))
+    return out

@@ -401,6 +401,23 @@ class TestCliVerify:
         assert main(["verify", "all"]) == 1
         assert "[FAIL] stub-bad" in capsys.readouterr().out
 
+    def test_raising_suite_fails_and_the_next_one_runs(self, monkeypatch, capsys):
+        import pushdp.verify as verify
+        from pushdp.verify import CheckResult
+
+        def broken():
+            raise RuntimeError("self-check failed")
+
+        ok = lambda: [CheckResult("stub-ok", True, 1.0, 1.0)]
+        monkeypatch.setattr(verify, "SUITES", {"a": broken, "b": ok})
+        assert main(["verify", "all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] suite a raised")
+        assert "RuntimeError: self-check failed" in lines[0] and "(in broken, line " in lines[0]
+        assert lines[1:] == ["[pass] stub-ok: measured=1 expected=1 ", "1/2 checks passed"]
+        [alone] = verify.run_suite("a")
+        assert not alone.passed and alone.name == "suite a raised"
+
 
 class TestCliCalc:
     def test_tau_reports_discrepancy(self, capsys):

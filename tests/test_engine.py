@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,8 @@ class TestDeterminism:
         b = run(cfg, master_seed=5)
         assert all(x.as_dict() == y.as_dict() for x, y in zip(a.records, b.records))
         assert a.summary["sigma_per_node"] == b.summary["sigma_per_node"]
+        # as_dict is dataclasses.asdict without the deep copy: same keys, same order
+        assert all(list(r.as_dict().items()) == list(asdict(r).items()) for r in a.records)
 
     def test_seed_changes_stream(self):
         cfg = make_config(T=20)
@@ -312,3 +316,29 @@ def test_one_model_pass_per_occupied_node_round(monkeypatch):
         node_passes = {(True, True): cfg.T} if kind is models.LogisticModel else {
             (True, False): occupied * cfg.T}
         assert {p: passes.count(p) for p in set(passes)} == {(False, False): cfg.T, **node_passes}
+
+
+def test_round_marker_calls(monkeypatch):
+    """engine.beta_at is called once at the top of every round, as an engine
+    global, and engine._summarize once, right after the last round: the
+    benchmark's round boundaries are these two calls."""
+    from pushdp import engine
+
+    calls = []  # "beta" per beta_at call, "summarize" per _summarize call
+    real_beta, real_summarize = engine.beta_at, engine._summarize
+
+    def counting_beta(*args):
+        calls.append("beta")
+        return real_beta(*args)
+
+    def counting_summarize(*args):
+        calls.append("summarize")
+        return real_summarize(*args)
+
+    monkeypatch.setattr(engine, "beta_at", counting_beta)
+    monkeypatch.setattr(engine, "_summarize", counting_summarize)
+    for algorithm in ("sdlr", "adp-vrsgp"):
+        cfg = make_config(T=7, algorithm=algorithm)
+        calls.clear()
+        engine.run(cfg, master_seed=0)
+        assert calls == ["beta"] * cfg.T + ["summarize"]

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pushdp import rng as rngmod
 from pushdp.config import DataSpec, ModelSpec, load_config
@@ -152,8 +154,56 @@ class TestNodeGrads:
             for got, ref in ((full, ref_full), (drawn, ref_drawn)):
                 err = np.linalg.norm(got[1:] - ref[1:], axis=1) / np.linalg.norm(ref[1:], axis=1)
                 assert err.max() <= 1e-12
-            # a one-row node's batch and full gradients are that row's
-            assert np.allclose(drawn[1], full[1], rtol=1e-12, atol=0.0)
+            # a one-row node's batch and full gradients are that row's, and
+            # a ratio-1 node draws its whole slice
+            assert np.array_equal(drawn[1], full[1]) and np.array_equal(drawn[2], full[2])
+
+    @pytest.mark.parametrize("model, data", ROW_CASES[:2], ids=["quadratic", "logistic"])
+    def test_gathered_pass_is_gradient_only(self, model, data, rng):
+        layout = node_rows([10, 0, 20])
+        rows = model.rows(rng.normal(size=(2, model.dim)), data.features, data.labels,
+                          owner=layout.owner)
+        assert rows.losses is None and rows.reg is None
+        assert rows.const.shape == (2, model.dim)
+
+    @staticmethod
+    def separate_reductions(model, Z, batch, layout, sel, drawn):
+        """The gathered means as separate per-segment reduceats, one per
+        block part and per mean, over outer products of the chosen rows."""
+        rows = model.rows(Z[layout.nodes], *batch, owner=layout.owner)
+
+        def means(chosen, starts, counts):
+            parts = []
+            for A, E in rows.blocks:
+                E = E[chosen]
+                if A is not None:
+                    outer = (A[chosen][:, :, None] * E[:, None, :]).reshape(len(E), -1)
+                    parts.append(np.add.reduceat(outer, starts) / counts[:, None])
+                parts.append(np.add.reduceat(E, starts) / counts[:, None])
+            return rows.const + np.hstack(parts)
+
+        return (means(slice(None), layout.starts, layout.counts),
+                means(sel, np.cumsum(drawn) - drawn, drawn))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.sampled_from([0, 1, 2, 7, 9, 16, 33]), min_size=1, max_size=6)
+           .filter(any),
+           ratio_picks=st.lists(st.sampled_from([1.0, 1e-12, 0.3, 0.8]), min_size=6, max_size=6),
+           logistic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(sizes=list(NODE_SIZES), ratio_picks=[*NODE_RATIOS, 0.3], logistic=True, seed=0)
+    @example(sizes=list(NODE_SIZES), ratio_picks=[*NODE_RATIOS, 0.3], logistic=False, seed=0)
+    def test_one_reduction_equals_separate_reductions(self, sizes, ratio_picks, logistic, seed):
+        # empty, one-row, ratio-1 and forced-pick (ratio 1e-12) nodes
+        rng = np.random.default_rng(seed)
+        d, N = 3, sum(sizes)
+        model = LogisticModel(n_features=d, l2=0.05) if logistic else make_quadratic_model(d, 5)
+        batch = (rng.normal(size=(N, d)), rng.integers(2, size=N))
+        Z = rng.normal(size=(len(sizes), model.dim))
+        draws = node_draws(rng, sizes, ratio_picks[: len(sizes)])
+        full, drawn = node_grads(model, Z, batch, *draws)
+        ref_full, ref_drawn = self.separate_reductions(model, Z, batch, *draws)
+        nodes = draws[0].nodes
+        assert np.array_equal(full[nodes], ref_full) and np.array_equal(drawn[nodes], ref_drawn)
 
     @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
     def test_segments_must_split_the_rows(self, counts, rng):
