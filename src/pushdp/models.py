@@ -14,9 +14,10 @@ Each model makes one pass over a row block (`row_pass`): per-row losses and
 the per-row pieces of the gradient.  Mean losses and gradients
 (`Rows.loss`, `Rows.grad`), per-segment losses and per-row gradient distances
 are reductions of it; the finite-difference, single-sample and per-node oracles
-in the verification suite check every kind.  `node_grads` gives every node's
-gradients at its own point, for logistic and quadratic in one gathered,
-gradient-only pass reduced once, and `BatchDraws` draws every node's batch.
+in the verification suite check every kind.  Per run, `NodeGrads` gives every
+node's gradients at its own point, for logistic and quadratic in one
+gathered, gradient-only pass reduced once, and `BatchDraws` draws every
+node's batch.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class Rows(NamedTuple):
     const + concat_k vec([A_k[j], 1] (x) E_k[j]) over the (A_k, E_k) pairs of
     `blocks`, where A_k = None stands for an empty A_k[j].  Means over any
     subset of the rows and each row's distance to a given gradient are
-    reductions of these pieces; only `pieces` builds a (rows, dim) matrix.
-    A gathered pass (`node_grads`) is gradient-only: it has no losses and no
-    reg, and one const row per node.
+    reductions of these pieces.  A gathered pass (`NodeGrads`) is
+    gradient-only: it has no losses and no reg, and one const row per node.
     """
 
     losses: "np.ndarray | None"
@@ -75,15 +75,6 @@ class Rows(NamedTuple):
         """Mean loss of every segment k of the rows, the counts[k] from
         starts[k] on, summed in row order; the segments cover the rows."""
         return np.add.reduceat(self.losses, starts) / counts + self.reg
-
-    def pieces(self) -> np.ndarray:
-        """Every row's gradient minus const, one (rows, dim) row each."""
-        parts = []
-        for A, E in self.blocks:
-            if A is not None:
-                parts.append((A[:, :, None] * E[:, None, :]).reshape(len(E), -1))
-            parts.append(E)
-        return np.hstack(parts)
 
     def dev_sq(self, g: np.ndarray) -> np.ndarray:
         """||g_j - g||^2 for every row j: blocks occupy disjoint coordinates,
@@ -229,40 +220,55 @@ def row_pass(model: Model, params: np.ndarray, batch: Batch, grad: bool = True) 
     return model.rows(np.asarray(params, dtype=float), X, y, grad)
 
 
-def node_grads(model: Model, Z: np.ndarray, batch: Batch, layout: NodeRows, sel: np.ndarray,
-               drawn: np.ndarray):
-    """Every node's full-slice and batch mean gradient, both at its own Z[i].
+class NodeGrads:
+    """Every node's full-slice and batch mean gradient at its own Z[i], over
+    one run's node-sorted rows (`layout`): `at(Z, sel, drawn)` takes the
+    draws of `BatchDraws.draw` and gives two (n, dim) arrays, zero for empty
+    nodes.  Logistic and quadratic take one gradient-only pass over all rows
+    and one `np.add.reduceat` of the row pieces, bit for bit as per segment:
+    logistic pieces [x_j, 1] * r_j, stacked on the drawn rows' copies; the
+    quadratic's are the rows, whose full-slice sums are taken once.  The MLP
+    takes one pass per node: a gathered W1 would be rows x features x hidden."""
 
-    The batch rows are node-sorted as `layout` describes.  sel lists every
-    occupied node's drawn rows, as indices into the batch, node after node:
-    drawn[k] of them for node layout.nodes[k] (see `BatchDraws`).  Returns
-    two (n, dim) arrays with zero rows for empty nodes.  Logistic and
-    quadratic take one gradient-only pass over all rows, each at its node's
-    point; one `np.add.reduceat` over the row pieces stacked on the drawn
-    ones sums each segment of each column on its own, bit for bit as per
-    segment.  The MLP takes one pass per node, because a gathered W1 would
-    hold rows x features x hidden floats.
-    """
-    X, y = batch
-    Z = np.asarray(Z, dtype=float)
-    full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
-    nodes, starts, counts, owner = layout
-    if not len(drawn) or drawn.min() < 1 or drawn.sum() != len(sel):
-        raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
-    sel_starts = np.cumsum(drawn) - drawn
-    if isinstance(model, MlpModel):
-        for i, a, c, s, k in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
-                                 sel_starts.tolist(), drawn.tolist()):
-            rows = row_pass(model, Z[i], (X[a : a + c], y[a : a + c]))
-            full[i], batch_mean[i] = rows.grad(), rows.grad(sel[s : s + k] - a)
+    def __init__(self, model: Model, batch: Batch, layout: NodeRows):
+        self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
+        # segment starts and counts: the full slices', then the drawn rows' of a call
+        self._starts = np.concatenate([layout.starts, layout.starts])
+        self._counts = np.concatenate([layout.counts, layout.counts])
+        if isinstance(model, LogisticModel):
+            self._aug = np.hstack([X, np.ones((len(X), 1))])
+            self._pieces = np.empty((2 * len(X), model.dim))  # the rows', then the drawn rows'
+        elif isinstance(model, QuadraticModel):
+            self._full_means = np.add.reduceat(X, layout.starts) / layout.counts[:, None]
+
+    def at(self, Z: np.ndarray, sel: np.ndarray, drawn: np.ndarray):
+        (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
+        k = len(nodes)
+        if not 0 < len(drawn) == k or drawn.min() < 1 or drawn.sum() != len(sel):
+            raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
+        Z = np.asarray(Z, dtype=float)
+        full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
+        sel_starts = np.cumsum(drawn, out=self._starts[k:])
+        sel_starts -= drawn
+        if isinstance(self.model, MlpModel):
+            for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
+                                     sel_starts.tolist(), drawn.tolist()):
+                rows = row_pass(self.model, Z[i], (X[a : a + c], y[a : a + c]))
+                full[i], batch_mean[i] = rows.grad(), rows.grad(sel[s : s + m] - a)
+            return full, batch_mean
+        rows = self.model.rows(Z[nodes], X, y, owner=owner)
+        if isinstance(self.model, QuadraticModel):
+            means = np.concatenate([self._full_means, np.add.reduceat(
+                X.take(sel, axis=0), sel_starts) / drawn[:, None]])
+        else:
+            N, P = len(X), self._pieces
+            np.multiply(self._aug, rows.blocks[0][1], out=P[:N])  # the block is (X, resid column)
+            P[:N].take(sel, axis=0, out=P[N : N + len(sel)])
+            sel_starts += N
+            self._counts[k:] = drawn
+            means = np.add.reduceat(P[: N + len(sel)], self._starts) / self._counts[:, None]
+        full[nodes], batch_mean[nodes] = rows.const + means[:k], rows.const + means[k:]
         return full, batch_mean
-    rows = model.rows(Z[nodes], X, y, owner=owner)
-    P = rows.pieces()
-    sums = np.add.reduceat(np.concatenate([P, np.take(P, sel, axis=0)]),
-                           np.concatenate([starts, len(P) + sel_starts]))
-    means, k = sums / np.concatenate([counts, drawn])[:, None], len(nodes)
-    full[nodes], batch_mean[nodes] = rows.const + means[:k], rows.const + means[k:]
-    return full, batch_mean
 
 
 # ---------------------------------------------------------------- data
@@ -347,13 +353,13 @@ class BatchDraws:
         # a ratio-1 node takes every row without a draw: its uniforms stay 0
         self._uniform = np.zeros(len(layout.owner))
         sampled = ratios < 1.0
-        self._sampled = layout.nodes[sampled]
+        self._sampled = streams.checked(layout.nodes[sampled])
         starts = layout.starts[sampled]
         self._spans = np.stack([starts, starts + layout.counts[sampled]], axis=1).tolist()
 
     def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Round t's drawn rows of every occupied node, node after node, and
-        how many each node drew (see `node_grads`)."""
+        how many each node drew (see `NodeGrads`)."""
         uniform = self._uniform
         for (a, b), gen in zip(self._spans, self.streams.each(t, self._sampled)):
             gen.random(out=uniform[a:b])
@@ -361,9 +367,9 @@ class BatchDraws:
         nodes, starts, counts, _ = self.layout
         drawn = np.add.reduceat(mask, starts, dtype=np.intp)
         sel = np.flatnonzero(mask)
-        empty = np.flatnonzero(drawn == 0)
-        if not len(empty):
+        if drawn.all():
             return sel, drawn
+        empty = np.flatnonzero(drawn == 0)
         replays = [sample_batch(np.arange(starts[k], starts[k] + counts[k]), self.ratios[k], gen)
                    for k, gen in zip(empty.tolist(), self.streams.each(t, nodes[empty]))]
         drawn[empty] = [len(rows) for rows in replays]

@@ -119,6 +119,7 @@ class Streams:
         words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
         buffer = (ctypes.c_uint64 * 1).from_address(address + ctypes.sizeof(ctypes.c_void_p))
         self._words, self._buffer = np.frombuffer(words, np.uint64), np.frombuffer(buffer, np.uint64)
+        self._checked = {}  # id -> array from `checked`; held, so no other array gets its id
 
     def __reduce_ex__(self, protocol):  # copy, deepcopy and pickle all call this
         raise TypeError("a Streams writes into its own generator's memory: build a new one")
@@ -140,15 +141,26 @@ class Streams:
         if (got := self._position(self._block[0]).bit_generator.state) != want:
             raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
-    def each(self, t: int, nodes) -> Iterator[np.random.Generator]:
-        """The reused Generator at round t's slot of every node in `nodes`,
-        set node after node, in their order, as the iterator advances; no
-        block is derived for no nodes."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+    def checked(self, nodes) -> np.ndarray:
+        """A read-only copy of `nodes`, range-checked once: `each` takes it unchecked."""
+        nodes = self._check(0, np.array(nodes, dtype=np.int64))
+        nodes.flags.writeable = False
+        self._checked[id(view)] = (view := nodes.view())  # it can never be made writeable
+        return view
+
+    def _check(self, t: int, nodes: np.ndarray) -> np.ndarray:
         if not 0 <= t < self.horizon or nodes.size and not (
                 nodes.min() >= 0 and nodes.max() < self.n):
             raise ValueError(f"slots (nodes {nodes.tolist()}, t {t}) are outside nodes < "
                              f"{self.n}, t < {self.horizon}")
+        return nodes
+
+    def each(self, t: int, nodes) -> Iterator[np.random.Generator]:
+        """The reused Generator at round t's slot of every node in `nodes`,
+        set node after node, in their order, as the iterator advances; no
+        block is derived for no nodes.  An array from `checked` skips the node check."""
+        if self._checked.get(id(nodes)) is not nodes or not 0 <= t < self.horizon:
+            nodes = self._check(t, np.asarray(nodes, dtype=np.int64))
         if not nodes.size:
             return iter(())
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rngmod
 from .fusion import fuse, noise_factor, perturb
 from .models import (
-    BatchDraws, LogisticModel, MlpModel, make_quadratic_model, make_synthetic, node_grads,
+    BatchDraws, LogisticModel, MlpModel, NodeGrads, make_quadratic_model, make_synthetic,
     node_rows, row_pass,
 )
 from .privacy import (
@@ -197,7 +197,7 @@ def single_sample_dev_sq(model, params, batch, g) -> np.ndarray:
 
 
 def per_node_grads(model, Z, batch, layout, sel, drawn):
-    """node_grads node by node: one row pass per occupied node at its own
+    """NodeGrads node by node: one row pass per occupied node at its own
     point, reduced over its whole slice and over its drawn rows."""
     X, y = batch
     full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
@@ -242,7 +242,7 @@ def gradients_suite(
 ) -> List[CheckResult]:
     """Analytic mean gradients against finite differences, each model's
     closed-form per-row ||g_j - g||^2 (g the mean gradient) against a loop
-    of single-sample gradients, and `node_grads` at random per-node points
+    of single-sample gradients, and `NodeGrads` at random per-node points
     against one pass per node (relative error of each node's gradient)."""
     results = []
     rng = np.random.default_rng(seed)
@@ -261,7 +261,7 @@ def gradients_suite(
             worst_row = max(worst_row, float(np.max(row_err)))
             Z = rng.normal(size=(len(NODE_SIZES), model.dim))
             draws = node_draws(rng)
-            got = node_grads(model, Z, batch, *draws)
+            got = NodeGrads(model, batch, draws[0]).at(Z, *draws[1:])
             for g, ref in zip(got, per_node_grads(model, Z, batch, *draws)):
                 scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)  # empty nodes: 0 / tiny
                 err = np.linalg.norm(g - ref, axis=1) / scale

@@ -8,7 +8,7 @@ from pushdp.engine import build_dataset, build_model, run
 from pushdp.errors import ConfigurationError, NumericalBreakdownError
 from pushdp.fusion import ClipConfig, FusionConfig
 from pushdp.privacy import (
-    LrSchedule, NoiseSchedule, PrivacyBudget, beta_at, delta_bound, epsilon_spent,
+    LrSchedule, NoiseSchedule, PrivacyBudget, beta_at, delta_bound, epsilon_spent, starts_interval,
 )
 from pushdp.topology import TopologySchedule
 
@@ -342,3 +342,52 @@ def test_round_marker_calls(monkeypatch):
         calls.clear()
         engine.run(cfg, master_seed=0)
         assert calls == ["beta"] * cfg.T + ["summarize"]
+
+
+class TestEmpiricalDTau:
+    """empirical_d_tau against a brute-force oracle over every round's clipped
+    rows, captured at engine.clip: the largest squared distance between an
+    occupied node's row now and at any earlier round of the same interval."""
+
+    T = 30
+    CASES = {
+        "sdlr": dict(algorithm="sdlr"),
+        "adp-vrsgp": dict(algorithm="adp-vrsgp"),
+        # one interval of all T rounds, far past tau = 5, its drift taken two
+        # or three past rounds at a time
+        "stepwise-s0": dict(noise=NoiseSchedule(form="stepwise", T=T, s=0.0, tau=5)),
+        # every round starts an interval
+        "power": dict(noise=NoiseSchedule(form="power", T=T, s=0.5, K=2.0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_brute_force(self, case, monkeypatch):
+        from pushdp import engine
+
+        cfg = make_config(T=self.T, **self.CASES[case])
+        clipped = []
+        real_clip = engine.clip
+
+        def capturing_clip(g, G):
+            out = real_clip(g, G)
+            clipped.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(engine, "clip", capturing_clip)
+        if case == "stepwise-s0":
+            monkeypatch.setattr(engine, "DRIFT_SCRATCH", 100)  # 5 to 8 nodes of d = 6
+        result = run(cfg, master_seed=3)
+        occupied = [i for i in range(cfg.n) if i not in result.summary["empty_nodes"]]
+        starts = [t for t in range(cfg.T) if starts_interval(cfg.noise, t)]
+        got = [r.empirical_d_tau for r in result.records]
+        want = []
+        for t in range(cfg.T):
+            start = max(s for s in starts if s <= t)
+            want.append(max((float(np.sum((clipped[t][i] - clipped[s][i]) ** 2))
+                             for s in range(start, t) for i in occupied), default=0.0))
+        assert got == want
+        if case == "power":
+            assert starts == list(range(cfg.T)) and not any(got)
+        else:
+            assert max(np.diff(starts + [cfg.T])) == (cfg.T if case == "stepwise-s0" else 5)
+            assert all(got[t] > 0 for t in range(cfg.T) if t not in starts)

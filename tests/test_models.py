@@ -14,6 +14,7 @@ from pushdp.models import (
     BatchDraws,
     LogisticModel,
     MlpModel,
+    NodeGrads,
     PartitionSpec,
     QuadraticModel,
     accuracy,
@@ -21,7 +22,6 @@ from pushdp.models import (
     load_csv,
     make_quadratic_model,
     make_synthetic,
-    node_grads,
     node_rows,
     node_sorted,
     partition_report,
@@ -148,7 +148,7 @@ class TestNodeGrads:
             Z = rng.normal(size=(len(self.SIZES), model.dim))
             draws = node_draws(rng, self.SIZES, self.RATIOS)
             assert draws[2][:3].tolist() == [1, 8, 1]  # per occupied node
-            full, drawn = node_grads(model, Z, batch, *draws)
+            full, drawn = NodeGrads(model, batch, draws[0]).at(Z, *draws[1:])
             ref_full, ref_drawn = per_node_grads(model, Z, batch, *draws)
             assert not full[0].any() and not drawn[0].any()
             for got, ref in ((full, ref_full), (drawn, ref_drawn)):
@@ -193,26 +193,35 @@ class TestNodeGrads:
     @example(sizes=list(NODE_SIZES), ratio_picks=[*NODE_RATIOS, 0.3], logistic=True, seed=0)
     @example(sizes=list(NODE_SIZES), ratio_picks=[*NODE_RATIOS, 0.3], logistic=False, seed=0)
     def test_one_reduction_equals_separate_reductions(self, sizes, ratio_picks, logistic, seed):
-        # empty, one-row, ratio-1 and forced-pick (ratio 1e-12) nodes
+        # empty, one-row, ratio-1 and forced-pick (ratio 1e-12, replayed)
+        # nodes; one NodeGrads serves every round, as in a run, so a round
+        # that read what the last one left in its buffers would differ
         rng = np.random.default_rng(seed)
-        d, N = 3, sum(sizes)
+        d, N, rounds = 3, sum(sizes), 3
         model = LogisticModel(n_features=d, l2=0.05) if logistic else make_quadratic_model(d, 5)
         batch = (rng.normal(size=(N, d)), rng.integers(2, size=N))
-        Z = rng.normal(size=(len(sizes), model.dim))
-        draws = node_draws(rng, sizes, ratio_picks[: len(sizes)])
-        full, drawn = node_grads(model, Z, batch, *draws)
-        ref_full, ref_drawn = self.separate_reductions(model, Z, batch, *draws)
-        nodes = draws[0].nodes
-        assert np.array_equal(full[nodes], ref_full) and np.array_equal(drawn[nodes], ref_drawn)
+        layout = node_rows(sizes)
+        draws = BatchDraws(layout, ratio_picks[: len(sizes)],
+                           rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=rounds))
+        grads = NodeGrads(model, batch, layout)
+        empty = np.flatnonzero(np.array(sizes) == 0)
+        for t in range(rounds):
+            Z = rng.normal(size=(len(sizes), model.dim))
+            sel, drawn = draws.draw(t)
+            full, drawn_mean = grads.at(Z, sel, drawn)
+            ref_full, ref_drawn = self.separate_reductions(model, Z, batch, layout, sel, drawn)
+            assert np.array_equal(full[layout.nodes], ref_full)
+            assert np.array_equal(drawn_mean[layout.nodes], ref_drawn)
+            assert not full[empty].any() and not drawn_mean[empty].any()
 
     @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
     def test_segments_must_split_the_rows(self, counts, rng):
-        # a batch layout is checked once, where node_grads computes its starts
+        # a batch layout is checked once, where NodeGrads computes its starts
         model, data = ROW_CASES[1]
-        layout = node_rows([30])
+        grads = NodeGrads(model, (data.features, data.labels), node_rows([30]))
         with pytest.raises(ValueError, match="do not split 30 rows"):
-            node_grads(model, rng.normal(size=(1, model.dim)), (data.features, data.labels),
-                       layout, np.arange(30), np.array(counts, dtype=np.intp))
+            grads.at(rng.normal(size=(1, model.dim)), np.arange(30),
+                     np.array(counts, dtype=np.intp))
 
 
 class TestSampleBatch:
