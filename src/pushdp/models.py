@@ -234,8 +234,8 @@ class NodeGrads:
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
         # segment starts and counts: the full slices', then the drawn rows' of a call
         self._starts = np.concatenate([layout.starts, layout.starts])
-        self._counts = np.concatenate([layout.counts, layout.counts])
         if isinstance(model, LogisticModel):
+            self._counts = np.concatenate([layout.counts, layout.counts])
             self._aug = np.hstack([X, np.ones((len(X), 1))])
             self._pieces = np.empty((2 * len(X), model.dim))  # the rows', then the drawn rows'
         elif isinstance(model, QuadraticModel):
