@@ -111,10 +111,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "noise-factor" and args.trials:
-        kwargs["trials"] = args.trials
-    results = run_suite(args.suite, **kwargs)
+    results = run_suite(args.suite, trials=args.trials)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -242,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an oracle suite")
     p_ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_ver.add_argument("--trials", type=int, default=None, help="noise-factor Monte-Carlo trials")
+    p_ver.add_argument("--trials", type=int, default=None,
+                       help="noise-factor Monte-Carlo trials (noise-factor and all only)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_calc = sub.add_parser("calc", help="standalone theory calculators")
@@ -288,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "trials", None) is not None and args.suite not in ("noise-factor", "all"):
+        parser.error(f"verify {args.suite}: --trials applies to noise-factor and all only")
     try:
         return args.func(args)
     except PushdpError as exc:

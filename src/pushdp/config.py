@@ -84,34 +84,12 @@ class RunSpec:
 
 
 @dataclass(frozen=True)
-class TopologySpec:
-    """The graph kind, with k the static ring's in-degree and path the
-    explicit list's edge file; J is the connectivity window over which the
-    theory block measures the window diameter kappa.  Other kinds drop k and
-    path."""
-
-    kind: str  # static-ring | exponential-periodic | explicit-list
-    k: Optional[int] = 1
-    path: Optional[str] = None
-    J: int = 1
-
-    def __post_init__(self):
-        if self.kind != "static-ring":
-            object.__setattr__(self, "k", None)
-        if self.kind != "explicit-list":
-            object.__setattr__(self, "path", None)
-        if self.J < 1:
-            raise ConfigurationError(f"topology.J: must be >= 1, got {self.J}")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """One spec per config section; graph is the edge schedule that the
-    [topology] spec describes, sigma_override the optional privacy.sigma."""
+    """One spec per config section; sigma_override is the optional
+    privacy.sigma."""
 
     run: RunSpec
-    topology: TopologySpec
-    graph: TopologySchedule
+    topology: TopologySchedule
     noise: NoiseSchedule
     lr: LrSchedule
     clip: ClipConfig
@@ -130,9 +108,9 @@ class ExperimentConfig:
         return self.run.T
 
     def __post_init__(self):
-        if self.graph.n != self.n:
+        if self.topology.n != self.n:
             raise ConfigurationError(
-                f"topology: node count {self.graph.n} does not match run.n = {self.n}"
+                f"topology: node count {self.topology.n} does not match run.n = {self.n}"
             )
         if self.noise.T != self.T:
             raise ConfigurationError(
@@ -151,8 +129,9 @@ class ExperimentConfig:
 # Every section maps one-to-one onto the fields of its spec dataclass: the
 # key is the lower-cased field name, the cast comes from the annotation and
 # the default from the field.  Only derived values are handled by hand:
-# noise.T (from run.T), lr.eta (from lr.K and lr.p when absent), the paths,
-# the per-node [privacy] lists, the fusion.tau check and privacy.sigma.
+# noise.T and topology.n (from run), the edge sets (from topology.path),
+# lr.eta (from lr.K and lr.p when absent), the paths, the per-node
+# [privacy] lists, the fusion.tau check and privacy.sigma.
 
 
 def field_types(cls) -> dict:
@@ -256,16 +235,13 @@ def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     run = RunSpec(**r.spec("run", RunSpec))
     n, T = run.n, run.T
 
-    topology = r.spec("topology", TopologySpec)
+    topology = r.spec("topology", TopologySchedule, given={"n": n, "edge_sets": ()})
     if topology["kind"] == "explicit-list":
         if not topology["path"]:
             raise ConfigurationError("topology.path: required for explicit-list")
         topology["path"] = _existing("topology.path", base_dir, topology["path"])
-    topology = TopologySpec(**topology)
-    if topology.kind == "explicit-list":
-        graph = load_edge_list(topology.path, n)
-    else:
-        graph = TopologySchedule(kind=topology.kind, n=n, k=topology.k)
+        topology["edge_sets"] = load_edge_list(topology["path"], n)
+    topology = TopologySchedule(**topology)
 
     noise = NoiseSchedule(**r.spec("noise", NoiseSchedule, given={"T": T}))
 
@@ -300,9 +276,8 @@ def parse_sections(sections: dict, base_dir: str = ".") -> ExperimentConfig:
     r.reject_unknown()
 
     return ExperimentConfig(
-        run=run, topology=topology, graph=graph, noise=noise, lr=lr, clip=clip,
-        fusion=fusion, budgets=budgets, model=model, data=data,
-        sigma_override=sigma_override,
+        run=run, topology=topology, noise=noise, lr=lr, clip=clip, fusion=fusion,
+        budgets=budgets, model=model, data=data, sigma_override=sigma_override,
     )
 
 
@@ -345,7 +320,7 @@ def to_sections(cfg: ExperimentConfig) -> dict:
 
     sections = {
         "run": _echo(cfg.run),
-        "topology": _echo(cfg.topology),
+        "topology": _echo(cfg.topology, skip=("n", "edge_sets")),
         "noise": _echo(cfg.noise, skip=("T",)),
         "lr": _echo(cfg.lr),
         "clip": _echo(cfg.clip),

@@ -24,11 +24,11 @@ from .fusion import (
     REPORTED_TAU, clip, decay_threshold, fuse, noise_factor, perturb, select_tau, staleness_bound,
 )
 from .models import (
-    BatchDraws, Dataset, LogisticModel, MlpModel, Model, NodeGrads, PartitionSpec, accuracy,
-    dirichlet_partition, load_csv, make_quadratic_model, make_synthetic, node_sorted,
-    partition_report, row_pass, split_test,
+    BatchDraws, Dataset, LogisticModel, MlpModel, Model, NodeGrads, accuracy, dirichlet_partition,
+    load_csv, make_quadratic_model, make_synthetic, node_sorted, partition_report, row_pass,
+    split_test,
 )
-from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent, starts_interval
+from .privacy import alpha_at, beta_at, calibrate_sigma, delta_bound, epsilon_spent
 from .pushsum import mix_round, sq_deviations
 from .theory import (CERTIFIED, OPTIMAL_P_ERRATUM, convergence_bound, estimate_theory_params,
                      min_iterations)
@@ -93,9 +93,8 @@ def build_dataset(config: ExperimentConfig, master_seed: int) -> Dataset:
         dataset = make_synthetic(kind, spec.n_samples, config.model.features, master_seed,
                                  classes=classes, separation=spec.separation, spread=spec.spread)
     dataset = split_test(dataset, spec.test_fraction, master_seed)
-    dataset.node_indices = dirichlet_partition(
-        dataset.labels, PartitionSpec(alpha_conc=spec.alpha_conc, n=config.n, seed=master_seed)
-    )
+    dataset.node_indices = dirichlet_partition(dataset.labels, config.n, spec.alpha_conc,
+                                               master_seed)
     return dataset
 
 
@@ -112,8 +111,8 @@ def _theory_block(config, model, dataset, batch, layout, x0, master_seed):
     block = {"enabled": True, "in_regime": False, "warning": None}
     try:
         J = config.topology.J
-        U = max_out_degree(config.graph)
-        kappa = window_diameter(config.graph, J)
+        U = max_out_degree(config.topology)
+        kappa = window_diameter(config.topology, J)
         if kappa is None:
             raise OutOfRegimeError(f"a window of length J={J} is not strongly connected")
         prop = propagation_params(config.n, U, kappa, J, int(np.size(x0)))
@@ -165,7 +164,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         else ({"enabled": False, "in_regime": False, "warning": None}, None)
     )
 
-    matrices = [build_mixing_matrix(edges) for edges in config.graph.edge_sets]
+    matrices = [build_mixing_matrix(edges) for edges in config.topology.edge_sets]
 
     G = config.clip.g0
     F = None  # fused gradients of the previous round
@@ -186,11 +185,13 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     held = np.empty((4, len(layout.nodes), model.dim))
     step = max(1, DRIFT_SCRATCH // held[0].size)
     diffs, drift, kept = np.empty((step, *held.shape[1:])), np.empty(held.shape[:2]), 0
+    alpha_inj = None
 
     for t in range(T):
-        alpha_inj = alpha_at(config.noise, T - t)
         eta_t = config.lr.eta / beta_at(config.noise, config.lr, t)
-        new_interval = starts_interval(config.noise, t)
+        # an interval starts where the injected alpha(T - t) changes (privacy.starts_interval)
+        last_alpha, alpha_inj = alpha_inj, alpha_at(config.noise, T - t)
+        new_interval = t == 0 or alpha_inj != last_alpha
         if new_interval:
             kept = 0
 

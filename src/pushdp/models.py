@@ -378,31 +378,20 @@ class BatchDraws:
         return np.sort(np.concatenate([sel, *replays])), drawn
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    alpha_conc: float
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        if self.alpha_conc <= 0:
-            raise ConfigurationError(f"alpha_conc must be > 0, got {self.alpha_conc}")
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-
-
-def dirichlet_partition(labels: np.ndarray, spec: PartitionSpec) -> List[np.ndarray]:
-    """Split sample indices across nodes, one Dirichlet proportion draw per
-    class; exhaustive, disjoint, and deterministic in the seed."""
-    rng = rngmod.stream(spec.seed, 0, 0, rngmod.PARTITION)
-    out = [[] for _ in range(spec.n)]
+def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,
+                        seed: int) -> List[np.ndarray]:
+    """Split sample indices across n nodes, one Dirichlet(alpha_conc)
+    proportion draw per class; exhaustive, disjoint, and deterministic in
+    the seed."""
+    rng = rngmod.stream(seed, 0, 0, rngmod.PARTITION)
+    out = [[] for _ in range(n)]
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        if spec.n == 1:
+        if n == 1:
             out[0].extend(idx)
             continue
-        props = rng.dirichlet(np.full(spec.n, spec.alpha_conc))
+        props = rng.dirichlet(np.full(n, alpha_conc))
         cuts = np.floor(np.cumsum(props) * len(idx)).astype(int)[:-1]
         for node, part in enumerate(np.split(idx, cuts)):
             out[node].extend(part)

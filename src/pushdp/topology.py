@@ -77,27 +77,37 @@ def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TopologySchedule:
-    """Deterministic per-iteration edge sets: edge_sets holds one period,
-    cycled over t.
+    """Deterministic per-iteration edge sets, and the [topology] spec:
+    edge_sets holds one period, cycled over t.
 
     kind is one of:
       static-ring           each node receives from its k predecessors
       exponential-periodic  out-offsets {j * 2^(t mod log2 n)}, n a power of 2
-      explicit-list         the given edge_sets
+      explicit-list         the given edge_sets, read from the file path
+    Other kinds drop k and path.  J is the connectivity window over which
+    the theory block measures the window diameter kappa.
     """
 
     kind: str
     n: int
-    k: int = 1
+    k: Optional[int] = 1
+    path: Optional[str] = None
+    J: int = 1
     edge_sets: tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("static-ring", "exponential-periodic", "explicit-list"):
             raise ConfigurationError(f"unknown topology kind {self.kind!r}")
+        if self.J < 1:
+            raise ConfigurationError(f"topology.J: must be >= 1, got {self.J}")
+        if self.kind != "explicit-list":
+            object.__setattr__(self, "path", None)
         if self.kind == "static-ring":
             if not (1 <= self.k < self.n):
                 raise ConfigurationError(f"static-ring needs 1 <= k < n, got k={self.k}, n={self.n}")
             object.__setattr__(self, "edge_sets", (_circulant(self.n, np.arange(1, self.k + 1)),))
+        else:
+            object.__setattr__(self, "k", None)
         if self.kind == "exponential-periodic":
             if self.n < 2 or (self.n & (self.n - 1)) != 0:
                 raise ConfigurationError(
@@ -121,8 +131,8 @@ def topology_at(schedule: TopologySchedule, t: int) -> DirectedEdgeSet:
     return schedule.edge_sets[t % len(schedule.edge_sets)]
 
 
-def load_edge_list(path, n: int) -> TopologySchedule:
-    """Read an explicit-list schedule from a plain-text file.
+def load_edge_list(path, n: int) -> tuple:
+    """Read the edge sets of an explicit-list schedule from a plain-text file.
 
     One line per iteration; each whitespace-separated token "i<j" is an edge
     where j transmits to i.  Self-loops are implicit.  Blank lines and lines
@@ -150,7 +160,7 @@ def load_edge_list(path, n: int) -> TopologySchedule:
             sets.append(DirectedEdgeSet(n, *zip(*pairs)))
     if not sets:
         raise ConfigurationError(f"{path}: no edge sets found")
-    return TopologySchedule(kind="explicit-list", n=n, edge_sets=tuple(sets))
+    return tuple(sets)
 
 
 def _hop_diameter(edges: DirectedEdgeSet) -> Optional[int]:

@@ -465,13 +465,15 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, **kwargs) -> List[CheckResult]:
-    """The checks of suite `name` (of every suite for "all"), given kwargs; a
-    suite that raises gives one failing check naming it and its exception."""
+def run_suite(name: str, trials: Optional[int] = None) -> List[CheckResult]:
+    """The checks of suite `name` (of every suite for "all"); trials, when
+    given, goes to the noise-factor suite alone.  A suite that raises gives
+    one failing check naming it and its exception."""
     if name != "all" and name not in SUITES:
         raise KeyError(name)
     out = []
     for suite in SUITES if name == "all" else [name]:
+        kwargs = {"trials": trials} if trials and suite == "noise-factor" else {}
         try:
             out += SUITES[suite](**kwargs)
         except Exception as exc:  # a failure to report, not to end the run on

@@ -1,22 +1,17 @@
 import numpy as np
 import pytest
 
-from pushdp import (
-    ClipConfig,
-    FusionConfig,
-    LrSchedule,
-    NoiseSchedule,
-    PrivacyBudget,
-    TopologySchedule,
-)
-from pushdp.config import DataSpec, ExperimentConfig, ModelSpec, RunSpec, TopologySpec
+from pushdp.config import DataSpec, ExperimentConfig, ModelSpec, RunSpec
+from pushdp.fusion import ClipConfig, FusionConfig
 from pushdp.models import row_pass
+from pushdp.privacy import LrSchedule, NoiseSchedule, PrivacyBudget
+from pushdp.topology import TopologySchedule
 
 
 def make_config(**overrides) -> ExperimentConfig:
     """Small, fast experiment config; override any field by keyword.
-    algorithm, theory=True (the theory block on) and J set the run and
-    topology specs, topology takes the edge schedule and p sets lr.p."""
+    algorithm and theory=True (the theory block on) set the run spec, and
+    p sets lr.p."""
     n = overrides.pop("n", 8)
     T = overrides.pop("T", 60)
     tau = overrides.pop("tau", 5)
@@ -25,11 +20,9 @@ def make_config(**overrides) -> ExperimentConfig:
     ratio = overrides.pop("sampling_ratio", 0.5)
     run = RunSpec(algorithm=overrides.pop("algorithm", "adp-vrsgp"), n=n, T=T,
                   theory=overrides.pop("theory", False))
-    graph = overrides.pop("topology", TopologySchedule(kind="static-ring", n=n, k=min(2, n - 1)))
     defaults = dict(
         run=run,
-        topology=TopologySpec(kind=graph.kind, k=graph.k, J=overrides.pop("J", 1)),
-        graph=graph,
+        topology=TopologySchedule(kind="static-ring", n=n, k=min(2, n - 1)),
         noise=NoiseSchedule(form="stepwise", T=T, s=0.2, tau=tau, a1=1.0, a2=10.0),
         lr=LrSchedule(eta=1.0, xi=0.5, p=overrides.pop("p", None)),
         clip=ClipConfig(g0=0.1, psi=0.99),

@@ -259,6 +259,8 @@ class TestCliRun:
         ("n_samples = 160", "n_samples = 0", "data.n_samples: must be >= 1, got 0"),
         ("master_seed = 3", "master_seed = -1", "run.master_seed: must be >= 0, got -1"),
         ("kind = logistic", "kind = mlp\nclasses = 0", "model.classes: must be >= 1, got 0"),
+        ("k = 2", "k = 2\nJ = 0", "topology.J: must be >= 1, got 0"),
+        ("k = 2", "k = 8", "static-ring needs 1 <= k < n, got k=8, n=8"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, old, new, message):
         text = BASE_CONFIG.replace(old, new)
@@ -336,6 +338,30 @@ class TestCliRun:
         lines = (out / "seed_1_metrics.jsonl").read_text().splitlines()
         assert [json.loads(line)["t"] for line in lines] == list(range(30))
 
+    @pytest.mark.parametrize("name", ["seed_1_metrics.jsonl", "seed_1_summary.json"])
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch, name):
+        from pushdp import cli
+
+        cfg_path, out = write_config(tmp_path), tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--seeds", "1", "--out", str(out)]) == 0
+        before = (out / name).read_bytes()
+        real_run = cli.engine.run
+
+        def run_failing_partway(config, master_seed=None):
+            # the write raises after part of the file has gone out
+            result = real_run(config, master_seed=master_seed)
+            if name.endswith(".jsonl"):
+                result.records[10].train_loss = object()
+            else:
+                result.summary["unserializable"] = object()
+            return result
+
+        monkeypatch.setattr(cli.engine, "run", run_failing_partway)
+        with pytest.raises(TypeError):
+            main(["run", "--config", cfg_path, "--seeds", "1", "--out", str(out), "--force"])
+        assert (out / name).read_bytes() == before
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+
     def test_metrics_jsonl_is_strict_json(self, tmp_path, monkeypatch):
         from pushdp import cli
 
@@ -379,6 +405,31 @@ class TestCliVerify:
     def test_noise_factor_small_trials(self, capsys):
         assert main(["verify", "noise-factor", "--trials", "50000"]) == 0
         assert "fused-noise" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["consensus", "streams"])
+    def test_trials_on_another_suite_is_usage_error(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--trials", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"pushdp: error: verify {suite}: --trials applies to noise-factor and all only"
+        )
+
+    def test_all_passes_trials_to_noise_factor_only(self, monkeypatch, capsys):
+        import pushdp.verify as verify
+        from pushdp.verify import CheckResult
+
+        seen = {}
+
+        def recorder(name):
+            def suite(**kwargs):
+                seen[name] = kwargs
+                return [CheckResult(name, True, 1.0, 1.0)]
+            return suite
+
+        monkeypatch.setattr(verify, "SUITES", {s: recorder(s) for s in ("noise-factor", "consensus")})
+        assert main(["verify", "all", "--trials", "7"]) == 0
+        assert seen == {"noise-factor": {"trials": 7}, "consensus": {}}
 
     def test_connectivity_suite_passes(self, capsys):
         assert main(["verify", "connectivity"]) == 0

@@ -162,9 +162,8 @@ class TestFailureModes:
         # connected, so J=1 disables the calculators but the run proceeds
         cfg = make_config(
             T=15,
-            topology=TopologySchedule(kind="exponential-periodic", n=8),
+            topology=TopologySchedule(kind="exponential-periodic", n=8, J=1),
             theory=True,
-            J=1,
         )
         result = run(cfg, master_seed=1)
         assert len(result.records) == 15
@@ -178,10 +177,9 @@ class TestFailureModes:
         cfg = make_config(
             n=64,
             T=20,
-            topology=TopologySchedule(kind="exponential-periodic", n=64),
+            topology=TopologySchedule(kind="exponential-periodic", n=64, J=6),
             data=DataSpec(kind="blobs", n_samples=800, test_fraction=0.2, alpha_conc=1.0),
             theory=True,
-            J=6,
         )
         result = run(cfg, master_seed=0)
         assert len(result.records) == 20

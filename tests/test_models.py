@@ -15,7 +15,6 @@ from pushdp.models import (
     LogisticModel,
     MlpModel,
     NodeGrads,
-    PartitionSpec,
     QuadraticModel,
     accuracy,
     dirichlet_partition,
@@ -294,19 +293,18 @@ class TestBatchDraws:
 class TestDirichletPartition:
     def test_single_node_gets_everything(self):
         labels = np.array([0, 1, 0, 1, 2])
-        parts = dirichlet_partition(labels, PartitionSpec(alpha_conc=1.0, n=1, seed=0))
+        parts = dirichlet_partition(labels, 1, 1.0, 0)
         assert np.array_equal(parts[0], np.arange(5))
 
     def test_deterministic(self):
         labels = np.random.default_rng(0).integers(0, 10, size=500)
-        spec = PartitionSpec(alpha_conc=0.5, n=6, seed=9)
-        a = dirichlet_partition(labels, spec)
-        b = dirichlet_partition(labels, spec)
+        a = dirichlet_partition(labels, 6, 0.5, 9)
+        b = dirichlet_partition(labels, 6, 0.5, 9)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_exhaustive_and_disjoint(self):
         labels = np.random.default_rng(1).integers(0, 10, size=777)
-        parts = dirichlet_partition(labels, PartitionSpec(alpha_conc=0.3, n=8, seed=4))
+        parts = dirichlet_partition(labels, 8, 0.3, 4)
         merged = np.concatenate(parts)
         assert len(merged) == 777
         assert np.array_equal(np.sort(merged), np.arange(777))
@@ -318,7 +316,7 @@ class TestDirichletPartition:
         global_dist = np.bincount(labels, minlength=10) / len(labels)
 
         def mean_tv(alpha, seed):
-            parts = dirichlet_partition(labels, PartitionSpec(alpha_conc=alpha, n=8, seed=seed))
+            parts = dirichlet_partition(labels, 8, alpha, seed)
             tvs = []
             for idx in parts:
                 if len(idx) == 0:
@@ -343,7 +341,7 @@ class TestDirichletPartition:
         # the same JSON as one count per (node, class), on classes 1, 3, 5, 7
         # and a partition with empty nodes at both ends and in between
         labels = np.random.default_rng(3).integers(0, 4, size=300) * 2 + 1
-        parts = dirichlet_partition(labels, PartitionSpec(alpha_conc=0.05, n=12, seed=4))
+        parts = dirichlet_partition(labels, 12, 0.05, 4)
         parts = [np.array([], dtype=int), *parts, np.array([], dtype=int)]
         classes = [int(c) for c in np.unique(labels)]
         want = {
@@ -412,8 +410,7 @@ class TestLipschitzTie:
     def test_quadratic_L_matches_spectral_norm(self):
         model = make_quadratic_model(5, seed=2)
         data = make_synthetic("quadratic", 80, 5, seed=2)
-        data.node_indices = dirichlet_partition(data.labels,
-                                                PartitionSpec(alpha_conc=5.0, n=4, seed=2))
+        data.node_indices = dirichlet_partition(data.labels, 4, 5.0, 2)
         X, y, layout = node_sorted(data)
         prop = PropagationParams(lam=0.9, q=0.3, c_bound=10.0, U=3)
         params = estimate_theory_params(

@@ -124,7 +124,7 @@ class TestDeviationBound:
             sampling_ratio=1.0,
         )
         result = run(cfg, master_seed=2)
-        sched = cfg.graph
+        sched = cfg.topology
         params = propagation_params(
             cfg.n, max_out_degree(sched), window_diameter(sched, 1), 1, 3
         )

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from pushdp.errors import OutOfRegimeError
 from pushdp.fusion import ClipConfig, noise_factor
 from pushdp.models import (
-    LogisticModel, MlpModel, PartitionSpec, dirichlet_partition, make_quadratic_model,
-    make_synthetic, node_sorted, row_pass,
+    LogisticModel, MlpModel, dirichlet_partition, make_quadratic_model, make_synthetic, node_sorted,
+    row_pass,
 )
 from pushdp.privacy import LrSchedule, NoiseSchedule, PrivacyBudget
 from pushdp.theory import (
@@ -217,8 +217,7 @@ class TestEstimation:
     def test_quadratic_F0_exact(self):
         model = make_quadratic_model(4, seed=6)
         data = make_synthetic("quadratic", 120, 4, seed=6, spread=0.1)
-        data.node_indices = dirichlet_partition(data.labels,
-                                                PartitionSpec(alpha_conc=5.0, n=4, seed=6))
+        data.node_indices = dirichlet_partition(data.labels, 4, 5.0, 6)
         X, y, layout = node_sorted(data)
         prop = PropagationParams(lam=0.9, q=0.3, c_bound=7.0, U=3)
         x0 = np.zeros(4)
@@ -244,8 +243,7 @@ class TestEstimation:
         else:
             model = MlpModel(n_features=3, hidden=5, classes=3)
             data = make_synthetic("blobs", 120, 3, seed, classes=3)
-        data.node_indices = dirichlet_partition(data.labels,
-                                                PartitionSpec(alpha_conc=1.0, n=4, seed=seed))
+        data.node_indices = dirichlet_partition(data.labels, 4, 1.0, seed)
         X, y, layout = node_sorted(data)
         return model, data, (X, y), layout
 
