@@ -217,12 +217,14 @@ def cmd_calc(args) -> int:
     return 0
 
 
-def _node_count(text: str) -> int:
-    """argparse type of calc's --n: an integer >= 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 node, got {n}")
-    return n
+def _count_of(unit: str):
+    """argparse type of a count of `unit`s, such as calc's --n: an integer >= 1."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"need at least 1 {unit}, got {n}")
+        return n
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an oracle suite")
     p_ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_ver.add_argument("--trials", type=int, default=None,
+    p_ver.add_argument("--trials", type=_count_of("trial"), default=None,
                        help="noise-factor Monte-Carlo trials (noise-factor and all only)")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_fields(p, PrivacyBudget)
         p.add_argument("--g", type=float, default=0.1, help="clip threshold")
     for p in (p_mint, p_bound, p_reg):
-        p.add_argument("--n", type=_node_count, required=True)
+        p.add_argument("--n", type=_count_of("node"), required=True)
         _add_fields(p, TheoryParams)
 
     p_calc.set_defaults(func=cmd_calc)

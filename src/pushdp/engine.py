@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import List, Optional
 
 import numpy as np
@@ -99,10 +99,11 @@ def build_dataset(config: ExperimentConfig, master_seed: int) -> Dataset:
 
 
 def _node_sigmas(config: ExperimentConfig) -> List[float]:
-    """Per-node base noise scale: the override, or each budget calibrated."""
+    """Per-node base noise scale: the override, or each distinct budget calibrated once."""
     if config.sigma_override is not None:
         return [float(config.sigma_override)] * config.n
-    return [calibrate_sigma(b, config.clip.g0, config.noise) for b in config.budgets]
+    calibrated = cache(lambda b: calibrate_sigma(b, config.clip.g0, config.noise))
+    return [calibrated(b) for b in config.budgets]
 
 
 def _theory_block(config, model, dataset, batch, layout, x0, master_seed):

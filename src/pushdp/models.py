@@ -339,43 +339,40 @@ class BatchDraws:
     Node layout.nodes[k] draws the same rows as `sample_batch` over its row
     positions at its ratio on the generator `streams.each(t, [node])` sets.
     Each node's first draw goes into one uniform per row, and one mask over
-    all rows selects; a node whose first draw comes up empty is replayed
-    through `sample_batch` on its repositioned stream, so the retry and the
-    forced pick stay its own.
+    all rows selects.  An empty first draw is replayed into the node's span of
+    the mask: `random(2 * count)` on its repositioned stream is that draw, then
+    the retry (a double takes one whole word), and `integers` forces the pick.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
         ratios = np.asarray(ratios, dtype=float)[layout.nodes]
         if not np.all((ratios > 0.0) & (ratios <= 1.0)):
             raise ValueError(f"ratios must lie in (0,1], got {ratios}")
-        self.layout, self.ratios, self.streams = layout, ratios, streams
+        self.layout, self.streams = layout, streams
         self._row_ratio = np.repeat(ratios, layout.counts)
         # a ratio-1 node takes every row without a draw: its uniforms stay 0
         self._uniform = np.zeros(len(layout.owner))
-        sampled = ratios < 1.0
-        self._sampled = streams.checked(layout.nodes[sampled])
-        starts = layout.starts[sampled]
-        self._spans = np.stack([starts, starts + layout.counts[sampled]], axis=1).tolist()
+        self._sampled = streams.checked(layout.nodes[ratios < 1.0])
+        # (start, count, ratio) of every occupied node, and each sampling node's uniforms
+        self._replay = list(zip(layout.starts.tolist(), layout.counts.tolist(), ratios.tolist()))
+        self._uniforms = [self._uniform[a : a + c] for a, c, ratio in self._replay if ratio < 1.0]
 
     def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Round t's drawn rows of every occupied node, node after node, and
         how many each node drew (see `NodeGrads`)."""
-        uniform = self._uniform
-        for (a, b), gen in zip(self._spans, self.streams.each(t, self._sampled)):
-            gen.random(out=uniform[a:b])
-        mask = uniform < self._row_ratio
-        nodes, starts, counts, _ = self.layout
-        drawn = np.add.reduceat(mask, starts, dtype=np.intp)
-        sel = np.flatnonzero(mask)
-        if drawn.all():
-            return sel, drawn
-        empty = np.flatnonzero(drawn == 0)
-        replays = [sample_batch(np.arange(starts[k], starts[k] + counts[k]), self.ratios[k], gen)
-                   for k, gen in zip(empty.tolist(), self.streams.each(t, nodes[empty]))]
-        drawn[empty] = [len(rows) for rows in replays]
-        # each node's rows are contiguous and in node order, so sorting puts
-        # the replayed rows in their nodes' places
-        return np.sort(np.concatenate([sel, *replays])), drawn
+        for out, gen in zip(self._uniforms, self.streams.each(t, self._sampled)):
+            gen.random(out=out)
+        mask = self._uniform < self._row_ratio
+        drawn = np.add.reduceat(mask, self.layout.starts, dtype=np.intp)
+        if not drawn.all():
+            empty = np.flatnonzero(drawn == 0)
+            for k, gen in zip(empty.tolist(), self.streams.each(t, self.layout.nodes[empty])):
+                a, c, ratio = self._replay[k]
+                rows = np.less(gen.random(2 * c)[c:], ratio, out=mask[a : a + c])
+                if not rows.any():
+                    rows[gen.integers(c)] = True
+                drawn[k] = np.count_nonzero(rows)
+        return np.flatnonzero(mask), drawn
 
 
 def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,

@@ -29,6 +29,7 @@ BLOCK_SLOTS = 4096
 _MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SLOT, _NO_BUFFER = 32, bytes(8)  # bytes of a slot's (state, inc) words; an empty buffer word
 
 
 def stream(master_seed: int, node_id: int = 0, t: int = 0, purpose: int = 0) -> np.random.Generator:
@@ -83,15 +84,16 @@ def _positioned(pool):
 
 @functools.cache
 def _word_order():
-    """Which (state, inc) word, high first, each raw PCG64 word holds (low first if native)."""
+    """Which (state, inc) word, high first, each raw PCG64 word holds (low first
+    if native): known words go in by the slot write and come back by the getter."""
     probe = Streams(0, INIT, 1)
     known = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x33445566778899AB)
-    probe._bitgen.state = {"bit_generator": "PCG64", "has_uint32": 1, "uinteger": 7, "state": {
-        "state": known[0] << 64 | known[1], "inc": known[2] << 64 | known[3]}}
-    raw, buffered = probe._words.tolist(), probe._buffer.view(np.uint32).tolist()
-    if sorted(raw) != sorted(known) or buffered != [1, 7]:
-        raise RuntimeError(f"unknown PCG64 memory layout: words {raw}, buffer {buffered}")
-    return tuple(known.index(word) for word in raw)
+    probe._gen.integers(0, 2**31)  # one 32-bit draw leaves the buffer word full
+    got = next(probe._walk(np.array(known, np.uint64).data.cast("B"), 0, [0])).bit_generator.state
+    read = [*divmod(got["state"]["state"], 2**64), *divmod(got["state"]["inc"], 2**64)]
+    if sorted(read) != sorted(known) or got["has_uint32"] or got["uinteger"]:
+        raise RuntimeError(f"unknown PCG64 memory layout: the slot write read back as {got}")
+    return tuple(read.index(word) for word in known)
 
 
 class Streams:
@@ -100,7 +102,8 @@ class Streams:
     node, exactly where `stream(master_seed, node, t, purpose)` starts, so
     finish a draw before the next node's.  The pool hash and PCG64's set-seed
     run vectorised over a block of whole rounds, derived when first used and
-    cut at the horizon; each slot's words are written into the generator."""
+    cut at the horizon; a slot write copies the slot's 32 bytes of (state,
+    inc) words into the generator and zeroes its 32-bit buffer word."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -114,11 +117,11 @@ class Streams:
         self._rounds = max(1, BLOCK_SLOTS // n)
         self._t0, self._block, self._bitgen = None, None, np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
-        # views of the PCG64's (state, inc) words and (has_uint32, uinteger) word
+        # byte views of the PCG64's (state, inc) words and (has_uint32, uinteger) word
         address = self._bitgen.ctypes.state_address
         words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
         buffer = (ctypes.c_uint64 * 1).from_address(address + ctypes.sizeof(ctypes.c_void_p))
-        self._words, self._buffer = np.frombuffer(words, np.uint64), np.frombuffer(buffer, np.uint64)
+        self._state, self._buffer = memoryview(words).cast("B"), memoryview(buffer).cast("B")
         self._checked = {}  # id -> array from `checked`; held, so no other array gets its id
 
     def __reduce_ex__(self, protocol):  # copy, deepcopy and pickle all call this
@@ -133,12 +136,13 @@ class Streams:
         entropy[-2] = np.repeat(np.arange(t0, t0 + rounds), self.n)
         entropy[-1] = self.purpose
         pool = _pool_state(entropy)
-        self._t0, self._block = t0, _positioned(pool)[:, list(_word_order())]
+        # each slot's words in the generator's order, as bytes (`take` keeps rows C-contiguous)
+        self._t0, self._block = t0, _positioned(pool).take(_word_order(), axis=1).data.cast("B")
         s_hi, s_lo, i_hi, i_lo = pool[0].tolist()  # self-check: slot 0 via the public getter
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         want = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
             "state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
-        if (got := self._position(self._block[0]).bit_generator.state) != want:
+        if (got := next(self._walk(self._block, 0, [0])).bit_generator.state) != want:
             raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
     def checked(self, nodes) -> np.ndarray:
@@ -165,9 +169,13 @@ class Streams:
             return iter(())
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
-        return map(self._position, self._block[(t - self._t0) * self.n + nodes])
+        return self._walk(self._block, (t - self._t0) * self.n, nodes.tolist())
 
-    def _position(self, words) -> np.random.Generator:
-        self._words[:] = words
-        self._buffer[0] = 0
-        return self._gen
+    def _walk(self, block: memoryview, base: int, nodes: list) -> Iterator[np.random.Generator]:
+        # the slot write, from the block bound at the call, not at the first advance
+        state, buffer, gen = self._state, self._buffer, self._gen
+        for node in nodes:
+            at = (base + node) * _SLOT
+            state[:] = block[at : at + _SLOT]
+            buffer[:] = _NO_BUFFER
+            yield gen

@@ -452,7 +452,13 @@ def streams_suite(slots: int = 40, seed: int = 17) -> List[CheckResult]:
             results.append(CheckResult(
                 f"Streams.each vs rng.stream, {words}-word seed, {label}, n={n}, {slots} slots",
                 mismatches == 0, float(mismatches), 0.0, "slots whose draws differ"))
-    return results
+    # an iterator keeps its block when a later `each` derives the next block first
+    streams = rngmod.Streams(master, rngmod.NOISE, 4)
+    ref, walk = rngmod.stream(master, 1, 0, rngmod.NOISE), streams.each(0, [1, 2])
+    next(streams.each(max(1, rngmod.BLOCK_SLOTS // 4), [3]))
+    same = all(map(np.array_equal, stream_draws(next(walk), 3), stream_draws(ref, 3)))
+    return results + [CheckResult("Streams.each iterator keeps its block past a later block",
+                                  same, float(not same), 0.0, "slots whose draws differ")]
 
 
 SUITES: Dict[str, Callable[..., List[CheckResult]]] = {

@@ -415,6 +415,16 @@ class TestCliVerify:
             f"pushdp: error: verify {suite}: --trials applies to noise-factor and all only"
         )
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        # 0 would run the default trial count, and -5 would fail inside the suite
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "noise-factor", "--trials", trials])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"pushdp verify: error: argument --trials: need at least 1 trial, got {trials}"
+        )
+
     def test_all_passes_trials_to_noise_factor_only(self, monkeypatch, capsys):
         import pushdp.verify as verify
         from pushdp.verify import CheckResult

@@ -8,7 +8,8 @@ from pushdp.engine import build_dataset, build_model, run
 from pushdp.errors import ConfigurationError, NumericalBreakdownError
 from pushdp.fusion import ClipConfig, FusionConfig
 from pushdp.privacy import (
-    LrSchedule, NoiseSchedule, PrivacyBudget, beta_at, delta_bound, epsilon_spent, starts_interval,
+    LrSchedule, NoiseSchedule, PrivacyBudget, beta_at, calibrate_sigma, delta_bound, epsilon_spent,
+    starts_interval,
 )
 from pushdp.topology import TopologySchedule
 
@@ -234,6 +235,31 @@ class TestSummary:
                              "label": "bound, constants-dependent"})
         assert in_run * cfg.n == (len(calls) - in_run) * len(set(epsilons))
         assert summary["privacy_spent"] == expected
+
+    @pytest.mark.parametrize("epsilons", [[1.0] * 8, [1.0, 0.5, 1.0, 0.25] * 2],
+                             ids=["same", "three"])
+    def test_sigmas_calibrate_each_budget_once(self, monkeypatch, epsilons):
+        # one calibrate_sigma call per distinct budget, in node order, and
+        # every node's sigma is its own budget's calibration
+        from pushdp import engine
+
+        cfg = make_config(T=6, budgets=[PrivacyBudget(epsilon=e, delta=1e-5, sampling_ratio=0.5)
+                                        for e in epsilons])
+        calls = []
+        monkeypatch.setattr(engine, "calibrate_sigma",
+                            lambda b, *args: calls.append(b) or calibrate_sigma(b, *args))
+        sigmas = run(cfg, master_seed=0).summary["sigma_per_node"]
+        assert calls == list(dict.fromkeys(cfg.budgets))
+        assert sigmas == [calibrate_sigma(b, cfg.clip.g0, cfg.noise) for b in cfg.budgets]
+
+    def test_first_failing_budget_names_the_calibration_error(self):
+        # nodes 2 and 3 both violate eps < c1*ratio^2*T = 0.2; node 2's epsilon is named
+        from pushdp.errors import CalibrationError
+
+        cfg = make_config(T=20, budgets=[PrivacyBudget(epsilon=e, delta=1e-5, sampling_ratio=0.1)
+                                         for e in (0.1, 0.1, 2.0, 3.0, 0.1, 2.0, 3.0, 0.1)])
+        with pytest.raises(CalibrationError, match="epsilon=2 violates"):
+            run(cfg, master_seed=0)
 
     def test_empty_node_flagged_and_survives(self):
         # alpha small enough to starve some node eventually; find a seed that

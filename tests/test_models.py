@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,6 +268,31 @@ class TestBatchDraws:
                    if size]
             assert drawn.tolist() == [len(r) for r in ref]
             assert drawn[:3].tolist() == [1, 9, 1]  # one row, ratio 1, forced pick
+            assert np.array_equal(sel, np.concatenate(ref))
+
+    # node 0 of seed 28's layout comes up empty in every round: its retry
+    # draws 2 rows in round 0, nothing in round 1 (a forced pick at ratio
+    # 0.2) and 1 row in round 2; the ratio-1e-12 nodes always force the pick
+    @settings(max_examples=80, deadline=None)
+    @given(nodes=st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1.0, 1e-12, 0.2, 0.5])),
+                          min_size=1, max_size=6).filter(lambda nodes: any(s for s, _ in nodes)),
+           block_rounds=st.integers(1, 2), rounds=st.integers(3, 5),
+           seed=st.integers(0, 2**64 - 1))
+    @example(nodes=[(4, 0.2), (0, 0.5), (3, 1e-12), (2, 1.0), (1, 0.5)], block_rounds=1, rounds=3,
+             seed=28)
+    @example(nodes=[(4, 1e-12), (2, 1e-12)], block_rounds=2, rounds=3, seed=2**32 + 17)
+    def test_draw_is_sample_batch_on_every_stream(self, nodes, block_rounds, rounds, seed):
+        # BLOCK_SLOTS of one or two rounds: rounds cross block edges
+        sizes, ratios = zip(*nodes)
+        with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * len(sizes)):
+            streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=rounds)
+        draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
+        for t in range(rounds):
+            sel, drawn = draws.draw(t)
+            ref = [sample_batch(np.arange(end - size, end), ratio,
+                                rngmod.stream(seed, i, t, rngmod.BATCH))
+                   for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
+            assert drawn.tolist() == [len(rows) for rows in ref]
             assert np.array_equal(sel, np.concatenate(ref))
 
     def test_layout_of_the_occupied_nodes(self):

@@ -89,6 +89,22 @@ def test_each_matches_stream(monkeypatch, seed, block_slots):
                     assert np.array_equal(a, b), (seed, purpose, node, t)
 
 
+@pytest.mark.parametrize("purpose", [rngmod.BATCH, rngmod.NOISE])
+def test_iterator_keeps_its_block_past_a_later_derivation(monkeypatch, purpose):
+    # 2 rounds a block: the `each` at t = 9 derives the block of rounds 8-9
+    # before the iterator of round 0 is first advanced
+    monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 8)
+    blocks = derived_blocks(monkeypatch)
+    seed = 2**32 + 17
+    streams = rngmod.Streams(seed, purpose, 4)
+    it = streams.each(0, [1, 2])
+    next(streams.each(9, [3]))
+    assert [t0 for _, t0, _ in blocks] == [0, 8]
+    for node, gen in zip([1, 2], it):
+        for a, b in zip(draws(gen, 3), draws(rngmod.stream(seed, node, 0, purpose), 3)):
+            assert np.array_equal(a, b), node
+
+
 def test_each_of_no_nodes_derives_nothing(monkeypatch):
     blocks = derived_blocks(monkeypatch)
     streams = rngmod.Streams(3, rngmod.NOISE, 4)
@@ -171,7 +187,7 @@ def derived_blocks(monkeypatch):
 
     def recording_derive(streams, t0):
         real_derive(streams, t0)
-        blocks.append((streams.purpose, t0, len(streams._block)))
+        blocks.append((streams.purpose, t0, len(streams._block) // rngmod._SLOT))
 
     monkeypatch.setattr(rngmod.Streams, "_derive", recording_derive)
     return blocks
@@ -301,7 +317,7 @@ def test_layout_probe_rejects_memory_it_cannot_place(monkeypatch):
         """Views of memory the generator does not use: no known word reads back."""
         def __init__(self, *args):
             super().__init__(*args)
-            self._words, self._buffer = np.zeros(4, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
+            self._state, self._buffer = memoryview(bytearray(32)), memoryview(bytearray(8))
 
     monkeypatch.setattr(rngmod, "Streams", Blind)
     with pytest.raises(RuntimeError, match="unknown PCG64 memory layout"):
