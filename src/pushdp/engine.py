@@ -34,10 +34,6 @@ from .theory import (CERTIFIED, OPTIMAL_P_ERRATUM, convergence_bound, estimate_t
                      min_iterations)
 from .topology import build_mixing_matrix, max_out_degree, propagation_params, window_diameter
 
-# floats of the scratch that d_tau's differences go into: one of four mlp8
-# rounds (394 KB) made its rounds 3% slower than one of a single round
-DRIFT_SCRATCH = 2**14
-
 
 @dataclass
 class MetricsRecord:
@@ -178,14 +174,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     grads = NodeGrads(model, (train_X, train_y), layout)
     noise_streams = rngmod.Streams(seed, rngmod.NOISE, n, horizon=T)
     sigma_column = np.array(sigmas)[:, None]
-    noise_nodes = noise_streams.checked(layout.nodes[sigma_column[layout.nodes, 0] > 0])
+    noise_nodes = layout.nodes[sigma_column[layout.nodes, 0] > 0].tolist()
     Noise = np.zeros_like(X)  # rows of the nodes that draw no noise stay 0
-    noise_rows = [Noise[i] for i in noise_nodes.tolist()]  # views, filled every round
-    # held[:kept]: this interval's clipped occupied rows so far; their drift
-    # goes `step` rounds at a time into a scratch of at most DRIFT_SCRATCH floats
+    noise_rows = [Noise[i] for i in noise_nodes]  # views, filled every round
+    # held[:kept]: this interval's clipped occupied rows so far
     held = np.empty((4, len(layout.nodes), model.dim))
-    step = max(1, DRIFT_SCRATCH // held[0].size)
-    diffs, drift, kept = np.empty((step, *held.shape[1:])), np.empty(held.shape[:2]), 0
+    diff, drift, kept = np.empty(held.shape[1:]), np.empty(held.shape[:2]), 0
     alpha_inj = None
 
     for t in range(T):
@@ -221,10 +215,9 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         if kept == len(held):  # an interval may run to T rounds
             held, drift = np.concatenate([held, held]), np.concatenate([drift, drift])
         active = clipped.take(layout.nodes, axis=0, out=held[kept])
-        for s in range(0, kept, step):  # every ||active_i - past_i||^2 of the interval
-            past, diff = held[s : min(s + step, kept)], diffs[: min(step, kept - s)]
-            np.square(np.subtract(active, past, out=diff), out=diff)
-            np.add.reduce(diff, axis=2, out=drift[s : s + len(diff)])
+        for s in range(kept):  # every ||active_i - past_i||^2 of the interval
+            np.square(np.subtract(active, held[s], out=diff), out=diff)
+            np.add.reduce(diff, axis=1, out=drift[s])
         d_tau_t = float(drift[:kept].max(initial=0.0))
         kept += 1
         noisy = perturb(clipped, alpha_inj, Noise)

@@ -33,9 +33,9 @@ class ClipConfig:
 
     def __post_init__(self):
         if self.g0 <= 0:
-            raise ConfigurationError(f"g0 must be > 0, got {self.g0}")
+            raise ConfigurationError(f"clip.g0: must be > 0, got {self.g0}")
         if not (0.0 < self.psi <= 1.0):
-            raise ConfigurationError(f"psi must lie in (0,1], got {self.psi}")
+            raise ConfigurationError(f"clip.psi: must lie in (0,1], got {self.psi}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class FusionConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.theta < 1.0):
-            raise ConfigurationError(f"theta must lie in [0,1), got {self.theta}")
+            raise ConfigurationError(f"fusion.theta: must lie in [0,1), got {self.theta}")
 
 
 def clip(g: np.ndarray, G: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,7 @@ the per-row pieces of the gradient.  Mean losses and gradients
 are reductions of it; the finite-difference, single-sample and per-node oracles
 in the verification suite check every kind.  Per run, `NodeGrads` gives every
 node's gradients at its own point, for logistic and quadratic in one
-gathered, gradient-only pass reduced once, and `BatchDraws` draws every
-node's batch.
+gathered, gradient-only pass, and `BatchDraws` draws every node's batch.
 """
 
 from __future__ import annotations
@@ -225,31 +224,25 @@ class NodeGrads:
     one run's node-sorted rows (`layout`): `at(Z, sel, drawn)` takes the
     draws of `BatchDraws.draw` and gives two (n, dim) arrays, zero for empty
     nodes.  Logistic and quadratic take one gradient-only pass over all rows
-    and one `np.add.reduceat` of the row pieces, bit for bit as per segment:
-    logistic pieces [x_j, 1] * r_j, stacked on the drawn rows' copies; the
-    quadratic's are the rows, whose full-slice sums are taken once.  The MLP
-    takes one pass per node: a gathered W1 would be rows x features x hidden."""
+    and `np.add.reduceat` of the row pieces, bit for bit as per segment:
+    logistic pieces [x_j, 1] * r_j; the quadratic's are the rows, whose
+    full-slice sums are taken once.  The MLP takes one pass per node: a
+    gathered W1 would be rows x features x hidden."""
 
     def __init__(self, model: Model, batch: Batch, layout: NodeRows):
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
-        # segment starts and counts: the full slices', then the drawn rows' of a call
-        self._starts = np.concatenate([layout.starts, layout.starts])
         if isinstance(model, LogisticModel):
-            self._counts = np.concatenate([layout.counts, layout.counts])
             self._aug = np.hstack([X, np.ones((len(X), 1))])
-            self._pieces = np.empty((2 * len(X), model.dim))  # the rows', then the drawn rows'
+            self._pieces = np.empty((len(X), model.dim))
         elif isinstance(model, QuadraticModel):
             self._full_means = np.add.reduceat(X, layout.starts) / layout.counts[:, None]
 
     def at(self, Z: np.ndarray, sel: np.ndarray, drawn: np.ndarray):
         (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
-        k = len(nodes)
-        if not 0 < len(drawn) == k or drawn.min() < 1 or drawn.sum() != len(sel):
+        if not 0 < len(drawn) == len(nodes) or drawn.min() < 1 or drawn.sum() != len(sel):
             raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
-        Z = np.asarray(Z, dtype=float)
         full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
-        sel_starts = np.cumsum(drawn, out=self._starts[k:])
-        sel_starts -= drawn
+        sel_starts = np.cumsum(drawn) - drawn
         if isinstance(self.model, MlpModel):
             for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
                                      sel_starts.tolist(), drawn.tolist()):
@@ -258,16 +251,13 @@ class NodeGrads:
             return full, batch_mean
         rows = self.model.rows(Z[nodes], X, y, owner=owner)
         if isinstance(self.model, QuadraticModel):
-            means = np.concatenate([self._full_means, np.add.reduceat(
-                X.take(sel, axis=0), sel_starts) / drawn[:, None]])
-        else:
-            N, P = len(X), self._pieces
-            np.multiply(self._aug, rows.blocks[0][1], out=P[:N])  # the block is (X, resid column)
-            P[:N].take(sel, axis=0, out=P[N : N + len(sel)])
-            sel_starts += N
-            self._counts[k:] = drawn
-            means = np.add.reduceat(P[: N + len(sel)], self._starts) / self._counts[:, None]
-        full[nodes], batch_mean[nodes] = rows.const + means[:k], rows.const + means[k:]
+            pieces, full_means = X, self._full_means
+        else:  # the block is (X, resid column)
+            pieces = np.multiply(self._aug, rows.blocks[0][1], out=self._pieces)
+            full_means = np.add.reduceat(pieces, starts) / counts[:, None]
+        full[nodes] = rows.const + full_means
+        batch_mean[nodes] = rows.const + np.add.reduceat(
+            pieces.take(sel, axis=0), sel_starts) / drawn[:, None]
         return full, batch_mean
 
 
@@ -352,7 +342,7 @@ class BatchDraws:
         self._row_ratio = np.repeat(ratios, layout.counts)
         # a ratio-1 node takes every row without a draw: its uniforms stay 0
         self._uniform = np.zeros(len(layout.owner))
-        self._sampled = streams.checked(layout.nodes[ratios < 1.0])
+        self._sampled = layout.nodes[ratios < 1.0].tolist()
         # (start, count, ratio) of every occupied node, and each sampling node's uniforms
         self._replay = list(zip(layout.starts.tolist(), layout.counts.tolist(), ratios.tolist()))
         self._uniforms = [self._uniform[a : a + c] for a, c, ratio in self._replay if ratio < 1.0]
@@ -365,8 +355,8 @@ class BatchDraws:
         mask = self._uniform < self._row_ratio
         drawn = np.add.reduceat(mask, self.layout.starts, dtype=np.intp)
         if not drawn.all():
-            empty = np.flatnonzero(drawn == 0)
-            for k, gen in zip(empty.tolist(), self.streams.each(t, self.layout.nodes[empty])):
+            empty = np.flatnonzero(drawn == 0).tolist()
+            for k, gen in zip(empty, self.streams.each(t, self.layout.nodes[empty].tolist())):
                 a, c, ratio = self._replay[k]
                 rows = np.less(gen.random(2 * c)[c:], ratio, out=mask[a : a + c])
                 if not rows.any():

@@ -44,15 +44,15 @@ class NoiseSchedule:
 
     def __post_init__(self):
         if self.form not in ("power", "stepwise"):
-            raise ConfigurationError(f"unknown noise schedule form {self.form!r}")
+            raise ConfigurationError(f"noise.form: unknown form {self.form!r}")
         if self.T < 1:
-            raise ConfigurationError(f"T must be >= 1, got {self.T}")
+            raise ConfigurationError(f"noise.T: must be >= 1, got {self.T}")
         if self.tau < 1:
-            raise ConfigurationError(f"tau must be >= 1, got {self.tau}")
+            raise ConfigurationError(f"noise.tau: must be >= 1, got {self.tau}")
         if self.form == "power" and self.K <= 0:
-            raise ConfigurationError(f"K must be > 0, got {self.K}")
+            raise ConfigurationError(f"noise.K: must be > 0, got {self.K}")
         if self.form == "stepwise" and (self.a1 <= 0 or self.a2 <= 0):
-            raise ConfigurationError("stepwise form needs a1 > 0 and a2 > 0")
+            raise ConfigurationError("noise.a1, noise.a2: stepwise form needs a1 > 0 and a2 > 0")
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,9 @@ class LrSchedule:
 
     def __post_init__(self):
         if self.eta <= 0:
-            raise ConfigurationError(f"eta must be > 0, got {self.eta}")
+            raise ConfigurationError(f"lr.eta: must be > 0, got {self.eta}")
         if not (0.0 < self.xi < 1.0):
-            raise ConfigurationError(f"xi must lie in (0,1), got {self.xi}")
+            raise ConfigurationError(f"lr.xi: must lie in (0,1), got {self.xi}")
 
 
 def eta_from_exponent(K: float, n: int, T: int, p: float) -> float:
@@ -147,15 +147,15 @@ class PrivacyBudget:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
+            raise ConfigurationError(f"privacy.epsilon: must be > 0, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
-            raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
+            raise ConfigurationError(f"privacy.delta: must lie in (0,1), got {self.delta}")
         if not (0.0 < self.sampling_ratio <= 1.0):
             raise ConfigurationError(
-                f"sampling_ratio must lie in (0,1], got {self.sampling_ratio}"
+                f"privacy.sampling_ratio: must lie in (0,1], got {self.sampling_ratio}"
             )
         if self.c1 <= 0 or self.c2 <= 0:
-            raise ConfigurationError("c1 and c2 must be > 0")
+            raise ConfigurationError("privacy.c1, privacy.c2: must be > 0")
 
 
 def calibrate_sigma(budget: PrivacyBudget, G: float, schedule: NoiseSchedule) -> float:

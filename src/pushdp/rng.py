@@ -122,7 +122,6 @@ class Streams:
         words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
         buffer = (ctypes.c_uint64 * 1).from_address(address + ctypes.sizeof(ctypes.c_void_p))
         self._state, self._buffer = memoryview(words).cast("B"), memoryview(buffer).cast("B")
-        self._checked = {}  # id -> array from `checked`; held, so no other array gets its id
 
     def __reduce_ex__(self, protocol):  # copy, deepcopy and pickle all call this
         raise TypeError("a Streams writes into its own generator's memory: build a new one")
@@ -145,31 +144,18 @@ class Streams:
         if (got := next(self._walk(self._block, 0, [0])).bit_generator.state) != want:
             raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
-    def checked(self, nodes) -> np.ndarray:
-        """A read-only copy of `nodes`, range-checked once: `each` takes it unchecked."""
-        nodes = self._check(0, np.array(nodes, dtype=np.int64))
-        nodes.flags.writeable = False
-        self._checked[id(view)] = (view := nodes.view())  # it can never be made writeable
-        return view
-
-    def _check(self, t: int, nodes: np.ndarray) -> np.ndarray:
-        if not 0 <= t < self.horizon or nodes.size and not (
-                nodes.min() >= 0 and nodes.max() < self.n):
-            raise ValueError(f"slots (nodes {nodes.tolist()}, t {t}) are outside nodes < "
-                             f"{self.n}, t < {self.horizon}")
-        return nodes
-
-    def each(self, t: int, nodes) -> Iterator[np.random.Generator]:
-        """The reused Generator at round t's slot of every node in `nodes`,
-        set node after node, in their order, as the iterator advances; no
-        block is derived for no nodes.  An array from `checked` skips the node check."""
-        if self._checked.get(id(nodes)) is not nodes or not 0 <= t < self.horizon:
-            nodes = self._check(t, np.asarray(nodes, dtype=np.int64))
-        if not nodes.size:
+    def each(self, t: int, nodes: list) -> Iterator[np.random.Generator]:
+        """The reused Generator at round t's slot of every node in the list
+        `nodes`, set node after node, in their order, as the iterator
+        advances; no block is derived for no nodes."""
+        if not 0 <= t < self.horizon or nodes and not (0 <= min(nodes) and max(nodes) < self.n):
+            raise ValueError(f"slots (nodes {nodes}, t {t}) are outside nodes < {self.n}, "
+                             f"t < {self.horizon}")
+        if not nodes:
             return iter(())
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
-        return self._walk(self._block, (t - self._t0) * self.n, nodes.tolist())
+        return self._walk(self._block, (t - self._t0) * self.n, nodes)
 
     def _walk(self, block: memoryview, base: int, nodes: list) -> Iterator[np.random.Generator]:
         # the slot write, from the block bound at the call, not at the first advance

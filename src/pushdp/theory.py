@@ -67,6 +67,10 @@ class TheoryParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
+    def A2(self, n: int) -> float:
+        """A2 = 6 C^2 (n + 9L) / (1 - q)^2, of the bound's noise term and of nu."""
+        return 6 * self.C**2 * (n + 9 * self.L) / (1.0 - self.q) ** 2
+
 
 @dataclass(frozen=True)
 class IterationFloor:
@@ -183,7 +187,7 @@ def convergence_bound(
     T = schedule.T
     one_minus_q_sq = (1.0 - q) ** 2
     A1 = (6 * C**2 * theory.x0_norm + 108 * C**2 * theory.F0 + 18 * C**2 * (theory.m**2 + 3 * theory.a**2)) / one_minus_q_sq
-    A2 = 6 * C**2 * (n + 9 * L) / one_minus_q_sq
+    A2 = theory.A2(n)
     A3 = 110 * C**2 / one_minus_q_sq
     M = noise_sum_M(schedule, lr, budgets, G, n)
     root = math.sqrt(n * T)
@@ -262,8 +266,7 @@ def corollary_regime(
         H = S / math.log(T)
     else:
         H = S
-    A2_const = 6 * theory.C**2 * (n + 9 * theory.L) / (1.0 - theory.q) ** 2
-    nu = 16.0 * h * theory.d * theory.L * (3 * A2_const + 1)
+    nu = 16.0 * h * theory.d * theory.L * (3 * theory.A2(n) + 1)
     bt = budget_noise_term(budgets, G)
     if p > 0:
         label, prefactor = REGIME_LABELS["positive"], math.sqrt(T / n)

@@ -97,27 +97,28 @@ class TopologySchedule:
 
     def __post_init__(self):
         if self.kind not in ("static-ring", "exponential-periodic", "explicit-list"):
-            raise ConfigurationError(f"unknown topology kind {self.kind!r}")
+            raise ConfigurationError(f"topology.kind: unknown kind {self.kind!r}")
         if self.J < 1:
             raise ConfigurationError(f"topology.J: must be >= 1, got {self.J}")
         if self.kind != "explicit-list":
             object.__setattr__(self, "path", None)
         if self.kind == "static-ring":
             if not (1 <= self.k < self.n):
-                raise ConfigurationError(f"static-ring needs 1 <= k < n, got k={self.k}, n={self.n}")
+                raise ConfigurationError(f"topology.k: static-ring needs 1 <= k < n, got "
+                                         f"k={self.k}, n={self.n}")
             object.__setattr__(self, "edge_sets", (_circulant(self.n, np.arange(1, self.k + 1)),))
         else:
             object.__setattr__(self, "k", None)
         if self.kind == "exponential-periodic":
             if self.n < 2 or (self.n & (self.n - 1)) != 0:
                 raise ConfigurationError(
-                    f"exponential-periodic topology needs a power-of-2 node count, got n={self.n}"
+                    f"topology.kind: exponential-periodic needs a power-of-2 n, got n={self.n}"
                 )
             steps = 2 ** np.arange(int(np.log2(self.n)))
             sets = tuple(_circulant(self.n, np.arange(self.n // 2) * step) for step in steps)
             object.__setattr__(self, "edge_sets", sets)
         if not self.edge_sets:
-            raise ConfigurationError("explicit-list topology needs at least one edge set")
+            raise ConfigurationError("topology.path: explicit-list needs at least one edge set")
 
     def period(self) -> int:
         """Length after which the schedule repeats."""

@@ -94,6 +94,8 @@ def theta_key(theta: float) -> int:
 
 
 def noise_factor_suite(trials: int = 1_000_000, seed: int = 20240 , rel_tol: float = 0.02) -> List[CheckResult]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     results = []
     for theta in NOISE_GRID_THETA:
         for tau in NOISE_GRID_TAU:
@@ -479,7 +481,7 @@ def run_suite(name: str, trials: Optional[int] = None) -> List[CheckResult]:
         raise KeyError(name)
     out = []
     for suite in SUITES if name == "all" else [name]:
-        kwargs = {"trials": trials} if trials and suite == "noise-factor" else {}
+        kwargs = {"trials": trials} if trials is not None and suite == "noise-factor" else {}
         try:
             out += SUITES[suite](**kwargs)
         except Exception as exc:  # a failure to report, not to end the run on

@@ -255,12 +255,49 @@ class TestCliRun:
         missing = tmp_path / new.rsplit(" = ", 1)[1]
         assert capsys.readouterr().err == f"config error: {key}: no such file {missing}\n"
 
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.ini"
+        assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: config file not found: {missing}\n"
+
     @pytest.mark.parametrize("old, new, message", [
         ("n_samples = 160", "n_samples = 0", "data.n_samples: must be >= 1, got 0"),
         ("master_seed = 3", "master_seed = -1", "run.master_seed: must be >= 0, got -1"),
         ("kind = logistic", "kind = mlp\nclasses = 0", "model.classes: must be >= 1, got 0"),
         ("k = 2", "k = 2\nJ = 0", "topology.J: must be >= 1, got 0"),
-        ("k = 2", "k = 8", "static-ring needs 1 <= k < n, got k=8, n=8"),
+        ("k = 2", "k = 8", "topology.k: static-ring needs 1 <= k < n, got k=8, n=8"),
+        ("algorithm = adp-vrsgp", "algorithm = sgd",
+         "run.algorithm: must be one of ('sdlr', 'adp-vrsgp'), got 'sgd'"),
+        ("n = 8", "n = 1", "run.n: need at least 2 nodes, got 1"),
+        ("T = 30", "T = 0", "run.T: must be >= 1, got 0"),
+        ("master_seed = 3", "master_seed = 3\ntheory = maybe",
+         "run.theory: cannot parse 'maybe' as bool"),
+        ("kind = static-ring", "kind = torus", "topology.kind: unknown kind 'torus'"),
+        ("kind = static-ring\nk = 2", "kind = explicit-list",
+         "topology.path: required for explicit-list"),
+        ("form = stepwise", "form = cosine", "noise.form: unknown form 'cosine'"),
+        ("s = 0.2\ntau = 5", "s = 0.2\ntau = 0", "noise.tau: must be >= 1, got 0"),
+        ("form = stepwise", "form = power\nK = 0", "noise.K: must be > 0, got 0.0"),
+        ("a1 = 1.0", "a1 = 0", "noise.a1, noise.a2: stepwise form needs a1 > 0 and a2 > 0"),
+        ("eta = 1.0", "eta = 0", "lr.eta: must be > 0, got 0.0"),
+        ("xi = 0.5", "xi = 1", "lr.xi: must lie in (0,1), got 1.0"),
+        ("eta = 1.0\n", "", "lr: give either lr.eta or both lr.K and lr.p"),
+        ("g0 = 0.1", "g0 = 0", "clip.g0: must be > 0, got 0.0"),
+        ("psi = 0.99", "psi = 1.5", "clip.psi: must lie in (0,1], got 1.5"),
+        ("theta = 0.5", "theta = 1", "fusion.theta: must lie in [0,1), got 1.0"),
+        ("epsilon = 1.0", "epsilon = 0", "privacy.epsilon: must be > 0, got 0.0"),
+        ("delta = 1e-5", "delta = 1", "privacy.delta: must lie in (0,1), got 1.0"),
+        ("sampling_ratio = 0.5", "sampling_ratio = 0",
+         "privacy.sampling_ratio: must lie in (0,1], got 0.0"),
+        ("sampling_ratio = 0.5", "sampling_ratio = 0.5\nc2 = 0",
+         "privacy.c1, privacy.c2: must be > 0"),
+        ("epsilon = 1.0\n", "", "privacy.epsilon: required key missing"),
+        ("delta = 1e-5", "delta = 1e-5,x", "privacy.delta: cannot parse '1e-5,x'"),
+        ("kind = logistic", "kind = svm", "model.kind: unknown kind 'svm'"),
+        ("features = 4", "features = 0", "model.features: must be >= 1, got 0"),
+        ("kind = blobs", "kind = images", "data.kind: unknown kind 'images'"),
+        ("kind = blobs", "kind = csv", "data.path: required when data.kind = csv"),
+        ("alpha_conc = 1.0", "alpha_conc = 0", "data.alpha_conc: must be > 0, got 0.0"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, old, new, message):
         text = BASE_CONFIG.replace(old, new)
@@ -417,7 +454,7 @@ class TestCliVerify:
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one_is_usage_error(self, capsys, trials):
-        # 0 would run the default trial count, and -5 would fail inside the suite
+        # past the parser, the suite would report either as one failing check
         with pytest.raises(SystemExit) as exc:
             main(["verify", "noise-factor", "--trials", trials])
         assert exc.value.code == 2
@@ -440,6 +477,14 @@ class TestCliVerify:
         monkeypatch.setattr(verify, "SUITES", {s: recorder(s) for s in ("noise-factor", "consensus")})
         assert main(["verify", "all", "--trials", "7"]) == 0
         assert seen == {"noise-factor": {"trials": 7}, "consensus": {}}
+
+    def test_zero_trials_fail_the_noise_factor_suite(self):
+        from pushdp.verify import run_suite
+
+        results = run_suite("noise-factor", trials=0)
+        assert len(results) == 1 and not results[0].passed
+        assert results[0].name == "suite noise-factor raised"
+        assert results[0].detail.startswith("ValueError: trials must be >= 1, got 0")
 
     def test_connectivity_suite_passes(self, capsys):
         assert main(["verify", "connectivity"]) == 0

@@ -377,8 +377,7 @@ class TestEmpiricalDTau:
     CASES = {
         "sdlr": dict(algorithm="sdlr"),
         "adp-vrsgp": dict(algorithm="adp-vrsgp"),
-        # one interval of all T rounds, far past tau = 5, its drift taken two
-        # or three past rounds at a time
+        # one interval of all T rounds, far past tau = 5: `held` doubles
         "stepwise-s0": dict(noise=NoiseSchedule(form="stepwise", T=T, s=0.0, tau=5)),
         # every round starts an interval
         "power": dict(noise=NoiseSchedule(form="power", T=T, s=0.5, K=2.0)),
@@ -398,8 +397,6 @@ class TestEmpiricalDTau:
             return out
 
         monkeypatch.setattr(engine, "clip", capturing_clip)
-        if case == "stepwise-s0":
-            monkeypatch.setattr(engine, "DRIFT_SCRATCH", 100)  # 5 to 8 nodes of d = 6
         result = run(cfg, master_seed=3)
         occupied = [i for i in range(cfg.n) if i not in result.summary["empty_nodes"]]
         starts = [t for t in range(cfg.T) if starts_interval(cfg.noise, t)]

@@ -118,46 +118,6 @@ def test_each_rejects_slots_outside_the_streams(t, nodes):
         list(rngmod.Streams(0, rngmod.BATCH, 4, horizon=9).each(t, nodes))
 
 
-def test_checked_nodes_skip_only_the_node_check(monkeypatch):
-    streams = rngmod.Streams(0, rngmod.BATCH, 4, horizon=9)
-    fixed = streams.checked([3, 0])
-    checks = []
-    real_check = rngmod.Streams._check
-    monkeypatch.setattr(rngmod.Streams, "_check",
-                        lambda self, t, nodes: checks.append(t) or real_check(self, t, nodes))
-    for t in range(9):
-        got = [gen.random(3) for gen in streams.each(t, fixed)]
-        ref = [rngmod.stream(0, node, t, rngmod.BATCH).random(3) for node in (3, 0)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
-    assert checks == []
-    # a slot outside the streams still raises: a checked array at t = horizon,
-    # and out-of-range nodes in a fresh array or given to `checked`
-    for t, nodes in ((9, fixed), (0, np.array([3, 4])), (0, np.array(fixed) - 1)):
-        with pytest.raises(ValueError, match="outside nodes < 4, t < 9"):
-            list(streams.each(t, nodes))
-    with pytest.raises(ValueError, match="outside nodes < 4"):
-        streams.checked([0, 4])
-
-
-def test_run_draws_through_read_only_node_arrays(monkeypatch):
-    """The run's fixed node arrays (the sampling nodes of its batch draws and
-    the noise nodes) are checked once and reject in-place writes; a replayed
-    node's subset is a fresh array, checked in full."""
-    seen, real_each = [], rngmod.Streams.each
-    monkeypatch.setattr(rngmod.Streams, "each",
-                        lambda self, t, nodes: seen.append(nodes) or real_each(self, t, nodes))
-    cfg = make_config(T=6)
-    run(cfg, master_seed=0)  # node 6 replays an empty first draw
-    fixed = [nodes for nodes in seen if not nodes.flags.writeable]
-    assert len(fixed) == 2 * cfg.T and len({id(nodes) for nodes in fixed}) == 2
-    assert len(seen) > len(fixed)
-    for nodes in fixed[:2]:
-        with pytest.raises(ValueError, match="read-only"):
-            nodes[0] = 0
-        with pytest.raises(ValueError):
-            nodes.flags.writeable = True
-
-
 def test_last_one_word_t_matches_stream():
     # with n=3 the block holding t = 2^32 - 1 is cut short at the default
     # horizon 2^32

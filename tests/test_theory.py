@@ -71,6 +71,19 @@ class TestMinIterations:
         with pytest.raises(OutOfRegimeError, match="p"):
             min_iterations(TheoryParams(), n=4, p=-0.5, K=1.0)
 
+    def test_zero_L_zeroes_its_terms_and_the_floor_is_inf(self):
+        # p = 1/2: the exponents are 2/(1+2p) = 1 and 4/(3-2p) = 2
+        floor = min_iterations(TheoryParams(L=0.0, C=2.0, q=0.5), n=4, p=0.5, K=1.0)
+        assert floor.terms == {
+            "4nL^2": 0.0,
+            "(162nC^2L^2/(1-q^2))^(2/(1+2p))": 0.0,
+            "(nL^2)^(2/(1+2p))": 0.0,
+            "n^(2/(1+2p))": 4.0,
+            "(2K/(nL))^(2/(1+2p))": math.inf,
+            "(9/sqrt(n))^(4/(3-2p))": 20.25,
+        }
+        assert floor.floor == math.inf
+
 
 class TestConvergenceBound:
     def test_only_fixed_term_when_error_sources_vanish(self):
@@ -188,6 +201,26 @@ class TestCorollaryRegime:
     def test_p_range_guard(self):
         with pytest.raises(OutOfRegimeError):
             corollary_regime(0.5, 8, 100, 0.25, self.budgets(), 0.1, 1.0, TheoryParams())
+
+    @pytest.mark.parametrize("s, S, H", [
+        # S = a3 a1^2 (1 + integral_0^(T-1) dt / (t + a2)^(2s)); H = S / log T at s = 1/2
+        (0.5, 12.0 * (1 + math.log(10.9)), 12.0 * (1 + math.log(10.9)) / math.log(100)),
+        # and H = S above it; 2s = 3/2 integrates to 2 (a2^-1/2 - (T - 1 + a2)^-1/2)
+        (0.75, 12.0 * (1 + 2 * (10**-0.5 - 109**-0.5)), 12.0 * (1 + 2 * (10**-0.5 - 109**-0.5))),
+    ])
+    def test_envelope_normalization_at_and_above_one_half(self, s, S, H):
+        th = TheoryParams(L=2.0, C=1.5, q=0.5, d=3)
+        got = corollary_regime(0.0, 4, 100, s, self.budgets(4), 0.1, 0.8, th, a1=2.0, a2=10.0,
+                               a3=3.0)
+        assert schedule_sum_envelope(100, s, 2.0, 10.0, 3.0) == pytest.approx(S, rel=1e-12)
+        # A2 = 6 C^2 (n + 9L) / (1 - q)^2 = 1188 and nu = 16 h d L (3 A2 + 1)
+        nu = 16 * 0.8 * 3 * 2.0 * 3565
+        bt = 0.1**2 * 0.5**2 * math.log(1e5) / 6.0**2
+        assert got.H == pytest.approx(H, rel=1e-12)
+        assert got.nu == pytest.approx(nu, rel=1e-12)
+        assert got.budget_term == pytest.approx(bt, rel=1e-12)
+        assert got.value == pytest.approx(math.log(100) ** 2 / math.sqrt(400) * nu * H**2 * bt,
+                                          rel=1e-12)
 
     def test_budget_term_literal(self):
         buds = [
