@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 
 from . import engine, rng as rngmod
 from .config import field_types, load_config
-from .errors import PushdpError
+from .errors import ConfigurationError, PushdpError
 from .fusion import REPORTED_TAU, noise_factor, select_tau
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, calibrate_sigma
 from .theory import TheoryParams, convergence_bound, corollary_regime, min_iterations, optimal_p
@@ -212,6 +212,11 @@ def cmd_calc(args) -> int:
         out = _calculate(args)
     except ValueError as exc:  # a calculator's own input check
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ConfigurationError as exc:  # a spec check: it names config keys, not flags
+        keys, _, reason = str(exc).partition(": ")
+        flags = ", ".join(_flag(key.partition(".")[2]) for key in keys.split(", "))
+        print(f"error: {flags}: {reason}", file=sys.stderr)
         return 1
     print(json.dumps(_sanitize(out), indent=2))
     return 0

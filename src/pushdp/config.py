@@ -12,6 +12,7 @@ import configparser
 import os
 import typing
 from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from typing import List, Optional
 
 import numpy as np
@@ -134,9 +135,11 @@ class ExperimentConfig:
 # [privacy] lists, the fusion.tau check and privacy.sigma.
 
 
+@cache
 def field_types(cls) -> dict:
     """Parse function per field of the dataclass cls, from its annotation;
-    Optional[X] parses as X."""
+    Optional[X] parses as X.  Computed once per class: the dict is shared,
+    so callers must not change it."""
     types = {}
     for name, hint in typing.get_type_hints(cls).items():
         args = [a for a in typing.get_args(hint) if a is not type(None)]

@@ -369,20 +369,19 @@ def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,
                         seed: int) -> List[np.ndarray]:
     """Split sample indices across n nodes, one Dirichlet(alpha_conc)
     proportion draw per class; exhaustive, disjoint, and deterministic in
-    the seed."""
+    the seed.  A class's shuffled rows go to the nodes in order, node k
+    taking the floor(cumsum(proportions) * rows) cut k - 1 up to cut k; each
+    node's indices come back sorted."""
     rng = rngmod.stream(seed, 0, 0, rngmod.PARTITION)
-    out = [[] for _ in range(n)]
+    owner = np.empty(len(labels), dtype=np.intp)
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        if n == 1:
-            out[0].extend(idx)
-            continue
-        props = rng.dirichlet(np.full(n, alpha_conc))
-        cuts = np.floor(np.cumsum(props) * len(idx)).astype(int)[:-1]
-        for node, part in enumerate(np.split(idx, cuts)):
-            out[node].extend(part)
-    return [np.sort(np.array(part, dtype=int)) for part in out]
+        cuts = np.floor(np.cumsum(rng.dirichlet(np.full(n, alpha_conc))) * len(idx))[:-1]
+        owner[idx] = np.searchsorted(cuts, np.arange(len(idx)), side="right")
+    order = np.argsort(owner, kind="stable")  # by node, then by index
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def partition_report(labels: np.ndarray, node_indices: List[np.ndarray]) -> dict:

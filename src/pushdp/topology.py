@@ -19,6 +19,13 @@ from .errors import ConfigurationError, OutOfRegimeError
 COLUMN_SUM_TOL = 1e-12
 
 
+def _adjacency(n: int, recv, send, dtype) -> np.ndarray:
+    """n x n array of dtype: 1 at [recv[e], send[e]] for every edge e, 0 elsewhere."""
+    adj = np.zeros(n * n, dtype)
+    adj[recv * n + send] = 1
+    return adj.reshape(n, n)
+
+
 @dataclass(frozen=True, eq=False)
 class DirectedEdgeSet:
     """Directed edge set for one iteration: edge e runs from node send[e] to
@@ -38,11 +45,12 @@ class DirectedEdgeSet:
         bad = (recv < 0) | (recv >= self.n) | (send < 0) | (send >= self.n)
         if bad.any():
             raise ValueError(f"edge ({recv[bad][0]},{send[bad][0]}) out of range for n={self.n}")
-        adj = np.eye(self.n, dtype=bool)
-        adj[recv, send] = True
-        recv, send = np.nonzero(adj)
+        adj = _adjacency(self.n, recv, send, bool)
+        np.fill_diagonal(adj, True)
+        flat = np.flatnonzero(adj)  # contiguous, and faster than a 2-d nonzero
+        recv = flat // self.n
         object.__setattr__(self, "recv", recv)
-        object.__setattr__(self, "send", send)
+        object.__setattr__(self, "send", flat - recv * self.n)
 
     def pairs(self) -> frozenset:
         """The edges as a set of (receiver, sender) tuples."""
@@ -68,8 +76,8 @@ def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:
 
     Column j carries 1/outdeg(j) at each out-neighbor of j and 0 elsewhere.
     """
-    P = np.zeros((edges.n, edges.n))
-    P[edges.recv, edges.send] = 1.0 / edges.out_degrees()[edges.send]
+    P = _adjacency(edges.n, edges.recv, edges.send, float)
+    P *= 1.0 / edges.out_degrees()
     sums = P.sum(axis=0)
     assert np.all(np.abs(sums - 1.0) <= COLUMN_SUM_TOL)
     return P
@@ -164,48 +172,58 @@ def load_edge_list(path, n: int) -> tuple:
     return tuple(sets)
 
 
-def _hop_diameter(edges: DirectedEdgeSet) -> Optional[int]:
-    """Largest hop distance from any node to any other along sender->receiver
-    arcs, or None if the graph is not strongly connected.
+def _strongly_connected(R: np.ndarray) -> bool:
+    """Whether node 0 reaches every node and every node reaches node 0 in
+    the graph whose arc j -> i is a nonzero R[i, j]: one frontier sweep
+    along the arcs and one against them."""
+    for arcs in (R, R.T):
+        seen = np.zeros(len(R), dtype=bool)
+        seen[0] = True
+        frontier = [0]
+        while len(frontier):
+            new = arcs[:, frontier].any(axis=1) & ~seen
+            seen |= new
+            frontier = np.flatnonzero(new)
+        if not seen.all():
+            return False
+    return True
+
+
+def _hop_diameter(R: np.ndarray) -> int:
+    """Largest hop distance from any node to any other in the strongly
+    connected graph whose arc j -> i is R[i, j] = 1, self-loops included.
 
     R_h[i, j] = 1 when j reaches i within h hops, and R_(a+b) = R_a R_b.
     Squaring finds the first power of two with a full R; binary lifting then
     finds the largest h whose R_h is not full, in O(log diameter) products.
+    In float32 the products' path counts, at most n, are exact.
     """
-    n = edges.n
-    powers = [np.zeros((n, n))]  # powers[i] is R_(2^i)
-    powers[0][edges.recv, edges.send] = 1.0
+    n = len(R)
+    powers = [R]  # powers[i] is R_(2^i)
     while not powers[-1].all():
-        nxt = (powers[-1] @ powers[-1] > 0).astype(float)
-        if np.array_equal(nxt, powers[-1]):  # transitive closure, not full
-            return None
-        powers.append(nxt)
-    reach, hops = np.eye(n), 0
+        powers.append((powers[-1] @ powers[-1] > 0).astype(np.float32))
+    reach, hops = np.eye(n, dtype=np.float32), 0
     for i in reversed(range(len(powers) - 1)):
-        cand = (reach @ powers[i] > 0).astype(float)
+        cand = (reach @ powers[i] > 0).astype(np.float32)
         if not cand.all():
             reach, hops = cand, hops + 2**i
     return hops + 1 if n > 1 else 0
 
 
-def union_window(schedule: TopologySchedule, start: int, length: int) -> DirectedEdgeSet:
-    """Union of the edge sets over iterations [start, start + length)."""
-    sets = [topology_at(schedule, t) for t in range(start, start + length)]
-    return DirectedEdgeSet(schedule.n, *np.hstack([(s.recv, s.send) for s in sets]))
-
-
 def window_diameter(schedule: TopologySchedule, J: int) -> Optional[int]:
     """Largest diameter of any J-window union over one full schedule cycle,
-    or None if some window union is not strongly connected."""
+    or None if some window union is not strongly connected.  Every window
+    is checked for strong connectivity before any diameter is computed."""
     period = schedule.period()
-    cycle = period * J // np.gcd(period, J)
-    worst = 0
-    for l in range(cycle // J):
-        diameter = _hop_diameter(union_window(schedule, l * J, J))
-        if diameter is None:
+    windows = []
+    for l in range(period // np.gcd(period, J)):
+        sets = [topology_at(schedule, t) for t in range(l * J, l * J + J)]
+        R = _adjacency(schedule.n, np.concatenate([s.recv for s in sets]),
+                      np.concatenate([s.send for s in sets]), np.float32)
+        if not _strongly_connected(R):
             return None
-        worst = max(worst, diameter)
-    return worst
+        windows.append(R)
+    return max(map(_hop_diameter, windows))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .topology import (
     TopologySchedule,
     build_mixing_matrix,
     topology_at,
-    union_window,
     window_diameter,
 )
 
@@ -357,6 +356,12 @@ def floyd_warshall_diameter(edges: DirectedEdgeSet) -> Optional[int]:
     return int(dist.max()) if np.all(np.isfinite(dist)) else None
 
 
+def union_window(schedule: TopologySchedule, start: int, length: int) -> DirectedEdgeSet:
+    """Union of the edge sets over iterations [start, start + length)."""
+    sets = [topology_at(schedule, t) for t in range(start, start + length)]
+    return DirectedEdgeSet(schedule.n, *np.hstack([(s.recv, s.send) for s in sets]))
+
+
 def brute_force_window_diameter(schedule: TopologySchedule, J: int) -> Optional[int]:
     """Largest Floyd-Warshall diameter of the J-window unions over one full
     schedule cycle, or None if some union is not strongly connected."""
@@ -383,8 +388,8 @@ def random_explicit_schedule(rng, n: int, length: int) -> TopologySchedule:
 
 def connectivity_suite(cases: int = 60, seed: int = 13) -> List[CheckResult]:
     """`window_diameter`, which the theory block calls for kappa, against the
-    Floyd-Warshall diameter on random explicit schedules and three fixed
-    graphs."""
+    Floyd-Warshall diameter on random explicit schedules and six fixed
+    graphs, three of them with 256 or more nodes."""
     rng = np.random.default_rng(seed)
     mismatches, finite = 0, []
     for _ in range(cases):
@@ -409,6 +414,13 @@ def connectivity_suite(cases: int = 60, seed: int = 13) -> List[CheckResult]:
          TopologySchedule(kind="explicit-list", n=8, edge_sets=(cliques,)), 2, None),
         # one period reaches offsets {1,2,3,4,6} directly; 5 and 7 take two hops
         ("exponential-periodic n=8, J=3", TopologySchedule(kind="exponential-periodic", n=8), 3, 2),
+        # at J=1 the window of step 2 holds even offsets only
+        ("exponential-periodic n=256, J=1",
+         TopologySchedule(kind="exponential-periodic", n=256), 1, None),
+        # one period reaches offsets up to 127 and every even one; the odd rest take two hops
+        ("exponential-periodic n=256, J=8",
+         TopologySchedule(kind="exponential-periodic", n=256), 8, 2),
+        ("static ring (k=1, n=300), J=1", TopologySchedule(kind="static-ring", n=300, k=1), 1, 299),
     )
     for label, schedule, J, expected in fixed:
         got = window_diameter(schedule, J)

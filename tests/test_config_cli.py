@@ -578,6 +578,13 @@ class TestCliCalc:
          "pushdp calc bound: error: argument --n: need at least 1 node, got 0"),
         (["regime", "--p", "0", "--n", "8", "--s", "0.5", "--T", "1"], 1,
          "error: s = 1/2 normalizes by log T, which needs T >= 2, got T = 1"),
+        # a spec check's error names the flag, not the config key of its field
+        (["sigma", "--epsilon", "0"], 1, "error: --epsilon: must be > 0, got 0.0"),
+        (["sigma", "--T", "0"], 1, "error: --T: must be >= 1, got 0"),
+        (["sigma", "--ratio", "2"], 1, "error: --ratio: must lie in (0,1], got 2.0"),
+        (["bound", "--n", "4", "--eta", "0"], 1, "error: --eta: must be > 0, got 0.0"),
+        (["bound", "--n", "4", "--eta", "1", "--a1", "0"], 1,
+         "error: --a1, --a2: stepwise form needs a1 > 0 and a2 > 0"),
     ])
     def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, argv, code, message):
         if code == 2:

@@ -316,7 +316,40 @@ class TestBatchDraws:
             BatchDraws(node_rows([2, 3]), [0.5, ratio], rngmod.Streams(0, rngmod.BATCH, 2))
 
 
+def loop_partition(labels, n, alpha_conc, seed):
+    """Oracle: dirichlet_partition as a per-class loop that appends each
+    class's shuffled indices, split at the cuts, node by node."""
+    rng = rngmod.stream(seed, 0, 0, rngmod.PARTITION)
+    out = [[] for _ in range(n)]
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        if n == 1:
+            out[0].extend(idx)
+            continue
+        props = rng.dirichlet(np.full(n, alpha_conc))
+        cuts = np.floor(np.cumsum(props) * len(idx)).astype(int)[:-1]
+        for node, part in enumerate(np.split(idx, cuts)):
+            out[node].extend(part)
+    return [np.sort(np.array(part, dtype=int)) for part in out]
+
+
 class TestDirichletPartition:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 5), max_size=300), n=st.integers(1, 40),
+           alpha=st.sampled_from([0.05, 1.0, 50.0]), seed=st.integers(0, 2**32 - 1))
+    @example(labels=[0, 1, 0, 1, 2], n=1, alpha=1.0, seed=0)
+    @example(labels=[], n=3, alpha=1.0, seed=0)
+    # classes 0, 2, 3 and 5 absent, and most of the 64 nodes empty
+    @example(labels=[4] * 10 + [1] * 3, n=64, alpha=0.05, seed=3)
+    def test_equals_the_per_class_loop(self, labels, n, alpha, seed):
+        labels = np.array(labels, dtype=int)
+        got = dirichlet_partition(labels, n, alpha, seed)
+        want = loop_partition(labels, n, alpha, seed)
+        assert len(got) == n
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_single_node_gets_everything(self):
         labels = np.array([0, 1, 0, 1, 2])
         parts = dirichlet_partition(labels, 1, 1.0, 0)
