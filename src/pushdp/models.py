@@ -39,6 +39,14 @@ def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, B)
 
 
+def _fold(ufunc, cols) -> np.ndarray:
+    """ufunc folded over a sequence of columns left to right, into a new array."""
+    acc = ufunc(cols[0], cols[1]) if len(cols) > 1 else cols[0].copy()
+    for col in cols[2:]:
+        ufunc(acc, col, out=acc)
+    return acc
+
+
 class Rows(NamedTuple):
     """One forward (and, unless loss-only, backward) pass of a model over a
     row block.
@@ -60,15 +68,26 @@ class Rows(NamedTuple):
         """Mean loss over the rows `sel` (all rows by default)."""
         return float(np.mean(self.losses[sel])) + self.reg
 
-    def grad(self, sel=slice(None)) -> np.ndarray:
-        """Exact mean gradient over the rows `sel` (all rows by default)."""
-        parts = []
-        for A, E in self.blocks:
-            E = E[sel]
+    def grad(self, sel=slice(None), out=None) -> np.ndarray:
+        """Exact mean gradient over the rows `sel` (a slice or row indices, all
+        rows by default), written into `out` if given."""
+        take = not isinstance(sel, slice)
+        if out is None:
+            out = np.empty(sum((1 if A is None else A.shape[1] + 1) * E.shape[1]
+                               for A, E in self.blocks))
+        start = 0
+        for A, E in self.blocks:  # row sums: the weights' block, then the bias row
+            E = E.take(sel, axis=0) if take else E[sel]
             if A is not None:
-                parts.append((A[sel].T @ E / len(E)).ravel())
-            parts.append(E.sum(axis=0) / len(E))
-        return self.const + np.concatenate(parts)
+                A = A.take(sel, axis=0) if take else A[sel]
+                W = out[start : start + A.shape[1] * E.shape[1]].reshape(A.shape[1], -1)
+                np.matmul(A.T, E, out=W)
+                start += W.size
+            np.add.reduce(E, 0, out=out[start : start + E.shape[1]])  # E.sum(axis=0)
+            start += E.shape[1]
+        out /= len(E)
+        out += self.const
+        return out
 
     def segment_losses(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Mean loss of every segment k of the rows, the counts[k] from
@@ -177,35 +196,50 @@ class MlpModel:
         b2 = params[i : i + c]
         return W1, b1, W2, b2
 
+    def _hidden(self, W1, b1, X, out=None):
+        hid = np.matmul(X, W1, out=out)
+        hid += b1
+        return np.tanh(hid, out=hid)
+
     def rows(self, params, X, y, grad=True) -> Rows:
-        # hid and dhid share one allocation and nothing else of their size is
-        # made: at a few thousand rows, page faults on fresh (rows, hidden)
-        # arrays cost more than the arithmetic
+        # hid and dhid share one allocation, and tanh' takes one scratch block
+        # of at most 512 rows: at a few thousand rows, page faults on fresh
+        # (rows, hidden) arrays cost more than the arithmetic.  Over a handful
+        # of classes so do row reductions and (row, label) gathers, so the
+        # softmax works on the logits' class columns, one call per class, and
+        # finds the labels through one flat index; the floats are those of
+        # the row reductions
         W1, b1, W2, b2 = self._unpack(params)
         out = np.empty((2 if grad else 1, len(X), self.hidden))
-        hid = np.matmul(X, W1, out=out[0])
-        hid += b1
-        np.tanh(hid, out=hid)
+        hid = self._hidden(W1, b1, X, out[0])
         shifted = hid @ W2
         shifted += b2
-        shifted -= shifted.max(axis=1, keepdims=True)
-        label = (np.arange(len(X)), y)
-        at_label = shifted[label]
+        cols = shifted.T
+        shifted -= _fold(np.maximum, cols)[:, None]
+        label = np.arange(len(X)) * self.classes + y  # flat index of every row's label
+        flat = shifted.reshape(-1)
+        at_label = flat.take(label)
         dl = np.exp(shifted, out=shifted)
-        total = dl.sum(axis=1)
-        losses = np.log(total) - at_label
+        # sum(axis=1) adds fewer than 8 terms left to right, 8 or more in 8 partial sums
+        total = _fold(np.add, cols) if self.classes < 8 else dl.sum(axis=1)
+        if grad:
+            dl /= total[:, None]
+            flat[label] -= 1.0  # dlogits of one row: softmax - onehot
+        losses = np.log(total, out=total)
+        losses -= at_label
         if not grad:
             return Rows(losses, 0.0)
-        dl /= total[:, None]
-        dl[label] -= 1.0  # dlogits of one row: softmax - onehot
         dhid = np.matmul(dl, W2.T, out=out[1])
-        for s in range(0, len(X), 128):  # times tanh' = 1 - hid^2, in small blocks
-            dhid[s : s + 128] *= 1.0 - np.square(hid[s : s + 128])
+        slope = np.empty((min(len(X), 512), self.hidden))
+        for s in range(0, len(X), 512):  # times tanh' = 1 - hid^2, in row blocks
+            block = np.square(hid[s : s + 512], out=slope[: len(X) - s])
+            np.subtract(1.0, block, out=block)
+            dhid[s : s + 512] *= block
         return Rows(losses, 0.0, 0.0, ((X, dhid), (hid, dl)))
 
     def predict(self, params, X):
         W1, b1, W2, b2 = self._unpack(params)
-        return np.argmax(np.tanh(X @ W1 + b1) @ W2 + b2, axis=1)
+        return np.argmax(self._hidden(W1, b1, X) @ W2 + b2, axis=1)
 
 
 Model = QuadraticModel | LogisticModel | MlpModel
@@ -226,8 +260,9 @@ class NodeGrads:
     nodes.  Logistic and quadratic take one gradient-only pass over all rows
     and `np.add.reduceat` of the row pieces, bit for bit as per segment:
     logistic pieces [x_j, 1] * r_j; the quadratic's are the rows, whose
-    full-slice sums are taken once.  The MLP takes one pass per node: a
-    gathered W1 would be rows x features x hidden."""
+    full-slice sums are taken once.  The MLP takes one pass per node (a
+    gathered W1 would be rows x features x hidden), and `Rows.grad` writes
+    the node's two means straight into its rows of the outputs."""
 
     def __init__(self, model: Model, batch: Batch, layout: NodeRows):
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
@@ -247,7 +282,8 @@ class NodeGrads:
             for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
                                      sel_starts.tolist(), drawn.tolist()):
                 rows = row_pass(self.model, Z[i], (X[a : a + c], y[a : a + c]))
-                full[i], batch_mean[i] = rows.grad(), rows.grad(sel[s : s + m] - a)
+                rows.grad(out=full[i])
+                rows.grad(sel[s : s + m] - a, out=batch_mean[i])
             return full, batch_mean
         rows = self.model.rows(Z[nodes], X, y, owner=owner)
         if isinstance(self.model, QuadraticModel):

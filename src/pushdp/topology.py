@@ -68,7 +68,9 @@ class DirectedEdgeSet:
 def _circulant(n: int, offsets) -> DirectedEdgeSet:
     """Edge set in which every node j sends to (j + o) mod n for each offset o."""
     send = np.arange(n)[:, None]
-    return DirectedEdgeSet(n, (send + offsets) % n, send)
+    recv = send + np.asarray(offsets) % n  # below 2n - 1: one subtract of n wraps it
+    np.subtract(recv, n, out=recv, where=recv >= n)
+    return DirectedEdgeSet(n, recv, send)
 
 
 def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:

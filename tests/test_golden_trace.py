@@ -3,8 +3,9 @@ stored baseline.
 
 Each case stores the per-round metrics records (one list per field), the
 summary's non-dict fields, its config echo and theory block, and the final
-post-mix parameter stack X (n, d).  One case runs with the theory block on,
-so the convergence-bound breakdown is pinned too.
+post-mix parameter stack X (n, d).  Two cases run with the theory block on,
+so the convergence-bound breakdown is pinned too, and with it the MLP probe
+passes of `estimate_theory_params`.
 The comparison is exact: a change that keeps the arithmetic must reproduce
 every float.  A change that alters the arithmetic on purpose (a new stream
 contract, a new summation order) re-baselines with
@@ -83,7 +84,7 @@ CASES = [
     for algorithm in ("sdlr", "adp-vrsgp")
     for topology in TOPOLOGIES
     for model in MODELS
-] + ["empty-node", "adp-vrsgp/static-ring/logistic/theory"]
+] + ["empty-node", "adp-vrsgp/static-ring/logistic/theory", "adp-vrsgp/static-ring/mlp/theory"]
 
 
 def trace(name):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +18,7 @@ from pushdp.models import (
     MlpModel,
     NodeGrads,
     QuadraticModel,
+    Rows,
     accuracy,
     dirichlet_partition,
     load_csv,
@@ -134,6 +136,119 @@ class TestRowPass:
         )
         for name, value in expected.items():
             assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=0.0)
+
+
+def reference_mlp_rows(model, params, X, y, grad=True):
+    """Oracle: MlpModel.rows as a row pass over the (rows, classes) logits,
+    as (losses, blocks): row max and row sum, (arange, y) label gathers and
+    tanh' in 128-row blocks."""
+    W1, b1, W2, b2 = model._unpack(params)
+    out = np.empty((2 if grad else 1, len(X), model.hidden))
+    hid = np.matmul(X, W1, out=out[0])
+    hid += b1
+    np.tanh(hid, out=hid)
+    shifted = hid @ W2
+    shifted += b2
+    shifted -= shifted.max(axis=1, keepdims=True)
+    label = (np.arange(len(X)), y)
+    at_label = shifted[label]
+    dl = np.exp(shifted, out=shifted)
+    total = dl.sum(axis=1)
+    losses = np.log(total) - at_label
+    if not grad:
+        return losses, ()
+    dl /= total[:, None]
+    dl[label] -= 1.0
+    dhid = np.matmul(dl, W2.T, out=out[1])
+    for s in range(0, len(X), 128):
+        dhid[s : s + 128] *= 1.0 - np.square(hid[s : s + 128])
+    return losses, ((X, dhid), (hid, dl))
+
+
+def reference_grad(blocks, sel=slice(None)):
+    """Oracle: the mean gradient of an MLP pass's blocks over the rows sel,
+    one concatenated piece per block row."""
+    parts = []
+    for A, E in blocks:
+        E = E[sel]
+        parts.append((A[sel].T @ E / len(E)).ravel())
+        parts.append(E.sum(axis=0) / len(E))
+    return 0.0 + np.concatenate(parts)
+
+
+def reference_predict(model, params, X):
+    W1, b1, W2, b2 = model._unpack(params)
+    return np.argmax(np.tanh(X @ W1 + b1) @ W2 + b2, axis=1)
+
+
+MLP_PASS = dict(features=st.integers(1, 6), classes=st.integers(1, 12),
+                hidden=st.integers(1, 70), rows=st.integers(1, 600),
+                logit_scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]), tie=st.booleans(),
+                seed=st.integers(0, 2**32 - 1))
+
+
+class TestMlpPass:
+    @settings(max_examples=150, deadline=None)
+    @given(**MLP_PASS)
+    @example(features=20, classes=3, hidden=64, rows=129, logit_scale=1.0, tie=False, seed=0)
+    @example(features=20, classes=3, hidden=64, rows=300, logit_scale=30.0, tie=True, seed=1)
+    @example(features=5, classes=9, hidden=7, rows=513, logit_scale=1e3, tie=False, seed=2)
+    def test_equals_the_reference_pass(self, features, classes, hidden, rows, logit_scale, tie,
+                                       seed):
+        # bit for bit: losses, every block, the mean gradients over all rows,
+        # a row span and a row subset, the row deviations and predict.  The
+        # logits reach about logit_scale; scale 0 ties every class, and tie
+        # makes the last class a copy of the first
+        model = MlpModel(n_features=features, hidden=hidden, classes=classes)
+        rng = np.random.default_rng(seed)
+        X, y = rng.normal(size=(rows, features)), rng.integers(classes, size=rows)
+        params = rng.normal(size=model.dim)
+        _, _, W2, b2 = model._unpack(params)
+        W2 *= logit_scale / np.sqrt(hidden)
+        b2 *= logit_scale
+        if tie:
+            W2[:, -1], b2[-1] = W2[:, 0], b2[0]
+        got = row_pass(model, params, (X, y))
+        losses, blocks = reference_mlp_rows(model, params, X, y)
+        assert np.array_equal(got.losses, losses)
+        assert len(got.blocks) == len(blocks)
+        for pair, want in zip(got.blocks, blocks):
+            assert all(np.array_equal(a, b) for a, b in zip(pair, want))
+        sel = np.sort(rng.choice(rows, rng.integers(1, rows + 1), replace=False))
+        span = slice(rows // 3, max(rows // 3 + 1, rows - rows // 4))
+        for part in (slice(None), span, sel):
+            assert np.array_equal(got.grad(part), reference_grad(blocks, part))
+        rows_out = np.full((2, model.dim), np.nan)
+        dest = rows_out[1]
+        assert got.grad(sel, out=dest) is dest
+        assert np.isnan(rows_out[0]).all()
+        assert np.array_equal(dest, reference_grad(blocks, sel))
+        g = got.grad()
+        assert np.array_equal(got.dev_sq(g), Rows(losses, 0.0, 0.0, blocks).dev_sq(g))
+        assert np.array_equal(row_pass(model, params, (X, y), grad=False).losses,
+                              reference_mlp_rows(model, params, X, y, grad=False)[0])
+        assert np.array_equal(model.predict(params, X), reference_predict(model, params, X))
+
+    def test_pass_memory_in_rows_by_hidden_planes(self):
+        # the grad pass keeps two planes (hid, dhid) and a small tanh' block;
+        # the loss pass and predict make one plane
+        model = MlpModel(n_features=20, hidden=64, classes=3)
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(2400, 20)), rng.integers(3, size=2400)
+        params = rng.normal(size=model.dim)
+        plane = X.shape[0] * model.hidden * X.itemsize
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1] / plane
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: row_pass(model, params, (X, y))) <= 2.5
+        assert peak(lambda: row_pass(model, params, (X, y), grad=False)) <= 1.2
+        assert peak(lambda: model.predict(params, X)) <= 1.2
 
 
 class TestNodeGrads:

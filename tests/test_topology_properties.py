@@ -11,6 +11,7 @@ from pushdp.topology import (
     TopologySchedule,
     build_mixing_matrix,
     max_out_degree,
+    _circulant,
     window_diameter,
 )
 from pushdp.verify import brute_force_window_diameter
@@ -66,3 +67,21 @@ def test_max_out_degree_is_largest_column_support(es):
 @given(schedules(), st.integers(1, 4))
 def test_window_diameter_agrees_with_floyd_warshall(sched, J):
     assert window_diameter(sched, J) == brute_force_window_diameter(sched, J)
+
+
+@st.composite
+def circulant_offsets(draw):
+    """(n, offsets): random offsets on both sides of [0, n), or the j * 2^k
+    offsets (j <= n/2) of an exponential-periodic edge set, at any k."""
+    n = draw(st.integers(1, 600))
+    if draw(st.booleans()):
+        return n, np.arange(n // 2 + 1) << draw(st.integers(0, 12))
+    return n, np.array(draw(st.lists(st.integers(-3 * n, 5 * n), min_size=1, max_size=40)))
+
+
+@settings(deadline=None)
+@given(circulant_offsets())
+def test_circulant_matches_the_mod_formula(case):
+    n, offsets = case
+    send = np.arange(n)[:, None]
+    assert _circulant(n, offsets) == DirectedEdgeSet(n, (send + offsets) % n, send)
