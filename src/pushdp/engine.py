@@ -200,8 +200,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
                            .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
         sel, drawn = batches.draw(t)
-        for row, gen in zip(noise_rows, noise_streams.each(t, noise_nodes)):
-            gen.standard_normal(out=row)
+        noise_streams.fill(t, noise_nodes, noise_rows, "standard_normal")
         Noise *= sigma_column  # as normal(0, sigma) draws it: 0.0 + sigma * z
         Full, Grad = grads.at(Z, sel, drawn)
         occupied = Full[layout.nodes]

@@ -363,11 +363,12 @@ class BatchDraws:
     """Every occupied node's batch draw of a round, at once.
 
     Node layout.nodes[k] draws the same rows as `sample_batch` over its row
-    positions at its ratio on the generator `streams.each(t, [node])` sets.
-    Each node's first draw goes into one uniform per row, and one mask over
-    all rows selects.  An empty first draw is replayed into the node's span of
-    the mask: `random(2 * count)` on its repositioned stream is that draw, then
-    the retry (a double takes one whole word), and `integers` forces the pick.
+    positions at its ratio on the stream of its round-t slot.  One
+    `streams.fill` makes every sampling node's first draw into its span of
+    one uniform per row, and one mask over all rows selects.  An empty first
+    draw is replayed on the node's slot, positioned again by `streams.at`,
+    into its span of the mask: `random(2 * count)` is that draw, then the
+    retry (a double takes one whole word), and `integers` forces the pick.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -379,21 +380,22 @@ class BatchDraws:
         # a ratio-1 node takes every row without a draw: its uniforms stay 0
         self._uniform = np.zeros(len(layout.owner))
         self._sampled = layout.nodes[ratios < 1.0].tolist()
-        # (start, count, ratio) of every occupied node, and each sampling node's uniforms
-        self._replay = list(zip(layout.starts.tolist(), layout.counts.tolist(), ratios.tolist()))
-        self._uniforms = [self._uniform[a : a + c] for a, c, ratio in self._replay if ratio < 1.0]
+        # (node, start, count, ratio) of every occupied node, and each sampling node's uniforms
+        self._replay = list(zip(layout.nodes.tolist(), layout.starts.tolist(),
+                                layout.counts.tolist(), ratios.tolist()))
+        self._uniforms = [self._uniform[a : a + c] for _, a, c, ratio in self._replay
+                          if ratio < 1.0]
 
     def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Round t's drawn rows of every occupied node, node after node, and
         how many each node drew (see `NodeGrads`)."""
-        for out, gen in zip(self._uniforms, self.streams.each(t, self._sampled)):
-            gen.random(out=out)
+        self.streams.fill(t, self._sampled, self._uniforms, "random")
         mask = self._uniform < self._row_ratio
         drawn = np.add.reduceat(mask, self.layout.starts, dtype=np.intp)
         if not drawn.all():
-            empty = np.flatnonzero(drawn == 0).tolist()
-            for k, gen in zip(empty, self.streams.each(t, self.layout.nodes[empty].tolist())):
-                a, c, ratio = self._replay[k]
+            for k in np.flatnonzero(drawn == 0).tolist():
+                node, a, c, ratio = self._replay[k]
+                gen = self.streams.at(t, node)
                 rows = np.less(gen.random(2 * c)[c:], ratio, out=mask[a : a + c])
                 if not rows.any():
                     rows[gen.integers(c)] = True
@@ -519,4 +521,4 @@ def accuracy(model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> 
     pred = model.predict(params, X)
     if pred is None:
         return None
-    return np.count_nonzero(pred == y) / len(y)
+    return int(np.count_nonzero(pred == y)) / len(y)

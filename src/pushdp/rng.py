@@ -3,12 +3,13 @@
 Every stochastic draw in a run pulls from a generator derived from
 (master_seed, node_id, t, purpose), so results are reproducible bit for bit
 and independent of any node evaluation order.  `stream` defines this
-contract; `Streams` reproduces it in bulk for the round loop's draws.
+contract; `Streams` reproduces it in bulk for the round loop's draws:
+`Streams.fill` makes a round's batch uniforms or noise rows node after
+node, and `Streams.at` positions one slot for any other draw.
 """
 
 import ctypes
 import functools
-from typing import Iterator
 
 import numpy as np
 
@@ -89,7 +90,8 @@ def _word_order():
     probe = Streams(0, INIT, 1)
     known = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x33445566778899AB)
     probe._gen.integers(0, 2**31)  # one 32-bit draw leaves the buffer word full
-    got = next(probe._walk(np.array(known, np.uint64).data.cast("B"), 0, [0])).bit_generator.state
+    probe._t0, probe._block = 0, np.array(known, np.uint64).data.cast("B")
+    got = probe.at(0, 0).bit_generator.state
     read = [*divmod(got["state"]["state"], 2**64), *divmod(got["state"]["inc"], 2**64)]
     if sorted(read) != sorted(known) or got["has_uint32"] or got["uinteger"]:
         raise RuntimeError(f"unknown PCG64 memory layout: the slot write read back as {got}")
@@ -98,12 +100,13 @@ def _word_order():
 
 class Streams:
     """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
-    t < horizon.  `each(t, nodes)` sets one reused Generator, node after
-    node, exactly where `stream(master_seed, node, t, purpose)` starts, so
-    finish a draw before the next node's.  The pool hash and PCG64's set-seed
-    run vectorised over a block of whole rounds, derived when first used and
-    cut at the horizon; a slot write copies the slot's 32 bytes of (state,
-    inc) words into the generator and zeroes its 32-bit buffer word."""
+    t < horizon.  `fill` and `at` set one reused Generator exactly where
+    `stream(master_seed, node, t, purpose)` starts.  The pool hash and
+    PCG64's set-seed run vectorised over a block of whole rounds, derived
+    when first used and cut at the horizon; a slot write copies the slot's
+    32 bytes of (state, inc) words into the generator.  `at` also zeroes the
+    generator's 32-bit buffer word, which `integers` reads; `fill` makes
+    only double draws, which never read it, so it leaves that word as is."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -141,27 +144,40 @@ class Streams:
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         want = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
             "state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
-        if (got := next(self._walk(self._block, 0, [0])).bit_generator.state) != want:
+        if (got := self.at(t0, 0).bit_generator.state) != want:
             raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
-    def each(self, t: int, nodes: list) -> Iterator[np.random.Generator]:
-        """The reused Generator at round t's slot of every node in the list
-        `nodes`, set node after node, in their order, as the iterator
-        advances; no block is derived for no nodes."""
-        if not 0 <= t < self.horizon or nodes and not (0 <= min(nodes) and max(nodes) < self.n):
+    def _base(self, t: int, nodes: list) -> int:
+        # range-check the slots, derive their block if need be, and index round t's node 0
+        if not (0 <= t < self.horizon and 0 <= min(nodes) and max(nodes) < self.n):
             raise ValueError(f"slots (nodes {nodes}, t {t}) are outside nodes < {self.n}, "
                              f"t < {self.horizon}")
-        if not nodes:
-            return iter(())
         if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
             self._derive(t - t % self._rounds)
-        return self._walk(self._block, (t - self._t0) * self.n, nodes)
+        return (t - self._t0) * self.n
 
-    def _walk(self, block: memoryview, base: int, nodes: list) -> Iterator[np.random.Generator]:
-        # the slot write, from the block bound at the call, not at the first advance
-        state, buffer, gen = self._state, self._buffer, self._gen
-        for node in nodes:
-            at = (base + node) * _SLOT
-            state[:] = block[at : at + _SLOT]
-            buffer[:] = _NO_BUFFER
-            yield gen
+    def at(self, t: int, node: int) -> np.random.Generator:
+        """The reused Generator at the slot (node, t), with an empty 32-bit
+        buffer word, as `stream` starts: good for any draws until the next
+        `at` or `fill`."""
+        pos = (self._base(t, [node]) + node) * _SLOT
+        self._state[:] = self._block[pos : pos + _SLOT]
+        self._buffer[:] = _NO_BUFFER
+        return self._gen
+
+    def fill(self, t: int, nodes: list, outs: list, kind: str) -> None:
+        """Round t's draw of every node in the list `nodes` into its array in
+        `outs`, node after node: `kind` is "random" or "standard_normal", one
+        double draw per slot.  The slot write skips the 32-bit buffer word,
+        which double draws never read; no block is derived for no nodes."""
+        if kind not in ("random", "standard_normal") or len(outs) != len(nodes):
+            raise ValueError(f"fill makes one random or standard_normal draw per node, not "
+                             f"{kind!r} into {len(outs)} arrays for {len(nodes)} nodes")
+        if not nodes:
+            return
+        base, block, state = self._base(t, nodes), self._block, self._state
+        draw = getattr(self._gen, kind)
+        for node, out in zip(nodes, outs):
+            pos = (base + node) * _SLOT
+            state[:] = block[pos : pos + _SLOT]
+            draw(out=out)

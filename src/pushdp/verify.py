@@ -25,20 +25,10 @@ from .models import (
     BatchDraws, LogisticModel, MlpModel, NodeGrads, make_quadratic_model, make_synthetic,
     node_rows, row_pass,
 )
-from .privacy import (
-    LrSchedule,
-    NoiseSchedule,
-    PrivacyBudget,
-    beta_sum_dominance,
-    calibrate_sigma,
-)
+from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, beta_sum_dominance, calibrate_sigma
 from .pushsum import mix_round
 from .topology import (
-    DirectedEdgeSet,
-    TopologySchedule,
-    build_mixing_matrix,
-    topology_at,
-    window_diameter,
+    DirectedEdgeSet, TopologySchedule, build_mixing_matrix, topology_at, window_diameter,
 )
 
 NOISE_GRID_THETA = (0.3, 0.5, 0.7)
@@ -64,14 +54,8 @@ class CheckResult:
 # ------------------------------------------------------------ noise factor
 
 
-def simulate_fused_noise(
-    theta: float,
-    tau: int,
-    trials: int,
-    seed: int,
-    alpha: float = 1.0,
-    sigma: float = 1.0,
-) -> float:
+def simulate_fused_noise(theta: float, tau: int, trials: int, seed: int, alpha: float = 1.0,
+                         sigma: float = 1.0) -> float:
     """Empirical residual noise-variance fraction after one fusion interval.
 
     Drives the real perturb/fuse machinery on a pure-noise gradient stream
@@ -92,7 +76,8 @@ def theta_key(theta: float) -> int:
     return int(round(theta * 1000))
 
 
-def noise_factor_suite(trials: int = 1_000_000, seed: int = 20240 , rel_tol: float = 0.02) -> List[CheckResult]:
+def noise_factor_suite(trials: int = 1_000_000, seed: int = 20240,
+                       rel_tol: float = 0.02) -> List[CheckResult]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     results = []
@@ -100,26 +85,13 @@ def noise_factor_suite(trials: int = 1_000_000, seed: int = 20240 , rel_tol: flo
         for tau in NOISE_GRID_TAU:
             h = noise_factor(theta, tau)
             measured = simulate_fused_noise(theta, tau, trials, seed)
-            results.append(
-                CheckResult(
-                    name=f"fused-noise h(theta={theta}, tau={tau})",
-                    passed=abs(measured - h) <= rel_tol * h,
-                    measured=measured,
-                    expected=h,
-                    detail=f"rel_err={abs(measured - h) / h:.4f} tol={rel_tol}",
-                )
-            )
+            results.append(CheckResult(
+                f"fused-noise h(theta={theta}, tau={tau})", abs(measured - h) <= rel_tol * h,
+                measured, h, f"rel_err={abs(measured - h) / h:.4f} tol={rel_tol}"))
     for theta, tau, label in ((0.0, 7, "h(0, tau)=1"), (0.6, 1, "h(theta, 1)=1")):
         h = noise_factor(theta, tau)
-        results.append(
-            CheckResult(
-                name=f"exact {label}",
-                passed=abs(h - 1.0) <= 4 * np.finfo(float).eps,
-                measured=h,
-                expected=1.0,
-                detail="machine precision",
-            )
-        )
+        results.append(CheckResult(f"exact {label}", abs(h - 1.0) <= 4 * np.finfo(float).eps,
+                                   h, 1.0, "machine precision"))
     return results
 
 
@@ -140,15 +112,8 @@ def consensus_suite(seed: int = 7) -> List[CheckResult]:
     for t in range(rounds):
         X, w, _ = mix_round(X, w, matrices[t % period])
         worst = max(worst, abs(sum(w) - n) / n)
-    results.append(
-        CheckResult(
-            name=f"mass conservation, exponential-periodic n={n}, {rounds} rounds",
-            passed=worst <= 1e-10,
-            measured=worst,
-            expected=0.0,
-            detail="max relative |sum w - n|, tol 1e-10",
-        )
-    )
+    results.append(CheckResult(f"mass conservation, exponential-periodic n={n}, {rounds} rounds",
+                               worst <= 1e-10, worst, 0.0, "max relative |sum w - n|, tol 1e-10"))
 
     # zero-gradient consensus on a static directed ring
     schedule = TopologySchedule(kind="static-ring", n=8, k=2)
@@ -161,15 +126,8 @@ def consensus_suite(seed: int = 7) -> List[CheckResult]:
         max_dev = float(np.max(np.linalg.norm(Z - X.mean(axis=0), axis=1)))
         if max_dev < 1e-8:
             break
-    results.append(
-        CheckResult(
-            name="zero-gradient ring consensus within 500 rounds",
-            passed=max_dev < 1e-8,
-            measured=max_dev,
-            expected=0.0,
-            detail="max ||z_i - xbar||, tol 1e-8",
-        )
-    )
+    results.append(CheckResult("zero-gradient ring consensus within 500 rounds", max_dev < 1e-8,
+                               max_dev, 0.0, "max ||z_i - xbar||, tol 1e-8"))
     return results
 
 
@@ -285,14 +243,8 @@ def random_schedule(rng) -> tuple:
     if form == "power":
         sched = NoiseSchedule(form="power", T=T, s=s, K=float(rng.uniform(0.2, 5.0)))
     else:
-        sched = NoiseSchedule(
-            form="stepwise",
-            T=T,
-            s=s,
-            tau=int(rng.integers(1, 12)),
-            a1=float(rng.uniform(0.2, 3.0)),
-            a2=float(rng.uniform(1.0, 20.0)),
-        )
+        sched = NoiseSchedule(form="stepwise", T=T, s=s, tau=int(rng.integers(1, 12)),
+                              a1=float(rng.uniform(0.2, 3.0)), a2=float(rng.uniform(1.0, 20.0)))
     lr = LrSchedule(eta=1.0, xi=float(rng.uniform(0.05, 0.95)))
     return sched, lr
 
@@ -308,36 +260,19 @@ def schedules_suite(configs: int = 200, seed: int = 5) -> List[CheckResult]:
         if lhs > rhs * (1 + 1e-12):
             violations += 1
         worst_margin = min(worst_margin, rhs - lhs)
-    results.append(
-        CheckResult(
-            name=f"beta-sum dominance on {configs} random schedules",
-            passed=violations == 0,
-            measured=float(violations),
-            expected=0.0,
-            detail=f"min(rhs - lhs) = {worst_margin:.3g}",
-        )
-    )
+    results.append(CheckResult(f"beta-sum dominance on {configs} random schedules",
+                               violations == 0, float(violations), 0.0,
+                               f"min(rhs - lhs) = {worst_margin:.3g}"))
 
     # calibration reduction at constant alpha: sigma = c2*varsigma*G*sqrt(T ln(1/delta))/eps
     budget = PrivacyBudget(epsilon=2.0, delta=1e-5, sampling_ratio=0.01, c1=25.0, c2=1.0)
     sched = NoiseSchedule(form="power", T=1000, s=0.0, K=1.0)
     sigma = calibrate_sigma(budget, 0.1, sched)
-    closed = (
-        budget.c2
-        * budget.sampling_ratio
-        * 0.1
-        * np.sqrt(sched.T * np.log(1.0 / budget.delta))
-        / budget.epsilon
-    )
-    results.append(
-        CheckResult(
-            name="calibration reduction at alpha == 1",
-            passed=abs(sigma - closed) <= 1e-12 * closed,
-            measured=sigma,
-            expected=float(closed),
-            detail="rel tol 1e-12",
-        )
-    )
+    closed = (budget.c2 * budget.sampling_ratio * 0.1
+              * np.sqrt(sched.T * np.log(1.0 / budget.delta)) / budget.epsilon)
+    results.append(CheckResult("calibration reduction at alpha == 1",
+                               abs(sigma - closed) <= 1e-12 * closed, sigma, float(closed),
+                               "rel tol 1e-12"))
     return results
 
 
@@ -441,38 +376,54 @@ def stream_draws(gen, k: int):
     return gen.integers(0, 2**31, k), gen.random(k), gen.standard_normal(k + 3)
 
 
+def fill_mismatches(streams, t: int, nodes: list, kind: str) -> int:
+    """How many of the round-t slots of `nodes` `Streams.fill` draws unlike a
+    fresh `rng.stream`, into the rows of one buffer as the round loop does."""
+    rows = list(np.empty((len(nodes), 5)))
+    streams.fill(t, nodes, rows, kind)
+    return sum(not np.array_equal(row, getattr(rngmod.stream(
+        streams.master_seed, node, t, streams.purpose), kind)(5)) for node, row in zip(nodes, rows))
+
+
 def streams_suite(slots: int = 40, seed: int = 17) -> List[CheckResult]:
-    """`Streams.each`, which writes each slot's PCG64 words into one reused
-    generator's memory, against a fresh `rng.stream` at random slots of one-,
-    two- and three-word seeds, BATCH and NOISE, with rounds on both sides of
-    the first block edges; each slot is positioned over the buffered word
-    the previous slot's draws left."""
-    rng = np.random.default_rng(seed)
-    results = []
+    """`Streams.at` and `Streams.fill`, which write each slot's PCG64 words
+    into one reused generator's memory, against a fresh `rng.stream`: `at` at
+    random slots of one-, two- and three-word seeds, BATCH and NOISE, with
+    rounds on both sides of the first block edges, each slot positioned over
+    the buffer word the previous slot's draws left full; after each, a `fill`
+    of its round over that full word, for a random list of nodes and a draw
+    kind in turn; and a `fill` of a block's first round after one in the
+    previous block."""
+    rng, kinds = np.random.default_rng(seed), ("random", "standard_normal")
+    results, fill_misses = [], dict.fromkeys(kinds, 0)
+
+    def check(name, misses):
+        results.append(CheckResult(name, misses == 0, float(misses), 0.0,
+                                   "slots whose draws differ"))
+
     for words in (1, 2, 3):
         master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
         for purpose, label in ((rngmod.BATCH, "BATCH"), (rngmod.NOISE, "NOISE")):
             n = int(rng.integers(1, 300))
-            streams = rngmod.Streams(master, purpose, n)
-            rounds = max(1, rngmod.BLOCK_SLOTS // n)
+            streams, rounds = rngmod.Streams(master, purpose, n), max(1, rngmod.BLOCK_SLOTS // n)
             ts = [b * rounds + off for b in (1, 2) for off in (-1, 0)]
-            ts += rng.integers(0, 3 * rounds, slots - len(ts)).tolist()
             mismatches = 0
-            for t in ts:
+            for i, t in enumerate(ts + rng.integers(0, 3 * rounds, slots - len(ts)).tolist()):
                 node, k = int(rng.integers(n)), 2 * int(rng.integers(4)) + 1
-                got = stream_draws(next(streams.each(t, [node])), k)
+                got = stream_draws(streams.at(t, node), k)
                 ref = stream_draws(rngmod.stream(master, node, t, purpose), k)
                 mismatches += not all(np.array_equal(a, b) for a, b in zip(got, ref))
-            results.append(CheckResult(
-                f"Streams.each vs rng.stream, {words}-word seed, {label}, n={n}, {slots} slots",
-                mismatches == 0, float(mismatches), 0.0, "slots whose draws differ"))
-    # an iterator keeps its block when a later `each` derives the next block first
-    streams = rngmod.Streams(master, rngmod.NOISE, 4)
-    ref, walk = rngmod.stream(master, 1, 0, rngmod.NOISE), streams.each(0, [1, 2])
-    next(streams.each(max(1, rngmod.BLOCK_SLOTS // 4), [3]))
-    same = all(map(np.array_equal, stream_draws(next(walk), 3), stream_draws(ref, 3)))
-    return results + [CheckResult("Streams.each iterator keeps its block past a later block",
-                                  same, float(not same), 0.0, "slots whose draws differ")]
+                nodes = rng.permutation(n)[: int(rng.integers(1, min(n, 4) + 1))].tolist()
+                fill_misses[kinds[i % 2]] += fill_mismatches(streams, t, nodes, kinds[i % 2])
+            check(f"Streams.at vs rng.stream, {words}-word seed, {label}, n={n}, {slots} slots",
+                  mismatches)
+    for kind, misses in fill_misses.items():
+        check(f"Streams.fill ({kind}) after each Streams.at slot vs rng.stream", misses)
+    streams, first = rngmod.Streams(master, rngmod.NOISE, 4), max(1, rngmod.BLOCK_SLOTS // 4)
+    check("Streams.fill of a block's first round after a fill in the previous block vs "
+          "rng.stream", sum(fill_mismatches(streams, t, [1, 2], "standard_normal")
+                            for t in (first - 1, first)))
+    return results
 
 
 SUITES: Dict[str, Callable[..., List[CheckResult]]] = {

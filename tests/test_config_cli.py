@@ -492,7 +492,8 @@ class TestCliVerify:
 
     def test_streams_suite_passes(self, capsys):
         assert main(["verify", "streams"]) == 0
-        assert "Streams.each vs rng.stream" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Streams.at vs rng.stream" in out and "Streams.fill (random)" in out
 
     def test_all_aggregates_and_fails_on_any_red(self, monkeypatch, capsys):
         import pushdp.verify as verify

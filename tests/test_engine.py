@@ -59,6 +59,10 @@ class TestDeterminism:
         assert a.summary["sigma_per_node"] == b.summary["sigma_per_node"]
         # as_dict is dataclasses.asdict without the deep copy: same keys, same order
         assert all(list(r.as_dict().items()) == list(asdict(r).items()) for r in a.records)
+        # plain Python scalars, as the JSON writer gets them: no numpy scalar
+        assert all(type(v) in (int, float, type(None)) for r in a.records
+                   for v in r.as_dict().values())
+        assert type(a.records[-1].test_accuracy) is float
 
     def test_seed_changes_stream(self):
         cfg = make_config(T=20)
@@ -277,25 +281,24 @@ class TestNoiseDraws:
     @staticmethod
     def noise_draws(monkeypatch, cfg, seed):
         """Run cfg and list the (node, t) of every NOISE slot it positions, at
-        the round loop's per-round accessor `rng.Streams.each`, and the first
+        the round loop's per-round accessor `rng.Streams.fill`, and the first
         round of every NOISE block it derives."""
         from pushdp import rng as rngmod
 
         drawn, derived = [], []
-        real_each, real_derive = rngmod.Streams.each, rngmod.Streams._derive
+        real_fill, real_derive = rngmod.Streams.fill, rngmod.Streams._derive
 
-        def counting_each(streams, t, nodes):
-            for node, gen in zip(nodes, real_each(streams, t, nodes)):
-                if streams.purpose == rngmod.NOISE:
-                    drawn.append((int(node), t))
-                yield gen
+        def counting_fill(streams, t, nodes, outs, kind):
+            if streams.purpose == rngmod.NOISE:
+                drawn.extend((int(node), t) for node in nodes)
+            return real_fill(streams, t, nodes, outs, kind)
 
         def counting_derive(streams, t0):
             if streams.purpose == rngmod.NOISE:
                 derived.append(t0)
             return real_derive(streams, t0)
 
-        monkeypatch.setattr(rngmod.Streams, "each", counting_each)
+        monkeypatch.setattr(rngmod.Streams, "fill", counting_fill)
         monkeypatch.setattr(rngmod.Streams, "_derive", counting_derive)
         return run(cfg, master_seed=seed), drawn, derived
 
