@@ -188,7 +188,7 @@ def _calculate(args) -> dict:
     if args.sub == "bound":
         breakdown = convergence_bound(
             theory, args.n, _from_args(args, NoiseSchedule), LrSchedule(eta=args.eta, xi=args.xi),
-            budgets, args.g, noise_factor(args.theta, args.fusion_tau or args.tau),
+            budgets, args.g, noise_factor(args.theta, args.tau),
             args.upsilon, args.rho,
         )
         return {"inputs": {"n": args.n, "T": args.T, "eta": args.eta, "xi": args.xi,
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--eta", type=float, required=True)
     p_bound.add_argument("--xi", type=float, default=0.5)
     p_bound.add_argument("--theta", type=float, default=0.0)
-    p_bound.add_argument("--fusion-tau", type=int, default=None, dest="fusion_tau")
     p_bound.add_argument("--upsilon", type=float, default=0.0)
     p_bound.add_argument("--rho", type=float, default=0.0)
 

@@ -58,10 +58,7 @@ class MetricsRecord:
 class RunResult:
     records: List[MetricsRecord]
     summary: dict
-    fused_norms: np.ndarray  # (T, n) ||g_fused|| per (round, node), 0 for empty nodes
-    node_deviations: np.ndarray  # (T, n) measured ||z_i - xbar||
     partition: dict
-    trajectory: Optional[List[np.ndarray]] = None  # (n, d) post-mix states
 
 
 def build_model(config: ExperimentConfig, master_seed: int) -> Model:
@@ -132,13 +129,8 @@ def _theory_block(config, model, dataset, batch, layout, x0, master_seed):
     return block, params
 
 
-def run(config: ExperimentConfig, master_seed: Optional[int] = None,
-        record_states: bool = False) -> RunResult:
-    """Execute one full run; a pure function of (config, master_seed).
-
-    record_states keeps the post-mix (n, d) parameter stack of every round
-    for trajectory-level diagnostics.
-    """
+def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResult:
+    """Execute one full run; a pure function of (config, master_seed)."""
     seed = config.run.master_seed if master_seed is None else int(master_seed)
     n, T = config.n, config.T
     vrsgp = config.run.algorithm == "adp-vrsgp"
@@ -166,9 +158,6 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     G = config.clip.g0
     F = None  # fused gradients of the previous round
     records: List[MetricsRecord] = []
-    fused_norms = np.zeros((T, n))
-    deviations = np.zeros((T, n))
-    trajectory: Optional[List[np.ndarray]] = [] if record_states else None
     batches = BatchDraws(layout, [b.sampling_ratio for b in config.budgets],
                          rngmod.Streams(seed, rngmod.BATCH, n, horizon=T))
     grads = NodeGrads(model, (train_X, train_y), layout)
@@ -177,9 +166,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
     noise_nodes = layout.nodes[sigma_column[layout.nodes, 0] > 0].tolist()
     Noise = np.zeros_like(X)  # rows of the nodes that draw no noise stay 0
     noise_rows = [Noise[i] for i in noise_nodes]  # views, filled every round
-    # held[:kept]: this interval's clipped occupied rows so far
-    held = np.empty((4, len(layout.nodes), model.dim))
-    diff, drift, kept = np.empty(held.shape[1:]), np.empty(held.shape[:2]), 0
+    interval: List[np.ndarray] = []  # this interval's clipped occupied rows so far
     alpha_inj = None
 
     for t in range(T):
@@ -188,15 +175,14 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         last_alpha, alpha_inj = alpha_inj, alpha_at(config.noise, T - t)
         new_interval = t == 0 or alpha_inj != last_alpha
         if new_interval:
-            kept = 0
+            interval = []
 
         # observables at the current state; each occupied node's batch and
         # noise draws (one v1 slot each), then every node's full and batch
         # gradient at its z_i in one call; empty nodes keep zero rows.  A mean
         # is x.sum() / x.size, np.mean's own arithmetic without its dispatch
         xbar = X.sum(axis=0) / n
-        sq_dev = sq_deviations(Z, xbar)
-        cons = float(sq_dev.sum() / n)
+        cons = float(sq_deviations(Z, xbar).sum() / n)
         train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
                            .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
         sel, drawn = batches.draw(t)
@@ -207,29 +193,21 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
         mean_sq = float(np.einsum("ij,ij->i", occupied, occupied).sum() / len(occupied))
         test_acc = (None if dataset.test_features is None
                     else accuracy(model, xbar, dataset.test_features, dataset.test_labels))
-        np.sqrt(sq_dev, out=deviations[t])
 
-        # clip, perturb, fuse and half-step on all nodes at once
+        # clip, perturb, fuse and half-step on all nodes at once; the drift is
+        # every ||active_i - past_i||^2 of the interval
         clipped, resid = clip(Grad, G)
-        if kept == len(held):  # an interval may run to T rounds
-            held, drift = np.concatenate([held, held]), np.concatenate([drift, drift])
-        active = clipped.take(layout.nodes, axis=0, out=held[kept])
-        for s in range(kept):  # every ||active_i - past_i||^2 of the interval
-            np.square(np.subtract(active, held[s], out=diff), out=diff)
-            np.add.reduce(diff, axis=1, out=drift[s])
-        d_tau_t = float(drift[:kept].max(initial=0.0))
-        kept += 1
+        active = clipped[layout.nodes]
+        d_tau_t = max((float(sq_deviations(active, past).max()) for past in interval), default=0.0)
+        interval.append(active)
         noisy = perturb(clipped, alpha_inj, Noise)
         F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
-        np.sqrt(np.add.reduce(F * F, axis=1), out=fused_norms[t])  # np.linalg.norm's arithmetic
         X = X - eta_t * F
 
         X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
         if not np.isfinite(X).all():
             bad = int(np.argmin(np.isfinite(X).all(axis=1)))
             raise NumericalBreakdownError(f"non-finite state at iteration {t} (node {bad})")
-        if trajectory is not None:
-            trajectory.append(X)
 
         records.append(MetricsRecord(
             t=t, mean_sq_grad_norm=mean_sq, consensus_error=cons, train_loss=train_loss,
@@ -241,26 +219,18 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None,
             G = decay_threshold(config.clip, G)
 
     summary = _summarize(config, seed, sigmas, records, theory_summary, theory_params, layout)
-    return RunResult(
-        records=records,
-        summary=summary,
-        fused_norms=fused_norms,
-        node_deviations=deviations,
-        partition=partition_report(dataset.labels, dataset.node_indices),
-        trajectory=trajectory,
-    )
+    return RunResult(records, summary, partition_report(dataset.labels, dataset.node_indices))
 
 
 def _privacy_spent(config, sigmas):
     if config.sigma_override is not None:
         return None
-    spent, bounds = [], {}  # bounds: (budget, sigma) -> (epsilon, delta), each evaluated once
+    # each distinct (budget, multiplier) evaluated once; the accountant
+    # consumes the sensitivity-normalized multiplier z = sigma / G
+    bound = cache(lambda b, z: (epsilon_spent(b, z, config.noise), delta_bound(b, z, config.noise)))
+    spent = []
     for i, (b, sigma) in enumerate(zip(config.budgets, sigmas)):
-        if (b, sigma) not in bounds:
-            # the accountant consumes the sensitivity-normalized multiplier
-            z = sigma / config.clip.g0
-            bounds[b, sigma] = epsilon_spent(b, z, config.noise), delta_bound(b, z, config.noise)
-        eps, delta = bounds[b, sigma]
+        eps, delta = bound(b, sigma / config.clip.g0)
         spent.append({"node": i, "epsilon_bound": eps, "delta_at_epsilon": delta,
                       "label": "bound, constants-dependent"})
     return spent

@@ -129,7 +129,7 @@ def staleness_bound(theta: float, tau: int, d_tau: float) -> float:
     return noise_factor(theta, tau) * d_tau
 
 
-def select_tau(theta: float, tol: float = 0.01, max_tau: int = 1_000_000) -> int:
+def select_tau(theta: float, tol: float = 0.01) -> int:
     """Smallest interval tau with h within tol of its floor (1-theta)/(1+theta),
     i.e. the first tau with 2*theta^(2*tau-1)/(1+theta) < tol, by ascending scan."""
     if tol <= 0:
@@ -138,7 +138,7 @@ def select_tau(theta: float, tol: float = 0.01, max_tau: int = 1_000_000) -> int
         raise ValueError(f"theta must lie in [0,1), got {theta}")
     if theta == 0.0:
         return 1
-    for tau in range(1, max_tau + 1):
+    for tau in range(1, 1_000_001):
         if 2.0 * theta ** (2 * tau - 1) / (1.0 + theta) < tol:
             return tau
-    raise ValueError(f"no tau <= {max_tau} meets tol={tol} at theta={theta}")
+    raise ValueError(f"no tau <= 1000000 meets tol={tol} at theta={theta}")

@@ -471,12 +471,12 @@ def make_synthetic(
     raise ConfigurationError(f"unknown synthetic kind {kind!r}")
 
 
-def make_quadratic_model(d: int, seed: int, eps: float = 0.1) -> QuadraticModel:
-    """Random SPD quadratic objective: A = M'M / d + eps*I (min eigenvalue
-    >= eps by construction), b standard normal."""
+def make_quadratic_model(d: int, seed: int) -> QuadraticModel:
+    """Random SPD quadratic objective: A = M'M / d + 0.1 I (min eigenvalue
+    >= 0.1 by construction), b standard normal."""
     rng = rngmod.stream(seed, 1, 0, rngmod.DATA)
     M = rng.normal(size=(d, d))
-    A = M.T @ M / d + eps * np.eye(d)
+    A = M.T @ M / d + 0.1 * np.eye(d)
     b = rng.normal(size=d)
     return QuadraticModel(A=A, b=b)
 

@@ -295,7 +295,7 @@ CERTIFIED = {QuadraticModel: ("L", "a", "m", "F0"), LogisticModel: ("L", "F0"),
 
 def estimate_theory_params(
     model: Model, dataset: Dataset, batch: Batch, layout: NodeRows, x0: np.ndarray, propagation,
-    rng: np.random.Generator, n_probe: int = 8, radius: float = 1.0,
+    rng: np.random.Generator, n_probe: int = 8,
 ) -> TheoryParams:
     """Estimate (L, a, m, F0) on the generated problem.
 
@@ -303,14 +303,14 @@ def estimate_theory_params(
     describes (see `models.node_sorted`).  L is exact for the quadratic model
     (max eigenvalue of A) and a closed bound for logistic; otherwise an
     empirical ratio over probe pairs.  The heterogeneity constants a and m
-    are brute-force maxima over probe points near x0, each probe one model
-    pass over the sorted rows (exact for the quadratic model, whose
-    deviations do not depend on x).  F0 = f(x0) - f* takes f(x0) from the
-    pass at x0 and f* from the exact minimizer for the quadratic model; the
-    other losses are >= 0, so f* = 0.
+    are brute-force maxima over x0 and n_probe points x0 + N(0, I), each
+    probe one model pass over the sorted rows (exact for the quadratic
+    model, whose deviations do not depend on x).  F0 = f(x0) - f* takes
+    f(x0) from the pass at x0 and f* from the exact minimizer for the
+    quadratic model; the other losses are >= 0, so f* = 0.
     """
     spans = list(zip(layout.starts.tolist(), (layout.starts + layout.counts).tolist()))
-    probes = [x0] + [x0 + radius * rng.normal(size=x0.shape) for _ in range(n_probe)]
+    probes = [x0] + [x0 + rng.normal(size=x0.shape) for _ in range(n_probe)]
 
     def global_grad(params):
         rows = row_pass(model, params, batch)
@@ -338,7 +338,7 @@ def estimate_theory_params(
         del rows  # free its row pieces before the pass at x_near
         m_sq = max(m_sq, float(np.mean(np.maximum.reduceat(dev, layout.starts))))
         if isinstance(model, MlpModel):  # no closed L: a ratio over probe pairs
-            x_near = x + 0.5 * radius * rng.normal(size=x.shape)
+            x_near = x + 0.5 * rng.normal(size=x.shape)
             denom = np.linalg.norm(x - x_near)
             if denom > 0:
                 L = max(L, float(np.linalg.norm(g - global_grad(x_near)[0]) / denom))

@@ -76,18 +76,17 @@ def theta_key(theta: float) -> int:
     return int(round(theta * 1000))
 
 
-def noise_factor_suite(trials: int = 1_000_000, seed: int = 20240,
-                       rel_tol: float = 0.02) -> List[CheckResult]:
+def noise_factor_suite(trials: int = 1_000_000) -> List[CheckResult]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     results = []
     for theta in NOISE_GRID_THETA:
         for tau in NOISE_GRID_TAU:
             h = noise_factor(theta, tau)
-            measured = simulate_fused_noise(theta, tau, trials, seed)
+            measured = simulate_fused_noise(theta, tau, trials, 20240)
             results.append(CheckResult(
-                f"fused-noise h(theta={theta}, tau={tau})", abs(measured - h) <= rel_tol * h,
-                measured, h, f"rel_err={abs(measured - h) / h:.4f} tol={rel_tol}"))
+                f"fused-noise h(theta={theta}, tau={tau})", abs(measured - h) <= 0.02 * h,
+                measured, h, f"rel_err={abs(measured - h) / h:.4f} tol=0.02"))
     for theta, tau, label in ((0.0, 7, "h(0, tau)=1"), (0.6, 1, "h(theta, 1)=1")):
         h = noise_factor(theta, tau)
         results.append(CheckResult(f"exact {label}", abs(h - 1.0) <= 4 * np.finfo(float).eps,
@@ -98,13 +97,13 @@ def noise_factor_suite(trials: int = 1_000_000, seed: int = 20240,
 # ------------------------------------------------------------- consensus
 
 
-def consensus_suite(seed: int = 7) -> List[CheckResult]:
+def consensus_suite() -> List[CheckResult]:
     results = []
 
     # mass conservation on the exponential-periodic schedule, 1000 rounds
     n, rounds = 8, 1000
     schedule = TopologySchedule(kind="exponential-periodic", n=n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     X, w = rng.normal(size=(n, 3)), np.ones(n)
     worst = 0.0
     period = schedule.period()
@@ -118,7 +117,7 @@ def consensus_suite(seed: int = 7) -> List[CheckResult]:
     # zero-gradient consensus on a static directed ring
     schedule = TopologySchedule(kind="static-ring", n=8, k=2)
     P = build_mixing_matrix(topology_at(schedule, 0))
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(8)
     X, w = rng.normal(size=(8, 2)), np.ones(8)
     max_dev = np.inf
     for t in range(500):
@@ -134,8 +133,9 @@ def consensus_suite(seed: int = 7) -> List[CheckResult]:
 # -------------------------------------------------------------- gradients
 
 
-def finite_difference_grad(model, params, batch, step: float = 1e-6) -> np.ndarray:
+def finite_difference_grad(model, params, batch) -> np.ndarray:
     """Central-difference gradient; shares no code with the analytic path."""
+    step = 1e-6
     g = np.zeros_like(params, dtype=float)
     for k in range(len(params)):
         bump = np.zeros_like(g)
@@ -195,20 +195,17 @@ def _gradient_cases(seed: int):
     ]
 
 
-def gradients_suite(
-    points: int = 100, seed: int = 11, rel_tol: float = 1e-5, row_tol: float = 1e-10,
-    node_tol: float = 1e-12,
-) -> List[CheckResult]:
+def gradients_suite() -> List[CheckResult]:
     """Analytic mean gradients against finite differences, each model's
     closed-form per-row ||g_j - g||^2 (g the mean gradient) against a loop
     of single-sample gradients, and `NodeGrads` at random per-node points
     against one pass per node (relative error of each node's gradient)."""
     results = []
-    rng = np.random.default_rng(seed)
-    for name, model, data in _gradient_cases(seed):
+    rng = np.random.default_rng(11)
+    for name, model, data in _gradient_cases(11):
         batch = (data.features, data.labels)
         worst = worst_row = worst_node = 0.0
-        for _ in range(points):
+        for _ in range(100):
             params = rng.normal(size=model.dim)
             rows = row_pass(model, params, batch)
             analytic = rows.grad()
@@ -225,10 +222,10 @@ def gradients_suite(
                 scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)  # empty nodes: 0 / tiny
                 err = np.linalg.norm(g - ref, axis=1) / scale
                 worst_node = max(worst_node, float(np.max(err)))
-        for label, measured, tol in (("gradient check", worst, rel_tol),
-                                     ("per-row deviation", worst_row, row_tol),
-                                     ("per-node gradients", worst_node, node_tol)):
-            results.append(CheckResult(f"{label} ({name}, {points} points)", measured < tol,
+        for label, measured, tol in (("gradient check", worst, 1e-5),
+                                     ("per-row deviation", worst_row, 1e-10),
+                                     ("per-node gradients", worst_node, 1e-12)):
+            results.append(CheckResult(f"{label} ({name}, 100 points)", measured < tol,
                                        measured, 0.0, f"max relative error, tol {tol}"))
     return results
 
@@ -249,9 +246,10 @@ def random_schedule(rng) -> tuple:
     return sched, lr
 
 
-def schedules_suite(configs: int = 200, seed: int = 5) -> List[CheckResult]:
+def schedules_suite() -> List[CheckResult]:
     results = []
-    rng = np.random.default_rng(seed)
+    configs = 200
+    rng = np.random.default_rng(5)
     violations = 0
     worst_margin = np.inf
     for _ in range(configs):
@@ -321,11 +319,11 @@ def random_explicit_schedule(rng, n: int, length: int) -> TopologySchedule:
     return TopologySchedule(kind="explicit-list", n=n, edge_sets=tuple(sets))
 
 
-def connectivity_suite(cases: int = 60, seed: int = 13) -> List[CheckResult]:
+def connectivity_suite() -> List[CheckResult]:
     """`window_diameter`, which the theory block calls for kappa, against the
     Floyd-Warshall diameter on random explicit schedules and six fixed
     graphs, three of them with 256 or more nodes."""
-    rng = np.random.default_rng(seed)
+    rng, cases = np.random.default_rng(13), 60
     mismatches, finite = 0, []
     for _ in range(cases):
         n = int(rng.integers(2, 7))
@@ -385,7 +383,7 @@ def fill_mismatches(streams, t: int, nodes: list, kind: str) -> int:
         streams.master_seed, node, t, streams.purpose), kind)(5)) for node, row in zip(nodes, rows))
 
 
-def streams_suite(slots: int = 40, seed: int = 17) -> List[CheckResult]:
+def streams_suite() -> List[CheckResult]:
     """`Streams.at` and `Streams.fill`, which write each slot's PCG64 words
     into one reused generator's memory, against a fresh `rng.stream`: `at` at
     random slots of one-, two- and three-word seeds, BATCH and NOISE, with
@@ -394,7 +392,7 @@ def streams_suite(slots: int = 40, seed: int = 17) -> List[CheckResult]:
     of its round over that full word, for a random list of nodes and a draw
     kind in turn; and a `fill` of a block's first round after one in the
     previous block."""
-    rng, kinds = np.random.default_rng(seed), ("random", "standard_normal")
+    rng, kinds, slots = np.random.default_rng(17), ("random", "standard_normal"), 40
     results, fill_misses = [], dict.fromkeys(kinds, 0)
 
     def check(name, misses):

@@ -1,10 +1,14 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from pushdp import engine
 from pushdp.config import DataSpec, ExperimentConfig, ModelSpec, RunSpec
 from pushdp.fusion import ClipConfig, FusionConfig
 from pushdp.models import row_pass
 from pushdp.privacy import LrSchedule, NoiseSchedule, PrivacyBudget
+from pushdp.pushsum import sq_deviations
 from pushdp.topology import TopologySchedule
 
 
@@ -53,6 +57,72 @@ def reference_dsgd(model, dataset, node_indices, P, eta, T):
         X = P @ (X - eta * grads)
         trajectory.append(X.copy())
     return trajectory
+
+
+class RoundLog:
+    """What `observe_rounds` saw of every engine round, in round order."""
+
+    def __init__(self):
+        self.states = []  # the post-mix (X, w, Z)
+        self.fused = []  # the fused rows F of the half-step X - eta * F
+
+    @property
+    def trajectory(self):
+        """The post-mix (n, d) parameter stack X of every round."""
+        return [X for X, _, _ in self.states]
+
+    @property
+    def fused_norms(self):
+        """(T, n) ||g_fused|| per (round, node), np.linalg.norm's arithmetic."""
+        return np.array([np.sqrt(np.add.reduce(F * F, axis=1)) for F in self.fused])
+
+    @property
+    def node_deviations(self):
+        """(T, n) ||z_i - xbar|| at the state each round starts from: round
+        0 at the shared start x0, where every deviation is 0."""
+        n = len(self.states[0][1])
+        return np.sqrt([np.zeros(n)] + [sq_deviations(Z, X.sum(axis=0) / n)
+                                        for X, _, Z in self.states[:-1]])
+
+
+@contextmanager
+def observe_rounds():
+    """Log the rounds of the engine runs made inside the block: the state
+    returned by `engine.mix_round`, and the fused rows, which are the
+    `engine.fuse` output under adp-vrsgp and the `engine.perturb` output
+    otherwise.  Patches and restores the engine module itself, so that it
+    works inside a test and in a plain script alike."""
+    log = RoundLog()
+    real = {name: getattr(engine, name) for name in ("mix_round", "perturb", "fuse")}
+
+    def mix_round(X, w, P):
+        out = real["mix_round"](X, w, P)
+        log.states.append(tuple(a.copy() for a in out))
+        return out
+
+    def perturb(clipped, multiplier, noise):
+        out = real["perturb"](clipped, multiplier, noise)
+        log.fused.append(out.copy())
+        return out
+
+    def fuse(noisy, prev, theta):  # replaces the round's perturb output
+        out = real["fuse"](noisy, prev, theta)
+        log.fused[-1] = out.copy()
+        return out
+
+    for name, fn in (("mix_round", mix_round), ("perturb", perturb), ("fuse", fuse)):
+        setattr(engine, name, fn)
+    try:
+        yield log
+    finally:
+        for name, fn in real.items():
+            setattr(engine, name, fn)
+
+
+def observed_run(config, master_seed):
+    """`engine.run` under `observe_rounds`: (RunResult, RoundLog)."""
+    with observe_rounds() as log:
+        return engine.run(config, master_seed=master_seed), log
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from pushdp.verify import (
     random_schedule,
 )
 
-from conftest import make_config, reference_dsgd
+from conftest import make_config, observed_run, reference_dsgd
 
 SEEDS = list(range(10))
 
@@ -117,14 +117,14 @@ def test_criterion_05_degenerate_reduction():
         sigma_override=0.0,
         data=DataSpec(kind="blobs", n_samples=160, test_fraction=0.0, alpha_conc=5.0),
     )
-    result = run(cfg, master_seed=4, record_states=True)
+    _, log = observed_run(cfg, 4)
     model = build_model(cfg, 4)
     dataset = build_dataset(cfg, 4)
     reference = reference_dsgd(
         model, dataset, dataset.node_indices, np.full((8, 8), 0.125), 0.05, T
     )
     worst = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(result.trajectory, reference)
+        float(np.max(np.abs(a - b))) for a, b in zip(log.trajectory, reference)
     )
     report(
         5,
@@ -136,7 +136,7 @@ def test_criterion_05_degenerate_reduction():
 
 
 def test_criterion_06_gradient_correctness():
-    results = gradients_suite(points=100)
+    results = gradients_suite()
     worst = max(r.measured for r in results)
     report(
         6,

@@ -551,6 +551,13 @@ class TestCliCalc:
         assert code == 1
         assert "c1" in capsys.readouterr().err
 
+    def test_bound_h_takes_tau(self, capsys):
+        from pushdp.fusion import noise_factor
+
+        code = main(["calc", "bound", "--n", "4", "--eta", "1", "--theta", "0.5", "--tau", "3"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["h"] == noise_factor(0.5, 3)
+
     def test_regime_label(self, capsys):
         code = main([
             "calc", "regime", "--p", "0", "--n", "8", "--T", "1000", "--s", "0.25",
@@ -586,6 +593,9 @@ class TestCliCalc:
         (["bound", "--n", "4", "--eta", "0"], 1, "error: --eta: must be > 0, got 0.0"),
         (["bound", "--n", "4", "--eta", "1", "--a1", "0"], 1,
          "error: --a1, --a2: stepwise form needs a1 > 0 and a2 > 0"),
+        # h takes --tau, as a config's fusion.tau must equal noise.tau
+        (["bound", "--n", "4", "--eta", "1", "--fusion-tau", "3"], 2,
+         "pushdp: error: unrecognized arguments: --fusion-tau 3"),
     ])
     def test_bad_input_is_an_error_line_not_a_traceback(self, capsys, argv, code, message):
         if code == 2:
@@ -624,7 +634,7 @@ CALC_DEFAULTS = [
     (["minT", "--n", "4", "--p", "0.1"],
      {"n": 4, "p": 0.1, "K": 1.0, "s": None, **THEORY_FLAGS}),
     (["bound", "--n", "4", "--eta", "1.0"],
-     {"n": 4, "eta": 1.0, "xi": 0.5, "theta": 0.0, "fusion_tau": None, "upsilon": 0.0,
+     {"n": 4, "eta": 1.0, "xi": 0.5, "theta": 0.0, "upsilon": 0.0,
       "rho": 0.0, **SCHEDULE_FLAGS, **BUDGET_FLAGS, **THEORY_FLAGS}),
     (["regime", "--p", "0.1", "--n", "4", "--s", "0.2"],
      {"p": 0.1, "n": 4, "T": 1000, "s": 0.2, "h": None, "theta": 0.5, "tau": 5, "a1": 1.0,
@@ -646,9 +656,9 @@ CALC_GIVEN = [
     (["tau", "--theta", "3", "--tol", "3"], {"theta": 3.0, "tol": 3.0}),
     (["minT", "--n", "3", "--p", "3", "--K", "3", "--s", "3", *THEORY_ARGV],
      {"n": 3, "p": 3.0, "K": 3.0, "s": 3.0, **THEORY_GIVEN}),
-    (["bound", "--n", "3", "--eta", "3", "--xi", "3", "--theta", "3", "--fusion-tau", "3",
+    (["bound", "--n", "3", "--eta", "3", "--xi", "3", "--theta", "3",
       "--upsilon", "3", "--rho", "3", *SCHEDULE_ARGV, *BUDGET_ARGV, *THEORY_ARGV],
-     {"n": 3, "eta": 3.0, "xi": 3.0, "theta": 3.0, "fusion_tau": 3, "upsilon": 3.0, "rho": 3.0,
+     {"n": 3, "eta": 3.0, "xi": 3.0, "theta": 3.0, "upsilon": 3.0, "rho": 3.0,
       **SCHEDULE_GIVEN, **BUDGET_GIVEN, **THEORY_GIVEN}),
     (["regime", "--p", "3", "--n", "3", "--T", "7", "--s", "3", "--h", "3", "--theta", "3",
       "--tau", "3", "--a1", "3", "--a2", "3", "--a3", "3", *BUDGET_ARGV, *THEORY_ARGV],

@@ -13,7 +13,7 @@ from pushdp.privacy import (
 )
 from pushdp.topology import TopologySchedule
 
-from conftest import make_config, reference_dsgd
+from conftest import make_config, observed_run, reference_dsgd
 
 
 def degenerate_config(T=60, eta=0.05):
@@ -38,14 +38,14 @@ def degenerate_config(T=60, eta=0.05):
 class TestDegenerateReduction:
     def test_matches_reference_dsgd(self):
         cfg = degenerate_config()
-        result = run(cfg, master_seed=4, record_states=True)
+        _, log = observed_run(cfg, 4)
         model = build_model(cfg, 4)
         dataset = build_dataset(cfg, 4)
         P = np.full((8, 8), 1.0 / 8.0)
         reference = reference_dsgd(model, dataset, dataset.node_indices, P, 0.05, cfg.T)
         worst = max(
             float(np.max(np.abs(engine_X - ref_X)))
-            for engine_X, ref_X in zip(result.trajectory, reference)
+            for engine_X, ref_X in zip(log.trajectory, reference)
         )
         assert worst <= 1e-10
 
@@ -300,7 +300,7 @@ class TestNoiseDraws:
 
         monkeypatch.setattr(rngmod.Streams, "fill", counting_fill)
         monkeypatch.setattr(rngmod.Streams, "_derive", counting_derive)
-        return run(cfg, master_seed=seed), drawn, derived
+        return observed_run(cfg, seed), drawn, derived
 
     def test_no_noise_stream_when_sigma_is_zero(self, monkeypatch):
         _, drawn, derived = self.noise_draws(monkeypatch, degenerate_config(T=10), 4)
@@ -309,12 +309,12 @@ class TestNoiseDraws:
 
     def test_only_occupied_nodes_draw(self, monkeypatch):
         cfg = make_config(T=6, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
-        result, drawn, _ = self.noise_draws(monkeypatch, cfg, 0)
+        (result, log), drawn, _ = self.noise_draws(monkeypatch, cfg, 0)
         empty = result.summary["empty_nodes"]
         assert empty  # seed 0 leaves nodes 0, 1 and 4 without samples
         occupied = [i for i in range(cfg.n) if i not in empty]
         assert drawn == [(i, t) for t in range(cfg.T) for i in occupied]
-        assert np.all(result.fused_norms[:, empty] == 0.0)
+        assert np.all(log.fused_norms[:, empty] == 0.0)
 
 
 def test_one_model_pass_per_occupied_node_round(monkeypatch):
@@ -380,7 +380,7 @@ class TestEmpiricalDTau:
     CASES = {
         "sdlr": dict(algorithm="sdlr"),
         "adp-vrsgp": dict(algorithm="adp-vrsgp"),
-        # one interval of all T rounds, far past tau = 5: `held` doubles
+        # one interval of all T rounds, far past tau = 5
         "stepwise-s0": dict(noise=NoiseSchedule(form="stepwise", T=T, s=0.0, tau=5)),
         # every round starts an interval
         "power": dict(noise=NoiseSchedule(form="power", T=T, s=0.5, K=2.0)),

@@ -22,10 +22,9 @@ import numpy as np
 import pytest
 
 from pushdp.config import DataSpec, ModelSpec
-from pushdp.engine import run
 from pushdp.topology import DirectedEdgeSet, TopologySchedule
 
-from conftest import make_config
+from conftest import make_config, observed_run
 
 GOLDEN_PATH = Path(__file__).with_name("golden_trace.json")
 N, T = 8, 40
@@ -90,14 +89,14 @@ CASES = [
 def trace(name):
     """The stored quantities of one case, as plain JSON values."""
     cfg, seed = _case_config(name)
-    result = run(cfg, master_seed=seed, record_states=True)
+    result, log = observed_run(cfg, seed)
     rows = [rec.as_dict() for rec in result.records]
     payload = {
         "records": {key: [row[key] for row in rows] for key in rows[0]},
         "summary": {k: v for k, v in result.summary.items() if not isinstance(v, dict)},
         "config": result.summary["config"],
         "theory": result.summary["theory"],
-        "final_X": result.trajectory[-1].tolist(),
+        "final_X": log.trajectory[-1].tolist(),
     }
     return json.loads(json.dumps(payload, allow_nan=False))
 
@@ -115,6 +114,12 @@ def golden():
 
 def test_cases_cover_the_stored_baseline(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+def test_regenerate_writes_the_stored_baseline(tmp_path):
+    path = tmp_path / GOLDEN_PATH.name
+    regenerate(path)
+    assert path.read_bytes() == GOLDEN_PATH.read_bytes()
 
 
 def test_empty_node_case_has_empty_nodes(golden):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pushdp.engine import run
 from pushdp.errors import NumericalBreakdownError
 from pushdp.pushsum import deviation_bound_eval, mix_round, sq_deviations
 from pushdp.topology import (
@@ -14,7 +13,7 @@ from pushdp.topology import (
     window_diameter,
 )
 
-from conftest import make_config
+from conftest import make_config, observed_run
 
 
 def ring_matrix(n, k=1):
@@ -123,7 +122,7 @@ class TestDeviationBound:
             data=DataSpec(kind="quadratic", n_samples=160, alpha_conc=5.0),
             sampling_ratio=1.0,
         )
-        result = run(cfg, master_seed=2)
+        result, log = observed_run(cfg, 2)
         sched = cfg.topology
         params = propagation_params(
             cfg.n, max_out_degree(sched), window_diameter(sched, 1), 1, 3
@@ -132,6 +131,6 @@ class TestDeviationBound:
             for node in range(cfg.n):
                 # every node starts from x0 = 0
                 bound = deviation_bound_eval(
-                    node, rec.t, params, rec.eta_t, result.fused_norms, x0_norm=0.0
+                    node, rec.t, params, rec.eta_t, log.fused_norms, x0_norm=0.0
                 )
-                assert result.node_deviations[rec.t, node] <= bound
+                assert log.node_deviations[rec.t, node] <= bound

@@ -20,7 +20,7 @@ from pushdp.config import DataSpec, load_config
 from pushdp.engine import run
 from pushdp.topology import TopologySchedule
 
-from conftest import make_config
+from conftest import make_config, observed_run
 
 PURPOSES = (rngmod.INIT, rngmod.BATCH, rngmod.NOISE, rngmod.PARTITION, rngmod.DATA,
             rngmod.THEORY)
@@ -213,12 +213,14 @@ def stream_backed_run(monkeypatch, cfg, seed):
     monkeypatch.setattr(rngmod.Streams, "fill", stream_fill)
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
-    return run(cfg, master_seed=seed, record_states=True), made
+    return observed_run(cfg, seed), made
 
 
 def assert_same_run(bulk, reference):
+    """bulk and reference are the (RunResult, RoundLog) of an observed run."""
+    (bulk, bulk_log), (reference, reference_log) = bulk, reference
     assert [r.as_dict() for r in bulk.records] == [r.as_dict() for r in reference.records]
-    assert np.array_equal(bulk.trajectory[-1], reference.trajectory[-1])
+    assert np.array_equal(bulk_log.trajectory[-1], reference_log.trajectory[-1])
 
 
 def test_engine_run_matches_stream_backed_run(monkeypatch):
@@ -228,7 +230,7 @@ def test_engine_run_matches_stream_backed_run(monkeypatch):
     seed = 2**32 + 17
     monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 2 * cfg.n)
     blocks = derived_blocks(monkeypatch)
-    bulk = run(cfg, master_seed=seed, record_states=True)
+    bulk = observed_run(cfg, seed)
     assert [(p, t0) for p, t0, _ in blocks] == [
         (p, t0) for t0 in range(0, cfg.T, 2) for p in (rngmod.BATCH, rngmod.NOISE)]
     assert_same_run(bulk, stream_backed_run(monkeypatch, cfg, seed)[0])
@@ -246,8 +248,8 @@ def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch):
     rounds = rngmod.BLOCK_SLOTS // n
     assert rounds < cfg.T
     blocks = derived_blocks(monkeypatch)
-    bulk = run(cfg, master_seed=seed, record_states=True)
-    assert {1, 2} <= {node["count"] for node in bulk.partition["nodes"]}
+    bulk = observed_run(cfg, seed)
+    assert {1, 2} <= {node["count"] for node in bulk[0].partition["nodes"]}
     assert sorted(blocks) == [(p, t0, n * min(rounds, cfg.T - t0))
                               for p in (rngmod.BATCH, rngmod.NOISE) for t0 in (0, rounds)]
     reference, made = stream_backed_run(monkeypatch, cfg, seed)
