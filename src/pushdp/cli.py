@@ -95,9 +95,15 @@ def cmd_run(args) -> int:
         except PushdpError as exc:
             print(f"run failed (seed {seed}): {exc}", file=sys.stderr)
             return 1
+        encode = json.JSONEncoder(allow_nan=False).encode
         with _atomic_open(planned[f"metrics_{seed}"]) as fh:
             for record in result.records:
-                fh.write(json.dumps(_sanitize(record.as_dict()), allow_nan=False))
+                record = record.as_dict()
+                try:
+                    line = encode(record)
+                except ValueError:  # a non-finite value, written as a string
+                    line = encode(_sanitize(record))
+                fh.write(line)
                 fh.write("\n")
         _write_json(planned[f"summary_{seed}"], result.summary)
         _write_json(planned[f"partition_{seed}"], result.partition)

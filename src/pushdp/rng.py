@@ -5,7 +5,9 @@ Every stochastic draw in a run pulls from a generator derived from
 and independent of any node evaluation order.  `stream` defines this
 contract; `Streams` reproduces it in bulk for the round loop's draws:
 `Streams.fill` makes a round's batch uniforms or noise rows node after
-node, and `Streams.at` positions one slot for any other draw.
+node, `Streams.randoms` steps PCG64 in numpy to a whole block's first
+uniforms of nodes with few rows, and `Streams.at` positions one slot for
+any other draw.
 """
 
 import ctypes
@@ -31,6 +33,10 @@ _MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF64
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SLOT, _NO_BUFFER = 32, bytes(8)  # bytes of a slot's (state, inc) words; an empty buffer word
+# the same constants as uint64 scalars, for the word arithmetic
+_M_HI, _M_LO, _M_LO_HI, _M_LO_LO = (np.uint64(w) for w in (
+    _PCG_MULT >> 64, _PCG_MULT & 2**64 - 1, _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32))
+_LOW32, _11, _32, _58, _63, _64 = (np.uint64(w) for w in (_MASK32, 11, 32, 58, 63, 64))
 
 
 def stream(master_seed: int, node_id: int = 0, t: int = 0, purpose: int = 0) -> np.random.Generator:
@@ -66,21 +72,36 @@ def _pool_state(entropy):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
+def _step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, mod 2^128, on uint64 word arrays, high word first:
+    (hi, lo) * MULT + (inc_hi, inc_lo)."""
+    # the high word of lo * m_lo from 32-bit halves (Hacker's Delight mulhi):
+    # no partial sum reaches 2^64
+    a0, a1 = lo & _LOW32, lo >> _32
+    mid = a1 * _M_LO_LO + (a0 * _M_LO_LO >> _32)
+    low = (mid & _LOW32) + a0 * _M_LO_HI
+    new_lo = lo * _M_LO + inc_lo
+    new_hi = (a1 * _M_LO_HI + (mid >> _32) + (low >> _32) + lo * _M_HI + hi * _M_LO + inc_hi
+              + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
 def _positioned(pool):
-    """PCG64's set-seed, mod 2^128, on (m, 4) uint64 (initstate, initseq) words,
-    high first: inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc."""
+    """PCG64's set-seed on (m, 4) uint64 (initstate, initseq) words, high
+    first: inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc."""
     s_hi, s_lo, i_hi, i_lo = pool.T
     inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
     lo, hi = inc_lo + s_lo, inc_hi + s_hi
     hi += lo < inc_lo
-    # the high word of lo * m_lo from 32-bit halves, so no product overflows
-    (m_hi, m_lo), a0, a1 = divmod(_PCG_MULT, 2**64), lo & _MASK32, lo >> 32
-    p00, p01, p10 = a0 * (m_lo & _MASK32), a0 * (m_lo >> 32), a1 * (m_lo & _MASK32)
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    state_lo = lo * m_lo + inc_lo
-    state_hi = (a1 * (m_lo >> 32) + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + lo * m_hi
-                + hi * m_lo + inc_hi + (state_lo < inc_lo))
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    return np.stack([*_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo], axis=1)
+
+
+def _randoms(hi, lo):
+    """PCG64's `random()` after a step to the states (hi, lo): the XSL-RR
+    output, (hi ^ lo) rotated right by hi's top 6 bits, >> 11 times 2^-53."""
+    out, rot = hi ^ lo, hi >> _58
+    out = out >> rot | out << (_64 - rot & _63)
+    return (out >> _11).astype(float) * 2.0**-53
 
 
 @functools.cache
@@ -106,7 +127,8 @@ class Streams:
     when first used and cut at the horizon; a slot write copies the slot's
     32 bytes of (state, inc) words into the generator.  `at` also zeroes the
     generator's 32-bit buffer word, which `integers` reads; `fill` makes
-    only double draws, which never read it, so it leaves that word as is."""
+    only double draws, which never read it, so it leaves that word as is.
+    `randoms` reads the block's words and leaves the generator alone."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -181,3 +203,30 @@ class Streams:
             pos = (base + node) * _SLOT
             state[:] = block[pos : pos + _SLOT]
             draw(out=out)
+
+    def randoms(self, t: int, nodes: list, counts: list):
+        """The first counts[k] `random()` doubles of node nodes[k]'s slot in
+        every round of the block that holds round t, as (t0, U): U[r] holds
+        round t0 + r's doubles, node after node, the draws `fill(...,
+        "random")` makes.  One vectorised PCG64 step a double runs over the
+        block's slots of the nodes, most rows first, so step j steps only
+        the nodes with more than j rows."""
+        if not nodes or len(counts) != len(nodes) or min(counts) < 1:
+            raise ValueError(f"randoms takes nodes with at least one double each, not "
+                             f"counts {counts} for nodes {nodes}")
+        self._base(t, nodes)
+        counts = np.asarray(counts)
+        order = np.argsort(-counts, kind="stable")
+        words = np.frombuffer(self._block, np.uint64).reshape(-1, self.n, 4)
+        rounds = len(words)
+        # (nodes, rounds) arrays of the nodes' slot words, most rows first
+        hi, lo, inc_hi, inc_lo = words[:, np.asarray(nodes)[order]].transpose(2, 1, 0).take(
+            np.argsort(_word_order()), axis=0)
+        # step j steps the nodes with more than j rows, a prefix of the order,
+        # and writes their doubles into U's columns first[:m] + j
+        first = (np.cumsum(counts) - counts)[order]
+        out = np.empty((rounds, counts.sum()))
+        for j, m in enumerate(np.count_nonzero(counts > np.arange(counts.max())[:, None], 1)):
+            hi, lo = _step(hi[:m], lo[:m], inc_hi[:m], inc_lo[:m])
+            out[:, first[:m] + j] = _randoms(hi, lo).T
+        return self._t0, out

@@ -19,10 +19,11 @@ from .errors import ConfigurationError, OutOfRegimeError
 COLUMN_SUM_TOL = 1e-12
 
 
-def _adjacency(n: int, recv, send, dtype) -> np.ndarray:
-    """n x n array of dtype: 1 at [recv[e], send[e]] for every edge e, 0 elsewhere."""
+def _adjacency(n: int, recv, send, dtype, value=1) -> np.ndarray:
+    """n x n array of dtype: value (value[e] if an array) at [recv[e], send[e]]
+    for every edge e, 0 elsewhere."""
     adj = np.zeros(n * n, dtype)
-    adj[recv * n + send] = 1
+    adj[recv * n + send] = value
     return adj.reshape(n, n)
 
 
@@ -78,8 +79,8 @@ def build_mixing_matrix(edges: DirectedEdgeSet) -> np.ndarray:
 
     Column j carries 1/outdeg(j) at each out-neighbor of j and 0 elsewhere.
     """
-    P = _adjacency(edges.n, edges.recv, edges.send, float)
-    P *= 1.0 / edges.out_degrees()
+    P = _adjacency(edges.n, edges.recv, edges.send, float,
+                   (1.0 / edges.out_degrees())[edges.send])
     sums = P.sum(axis=0)
     assert np.all(np.abs(sums - 1.0) <= COLUMN_SUM_TOL)
     return P
@@ -176,16 +177,17 @@ def load_edge_list(path, n: int) -> tuple:
 
 def _strongly_connected(R: np.ndarray) -> bool:
     """Whether node 0 reaches every node and every node reaches node 0 in
-    the graph whose arc j -> i is a nonzero R[i, j]: one frontier sweep
-    along the arcs and one against them."""
+    the float32 graph whose arc j -> i is a nonzero R[i, j]: one frontier
+    sweep along the arcs and one against them, a step a matvec with the
+    frontier's indicator (its sums of at most n ones are exact)."""
     for arcs in (R, R.T):
         seen = np.zeros(len(R), dtype=bool)
         seen[0] = True
-        frontier = [0]
-        while len(frontier):
-            new = arcs[:, frontier].any(axis=1) & ~seen
+        frontier = seen.astype(np.float32)
+        while frontier.any():
+            new = (arcs @ frontier > 0) & ~seen
             seen |= new
-            frontier = np.flatnonzero(new)
+            frontier = new.astype(np.float32)
         if not seen.all():
             return False
     return True

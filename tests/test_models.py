@@ -13,6 +13,7 @@ from pushdp.config import DataSpec, ModelSpec, load_config
 from pushdp.engine import build_dataset, build_model
 from pushdp.errors import ConfigurationError
 from pushdp.models import (
+    BULK_ROWS,
     BatchDraws,
     LogisticModel,
     MlpModel,
@@ -388,8 +389,11 @@ class TestBatchDraws:
     # node 0 of seed 28's layout comes up empty in every round: its retry
     # draws 2 rows in round 0, nothing in round 1 (a forced pick at ratio
     # 0.2) and 1 row in round 2; the ratio-1e-12 nodes always force the pick
+    # with nodes on both sides of BULK_ROWS: ratio 0.02 empties a large
+    # node's first draw about a third of the time
     @settings(max_examples=80, deadline=None)
-    @given(nodes=st.lists(st.tuples(st.integers(0, 4), st.sampled_from([1.0, 1e-12, 0.2, 0.5])),
+    @given(nodes=st.lists(st.tuples(st.integers(0, 4) | st.sampled_from([BULK_ROWS, BULK_ROWS + 1]),
+                                    st.sampled_from([1.0, 1e-12, 0.02, 0.2, 0.5])),
                           min_size=1, max_size=6).filter(lambda nodes: any(s for s, _ in nodes)),
            block_rounds=st.integers(1, 2), rounds=st.integers(3, 5),
            seed=st.integers(0, 2**64 - 1))
@@ -409,6 +413,47 @@ class TestBatchDraws:
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
             assert drawn.tolist() == [len(rows) for rows in ref]
             assert np.array_equal(sel, np.concatenate(ref))
+
+    @pytest.mark.parametrize("block_rounds", [1, 3])
+    def test_bulk_and_fill_nodes_match_sample_batch(self, monkeypatch, block_rounds):
+        # nodes of 1, BULK_ROWS and 2 * BULK_ROWS rows at ratio 1e-12 (forced
+        # picks) and of BULK_ROWS and BULK_ROWS + 1 rows at 0.02 (replays):
+        # first tries from the bulk block below BULK_ROWS + 1 rows, from `fill` above
+        # (node 0 is empty: only a block derivation's self-check positions it)
+        sizes = (0, BULK_ROWS, 1, BULK_ROWS + 1, BULK_ROWS, 2 * BULK_ROWS)
+        ratios = (0.5, 0.02, 1e-12, 0.02, 1e-12, 1e-12)
+        seed, T = 2**32 + 17, 7
+        replayed = []
+        real_at = rngmod.Streams.at
+        monkeypatch.setattr(rngmod.Streams, "at", lambda streams, t, node: (
+            replayed.append(node), real_at(streams, t, node))[1])
+        with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * len(sizes)):
+            streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=T)
+        draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
+        assert (draws._bulk_nodes, draws._bulk_counts) == ([1, 2, 4], [BULK_ROWS, 1, BULK_ROWS])
+        assert draws._sampled == [3, 5]
+        for t in range(T):
+            sel, drawn = draws.draw(t)
+            ref = [sample_batch(np.arange(end - size, end), ratio,
+                                rngmod.stream(seed, i, t, rngmod.BATCH))
+                   for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
+            assert drawn.tolist() == [len(rows) for rows in ref]
+            assert np.array_equal(sel, np.concatenate(ref))
+        assert {1, 3} <= set(replayed)  # replays on both sides, besides the forced picks
+
+    def test_bulk_block_is_stepped_once_in_its_first_round(self, monkeypatch):
+        # no stepping when the draws are built (set-up), then one `randoms`
+        # call a block, in the first round that draws from it
+        calls, real_randoms = [], rngmod.Streams.randoms
+        monkeypatch.setattr(rngmod.Streams, "randoms", lambda streams, t, nodes, counts: (
+            calls.append((t, nodes, counts)), real_randoms(streams, t, nodes, counts))[1])
+        with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 4):
+            streams = rngmod.Streams(5, rngmod.BATCH, 4, horizon=8)
+        draws = BatchDraws(node_rows([2, 3, 0, BULK_ROWS + 1]), [0.5, 1.0, 0.5, 0.5], streams)
+        assert calls == []
+        for t in range(8):
+            draws.draw(t)
+        assert calls == [(t, [0], [2]) for t in (0, 3, 6)]
 
     def test_layout_of_the_occupied_nodes(self):
         layout = node_rows([0, 2, 0, 3])

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from pushdp import rng as rngmod
 from pushdp.config import DataSpec, load_config
 from pushdp.engine import run
+from pushdp.models import BULK_ROWS
 from pushdp.topology import TopologySchedule
 
 from conftest import make_config, observed_run
@@ -187,8 +188,9 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 
 
 def stream_backed_run(monkeypatch, cfg, seed):
-    """cfg's run with every slot that `fill` and `at` would position drawn
-    from a fresh `rng.stream` instead, and the draws made on `at` slots."""
+    """cfg's run with every slot that `fill`, `randoms` and `at` would
+    position drawn from a fresh `rng.stream` instead, and the draws made on
+    `at` slots."""
     made = []
 
     class Logged:  # a fresh stream that logs the batch replay's draws
@@ -210,7 +212,15 @@ def stream_backed_run(monkeypatch, cfg, seed):
         for node, out in zip(nodes, outs, strict=True):
             getattr(fresh(streams, t, node), kind)(out=out)
 
+    def stream_randoms(streams, t, nodes, counts):
+        rounds = max(1, rngmod.BLOCK_SLOTS // streams.n)
+        t0 = t - t % rounds
+        return t0, np.array([np.concatenate([fresh(streams, u, node).random(c)
+                                             for node, c in zip(nodes, counts, strict=True)])
+                             for u in range(t0, min(t0 + rounds, streams.horizon))])
+
     monkeypatch.setattr(rngmod.Streams, "fill", stream_fill)
+    monkeypatch.setattr(rngmod.Streams, "randoms", stream_randoms)
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
     return observed_run(cfg, seed), made
@@ -312,6 +322,62 @@ def test_fill_and_at_match_fresh_streams(case):
             assert (state["has_uint32"], state["uinteger"]) == buffer_word
 
 
+@st.composite
+def randoms_cases(draw):
+    """(seed, n, rounds a block, horizon, t, nodes in any order, counts):
+    t drawn among the first and last rounds of the blocks and the horizon's
+    round as well as anywhere, counts from 1 to one past BULK_ROWS."""
+    n, block_rounds = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    horizon = draw(st.integers(1, 3 * block_rounds + 2))
+    edges = [t for b in range(4) for t in (b * block_rounds, b * block_rounds + block_rounds - 1)
+             if t < horizon] + [horizon - 1]
+    nodes = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    counts = draw(st.lists(st.integers(1, BULK_ROWS + 1) | st.sampled_from([1, BULK_ROWS + 1]),
+                           min_size=len(nodes), max_size=len(nodes)))
+    t = draw(st.sampled_from(edges) | st.integers(0, horizon - 1))
+    return draw(SEEDS_OF_1_TO_3_WORDS), n, block_rounds, horizon, t, nodes, counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(randoms_cases())
+@example((2**64 + 5, 3, 2, 5, 4, [2, 0], [BULK_ROWS + 1, 1]))
+@example((2**32 + 17, 9, 3, 7, 5, [8, 3, 0, 5], [1, 7, BULK_ROWS, 2]))
+def test_randoms_match_fresh_streams(case):
+    # every round of t's block, cut at the horizon, and each node's first
+    # counts[k] doubles of it, node after node
+    seed, n, block_rounds, horizon, t, nodes, counts = case
+    with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n):
+        streams = rngmod.Streams(seed, rngmod.BATCH, n, horizon=horizon)
+    t0, block = streams.randoms(t, nodes, counts)
+    assert t0 == t - t % block_rounds
+    assert block.shape == (min(block_rounds, horizon - t0), sum(counts))
+    ends = np.cumsum(counts).tolist()
+    for r, row in enumerate(block):
+        for node, count, end in zip(nodes, counts, ends):
+            assert np.array_equal(row[end - count : end], rngmod.stream(
+                seed, node, t0 + r, rngmod.BATCH).random(count)), (node, t0 + r, count)
+
+
+def test_randoms_read_words_through_the_inverse_order(monkeypatch):
+    # a block written in a word order that is not its own inverse reads back
+    streams = rngmod.Streams(7, rngmod.BATCH, 3, horizon=2)
+    streams.at(0, 0)
+    words = np.frombuffer(streams._block, np.uint64).reshape(-1, 4)
+    canonical = words.take(np.argsort(rngmod._word_order()), axis=1)
+    cycle = (1, 2, 3, 0)
+    monkeypatch.setattr(rngmod, "_word_order", lambda: cycle)
+    streams._block = canonical.take(cycle, axis=1).data.cast("B")
+    _, block = streams.randoms(1, [2, 0], [3, 2])
+    assert np.array_equal(block[1], np.concatenate([rngmod.stream(7, 2, 1, rngmod.BATCH).random(3),
+                                                    rngmod.stream(7, 0, 1, rngmod.BATCH).random(2)]))
+
+
+@pytest.mark.parametrize("nodes, counts", [([], []), ([1], [0]), ([1, 2], [3])])
+def test_randoms_take_nodes_with_a_double_each(nodes, counts):
+    with pytest.raises(ValueError):
+        rngmod.Streams(0, rngmod.BATCH, 4).randoms(0, nodes, counts)
+
+
 # PCG64's 128-bit LCG multiplier, as the PCG reference implementation gives it
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 WORD128 = st.integers(0, 2**128 - 1)
@@ -353,6 +419,17 @@ def test_carry_edge_carries_twice():
 @given(st.lists(st.tuples(WORD128, WORD128), min_size=1, max_size=16))
 def test_positioned_matches_set_seed(pairs):
     assert positioned(pairs) == [set_seed(s, q) for s, q in pairs]
+
+
+def test_step_matches_python_ints():
+    # the LCG step of `randoms` and `_positioned`, with carries out of both words
+    states = [0, 2**128 - 1, 2**64 - 1, 2**127 + 2**64 - 1, 0x0123456789ABCDEF << 60]
+    incs = [1, 2**128 - 1, 2**64 - 1, 2**64 + 1, 0xFEDCBA9876543211]
+    split = lambda xs: [np.array([x >> 64 for x in xs], np.uint64),
+                        np.array([x % 2**64 for x in xs], np.uint64)]
+    hi, lo = rngmod._step(*split(states), *split(incs))
+    assert [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())] == [
+        (s * PCG_MULT + i) % 2**128 for s, i in zip(states, incs)]
 
 
 @settings(max_examples=60, deadline=None)
