@@ -163,9 +163,10 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
     grads = NodeGrads(model, (train_X, train_y), layout)
     noise_streams = rngmod.Streams(seed, rngmod.NOISE, n, horizon=T)
     sigma_column = np.array(sigmas)[:, None]
-    noise_nodes = layout.nodes[sigma_column[layout.nodes, 0] > 0].tolist()
+    noise_nodes = layout.nodes[sigma_column[layout.nodes, 0] > 0]
     Noise = np.zeros_like(X)  # rows of the nodes that draw no noise stay 0
-    noise_rows = [Noise[i] for i in noise_nodes]  # views, filled every round
+    noise = rngmod.RoundDraws(noise_streams, "standard_normal", noise_nodes, Noise.reshape(-1),
+                              noise_nodes * model.dim, np.full(len(noise_nodes), model.dim))
     interval: List[np.ndarray] = []  # this interval's clipped occupied rows so far
     alpha_inj = None
 
@@ -186,7 +187,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
                            .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
         sel, drawn = batches.draw(t)
-        noise_streams.fill(t, noise_nodes, noise_rows, "standard_normal")
+        noise.draw(t)
         Noise *= sigma_column  # as normal(0, sigma) draws it: 0.0 + sigma * z
         Full, Grad = grads.at(Z, sel, drawn)
         occupied = Full[layout.nodes]

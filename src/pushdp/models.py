@@ -359,25 +359,17 @@ def node_sorted(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray, NodeRows]:
     return dataset.features[order], dataset.labels[order], layout
 
 
-# a sampling node with at most this many rows takes its first tries from
-# `Streams.randoms`, a whole block at a time: stepping costs about 25-35 ns a
-# row of a slot, a `fill` slot about 1-1.5 us, and at 32 rows a node the two
-# cross on 16-round blocks of 256 nodes (see CHANGES.md)
-BULK_ROWS = 32
-
-
 class BatchDraws:
     """Every occupied node's batch draw of a round, at once.
 
     Node layout.nodes[k] draws the same rows as `sample_batch` over its row
     positions at its ratio on the stream of its round-t slot.  Each sampling
-    node's first draw goes into its span of one uniform per row: a node of
-    at most BULK_ROWS rows copies it from one `streams.randoms` block, made
-    in the first round that needs it, and one `streams.fill` draws the rest
-    node after node.  One mask over all rows selects.  An empty first draw
-    is replayed on the node's slot, positioned again by `streams.at`, into
-    its span of the mask: `random(2 * count)` is that draw, then the retry
-    (a double takes one whole word), and `integers` forces the pick.
+    node's first draw goes into its span of one uniform per row, made by one
+    `rng.RoundDraws` (from bulk blocks for nodes of few rows, else by
+    `fill`).  One mask over all rows selects.  An empty first draw is
+    replayed on the node's slot, positioned again by `streams.at`, into its
+    span of the mask: `random(2 * count)` is that draw, then the retry (a
+    double takes one whole word), and `integers` forces the pick.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -391,27 +383,14 @@ class BatchDraws:
         # (node, start, count, ratio) of every occupied node
         self._replay = list(zip(layout.nodes.tolist(), layout.starts.tolist(),
                                 layout.counts.tolist(), ratios.tolist()))
-        # the sampling nodes of `fill` and their uniforms; the bulk nodes, their
-        # counts, their rows and the (first round, uniforms) of their current block
-        bulk = (ratios < 1.0) & (layout.counts <= BULK_ROWS)
-        filled = (ratios < 1.0) & ~bulk
-        self._sampled = layout.nodes[filled].tolist()
-        self._uniforms = [self._uniform[a : a + c] for a, c in
-                          zip(layout.starts[filled].tolist(), layout.counts[filled].tolist())]
-        self._bulk_nodes = layout.nodes[bulk].tolist()
-        self._bulk_counts = layout.counts[bulk].tolist()
-        self._bulk_rows = np.flatnonzero(np.repeat(bulk, layout.counts))
-        self._t0, self._block = 0, np.empty((0, 0))
+        sampled = ratios < 1.0
+        self.uniforms = rngmod.RoundDraws(streams, "random", layout.nodes[sampled], self._uniform,
+                                          layout.starts[sampled], layout.counts[sampled])
 
     def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Round t's drawn rows of every occupied node, node after node, and
         how many each node drew (see `NodeGrads`)."""
-        if self._bulk_nodes:
-            if not 0 <= t - self._t0 < len(self._block):
-                self._t0, self._block = self.streams.randoms(t, self._bulk_nodes,
-                                                             self._bulk_counts)
-            self._uniform[self._bulk_rows] = self._block[t - self._t0]
-        self.streams.fill(t, self._sampled, self._uniforms, "random")
+        self.uniforms.draw(t)
         mask = self._uniform < self._row_ratio
         drawn = np.add.reduceat(mask, self.layout.starts, dtype=np.intp)
         if not drawn.all():

@@ -5,13 +5,17 @@ Every stochastic draw in a run pulls from a generator derived from
 and independent of any node evaluation order.  `stream` defines this
 contract; `Streams` reproduces it in bulk for the round loop's draws:
 `Streams.fill` makes a round's batch uniforms or noise rows node after
-node, `Streams.randoms` steps PCG64 in numpy to a whole block's first
-uniforms of nodes with few rows, and `Streams.at` positions one slot for
-any other draw.
+node; `Streams.randoms` and `Streams.normals` step PCG64 in numpy to a
+whole block's first uniforms, or normal rows, of nodes with few doubles
+(normals through numpy's ziggurat fast path, whose tables are read from
+the installed numpy, replaying the rare rejected draws on the generator);
+`RoundDraws` chooses between the two for the round loop; and `Streams.at`
+positions one slot for any other draw.
 """
 
 import ctypes
 import functools
+import struct
 
 import numpy as np
 
@@ -28,6 +32,11 @@ THEORY = 5
 # slots a Streams derives at once: whole rounds of every node
 BLOCK_SLOTS = 4096
 
+# the most doubles a slot takes from a bulk block, by draw kind; more go to
+# `fill` (see CHANGES.md for the measured crossovers against `fill`)
+BULK_DOUBLES = {"random": 32, "standard_normal": 16}
+_BULK = {"random": "randoms", "standard_normal": "normals"}
+
 # numpy's SeedSequence pool hash (pool size 4) and PCG64's LCG multiplier
 _MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -36,7 +45,8 @@ _SLOT, _NO_BUFFER = 32, bytes(8)  # bytes of a slot's (state, inc) words; an emp
 # the same constants as uint64 scalars, for the word arithmetic
 _M_HI, _M_LO, _M_LO_HI, _M_LO_LO = (np.uint64(w) for w in (
     _PCG_MULT >> 64, _PCG_MULT & 2**64 - 1, _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32))
-_LOW32, _11, _32, _58, _63, _64 = (np.uint64(w) for w in (_MASK32, 11, 32, 58, 63, 64))
+_LOW32, _LOW9, _LOW52, _9, _11, _32, _58, _63, _64 = (np.uint64(w) for w in (
+    _MASK32, 2**9 - 1, 2**52 - 1, 9, 11, 32, 58, 63, 64))
 
 
 def stream(master_seed: int, node_id: int = 0, t: int = 0, purpose: int = 0) -> np.random.Generator:
@@ -96,12 +106,20 @@ def _positioned(pool):
     return np.stack([*_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo], axis=1)
 
 
-def _randoms(hi, lo):
-    """PCG64's `random()` after a step to the states (hi, lo): the XSL-RR
-    output, (hi ^ lo) rotated right by hi's top 6 bits, >> 11 times 2^-53."""
+def _output(hi, lo):
+    """PCG64's uint64 after a step to the states (hi, lo): the XSL-RR output,
+    (hi ^ lo) rotated right by hi's top 6 bits."""
     out, rot = hi ^ lo, hi >> _58
-    out = out >> rot | out << (_64 - rot & _63)
-    return (out >> _11).astype(float) * 2.0**-53
+    return out >> rot | out << (_64 - rot & _63)
+
+
+def _normals(words):
+    """numpy's ziggurat fast path on uint64 words: (x, rejected), with
+    x = +-rabs * wi[idx] for idx the low 8 bits, the sign bit 8 and rabs the
+    52 bits above, accepted iff rabs < ki[idx]."""
+    w, k = _ziggurat()
+    low, rabs = words & _LOW9, words >> _9 & _LOW52
+    return rabs * w[low], rabs >= k[low]
 
 
 @functools.cache
@@ -119,6 +137,35 @@ def _word_order():
     return tuple(read.index(word) for word in known)
 
 
+@functools.cache
+def _ziggurat():
+    """numpy's `standard_normal` ziggurat tables wi and ki (Marsaglia & Tsang
+    2000), read from the installed numpy and indexed by a word's low 9 bits
+    (layer, then sign): a PCG64 steered so that its next uint64 is a chosen
+    word (the post-step state (0, word), whose XSL-RR output is the word)
+    draws +-wi[idx] at rabs = 1, and accepts, stepping exactly once, iff
+    rabs < ki[idx], which bisection finds.  A layer whose rabs = 1 is
+    rejected has ki <= 1, and its only accepted draw is +-0 at rabs = 0
+    whatever wi is: wi = 0."""
+    probe, order, inverse = Streams(0, INIT, 1), _word_order(), pow(_PCG_MULT, -1, 2**128)
+    pack = lambda words: struct.pack("=4Q", *(words[i] for i in order))
+
+    def accepted(word):  # (the draw, whether it took only `word`)
+        pre = (word - 1) * inverse & _MASK128  # inc 1: state * MULT + 1 = (0, word)
+        probe._state[:] = pack((pre >> 64, pre & 2**64 - 1, 0, 1))
+        return probe._gen.standard_normal(), probe._state == pack((0, word, 0, 1))
+
+    w, k = np.zeros(256), np.zeros(256, np.uint64)
+    for idx in range(256):
+        low, high = 0, 2**52  # the first rejected rabs lies in [low, high]
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (mid + 1, high) if accepted(mid << 9 | idx)[1] else (low, mid)
+        x, one = accepted(1 << 9 | idx)
+        w[idx], k[idx] = x if one else 0.0, low
+    return np.concatenate([w, -w]), np.concatenate([k, k])
+
+
 class Streams:
     """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
     t < horizon.  `fill` and `at` set one reused Generator exactly where
@@ -128,7 +175,8 @@ class Streams:
     32 bytes of (state, inc) words into the generator.  `at` also zeroes the
     generator's 32-bit buffer word, which `integers` reads; `fill` makes
     only double draws, which never read it, so it leaves that word as is.
-    `randoms` reads the block's words and leaves the generator alone."""
+    `randoms` reads the block's words and leaves the generator alone;
+    `normals` writes the generator's (state, inc) words to replay a draw."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -208,25 +256,94 @@ class Streams:
         """The first counts[k] `random()` doubles of node nodes[k]'s slot in
         every round of the block that holds round t, as (t0, U): U[r] holds
         round t0 + r's doubles, node after node, the draws `fill(...,
-        "random")` makes.  One vectorised PCG64 step a double runs over the
-        block's slots of the nodes, most rows first, so step j steps only
-        the nodes with more than j rows."""
+        "random")` makes."""
+        return self._bulk(t, nodes, counts, "random")
+
+    def normals(self, t: int, nodes: list, counts: list):
+        """`randoms` for `standard_normal()` doubles: U[r] holds node
+        nodes[k]'s `standard_normal(counts[k])` row of round t0 + r, node
+        after node, the draws `fill(..., "standard_normal")` makes."""
+        return self._bulk(t, nodes, counts, "standard_normal")
+
+    def _bulk(self, t: int, nodes: list, counts: list, kind: str):
+        # One vectorised PCG64 step a double runs over the block's slots of
+        # the nodes, most doubles first, so step j steps only the nodes with
+        # more than j.  A normal draw the ziggurat's fast path rejects is
+        # replayed: its slot's state from before its first rejected word goes
+        # into the generator, which draws the rest of that slot's row.
         if not nodes or len(counts) != len(nodes) or min(counts) < 1:
-            raise ValueError(f"randoms takes nodes with at least one double each, not "
+            raise ValueError(f"bulk draws take nodes with at least one double each, not "
                              f"counts {counts} for nodes {nodes}")
         self._base(t, nodes)
         counts = np.asarray(counts)
         order = np.argsort(-counts, kind="stable")
         words = np.frombuffer(self._block, np.uint64).reshape(-1, self.n, 4)
         rounds = len(words)
-        # (nodes, rounds) arrays of the nodes' slot words, most rows first
+        # (nodes, rounds) arrays of the nodes' slot words, most doubles first
         hi, lo, inc_hi, inc_lo = words[:, np.asarray(nodes)[order]].transpose(2, 1, 0).take(
             np.argsort(_word_order()), axis=0)
-        # step j steps the nodes with more than j rows, a prefix of the order,
-        # and writes their doubles into U's columns first[:m] + j
+        # step j steps the nodes with more than j doubles, a prefix of the
+        # order, and writes their doubles into U's columns first[:m] + j
         first = (np.cumsum(counts) - counts)[order]
         out = np.empty((rounds, counts.sum()))
+        rejected = []  # (step, lanes k * rounds + r, pre-step words) of rejected draws
         for j, m in enumerate(np.count_nonzero(counts > np.arange(counts.max())[:, None], 1)):
-            hi, lo = _step(hi[:m], lo[:m], inc_hi[:m], inc_lo[:m])
-            out[:, first[:m] + j] = _randoms(hi, lo).T
+            pre_hi, pre_lo = hi[:m], lo[:m]
+            hi, lo = _step(pre_hi, pre_lo, inc_hi[:m], inc_lo[:m])
+            if kind == "random":
+                x = (_output(hi, lo) >> _11) * 2.0**-53
+            else:
+                x, bad = _normals(_output(hi, lo))
+                if bad.any():
+                    lanes = np.flatnonzero(bad)
+                    rejected.append((np.full(len(lanes), j), lanes, pre_hi.ravel()[lanes],
+                                     pre_lo.ravel()[lanes]))
+            out[:, first[:m] + j] = x.T
+        if rejected:
+            step, lanes, s_hi, s_lo = (np.concatenate(a) for a in zip(*rejected))
+            once = np.unique(lanes, return_index=True)[1]  # each lane's first rejection
+            k, r = np.divmod(lanes[once], rounds)
+            slots = np.stack([s_hi[once], s_lo[once], inc_hi[k, r], inc_lo[k, r]], axis=1).take(
+                _word_order(), axis=1).data.cast("B")
+            ends = (first + counts[order])[k].tolist()
+            for i, (r, a, b) in enumerate(zip(r.tolist(), (first[k] + step[once]).tolist(), ends)):
+                self._state[:] = slots[i * _SLOT : (i + 1) * _SLOT]
+                self._gen.standard_normal(out=out[r, a:b])
+        # self-check of normals, which replay on the generator and read numpy's
+        # tables: the first listed slot against the positioned generator's draw
+        if kind == "standard_normal" and not np.array_equal(
+                out[0, : counts[0]], self.at(self._t0, nodes[0]).standard_normal(counts[0])):
+            raise RuntimeError(f"bulk normals of node {nodes[0]}, round {self._t0} differ "
+                               f"from the generator's")
         return self._t0, out
+
+
+class RoundDraws:
+    """Each round's `kind` draws of the listed nodes, counts[k] doubles of
+    node nodes[k] into out[starts[k]:][:counts[k]] of the flat array `out`,
+    as `Streams.fill` makes them.  The nodes of at most BULK_DOUBLES[kind]
+    doubles copy theirs from one bulk block (`randoms` or `normals`),
+    stepped in the first round that needs it; `fill` draws the others."""
+
+    def __init__(self, streams: Streams, kind: str, nodes, out: np.ndarray, starts, counts):
+        nodes, starts, counts = (np.asarray(a, dtype=np.intp) for a in (nodes, starts, counts))
+        bulk = counts <= BULK_DOUBLES[kind]
+        self.streams, self.kind, self.out = streams, kind, out
+        self._fill_nodes = nodes[~bulk].tolist()
+        self._fill_views = [out[a : a + c] for a, c in zip(starts[~bulk].tolist(),
+                                                            counts[~bulk].tolist())]
+        nodes, starts, counts = nodes[bulk], starts[bulk], counts[bulk]
+        self._bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
+        # the bulk nodes' positions in `out`, node after node
+        self._index = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts,
+                                                          counts)
+        self._t0, self._block = 0, np.empty((0, 0))
+
+    def draw(self, t: int) -> None:
+        """Round t's draws into `out`."""
+        if self._bulk_nodes:
+            if not 0 <= t - self._t0 < len(self._block):
+                self._t0, self._block = getattr(self.streams, _BULK[self.kind])(
+                    t, self._bulk_nodes, self._bulk_counts)
+            self.out[self._index] = self._block[t - self._t0]
+        self.streams.fill(t, self._fill_nodes, self._fill_views, self.kind)

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as rngmod
 from .fusion import fuse, noise_factor, perturb
 from .models import (
-    BULK_ROWS, BatchDraws, LogisticModel, MlpModel, NodeGrads, make_quadratic_model,
+    BatchDraws, LogisticModel, MlpModel, NodeGrads, make_quadratic_model,
     make_synthetic, node_rows, row_pass,
 )
 from .privacy import LrSchedule, NoiseSchedule, PrivacyBudget, beta_sum_dominance, calibrate_sigma
@@ -383,13 +383,14 @@ def fill_mismatches(streams, t: int, nodes: list, kind: str) -> int:
         streams.master_seed, node, t, streams.purpose), kind)(5)) for node, row in zip(nodes, rows))
 
 
-def randoms_mismatches(streams, t: int, nodes: list, counts: list) -> int:
-    """How many slots of the block holding round t `Streams.randoms` steps
-    to doubles unlike a fresh `rng.stream`'s `random(count)`."""
-    t0, block = streams.randoms(t, nodes, counts)
+def bulk_mismatches(streams, t: int, nodes: list, counts: list, kind: str) -> int:
+    """How many slots of the block holding round t the bulk accessor of
+    `kind` (`Streams.randoms` or `Streams.normals`) steps to doubles unlike a
+    fresh `rng.stream`'s `kind(count)`."""
+    t0, block = getattr(streams, rngmod._BULK[kind])(t, nodes, counts)
     ends = np.cumsum(counts).tolist()
-    return sum(not np.array_equal(row[end - count : end], rngmod.stream(
-        streams.master_seed, node, t0 + r, streams.purpose).random(count))
+    return sum(not np.array_equal(row[end - count : end], getattr(rngmod.stream(
+        streams.master_seed, node, t0 + r, streams.purpose), kind)(count))
         for r, row in enumerate(block) for node, count, end in zip(nodes, counts, ends))
 
 
@@ -401,9 +402,10 @@ def streams_suite() -> List[CheckResult]:
     the buffer word the previous slot's draws left full; after each, a `fill`
     of its round over that full word, for a random list of nodes and a draw
     kind in turn; a `fill` of a block's first round after one in the
-    previous block; and `Streams.randoms`, which steps PCG64 in numpy, over
-    a first and a horizon-cut last block of one-, two- and three-word seeds,
-    with counts on both sides of BULK_ROWS."""
+    previous block; and `Streams.randoms` and `Streams.normals`, which step
+    PCG64 in numpy, over a first and a horizon-cut last block of one-, two-
+    and three-word seeds, with counts on both sides of the kind's
+    BULK_DOUBLES."""
     rng, kinds, slots = np.random.default_rng(17), ("random", "standard_normal"), 40
     results, fill_misses = [], dict.fromkeys(kinds, 0)
 
@@ -433,17 +435,19 @@ def streams_suite() -> List[CheckResult]:
     check("Streams.fill of a block's first round after a fill in the previous block vs "
           "rng.stream", sum(fill_mismatches(streams, t, [1, 2], "standard_normal")
                             for t in (first - 1, first)))
-    misses = 0
-    for words in (1, 2, 3):
-        master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
-        n = int(rng.integers(20, 300))
-        rounds = rngmod.BLOCK_SLOTS // n
-        streams = rngmod.Streams(master, rngmod.BATCH, n, rounds + int(rng.integers(1, rounds)))
-        nodes = rng.permutation(n)[: int(rng.integers(1, 6))].tolist()
-        counts = rng.integers(1, BULK_ROWS + 2, len(nodes)).tolist()
-        for t in (int(rng.integers(rounds)), streams.horizon - 1):
-            misses += randoms_mismatches(streams, t, nodes, counts)
-    check("Streams.randoms of a first and a horizon-cut block vs rng.stream", misses)
+    for kind, purpose in (("random", rngmod.BATCH), ("standard_normal", rngmod.NOISE)):
+        misses = 0
+        for words in (1, 2, 3):
+            master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
+            n = int(rng.integers(20, 300))
+            rounds = rngmod.BLOCK_SLOTS // n
+            streams = rngmod.Streams(master, purpose, n, rounds + int(rng.integers(1, rounds)))
+            nodes = rng.permutation(n)[: int(rng.integers(1, 6))].tolist()
+            counts = rng.integers(1, rngmod.BULK_DOUBLES[kind] + 2, len(nodes)).tolist()
+            for t in (int(rng.integers(rounds)), streams.horizon - 1):
+                misses += bulk_mismatches(streams, t, nodes, counts, kind)
+        check(f"Streams.{rngmod._BULK[kind]} of a first and a horizon-cut block vs rng.stream",
+              misses)
     return results
 
 

@@ -13,7 +13,6 @@ from pushdp.config import DataSpec, ModelSpec, load_config
 from pushdp.engine import build_dataset, build_model
 from pushdp.errors import ConfigurationError
 from pushdp.models import (
-    BULK_ROWS,
     BatchDraws,
     LogisticModel,
     MlpModel,
@@ -40,6 +39,8 @@ from pushdp.verify import (
 )
 
 from conftest import make_config
+
+BULK_ROWS = rngmod.BULK_DOUBLES["random"]  # the most rows a node takes from bulk blocks
 
 
 def loss_and_grad(model, params, batch):
@@ -430,8 +431,10 @@ class TestBatchDraws:
         with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * len(sizes)):
             streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=T)
         draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
-        assert (draws._bulk_nodes, draws._bulk_counts) == ([1, 2, 4], [BULK_ROWS, 1, BULK_ROWS])
-        assert draws._sampled == [3, 5]
+        uniforms = draws.uniforms
+        assert (uniforms._bulk_nodes, uniforms._bulk_counts) == ([1, 2, 4],
+                                                                 [BULK_ROWS, 1, BULK_ROWS])
+        assert uniforms._fill_nodes == [3, 5]
         for t in range(T):
             sel, drawn = draws.draw(t)
             ref = [sample_batch(np.arange(end - size, end), ratio,

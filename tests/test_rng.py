@@ -3,7 +3,9 @@
 `rng.stream(seed, node, t, purpose)` defines every draw.  `rng.Streams`
 derives the same slots a block of rounds at a time and repositions one
 reused generator, by `fill` (a round's double draws into given arrays) and
-`at` (one slot); these tests require its draws to be identical.
+`at` (one slot), or steps a block's words in numpy (`randoms`, and
+`normals` through numpy's ziggurat tables); these tests require its draws
+to be identical.
 """
 
 import copy
@@ -18,10 +20,11 @@ from hypothesis import example, given, settings, strategies as st
 from pushdp import rng as rngmod
 from pushdp.config import DataSpec, load_config
 from pushdp.engine import run
-from pushdp.models import BULK_ROWS
 from pushdp.topology import TopologySchedule
 
 from conftest import make_config, observed_run
+
+BULK_ROWS, BULK_NORMALS = rngmod.BULK_DOUBLES["random"], rngmod.BULK_DOUBLES["standard_normal"]
 
 PURPOSES = (rngmod.INIT, rngmod.BATCH, rngmod.NOISE, rngmod.PARTITION, rngmod.DATA,
             rngmod.THEORY)
@@ -188,9 +191,9 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 
 
 def stream_backed_run(monkeypatch, cfg, seed):
-    """cfg's run with every slot that `fill`, `randoms` and `at` would
-    position drawn from a fresh `rng.stream` instead, and the draws made on
-    `at` slots."""
+    """cfg's run with every slot that `fill`, `randoms`, `normals` and `at`
+    would position drawn from a fresh `rng.stream` instead, and the draws
+    made on `at` slots."""
     made = []
 
     class Logged:  # a fresh stream that logs the batch replay's draws
@@ -212,15 +215,19 @@ def stream_backed_run(monkeypatch, cfg, seed):
         for node, out in zip(nodes, outs, strict=True):
             getattr(fresh(streams, t, node), kind)(out=out)
 
-    def stream_randoms(streams, t, nodes, counts):
-        rounds = max(1, rngmod.BLOCK_SLOTS // streams.n)
-        t0 = t - t % rounds
-        return t0, np.array([np.concatenate([fresh(streams, u, node).random(c)
-                                             for node, c in zip(nodes, counts, strict=True)])
-                             for u in range(t0, min(t0 + rounds, streams.horizon))])
+    def stream_bulk(kind):
+        def bulk(streams, t, nodes, counts):
+            rounds = max(1, rngmod.BLOCK_SLOTS // streams.n)
+            t0 = t - t % rounds
+            return t0, np.array([np.concatenate([
+                getattr(fresh(streams, u, node), kind)(c)
+                for node, c in zip(nodes, counts, strict=True)])
+                for u in range(t0, min(t0 + rounds, streams.horizon))])
+        return bulk
 
     monkeypatch.setattr(rngmod.Streams, "fill", stream_fill)
-    monkeypatch.setattr(rngmod.Streams, "randoms", stream_randoms)
+    monkeypatch.setattr(rngmod.Streams, "randoms", stream_bulk("random"))
+    monkeypatch.setattr(rngmod.Streams, "normals", stream_bulk("standard_normal"))
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
     return observed_run(cfg, seed), made
@@ -323,16 +330,16 @@ def test_fill_and_at_match_fresh_streams(case):
 
 
 @st.composite
-def randoms_cases(draw):
+def randoms_cases(draw, limit=BULK_ROWS):
     """(seed, n, rounds a block, horizon, t, nodes in any order, counts):
     t drawn among the first and last rounds of the blocks and the horizon's
-    round as well as anywhere, counts from 1 to one past BULK_ROWS."""
+    round as well as anywhere, counts from 1 to one past `limit`."""
     n, block_rounds = draw(st.integers(1, 9)), draw(st.integers(1, 4))
     horizon = draw(st.integers(1, 3 * block_rounds + 2))
     edges = [t for b in range(4) for t in (b * block_rounds, b * block_rounds + block_rounds - 1)
              if t < horizon] + [horizon - 1]
     nodes = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
-    counts = draw(st.lists(st.integers(1, BULK_ROWS + 1) | st.sampled_from([1, BULK_ROWS + 1]),
+    counts = draw(st.lists(st.integers(1, limit + 1) | st.sampled_from([1, limit + 1]),
                            min_size=len(nodes), max_size=len(nodes)))
     t = draw(st.sampled_from(edges) | st.integers(0, horizon - 1))
     return draw(SEEDS_OF_1_TO_3_WORDS), n, block_rounds, horizon, t, nodes, counts
@@ -345,17 +352,114 @@ def randoms_cases(draw):
 def test_randoms_match_fresh_streams(case):
     # every round of t's block, cut at the horizon, and each node's first
     # counts[k] doubles of it, node after node
+    assert_bulk_matches_fresh_streams(case, "random", rngmod.BATCH)
+
+
+def assert_bulk_matches_fresh_streams(case, kind, purpose):
     seed, n, block_rounds, horizon, t, nodes, counts = case
     with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n):
-        streams = rngmod.Streams(seed, rngmod.BATCH, n, horizon=horizon)
-    t0, block = streams.randoms(t, nodes, counts)
+        streams = rngmod.Streams(seed, purpose, n, horizon=horizon)
+    t0, block = getattr(streams, rngmod._BULK[kind])(t, nodes, counts)
     assert t0 == t - t % block_rounds
     assert block.shape == (min(block_rounds, horizon - t0), sum(counts))
     ends = np.cumsum(counts).tolist()
     for r, row in enumerate(block):
         for node, count, end in zip(nodes, counts, ends):
-            assert np.array_equal(row[end - count : end], rngmod.stream(
-                seed, node, t0 + r, rngmod.BATCH).random(count)), (node, t0 + r, count)
+            assert np.array_equal(row[end - count : end], getattr(rngmod.stream(
+                seed, node, t0 + r, purpose), kind)(count)), (node, t0 + r, count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(randoms_cases(BULK_NORMALS))
+@example((2**64 + 5, 3, 2, 5, 4, [2, 0], [BULK_NORMALS + 1, 1]))
+@example((2**32 + 17, 9, 3, 7, 5, [8, 3, 0, 5], [6, 6, 6, 6]))
+def test_normals_match_fresh_streams(case):
+    # as `randoms`, with `standard_normal` rows: rejected draws are replayed
+    assert_bulk_matches_fresh_streams(case, "standard_normal", rngmod.NOISE)
+
+
+def steered(word, sign=0):
+    """A fresh Generator, set through PCG64's public state, whose next uint64
+    is `word`: the state after its step is (0, word), whose XSL-RR output is
+    `word` itself, and its increment is 1."""
+    bitgen = np.random.PCG64()
+    pre = (word - 1) * pow(PCG_MULT, -1, 2**128) % 2**128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": pre, "inc": 1},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+def test_ziggurat_tables_give_the_generators_draws():
+    # every layer idx, both signs: rabs = ki - 1 is accepted, one word taken,
+    # and draws +-rabs * wi; rabs = ki is rejected and takes more words
+    w, k = rngmod._ziggurat()
+    assert k[1] == 0  # every idx-1 draw is rejected
+    for idx in range(256):
+        ki = int(k[idx])
+        probes = [((ki - 1) << 9 | sign << 8 | idx, True) for sign in (0, 1) if ki >= 1]
+        probes += [(ki << 9 | idx, False)] if ki < 2**52 else []
+        for word, accepted in probes:
+            gen = steered(word)
+            x, rejected = rngmod._normals(np.array([word], np.uint64))
+            got = gen.standard_normal()
+            assert rejected[0] != accepted, (idx, word)
+            assert (gen.bit_generator.state["state"]["state"] == word) == accepted, (idx, word)
+            if accepted:
+                assert got == x[0] and np.signbit(got) == bool(word >> 8 & 1), (idx, word)
+
+
+# NOISE slots (seed, node, t, d) found by search, with the index of the
+# row's first rejected word and that word's layer idx
+REJECTED_SLOTS = {
+    "draw 0 rejected": (7, 0, 98, 6, 0, 30),
+    "rejected mid-row": (7, 0, 40, 6, 3, 34),
+    "idx-0 tail draw": (7, 0, 273, 6, 5, 0),
+    "idx-1 draw": (7, 0, 14, 6, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED_SLOTS)
+def test_normals_of_pinned_rejected_slots(name):
+    # the slot's first d words, as if every draw took one, pin its case
+    seed, node, t, d, first, idx = REJECTED_SLOTS[name]
+    words = rngmod.stream(seed, node, t, rngmod.NOISE).bit_generator.random_raw(d)
+    _, rejected = rngmod._normals(words)
+    assert rejected.argmax() == first and rejected[first] and words[first] & 0xFF == idx
+    t0, block = rngmod.Streams(seed, rngmod.NOISE, 3, horizon=t + 1).normals(t, [2, node], [1, d])
+    assert np.array_equal(block[t - t0, 1:],
+                          rngmod.stream(seed, node, t, rngmod.NOISE).standard_normal(d))
+
+
+def test_normals_block_self_check(monkeypatch):
+    # tables that do not match numpy's give draws the generator does not make
+    w, k = rngmod._ziggurat()
+    monkeypatch.setattr(rngmod, "_ziggurat", lambda: (w * (1 + 2**-40), k))
+    with pytest.raises(RuntimeError, match="bulk normals"):
+        rngmod.Streams(3, rngmod.NOISE, 4).normals(0, [1, 2], [6, 6])
+
+
+@pytest.mark.parametrize("kind, purpose", [("random", rngmod.BATCH),
+                                           ("standard_normal", rngmod.NOISE)])
+def test_round_draws_write_each_nodes_span(monkeypatch, kind, purpose):
+    # nodes on both sides of the kind's bulk cap, spans with gaps between
+    # them, over 3-round blocks and a horizon cut after one round
+    monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 3 * 6)
+    blocks = derived_blocks(monkeypatch)
+    cap, seed, T = rngmod.BULK_DOUBLES[kind], 2**32 + 17, 7
+    nodes, counts = [4, 1, 5, 2], [1, cap + 1, cap, 3]
+    starts = np.cumsum([2] + [c + 1 for c in counts[:-1]])
+    out = np.full(starts[-1] + counts[-1] + 1, np.nan)
+    draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, out,
+                              starts, counts)
+    assert (draws._bulk_nodes, draws._fill_nodes) == ([4, 5, 2], [1])
+    for t in range(T):
+        draws.draw(t)
+        for node, a, c in zip(nodes, starts, counts):
+            assert np.array_equal(out[a : a + c], getattr(
+                rngmod.stream(seed, node, t, purpose), kind)(c)), (node, t)
+        assert np.isnan(np.delete(out, np.concatenate([
+            np.arange(a, a + c) for a, c in zip(starts, counts)]))).all()
+    assert [t0 for _, t0, _ in blocks] == [0, 3, 6]
 
 
 def test_randoms_read_words_through_the_inverse_order(monkeypatch):
