@@ -29,8 +29,14 @@ PARTITION = 3
 DATA = 4
 THEORY = 5
 
-# slots a Streams derives at once: whole rounds of every node
-BLOCK_SLOTS = 4096
+# slots a Streams derives at once: whole rounds of every node.  A block pays
+# a fixed cost whatever its length, about 1.5 ms of numpy calls (`_derive`'s
+# SeedSequence hash, and about 35 calls a step in `_bulk`), against its
+# memory: per (node, round), the two bulk streams keep 64 bytes of (state,
+# inc) words and, at the BULK_DOUBLES caps, 384 bytes of doubles.  16,384
+# slots hold 64 rounds of 256 nodes in one block a stream, at most about
+# 7 MB for the two (see CHANGES.md for the measured sizes)
+BLOCK_SLOTS = 16384
 
 # the most doubles a slot takes from a bulk block, by draw kind; more go to
 # `fill` (see CHANGES.md for the measured crossovers against `fill`)
@@ -39,6 +45,7 @@ _BULK = {"random": "randoms", "standard_normal": "normals"}
 
 # numpy's SeedSequence pool hash (pool size 4) and PCG64's LCG multiplier
 _MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_INVERSE = pow(_PCG_MULT, -1, 2**128)  # MULT's inverse mod 2^128
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SLOT, _NO_BUFFER = 32, bytes(8)  # bytes of a slot's (state, inc) words; an empty buffer word
@@ -146,24 +153,40 @@ def _ziggurat():
     draws +-wi[idx] at rabs = 1, and accepts, stepping exactly once, iff
     rabs < ki[idx], which bisection finds.  A layer whose rabs = 1 is
     rejected has ki <= 1, and its only accepted draw is +-0 at rabs = 0
-    whatever wi is: wi = 0."""
-    probe, order, inverse = Streams(0, INIT, 1), _word_order(), pow(_PCG_MULT, -1, 2**128)
-    pack = lambda words: struct.pack("=4Q", *(words[i] for i in order))
-
-    def accepted(word):  # (the draw, whether it took only `word`)
-        pre = (word - 1) * inverse & _MASK128  # inc 1: state * MULT + 1 = (0, word)
-        probe._state[:] = pack((pre >> 64, pre & 2**64 - 1, 0, 1))
-        return probe._gen.standard_normal(), probe._state == pack((0, word, 0, 1))
-
+    whatever wi is: wi = 0.  From layer 3 on, ki[idx] is about
+    2^52 * wi[idx - 1] / wi[idx], so probes on both sides of that guess
+    narrow the bisection to a step or two; a guess they reject leaves it
+    whole (layer 0 is the tail, and layer 1 reads wi = 0)."""
+    probe = Streams(0, INIT, 1)
     w, k = np.zeros(256), np.zeros(256, np.uint64)
     for idx in range(256):
+        x, one = _steered(probe, 1 << 9 | idx)
+        w[idx] = x if one else 0.0
+        tries = []  # rabs on both sides of the guess, probed first
+        if idx >= 3 and w[idx]:
+            guess = int(2**52 * w[idx - 1] / w[idx])
+            tries = [guess - 1, guess + 1]
         low, high = 0, 2**52  # the first rejected rabs lies in [low, high]
         while low < high:
-            mid = (low + high) // 2
-            low, high = (mid + 1, high) if accepted(mid << 9 | idx)[1] else (low, mid)
-        x, one = accepted(1 << 9 | idx)
-        w[idx], k[idx] = x if one else 0.0, low
+            rabs = tries.pop(0) if tries else (low + high) // 2
+            if not low <= rabs < high:
+                continue
+            if _steered(probe, rabs << 9 | idx)[1]:
+                low = rabs + 1
+            else:
+                high = rabs
+        k[idx] = low
     return np.concatenate([w, -w]), np.concatenate([k, k])
+
+
+def _steered(probe, word):
+    """The `standard_normal()` draw of the Streams `probe`'s generator
+    steered so that its next uint64 is `word`, and whether it took only
+    that word."""
+    pack = lambda words: struct.pack("=4Q", *(words[i] for i in _word_order()))
+    pre = (word - 1) * _PCG_INVERSE & _MASK128  # inc 1: state * MULT + 1 = (0, word)
+    probe._state[:] = pack((pre >> 64, pre & 2**64 - 1, 0, 1))
+    return probe._gen.standard_normal(), probe._state == pack((0, word, 0, 1))
 
 
 class Streams:

@@ -253,22 +253,27 @@ def test_engine_run_matches_stream_backed_run(monkeypatch):
     assert_same_run(bulk, stream_backed_run(monkeypatch, cfg, seed)[0])
 
 
-def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch):
+@pytest.mark.parametrize("T, blocks_a_stream", [
+    pytest.param(rngmod.BLOCK_SLOTS // 256 + 2, 2, id="block-edge"),
+    pytest.param(50, 1, id="expo256-horizon")])
+def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch, T, blocks_a_stream):
     """The expo256 workload's shape (n=256 exponential-periodic, J=1, sdlr)
-    at the production block size: T=18 runs past the block edge at round
-    16, and alpha_conc=0.05 leaves nodes of one and two rows, whose empty
-    draws are replayed and some of whose picks are forced."""
+    at the production block size: T = BLOCK_SLOTS // n + 2 runs past the
+    first block edge, and the workload's T = 50 derives one block a stream.
+    alpha_conc=0.05 leaves nodes of one and two rows, whose empty draws are
+    replayed and some of whose picks are forced."""
     n, seed = 256, 2**32 + 17
-    cfg = make_config(n=n, T=18, algorithm="sdlr",
+    cfg = make_config(n=n, T=T, algorithm="sdlr",
                       topology=TopologySchedule(kind="exponential-periodic", n=n, J=1),
                       data=DataSpec(kind="blobs", n_samples=3200, alpha_conc=0.05))
     rounds = rngmod.BLOCK_SLOTS // n
-    assert rounds < cfg.T
+    starts = range(0, cfg.T, rounds)
+    assert len(starts) == blocks_a_stream
     blocks = derived_blocks(monkeypatch)
     bulk = observed_run(cfg, seed)
     assert {1, 2} <= {node["count"] for node in bulk[0].partition["nodes"]}
     assert sorted(blocks) == [(p, t0, n * min(rounds, cfg.T - t0))
-                              for p in (rngmod.BATCH, rngmod.NOISE) for t0 in (0, rounds)]
+                              for p in (rngmod.BATCH, rngmod.NOISE) for t0 in starts]
     reference, made = stream_backed_run(monkeypatch, cfg, seed)
     assert "random" in made and "integers" in made  # replays, and forced picks among them
     assert_same_run(bulk, reference)
@@ -406,6 +411,19 @@ def test_ziggurat_tables_give_the_generators_draws():
             assert (gen.bit_generator.state["state"]["state"] == word) == accepted, (idx, word)
             if accepted:
                 assert got == x[0] and np.signbit(got) == bool(word >> 8 & 1), (idx, word)
+
+
+def test_ziggurat_read_guesses_most_layers(monkeypatch):
+    # the guessed ki of layers 3-255 take about 4 probes each; a read that
+    # bisects every layer makes about 54 a layer, some 13,000 in all
+    probes = []
+    real_steered = rngmod._steered
+    monkeypatch.setattr(rngmod, "_steered",
+                        lambda probe, word: probes.append(word) or real_steered(probe, word))
+    w, k = rngmod._ziggurat.__wrapped__()
+    assert len(probes) < 2000
+    cached_w, cached_k = rngmod._ziggurat()
+    assert np.array_equal(w, cached_w) and np.array_equal(k, cached_k)
 
 
 # NOISE slots (seed, node, t, d) found by search, with the index of the
