@@ -161,13 +161,13 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
     batches = BatchDraws(layout, [b.sampling_ratio for b in config.budgets],
                          rngmod.Streams(seed, rngmod.BATCH, n, horizon=T))
     grads = NodeGrads(model, (train_X, train_y), layout)
-    noise_streams = rngmod.Streams(seed, rngmod.NOISE, n, horizon=T)
-    sigma_column = np.array(sigmas)[:, None]
-    noise_nodes = layout.nodes[sigma_column[layout.nodes, 0] > 0]
-    Noise = np.zeros_like(X)  # rows of the nodes that draw no noise stay 0
-    noise = rngmod.RoundDraws(noise_streams, "standard_normal", noise_nodes, Noise.reshape(-1),
-                              noise_nodes * model.dim, np.full(len(noise_nodes), model.dim))
-    interval: List[np.ndarray] = []  # this interval's clipped occupied rows so far
+    # each round's noise row, N(0, sigma^2) as normal(0, sigma) draws it: 0.0 + sigma * z;
+    # the rows of the nodes that draw no noise stay 0
+    noise_nodes = layout.nodes[np.array(sigmas)[layout.nodes] > 0]
+    noise = rngmod.RoundDraws(rngmod.Streams(seed, rngmod.NOISE, n, horizon=T), "standard_normal",
+                              noise_nodes, n * model.dim, noise_nodes * model.dim,
+                              np.full(len(noise_nodes), model.dim), np.repeat(sigmas, model.dim))
+    interval = np.empty((0, len(layout.nodes), model.dim))  # the interval's clipped occupied rows
     alpha_inj = None
 
     for t in range(T):
@@ -175,8 +175,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         # an interval starts where the injected alpha(T - t) changes (privacy.starts_interval)
         last_alpha, alpha_inj = alpha_inj, alpha_at(config.noise, T - t)
         new_interval = t == 0 or alpha_inj != last_alpha
-        if new_interval:
-            interval = []
+        if new_interval:  # room for its rounds, until alpha(T - t) next changes
+            length, j = 1, 0
+            while t + length < T and alpha_at(config.noise, T - t - length) == alpha_inj:
+                length += 1
+            if length > len(interval):
+                interval = np.empty((length, *interval.shape[1:]))
 
         # observables at the current state; each occupied node's batch and
         # noise draws (one v1 slot each), then every node's full and batch
@@ -187,8 +191,7 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
                            .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
         sel, drawn = batches.draw(t)
-        noise.draw(t)
-        Noise *= sigma_column  # as normal(0, sigma) draws it: 0.0 + sigma * z
+        t0, noise_rows = noise.chunk(t)
         Full, Grad = grads.at(Z, sel, drawn)
         occupied = Full[layout.nodes]
         mean_sq = float(np.einsum("ij,ij->i", occupied, occupied).sum() / len(occupied))
@@ -196,12 +199,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
                     else accuracy(model, xbar, dataset.test_features, dataset.test_labels))
 
         # clip, perturb, fuse and half-step on all nodes at once; the drift is
-        # every ||active_i - past_i||^2 of the interval
+        # the largest ||active_i - past_i||^2 of the interval so far
         clipped, resid = clip(Grad, G)
-        active = clipped[layout.nodes]
-        d_tau_t = max((float(sq_deviations(active, past).max()) for past in interval), default=0.0)
-        interval.append(active)
-        noisy = perturb(clipped, alpha_inj, Noise)
+        active = np.take(clipped, layout.nodes, axis=0, out=interval[j])
+        d_tau_t = float(np.add.reduce((active - interval[:j]) ** 2, axis=2).max()) if j else 0.0
+        j += 1
+        noisy = perturb(clipped, alpha_inj, noise_rows[t - t0].reshape(n, -1))
         F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
         X = X - eta_t * F
 

@@ -69,9 +69,7 @@ def clip(g: np.ndarray, G: float) -> Tuple[np.ndarray, np.ndarray]:
     if g.ndim != 2:
         raise ValueError(f"clip expects an (m, d) array of rows, got shape {g.shape}")
     norms = np.sqrt(np.vecdot(g, g))
-    factor = np.ones_like(norms)
-    over = norms > G
-    factor[over] = G / norms[over]
+    factor = np.divide(G, norms, out=np.ones_like(norms), where=norms > G)
     return factor[:, None] * g, ((1.0 - factor) * norms) ** 2
 
 

@@ -360,16 +360,19 @@ def node_sorted(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray, NodeRows]:
 
 
 class BatchDraws:
-    """Every occupied node's batch draw of a round, at once.
+    """Every occupied node's batch draw of a round, a chunk of rounds at once.
 
     Node layout.nodes[k] draws the same rows as `sample_batch` over its row
     positions at its ratio on the stream of its round-t slot.  Each sampling
-    node's first draw goes into its span of one uniform per row, made by one
-    `rng.RoundDraws` (from bulk blocks for nodes of few rows, else by
-    `fill`).  One mask over all rows selects.  An empty first draw is
-    replayed on the node's slot, positioned again by `streams.at`, into its
-    span of the mask: `random(2 * count)` is that draw, then the retry (a
-    double takes one whole word), and `integers` forces the pick.
+    node's first draw is its span of one uniform per row, in a chunk of
+    rounds of one `rng.RoundDraws` (from bulk blocks for nodes of few rows,
+    else by `fill`).  For the whole chunk, one compare makes the masks, one
+    2-D `np.add.reduceat` the drawn counts, and one `np.flatnonzero` the
+    drawn rows, whose round segments start at the running sum of the
+    counts.  An empty first draw is replayed on the node's slot, positioned
+    again by `streams.at`, into its span of its round's mask: `random(2 *
+    count)` is that draw, then the retry (a double takes one whole word),
+    and `integers` forces the pick.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -378,30 +381,40 @@ class BatchDraws:
             raise ValueError(f"ratios must lie in (0,1], got {ratios}")
         self.layout, self.streams = layout, streams
         self._row_ratio = np.repeat(ratios, layout.counts)
-        # a ratio-1 node takes every row without a draw: its uniforms stay 0
-        self._uniform = np.zeros(len(layout.owner))
         # (node, start, count, ratio) of every occupied node
         self._replay = list(zip(layout.nodes.tolist(), layout.starts.tolist(),
                                 layout.counts.tolist(), ratios.tolist()))
+        # a ratio-1 node takes every row without a draw: its uniforms stay 0
         sampled = ratios < 1.0
-        self.uniforms = rngmod.RoundDraws(streams, "random", layout.nodes[sampled], self._uniform,
-                                          layout.starts[sampled], layout.counts[sampled])
+        self.uniforms = rngmod.RoundDraws(streams, "random", layout.nodes[sampled],
+                                          len(layout.owner), layout.starts[sampled],
+                                          layout.counts[sampled])
+        self._t0, self._drawn = 0, np.empty((0, len(layout.nodes)), dtype=np.intp)
 
     def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Round t's drawn rows of every occupied node, node after node, and
         how many each node drew (see `NodeGrads`)."""
-        self.uniforms.draw(t)
-        mask = self._uniform < self._row_ratio
-        drawn = np.add.reduceat(mask, self.layout.starts, dtype=np.intp)
+        if not 0 <= t - self._t0 < len(self._drawn):
+            self._build(t)
+        r = t - self._t0
+        return self._sel[self._ends[r] : self._ends[r + 1]], self._drawn[r]
+
+    def _build(self, t: int) -> None:
+        t0, uniforms = self.uniforms.chunk(t)
+        mask = uniforms < self._row_ratio
+        drawn = np.add.reduceat(mask, self.layout.starts, axis=1, dtype=np.intp)
         if not drawn.all():
-            for k in np.flatnonzero(drawn == 0).tolist():
+            for r, k in np.argwhere(drawn == 0).tolist():
                 node, a, c, ratio = self._replay[k]
-                gen = self.streams.at(t, node)
-                rows = np.less(gen.random(2 * c)[c:], ratio, out=mask[a : a + c])
+                gen = self.streams.at(t0 + r, node)
+                rows = np.less(gen.random(2 * c)[c:], ratio, out=mask[r, a : a + c])
                 if not rows.any():
                     rows[gen.integers(c)] = True
-                drawn[k] = np.count_nonzero(rows)
-        return np.flatnonzero(mask), drawn
+                drawn[r, k] = np.count_nonzero(rows)
+        self._sel = np.flatnonzero(mask)
+        self._sel %= mask.shape[1]  # from positions in the chunk to positions in a round
+        self._ends = [0, *np.cumsum(drawn.sum(axis=1)).tolist()]
+        self._t0, self._drawn = t0, drawn
 
 
 def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,

@@ -9,8 +9,8 @@ node; `Streams.randoms` and `Streams.normals` step PCG64 in numpy to a
 whole block's first uniforms, or normal rows, of nodes with few doubles
 (normals through numpy's ziggurat fast path, whose tables are read from
 the installed numpy, replaying the rare rejected draws on the generator);
-`RoundDraws` chooses between the two for the round loop; and `Streams.at`
-positions one slot for any other draw.
+`RoundDraws` draws the round loop's chunks of rounds, choosing between the
+two node by node; and `Streams.at` positions one slot for any other draw.
 """
 
 import ctypes
@@ -37,6 +37,10 @@ THEORY = 5
 # slots hold 64 rounds of 256 nodes in one block a stream, at most about
 # 7 MB for the two (see CHANGES.md for the measured sizes)
 BLOCK_SLOTS = 16384
+
+# bytes of a RoundDraws chunk's rows, the rounds it draws at once: its one
+# buffer is reused from chunk to chunk (see CHANGES.md for the measured cap)
+CHUNK_BYTES = 2**17
 
 # the most doubles a slot takes from a bulk block, by draw kind; more go to
 # `fill` (see CHANGES.md for the measured crossovers against `fill`)
@@ -342,31 +346,62 @@ class Streams:
 
 
 class RoundDraws:
-    """Each round's `kind` draws of the listed nodes, counts[k] doubles of
-    node nodes[k] into out[starts[k]:][:counts[k]] of the flat array `out`,
-    as `Streams.fill` makes them.  The nodes of at most BULK_DOUBLES[kind]
-    doubles copy theirs from one bulk block (`randoms` or `normals`),
-    stepped in the first round that needs it; `fill` draws the others."""
+    """The `kind` draws of the listed nodes a chunk of rounds at a time:
+    `chunk(t)` gives (t0, C), whose row C[r] holds round t0 + r's counts[k]
+    doubles of node nodes[k] at C[r, starts[k]:][:counts[k]], as
+    `Streams.fill` makes them, times `scale` (one factor a double) if given,
+    and 0 elsewhere.  A chunk is a run of rounds inside one stream block,
+    at most CHUNK_BYTES of rows, cut at the block's end and the horizon.  It
+    is built in the first round that asks for it, into one buffer reused
+    from chunk to chunk, so C holds until the next chunk is built.  The
+    nodes of at most BULK_DOUBLES[kind] doubles take theirs from one bulk
+    block (`randoms` or `normals`), stepped in the first round that needs
+    it, by one scatter a chunk; `fill` draws the others round by round
+    into views of the chunk."""
 
-    def __init__(self, streams: Streams, kind: str, nodes, out: np.ndarray, starts, counts):
+    def __init__(self, streams: Streams, kind: str, nodes, width: int, starts, counts,
+                 scale=None):
         nodes, starts, counts = (np.asarray(a, dtype=np.intp) for a in (nodes, starts, counts))
         bulk = counts <= BULK_DOUBLES[kind]
-        self.streams, self.kind, self.out = streams, kind, out
+        self.streams, self.kind, self.width, self.scale = streams, kind, width, scale
+        self._rounds = max(1, CHUNK_BYTES // (8 * max(width, 1)))  # a chunk's most rounds
         self._fill_nodes = nodes[~bulk].tolist()
-        self._fill_views = [out[a : a + c] for a, c in zip(starts[~bulk].tolist(),
-                                                            counts[~bulk].tolist())]
+        self._fill_spans = list(zip(starts[~bulk].tolist(), (starts + counts)[~bulk].tolist()))
         nodes, starts, counts = nodes[bulk], starts[bulk], counts[bulk]
         self._bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
-        # the bulk nodes' positions in `out`, node after node
+        # the bulk nodes' positions in a row, node after node
         self._index = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts,
                                                           counts)
-        self._t0, self._block = 0, np.empty((0, 0))
+        self._t0, self._chunk, self._buffer = 0, np.empty((0, width)), None
+        self._block_t0, self._block = 0, np.empty((0, 0))
 
-    def draw(self, t: int) -> None:
-        """Round t's draws into `out`."""
+    def chunk(self, t: int):
+        """(t0, C): the chunk that holds round t, whose row t - t0 is round t's."""
+        if not 0 <= t - self._t0 < len(self._chunk):
+            self._build(t)
+        return self._t0, self._chunk
+
+    def _build(self, t: int) -> None:
+        # chunks start every self._rounds rounds from their stream block's first round
+        streams, rounds = self.streams, self._rounds
+        if not 0 <= t < streams.horizon:
+            raise ValueError(f"round {t} is outside t < {streams.horizon}")
+        first = t - t % streams._rounds
+        t0 = t - (t - first) % rounds
+        rounds = min(rounds, first + streams._rounds - t0, streams.horizon - t0)
+        if self._buffer is None:  # zero spans stay zero: draws overwrite only their spans
+            self._buffer = np.zeros((min(self._rounds, streams._rounds, streams.horizon),
+                                     self.width))
+        chunk = self._buffer[:rounds]
         if self._bulk_nodes:
-            if not 0 <= t - self._t0 < len(self._block):
-                self._t0, self._block = getattr(self.streams, _BULK[self.kind])(
+            if not 0 <= t - self._block_t0 < len(self._block):
+                self._block_t0, self._block = getattr(streams, _BULK[self.kind])(
                     t, self._bulk_nodes, self._bulk_counts)
-            self.out[self._index] = self._block[t - self._t0]
-        self.streams.fill(t, self._fill_nodes, self._fill_views, self.kind)
+            chunk[:, self._index] = self._block[t0 - self._block_t0 :][:rounds]
+        if self._fill_nodes:
+            for u, row in enumerate(chunk, t0):
+                streams.fill(u, self._fill_nodes, [row[a:b] for a, b in self._fill_spans],
+                             self.kind)
+        if self.scale is not None:
+            chunk *= self.scale
+        self._t0, self._chunk = t0, chunk

@@ -394,6 +394,20 @@ def bulk_mismatches(streams, t: int, nodes: list, counts: list, kind: str) -> in
         for r, row in enumerate(block) for node, count, end in zip(nodes, counts, ends))
 
 
+def chunk_mismatches(draws, t: int, nodes: list, starts: list, counts: list, scale) -> int:
+    """How many of the round-t spans of `nodes` in a `RoundDraws` chunk
+    differ from a fresh `rng.stream` draw times `scale`, plus one for a row
+    that is not 0 outside them."""
+    streams, (t0, chunk) = draws.streams, draws.chunk(t)
+    row, outside = chunk[t - t0], np.ones(draws.width, dtype=bool)
+    misses = 0
+    for node, a, c in zip(nodes, starts, counts):
+        outside[a : a + c] = False
+        misses += not np.array_equal(row[a : a + c], scale[a : a + c] * getattr(rngmod.stream(
+            streams.master_seed, node, t, streams.purpose), draws.kind)(c))
+    return misses + bool(row[outside].any())
+
+
 def streams_suite() -> List[CheckResult]:
     """`Streams.at` and `Streams.fill`, which write each slot's PCG64 words
     into one reused generator's memory, against a fresh `rng.stream`: `at` at
@@ -402,10 +416,12 @@ def streams_suite() -> List[CheckResult]:
     the buffer word the previous slot's draws left full; after each, a `fill`
     of its round over that full word, for a random list of nodes and a draw
     kind in turn; a `fill` of a block's first round after one in the
-    previous block; and `Streams.randoms` and `Streams.normals`, which step
+    previous block; `Streams.randoms` and `Streams.normals`, which step
     PCG64 in numpy, over a first and a horizon-cut last block of one-, two-
     and three-word seeds, with counts on both sides of the kind's
-    BULK_DOUBLES."""
+    BULK_DOUBLES; and the scaled rows of `RoundDraws` chunks of both kinds,
+    bulk and `fill` nodes, over a chunk edge inside a block, a block edge
+    and a horizon cut."""
     rng, kinds, slots = np.random.default_rng(17), ("random", "standard_normal"), 40
     results, fill_misses = [], dict.fromkeys(kinds, 0)
 
@@ -448,6 +464,20 @@ def streams_suite() -> List[CheckResult]:
                 misses += bulk_mismatches(streams, t, nodes, counts, kind)
         check(f"Streams.{rngmod._BULK[kind]} of a first and a horizon-cut block vs rng.stream",
               misses)
+    # chunks of 3 rounds in blocks of 4 cut at the horizon 6, [0, 3) [3, 4) [4, 6),
+    # the first one asked for by its round 1
+    n, width, misses = rngmod.BLOCK_SLOTS // 4, rngmod.CHUNK_BYTES // 24, 0
+    for kind, purpose in (("random", rngmod.BATCH), ("standard_normal", rngmod.NOISE)):
+        cap = rngmod.BULK_DOUBLES[kind]
+        nodes, counts = rng.permutation(n)[:4].tolist(), [1, cap, cap + 1, 2 * cap]
+        starts = (np.cumsum([3, *counts[:-1]]) + np.arange(4)).tolist()
+        scale = rng.uniform(0.5, 2.0, width)
+        draws = rngmod.RoundDraws(rngmod.Streams(master, purpose, n, horizon=6), kind, nodes,
+                                  width, starts, counts, scale)
+        misses += sum(chunk_mismatches(draws, t, nodes, starts, counts, scale)
+                      for t in (1, 0, 2, 3, 4, 5))
+    check("RoundDraws chunk rows, scaled, of bulk and fill nodes over chunk, block and horizon "
+          "edges vs rng.stream", misses)
     return results
 
 

@@ -379,6 +379,25 @@ def test_round_marker_calls(monkeypatch):
         assert calls == ["beta"] * cfg.T + ["summarize"]
 
 
+@pytest.mark.parametrize("features, alpha_conc", [(5, 1.0), (20, 0.3)])
+def test_one_round_chunks_write_the_same_run(monkeypatch, features, alpha_conc):
+    """Chunks of one round give the records, summary and final state of the
+    default chunk size: the noise rows go through the bulk normals at dim 6
+    and through `fill` at dim 21, and alpha_conc=0.3 leaves nodes on both
+    sides of the bulk uniforms' cap."""
+    from pushdp import rng as rngmod
+
+    cfg = make_config(T=30, model=ModelSpec(kind="logistic", features=features, l2=0.01),
+                      data=DataSpec(kind="blobs", n_samples=400, test_fraction=0.2,
+                                    alpha_conc=alpha_conc))
+    default, default_log = observed_run(cfg, master_seed=2)
+    monkeypatch.setattr(rngmod, "CHUNK_BYTES", 8)
+    one, one_log = observed_run(cfg, master_seed=2)
+    assert [r.as_dict() for r in one.records] == [r.as_dict() for r in default.records]
+    assert one.summary == default.summary
+    assert np.array_equal(one_log.trajectory[-1], default_log.trajectory[-1])
+
+
 class TestEmpiricalDTau:
     """empirical_d_tau against a brute-force oracle over every round's clipped
     rows, captured at engine.clip: the largest squared distance between an
@@ -393,6 +412,23 @@ class TestEmpiricalDTau:
         # every round starts an interval
         "power": dict(noise=NoiseSchedule(form="power", T=T, s=0.5, K=2.0)),
     }
+
+    def test_constant_noise_makes_a_bounded_number_of_calls_a_round(self, monkeypatch):
+        # power s = 0 injects one alpha all run, one interval of T rounds: its
+        # drift takes no call per earlier round of it
+        from pushdp import engine
+
+        calls = []
+        for name in ("sq_deviations", "alpha_at"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *args, real=real: (
+                calls.append(real), real(*args))[1])
+        for T in (20, 80):
+            cfg = make_config(T=T, noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0))
+            calls.clear()
+            result = run(cfg, master_seed=0)
+            assert result.records[-1].empirical_d_tau > 0
+            assert len(calls) <= 3 * T
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_brute_force(self, case, monkeypatch):

@@ -396,17 +396,24 @@ class TestBatchDraws:
     @given(nodes=st.lists(st.tuples(st.integers(0, 4) | st.sampled_from([BULK_ROWS, BULK_ROWS + 1]),
                                     st.sampled_from([1.0, 1e-12, 0.02, 0.2, 0.5])),
                           min_size=1, max_size=6).filter(lambda nodes: any(s for s, _ in nodes)),
-           block_rounds=st.integers(1, 2), rounds=st.integers(3, 5),
-           seed=st.integers(0, 2**64 - 1))
-    @example(nodes=[(4, 0.2), (0, 0.5), (3, 1e-12), (2, 1.0), (1, 0.5)], block_rounds=1, rounds=3,
-             seed=28)
-    @example(nodes=[(4, 1e-12), (2, 1e-12)], block_rounds=2, rounds=3, seed=2**32 + 17)
-    def test_draw_is_sample_batch_on_every_stream(self, nodes, block_rounds, rounds, seed):
-        # BLOCK_SLOTS of one or two rounds: rounds cross block edges
+           block_rounds=st.integers(1, 3), chunk_rounds=st.integers(1, 3),
+           rounds=st.integers(3, 7), seed=st.integers(0, 2**64 - 1))
+    @example(nodes=[(4, 0.2), (0, 0.5), (3, 1e-12), (2, 1.0), (1, 0.5)], block_rounds=1,
+             chunk_rounds=1, rounds=3, seed=28)
+    @example(nodes=[(4, 1e-12), (2, 1e-12)], block_rounds=2, chunk_rounds=3, rounds=3,
+             seed=2**32 + 17)
+    # a chunk edge inside a block (t = 2), a block edge (3) and a horizon cut (5)
+    @example(nodes=[(BULK_ROWS + 1, 0.02), (3, 0.2), (BULK_ROWS, 0.02), (1, 1e-12)],
+             block_rounds=3, chunk_rounds=2, rounds=5, seed=7)
+    def test_draw_is_sample_batch_on_every_stream(self, nodes, block_rounds, chunk_rounds, rounds,
+                                                  seed):
+        # BLOCK_SLOTS and CHUNK_BYTES of one to three rounds: rounds cross
+        # chunk edges, block edges and the horizon cut
         sizes, ratios = zip(*nodes)
-        with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * len(sizes)):
+        with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * len(sizes)), \
+                mock.patch.object(rngmod, "CHUNK_BYTES", chunk_rounds * 8 * sum(sizes)):
             streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=rounds)
-        draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
+            draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
         for t in range(rounds):
             sel, drawn = draws.draw(t)
             ref = [sample_batch(np.arange(end - size, end), ratio,

@@ -1,0 +1,63 @@
+"""The summary arithmetic of tools/pairs.py on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+def test_quartiles_interpolate_between_sorted_values():
+    assert pairs.quartiles([13, 9, 11, 10, 12]) == (10, 11, 12)
+    assert pairs.quartiles([4, 1, 2, 3]) == (1.75, 2.5, 3.25)
+    assert pairs.quartiles([7]) == (7, 7, 7)
+
+
+def test_summary_of_a_gain_that_holds():
+    s = pairs.summarize([10, 12, 11, 13, 9], [14, 15, 13, 16, 12], "higher")
+    assert s == {"base": (10, 11, 12), "change": (13, 14, 15), "wins": 5, "pairs": 5,
+                 "iqr": 2, "gain": 3, "holds": True}
+
+
+def test_lower_is_better_turns_the_sign():
+    s = pairs.summarize([10, 12, 11, 13, 9], [14, 15, 13, 16, 12], "lower")
+    assert (s["wins"], s["gain"], s["holds"]) == (0, -3, False)
+
+
+def test_ties_count_for_neither_side():
+    s = pairs.summarize([1.0, 2.0, 5.0], [1.0, 3.0, 4.0], "lower")
+    assert (s["wins"], s["gain"]) == (1, -1.0)
+
+
+@pytest.mark.parametrize("wins, holds", [(9, True), (8, False)])
+def test_a_gain_needs_nine_tenths_of_the_pairs(wins, holds):
+    base = [10.0] * 10
+    change = [20.0] * wins + [5.0] * (10 - wins)
+    s = pairs.summarize(base, change, "higher")
+    assert (s["wins"], s["iqr"], s["holds"]) == (wins, 0.0, holds)
+
+
+def test_a_gain_inside_the_base_spread_does_not_hold():
+    s = pairs.summarize([8, 10, 12, 14, 16], [9, 11, 13, 15, 17], "higher")
+    assert (s["wins"], s["gain"], s["iqr"], s["holds"]) == (5, 1, 4, False)
+
+
+def test_mismatched_sides_are_an_error():
+    with pytest.raises(ValueError):
+        pairs.summarize([1.0, 2.0], [1.0], "higher")
+
+
+def test_report_lines():
+    result = lambda v: {"correct": True, "failed": 0, "metrics": {"run_s": {"value": v}}}
+    runs = {"base": [result(v) for v in (2.0, 2.2, 2.1)],
+            "change": [result(v) for v in (1.8, 1.9, 2.0)]}
+    lines = pairs.report([{"name": "run_s", "unit": "s", "better": "lower"}], runs)
+    assert lines == [
+        "base: 3/3 correct, 0 failed seed-runs",
+        "change: 3/3 correct, 0 failed seed-runs",
+        "run_s (s, lower is better): base 2.1 [2.05, 2.15], change 1.9 [1.85, 1.95] (-9.5%), "
+        "won 3/3, base IQR 0.1, gain holds"]

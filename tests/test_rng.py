@@ -456,28 +456,99 @@ def test_normals_block_self_check(monkeypatch):
         rngmod.Streams(3, rngmod.NOISE, 4).normals(0, [1, 2], [6, 6])
 
 
+def assert_chunk_row(seed, purpose, kind, t, row, spans, scale):
+    """Round t's row of a RoundDraws chunk: each (node, start, count) span
+    holds the node's fresh-stream draw times its scale, and the rest is 0."""
+    for node, a, c in spans:
+        assert np.array_equal(row[a : a + c], scale[a : a + c] * getattr(
+            rngmod.stream(seed, node, t, purpose), kind)(c)), (node, t)
+    assert not np.delete(row, [a + i for _, a, c in spans for i in range(c)]).any(), t
+
+
 @pytest.mark.parametrize("kind, purpose", [("random", rngmod.BATCH),
                                            ("standard_normal", rngmod.NOISE)])
 def test_round_draws_write_each_nodes_span(monkeypatch, kind, purpose):
     # nodes on both sides of the kind's bulk cap, spans with gaps between
-    # them, over 3-round blocks and a horizon cut after one round
+    # them, over 3-round blocks and a horizon cut after one round, in chunks
+    # of at most 2 rounds (a chunk edge inside each whole block), scaled
     monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 3 * 6)
     blocks = derived_blocks(monkeypatch)
     cap, seed, T = rngmod.BULK_DOUBLES[kind], 2**32 + 17, 7
     nodes, counts = [4, 1, 5, 2], [1, cap + 1, cap, 3]
     starts = np.cumsum([2] + [c + 1 for c in counts[:-1]])
-    out = np.full(starts[-1] + counts[-1] + 1, np.nan)
-    draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, out,
-                              starts, counts)
+    width = int(starts[-1] + counts[-1] + 1)
+    monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2 * 8 * width)
+    scale = np.linspace(0.5, 2.0, width)
+    draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, width,
+                              starts, counts, scale)
     assert (draws._bulk_nodes, draws._fill_nodes) == ([4, 5, 2], [1])
+    firsts = []
     for t in range(T):
-        draws.draw(t)
-        for node, a, c in zip(nodes, starts, counts):
-            assert np.array_equal(out[a : a + c], getattr(
-                rngmod.stream(seed, node, t, purpose), kind)(c)), (node, t)
-        assert np.isnan(np.delete(out, np.concatenate([
-            np.arange(a, a + c) for a, c in zip(starts, counts)]))).all()
+        t0, chunk = draws.chunk(t)
+        firsts.append(t0)
+        assert_chunk_row(seed, purpose, kind, t, chunk[t - t0],
+                         list(zip(nodes, starts.tolist(), counts)), scale)
+    assert firsts == [0, 0, 2, 3, 3, 5, 6]
     assert [t0 for _, t0, _ in blocks] == [0, 3, 6]
+
+
+@st.composite
+def chunk_cases(draw):
+    """(seed, kind, n, rounds a block, rounds a chunk, horizon, spans,
+    scaled): spans (node, start, count) with gaps, counts on both sides of
+    the kind's BULK_DOUBLES, over blocks and chunks of 1-3 rounds."""
+    kind = draw(st.sampled_from(["random", "standard_normal"]))
+    cap = rngmod.BULK_DOUBLES[kind]
+    n, block_rounds, chunk_rounds = (draw(st.integers(1, k)) for k in (6, 3, 3))
+    horizon = draw(st.integers(1, 3 * block_rounds + 2))
+    nodes = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    spans, end = [], 0
+    for node in nodes:
+        count = draw(st.integers(1, 3) | st.sampled_from([cap, cap + 1]))
+        start = end + draw(st.integers(0, 2))
+        spans.append((node, start, count))
+        end = start + count
+    return (draw(SEEDS_OF_1_TO_3_WORDS), kind, n, block_rounds, chunk_rounds, horizon, spans,
+            end + draw(st.integers(0, 2)), draw(st.booleans()), draw(st.integers(0, horizon - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chunk_cases())
+@example((2**64 + 5, "standard_normal", 3, 3, 2, 5,
+          [(2, 0, BULK_NORMALS + 1), (0, BULK_NORMALS + 2, 2)], BULK_NORMALS + 5, True, 3))
+@example((2**32 + 17, "random", 4, 3, 2, 8, [(3, 1, BULK_ROWS), (1, BULK_ROWS + 1, BULK_ROWS + 1)],
+          2 * BULK_ROWS + 2, False, 7))
+def test_round_draws_chunks_match_fresh_streams(case):
+    # a chunk first asked for by any of its rounds, then every round in turn:
+    # chunks start every chunk_rounds rounds from their block's first round
+    # and stop at the block's end and the horizon, and each is built once,
+    # by its first round
+    seed, kind, n, block_rounds, chunk_rounds, horizon, spans, width, scaled, start = case
+    purpose = rngmod.BATCH if kind == "random" else rngmod.NOISE
+    scale = np.linspace(0.5, 1.5, width) if scaled else np.ones(width)
+    nodes, starts, counts = (list(a) for a in zip(*spans)) if spans else ([], [], [])
+
+    def round_draws():
+        with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n), \
+                mock.patch.object(rngmod, "CHUNK_BYTES", chunk_rounds * 8 * max(width, 1)):
+            return rngmod.RoundDraws(rngmod.Streams(seed, purpose, n, horizon=horizon), kind,
+                                     nodes, width, starts, counts, scale if scaled else None)
+
+    t0, chunk = round_draws().chunk(start)
+    assert_chunk_row(seed, purpose, kind, start, chunk[start - t0], spans, scale)
+    draws, firsts = round_draws(), set()
+    with mock.patch.object(rngmod.RoundDraws, "_build", autospec=True,
+                           side_effect=rngmod.RoundDraws._build) as build:
+        for t in range(horizon):
+            t0, chunk = draws.chunk(t)
+            first = t - t % block_rounds
+            assert t0 == t - (t - first) % chunk_rounds
+            assert len(chunk) == min(chunk_rounds, first + block_rounds - t0, horizon - t0)
+            firsts.add(t0)
+            assert_chunk_row(seed, purpose, kind, t, chunk[t - t0], spans, scale)
+    assert build.call_count == len(firsts)
+    with pytest.raises(ValueError, match=f"t < {horizon}"):
+        draws.chunk(horizon)
 
 
 def test_randoms_read_words_through_the_inverse_order(monkeypatch):

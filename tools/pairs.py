@@ -1,0 +1,122 @@
+"""Alternating base/change pairs of the benchmark, summarised per metric.
+
+    python3 tools/pairs.py --base HEAD~1 --workload ring8-vrsgp --pairs 10 --seconds 20
+
+The base revision (and the change revision, if `--change` names one; else
+this checkout's working tree) is exported with `git archive` into a
+temporary directory.  Pair i runs `perfbench/run.py --workload W --seed
+S+i --seconds N --trace 0` once in each tree, the base first in even pairs
+and the change first in odd ones.  Only the last line of each run's
+standard output, perfbench's result object, is read.
+
+For every end-to-end metric of BENCHMARK.json the summary gives each
+side's median and quartiles, how many pairs the change won (ties count
+for neither side), the base's interquartile range, and whether a gain
+holds: the change won at least nine tenths of the pairs, and its median
+is better than the base's by more than the base's interquartile range.
+A last line gives every pair's values, as one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), by linear interpolation
+    between the sorted values (`statistics.quantiles`, inclusive method)."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarize(base, change, better):
+    """One metric's summary over pairs: base[i] and change[i] are pair i's
+    values, and `better` is "higher" or "lower"."""
+    if len(base) != len(change) or not base:
+        raise ValueError(f"{len(base)} base values against {len(change)} change values")
+    sign = 1.0 if better == "higher" else -1.0
+    b, c = quartiles(base), quartiles(change)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
+    gain, iqr = sign * (c[1] - b[1]), b[2] - b[0]
+    return {"base": b, "change": c, "wins": wins, "pairs": len(base), "iqr": iqr,
+            "gain": gain, "holds": wins >= 0.9 * len(base) and gain > iqr}
+
+
+def export(rev, dest):
+    """The files of revision `rev` of this repository, written under `dest`."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return Path(dest)
+
+
+def bench(tree, workload, seed, seconds):
+    """perfbench's result object of one run in `tree`."""
+    proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
+                           workload, "--seed", str(seed), "--seconds", str(seconds), "--trace",
+                           "0"], capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def report(metrics, runs):
+    """The summary lines of the `runs` {"base": [...], "change": [...]} of
+    perfbench result objects, for the BENCHMARK.json `metrics` entries."""
+    lines = []
+    for side, results in runs.items():
+        lines.append(f"{side}: {sum(r['correct'] for r in results)}/{len(results)} correct, "
+                     f"{sum(r['failed'] for r in results)} failed seed-runs")
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results]
+                  for side, results in runs.items()}
+        s = summarize(values["base"], values["change"], metric["better"])
+        (b1, bm, b3), (c1, cm, c3) = s["base"], s["change"]
+        change = f"{100 * (cm - bm) / bm:+.1f}%" if bm else "n/a"
+        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): base {bm:.6g} "
+                     f"[{b1:.6g}, {b3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}] ({change}), "
+                     f"won {s['wins']}/{s['pairs']}, base IQR {s['iqr']:.3g}, "
+                     f"gain {'holds' if s['holds'] else 'does not hold'}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision of the base side")
+    parser.add_argument("--change", default=None,
+                        help="git revision of the change side (default: this working tree)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1, help="pair i runs at seed + i")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20)
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"base": export(args.base, Path(tmp) / "base"),
+                 "change": ROOT if args.change is None else export(args.change,
+                                                                   Path(tmp) / "change")}
+        runs = {"base": [], "change": []}
+        for i in range(args.pairs):
+            for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                runs[side].append(bench(trees[side], args.workload, args.seed + i, args.seconds))
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    print("\n".join(report(metrics, runs)))
+    print(json.dumps({m["name"]: {side: [r["metrics"][m["name"]]["value"] for r in results]
+                                  for side, results in runs.items()} for m in metrics}))
+
+
+if __name__ == "__main__":
+    main()
