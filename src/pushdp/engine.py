@@ -190,9 +190,8 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         cons = float(sq_deviations(Z, xbar).sum() / n)
         train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
                            .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
-        sel, drawn = batches.draw(t)
+        Full, Grad = grads.at(Z, *batches.draw(t))
         t0, noise_rows = noise.chunk(t)
-        Full, Grad = grads.at(Z, sel, drawn)
         occupied = Full[layout.nodes]
         mean_sq = float(np.einsum("ij,ij->i", occupied, occupied).sum() / len(occupied))
         test_acc = (None if dataset.test_features is None

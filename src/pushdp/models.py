@@ -255,14 +255,15 @@ def row_pass(model: Model, params: np.ndarray, batch: Batch, grad: bool = True) 
 
 class NodeGrads:
     """Every node's full-slice and batch mean gradient at its own Z[i], over
-    one run's node-sorted rows (`layout`): `at(Z, sel, drawn)` takes the
-    draws of `BatchDraws.draw` and gives two (n, dim) arrays, zero for empty
-    nodes.  Logistic and quadratic take one gradient-only pass over all rows
-    and `np.add.reduceat` of the row pieces, bit for bit as per segment:
-    logistic pieces [x_j, 1] * r_j; the quadratic's are the rows, whose
-    full-slice sums are taken once.  The MLP takes one pass per node (a
-    gathered W1 would be rows x features x hidden), and `Rows.grad` writes
-    the node's two means straight into its rows of the outputs."""
+    one run's node-sorted rows (`layout`): `at(Z, sel, sel_starts, drawn)`
+    takes the draws of `BatchDraws.draw`, which checked them, and gives two
+    (n, dim) arrays, zero for empty nodes.  Logistic and quadratic take one
+    gradient-only pass over all rows and `np.add.reduceat` of the row
+    pieces, bit for bit as per segment: logistic pieces [x_j, 1] * r_j; the
+    quadratic's are the rows, whose full-slice sums are taken once.  The
+    MLP takes one pass per node (a gathered W1 would be rows x features x
+    hidden), and `Rows.grad` writes the node's two means straight into its
+    rows of the outputs."""
 
     def __init__(self, model: Model, batch: Batch, layout: NodeRows):
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
@@ -272,12 +273,9 @@ class NodeGrads:
         elif isinstance(model, QuadraticModel):
             self._full_means = np.add.reduceat(X, layout.starts) / layout.counts[:, None]
 
-    def at(self, Z: np.ndarray, sel: np.ndarray, drawn: np.ndarray):
+    def at(self, Z: np.ndarray, sel: np.ndarray, sel_starts: np.ndarray, drawn: np.ndarray):
         (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
-        if not 0 < len(drawn) == len(nodes) or drawn.min() < 1 or drawn.sum() != len(sel):
-            raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
         full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
-        sel_starts = np.cumsum(drawn) - drawn
         if isinstance(self.model, MlpModel):
             for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
                                      sel_starts.tolist(), drawn.tolist()):
@@ -367,12 +365,12 @@ class BatchDraws:
     node's first draw is its span of one uniform per row, in a chunk of
     rounds of one `rng.RoundDraws` (from bulk blocks for nodes of few rows,
     else by `fill`).  For the whole chunk, one compare makes the masks, one
-    2-D `np.add.reduceat` the drawn counts, and one `np.flatnonzero` the
-    drawn rows, whose round segments start at the running sum of the
-    counts.  An empty first draw is replayed on the node's slot, positioned
-    again by `streams.at`, into its span of its round's mask: `random(2 *
-    count)` is that draw, then the retry (a double takes one whole word),
-    and `integers` forces the pick.
+    2-D `np.add.reduceat` the drawn counts, one `np.flatnonzero` the drawn
+    rows, and one `np.cumsum` where each round's node segments start.  An
+    empty first draw is replayed on the node's slot, positioned again by
+    `streams.at`, into its span of its round's mask: `random(2 * count)` is
+    that draw, then the retry (a double takes one whole word), and
+    `integers` forces the pick.  The chunk is checked once: every node drew.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -381,9 +379,6 @@ class BatchDraws:
             raise ValueError(f"ratios must lie in (0,1], got {ratios}")
         self.layout, self.streams = layout, streams
         self._row_ratio = np.repeat(ratios, layout.counts)
-        # (node, start, count, ratio) of every occupied node
-        self._replay = list(zip(layout.nodes.tolist(), layout.starts.tolist(),
-                                layout.counts.tolist(), ratios.tolist()))
         # a ratio-1 node takes every row without a draw: its uniforms stay 0
         sampled = ratios < 1.0
         self.uniforms = rngmod.RoundDraws(streams, "random", layout.nodes[sampled],
@@ -391,30 +386,32 @@ class BatchDraws:
                                           layout.counts[sampled])
         self._t0, self._drawn = 0, np.empty((0, len(layout.nodes)), dtype=np.intp)
 
-    def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Round t's drawn rows of every occupied node, node after node, and
-        how many each node drew (see `NodeGrads`)."""
+    def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Round t's drawn rows of every occupied node, node after node, where
+        each node's rows start among them, and how many it drew (see
+        `NodeGrads`)."""
         if not 0 <= t - self._t0 < len(self._drawn):
             self._build(t)
         r = t - self._t0
-        return self._sel[self._ends[r] : self._ends[r + 1]], self._drawn[r]
+        return self._sel[self._ends[r] : self._ends[r + 1]], self._starts[r], self._drawn[r]
 
     def _build(self, t: int) -> None:
         t0, uniforms = self.uniforms.chunk(t)
-        mask = uniforms < self._row_ratio
-        drawn = np.add.reduceat(mask, self.layout.starts, axis=1, dtype=np.intp)
+        layout, mask = self.layout, uniforms < self._row_ratio
+        drawn = np.add.reduceat(mask, layout.starts, axis=1, dtype=np.intp)
+        for r, k in np.argwhere(drawn == 0).tolist():
+            a, c = layout.starts[k], layout.counts[k]
+            gen = self.streams.at(t0 + r, layout.nodes[k])
+            rows = np.less(gen.random(2 * c)[c:], self._row_ratio[a], out=mask[r, a : a + c])
+            if not rows.any():
+                rows[gen.integers(c)] = True
+            drawn[r, k] = np.count_nonzero(rows)
         if not drawn.all():
-            for r, k in np.argwhere(drawn == 0).tolist():
-                node, a, c, ratio = self._replay[k]
-                gen = self.streams.at(t0 + r, node)
-                rows = np.less(gen.random(2 * c)[c:], ratio, out=mask[r, a : a + c])
-                if not rows.any():
-                    rows[gen.integers(c)] = True
-                drawn[r, k] = np.count_nonzero(rows)
+            raise ValueError(f"nodes drew no rows in rounds {t0 + np.flatnonzero(~drawn.all(1))}")
         self._sel = np.flatnonzero(mask)
         self._sel %= mask.shape[1]  # from positions in the chunk to positions in a round
         self._ends = [0, *np.cumsum(drawn.sum(axis=1)).tolist()]
-        self._t0, self._drawn = t0, drawn
+        self._t0, self._starts, self._drawn = t0, np.cumsum(drawn, axis=1) - drawn, drawn
 
 
 def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,

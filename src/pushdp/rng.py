@@ -3,12 +3,12 @@
 Every stochastic draw in a run pulls from a generator derived from
 (master_seed, node_id, t, purpose), so results are reproducible bit for bit
 and independent of any node evaluation order.  `stream` defines this
-contract; `Streams` reproduces it in bulk for the round loop's draws:
+contract; `Streams` reproduces it a block of rounds at a time (`block`):
 `Streams.fill` makes a round's batch uniforms or noise rows node after
-node; `Streams.randoms` and `Streams.normals` step PCG64 in numpy to a
-whole block's first uniforms, or normal rows, of nodes with few doubles
-(normals through numpy's ziggurat fast path, whose tables are read from
-the installed numpy, replaying the rare rejected draws on the generator);
+node; `Streams.bulk` steps PCG64 in numpy to a whole block's first
+uniforms, or normal rows, of nodes with few doubles (through numpy's
+ziggurat fast path, whose tables are read from the installed numpy, and
+a row with a rejected draw is drawn again whole on the generator);
 `RoundDraws` draws the round loop's chunks of rounds, choosing between the
 two node by node; and `Streams.at` positions one slot for any other draw.
 """
@@ -45,7 +45,6 @@ CHUNK_BYTES = 2**17
 # the most doubles a slot takes from a bulk block, by draw kind; more go to
 # `fill` (see CHANGES.md for the measured crossovers against `fill`)
 BULK_DOUBLES = {"random": 32, "standard_normal": 16}
-_BULK = {"random": "randoms", "standard_normal": "normals"}
 
 # numpy's SeedSequence pool hash (pool size 4) and PCG64's LCG multiplier
 _MASK32, _MASK128, _PCG_MULT = 2**32 - 1, 2**128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
@@ -202,8 +201,8 @@ class Streams:
     32 bytes of (state, inc) words into the generator.  `at` also zeroes the
     generator's 32-bit buffer word, which `integers` reads; `fill` makes
     only double draws, which never read it, so it leaves that word as is.
-    `randoms` reads the block's words and leaves the generator alone;
-    `normals` writes the generator's (state, inc) words to replay a draw."""
+    `bulk` reads the block's words, and writes slots into the generator
+    only to redraw normal rows with a rejected draw."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -226,9 +225,17 @@ class Streams:
     def __reduce_ex__(self, protocol):  # copy, deepcopy and pickle all call this
         raise TypeError("a Streams writes into its own generator's memory: build a new one")
 
+    def block(self, t: int):
+        """(t0, rounds): the first round of the stream block that holds round
+        t, and its rounds, cut at the horizon."""
+        if not 0 <= t < self.horizon:
+            raise ValueError(f"round {t} is outside t < {self.horizon}")
+        t0 = t - t % self._rounds
+        return t0, min(self._rounds, self.horizon - t0)
+
     def _derive(self, t0: int) -> None:
         # one entropy column (seed words, node, t, purpose) per slot, t-major
-        rounds = min(self._rounds, self.horizon - t0)
+        rounds = self.block(t0)[1]
         entropy = np.empty((len(self._seed_words) + 3, rounds * self.n), dtype=np.uint32)
         entropy[:-3] = np.array(self._seed_words, dtype=np.uint32)[:, None]
         entropy[-3] = np.tile(np.arange(self.n), rounds)
@@ -246,12 +253,12 @@ class Streams:
 
     def _base(self, t: int, nodes: list) -> int:
         # range-check the slots, derive their block if need be, and index round t's node 0
-        if not (0 <= t < self.horizon and 0 <= min(nodes) and max(nodes) < self.n):
-            raise ValueError(f"slots (nodes {nodes}, t {t}) are outside nodes < {self.n}, "
-                             f"t < {self.horizon}")
-        if self._t0 is None or not 0 <= t - self._t0 < self._rounds:
-            self._derive(t - t % self._rounds)
-        return (t - self._t0) * self.n
+        t0 = self.block(t)[0]
+        if not 0 <= min(nodes) <= max(nodes) < self.n:
+            raise ValueError(f"nodes {nodes} are outside nodes < {self.n}")
+        if t0 != self._t0:
+            self._derive(t0)
+        return (t - t0) * self.n
 
     def at(self, t: int, node: int) -> np.random.Generator:
         """The reused Generator at the slot (node, t), with an empty 32-bit
@@ -279,65 +286,46 @@ class Streams:
             state[:] = block[pos : pos + _SLOT]
             draw(out=out)
 
-    def randoms(self, t: int, nodes: list, counts: list):
-        """The first counts[k] `random()` doubles of node nodes[k]'s slot in
-        every round of the block that holds round t, as (t0, U): U[r] holds
-        round t0 + r's doubles, node after node, the draws `fill(...,
-        "random")` makes."""
-        return self._bulk(t, nodes, counts, "random")
-
-    def normals(self, t: int, nodes: list, counts: list):
-        """`randoms` for `standard_normal()` doubles: U[r] holds node
-        nodes[k]'s `standard_normal(counts[k])` row of round t0 + r, node
-        after node, the draws `fill(..., "standard_normal")` makes."""
-        return self._bulk(t, nodes, counts, "standard_normal")
-
-    def _bulk(self, t: int, nodes: list, counts: list, kind: str):
-        # One vectorised PCG64 step a double runs over the block's slots of
-        # the nodes, most doubles first, so step j steps only the nodes with
-        # more than j.  A normal draw the ziggurat's fast path rejects is
-        # replayed: its slot's state from before its first rejected word goes
-        # into the generator, which draws the rest of that slot's row.
-        if not nodes or len(counts) != len(nodes) or min(counts) < 1:
-            raise ValueError(f"bulk draws take nodes with at least one double each, not "
-                             f"counts {counts} for nodes {nodes}")
+    def bulk(self, t: int, nodes: list, counts: list, kind: str):
+        """The first counts[k] doubles of node nodes[k]'s slot in every round
+        of the block that holds round t, as (t0, U): U[r] holds round t0 +
+        r's doubles, node after node, the draws `fill(..., kind)` makes.
+        One vectorised PCG64 step a double runs over the block's slots of
+        the nodes, most doubles first, so step j steps only the nodes with
+        more than j; a normal row with a draw the ziggurat's fast path
+        rejects is drawn again whole, from its slot, on the generator."""
+        if kind not in BULK_DOUBLES or not nodes or len(counts) != len(nodes) or min(counts) < 1:
+            raise ValueError(f"bulk draws take random or standard_normal doubles of nodes with "
+                             f"at least one each, not {kind!r} counts {counts} for nodes {nodes}")
         self._base(t, nodes)
         counts = np.asarray(counts)
         order = np.argsort(-counts, kind="stable")
+        ordered = np.asarray(nodes)[order]
         words = np.frombuffer(self._block, np.uint64).reshape(-1, self.n, 4)
-        rounds = len(words)
         # (nodes, rounds) arrays of the nodes' slot words, most doubles first
-        hi, lo, inc_hi, inc_lo = words[:, np.asarray(nodes)[order]].transpose(2, 1, 0).take(
+        hi, lo, inc_hi, inc_lo = words[:, ordered].transpose(2, 1, 0).take(
             np.argsort(_word_order()), axis=0)
         # step j steps the nodes with more than j doubles, a prefix of the
         # order, and writes their doubles into U's columns first[:m] + j
         first = (np.cumsum(counts) - counts)[order]
-        out = np.empty((rounds, counts.sum()))
-        rejected = []  # (step, lanes k * rounds + r, pre-step words) of rejected draws
+        out = np.empty((len(words), counts.sum()))
+        rejected = np.zeros(hi.shape, dtype=bool)  # rows with a rejected draw
         for j, m in enumerate(np.count_nonzero(counts > np.arange(counts.max())[:, None], 1)):
-            pre_hi, pre_lo = hi[:m], lo[:m]
-            hi, lo = _step(pre_hi, pre_lo, inc_hi[:m], inc_lo[:m])
+            hi, lo = _step(hi[:m], lo[:m], inc_hi[:m], inc_lo[:m])
             if kind == "random":
                 x = (_output(hi, lo) >> _11) * 2.0**-53
             else:
                 x, bad = _normals(_output(hi, lo))
-                if bad.any():
-                    lanes = np.flatnonzero(bad)
-                    rejected.append((np.full(len(lanes), j), lanes, pre_hi.ravel()[lanes],
-                                     pre_lo.ravel()[lanes]))
+                rejected[:m] |= bad
             out[:, first[:m] + j] = x.T
-        if rejected:
-            step, lanes, s_hi, s_lo = (np.concatenate(a) for a in zip(*rejected))
-            once = np.unique(lanes, return_index=True)[1]  # each lane's first rejection
-            k, r = np.divmod(lanes[once], rounds)
-            slots = np.stack([s_hi[once], s_lo[once], inc_hi[k, r], inc_lo[k, r]], axis=1).take(
-                _word_order(), axis=1).data.cast("B")
-            ends = (first + counts[order])[k].tolist()
-            for i, (r, a, b) in enumerate(zip(r.tolist(), (first[k] + step[once]).tolist(), ends)):
-                self._state[:] = slots[i * _SLOT : (i + 1) * _SLOT]
-                self._gen.standard_normal(out=out[r, a:b])
-        # self-check of normals, which replay on the generator and read numpy's
-        # tables: the first listed slot against the positioned generator's draw
+        k, rows = np.divmod(np.flatnonzero(rejected), len(words))
+        slots = ((rows * self.n + ordered[k]) * _SLOT).tolist()
+        for pos, r, a, b in zip(slots, rows.tolist(), first[k].tolist(),
+                                (first + counts[order])[k].tolist()):
+            self._state[:] = self._block[pos : pos + _SLOT]
+            self._gen.standard_normal(out=out[r, a:b])
+        # self-check of normals, which are redrawn on the generator and read
+        # numpy's tables: the first listed slot against the positioned generator's draw
         if kind == "standard_normal" and not np.array_equal(
                 out[0, : counts[0]], self.at(self._t0, nodes[0]).standard_normal(counts[0])):
             raise RuntimeError(f"bulk normals of node {nodes[0]}, round {self._t0} differ "
@@ -354,10 +342,10 @@ class RoundDraws:
     at most CHUNK_BYTES of rows, cut at the block's end and the horizon.  It
     is built in the first round that asks for it, into one buffer reused
     from chunk to chunk, so C holds until the next chunk is built.  The
-    nodes of at most BULK_DOUBLES[kind] doubles take theirs from one bulk
-    block (`randoms` or `normals`), stepped in the first round that needs
-    it, by one scatter a chunk; `fill` draws the others round by round
-    into views of the chunk."""
+    nodes of at most BULK_DOUBLES[kind] doubles take theirs from one
+    `Streams.bulk` block, stepped in the first round that needs it, by one
+    scatter a chunk; `fill` draws the others round by round into views of
+    the chunk."""
 
     def __init__(self, streams: Streams, kind: str, nodes, width: int, starts, counts,
                  scale=None):
@@ -372,8 +360,7 @@ class RoundDraws:
         # the bulk nodes' positions in a row, node after node
         self._index = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts,
                                                           counts)
-        self._t0, self._chunk, self._buffer = 0, np.empty((0, width)), None
-        self._block_t0, self._block = 0, np.empty((0, 0))
+        self._t0, self._chunk, self._buffer, self._block_t0 = 0, np.empty((0, width)), None, None
 
     def chunk(self, t: int):
         """(t0, C): the chunk that holds round t, whose row t - t0 is round t's."""
@@ -383,21 +370,18 @@ class RoundDraws:
 
     def _build(self, t: int) -> None:
         # chunks start every self._rounds rounds from their stream block's first round
-        streams, rounds = self.streams, self._rounds
-        if not 0 <= t < streams.horizon:
-            raise ValueError(f"round {t} is outside t < {streams.horizon}")
-        first = t - t % streams._rounds
-        t0 = t - (t - first) % rounds
-        rounds = min(rounds, first + streams._rounds - t0, streams.horizon - t0)
+        streams = self.streams
+        first, block_rounds = streams.block(t)
+        t0 = t - (t - first) % self._rounds
+        rounds = min(self._rounds, first + block_rounds - t0)
         if self._buffer is None:  # zero spans stay zero: draws overwrite only their spans
-            self._buffer = np.zeros((min(self._rounds, streams._rounds, streams.horizon),
-                                     self.width))
+            self._buffer = np.zeros((min(self._rounds, streams.block(0)[1]), self.width))
         chunk = self._buffer[:rounds]
         if self._bulk_nodes:
-            if not 0 <= t - self._block_t0 < len(self._block):
-                self._block_t0, self._block = getattr(streams, _BULK[self.kind])(
-                    t, self._bulk_nodes, self._bulk_counts)
-            chunk[:, self._index] = self._block[t0 - self._block_t0 :][:rounds]
+            if self._block_t0 != first:
+                self._block_t0, self._block = streams.bulk(t, self._bulk_nodes,
+                                                           self._bulk_counts, self.kind)
+            chunk[:, self._index] = self._block[t0 - first :][:rounds]
         if self._fill_nodes:
             for u, row in enumerate(chunk, t0):
                 streams.fill(u, self._fill_nodes, [row[a:b] for a, b in self._fill_spans],

@@ -155,16 +155,15 @@ def single_sample_dev_sq(model, params, batch, g) -> np.ndarray:
     ])
 
 
-def per_node_grads(model, Z, batch, layout, sel, drawn):
+def per_node_grads(model, Z, batch, layout, sel, starts, drawn):
     """NodeGrads node by node: one row pass per occupied node at its own
     point, reduced over its whole slice and over its drawn rows."""
     X, y = batch
     full, batch_mean = np.zeros_like(Z), np.zeros_like(Z)
-    node_sel = np.split(sel, np.cumsum(drawn)[:-1])
-    for i, start, count, chosen in zip(layout.nodes, layout.starts, layout.counts, node_sel):
+    for i, start, count, s, m in zip(layout.nodes, layout.starts, layout.counts, starts, drawn):
         seg = slice(start, start + count)
         rows = row_pass(model, Z[i], (X[seg], y[seg]))
-        full[i], batch_mean[i] = rows.grad(), rows.grad(chosen - start)
+        full[i], batch_mean[i] = rows.grad(), rows.grad(sel[s : s + m] - start)
     return full, batch_mean
 
 
@@ -177,7 +176,8 @@ NODE_RATIOS = (0.5, 0.5, 1.0, 1e-12, 0.3)
 def node_draws(rng, sizes=NODE_SIZES, ratios=NODE_RATIOS):
     """The NodeRows of nodes with the given sizes over consecutive rows, and
     one batch draw per node at its ratio, on streams of a seed drawn from
-    rng: (layout, drawn rows, how many each node drew)."""
+    rng: (layout, drawn rows, where each node's rows start among them, how
+    many each node drew)."""
     layout = node_rows(sizes)
     streams = rngmod.Streams(int(rng.integers(2**32)), rngmod.BATCH, len(sizes), horizon=1)
     return (layout, *BatchDraws(layout, ratios, streams).draw(0))
@@ -384,10 +384,9 @@ def fill_mismatches(streams, t: int, nodes: list, kind: str) -> int:
 
 
 def bulk_mismatches(streams, t: int, nodes: list, counts: list, kind: str) -> int:
-    """How many slots of the block holding round t the bulk accessor of
-    `kind` (`Streams.randoms` or `Streams.normals`) steps to doubles unlike a
-    fresh `rng.stream`'s `kind(count)`."""
-    t0, block = getattr(streams, rngmod._BULK[kind])(t, nodes, counts)
+    """How many slots of the block holding round t `Streams.bulk` steps to
+    `kind` doubles unlike a fresh `rng.stream`'s `kind(count)`."""
+    t0, block = streams.bulk(t, nodes, counts, kind)
     ends = np.cumsum(counts).tolist()
     return sum(not np.array_equal(row[end - count : end], getattr(rngmod.stream(
         streams.master_seed, node, t0 + r, streams.purpose), kind)(count))
@@ -416,12 +415,12 @@ def streams_suite() -> List[CheckResult]:
     the buffer word the previous slot's draws left full; after each, a `fill`
     of its round over that full word, for a random list of nodes and a draw
     kind in turn; a `fill` of a block's first round after one in the
-    previous block; `Streams.randoms` and `Streams.normals`, which step
-    PCG64 in numpy, over a first and a horizon-cut last block of one-, two-
-    and three-word seeds, with counts on both sides of the kind's
-    BULK_DOUBLES; and the scaled rows of `RoundDraws` chunks of both kinds,
-    bulk and `fill` nodes, over a chunk edge inside a block, a block edge
-    and a horizon cut."""
+    previous block; `Streams.bulk` of both kinds, which steps PCG64 in
+    numpy, over a first and a horizon-cut last block of one-, two- and
+    three-word seeds, with counts on both sides of the kind's BULK_DOUBLES;
+    and the scaled rows of `RoundDraws` chunks of both kinds, bulk and
+    `fill` nodes, over a chunk edge inside a block, a block edge and a
+    horizon cut.  Block sizes come from `Streams.block`."""
     rng, kinds, slots = np.random.default_rng(17), ("random", "standard_normal"), 40
     results, fill_misses = [], dict.fromkeys(kinds, 0)
 
@@ -433,7 +432,8 @@ def streams_suite() -> List[CheckResult]:
         master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
         for purpose, label in ((rngmod.BATCH, "BATCH"), (rngmod.NOISE, "NOISE")):
             n = int(rng.integers(1, 300))
-            streams, rounds = rngmod.Streams(master, purpose, n), max(1, rngmod.BLOCK_SLOTS // n)
+            streams = rngmod.Streams(master, purpose, n)
+            rounds = streams.block(0)[1]
             ts = [b * rounds + off for b in (1, 2) for off in (-1, 0)]
             mismatches = 0
             for i, t in enumerate(ts + rng.integers(0, 3 * rounds, slots - len(ts)).tolist()):
@@ -447,7 +447,8 @@ def streams_suite() -> List[CheckResult]:
                   mismatches)
     for kind, misses in fill_misses.items():
         check(f"Streams.fill ({kind}) after each Streams.at slot vs rng.stream", misses)
-    streams, first = rngmod.Streams(master, rngmod.NOISE, 4), max(1, rngmod.BLOCK_SLOTS // 4)
+    streams = rngmod.Streams(master, rngmod.NOISE, 4)
+    first = streams.block(0)[1]
     check("Streams.fill of a block's first round after a fill in the previous block vs "
           "rng.stream", sum(fill_mismatches(streams, t, [1, 2], "standard_normal")
                             for t in (first - 1, first)))
@@ -456,14 +457,13 @@ def streams_suite() -> List[CheckResult]:
         for words in (1, 2, 3):
             master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
             n = int(rng.integers(20, 300))
-            rounds = rngmod.BLOCK_SLOTS // n
+            rounds = rngmod.Streams(master, purpose, n).block(0)[1]
             streams = rngmod.Streams(master, purpose, n, rounds + int(rng.integers(1, rounds)))
             nodes = rng.permutation(n)[: int(rng.integers(1, 6))].tolist()
             counts = rng.integers(1, rngmod.BULK_DOUBLES[kind] + 2, len(nodes)).tolist()
             for t in (int(rng.integers(rounds)), streams.horizon - 1):
                 misses += bulk_mismatches(streams, t, nodes, counts, kind)
-        check(f"Streams.{rngmod._BULK[kind]} of a first and a horizon-cut block vs rng.stream",
-              misses)
+        check(f"Streams.bulk ({kind}) of a first and a horizon-cut block vs rng.stream", misses)
     # chunks of 3 rounds in blocks of 4 cut at the horizon 6, [0, 3) [3, 4) [4, 6),
     # the first one asked for by its round 1
     n, width, misses = rngmod.BLOCK_SLOTS // 4, rngmod.CHUNK_BYTES // 24, 0

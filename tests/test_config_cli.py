@@ -494,6 +494,7 @@ class TestCliVerify:
         assert main(["verify", "streams"]) == 0
         out = capsys.readouterr().out
         assert "Streams.at vs rng.stream" in out and "Streams.fill (random)" in out
+        assert "Streams.bulk (random)" in out and "Streams.bulk (standard_normal)" in out
         assert "RoundDraws chunk rows" in out
 
     def test_all_aggregates_and_fails_on_any_red(self, monkeypatch, capsys):

@@ -282,22 +282,23 @@ class TestNoiseDraws:
     def noise_draws(monkeypatch, cfg, seed):
         """Run cfg and list the (node, t) of every NOISE slot it draws, at the
         round loop's per-round accessor `rng.Streams.fill` and at its bulk
-        accessor `rng.Streams.normals` (every round of the block), and the
+        accessor `rng.Streams.bulk` (every round of the block), and the
         first round of every NOISE block it derives."""
         from pushdp import rng as rngmod
 
         drawn, derived = [], []
         real_fill, real_derive = rngmod.Streams.fill, rngmod.Streams._derive
-        real_normals = rngmod.Streams.normals
+        real_bulk = rngmod.Streams.bulk
 
         def counting_fill(streams, t, nodes, outs, kind):
             if streams.purpose == rngmod.NOISE:
                 drawn.extend((int(node), t) for node in nodes)
             return real_fill(streams, t, nodes, outs, kind)
 
-        def counting_normals(streams, t, nodes, counts):
-            t0, block = real_normals(streams, t, nodes, counts)
-            drawn.extend((int(node), t0 + r) for r in range(len(block)) for node in nodes)
+        def counting_bulk(streams, t, nodes, counts, kind):
+            t0, block = real_bulk(streams, t, nodes, counts, kind)
+            if streams.purpose == rngmod.NOISE:
+                drawn.extend((int(node), t0 + r) for r in range(len(block)) for node in nodes)
             return t0, block
 
         def counting_derive(streams, t0):
@@ -306,7 +307,7 @@ class TestNoiseDraws:
             return real_derive(streams, t0)
 
         monkeypatch.setattr(rngmod.Streams, "fill", counting_fill)
-        monkeypatch.setattr(rngmod.Streams, "normals", counting_normals)
+        monkeypatch.setattr(rngmod.Streams, "bulk", counting_bulk)
         monkeypatch.setattr(rngmod.Streams, "_derive", counting_derive)
         return observed_run(cfg, seed), drawn, derived
 

@@ -264,7 +264,7 @@ class TestNodeGrads:
         for _ in range(5):
             Z = rng.normal(size=(len(self.SIZES), model.dim))
             draws = node_draws(rng, self.SIZES, self.RATIOS)
-            assert draws[2][:3].tolist() == [1, 8, 1]  # per occupied node
+            assert draws[3][:3].tolist() == [1, 8, 1]  # per occupied node
             full, drawn = NodeGrads(model, batch, draws[0]).at(Z, *draws[1:])
             ref_full, ref_drawn = per_node_grads(model, Z, batch, *draws)
             assert not full[0].any() and not drawn[0].any()
@@ -324,21 +324,12 @@ class TestNodeGrads:
         empty = np.flatnonzero(np.array(sizes) == 0)
         for t in range(rounds):
             Z = rng.normal(size=(len(sizes), model.dim))
-            sel, drawn = draws.draw(t)
-            full, drawn_mean = grads.at(Z, sel, drawn)
+            sel, starts, drawn = draws.draw(t)
+            full, drawn_mean = grads.at(Z, sel, starts, drawn)
             ref_full, ref_drawn = self.separate_reductions(model, Z, batch, layout, sel, drawn)
             assert np.array_equal(full[layout.nodes], ref_full)
             assert np.array_equal(drawn_mean[layout.nodes], ref_drawn)
             assert not full[empty].any() and not drawn_mean[empty].any()
-
-    @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
-    def test_segments_must_split_the_rows(self, counts, rng):
-        # a batch layout is checked once, where NodeGrads computes its starts
-        model, data = ROW_CASES[1]
-        grads = NodeGrads(model, (data.features, data.labels), node_rows([30]))
-        with pytest.raises(ValueError, match="do not split 30 rows"):
-            grads.at(rng.normal(size=(1, model.dim)), np.arange(30),
-                     np.array(counts, dtype=np.intp))
 
 
 class TestSampleBatch:
@@ -378,7 +369,7 @@ class TestBatchDraws:
         draws = BatchDraws(layout, NODE_RATIOS, rngmod.Streams(seed, rngmod.BATCH, n, T))
         ends = np.cumsum(NODE_SIZES)
         for t in range(T):
-            sel, drawn = draws.draw(t)
+            sel, _, drawn = draws.draw(t)
             ref = [sample_batch(np.arange(end - size, end), ratio,
                                 rngmod.stream(seed, i, t, rngmod.BATCH))
                    for i, (size, end, ratio) in enumerate(zip(NODE_SIZES, ends, NODE_RATIOS))
@@ -415,11 +406,12 @@ class TestBatchDraws:
             streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=rounds)
             draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
         for t in range(rounds):
-            sel, drawn = draws.draw(t)
+            sel, starts, drawn = draws.draw(t)
             ref = [sample_batch(np.arange(end - size, end), ratio,
                                 rngmod.stream(seed, i, t, rngmod.BATCH))
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
             assert drawn.tolist() == [len(rows) for rows in ref]
+            assert starts.tolist() == [0, *np.cumsum(drawn)[:-1].tolist()]
             assert np.array_equal(sel, np.concatenate(ref))
 
     @pytest.mark.parametrize("block_rounds", [1, 3])
@@ -443,7 +435,7 @@ class TestBatchDraws:
                                                                  [BULK_ROWS, 1, BULK_ROWS])
         assert uniforms._fill_nodes == [3, 5]
         for t in range(T):
-            sel, drawn = draws.draw(t)
+            sel, _, drawn = draws.draw(t)
             ref = [sample_batch(np.arange(end - size, end), ratio,
                                 rngmod.stream(seed, i, t, rngmod.BATCH))
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
@@ -452,11 +444,11 @@ class TestBatchDraws:
         assert {1, 3} <= set(replayed)  # replays on both sides, besides the forced picks
 
     def test_bulk_block_is_stepped_once_in_its_first_round(self, monkeypatch):
-        # no stepping when the draws are built (set-up), then one `randoms`
+        # no stepping when the draws are built (set-up), then one `bulk`
         # call a block, in the first round that draws from it
-        calls, real_randoms = [], rngmod.Streams.randoms
-        monkeypatch.setattr(rngmod.Streams, "randoms", lambda streams, t, nodes, counts: (
-            calls.append((t, nodes, counts)), real_randoms(streams, t, nodes, counts))[1])
+        calls, real_bulk = [], rngmod.Streams.bulk
+        monkeypatch.setattr(rngmod.Streams, "bulk", lambda streams, t, nodes, counts, kind: (
+            calls.append((t, nodes, counts)), real_bulk(streams, t, nodes, counts, kind))[1])
         with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 4):
             streams = rngmod.Streams(5, rngmod.BATCH, 4, horizon=8)
         draws = BatchDraws(node_rows([2, 3, 0, BULK_ROWS + 1]), [0.5, 1.0, 0.5, 0.5], streams)
@@ -464,6 +456,24 @@ class TestBatchDraws:
         for t in range(8):
             draws.draw(t)
         assert calls == [(t, [0], [2]) for t in (0, 3, 6)]
+
+    def test_chunk_build_checks_every_node_drew_a_row(self):
+        # a replay stream that draws no row and forces no pick leaves node 1
+        # (ratio 1e-12) without rows in every round: the one build of the
+        # 4-round chunk refuses it
+        class NoPick:
+            def random(self, size):
+                return np.ones(size)
+
+            def integers(self, high):
+                return np.array([], dtype=np.intp)
+
+        streams = rngmod.Streams(0, rngmod.BATCH, 2, horizon=4)
+        streams.at(0, 0)  # derives the block, whose self-check needs the real `at`
+        streams.at = lambda t, node: NoPick()
+        draws = BatchDraws(node_rows([3, 2]), [1.0, 1e-12], streams)
+        with pytest.raises(ValueError, match=r"drew no rows in rounds \[0 1 2 3\]"):
+            draws.draw(2)
 
     def test_layout_of_the_occupied_nodes(self):
         layout = node_rows([0, 2, 0, 3])

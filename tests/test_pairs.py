@@ -1,6 +1,7 @@
-"""The summary arithmetic of tools/pairs.py on fixed numbers."""
+"""The summary arithmetic of tools/pairs.py on fixed numbers and trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,34 @@ def test_report_lines():
         "change: 3/3 correct, 0 failed seed-runs",
         "run_s (s, lower is better): base 2.1 [2.05, 2.15], change 1.9 [1.85, 1.95] (-9.5%), "
         "won 3/3, base IQR 0.1, gain holds"]
+
+
+def test_src_line_counts_of_both_trees(tmp_path):
+    # every .py file under src/, nested packages too, and nothing else
+    for side, lines in (("base", 3), ("change", 1)):
+        pkg = tmp_path / side / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n" * lines)
+        (pkg / "notes.txt").write_text("not code\n")
+    (tmp_path / "base" / "src" / "pkg" / "sub").mkdir()
+    (tmp_path / "base" / "src" / "pkg" / "sub" / "b.py").write_text("y = 2\nz = 3\n")
+    (tmp_path / "change" / "tools.py").write_text("outside src\n")
+    trees = {side: tmp_path / side for side in ("base", "change")}
+    assert pairs.src_lines(trees) == "src/ lines: base 5, change 1 (-4)"
+
+
+def test_main_prints_the_line_counts_of_the_exported_trees(tmp_path, monkeypatch, capsys):
+    # the base tree is counted while its export exists, before the report
+    def export(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        (dest / "src" / "m.py").write_text("a = 1\nb = 2\n")
+        return dest
+
+    names = [m["name"] for m in json.loads((pairs.ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]]
+    result = {"correct": True, "failed": 0, "metrics": {name: {"value": 1.0} for name in names}}
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "bench", lambda tree, workload, seed, seconds: result)
+    pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "1"])
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("src/ lines: base 2, change ")

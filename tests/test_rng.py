@@ -3,9 +3,9 @@
 `rng.stream(seed, node, t, purpose)` defines every draw.  `rng.Streams`
 derives the same slots a block of rounds at a time and repositions one
 reused generator, by `fill` (a round's double draws into given arrays) and
-`at` (one slot), or steps a block's words in numpy (`randoms`, and
-`normals` through numpy's ziggurat tables); these tests require its draws
-to be identical.
+`at` (one slot), or steps a block's words in numpy (`bulk`, whose normals
+go through numpy's ziggurat tables); these tests require its draws to be
+identical.
 """
 
 import copy
@@ -182,6 +182,27 @@ def test_last_block_stops_at_the_horizon(monkeypatch):
         streams.at(T, 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), block_rounds=st.integers(1, 4), horizon=st.integers(1, 14),
+       t=st.integers(-2, 15))
+@example(n=3, block_rounds=4, horizon=9, t=8)  # a block of one round, cut at the horizon
+@example(n=2, block_rounds=3, horizon=5, t=5)  # the horizon's own round
+def test_block_is_the_block_derive_builds(n, block_rounds, horizon, t):
+    # (t0, rounds) of the block a slot of round t derives: none outside the horizon
+    with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n):
+        streams = rngmod.Streams(3, rngmod.BATCH, n, horizon=horizon)
+    if not 0 <= t < horizon:
+        for call in (lambda: streams.block(t), lambda: streams.at(t, n - 1)):
+            with pytest.raises(ValueError, match=f"t < {horizon}"):
+                call()
+        assert streams._block is None
+        return
+    got, t0 = streams.block(t), t - t % block_rounds
+    streams.at(t, n - 1)
+    assert got == (streams._t0, len(streams._block) // (rngmod._SLOT * n))
+    assert got == (t0, min(block_rounds, horizon - t0))
+
+
 def test_ring_config_derives_only_its_rounds(monkeypatch):
     # n=8, T=400: one block of 400 rounds per purpose, not 512
     cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs/logistic-ring.ini"))
@@ -191,9 +212,9 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 
 
 def stream_backed_run(monkeypatch, cfg, seed):
-    """cfg's run with every slot that `fill`, `randoms`, `normals` and `at`
-    would position drawn from a fresh `rng.stream` instead, and the draws
-    made on `at` slots."""
+    """cfg's run with every slot that `fill`, `bulk` and `at` would position
+    drawn from a fresh `rng.stream` instead, and the draws made on `at`
+    slots."""
     made = []
 
     class Logged:  # a fresh stream that logs the batch replay's draws
@@ -215,19 +236,14 @@ def stream_backed_run(monkeypatch, cfg, seed):
         for node, out in zip(nodes, outs, strict=True):
             getattr(fresh(streams, t, node), kind)(out=out)
 
-    def stream_bulk(kind):
-        def bulk(streams, t, nodes, counts):
-            rounds = max(1, rngmod.BLOCK_SLOTS // streams.n)
-            t0 = t - t % rounds
-            return t0, np.array([np.concatenate([
-                getattr(fresh(streams, u, node), kind)(c)
-                for node, c in zip(nodes, counts, strict=True)])
-                for u in range(t0, min(t0 + rounds, streams.horizon))])
-        return bulk
+    def stream_bulk(streams, t, nodes, counts, kind):
+        t0, rounds = streams.block(t)
+        return t0, np.array([np.concatenate([
+            getattr(fresh(streams, u, node), kind)(c)
+            for node, c in zip(nodes, counts, strict=True)]) for u in range(t0, t0 + rounds)])
 
     monkeypatch.setattr(rngmod.Streams, "fill", stream_fill)
-    monkeypatch.setattr(rngmod.Streams, "randoms", stream_bulk("random"))
-    monkeypatch.setattr(rngmod.Streams, "normals", stream_bulk("standard_normal"))
+    monkeypatch.setattr(rngmod.Streams, "bulk", stream_bulk)
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
     return observed_run(cfg, seed), made
@@ -364,7 +380,7 @@ def assert_bulk_matches_fresh_streams(case, kind, purpose):
     seed, n, block_rounds, horizon, t, nodes, counts = case
     with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n):
         streams = rngmod.Streams(seed, purpose, n, horizon=horizon)
-    t0, block = getattr(streams, rngmod._BULK[kind])(t, nodes, counts)
+    t0, block = streams.bulk(t, nodes, counts, kind)
     assert t0 == t - t % block_rounds
     assert block.shape == (min(block_rounds, horizon - t0), sum(counts))
     ends = np.cumsum(counts).tolist()
@@ -427,23 +443,28 @@ def test_ziggurat_read_guesses_most_layers(monkeypatch):
 
 
 # NOISE slots (seed, node, t, d) found by search, with the index of the
-# row's first rejected word and that word's layer idx
+# row's first rejected word, that word's layer idx and how many of the
+# row's d words are rejected
 REJECTED_SLOTS = {
-    "draw 0 rejected": (7, 0, 98, 6, 0, 30),
-    "rejected mid-row": (7, 0, 40, 6, 3, 34),
-    "idx-0 tail draw": (7, 0, 273, 6, 5, 0),
-    "idx-1 draw": (7, 0, 14, 6, 4, 1),
+    "draw 0 rejected": (7, 0, 98, 6, 0, 30, 1),
+    "rejected mid-row": (7, 0, 40, 6, 3, 34, 2),
+    "idx-0 tail draw": (7, 0, 273, 6, 5, 0, 1),
+    "idx-1 draw": (7, 0, 14, 6, 4, 1, 1),
+    "two rejected words in a row": (7, 0, 301, 6, 1, 252, 2),
+    "last word rejected": (7, 0, 161, 6, 5, 231, 1),
 }
 
 
 @pytest.mark.parametrize("name", REJECTED_SLOTS)
 def test_normals_of_pinned_rejected_slots(name):
     # the slot's first d words, as if every draw took one, pin its case
-    seed, node, t, d, first, idx = REJECTED_SLOTS[name]
+    seed, node, t, d, first, idx, bad = REJECTED_SLOTS[name]
     words = rngmod.stream(seed, node, t, rngmod.NOISE).bit_generator.random_raw(d)
     _, rejected = rngmod._normals(words)
     assert rejected.argmax() == first and rejected[first] and words[first] & 0xFF == idx
-    t0, block = rngmod.Streams(seed, rngmod.NOISE, 3, horizon=t + 1).normals(t, [2, node], [1, d])
+    assert rejected.sum() == bad
+    t0, block = rngmod.Streams(seed, rngmod.NOISE, 3, horizon=t + 1).bulk(
+        t, [2, node], [1, d], "standard_normal")
     assert np.array_equal(block[t - t0, 1:],
                           rngmod.stream(seed, node, t, rngmod.NOISE).standard_normal(d))
 
@@ -453,7 +474,7 @@ def test_normals_block_self_check(monkeypatch):
     w, k = rngmod._ziggurat()
     monkeypatch.setattr(rngmod, "_ziggurat", lambda: (w * (1 + 2**-40), k))
     with pytest.raises(RuntimeError, match="bulk normals"):
-        rngmod.Streams(3, rngmod.NOISE, 4).normals(0, [1, 2], [6, 6])
+        rngmod.Streams(3, rngmod.NOISE, 4).bulk(0, [1, 2], [6, 6], "standard_normal")
 
 
 def assert_chunk_row(seed, purpose, kind, t, row, spans, scale):
@@ -518,11 +539,13 @@ def chunk_cases(draw):
           [(2, 0, BULK_NORMALS + 1), (0, BULK_NORMALS + 2, 2)], BULK_NORMALS + 5, True, 3))
 @example((2**32 + 17, "random", 4, 3, 2, 8, [(3, 1, BULK_ROWS), (1, BULK_ROWS + 1, BULK_ROWS + 1)],
           2 * BULK_ROWS + 2, False, 7))
+# the first chunk built is the horizon-cut one-round block [6, 7)
+@example((5, "standard_normal", 2, 3, 3, 7, [(1, 0, 2)], 2, False, 6))
 def test_round_draws_chunks_match_fresh_streams(case):
-    # a chunk first asked for by any of its rounds, then every round in turn:
-    # chunks start every chunk_rounds rounds from their block's first round
-    # and stop at the block's end and the horizon, and each is built once,
-    # by its first round
+    # a chunk first asked for by any of its rounds, then every round in turn
+    # on the same draws: chunks start every chunk_rounds rounds from their
+    # block's first round and stop at the block's end and the horizon, and
+    # each is built once, by its first round
     seed, kind, n, block_rounds, chunk_rounds, horizon, spans, width, scaled, start = case
     purpose = rngmod.BATCH if kind == "random" else rngmod.NOISE
     scale = np.linspace(0.5, 1.5, width) if scaled else np.ones(width)
@@ -534,9 +557,9 @@ def test_round_draws_chunks_match_fresh_streams(case):
             return rngmod.RoundDraws(rngmod.Streams(seed, purpose, n, horizon=horizon), kind,
                                      nodes, width, starts, counts, scale if scaled else None)
 
-    t0, chunk = round_draws().chunk(start)
-    assert_chunk_row(seed, purpose, kind, start, chunk[start - t0], spans, scale)
     draws, firsts = round_draws(), set()
+    start_t0, chunk = draws.chunk(start)  # the one buffer it builds is sized for every chunk
+    assert_chunk_row(seed, purpose, kind, start, chunk[start - start_t0], spans, scale)
     with mock.patch.object(rngmod.RoundDraws, "_build", autospec=True,
                            side_effect=rngmod.RoundDraws._build) as build:
         for t in range(horizon):
@@ -546,7 +569,7 @@ def test_round_draws_chunks_match_fresh_streams(case):
             assert len(chunk) == min(chunk_rounds, first + block_rounds - t0, horizon - t0)
             firsts.add(t0)
             assert_chunk_row(seed, purpose, kind, t, chunk[t - t0], spans, scale)
-    assert build.call_count == len(firsts)
+    assert build.call_count == len(firsts) - (start_t0 == 0)  # start's chunk is current at t = 0
     with pytest.raises(ValueError, match=f"t < {horizon}"):
         draws.chunk(horizon)
 
@@ -560,7 +583,7 @@ def test_randoms_read_words_through_the_inverse_order(monkeypatch):
     cycle = (1, 2, 3, 0)
     monkeypatch.setattr(rngmod, "_word_order", lambda: cycle)
     streams._block = canonical.take(cycle, axis=1).data.cast("B")
-    _, block = streams.randoms(1, [2, 0], [3, 2])
+    _, block = streams.bulk(1, [2, 0], [3, 2], "random")
     assert np.array_equal(block[1], np.concatenate([rngmod.stream(7, 2, 1, rngmod.BATCH).random(3),
                                                     rngmod.stream(7, 0, 1, rngmod.BATCH).random(2)]))
 
@@ -568,7 +591,12 @@ def test_randoms_read_words_through_the_inverse_order(monkeypatch):
 @pytest.mark.parametrize("nodes, counts", [([], []), ([1], [0]), ([1, 2], [3])])
 def test_randoms_take_nodes_with_a_double_each(nodes, counts):
     with pytest.raises(ValueError):
-        rngmod.Streams(0, rngmod.BATCH, 4).randoms(0, nodes, counts)
+        rngmod.Streams(0, rngmod.BATCH, 4).bulk(0, nodes, counts, "random")
+
+
+def test_bulk_takes_only_double_kinds():
+    with pytest.raises(ValueError, match="'normal'"):
+        rngmod.Streams(0, rngmod.NOISE, 4).bulk(0, [1], [2], "normal")
 
 
 # PCG64's 128-bit LCG multiplier, as the PCG reference implementation gives it

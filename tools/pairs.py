@@ -9,7 +9,8 @@ S+i --seconds N --trace 0` once in each tree, the base first in even pairs
 and the change first in odd ones.  Only the last line of each run's
 standard output, perfbench's result object, is read.
 
-For every end-to-end metric of BENCHMARK.json the summary gives each
+The summary's first line gives the lines of the Python files under each
+tree's `src/`.  For every end-to-end metric of BENCHMARK.json it gives each
 side's median and quartiles, how many pairs the change won (ties count
 for neither side), the base's interquartile range, and whether a gain
 holds: the change won at least nine tenths of the pairs, and its median
@@ -62,6 +63,15 @@ def export(rev, dest):
     return Path(dest)
 
 
+def src_lines(trees):
+    """The summary line of the lines of the Python files under `src/` in
+    each of the {"base": path, "change": path} trees."""
+    count = {side: sum(len(path.read_text().splitlines()) for path in (tree / "src").rglob("*.py"))
+             for side, tree in trees.items()}
+    return (f"src/ lines: base {count['base']}, change {count['change']} "
+            f"({count['change'] - count['base']:+d})")
+
+
 def bench(tree, workload, seed, seconds):
     """perfbench's result object of one run in `tree`."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
@@ -108,12 +118,12 @@ def main(argv=None):
         trees = {"base": export(args.base, Path(tmp) / "base"),
                  "change": ROOT if args.change is None else export(args.change,
                                                                    Path(tmp) / "change")}
-        runs = {"base": [], "change": []}
+        lines, runs = src_lines(trees), {"base": [], "change": []}
         for i in range(args.pairs):
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
                 runs[side].append(bench(trees[side], args.workload, args.seed + i, args.seconds))
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    print("\n".join(report(metrics, runs)))
+    print("\n".join([lines, *report(metrics, runs)]))
     print(json.dumps({m["name"]: {side: [r["metrics"][m["name"]]["value"] for r in results]
                                   for side, results in runs.items()} for m in metrics}))
 
