@@ -256,14 +256,14 @@ def row_pass(model: Model, params: np.ndarray, batch: Batch, grad: bool = True) 
 class NodeGrads:
     """Every node's full-slice and batch mean gradient at its own Z[i], over
     one run's node-sorted rows (`layout`): `at(Z, sel, sel_starts, drawn)`
-    takes the draws of `BatchDraws.draw`, which checked them, and gives two
-    (n, dim) arrays, zero for empty nodes.  Logistic and quadratic take one
-    gradient-only pass over all rows and `np.add.reduceat` of the row
-    pieces, bit for bit as per segment: logistic pieces [x_j, 1] * r_j; the
-    quadratic's are the rows, whose full-slice sums are taken once.  The
-    MLP takes one pass per node (a gathered W1 would be rows x features x
-    hidden), and `Rows.grad` writes the node's two means straight into its
-    rows of the outputs."""
+    takes the draws of `BatchDraws.draw`, checks that the counts split the
+    rows, and gives two (n, dim) arrays, zero for empty nodes.  Logistic and
+    quadratic take one gradient-only pass over all rows and `np.add.reduceat`
+    of the row pieces, bit for bit as per segment: logistic pieces
+    [x_j, 1] * r_j; the quadratic's are the rows, whose full-slice sums are
+    taken once.  The MLP takes one pass per node (a gathered W1 would be
+    rows x features x hidden), and `Rows.grad` writes the node's two means
+    straight into its rows of the outputs."""
 
     def __init__(self, model: Model, batch: Batch, layout: NodeRows):
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
@@ -275,6 +275,8 @@ class NodeGrads:
 
     def at(self, Z: np.ndarray, sel: np.ndarray, sel_starts: np.ndarray, drawn: np.ndarray):
         (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
+        if not 0 < len(drawn) == len(nodes) or drawn.min() < 1 or drawn.sum() != len(sel):
+            raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
         full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
         if isinstance(self.model, MlpModel):
             for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),

@@ -331,6 +331,16 @@ class TestNodeGrads:
             assert np.array_equal(drawn_mean[layout.nodes], ref_drawn)
             assert not full[empty].any() and not drawn_mean[empty].any()
 
+    @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
+    def test_segments_must_split_the_rows(self, counts, rng):
+        # every node's segment holds at least one row, and together they hold them all
+        model, data = ROW_CASES[1]
+        grads = NodeGrads(model, (data.features, data.labels), node_rows([30]))
+        drawn = np.array(counts, dtype=np.intp)
+        with pytest.raises(ValueError, match="do not split 30 rows"):
+            grads.at(rng.normal(size=(1, model.dim)), np.arange(30), np.cumsum(drawn) - drawn,
+                     drawn)
+
 
 class TestSampleBatch:
     def test_full_ratio(self):
