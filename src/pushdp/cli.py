@@ -53,9 +53,23 @@ def _atomic_open(path):
 
 
 def _write_json(path, payload):
+    # one string and one write: json.dump writes the file chunk by chunk
+    text = json.dumps(_sanitize(payload), indent=2) + "\n"
     with _atomic_open(path) as fh:
-        json.dump(_sanitize(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_metrics(path, records):
+    """One JSON line a record, as one string and one write."""
+    encode, lines = json.JSONEncoder(allow_nan=False).encode, []
+    for record in records:
+        record = record.as_dict()
+        try:
+            lines.append(encode(record))
+        except ValueError:  # a non-finite value, written as a string
+            lines.append(encode(_sanitize(record)))
+    with _atomic_open(path) as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _seed_list(text: str) -> list:
@@ -95,16 +109,7 @@ def cmd_run(args) -> int:
         except PushdpError as exc:
             print(f"run failed (seed {seed}): {exc}", file=sys.stderr)
             return 1
-        encode = json.JSONEncoder(allow_nan=False).encode
-        with _atomic_open(planned[f"metrics_{seed}"]) as fh:
-            for record in result.records:
-                record = record.as_dict()
-                try:
-                    line = encode(record)
-                except ValueError:  # a non-finite value, written as a string
-                    line = encode(_sanitize(record))
-                fh.write(line)
-                fh.write("\n")
+        _write_metrics(planned[f"metrics_{seed}"], result.records)
         _write_json(planned[f"summary_{seed}"], result.summary)
         _write_json(planned[f"partition_{seed}"], result.partition)
         print(f"seed {seed}: wrote {planned[f'metrics_{seed}']}")

@@ -6,6 +6,14 @@ Algorithm "sdlr" clips, perturbs with the decaying multiplier, and steps
 with eta/beta(t).  Algorithm "adp-vrsgp" additionally decays the clip
 threshold each round and fuses noisy gradients within noise-constant
 intervals.  Both mix through the per-iteration column-stochastic matrix.
+
+The observables of a record (xbar, consensus error, train loss, test
+accuracy, mean squared gradient norm, mean clip residual) are computed a
+chunk of rounds at a time, bit for bit as round by round: each round keeps
+its pre-update X and Z, full gradients and clip residuals, and the last
+round of a chunk (and round T - 1) computes the chunk's records with
+stacked calls.  A chunk is rng.CHUNK_BYTES over one round's widest
+loss-pass plane (rows, times the MLP's hidden width), at least one round.
 """
 
 from __future__ import annotations
@@ -158,6 +166,10 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
     G = config.clip.g0
     F = None  # fused gradients of the previous round
     records: List[MetricsRecord] = []
+    # the observables' inputs of this chunk's rounds (see _observe)
+    chunk = _observable_rounds(model, len(train_X), 0 if dataset.test_labels is None
+                               else len(dataset.test_labels))
+    pending = []
     batches = BatchDraws(layout, [b.sampling_ratio for b in config.budgets],
                          rngmod.Streams(seed, rngmod.BATCH, n, horizon=T))
     grads = NodeGrads(model, (train_X, train_y), layout)
@@ -182,29 +194,22 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
             if length > len(interval):
                 interval = np.empty((length, *interval.shape[1:]))
 
-        # observables at the current state; each occupied node's batch and
-        # noise draws (one v1 slot each), then every node's full and batch
-        # gradient at its z_i in one call; empty nodes keep zero rows.  A mean
-        # is x.sum() / x.size, np.mean's own arithmetic without its dispatch
-        xbar = X.sum(axis=0) / n
-        cons = float(sq_deviations(Z, xbar).sum() / n)
-        train_loss = float(row_pass(model, xbar, (train_X, train_y), grad=False)
-                           .segment_losses(layout.starts, layout.counts).sum() / len(layout.nodes))
+        # each occupied node's batch and noise draws (one v1 slot each), then
+        # every node's full and batch gradient at its z_i in one call; empty
+        # nodes keep zero rows
         Full, Grad = grads.at(Z, *batches.draw(t))
         t0, noise_rows = noise.chunk(t)
-        occupied = Full[layout.nodes]
-        mean_sq = float(np.einsum("ij,ij->i", occupied, occupied).sum() / len(occupied))
-        test_acc = (None if dataset.test_features is None
-                    else accuracy(model, xbar, dataset.test_features, dataset.test_labels))
 
         # clip, perturb, fuse and half-step on all nodes at once; the drift is
         # the largest ||active_i - past_i||^2 of the interval so far
         clipped, resid = clip(Grad, G)
         active = np.take(clipped, layout.nodes, axis=0, out=interval[j])
-        d_tau_t = float(np.add.reduce((active - interval[:j]) ** 2, axis=2).max()) if j else 0.0
+        d_tau_t = _drift(active, interval[:j]) if j else 0.0
         j += 1
         noisy = perturb(clipped, alpha_inj, noise_rows[t - t0].reshape(n, -1))
         F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
+        # each round makes new arrays: none of these is written again
+        pending.append((X, Z, Full, resid, (t, G, alpha_inj, eta_t, d_tau_t)))
         X = X - eta_t * F
 
         X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
@@ -212,17 +217,71 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
             bad = int(np.argmin(np.isfinite(X).all(axis=1)))
             raise NumericalBreakdownError(f"non-finite state at iteration {t} (node {bad})")
 
-        records.append(MetricsRecord(
-            t=t, mean_sq_grad_norm=mean_sq, consensus_error=cons, train_loss=train_loss,
-            test_accuracy=test_acc, current_g=G, alpha_injected=alpha_inj, eta_t=eta_t,
-            clip_residual_mean=float(resid[layout.nodes].sum() / len(layout.nodes)),
-            empirical_d_tau=d_tau_t,
-        ))
+        if len(pending) == chunk or t == T - 1:
+            records += _observe(model, (train_X, train_y), dataset, layout, pending)
+            pending = []
         if vrsgp:
             G = decay_threshold(config.clip, G)
 
     summary = _summarize(config, seed, sigmas, records, theory_summary, theory_params, layout)
     return RunResult(records, summary, partition_report(dataset.labels, dataset.node_indices))
+
+
+def _observable_rounds(model: Model, train_rows: int, test_rows: int) -> int:
+    """Rounds whose observables are computed at once: rng.CHUNK_BYTES over
+    one round's widest loss-pass plane, the training or the test rows times
+    the model's row width."""
+    return max(1, rngmod.CHUNK_BYTES // (8 * max(train_rows, test_rows) * model.row_width))
+
+
+def _drift(active: np.ndarray, earlier: np.ndarray) -> float:
+    """The largest ||active_i - earlier[s, i]||^2 over the (k, d) rows
+    `active` and the earlier rounds s, a block of rounds at a time whose
+    (b, k, d) difference takes at most rng.CHUNK_BYTES; a NaN propagates."""
+    b = max(1, rngmod.CHUNK_BYTES // (8 * active.size))
+    peaks = [np.add.reduce((active - earlier[s : s + b]) ** 2, axis=2).max()
+             for s in range(0, len(earlier), b)]
+    return float(reduce(np.maximum, peaks))
+
+
+def _stacked(arrays):
+    """The arrays along a new first axis: a view of a single one, else one
+    copy (np.concatenate, without np.stack's per-array calls)."""
+    first = arrays[0]
+    return (first[None] if len(arrays) == 1
+            else np.concatenate(arrays).reshape(len(arrays), *first.shape))
+
+
+def _observe(model, train, dataset, layout, rounds) -> List[MetricsRecord]:
+    """The records of a chunk of rounds, each given as its pre-update X and
+    Z, full gradients, clip residuals and (t, G, alpha, eta, drift).  The
+    stacked calls give every round's bits: xbar, the consensus error, one
+    loss-only pass at every xbar and its segment means, test accuracy, the
+    mean squared gradient norm and the mean clip residual over the occupied
+    nodes.  A mean is x.sum() / x.size, np.mean's own arithmetic without
+    its dispatch."""
+    X, Z, Full, resid, scalars = zip(*rounds)
+    # np.take keeps the node axis in C order (a fancy index would put it
+    # first in memory), so every sum over it runs as it did round by round
+    k = len(layout.nodes)
+    occupied = np.take(_stacked(Full), layout.nodes, axis=1)
+    mean_sq = np.einsum("cij,cij->ci", occupied, occupied).sum(axis=1) / k
+    del occupied  # before the loss pass makes its plane
+    resid_mean = np.take(_stacked(resid), layout.nodes, axis=1).sum(axis=1) / k
+    X, Z = _stacked(X), _stacked(Z)
+    n = X.shape[1]
+    xbar = np.add.reduce(X, axis=1) / n
+    cons = sq_deviations(Z, xbar[:, None]).sum(axis=1) / n
+    train_loss = (row_pass(model, xbar, train, grad=False)
+                  .segment_losses(layout.starts, layout.counts).sum(axis=1) / k)
+    test_acc = (None if dataset.test_features is None
+                else accuracy(model, xbar, dataset.test_features, dataset.test_labels))
+    return [MetricsRecord(t=t, mean_sq_grad_norm=m, consensus_error=c, train_loss=loss,
+                          test_accuracy=acc, current_g=G, alpha_injected=alpha, eta_t=eta,
+                          clip_residual_mean=r, empirical_d_tau=d)
+            for (t, G, alpha, eta, d), m, c, loss, acc, r in zip(
+                scalars, mean_sq.tolist(), cons.tolist(), train_loss.tolist(),
+                test_acc or [None] * len(scalars), resid_mean.tolist())]
 
 
 def _privacy_spent(config, sigmas):

@@ -13,8 +13,10 @@ Three model kinds stand in for the training objectives:
 Each model makes one pass over a row block (`row_pass`): per-row losses and
 the per-row pieces of the gradient.  Mean losses and gradients
 (`Rows.loss`, `Rows.grad`), per-segment losses and per-row gradient distances
-are reductions of it; the finite-difference, single-sample and per-node oracles
-in the verification suite check every kind.  Per run, `NodeGrads` gives every
+are reductions of it.  A loss-only pass and `predict` also take a leading
+axis of points, one pass a point, each bit for bit the pass at that point.
+The finite-difference, single-sample and per-node oracles in the
+verification suite check every kind.  Per run, `NodeGrads` gives every
 node's gradients at its own point, for logistic and quadratic in one
 gathered, gradient-only pass, and `BatchDraws` draws every node's batch.
 """
@@ -57,6 +59,8 @@ class Rows(NamedTuple):
     subset of the rows and each row's distance to a given gradient are
     reductions of these pieces.  A gathered pass (`NodeGrads`) is
     gradient-only: it has no losses and no reg, and one const row per node.
+    A loss-only pass at a leading axis of points has a row of losses and a
+    reg per point.
     """
 
     losses: "np.ndarray | None"
@@ -66,7 +70,7 @@ class Rows(NamedTuple):
 
     def loss(self, sel=slice(None)) -> float:
         """Mean loss over the rows `sel` (all rows by default)."""
-        return float(np.mean(self.losses[sel])) + self.reg
+        return float(np.mean(self.losses[sel]) + self.reg)
 
     def grad(self, sel=slice(None), out=None) -> np.ndarray:
         """Exact mean gradient over the rows `sel` (a slice or row indices, all
@@ -91,8 +95,10 @@ class Rows(NamedTuple):
 
     def segment_losses(self, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Mean loss of every segment k of the rows, the counts[k] from
-        starts[k] on, summed in row order; the segments cover the rows."""
-        return np.add.reduceat(self.losses, starts) / counts + self.reg
+        starts[k] on, summed in row order, of every point; the segments
+        cover the rows."""
+        means = np.add.reduceat(self.losses, starts, axis=-1) / counts
+        return means + np.asarray(self.reg)[..., None]
 
     def dev_sq(self, g: np.ndarray) -> np.ndarray:
         """||g_j - g||^2 for every row j: blocks occupy disjoint coordinates,
@@ -117,6 +123,8 @@ class QuadraticModel:
     A: np.ndarray
     b: np.ndarray
 
+    row_width = 1  # doubles a row of a loss-only pass keeps at once
+
     @property
     def dim(self) -> int:
         return self.b.shape[0]
@@ -124,10 +132,12 @@ class QuadraticModel:
     def rows(self, params, X, y, grad=True, owner=None) -> Rows:
         # row j's perturbation c_j is X[j]: its gradient is Ax - b + c_j.  With
         # owner, params holds one point per node, row j is at params[owner[j]]
-        # and the pass is gradient-only
+        # and the pass is gradient-only.  A product with a column of params is
+        # one gemv a point, a dot of two vectors one dot, as at a single point
         if owner is None:
-            Ax = self.A @ params
-            return Rows(X @ params, 0.5 * params @ Ax - self.b @ params, Ax - self.b,
+            Ax = np.matmul(self.A, params[..., None])[..., 0]
+            return Rows(np.matmul(X, params[..., None])[..., 0],
+                        np.vecdot(0.5 * params, Ax) - np.vecdot(self.b, params), Ax - self.b,
                         ((None, X),))
         return Rows(None, None, params @ self.A - self.b, ((None, X),))  # A is symmetric
 
@@ -142,6 +152,7 @@ class QuadraticModel:
 class LogisticModel:
     n_features: int
     l2: float = 0.0
+    row_width = 1
 
     @property
     def dim(self) -> int:
@@ -150,12 +161,13 @@ class LogisticModel:
     def rows(self, params, X, y, grad=True, owner=None) -> Rows:
         # row j's gradient is (r_j x_j + l2 w, r_j), r_j = p_j - y_j its residual.
         # With owner, params holds one point per node, row j is at
-        # params[owner[j]] and the pass is gradient-only
+        # params[owner[j]] and the pass is gradient-only.  Without owner, one
+        # gemv and one dot a point, as at a single point
         w, bias = params[..., :-1], params[..., -1]
         if owner is None:
-            margin = X @ w + bias
+            margin = np.matmul(X, w[..., None])[..., 0] + bias[..., None]
             # log(1 + e^m) - y*m, numerically stable for large |m|
-            losses, reg = np.logaddexp(0.0, margin) - y * margin, 0.5 * self.l2 * float(w @ w)
+            losses, reg = np.logaddexp(0.0, margin) - y * margin, 0.5 * self.l2 * np.vecdot(w, w)
             if not grad:
                 return Rows(losses, reg)
         else:
@@ -168,7 +180,7 @@ class LogisticModel:
         return Rows(losses, reg, const, ((X, resid[:, None]),))
 
     def predict(self, params, X):
-        return (X @ params[:-1] + params[-1] > 0).astype(int)
+        return (np.matmul(X, params[..., :-1, None])[..., 0] + params[..., -1:] > 0).astype(int)
 
     def lipschitz_bound(self, X: np.ndarray) -> float:
         """0.25 * lambda_max of the mean augmented outer product, plus l2."""
@@ -187,17 +199,23 @@ class MlpModel:
     def dim(self) -> int:
         return (self.n_features + 1) * self.hidden + (self.hidden + 1) * self.classes
 
+    @property
+    def row_width(self) -> int:
+        return max(self.hidden, self.classes)
+
     def _unpack(self, params):
-        f, h, c = self.n_features, self.hidden, self.classes
+        # views of params, with its leading axes; each bias is a row, which
+        # broadcasts over the rows of a point
+        f, h, c, lead = self.n_features, self.hidden, self.classes, params.shape[:-1]
         i = 0
-        W1 = params[i : i + f * h].reshape(f, h); i += f * h
-        b1 = params[i : i + h]; i += h
-        W2 = params[i : i + h * c].reshape(h, c); i += h * c
-        b2 = params[i : i + c]
+        W1 = params[..., i : i + f * h].reshape(*lead, f, h); i += f * h
+        b1 = params[..., None, i : i + h]; i += h
+        W2 = params[..., i : i + h * c].reshape(*lead, h, c); i += h * c
+        b2 = params[..., None, i : i + c]
         return W1, b1, W2, b2
 
     def _hidden(self, W1, b1, X, out=None):
-        hid = np.matmul(X, W1, out=out)
+        hid = np.matmul(X, W1, out=out)  # one gemm a point
         hid += b1
         return np.tanh(hid, out=hid)
 
@@ -210,18 +228,19 @@ class MlpModel:
         # finds the labels through one flat index; the floats are those of
         # the row reductions
         W1, b1, W2, b2 = self._unpack(params)
-        out = np.empty((2 if grad else 1, len(X), self.hidden))
-        hid = self._hidden(W1, b1, X, out[0])
+        # hid and dhid, or hid at every point
+        out = np.empty((2, len(X), self.hidden) if grad else (*W1.shape[:-2], len(X), self.hidden))
+        hid = self._hidden(W1, b1, X, out[0] if grad else out)
         shifted = hid @ W2
         shifted += b2
-        cols = shifted.T
-        shifted -= _fold(np.maximum, cols)[:, None]
+        cols = shifted.transpose(-1, *range(shifted.ndim - 1))  # np.moveaxis, without its checks
+        shifted -= _fold(np.maximum, cols)[..., None]
         label = np.arange(len(X)) * self.classes + y  # flat index of every row's label
-        flat = shifted.reshape(-1)
-        at_label = flat.take(label)
+        flat = shifted.reshape(*shifted.shape[:-2], -1)
+        at_label = flat.take(label, axis=-1)
         dl = np.exp(shifted, out=shifted)
-        # sum(axis=1) adds fewer than 8 terms left to right, 8 or more in 8 partial sums
-        total = _fold(np.add, cols) if self.classes < 8 else dl.sum(axis=1)
+        # sum(axis=-1) adds fewer than 8 terms left to right, 8 or more in 8 partial sums
+        total = _fold(np.add, cols) if self.classes < 8 else dl.sum(axis=-1)
         if grad:
             dl /= total[:, None]
             flat[label] -= 1.0  # dlogits of one row: softmax - onehot
@@ -239,7 +258,7 @@ class MlpModel:
 
     def predict(self, params, X):
         W1, b1, W2, b2 = self._unpack(params)
-        return np.argmax(self._hidden(W1, b1, X) @ W2 + b2, axis=1)
+        return np.argmax(self._hidden(W1, b1, X) @ W2 + b2, axis=-1)
 
 
 Model = QuadraticModel | LogisticModel | MlpModel
@@ -530,8 +549,11 @@ def load_csv(path) -> Dataset:
     return Dataset(features=raw[:, :-1], labels=labels.astype(int))
 
 
-def accuracy(model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> Optional[float]:
+def accuracy(model: Model, params: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """The share of the rows X that the model at params labels y, a float,
+    or a list of them at a leading axis of points; None if it predicts
+    nothing."""
     pred = model.predict(params, X)
     if pred is None:
         return None
-    return int(np.count_nonzero(pred == y)) / len(y)
+    return (np.count_nonzero(pred == y, axis=-1) / len(y)).tolist()

@@ -21,7 +21,7 @@ from .topology import PropagationParams
 
 def sq_deviations(Z: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     """||z_i - xbar||^2 of every debiased row of Z."""
-    return np.add.reduce((Z - xbar) ** 2, axis=1)  # np.sum's arithmetic, without its dispatch
+    return np.add.reduce((Z - xbar) ** 2, axis=-1)  # np.sum's arithmetic, without its dispatch
 
 
 def mix_round(

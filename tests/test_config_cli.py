@@ -385,7 +385,7 @@ class TestCliRun:
         real_run = cli.engine.run
 
         def run_failing_partway(config, master_seed=None):
-            # the write raises after part of the file has gone out
+            # encoding the file raises partway through its records or summary
             result = real_run(config, master_seed=master_seed)
             if name.endswith(".jsonl"):
                 result.records[10].train_loss = object()
@@ -419,6 +419,69 @@ class TestCliRun:
         lines = (out / "seed_1_metrics.jsonl").read_text().splitlines()
         rows = [json.loads(line, parse_constant=reject) for line in lines]
         assert rows[0]["train_loss"] == "inf" and len(rows) == 30
+
+    def test_atomic_open_keeps_the_old_file_when_a_write_fails(self, tmp_path):
+        from pushdp import cli
+
+        path = tmp_path / "f.json"
+        path.write_text("old\n")
+        with pytest.raises(OSError):
+            with cli._atomic_open(str(path)) as fh:
+                fh.write("half")
+                raise OSError("disk full")
+        assert path.read_text() == "old\n" and os.listdir(tmp_path) == ["f.json"]
+
+    def test_writers_make_the_bytes_of_the_chunked_writers_in_one_write(self, tmp_path,
+                                                                       monkeypatch):
+        # the old writers: json.dump, and two writes a metrics record; a
+        # non-finite value in a record and in the summary goes out as a string
+        import contextlib
+        import io
+
+        from pushdp import cli, engine
+
+        result = engine.run(load_config(write_config(tmp_path)), master_seed=2)
+        result.records[3].train_loss = float("nan")
+        result.summary["final_train_loss"] = float("-inf")
+
+        def old_json(payload):
+            fh = io.StringIO()
+            json.dump(cli._sanitize(payload), fh, indent=2)
+            fh.write("\n")
+            return fh.getvalue()
+
+        def old_metrics(records):
+            fh, encode = io.StringIO(), json.JSONEncoder(allow_nan=False).encode
+            for record in records:
+                record = record.as_dict()
+                try:
+                    line = encode(record)
+                except ValueError:
+                    line = encode(cli._sanitize(record))
+                fh.write(line)
+                fh.write("\n")
+            return fh.getvalue()
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                calls.append(len(text))
+                return super().write(text)
+
+        @contextlib.contextmanager
+        def recording_open(path):
+            fh = Recording()
+            yield fh
+            writes.append(fh.getvalue())
+
+        writes, calls = [], []
+        monkeypatch.setattr(cli, "_atomic_open", recording_open)
+        cli._write_metrics("m", result.records)
+        cli._write_json("s", result.summary)
+        cli._write_json("p", result.partition)
+        assert len(calls) == 3
+        assert writes == [old_metrics(result.records), old_json(result.summary),
+                          old_json(result.partition)]
+        assert '"train_loss": "nan"' in writes[0] and '"-inf"' in writes[1]
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path)

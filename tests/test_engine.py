@@ -7,6 +7,7 @@ from pushdp.config import DataSpec, ModelSpec
 from pushdp.engine import build_dataset, build_model, run
 from pushdp.errors import ConfigurationError, NumericalBreakdownError
 from pushdp.fusion import ClipConfig, FusionConfig
+from pushdp.models import LogisticModel, MlpModel, QuadraticModel, node_sorted
 from pushdp.privacy import (
     LrSchedule, NoiseSchedule, PrivacyBudget, beta_at, calibrate_sigma, delta_bound, epsilon_spent,
     starts_interval,
@@ -14,6 +15,7 @@ from pushdp.privacy import (
 from pushdp.topology import TopologySchedule
 
 from conftest import make_config, observed_run, reference_dsgd
+from test_models import reference_mlp_rows, reference_predict
 
 
 def degenerate_config(T=60, eta=0.05):
@@ -327,10 +329,12 @@ class TestNoiseDraws:
 
 
 def test_one_model_pass_per_occupied_node_round(monkeypatch):
-    """Each round makes one shared loss-only pass at xbar over all training
-    rows.  Logistic (and quadratic) then make one gathered pass over all
-    rows, each at its node's z_i; the MLP makes one pass per occupied node."""
-    from pushdp import models
+    """Each chunk of observable rounds makes one shared loss-only pass, at
+    every round's xbar, over all training rows: one for the whole run by
+    default here, two at chunks of 4 rounds.  Each round, logistic (and
+    quadratic) then make one gathered pass over all rows, each at its node's
+    z_i; the MLP makes one pass per occupied node."""
+    from pushdp import engine, models
 
     for model in (ModelSpec(kind="logistic", features=5, l2=0.01),
                   ModelSpec(kind="mlp", features=5, hidden=6, classes=2)):
@@ -344,14 +348,19 @@ def test_one_model_pass_per_occupied_node_round(monkeypatch):
             passes.append((grad, bool(gather)))
             return real_rows(self, params, X, y, grad, **gather)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(kind, "rows", counting_rows)
-            result = run(cfg, master_seed=0)
-        occupied = cfg.n - len(result.summary["empty_nodes"])
-        assert 1 < occupied < cfg.n
-        node_passes = {(True, True): cfg.T} if kind is models.LogisticModel else {
-            (True, False): occupied * cfg.T}
-        assert {p: passes.count(p) for p in set(passes)} == {(False, False): cfg.T, **node_passes}
+        for chunk, loss_passes in ((None, 1), (4, 2)):
+            passes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(kind, "rows", counting_rows)
+                if chunk:
+                    patch.setattr(engine, "_observable_rounds", lambda *args: chunk)
+                result = run(cfg, master_seed=0)
+            occupied = cfg.n - len(result.summary["empty_nodes"])
+            assert 1 < occupied < cfg.n
+            node_passes = {(True, True): cfg.T} if kind is models.LogisticModel else {
+                (True, False): occupied * cfg.T}
+            assert {p: passes.count(p) for p in set(passes)} == {(False, False): loss_passes,
+                                                                 **node_passes}
 
 
 def test_round_marker_calls(monkeypatch):
@@ -399,6 +408,130 @@ def test_one_round_chunks_write_the_same_run(monkeypatch, features, alpha_conc):
     assert np.array_equal(one_log.trajectory[-1], default_log.trajectory[-1])
 
 
+def reference_round(model, X, Z, train, layout, test):
+    """Oracle: (train loss, test accuracy, consensus error) of one round at
+    its pre-update X and Z, with the per-round calls the engine made before
+    it took its observables a chunk of rounds at a time: the pass at xbar
+    alone, `X @ w` and `float(w @ w)` for logistic, the old `predict`s and
+    an int count over the test rows."""
+    n, (train_X, train_y), (test_X, test_y) = len(X), train, test
+    xbar = X.sum(axis=0) / n
+    if isinstance(model, QuadraticModel):
+        losses = train_X @ xbar
+        reg = 0.5 * xbar @ (model.A @ xbar) - model.b @ xbar
+        pred = None
+    elif isinstance(model, LogisticModel):
+        w, bias = xbar[:-1], xbar[-1]
+        margin = train_X @ w + bias
+        losses, reg = np.logaddexp(0.0, margin) - train_y * margin, 0.5 * model.l2 * float(w @ w)
+        pred = None if test_X is None else (test_X @ w + bias > 0).astype(int)
+    else:
+        losses, reg = reference_mlp_rows(model, xbar, train_X, train_y, grad=False)[0], 0.0
+        pred = None if test_X is None else reference_predict(model, xbar, test_X)
+    segments = np.add.reduceat(losses, layout.starts) / layout.counts + reg
+    return (float(segments.sum() / len(layout.nodes)),
+            None if pred is None else int(np.count_nonzero(pred == test_y)) / len(test_y),
+            float(np.add.reduce((Z - xbar) ** 2, axis=1).sum() / n))
+
+
+class TestObservableChunks:
+    """The records of a run do not depend on how many rounds' observables
+    are computed at once, and equal the per-round oracle."""
+
+    T = 20
+    CASES = {
+        **{f"{kind}/{algorithm}": dict(algorithm=algorithm, model=model, data=data)
+           for kind, model, data in (
+               ("quadratic", ModelSpec(kind="quadratic", features=3),
+                DataSpec(kind="quadratic", n_samples=160, alpha_conc=5.0)),
+               ("logistic", ModelSpec(kind="logistic", features=5, l2=0.01),
+                DataSpec(kind="blobs", n_samples=240, test_fraction=0.2)),
+               ("mlp", ModelSpec(kind="mlp", features=4, hidden=6, classes=3),
+                DataSpec(kind="blobs", n_samples=240, test_fraction=0.2)))
+           for algorithm in ("sdlr", "adp-vrsgp")},
+        "empty-node": dict(data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05)),
+        "no-test-split": dict(data=DataSpec(kind="blobs", n_samples=240, test_fraction=0.0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_chunks_of_one_three_and_all_rounds_write_the_same_run(self, case, monkeypatch):
+        from pushdp import engine
+
+        cfg = make_config(T=self.T, **self.CASES[case])
+        default, default_log = observed_run(cfg, master_seed=1)
+        if case == "empty-node":
+            assert default.summary["empty_nodes"]
+        for chunk in (1, 3, self.T):  # 3 leaves a last chunk of 2 rounds
+            monkeypatch.setattr(engine, "_observable_rounds", lambda *args: chunk)
+            got, log = observed_run(cfg, master_seed=1)
+            assert [r.as_dict() for r in got.records] == [r.as_dict() for r in default.records]
+            assert got.summary == default.summary
+            assert np.array_equal(log.trajectory[-1], default_log.trajectory[-1])
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_records_match_the_per_round_oracle(self, case, chunk, monkeypatch):
+        from pushdp import engine
+
+        if chunk:
+            monkeypatch.setattr(engine, "_observable_rounds", lambda *args: chunk)
+        cfg = make_config(T=self.T, **self.CASES[case])
+        result, log = observed_run(cfg, master_seed=4)
+        model, dataset = build_model(cfg, 4), build_dataset(cfg, 4)
+        train_X, train_y, layout = node_sorted(dataset)
+        start = np.zeros((cfg.n, model.dim))  # every node starts at x0 = 0 with weight 1
+        states = [(start, start)] + [(X, Z) for X, _, Z in log.states[:-1]]
+        for record, (X, Z) in zip(result.records, states, strict=True):
+            loss, acc, cons = reference_round(model, X, Z, (train_X, train_y), layout,
+                                              (dataset.test_features, dataset.test_labels))
+            assert (record.train_loss, record.test_accuracy, record.consensus_error) == (
+                loss, acc, cons)
+        if case == "no-test-split" or case.startswith("quadratic"):
+            assert result.records[-1].test_accuracy is None
+
+    def test_chunk_rule_on_the_benchmark_shapes(self):
+        # CHUNK_BYTES over 8 bytes a double of the widest plane: ring8's 192
+        # training rows, expo256's 2,560, mlp8's 2,400 x 64 hidden; a test
+        # split larger than the training rows sets the plane instead
+        from pushdp import engine
+
+        logistic, mlp = LogisticModel(n_features=5, l2=0.01), MlpModel(20, 64, 3)
+        assert engine._observable_rounds(logistic, 192, 48) == 85
+        assert engine._observable_rounds(logistic, 2560, 640) == 6
+        assert engine._observable_rounds(mlp, 2400, 600) == 1
+        assert engine._observable_rounds(logistic, 10, 1000) == 16
+        assert engine._observable_rounds(MlpModel(2, 3, 10), 100, 0) == 16
+
+    def test_mlp_observables_take_one_round_plane(self, monkeypatch):
+        # mlp8's shape: 2,400 training rows x 64 hidden is one 1.2 MB plane,
+        # so the chunk is one round and its pass makes that one plane
+        import tracemalloc
+
+        from pushdp import engine
+
+        cfg = make_config(T=3, algorithm="sdlr", sigma_override=0.1,
+                          model=ModelSpec(kind="mlp", features=20, hidden=64, classes=3),
+                          data=DataSpec(kind="blobs", n_samples=3000, test_fraction=0.2))
+        plane = 2400 * 64 * 8
+        peaks, real = [], engine._observe
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            records = real(*args)
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / plane)
+            return records
+
+        monkeypatch.setattr(engine, "_observe", traced)
+        tracemalloc.start()
+        try:
+            run(cfg, master_seed=0)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == cfg.T
+        assert max(peaks) <= 1.2
+
+
 class TestEmpiricalDTau:
     """empirical_d_tau against a brute-force oracle over every round's clipped
     rows, captured at engine.clip: the largest squared distance between an
@@ -430,6 +563,57 @@ class TestEmpiricalDTau:
             result = run(cfg, master_seed=0)
             assert result.records[-1].empirical_d_tau > 0
             assert len(calls) <= 3 * T
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_blocks_of_earlier_rounds_give_the_whole_max(self, block, monkeypatch):
+        # blocks of 1, 2 and 3 of 7 earlier rounds (3 leaves a last block of
+        # one) and one block of all 7; a NaN in the first or the last block
+        # propagates, as np.max over all rounds did
+        from pushdp import engine
+        from pushdp import rng as rngmod
+
+        gen = np.random.default_rng(block)
+        active, earlier = gen.normal(size=(4, 3)), gen.normal(size=(7, 4, 3))
+        monkeypatch.setattr(rngmod, "CHUNK_BYTES", block * 8 * active.size)
+        assert engine._drift(active, earlier) == np.add.reduce((active - earlier) ** 2,
+                                                                axis=2).max()
+        for at in ((0, 1, 2), (6, 3, 0)):
+            nan = earlier.copy()
+            nan[at] = np.nan
+            assert np.isnan(engine._drift(active, nan))
+
+    def test_drift_step_memory_is_bounded_in_one_long_interval(self, monkeypatch):
+        # power s = 0: one interval of all T rounds at mlp8's (8, 1539) rows.
+        # Each step takes blocks of earlier rounds whose difference is at
+        # most CHUNK_BYTES, not a (j, 8, 1539) difference at the j-th round
+        import tracemalloc
+
+        from pushdp import engine
+        from pushdp import rng as rngmod
+
+        T = 30
+        cfg = make_config(T=T, algorithm="sdlr", sigma_override=0.1,
+                          noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0),
+                          model=ModelSpec(kind="mlp", features=20, hidden=64, classes=3),
+                          data=DataSpec(kind="blobs", n_samples=160, alpha_conc=100.0))
+        steps, real = [], engine._drift
+
+        def traced(active, earlier):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = real(active, earlier)
+            steps.append((earlier.shape, tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        monkeypatch.setattr(engine, "_drift", traced)
+        tracemalloc.start()
+        try:
+            result = run(cfg, master_seed=0)
+        finally:
+            tracemalloc.stop()
+        assert [shape for shape, _ in steps] == [(j, 8, 1539) for j in range(1, T)]
+        assert result.records[-1].empirical_d_tau > 0
+        assert max(peak for _, peak in steps) <= 2.5 * rngmod.CHUNK_BYTES
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_brute_force(self, case, monkeypatch):

@@ -100,6 +100,28 @@ ROW_CASES = [
 
 
 class TestRowPass:
+    @pytest.mark.parametrize("model, data", ROW_CASES + [
+        (MlpModel(n_features=9, hidden=4, classes=9), make_synthetic("blobs", 40, 9, seed=4,
+                                                                     classes=9))],
+        ids=["quadratic", "logistic", "mlp", "mlp-9-classes"])
+    def test_loss_pass_and_predict_at_a_leading_axis_of_points(self, model, data, rng):
+        # bit for bit the pass, segment means, predict and accuracy at each point
+        X, y = data.features, data.labels
+        layout = node_rows([7, 0, 1, len(y) - 8])
+        points = rng.normal(size=(4, model.dim))
+        stacked = row_pass(model, points, (X, y), grad=False)
+        segments = stacked.segment_losses(layout.starts, layout.counts)
+        assert stacked.losses.shape == (4, len(y)) and segments.shape == (4, 3)
+        preds, accs = model.predict(points, X), accuracy(model, points, X, y)
+        assert (preds is None) == (accs is None) == isinstance(model, QuadraticModel)
+        for c, point in enumerate(points):
+            one = row_pass(model, point, (X, y), grad=False)
+            assert np.array_equal(stacked.losses[c], one.losses)
+            assert np.array_equal(segments[c], one.segment_losses(layout.starts, layout.counts))
+            if preds is not None:
+                assert np.array_equal(preds[c], model.predict(point, X))
+                assert type(accs[c]) is float and accs[c] == accuracy(model, point, X, y)
+
     @pytest.mark.parametrize("model, data", ROW_CASES, ids=["quadratic", "logistic", "mlp"])
     def test_reductions_match_single_sample_loop(self, model, data, rng):
         batch = (data.features, data.labels)
@@ -209,7 +231,7 @@ class TestMlpPass:
         W2 *= logit_scale / np.sqrt(hidden)
         b2 *= logit_scale
         if tie:
-            W2[:, -1], b2[-1] = W2[:, 0], b2[0]
+            W2[:, -1], b2[..., -1] = W2[:, 0], b2[..., 0]
         got = row_pass(model, params, (X, y))
         losses, blocks = reference_mlp_rows(model, params, X, y)
         assert np.array_equal(got.losses, losses)

@@ -93,3 +93,65 @@ def test_main_prints_the_line_counts_of_the_exported_trees(tmp_path, monkeypatch
     pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "1"])
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("src/ lines: base 2, change ")
+
+
+def _results(value):
+    names = [m["name"] for m in json.loads((pairs.ROOT / "BENCHMARK.json").read_text())[
+        "end_to_end"]]
+    return {"correct": True, "failed": 0, "metrics": {name: {"value": value} for name in names}}
+
+
+def test_a_failed_run_drops_its_pair_and_the_rest_are_summarised(monkeypatch, capsys):
+    # pair 2 (seed 2) runs the change first, and it fails; pairs 1 and 3 complete
+    def export(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        return dest
+
+    def bench(tree, workload, seed, seconds):
+        if seed == 2 and tree == pairs.ROOT:
+            raise pairs.RunFailed("perfbench exited 1: Traceback")
+        return _results(float(seed))
+
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "bench", bench)
+    assert pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "3"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[1] == "complete pairs: 2 of 3"
+    assert out[2] == "base: 2/2 correct, 0 failed seed-runs"
+    assert "won 0/2" in out[4]
+    assert out[-2] == "pair 2 (seed 2), change side, failed: perfbench exited 1: Traceback"
+    assert json.loads(out[-1])["run_s"] == {"base": [1.0, 3.0], "change": [1.0, 3.0]}
+    assert captured.err.splitlines()[1] == out[-2]
+
+
+def test_no_complete_pair_prints_the_count_and_the_failures(monkeypatch, capsys):
+    monkeypatch.setattr(pairs, "bench", lambda *args: {"correct": False, "failed": 2})
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(pairs, "src_lines", lambda trees: "src/ lines")
+    assert pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["src/ lines", "complete pairs: 0 of 2",
+                       "pair 1 (seed 1), base side, failed: not correct: 2 failed seed-runs",
+                       "pair 2 (seed 2), change side, failed: not correct: 2 failed seed-runs"]
+
+
+def test_checked_needs_a_correct_run_with_every_metric():
+    result = _results(1.0)
+    assert pairs.checked(result, ["run_s"]) is result
+    del result["metrics"]["run_s"]
+    with pytest.raises(pairs.RunFailed, match="no value of run_s"):
+        pairs.checked(result, ["setup_s", "run_s"])
+    with pytest.raises(pairs.RunFailed, match="not correct"):
+        pairs.checked({**_results(1.0), "correct": False}, ["run_s"])
+
+
+@pytest.mark.parametrize("script, message", [
+    ("import sys; print('partial'); sys.exit(3)", "perfbench exited 3"),
+    ("print('no json here')", "printed no result object"),
+])
+def test_bench_turns_a_broken_run_into_run_failed(tmp_path, script, message):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(script + "\n")
+    with pytest.raises(pairs.RunFailed, match=message):
+        pairs.bench(tmp_path, "w", 1, 1)

@@ -7,14 +7,18 @@ this checkout's working tree) is exported with `git archive` into a
 temporary directory.  Pair i runs `perfbench/run.py --workload W --seed
 S+i --seconds N --trace 0` once in each tree, the base first in even pairs
 and the change first in odd ones.  Only the last line of each run's
-standard output, perfbench's result object, is read.
+standard output, perfbench's result object, is read.  A run that exits
+non-zero, is not `correct` or lacks a metric fails its pair: the pair and
+side are named, the remaining pairs still run, the summary covers the
+complete pairs only, and the script exits 1.
 
 The summary's first line gives the lines of the Python files under each
-tree's `src/`.  For every end-to-end metric of BENCHMARK.json it gives each
-side's median and quartiles, how many pairs the change won (ties count
-for neither side), the base's interquartile range, and whether a gain
-holds: the change won at least nine tenths of the pairs, and its median
-is better than the base's by more than the base's interquartile range.
+tree's `src/`, the next how many pairs are complete.  For every
+end-to-end metric of BENCHMARK.json it gives each side's median and
+quartiles, how many pairs the change won (ties count for neither side),
+the base's interquartile range, and whether a gain holds: the change won
+at least nine tenths of the pairs, and its median is better than the
+base's by more than the base's interquartile range.
 A last line gives every pair's values, as one JSON object.
 """
 
@@ -72,14 +76,32 @@ def src_lines(trees):
             f"({count['change'] - count['base']:+d})")
 
 
+class RunFailed(Exception):
+    """A perfbench run that gives no usable result object."""
+
+
 def bench(tree, workload, seed, seconds):
     """perfbench's result object of one run in `tree`."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
                            workload, "--seed", str(seed), "--seconds", str(seconds), "--trace",
                            "0"], capture_output=True, text=True)
     if proc.returncode:
-        raise RuntimeError(f"perfbench in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise RunFailed(f"perfbench exited {proc.returncode}: {proc.stderr.strip()}")
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise RunFailed(f"perfbench printed no result object: {proc.stdout.strip()!r}") from None
+
+
+def checked(result, names):
+    """The result object, if it is `correct` and has a value of every metric
+    in `names`; else RunFailed."""
+    if not result.get("correct"):
+        raise RunFailed(f"not correct: {result.get('failed')} failed seed-runs")
+    missing = [n for n in names if "value" not in result.get("metrics", {}).get(n, {})]
+    if missing:
+        raise RunFailed(f"no value of {', '.join(missing)}")
+    return result
 
 
 def report(metrics, runs):
@@ -114,19 +136,34 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [m["name"] for m in metrics]
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": export(args.base, Path(tmp) / "base"),
                  "change": ROOT if args.change is None else export(args.change,
                                                                    Path(tmp) / "change")}
         lines, runs = src_lines(trees), {"base": [], "change": []}
         for i in range(args.pairs):
+            pair, seed = {}, args.seed + i
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                runs[side].append(bench(trees[side], args.workload, args.seed + i, args.seconds))
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    print("\n".join([lines, *report(metrics, runs)]))
+                try:
+                    pair[side] = checked(bench(trees[side], args.workload, seed, args.seconds),
+                                         names)
+                except RunFailed as exc:
+                    failures.append(f"pair {i + 1} (seed {seed}), {side} side, failed: {exc}")
+                    break
+            else:
+                for side, result in pair.items():
+                    runs[side].append(result)
+            print(failures[-1] if len(pair) < 2 else f"pair {i + 1}/{args.pairs} done",
+                  file=sys.stderr)
+    complete = len(runs["base"])
+    print("\n".join([lines, f"complete pairs: {complete} of {args.pairs}",
+                     *(report(metrics, runs) if complete else []), *failures]))
     print(json.dumps({m["name"]: {side: [r["metrics"][m["name"]]["value"] for r in results]
                                   for side, results in runs.items()} for m in metrics}))
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
