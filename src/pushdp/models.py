@@ -332,23 +332,6 @@ class Dataset:
             raise ValueError("features and labels disagree in length")
 
 
-def sample_batch(indices: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
-    """Poisson-style batch draw: each sample joins independently with
-    probability ratio.  An empty draw is retried once; a second empty draw
-    returns one uniformly chosen sample so no iteration ever silently skips.
-    """
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"ratio must lie in (0,1], got {ratio}")
-    indices = np.asarray(indices)
-    if ratio == 1.0:
-        return indices.copy()
-    for _ in range(2):
-        mask = rng.random(len(indices)) < ratio
-        if mask.any():
-            return indices[mask]
-    return indices[[rng.integers(len(indices))]]
-
-
 class NodeRows(NamedTuple):
     """Where the occupied nodes' rows lie among node-sorted rows: node
     nodes[k] holds the counts[k] rows from starts[k] on, and row j belongs to
@@ -381,11 +364,12 @@ def node_sorted(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray, NodeRows]:
 class BatchDraws:
     """Every occupied node's batch draw of a round, a chunk of rounds at once.
 
-    Node layout.nodes[k] draws the same rows as `sample_batch` over its row
-    positions at its ratio on the stream of its round-t slot.  Each sampling
-    node's first draw is its span of one uniform per row, in a chunk of
-    rounds of one `rng.RoundDraws` (from bulk blocks for nodes of few rows,
-    else by `fill`).  For the whole chunk, one compare makes the masks, one
+    Node layout.nodes[k] draws the same rows as the tests' reference
+    `sample_batch` (tests/reference.py) over its row positions at its ratio
+    on the stream of its round-t slot.  Each sampling node's first draw is
+    its span of one uniform per row, in a chunk of rounds of one
+    `rng.RoundDraws` (from bulk blocks for nodes of few rows, else at its
+    `at` slot).  For the whole chunk, one compare makes the masks, one
     2-D `np.add.reduceat` the drawn counts, one `np.flatnonzero` the drawn
     rows, and one `np.cumsum` where each round's node segments start.  An
     empty first draw is replayed on the node's slot, positioned again by

@@ -4,18 +4,17 @@ Every stochastic draw in a run pulls from a generator derived from
 (master_seed, node_id, t, purpose), so results are reproducible bit for bit
 and independent of any node evaluation order.  `stream` defines this
 contract; `Streams` reproduces it a block of rounds at a time (`block`):
-`Streams.fill` makes a round's batch uniforms or noise rows node after
-node; `Streams.bulk` steps PCG64 in numpy to a whole block's first
+`Streams.at` positions one reused generator at a slot, the only write of a
+slot into it; `Streams.bulk` steps PCG64 in numpy to a whole block's first
 uniforms, or normal rows, of nodes with few doubles (through numpy's
 ziggurat fast path, whose tables are read from the installed numpy, and
-a row with a rejected draw is drawn again whole on the generator);
-`RoundDraws` draws the round loop's chunks of rounds, choosing between the
-two node by node; and `Streams.at` positions one slot for any other draw.
+a row with a rejected draw is drawn again whole at its `at` slot); and
+`RoundDraws` draws the round loop's chunks of rounds, from a bulk block or
+round by round at `at` slots, node by node.
 """
 
 import ctypes
 import functools
-import struct
 
 import numpy as np
 
@@ -42,8 +41,9 @@ BLOCK_SLOTS = 16384
 # buffer is reused from chunk to chunk (see CHANGES.md for the measured cap)
 CHUNK_BYTES = 2**17
 
-# the most doubles a slot takes from a bulk block, by draw kind; more go to
-# `fill` (see CHANGES.md for the measured crossovers against `fill`)
+# the most doubles a slot takes from a bulk block, by draw kind; a node with
+# more draws at its `at` slot round by round (see CHANGES.md for the
+# measured crossovers)
 BULK_DOUBLES = {"random": 32, "standard_normal": 16}
 
 # numpy's SeedSequence pool hash (pool size 4) and PCG64's LCG multiplier
@@ -160,7 +160,7 @@ def _ziggurat():
     2^52 * wi[idx - 1] / wi[idx], so probes on both sides of that guess
     narrow the bisection to a step or two; a guess they reject leaves it
     whole (layer 0 is the tail, and layer 1 reads wi = 0)."""
-    probe = Streams(0, INIT, 1)
+    probe = np.random.Generator(np.random.PCG64(0))
     w, k = np.zeros(256), np.zeros(256, np.uint64)
     for idx in range(256):
         x, one = _steered(probe, 1 << 9 | idx)
@@ -183,26 +183,26 @@ def _ziggurat():
 
 
 def _steered(probe, word):
-    """The `standard_normal()` draw of the Streams `probe`'s generator
-    steered so that its next uint64 is `word`, and whether it took only
-    that word."""
-    pack = lambda words: struct.pack("=4Q", *(words[i] for i in _word_order()))
+    """The `standard_normal()` draw of the PCG64 Generator `probe` steered,
+    through its public state, so that its next uint64 is `word`, and
+    whether it took only that word."""
     pre = (word - 1) * _PCG_INVERSE & _MASK128  # inc 1: state * MULT + 1 = (0, word)
-    probe._state[:] = pack((pre >> 64, pre & 2**64 - 1, 0, 1))
-    return probe._gen.standard_normal(), probe._state == pack((0, word, 0, 1))
+    bitgen = probe.bit_generator
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": pre, "inc": 1},
+                    "has_uint32": 0, "uinteger": 0}
+    return probe.standard_normal(), bitgen.state["state"]["state"] == word
 
 
 class Streams:
     """The streams of one (master_seed, purpose) for nodes 0..n-1 and rounds
-    t < horizon.  `fill` and `at` set one reused Generator exactly where
+    t < horizon.  `at` sets one reused Generator exactly where
     `stream(master_seed, node, t, purpose)` starts.  The pool hash and
     PCG64's set-seed run vectorised over a block of whole rounds, derived
-    when first used and cut at the horizon; a slot write copies the slot's
-    32 bytes of (state, inc) words into the generator.  `at` also zeroes the
-    generator's 32-bit buffer word, which `integers` reads; `fill` makes
-    only double draws, which never read it, so it leaves that word as is.
-    `bulk` reads the block's words, and writes slots into the generator
-    only to redraw normal rows with a rejected draw."""
+    when first used and cut at the horizon; `at` copies the slot's 32 bytes
+    of (state, inc) words into the generator and zeroes its 32-bit buffer
+    word, which `integers` reads.  `bulk` reads the block's words, and
+    positions the generator only to redraw normal rows with a rejected
+    draw."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -251,11 +251,9 @@ class Streams:
         if (got := self.at(t0, 0).bit_generator.state) != want:
             raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
-    def _base(self, t: int, nodes: list) -> int:
-        # range-check the slots, derive their block if need be, and index round t's node 0
+    def _base(self, t: int) -> int:
+        # range-check round t, derive its block if need be, and index its node 0
         t0 = self.block(t)[0]
-        if not 0 <= min(nodes) <= max(nodes) < self.n:
-            raise ValueError(f"nodes {nodes} are outside nodes < {self.n}")
         if t0 != self._t0:
             self._derive(t0)
         return (t - t0) * self.n
@@ -263,41 +261,28 @@ class Streams:
     def at(self, t: int, node: int) -> np.random.Generator:
         """The reused Generator at the slot (node, t), with an empty 32-bit
         buffer word, as `stream` starts: good for any draws until the next
-        `at` or `fill`."""
-        pos = (self._base(t, [node]) + node) * _SLOT
+        `at`."""
+        if not 0 <= node < self.n:
+            raise ValueError(f"node {node} is outside nodes < {self.n}")
+        pos = (self._base(t) + node) * _SLOT
         self._state[:] = self._block[pos : pos + _SLOT]
         self._buffer[:] = _NO_BUFFER
         return self._gen
 
-    def fill(self, t: int, nodes: list, outs: list, kind: str) -> None:
-        """Round t's draw of every node in the list `nodes` into its array in
-        `outs`, node after node: `kind` is "random" or "standard_normal", one
-        double draw per slot.  The slot write skips the 32-bit buffer word,
-        which double draws never read; no block is derived for no nodes."""
-        if kind not in ("random", "standard_normal") or len(outs) != len(nodes):
-            raise ValueError(f"fill makes one random or standard_normal draw per node, not "
-                             f"{kind!r} into {len(outs)} arrays for {len(nodes)} nodes")
-        if not nodes:
-            return
-        base, block, state = self._base(t, nodes), self._block, self._state
-        draw = getattr(self._gen, kind)
-        for node, out in zip(nodes, outs):
-            pos = (base + node) * _SLOT
-            state[:] = block[pos : pos + _SLOT]
-            draw(out=out)
-
     def bulk(self, t: int, nodes: list, counts: list, kind: str):
         """The first counts[k] doubles of node nodes[k]'s slot in every round
         of the block that holds round t, as (t0, U): U[r] holds round t0 +
-        r's doubles, node after node, the draws `fill(..., kind)` makes.
+        r's doubles, node after node, the draws `at(...).kind(count)` makes.
         One vectorised PCG64 step a double runs over the block's slots of
         the nodes, most doubles first, so step j steps only the nodes with
         more than j; a normal row with a draw the ziggurat's fast path
-        rejects is drawn again whole, from its slot, on the generator."""
+        rejects is drawn again whole at its `at` slot."""
         if kind not in BULK_DOUBLES or not nodes or len(counts) != len(nodes) or min(counts) < 1:
             raise ValueError(f"bulk draws take random or standard_normal doubles of nodes with "
                              f"at least one each, not {kind!r} counts {counts} for nodes {nodes}")
-        self._base(t, nodes)
+        if not 0 <= min(nodes) <= max(nodes) < self.n:
+            raise ValueError(f"nodes {nodes} are outside nodes < {self.n}")
+        self._base(t)
         counts = np.asarray(counts)
         order = np.argsort(-counts, kind="stable")
         ordered = np.asarray(nodes)[order]
@@ -319,12 +304,10 @@ class Streams:
                 rejected[:m] |= bad
             out[:, first[:m] + j] = x.T
         k, rows = np.divmod(np.flatnonzero(rejected), len(words))
-        slots = ((rows * self.n + ordered[k]) * _SLOT).tolist()
-        for pos, r, a, b in zip(slots, rows.tolist(), first[k].tolist(),
-                                (first + counts[order])[k].tolist()):
-            self._state[:] = self._block[pos : pos + _SLOT]
-            self._gen.standard_normal(out=out[r, a:b])
-        # self-check of normals, which are redrawn on the generator and read
+        for r, node, a, b in zip(rows.tolist(), ordered[k].tolist(), first[k].tolist(),
+                                 (first + counts[order])[k].tolist()):
+            self.at(self._t0 + r, node).standard_normal(out=out[r, a:b])
+        # self-check of normals, which are redrawn at `at` slots and read
         # numpy's tables: the first listed slot against the positioned generator's draw
         if kind == "standard_normal" and not np.array_equal(
                 out[0, : counts[0]], self.at(self._t0, nodes[0]).standard_normal(counts[0])):
@@ -336,16 +319,16 @@ class Streams:
 class RoundDraws:
     """The `kind` draws of the listed nodes a chunk of rounds at a time:
     `chunk(t)` gives (t0, C), whose row C[r] holds round t0 + r's counts[k]
-    doubles of node nodes[k] at C[r, starts[k]:][:counts[k]], as
-    `Streams.fill` makes them, times `scale` (one factor a double) if given,
+    doubles of node nodes[k] at C[r, starts[k]:][:counts[k]], as its
+    `Streams.at` slot draws them, times `scale` (one factor a double) if given,
     and 0 elsewhere.  A chunk is a run of rounds inside one stream block,
     at most CHUNK_BYTES of rows, cut at the block's end and the horizon.  It
     is built in the first round that asks for it, into one buffer reused
     from chunk to chunk, so C holds until the next chunk is built.  The
     nodes of at most BULK_DOUBLES[kind] doubles take theirs from one
     `Streams.bulk` block, stepped in the first round that needs it, by one
-    scatter a chunk; `fill` draws the others round by round into views of
-    the chunk."""
+    scatter a chunk; the others draw round by round at their `at` slots
+    into views of the chunk."""
 
     def __init__(self, streams: Streams, kind: str, nodes, width: int, starts, counts,
                  scale=None):
@@ -353,8 +336,8 @@ class RoundDraws:
         bulk = counts <= BULK_DOUBLES[kind]
         self.streams, self.kind, self.width, self.scale = streams, kind, width, scale
         self._rounds = max(1, CHUNK_BYTES // (8 * max(width, 1)))  # a chunk's most rounds
-        self._fill_nodes = nodes[~bulk].tolist()
-        self._fill_spans = list(zip(starts[~bulk].tolist(), (starts + counts)[~bulk].tolist()))
+        self._at_spans = list(zip(nodes[~bulk].tolist(), starts[~bulk].tolist(),
+                                  (starts + counts)[~bulk].tolist()))  # (node, start, end)
         nodes, starts, counts = nodes[bulk], starts[bulk], counts[bulk]
         self._bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
         # the bulk nodes' positions in a row, node after node
@@ -382,10 +365,9 @@ class RoundDraws:
                 self._block_t0, self._block = streams.bulk(t, self._bulk_nodes,
                                                            self._bulk_counts, self.kind)
             chunk[:, self._index] = self._block[t0 - first :][:rounds]
-        if self._fill_nodes:
-            for u, row in enumerate(chunk, t0):
-                streams.fill(u, self._fill_nodes, [row[a:b] for a, b in self._fill_spans],
-                             self.kind)
+        for u, row in enumerate(chunk, t0):
+            for node, a, b in self._at_spans:
+                getattr(streams.at(u, node), self.kind)(out=row[a:b])
         if self.scale is not None:
             chunk *= self.scale
         self._t0, self._chunk = t0, chunk

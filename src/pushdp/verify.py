@@ -374,15 +374,6 @@ def stream_draws(gen, k: int):
     return gen.integers(0, 2**31, k), gen.random(k), gen.standard_normal(k + 3)
 
 
-def fill_mismatches(streams, t: int, nodes: list, kind: str) -> int:
-    """How many of the round-t slots of `nodes` `Streams.fill` draws unlike a
-    fresh `rng.stream`, into the rows of one buffer as the round loop does."""
-    rows = list(np.empty((len(nodes), 5)))
-    streams.fill(t, nodes, rows, kind)
-    return sum(not np.array_equal(row, getattr(rngmod.stream(
-        streams.master_seed, node, t, streams.purpose), kind)(5)) for node, row in zip(nodes, rows))
-
-
 def bulk_mismatches(streams, t: int, nodes: list, counts: list, kind: str) -> int:
     """How many slots of the block holding round t `Streams.bulk` steps to
     `kind` doubles unlike a fresh `rng.stream`'s `kind(count)`."""
@@ -408,21 +399,18 @@ def chunk_mismatches(draws, t: int, nodes: list, starts: list, counts: list, sca
 
 
 def streams_suite() -> List[CheckResult]:
-    """`Streams.at` and `Streams.fill`, which write each slot's PCG64 words
-    into one reused generator's memory, against a fresh `rng.stream`: `at` at
-    random slots of one-, two- and three-word seeds, BATCH and NOISE, with
-    rounds on both sides of the first block edges, each slot positioned over
-    the buffer word the previous slot's draws left full; after each, a `fill`
-    of its round over that full word, for a random list of nodes and a draw
-    kind in turn; a `fill` of a block's first round after one in the
-    previous block; `Streams.bulk` of both kinds, which steps PCG64 in
-    numpy, over a first and a horizon-cut last block of one-, two- and
-    three-word seeds, with counts on both sides of the kind's BULK_DOUBLES;
-    and the scaled rows of `RoundDraws` chunks of both kinds, bulk and
-    `fill` nodes, over a chunk edge inside a block, a block edge and a
-    horizon cut.  Block sizes come from `Streams.block`."""
-    rng, kinds, slots = np.random.default_rng(17), ("random", "standard_normal"), 40
-    results, fill_misses = [], dict.fromkeys(kinds, 0)
+    """`Streams.at`, which writes each slot's PCG64 words into one reused
+    generator's memory, against a fresh `rng.stream`: at random slots of
+    one-, two- and three-word seeds, BATCH and NOISE, with rounds on both
+    sides of the first block edges, each slot positioned over the buffer
+    word the previous slot's draws left full; `Streams.bulk` of both kinds,
+    which steps PCG64 in numpy, over a first and a horizon-cut last block of
+    one-, two- and three-word seeds, with counts on both sides of the kind's
+    BULK_DOUBLES; and the scaled rows of `RoundDraws` chunks of both kinds,
+    of nodes drawn in bulk and at `at` slots, over a chunk edge inside a
+    block, a block edge and a horizon cut.  Block sizes come from
+    `Streams.block`."""
+    rng, slots, results = np.random.default_rng(17), 40, []
 
     def check(name, misses):
         results.append(CheckResult(name, misses == 0, float(misses), 0.0,
@@ -436,22 +424,13 @@ def streams_suite() -> List[CheckResult]:
             rounds = streams.block(0)[1]
             ts = [b * rounds + off for b in (1, 2) for off in (-1, 0)]
             mismatches = 0
-            for i, t in enumerate(ts + rng.integers(0, 3 * rounds, slots - len(ts)).tolist()):
+            for t in ts + rng.integers(0, 3 * rounds, slots - len(ts)).tolist():
                 node, k = int(rng.integers(n)), 2 * int(rng.integers(4)) + 1
                 got = stream_draws(streams.at(t, node), k)
                 ref = stream_draws(rngmod.stream(master, node, t, purpose), k)
                 mismatches += not all(np.array_equal(a, b) for a, b in zip(got, ref))
-                nodes = rng.permutation(n)[: int(rng.integers(1, min(n, 4) + 1))].tolist()
-                fill_misses[kinds[i % 2]] += fill_mismatches(streams, t, nodes, kinds[i % 2])
             check(f"Streams.at vs rng.stream, {words}-word seed, {label}, n={n}, {slots} slots",
                   mismatches)
-    for kind, misses in fill_misses.items():
-        check(f"Streams.fill ({kind}) after each Streams.at slot vs rng.stream", misses)
-    streams = rngmod.Streams(master, rngmod.NOISE, 4)
-    first = streams.block(0)[1]
-    check("Streams.fill of a block's first round after a fill in the previous block vs "
-          "rng.stream", sum(fill_mismatches(streams, t, [1, 2], "standard_normal")
-                            for t in (first - 1, first)))
     for kind, purpose in (("random", rngmod.BATCH), ("standard_normal", rngmod.NOISE)):
         misses = 0
         for words in (1, 2, 3):
@@ -476,8 +455,8 @@ def streams_suite() -> List[CheckResult]:
                                   width, starts, counts, scale)
         misses += sum(chunk_mismatches(draws, t, nodes, starts, counts, scale)
                       for t in (1, 0, 2, 3, 4, 5))
-    check("RoundDraws chunk rows, scaled, of bulk and fill nodes over chunk, block and horizon "
-          "edges vs rng.stream", misses)
+    check("RoundDraws chunk rows, scaled, of bulk and at-slot nodes over chunk, block and "
+          "horizon edges vs rng.stream", misses)
     return results
 
 

@@ -556,7 +556,7 @@ class TestCliVerify:
     def test_streams_suite_passes(self, capsys):
         assert main(["verify", "streams"]) == 0
         out = capsys.readouterr().out
-        assert "Streams.at vs rng.stream" in out and "Streams.fill (random)" in out
+        assert out.count("Streams.at vs rng.stream") == 6  # 1-3-word seeds, BATCH and NOISE
         assert "Streams.bulk (random)" in out and "Streams.bulk (standard_normal)" in out
         assert "RoundDraws chunk rows" in out
 

@@ -283,32 +283,38 @@ class TestNoiseDraws:
     @staticmethod
     def noise_draws(monkeypatch, cfg, seed):
         """Run cfg and list the (node, t) of every NOISE slot it draws, at the
-        round loop's per-round accessor `rng.Streams.fill` and at its bulk
+        round loop's per-slot accessor `rng.Streams.at` and at its bulk
         accessor `rng.Streams.bulk` (every round of the block), and the
-        first round of every NOISE block it derives."""
+        first round of every NOISE block it derives.  The `at` calls that
+        `bulk` and a block derivation make themselves are not draws of the
+        round loop, and are dropped."""
         from pushdp import rng as rngmod
 
         drawn, derived = [], []
-        real_fill, real_derive = rngmod.Streams.fill, rngmod.Streams._derive
+        real_at, real_derive = rngmod.Streams.at, rngmod.Streams._derive
         real_bulk = rngmod.Streams.bulk
 
-        def counting_fill(streams, t, nodes, outs, kind):
+        def counting_at(streams, t, node):
             if streams.purpose == rngmod.NOISE:
-                drawn.extend((int(node), t) for node in nodes)
-            return real_fill(streams, t, nodes, outs, kind)
+                drawn.append((int(node), t))
+            return real_at(streams, t, node)
 
         def counting_bulk(streams, t, nodes, counts, kind):
+            start = len(drawn)
             t0, block = real_bulk(streams, t, nodes, counts, kind)
+            del drawn[start:]  # its redraws and self-check
             if streams.purpose == rngmod.NOISE:
                 drawn.extend((int(node), t0 + r) for r in range(len(block)) for node in nodes)
             return t0, block
 
         def counting_derive(streams, t0):
+            start = len(drawn)
             if streams.purpose == rngmod.NOISE:
                 derived.append(t0)
-            return real_derive(streams, t0)
+            real_derive(streams, t0)
+            del drawn[start:]  # its self-check
 
-        monkeypatch.setattr(rngmod.Streams, "fill", counting_fill)
+        monkeypatch.setattr(rngmod.Streams, "at", counting_at)
         monkeypatch.setattr(rngmod.Streams, "bulk", counting_bulk)
         monkeypatch.setattr(rngmod.Streams, "_derive", counting_derive)
         return observed_run(cfg, seed), drawn, derived
@@ -319,13 +325,16 @@ class TestNoiseDraws:
         assert derived == []
 
     def test_only_occupied_nodes_draw(self, monkeypatch):
-        cfg = make_config(T=6, data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
-        (result, log), drawn, _ = self.noise_draws(monkeypatch, cfg, 0)
-        empty = result.summary["empty_nodes"]
-        assert empty  # seed 0 leaves nodes 0, 1 and 4 without samples
-        occupied = [i for i in range(cfg.n) if i not in empty]
-        assert drawn == [(i, t) for t in range(cfg.T) for i in occupied]
-        assert np.all(log.fused_norms[:, empty] == 0.0)
+        # noise rows of dim 6 from bulk blocks, of dim 21 at `at` slots
+        for features in (5, 20):
+            cfg = make_config(T=6, model=ModelSpec(kind="logistic", features=features, l2=0.01),
+                              data=DataSpec(kind="blobs", n_samples=24, alpha_conc=0.05))
+            (result, log), drawn, _ = self.noise_draws(monkeypatch, cfg, 0)
+            empty = result.summary["empty_nodes"]
+            assert empty  # seed 0 leaves nodes without samples
+            occupied = [i for i in range(cfg.n) if i not in empty]
+            assert sorted(drawn) == sorted((i, t) for t in range(cfg.T) for i in occupied)
+            assert np.all(log.fused_norms[:, empty] == 0.0)
 
 
 def test_one_model_pass_per_occupied_node_round(monkeypatch):
@@ -393,7 +402,7 @@ def test_round_marker_calls(monkeypatch):
 def test_one_round_chunks_write_the_same_run(monkeypatch, features, alpha_conc):
     """Chunks of one round give the records, summary and final state of the
     default chunk size: the noise rows go through the bulk normals at dim 6
-    and through `fill` at dim 21, and alpha_conc=0.3 leaves nodes on both
+    and through `at` slots at dim 21, and alpha_conc=0.3 leaves nodes on both
     sides of the bulk uniforms' cap."""
     from pushdp import rng as rngmod
 

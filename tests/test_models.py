@@ -28,7 +28,6 @@ from pushdp.models import (
     node_sorted,
     partition_report,
     row_pass,
-    sample_batch,
     split_test,
 )
 from pushdp.theory import estimate_theory_params
@@ -39,6 +38,7 @@ from pushdp.verify import (
 )
 
 from conftest import make_config
+from reference import sample_batch
 
 BULK_ROWS = rngmod.BULK_DOUBLES["random"]  # the most rows a node takes from bulk blocks
 
@@ -450,8 +450,9 @@ class TestBatchDraws:
     def test_bulk_and_fill_nodes_match_sample_batch(self, monkeypatch, block_rounds):
         # nodes of 1, BULK_ROWS and 2 * BULK_ROWS rows at ratio 1e-12 (forced
         # picks) and of BULK_ROWS and BULK_ROWS + 1 rows at 0.02 (replays):
-        # first tries from the bulk block below BULK_ROWS + 1 rows, from `fill` above
-        # (node 0 is empty: only a block derivation's self-check positions it)
+        # first tries from the bulk block below BULK_ROWS + 1 rows, at `at`
+        # slots round by round above (node 0 is empty: only a block
+        # derivation's self-check positions it)
         sizes = (0, BULK_ROWS, 1, BULK_ROWS + 1, BULK_ROWS, 2 * BULK_ROWS)
         ratios = (0.5, 0.02, 1e-12, 0.02, 1e-12, 1e-12)
         seed, T = 2**32 + 17, 7
@@ -465,7 +466,7 @@ class TestBatchDraws:
         uniforms = draws.uniforms
         assert (uniforms._bulk_nodes, uniforms._bulk_counts) == ([1, 2, 4],
                                                                  [BULK_ROWS, 1, BULK_ROWS])
-        assert uniforms._fill_nodes == [3, 5]
+        assert [node for node, _, _ in uniforms._at_spans] == [3, 5]
         for t in range(T):
             sel, _, drawn = draws.draw(t)
             ref = [sample_batch(np.arange(end - size, end), ratio,
@@ -473,7 +474,9 @@ class TestBatchDraws:
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
             assert drawn.tolist() == [len(rows) for rows in ref]
             assert np.array_equal(sel, np.concatenate(ref))
-        assert {1, 3} <= set(replayed)  # replays on both sides, besides the forced picks
+        # replays on both sides, besides the forced picks: node 3 also takes
+        # its first tries at its slots
+        assert 1 in replayed and replayed.count(3) > T
 
     def test_bulk_block_is_stepped_once_in_its_first_round(self, monkeypatch):
         # no stepping when the draws are built (set-up), then one `bulk`

@@ -2,10 +2,9 @@
 
 `rng.stream(seed, node, t, purpose)` defines every draw.  `rng.Streams`
 derives the same slots a block of rounds at a time and repositions one
-reused generator, by `fill` (a round's double draws into given arrays) and
-`at` (one slot), or steps a block's words in numpy (`bulk`, whose normals
-go through numpy's ziggurat tables); these tests require its draws to be
-identical.
+reused generator at one slot (`at`), or steps a block's words in numpy
+(`bulk`, whose normals go through numpy's ziggurat tables); these tests
+require its draws to be identical.
 """
 
 import copy
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pushdp import rng as rngmod
-from pushdp.config import DataSpec, load_config
+from pushdp.config import DataSpec, ModelSpec, load_config
 from pushdp.engine import run
 from pushdp.topology import TopologySchedule
 
@@ -63,9 +62,9 @@ def test_bulk_slots_match_stream(seed, n):
                 assert np.array_equal(a, b), (seed, n, purpose, node, t)
 
 
-def fill_views(sizes):
-    """Views of one buffer, `sizes[i]` doubles each, as the round loop
-    passes its uniform spans and noise rows to `fill`."""
+def row_views(sizes):
+    """Views of one buffer, `sizes[i]` doubles each, as `RoundDraws` draws
+    the uniform spans and noise rows of its large nodes into a chunk row."""
     buffer = np.full(sum(sizes), np.nan)
     return [buffer[a - c : a] for a, c in zip(np.cumsum(sizes).tolist(), sizes)]
 
@@ -73,9 +72,9 @@ def fill_views(sizes):
 @pytest.mark.parametrize("block_slots", [rngmod.BLOCK_SLOTS, 10])
 @pytest.mark.parametrize("seed", [0, 2**32 + 17])
 def test_each_matches_stream(monkeypatch, seed, block_slots):
-    # `fill` of each draw kind: 11 nodes, a subset in a scrambled order,
-    # rounds on both sides of the first two block boundaries (10 slots: one
-    # round a block)
+    # each draw kind into a row's views at `at` slots, all drawn before any
+    # is checked: 11 nodes, a subset in a scrambled order, rounds on both
+    # sides of the first two block boundaries (10 slots: one round a block)
     monkeypatch.setattr(rngmod, "BLOCK_SLOTS", block_slots)
     n = 11
     nodes = [9, 2, 3, 10, 0]
@@ -85,8 +84,9 @@ def test_each_matches_stream(monkeypatch, seed, block_slots):
         streams = rngmod.Streams(seed, purpose, n)
         for t in ts:
             for kind in ("random", "standard_normal"):
-                outs = fill_views([2 * k + 1 for k in range(len(nodes))])
-                streams.fill(t, nodes, outs, kind)
+                outs = row_views([2 * k + 1 for k in range(len(nodes))])
+                for node, out in zip(nodes, outs):
+                    getattr(streams.at(t, node), kind)(out=out)
                 for node, out in zip(nodes, outs):
                     ref = getattr(rngmod.stream(seed, node, t, purpose), kind)(len(out))
                     assert np.array_equal(out, ref), (seed, purpose, node, t, kind)
@@ -94,42 +94,27 @@ def test_each_matches_stream(monkeypatch, seed, block_slots):
 
 @pytest.mark.parametrize("purpose", [rngmod.BATCH, rngmod.NOISE])
 def test_fill_in_a_new_block_after_a_fill_in_the_last(monkeypatch, purpose):
-    # 2 rounds a block: the fill at t = 2 derives the block of rounds 2-3
-    # and must draw from it, not from the block of the fill at t = 1
+    # 2 rounds a block: the slots at t = 2 derive the block of rounds 2-3
+    # and must draw from it, not from the block of the slots at t = 1
     monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 8)
     blocks = derived_blocks(monkeypatch)
     seed = 2**32 + 17
     streams = rngmod.Streams(seed, purpose, 4)
     for t in (1, 2):
-        outs = fill_views([3, 3])
-        streams.fill(t, [1, 2], outs, "standard_normal")
+        outs = row_views([3, 3])
+        for node, out in zip([1, 2], outs):
+            streams.at(t, node).standard_normal(out=out)
         for node, out in zip([1, 2], outs):
             assert np.array_equal(out, rngmod.stream(seed, node, t, purpose).standard_normal(3))
     assert [t0 for _, t0, _ in blocks] == [0, 2]
 
 
-def test_each_of_no_nodes_derives_nothing(monkeypatch):
-    blocks = derived_blocks(monkeypatch)
-    streams = rngmod.Streams(3, rngmod.NOISE, 4)
-    streams.fill(5, [], [], "standard_normal")
-    assert blocks == []
-
-
 @pytest.mark.parametrize("t, nodes", [(0, [0, 4]), (0, [-1]), (-1, [0]), (9, [0])])
 def test_each_rejects_slots_outside_the_streams(t, nodes):
+    # the last listed node's slot: past the nodes, below 0, and outside the horizon
     streams = rngmod.Streams(0, rngmod.BATCH, 4, horizon=9)
     with pytest.raises(ValueError):
-        streams.fill(t, nodes, fill_views([1] * len(nodes)), "random")
-    with pytest.raises(ValueError):
         streams.at(t, nodes[-1])
-
-
-@pytest.mark.parametrize("kind, outs", [("integers", 1), ("normal", 1), ("random", 2),
-                                        ("random", 0)])
-def test_fill_takes_double_draws_into_one_array_per_node(kind, outs):
-    # only draws that read no 32-bit buffer word, and no node without an array
-    with pytest.raises(ValueError):
-        rngmod.Streams(0, rngmod.BATCH, 4).fill(0, [1], fill_views([2] * outs), kind)
 
 
 def test_last_one_word_t_matches_stream():
@@ -212,18 +197,23 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 
 
 def stream_backed_run(monkeypatch, cfg, seed):
-    """cfg's run with every slot that `fill`, `bulk` and `at` would position
-    drawn from a fresh `rng.stream` instead, and the draws made on `at`
-    slots."""
+    """cfg's run with every slot that `bulk` and `at` would position drawn
+    from a fresh `rng.stream` instead, and the draws made on `at` slots:
+    a kind alone for a sized draw (the batch replays), with " into a row"
+    for a draw into a chunk row (the large nodes)."""
     made = []
 
-    class Logged:  # a fresh stream that logs the batch replay's draws
+    class Logged:  # a fresh stream that logs its draws
         def __init__(self, gen):
             self._gen = gen
 
-        def random(self, size):
-            made.append("random")
-            return self._gen.random(size)
+        def random(self, size=None, out=None):
+            made.append("random" if out is None else "random into a row")
+            return self._gen.random(size, out=out)
+
+        def standard_normal(self, out):
+            made.append("standard_normal into a row")
+            return self._gen.standard_normal(out=out)
 
         def integers(self, high):
             made.append("integers")
@@ -232,17 +222,12 @@ def stream_backed_run(monkeypatch, cfg, seed):
     def fresh(streams, t, node):
         return rngmod.stream(streams.master_seed, node, t, streams.purpose)
 
-    def stream_fill(streams, t, nodes, outs, kind):
-        for node, out in zip(nodes, outs, strict=True):
-            getattr(fresh(streams, t, node), kind)(out=out)
-
     def stream_bulk(streams, t, nodes, counts, kind):
         t0, rounds = streams.block(t)
         return t0, np.array([np.concatenate([
             getattr(fresh(streams, u, node), kind)(c)
             for node, c in zip(nodes, counts, strict=True)]) for u in range(t0, t0 + rounds)])
 
-    monkeypatch.setattr(rngmod.Streams, "fill", stream_fill)
     monkeypatch.setattr(rngmod.Streams, "bulk", stream_bulk)
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
@@ -295,16 +280,43 @@ def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch, T, block
     assert_same_run(bulk, reference)
 
 
+def test_at_calls_are_large_node_slots_replays_and_block_self_checks(monkeypatch):
+    """A run whose noise rows (dim 21) and larger nodes' batch uniforms
+    exceed the bulk caps, at a sampling ratio that empties first draws on
+    both sides of the uniforms' cap: every `at` call is one of those slots
+    of a round, a batch replay of an empty first draw, or a derived block's
+    self-check of its node 0, and each of them is one call."""
+    cfg = make_config(T=7, sampling_ratio=0.05, epsilon=0.01,
+                      model=ModelSpec(kind="logistic", features=20, l2=0.01),
+                      data=DataSpec(kind="blobs", n_samples=400, alpha_conc=0.3))
+    seed = 3
+    monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 3 * cfg.n)  # blocks of rounds 0-2, 3-5 and 6
+    blocks, calls, real_at = derived_blocks(monkeypatch), [], rngmod.Streams.at
+    monkeypatch.setattr(rngmod.Streams, "at", lambda streams, t, node: (
+        calls.append((streams.purpose, node, t)), real_at(streams, t, node))[1])
+    counts = [node["count"] for node in run(cfg, master_seed=seed).partition["nodes"]]
+    large = [i for i, c in enumerate(counts) if c > BULK_ROWS]
+    replays = [(rngmod.BATCH, i, t) for t in range(cfg.T) for i, c in enumerate(counts)
+               if c and not (rngmod.stream(seed, i, t, rngmod.BATCH).random(c) < 0.05).any()]
+    assert large and any(0 < c <= BULK_ROWS for c in counts)
+    assert {i for _, i, _ in replays} & set(large) and {i for _, i, _ in replays} - set(large)
+    assert len(blocks) == 6
+    assert sorted(calls) == sorted(
+        [(rngmod.BATCH, i, t) for t in range(cfg.T) for i in large]
+        + [(rngmod.NOISE, i, t) for t in range(cfg.T) for i, c in enumerate(counts) if c]
+        + replays + [(purpose, 0, t0) for purpose, t0, _ in blocks])
+
+
 SEEDS_OF_1_TO_3_WORDS = st.sampled_from([1, 2, 3]).flatmap(
     lambda words: st.integers(2 ** (32 * words - 32) if words > 1 else 0, 2 ** (32 * words) - 1))
 
 
 @st.composite
-def fill_cases(draw):
+def slot_cases(draw):
     """(seed, purpose, n, rounds a block, horizon, steps): each step is an
-    `at` slot (t, node, odd integers count) and then a `fill` (t, nodes in
-    any order, sizes, kind), at rounds drawn near block edges and the
-    horizon as well as anywhere."""
+    `at` slot (t, node, odd integers count) and then a round's `at` slots
+    (t, nodes in any order, sizes, kind), at rounds drawn near block edges
+    and the horizon as well as anywhere."""
     n, block_rounds = draw(st.integers(1, 9)), draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 4 * block_rounds + 2))
     edges = [t for b in range(1, 5) for t in (b * block_rounds - 1, b * block_rounds)
@@ -322,32 +334,28 @@ def fill_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(fill_cases())
+@given(slot_cases())
 @example((2**64 + 5, rngmod.NOISE, 3, 2, 5,
           [((1, 2, 3), (2, [2, 0, 1], [2, 1, 3], "standard_normal")),
            ((4, 0, 1), (4, [1], [4], "random"))]))
 def test_fill_and_at_match_fresh_streams(case):
-    # `fill` writes no buffer word: after an `at` slot whose odd integers
-    # count left the 32-bit buffer full, its double draws are still the
-    # stream's, and in the `at` slot's block (where no derivation's
-    # self-check repositions the generator) the buffer word is left as it was
+    # after an `at` slot whose odd integers count left the 32-bit buffer
+    # full, a round's double draws into a row's views at `at` slots, as
+    # `RoundDraws` makes them for its large nodes, are still the stream's
     seed, purpose, n, block_rounds, horizon, steps = case
     with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n):
         streams = rngmod.Streams(seed, purpose, n, horizon=horizon)
-    for (t, node, k), (fill_t, nodes, sizes, kind) in steps:
+    for (t, node, k), (row_t, nodes, sizes, kind) in steps:
         gen, ref = streams.at(t, node), rngmod.stream(seed, node, t, purpose)
         assert np.array_equal(gen.integers(0, 2**31, k), ref.integers(0, 2**31, k))
         assert np.array_equal(gen.random(2), ref.random(2))
-        buffer_word = gen.bit_generator.state["has_uint32"], gen.bit_generator.state["uinteger"]
-        assert buffer_word[0] == 1
-        outs = fill_views(sizes)
-        streams.fill(fill_t, nodes, outs, kind)
+        assert gen.bit_generator.state["has_uint32"] == 1
+        outs = row_views(sizes)
         for node, out in zip(nodes, outs):
-            assert np.array_equal(out, getattr(rngmod.stream(seed, node, fill_t, purpose), kind)(
-                len(out))), (node, fill_t, kind)
-        state = gen.bit_generator.state
-        if fill_t // block_rounds == t // block_rounds:
-            assert (state["has_uint32"], state["uinteger"]) == buffer_word
+            getattr(streams.at(row_t, node), kind)(out=out)
+        for node, out in zip(nodes, outs):
+            assert np.array_equal(out, getattr(rngmod.stream(seed, node, row_t, purpose), kind)(
+                len(out))), (node, row_t, kind)
 
 
 @st.composite
@@ -502,7 +510,8 @@ def test_round_draws_write_each_nodes_span(monkeypatch, kind, purpose):
     scale = np.linspace(0.5, 2.0, width)
     draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, width,
                               starts, counts, scale)
-    assert (draws._bulk_nodes, draws._fill_nodes) == ([4, 5, 2], [1])
+    assert draws._bulk_nodes == [4, 5, 2]
+    assert draws._at_spans == [(1, int(starts[1]), int(starts[1]) + cap + 1)]
     firsts = []
     for t in range(T):
         t0, chunk = draws.chunk(t)
@@ -588,8 +597,10 @@ def test_randoms_read_words_through_the_inverse_order(monkeypatch):
                                                     rngmod.stream(7, 0, 1, rngmod.BATCH).random(2)]))
 
 
-@pytest.mark.parametrize("nodes, counts", [([], []), ([1], [0]), ([1, 2], [3])])
+@pytest.mark.parametrize("nodes, counts", [([], []), ([1], [0]), ([1, 2], [3]), ([1, 4], [1, 1]),
+                                           ([-1], [1])])
 def test_randoms_take_nodes_with_a_double_each(nodes, counts):
+    # and only nodes of the streams
     with pytest.raises(ValueError):
         rngmod.Streams(0, rngmod.BATCH, 4).bulk(0, nodes, counts, "random")
 
