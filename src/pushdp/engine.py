@@ -8,12 +8,14 @@ threshold each round and fuses noisy gradients within noise-constant
 intervals.  Both mix through the per-iteration column-stochastic matrix.
 
 The observables of a record (xbar, consensus error, train loss, test
-accuracy, mean squared gradient norm, mean clip residual) are computed a
-chunk of rounds at a time, bit for bit as round by round: each round keeps
-its pre-update X and Z, full gradients and clip residuals, and the last
-round of a chunk (and round T - 1) computes the chunk's records with
-stacked calls.  A chunk is rng.CHUNK_BYTES over one round's widest
-loss-pass plane (rows, times the MLP's hidden width), at least one round.
+accuracy, mean squared gradient norm, mean clip residual, drift) are
+computed a chunk of rounds at a time, bit for bit as round by round: each
+round keeps its pre-update X and Z, full gradients and clip residuals, and
+writes its clipped occupied rows once into one buffer after its interval's
+earlier rows, and the last round of a chunk (and round T - 1) computes the
+chunk's records with stacked calls.  A chunk is rng.CHUNK_BYTES over one
+round's widest loss-pass plane (rows, times the MLP's hidden width), at
+least one round.
 """
 
 from __future__ import annotations
@@ -179,7 +181,9 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
     noise = rngmod.RoundDraws(rngmod.Streams(seed, rngmod.NOISE, n, horizon=T), "standard_normal",
                               noise_nodes, n * model.dim, noise_nodes * model.dim,
                               np.full(len(noise_nodes), model.dim), np.repeat(sigmas, model.dim))
-    interval = np.empty((0, len(layout.nodes), model.dim))  # the interval's clipped occupied rows
+    # clipped occupied rows of the open interval's earlier rounds, then of this
+    # chunk's: round t's are rows[at], its interval's earlier rounds the lag before
+    rows, at, lag = np.empty((0, len(layout.nodes), model.dim)), -1, 0
     alpha_inj = None
 
     for t in range(T):
@@ -187,12 +191,13 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         # an interval starts where the injected alpha(T - t) changes (privacy.starts_interval)
         last_alpha, alpha_inj = alpha_inj, alpha_at(config.noise, T - t)
         new_interval = t == 0 or alpha_inj != last_alpha
-        if new_interval:  # room for its rounds, until alpha(T - t) next changes
-            length, j = 1, 0
-            while t + length < T and alpha_at(config.noise, T - t - length) == alpha_inj:
-                length += 1
-            if length > len(interval):
-                interval = np.empty((length, *interval.shape[1:]))
+        lag = 0 if new_interval else lag + 1
+        at = 0 if new_interval and not pending else at + 1
+        if not pending and at + min(chunk, T - t) > len(rows):  # the chunk does not fit: move
+            need = lag + min(chunk, T - t)  # the interval's rows to the front, grown if need be
+            room = rows if need <= len(rows) else np.empty((need, *rows.shape[1:]))
+            room[:lag] = rows[at - lag : at]
+            rows, at = room, lag
 
         # each occupied node's batch and noise draws (one v1 slot each), then
         # every node's full and batch gradient at its z_i in one call; empty
@@ -200,16 +205,13 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         Full, Grad = grads.at(Z, *batches.draw(t))
         t0, noise_rows = noise.chunk(t)
 
-        # clip, perturb, fuse and half-step on all nodes at once; the drift is
-        # the largest ||active_i - past_i||^2 of the interval so far
+        # clip, perturb, fuse and half-step on all nodes at once
         clipped, resid = clip(Grad, G)
-        active = np.take(clipped, layout.nodes, axis=0, out=interval[j])
-        d_tau_t = _drift(active, interval[:j]) if j else 0.0
-        j += 1
+        clipped.take(layout.nodes, axis=0, out=rows[at])
         noisy = perturb(clipped, alpha_inj, noise_rows[t - t0].reshape(n, -1))
         F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
         # each round makes new arrays: none of these is written again
-        pending.append((X, Z, Full, resid, (t, G, alpha_inj, eta_t, d_tau_t)))
+        pending.append((X, Z, Full, resid, (t, G, alpha_inj, eta_t), lag))
         X = X - eta_t * F
 
         X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
@@ -218,7 +220,8 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
             raise NumericalBreakdownError(f"non-finite state at iteration {t} (node {bad})")
 
         if len(pending) == chunk or t == T - 1:
-            records += _observe(model, (train_X, train_y), dataset, layout, pending)
+            records += _observe(model, (train_X, train_y), dataset, layout, pending,
+                                rows[: at + 1])
             pending = []
         if vrsgp:
             G = decay_threshold(config.clip, G)
@@ -234,14 +237,20 @@ def _observable_rounds(model: Model, train_rows: int, test_rows: int) -> int:
     return max(1, rngmod.CHUNK_BYTES // (8 * max(train_rows, test_rows) * model.row_width))
 
 
-def _drift(active: np.ndarray, earlier: np.ndarray) -> float:
-    """The largest ||active_i - earlier[s, i]||^2 over the (k, d) rows
-    `active` and the earlier rounds s, a block of rounds at a time whose
-    (b, k, d) difference takes at most rng.CHUNK_BYTES; a NaN propagates."""
-    b = max(1, rngmod.CHUNK_BYTES // (8 * active.size))
-    peaks = [np.add.reduce((active - earlier[s : s + b]) ** 2, axis=2).max()
-             for s in range(0, len(earlier), b)]
-    return float(reduce(np.maximum, peaks))
+def _drifts(rows: np.ndarray, lags) -> np.ndarray:
+    """empirical_d_tau of the last len(lags) of the (rounds, k, d) clipped
+    occupied rows: round r's largest ||row_i - earlier_i||^2 over the lags[r]
+    rounds before it, 0.0 if none.  One offset at a time, over views of
+    rows; a difference takes at most rng.CHUNK_BYTES (one round's rows at
+    least), and the exact max keeps a NaN."""
+    lags, p = np.array(lags), len(rows) - len(lags)  # round r's rows are rows[p + r]
+    out, b = np.zeros(len(lags)), max(1, rngmod.CHUNK_BYTES // (8 * rows[0].size))
+    for o in range(1, int(lags.max()) + 1):
+        for a in range(max(0, o - p), len(lags), b):
+            z = min(a + b, len(lags))
+            sq = np.add.reduce((rows[p + a : p + z] - rows[p + a - o : p + z - o]) ** 2, axis=2)
+            np.maximum(out[a:z], sq.max(axis=1), out=out[a:z], where=lags[a:z] >= o)
+    return out
 
 
 def _stacked(arrays):
@@ -252,15 +261,17 @@ def _stacked(arrays):
             else np.concatenate(arrays).reshape(len(arrays), *first.shape))
 
 
-def _observe(model, train, dataset, layout, rounds) -> List[MetricsRecord]:
+def _observe(model, train, dataset, layout, rounds, rows) -> List[MetricsRecord]:
     """The records of a chunk of rounds, each given as its pre-update X and
-    Z, full gradients, clip residuals and (t, G, alpha, eta, drift).  The
-    stacked calls give every round's bits: xbar, the consensus error, one
+    Z, full gradients, clip residuals, (t, G, alpha, eta) and interval lag,
+    whose clipped occupied rows end `rows`.  The stacked calls give every
+    round's bits: the drift (_drifts), xbar, the consensus error, one
     loss-only pass at every xbar and its segment means, test accuracy, the
     mean squared gradient norm and the mean clip residual over the occupied
     nodes.  A mean is x.sum() / x.size, np.mean's own arithmetic without
     its dispatch."""
-    X, Z, Full, resid, scalars = zip(*rounds)
+    X, Z, Full, resid, scalars, lags = zip(*rounds)
+    drift = _drifts(rows, lags).tolist()
     # np.take keeps the node axis in C order (a fancy index would put it
     # first in memory), so every sum over it runs as it did round by round
     k = len(layout.nodes)
@@ -279,9 +290,9 @@ def _observe(model, train, dataset, layout, rounds) -> List[MetricsRecord]:
     return [MetricsRecord(t=t, mean_sq_grad_norm=m, consensus_error=c, train_loss=loss,
                           test_accuracy=acc, current_g=G, alpha_injected=alpha, eta_t=eta,
                           clip_residual_mean=r, empirical_d_tau=d)
-            for (t, G, alpha, eta, d), m, c, loss, acc, r in zip(
+            for (t, G, alpha, eta), m, c, loss, acc, r, d in zip(
                 scalars, mean_sq.tolist(), cons.tolist(), train_loss.tolist(),
-                test_acc or [None] * len(scalars), resid_mean.tolist())]
+                test_acc or [None] * len(scalars), resid_mean.tolist(), drift)]
 
 
 def _privacy_spent(config, sigmas):

@@ -172,7 +172,7 @@ class LogisticModel:
                 return Rows(losses, reg)
         else:
             losses = reg = None
-            margin = _row_dot(X, np.take(w, owner, axis=0)) + np.take(bias, owner)
+            margin = _row_dot(X, w.take(owner, axis=0)) + bias.take(owner)
         with np.errstate(over="ignore"):  # exp(-m) = inf below m = -709: p_j is 0 there
             resid = 1.0 / (1.0 + np.exp(-margin)) - y
         const = self.l2 * params
@@ -280,39 +280,44 @@ class NodeGrads:
     quadratic take one gradient-only pass over all rows and `np.add.reduceat`
     of the row pieces, bit for bit as per segment: logistic pieces
     [x_j, 1] * r_j; the quadratic's are the rows, whose full-slice sums are
-    taken once.  The MLP takes one pass per node (a gathered W1 would be
-    rows x features x hidden), and `Rows.grad` writes the node's two means
-    straight into its rows of the outputs."""
+    taken once; with every node occupied, Z is the pass's points and the
+    two means are the outputs.  The MLP takes one pass per node (a gathered
+    W1 would be rows x features x hidden), and `Rows.grad` writes the
+    node's two means straight into its rows of the outputs."""
 
     def __init__(self, model: Model, batch: Batch, layout: NodeRows):
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
+        self._counts = layout.counts[:, None].astype(float)  # the full means' divisor
         if isinstance(model, LogisticModel):
             self._aug = np.hstack([X, np.ones((len(X), 1))])
             self._pieces = np.empty((len(X), model.dim))
         elif isinstance(model, QuadraticModel):
-            self._full_means = np.add.reduceat(X, layout.starts) / layout.counts[:, None]
+            self._full_means = np.add.reduceat(X, layout.starts) / self._counts
 
     def at(self, Z: np.ndarray, sel: np.ndarray, sel_starts: np.ndarray, drawn: np.ndarray):
         (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
         if not 0 < len(drawn) == len(nodes) or drawn.min() < 1 or drawn.sum() != len(sel):
             raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
-        full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
         if isinstance(self.model, MlpModel):
+            full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
             for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
                                      sel_starts.tolist(), drawn.tolist()):
                 rows = row_pass(self.model, Z[i], (X[a : a + c], y[a : a + c]))
                 rows.grad(out=full[i])
                 rows.grad(sel[s : s + m] - a, out=batch_mean[i])
             return full, batch_mean
-        rows = self.model.rows(Z[nodes], X, y, owner=owner)
+        rows = self.model.rows(Z[nodes] if len(nodes) < len(Z) else Z, X, y, owner=owner)
         if isinstance(self.model, QuadraticModel):
             pieces, full_means = X, self._full_means
         else:  # the block is (X, resid column)
             pieces = np.multiply(self._aug, rows.blocks[0][1], out=self._pieces)
-            full_means = np.add.reduceat(pieces, starts) / counts[:, None]
-        full[nodes] = rows.const + full_means
-        batch_mean[nodes] = rows.const + np.add.reduceat(
-            pieces.take(sel, axis=0), sel_starts) / drawn[:, None]
+            full_means = np.add.reduceat(pieces, starts) / self._counts
+        means = (rows.const + full_means, rows.const + np.add.reduceat(
+            pieces.take(sel, axis=0), sel_starts) / drawn[:, None])
+        if len(nodes) == len(Z):  # every node holds rows
+            return means
+        full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
+        full[nodes], batch_mean[nodes] = means
         return full, batch_mean
 
 

@@ -573,28 +573,47 @@ class TestEmpiricalDTau:
             assert result.records[-1].empirical_d_tau > 0
             assert len(calls) <= 3 * T
 
+    @staticmethod
+    def brute_drifts(rows, lags):
+        """Round r of the last len(lags) rows against each of its lags[r]
+        earlier rows, one pair at a time; np.max keeps a NaN."""
+        p = len(rows) - len(lags)
+        return [max((np.add.reduce((rows[p + r] - rows[p + r - j]) ** 2, axis=1).max()
+                     for j in range(1, lag + 1)), default=0.0) for r, lag in enumerate(lags)]
+
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_blocks_of_earlier_rounds_give_the_whole_max(self, block, monkeypatch):
-        # blocks of 1, 2 and 3 of 7 earlier rounds (3 leaves a last block of
-        # one) and one block of all 7; a NaN in the first or the last block
-        # propagates, as np.max over all rounds did
+        # differences of 1, 2, 3 and 7 rounds: one round against its 7
+        # earlier rounds (3 leaves a last block of one), and a chunk of 5
+        # rounds whose first two close an interval opened 3 rows before the
+        # chunk; a NaN in the first or the last earlier round propagates, as
+        # np.max over all rounds did, and one before the chunk crosses its
+        # edge into the open interval's rounds only
         from pushdp import engine
         from pushdp import rng as rngmod
 
         gen = np.random.default_rng(block)
         active, earlier = gen.normal(size=(4, 3)), gen.normal(size=(7, 4, 3))
         monkeypatch.setattr(rngmod, "CHUNK_BYTES", block * 8 * active.size)
-        assert engine._drift(active, earlier) == np.add.reduce((active - earlier) ** 2,
-                                                                axis=2).max()
+        rows = np.concatenate([earlier, active[None]])
+        assert engine._drifts(rows, [7]).tolist() == [
+            np.add.reduce((active - earlier) ** 2, axis=2).max()]
         for at in ((0, 1, 2), (6, 3, 0)):
-            nan = earlier.copy()
+            nan = rows.copy()
             nan[at] = np.nan
-            assert np.isnan(engine._drift(active, nan))
+            assert np.isnan(engine._drifts(nan, [7])).all()
+        rows, lags = gen.normal(size=(9, 4, 3)), [3, 4, 0, 1, 2]
+        assert engine._drifts(rows, lags).tolist() == self.brute_drifts(rows, lags)
+        for at, crossed in ((1, [True, True, False, False, False]), (0, [False] * 5)):
+            nan = rows.copy()
+            nan[at, 1, 2] = np.nan  # row 1 opens the interval; row 0 is before it
+            assert np.isnan(engine._drifts(nan, lags)).tolist() == crossed
 
     def test_drift_step_memory_is_bounded_in_one_long_interval(self, monkeypatch):
-        # power s = 0: one interval of all T rounds at mlp8's (8, 1539) rows.
-        # Each step takes blocks of earlier rounds whose difference is at
-        # most CHUNK_BYTES, not a (j, 8, 1539) difference at the j-th round
+        # power s = 0: one interval of all T rounds at mlp8's (8, 1539) rows,
+        # in chunks of one round.  Each chunk's step reads the interval's
+        # rows as one view and takes differences of at most CHUNK_BYTES, not
+        # a (j, 8, 1539) difference at the j-th round
         import tracemalloc
 
         from pushdp import engine
@@ -605,30 +624,40 @@ class TestEmpiricalDTau:
                           noise=NoiseSchedule(form="power", T=T, s=0.0, K=1.0),
                           model=ModelSpec(kind="mlp", features=20, hidden=64, classes=3),
                           data=DataSpec(kind="blobs", n_samples=160, alpha_conc=100.0))
-        steps, real = [], engine._drift
+        steps, real = [], engine._drifts
 
-        def traced(active, earlier):
+        def traced(rows, lags):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out = real(active, earlier)
-            steps.append((earlier.shape, tracemalloc.get_traced_memory()[1] - before))
+            out = real(rows, lags)
+            steps.append((rows.shape, lags, tracemalloc.get_traced_memory()[1] - before))
             return out
 
-        monkeypatch.setattr(engine, "_drift", traced)
+        monkeypatch.setattr(engine, "_drifts", traced)
         tracemalloc.start()
         try:
             result = run(cfg, master_seed=0)
         finally:
             tracemalloc.stop()
-        assert [shape for shape, _ in steps] == [(j, 8, 1539) for j in range(1, T)]
+        assert [(shape, lags) for shape, lags, _ in steps] == [
+            ((t + 1, 8, 1539), (t,)) for t in range(T)]
         assert result.records[-1].empirical_d_tau > 0
-        assert max(peak for _, peak in steps) <= 2.5 * rngmod.CHUNK_BYTES
+        assert max(peak for _, _, peak in steps) <= 2.5 * rngmod.CHUNK_BYTES
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_matches_brute_force(self, case, monkeypatch):
+    @pytest.mark.parametrize("case, chunk", [
+        pytest.param(case, chunk, id=case if chunk is None else f"{case}-chunk{chunk}")
+        for case in CASES for chunk in (None, 1, 3, 7)])
+    def test_matches_brute_force(self, case, chunk, monkeypatch):
+        # the default chunk holds all T rounds; chunks of 1, 3 and 7 rounds
+        # (CHUNK_BYTES over 8 bytes of the 192 training rows) end inside
+        # the 5-round intervals and the stepwise-s0 interval of all T rounds
         from pushdp import engine
+        from pushdp import rng as rngmod
 
         cfg = make_config(T=self.T, **self.CASES[case])
+        if chunk:
+            monkeypatch.setattr(rngmod, "CHUNK_BYTES", chunk * 8 * 192)
+            assert engine._observable_rounds(build_model(cfg, 3), 192, 48) == chunk
         clipped = []
         real_clip = engine.clip
 

@@ -353,6 +353,47 @@ class TestNodeGrads:
             assert np.array_equal(drawn_mean[layout.nodes], ref_drawn)
             assert not full[empty].any() and not drawn_mean[empty].any()
 
+    @staticmethod
+    def per_node_passes(model, Z, batch, layout, sel, sel_starts, drawn):
+        """Oracle: one gradient-only pass a node over its own rows alone,
+        owned by its own point, and its two means each reduced as one
+        segment.  The pass is given every occupied node's point, copied out
+        of Z, so the quadratic's const rows come from the same (k, d) matmul
+        as in a run."""
+        X, y = batch
+        full, drawn_mean = np.zeros_like(Z), np.zeros_like(Z)
+        for k, (i, a, c, s, m) in enumerate(zip(layout.nodes, layout.starts, layout.counts,
+                                                sel_starts, drawn)):
+            rows = model.rows(Z[layout.nodes], X[a : a + c], y[a : a + c],
+                              owner=np.full(c, k, dtype=np.intp))
+            A, E = rows.blocks[0]
+            pieces = E if A is None else np.hstack([A, np.ones((c, 1))]) * E
+            full[i] = rows.const[k] + np.add.reduceat(pieces, [0]) / c
+            drawn_mean[i] = rows.const[k] + np.add.reduceat(pieces[sel[s : s + m] - a], [0]) / m
+        return full, drawn_mean
+
+    @pytest.mark.parametrize("sizes", [(2, 1, 8, 8, 11), SIZES], ids=["every-node", "empty-node"])
+    @pytest.mark.parametrize("model, data", ROW_CASES[:2], ids=["quadratic", "logistic"])
+    def test_both_paths_equal_one_pass_per_node(self, model, data, sizes, rng):
+        # with every node occupied, Z itself is the gathered points and the
+        # means come back as they are; with an empty node they are scattered
+        # into zero rows.  Either way the outputs are new arrays: a run keeps
+        # them, so they may share no memory with Z or with each other
+        batch = (data.features, data.labels)
+        grads = NodeGrads(model, batch, node_rows(sizes))
+        for _ in range(5):
+            Z = rng.normal(size=(len(sizes), model.dim))
+            draws = node_draws(rng, sizes, self.RATIOS)
+            got = grads.at(Z, *draws[1:])
+            want = self.per_node_passes(model, Z, batch, *draws)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert not any(np.shares_memory(a, b) for a, b in ((got[0], Z), (got[1], Z),
+                                                                 (got[0], got[1])))
+            before = Z.copy()
+            for g in got:
+                g += 1.0
+            assert np.array_equal(Z, before)
+
     @pytest.mark.parametrize("counts", [[], [10, 0, 20], [10, 10, 11]])
     def test_segments_must_split_the_rows(self, counts, rng):
         # every node's segment holds at least one row, and together they hold them all

@@ -155,3 +155,54 @@ def test_bench_turns_a_broken_run_into_run_failed(tmp_path, script, message):
     (tmp_path / "perfbench" / "run.py").write_text(script + "\n")
     with pytest.raises(pairs.RunFailed, match=message):
         pairs.bench(tmp_path, "w", 1, 1)
+
+
+def test_report_gives_the_unscaled_medians_next_to_the_scaled_ones():
+    # every run of both sides gives run_s unscaled; no run gives setup_s
+    def result(v, raw):
+        return {"correct": True, "failed": 0, "unscaled": {"run_s": raw},
+                "metrics": {"run_s": {"value": v}, "setup_s": {"value": v}}}
+
+    runs = {"base": [result(v, raw) for v, raw in ((2.0, 3.0), (2.2, 3.4), (2.1, 3.2))],
+            "change": [result(v, raw) for v, raw in ((1.8, 3.3), (1.9, 3.5), (2.0, 3.4))]}
+    metrics = [{"name": "run_s", "unit": "s", "better": "lower"},
+               {"name": "setup_s", "unit": "s", "better": "lower"}]
+    lines = pairs.report(metrics, runs)
+    assert lines[2] == (
+        "run_s (s, lower is better): base 2.1 [2.05, 2.15], change 1.9 [1.85, 1.95] (-9.5%), "
+        "won 3/3, base IQR 0.1, gain holds; unscaled base 3.2, change 3.4 (+6.2%)")
+    assert lines[3].endswith("gain holds")
+    assert pairs.unscaled(runs, "setup_s") is None
+    del runs["change"][1]["unscaled"]["run_s"]
+    assert pairs.unscaled(runs, "run_s") is None
+
+
+@pytest.mark.parametrize("info, raw", [
+    ('{"env": {}, "unscaled": {"run_s": 1.5}}', {"run_s": 1.5}),
+    ('{"env": {}}', {}),
+    ("perfbench info", {}),
+])
+def test_bench_reads_the_unscaled_block_of_the_info_line(tmp_path, info, raw):
+    result = {"correct": True, "failed": 0, "metrics": {"run_s": {"value": 1.0}}}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print({info!r})\nprint({json.dumps(result)!r})\n")
+    assert pairs.bench(tmp_path, "w", 1, 1) == {**result, "unscaled": raw}
+
+
+def test_main_prints_the_unscaled_values_of_every_pair(monkeypatch, capsys):
+    def export(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        return dest
+
+    def bench(tree, workload, seed, seconds):
+        return {**_results(float(seed)), "unscaled": {"run_s": 10.0 * seed}}
+
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "bench", bench)
+    assert pairs.main(["--base", "HEAD", "--workload", "w", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[-1])["unscaled"] == {"run_s": {"base": [10.0, 20.0],
+                                                         "change": [10.0, 20.0]}}
+    assert any(line.startswith("run_s ") and line.endswith("unscaled base 15, change 15 (+0.0%)")
+               for line in out)

@@ -6,8 +6,10 @@ The base revision (and the change revision, if `--change` names one; else
 this checkout's working tree) is exported with `git archive` into a
 temporary directory.  Pair i runs `perfbench/run.py --workload W --seed
 S+i --seconds N --trace 0` once in each tree, the base first in even pairs
-and the change first in odd ones.  Only the last line of each run's
-standard output, perfbench's result object, is read.  A run that exits
+and the change first in odd ones.  Only the last two lines of each run's
+standard output are read: perfbench's result object, and the info line
+before it for its `unscaled` block, the times before perfbench's
+speed-probe scaling.  A run that exits
 non-zero, is not `correct` or lacks a metric fails its pair: the pair and
 side are named, the remaining pairs still run, the summary covers the
 complete pairs only, and the script exits 1.
@@ -18,8 +20,11 @@ end-to-end metric of BENCHMARK.json it gives each side's median and
 quartiles, how many pairs the change won (ties count for neither side),
 the base's interquartile range, and whether a gain holds: the change won
 at least nine tenths of the pairs, and its median is better than the
-base's by more than the base's interquartile range.
-A last line gives every pair's values, as one JSON object.
+base's by more than the base's interquartile range.  A metric that
+every run also gives unscaled gets each side's unscaled median and its
+change too: the scaling can move the two readings of one set of pairs
+apart.  A last line gives every pair's values, as one JSON object, the
+unscaled ones under "unscaled".
 """
 
 from __future__ import annotations
@@ -81,16 +86,31 @@ class RunFailed(Exception):
 
 
 def bench(tree, workload, seed, seconds):
-    """perfbench's result object of one run in `tree`."""
+    """perfbench's result object of one run in `tree`, with the info line's
+    `unscaled` block under "unscaled" ({} if that line has none)."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
                            workload, "--seed", str(seed), "--seconds", str(seconds), "--trace",
                            "0"], capture_output=True, text=True)
     if proc.returncode:
         raise RunFailed(f"perfbench exited {proc.returncode}: {proc.stderr.strip()}")
+    lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(proc.stdout.strip().splitlines()[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise RunFailed(f"perfbench printed no result object: {proc.stdout.strip()!r}") from None
+    try:
+        result["unscaled"] = json.loads(lines[-2])["unscaled"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        result["unscaled"] = {}
+    return result
+
+
+def unscaled(runs, name):
+    """The unscaled values of metric `name` of every run of each side, or
+    None unless every run has one."""
+    values = {side: [r.get("unscaled", {}).get(name) for r in results]
+              for side, results in runs.items()}
+    return None if any(v is None for vs in values.values() for v in vs) else values
 
 
 def checked(result, names):
@@ -117,12 +137,21 @@ def report(metrics, runs):
                   for side, results in runs.items()}
         s = summarize(values["base"], values["change"], metric["better"])
         (b1, bm, b3), (c1, cm, c3) = s["base"], s["change"]
-        change = f"{100 * (cm - bm) / bm:+.1f}%" if bm else "n/a"
-        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): base {bm:.6g} "
-                     f"[{b1:.6g}, {b3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}] ({change}), "
-                     f"won {s['wins']}/{s['pairs']}, base IQR {s['iqr']:.3g}, "
-                     f"gain {'holds' if s['holds'] else 'does not hold'}")
+        line = (f"{name} ({metric['unit']}, {metric['better']} is better): base {bm:.6g} "
+                f"[{b1:.6g}, {b3:.6g}], change {cm:.6g} [{c1:.6g}, {c3:.6g}] ({percent(bm, cm)}), "
+                f"won {s['wins']}/{s['pairs']}, base IQR {s['iqr']:.3g}, "
+                f"gain {'holds' if s['holds'] else 'does not hold'}")
+        raw = unscaled(runs, name)
+        if raw:
+            ub, uc = (statistics.median(raw[side]) for side in ("base", "change"))
+            line += f"; unscaled base {ub:.6g}, change {uc:.6g} ({percent(ub, uc)})"
+        lines.append(line)
     return lines
+
+
+def percent(base, change):
+    """The change from `base` to `change` in percent, "n/a" from 0."""
+    return f"{100 * (change - base) / base:+.1f}%" if base else "n/a"
 
 
 def main(argv=None):
@@ -160,8 +189,10 @@ def main(argv=None):
     complete = len(runs["base"])
     print("\n".join([lines, f"complete pairs: {complete} of {args.pairs}",
                      *(report(metrics, runs) if complete else []), *failures]))
-    print(json.dumps({m["name"]: {side: [r["metrics"][m["name"]]["value"] for r in results]
-                                  for side, results in runs.items()} for m in metrics}))
+    values = {m["name"]: {side: [r["metrics"][m["name"]]["value"] for r in results]
+                          for side, results in runs.items()} for m in metrics}
+    raw = {name: unscaled(runs, name) for name in names}
+    print(json.dumps({**values, "unscaled": {name: v for name, v in raw.items() if v}}))
     return 1 if failures else 0
 
 
