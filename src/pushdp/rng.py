@@ -8,9 +8,10 @@ contract; `Streams` reproduces it a block of rounds at a time (`block`):
 slot into it; `Streams.bulk` steps PCG64 in numpy to a whole block's first
 uniforms, or normal rows, of nodes with few doubles (through numpy's
 ziggurat fast path, whose tables are read from the installed numpy, and
-a row with a rejected draw is drawn again whole at its `at` slot); and
-`RoundDraws` draws the round loop's chunks of rounds, from a bulk block or
-round by round at `at` slots, node by node.
+a row with a rejected draw is drawn again whole at its `at` slot);
+`Streams.retries` jumps listed slots of a block to their second draws of
+as many uniforms; and `RoundDraws` draws the round loop's chunks of
+rounds, from a bulk block or round by round at `at` slots, node by node.
 """
 
 import ctypes
@@ -52,9 +53,7 @@ _PCG_INVERSE = pow(_PCG_MULT, -1, 2**128)  # MULT's inverse mod 2^128
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SLOT, _NO_BUFFER = 32, bytes(8)  # bytes of a slot's (state, inc) words; an empty buffer word
-# the same constants as uint64 scalars, for the word arithmetic
-_M_HI, _M_LO, _M_LO_HI, _M_LO_LO = (np.uint64(w) for w in (
-    _PCG_MULT >> 64, _PCG_MULT & 2**64 - 1, _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32))
+# masks and shifts as uint64 scalars, for the word arithmetic
 _LOW32, _LOW9, _LOW52, _9, _11, _32, _58, _63, _64 = (np.uint64(w) for w in (
     _MASK32, 2**9 - 1, 2**52 - 1, 9, 11, 32, 58, 63, 64))
 
@@ -92,18 +91,44 @@ def _pool_state(entropy):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _step(hi, lo, inc_hi, inc_lo):
+def _multiplier(m):
+    """The words of a 128-bit multiplier as `_step` takes them: high, low,
+    and the low word's high and low 32 bits."""
+    return m >> 64, m & 2**64 - 1, m >> 32 & _MASK32, m & _MASK32
+
+
+_MULT = tuple(np.uint64(w) for w in _multiplier(_PCG_MULT))
+
+
+def _step(hi, lo, inc_hi, inc_lo, mult=_MULT):
     """PCG64's LCG step, mod 2^128, on uint64 word arrays, high word first:
-    (hi, lo) * MULT + (inc_hi, inc_lo)."""
+    (hi, lo) * MULT + (inc_hi, inc_lo), or times the `_multiplier` words
+    `mult` of any other multiplier (scalars or arrays)."""
     # the high word of lo * m_lo from 32-bit halves (Hacker's Delight mulhi):
     # no partial sum reaches 2^64
+    m_hi, m_lo, m_lo_hi, m_lo_lo = mult
     a0, a1 = lo & _LOW32, lo >> _32
-    mid = a1 * _M_LO_LO + (a0 * _M_LO_LO >> _32)
-    low = (mid & _LOW32) + a0 * _M_LO_HI
-    new_lo = lo * _M_LO + inc_lo
-    new_hi = (a1 * _M_LO_HI + (mid >> _32) + (low >> _32) + lo * _M_HI + hi * _M_LO + inc_hi
+    mid = a1 * m_lo_lo + (a0 * m_lo_lo >> _32)
+    low = (mid & _LOW32) + a0 * m_lo_hi
+    new_lo = lo * m_lo + inc_lo
+    new_hi = (a1 * m_lo_hi + (mid >> _32) + (low >> _32) + lo * m_hi + hi * m_lo + inc_hi
               + (new_lo < inc_lo))
     return new_hi, new_lo
+
+
+@functools.cache
+def _jumps(k: int):
+    """PCG64's LCG j steps at once, for j = 0..k: the state after j steps
+    is state * MULT^j + inc * (1 + MULT + ... + MULT^(j-1)), mod 2^128.
+    (power, series): `_multiplier` words of MULT^j and of that sum, each a
+    (4, k + 1) uint64 array with column j for j steps."""
+    power, series, words = 1, 0, []
+    for _ in range(k + 1):
+        words.append((*_multiplier(power), *_multiplier(series)))
+        power, series = power * _PCG_MULT & _MASK128, (series * _PCG_MULT + 1) & _MASK128
+    table = np.array(words, dtype=np.uint64).T
+    table.flags.writeable = False
+    return table[:4], table[4:]
 
 
 def _positioned(pool):
@@ -200,9 +225,9 @@ class Streams:
     PCG64's set-seed run vectorised over a block of whole rounds, derived
     when first used and cut at the horizon; `at` copies the slot's 32 bytes
     of (state, inc) words into the generator and zeroes its 32-bit buffer
-    word, which `integers` reads.  `bulk` reads the block's words, and
-    positions the generator only to redraw normal rows with a rejected
-    draw."""
+    word, which `integers` reads.  `bulk` and `retries` read the block's
+    words, and `bulk` positions the generator only to redraw normal rows
+    with a rejected draw."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -315,6 +340,34 @@ class Streams:
                                f"from the generator's")
         return self._t0, out
 
+    def retries(self, ts, nodes, counts) -> np.ndarray:
+        """The second `random(counts[k])` draws of the slots (ts[k],
+        nodes[k]), all in one block, slot after slot: slot k's doubles
+        counts[k] to 2 * counts[k] - 1, which `at(ts[k],
+        nodes[k]).random(2 * counts[k])[counts[k]:]` draws.  Each double
+        comes from its slot's words jumped straight to the state that draws
+        it (`_jumps`): two `_step` calls over all the doubles at once, so
+        the cost hardly grows with the counts."""
+        ts, nodes, counts = (np.asarray(a, dtype=np.intp) for a in (ts, nodes, counts))
+        if (not 0 < len(ts) == len(nodes) == len(counts) or counts.min() < 1
+                or not 0 <= nodes.min() <= nodes.max() < self.n):
+            raise ValueError(f"retries take slots of nodes < {self.n} of a double each, not "
+                             f"rounds {ts}, nodes {nodes}, counts {counts}")
+        t0, rounds = self.block(int(ts.min()))
+        if ts.max() >= t0 + rounds:
+            raise ValueError(f"rounds {ts} span more than one stream block")
+        self._base(t0)
+        words = np.frombuffer(self._block, np.uint64).reshape(-1, 4)[(ts - t0) * self.n + nodes]
+        hi, lo, inc_hi, inc_lo = np.repeat(words, counts, axis=0).T.take(
+            np.argsort(_word_order()), axis=0)
+        # the steps to each double: counts[k] + 1 to 2 * counts[k] for slot k
+        steps = np.arange(counts.sum()) + np.repeat(2 * counts - np.cumsum(counts), counts) + 1
+        power, series = _jumps(2 * int(counts.max()))
+        zero = np.uint64(0)
+        hi, lo = _step(hi, lo, *_step(inc_hi, inc_lo, zero, zero, series[:, steps]),
+                       power[:, steps])
+        return (_output(hi, lo) >> _11) * 2.0**-53
+
 
 class RoundDraws:
     """The `kind` draws of the listed nodes a chunk of rounds at a time:
@@ -325,10 +378,10 @@ class RoundDraws:
     at most CHUNK_BYTES of rows, cut at the block's end and the horizon.  It
     is built in the first round that asks for it, into one buffer reused
     from chunk to chunk, so C holds until the next chunk is built.  The
-    nodes of at most BULK_DOUBLES[kind] doubles take theirs from one
-    `Streams.bulk` block, stepped in the first round that needs it, by one
-    scatter a chunk; the others draw round by round at their `at` slots
-    into views of the chunk."""
+    nodes of at most BULK_DOUBLES[kind] doubles, `bulk_nodes`, take theirs
+    from one `Streams.bulk` block (`block`), stepped in the first round
+    that needs it, by one scatter a chunk; the others draw round by round
+    at their `at` slots into views of the chunk."""
 
     def __init__(self, streams: Streams, kind: str, nodes, width: int, starts, counts,
                  scale=None):
@@ -339,7 +392,7 @@ class RoundDraws:
         self._at_spans = list(zip(nodes[~bulk].tolist(), starts[~bulk].tolist(),
                                   (starts + counts)[~bulk].tolist()))  # (node, start, end)
         nodes, starts, counts = nodes[bulk], starts[bulk], counts[bulk]
-        self._bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
+        self.bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
         # the bulk nodes' positions in a row, node after node
         self._index = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts,
                                                           counts)
@@ -351,6 +404,15 @@ class RoundDraws:
             self._build(t)
         return self._t0, self._chunk
 
+    def block(self, t: int):
+        """(t0, U): the bulk nodes' `Streams.bulk` block that holds round t,
+        stepped in the first round that asks for it."""
+        first = self.streams.block(t)[0]
+        if self._block_t0 != first:
+            self._block_t0, self._block = self.streams.bulk(t, self.bulk_nodes,
+                                                            self._bulk_counts, self.kind)
+        return self._block_t0, self._block
+
     def _build(self, t: int) -> None:
         # chunks start every self._rounds rounds from their stream block's first round
         streams = self.streams
@@ -360,11 +422,8 @@ class RoundDraws:
         if self._buffer is None:  # zero spans stay zero: draws overwrite only their spans
             self._buffer = np.zeros((min(self._rounds, streams.block(0)[1]), self.width))
         chunk = self._buffer[:rounds]
-        if self._bulk_nodes:
-            if self._block_t0 != first:
-                self._block_t0, self._block = streams.bulk(t, self._bulk_nodes,
-                                                           self._bulk_counts, self.kind)
-            chunk[:, self._index] = self._block[t0 - first :][:rounds]
+        if self.bulk_nodes:
+            chunk[:, self._index] = self.block(t)[1][t0 - first :][:rounds]
         for u, row in enumerate(chunk, t0):
             for node, a, b in self._at_spans:
                 getattr(streams.at(u, node), self.kind)(out=row[a:b])

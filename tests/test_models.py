@@ -469,6 +469,11 @@ class TestBatchDraws:
     # a chunk edge inside a block (t = 2), a block edge (3) and a horizon cut (5)
     @example(nodes=[(BULK_ROWS + 1, 0.02), (3, 0.2), (BULK_ROWS, 0.02), (1, 1e-12)],
              block_rounds=3, chunk_rounds=2, rounds=5, seed=7)
+    # the same edges with bulk retries, and forced picks, in every round: on
+    # both sides of the chunk edge (t = 1, 2), the block edge (2, 3) and
+    # in the horizon-cut block (3, 4)
+    @example(nodes=[(BULK_ROWS + 1, 0.02), (3, 0.2), (BULK_ROWS, 0.02), (1, 1e-12)],
+             block_rounds=3, chunk_rounds=2, rounds=5, seed=127)
     def test_draw_is_sample_batch_on_every_stream(self, nodes, block_rounds, chunk_rounds, rounds,
                                                   seed):
         # BLOCK_SLOTS and CHUNK_BYTES of one to three rounds: rounds cross
@@ -490,10 +495,10 @@ class TestBatchDraws:
     @pytest.mark.parametrize("block_rounds", [1, 3])
     def test_bulk_and_fill_nodes_match_sample_batch(self, monkeypatch, block_rounds):
         # nodes of 1, BULK_ROWS and 2 * BULK_ROWS rows at ratio 1e-12 (forced
-        # picks) and of BULK_ROWS and BULK_ROWS + 1 rows at 0.02 (replays):
-        # first tries from the bulk block below BULK_ROWS + 1 rows, at `at`
-        # slots round by round above (node 0 is empty: only a block
-        # derivation's self-check positions it)
+        # picks) and of BULK_ROWS and BULK_ROWS + 1 rows at 0.02 (retries):
+        # first tries and retries from the bulk block below BULK_ROWS + 1
+        # rows, at `at` slots round by round above (node 0 is empty: only a
+        # block derivation's self-check positions it)
         sizes = (0, BULK_ROWS, 1, BULK_ROWS + 1, BULK_ROWS, 2 * BULK_ROWS)
         ratios = (0.5, 0.02, 1e-12, 0.02, 1e-12, 1e-12)
         seed, T = 2**32 + 17, 7
@@ -505,8 +510,8 @@ class TestBatchDraws:
             streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=T)
         draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
         uniforms = draws.uniforms
-        assert (uniforms._bulk_nodes, uniforms._bulk_counts) == ([1, 2, 4],
-                                                                 [BULK_ROWS, 1, BULK_ROWS])
+        assert (uniforms.bulk_nodes, uniforms._bulk_counts) == ([1, 2, 4],
+                                                                [BULK_ROWS, 1, BULK_ROWS])
         assert [node for node, _, _ in uniforms._at_spans] == [3, 5]
         for t in range(T):
             sel, _, drawn = draws.draw(t)
@@ -515,9 +520,16 @@ class TestBatchDraws:
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
             assert drawn.tolist() == [len(rows) for rows in ref]
             assert np.array_equal(sel, np.concatenate(ref))
-        # replays on both sides, besides the forced picks: node 3 also takes
-        # its first tries at its slots
-        assert 1 in replayed and replayed.count(3) > T
+        # a bulk node's retry makes no `at` call, nor does a one-row node's
+        # forced pick (node 2), and a multi-row one's makes one: node 1 comes
+        # up empty in rounds 0, 3 and 4, and its retry too in rounds 3 and 4;
+        # node 4 forces its pick every round.  Node 3 takes its first tries
+        # and its replays at its slots
+        tries = [(rngmod.stream(seed, 1, t, rngmod.BATCH).random(2 * BULK_ROWS) < 0.02).reshape(
+            2, -1).any(axis=1).tolist() for t in range(T)]
+        assert [t for t, (first, _) in enumerate(tries) if not first] == [0, 3, 4]
+        assert replayed.count(1) == sum(not any(both) for both in tries) == 2
+        assert replayed.count(2) == 0 and replayed.count(4) == T and replayed.count(3) > T
 
     def test_bulk_block_is_stepped_once_in_its_first_round(self, monkeypatch):
         # no stepping when the draws are built (set-up), then one `bulk`
@@ -535,8 +547,9 @@ class TestBatchDraws:
 
     def test_chunk_build_checks_every_node_drew_a_row(self):
         # a replay stream that draws no row and forces no pick leaves node 1
-        # (ratio 1e-12) without rows in every round: the one build of the
-        # 4-round chunk refuses it
+        # (two rows at ratio 1e-12, so its retry from the bulk block is empty
+        # too and its forced pick goes to its `at` slot) without rows in
+        # every round: the one build of the 4-round chunk refuses it
         class NoPick:
             def random(self, size):
                 return np.ones(size)

@@ -197,10 +197,10 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 
 
 def stream_backed_run(monkeypatch, cfg, seed):
-    """cfg's run with every slot that `bulk` and `at` would position drawn
-    from a fresh `rng.stream` instead, and the draws made on `at` slots:
-    a kind alone for a sized draw (the batch replays), with " into a row"
-    for a draw into a chunk row (the large nodes)."""
+    """cfg's run with every slot that `bulk`, `retries` and `at` would
+    position drawn from a fresh `rng.stream` instead, and the draws made on
+    `at` slots: a kind alone for a sized draw (the batch replays), with
+    " into a row" for a draw into a chunk row (the large nodes)."""
     made = []
 
     class Logged:  # a fresh stream that logs its draws
@@ -228,7 +228,12 @@ def stream_backed_run(monkeypatch, cfg, seed):
             getattr(fresh(streams, u, node), kind)(c)
             for node, c in zip(nodes, counts, strict=True)]) for u in range(t0, t0 + rounds)])
 
+    def stream_retries(streams, ts, nodes, counts):
+        return np.concatenate([fresh(streams, t, node).random(2 * c)[c:]
+                               for t, node, c in zip(ts, nodes, counts, strict=True)])
+
     monkeypatch.setattr(rngmod.Streams, "bulk", stream_bulk)
+    monkeypatch.setattr(rngmod.Streams, "retries", stream_retries)
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
     return observed_run(cfg, seed), made
@@ -262,7 +267,7 @@ def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch, T, block
     at the production block size: T = BLOCK_SLOTS // n + 2 runs past the
     first block edge, and the workload's T = 50 derives one block a stream.
     alpha_conc=0.05 leaves nodes of one and two rows, whose empty draws are
-    replayed and some of whose picks are forced."""
+    retried from the block and some of whose picks are forced."""
     n, seed = 256, 2**32 + 17
     cfg = make_config(n=n, T=T, algorithm="sdlr",
                       topology=TopologySchedule(kind="exponential-periodic", n=n, J=1),
@@ -276,7 +281,7 @@ def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch, T, block
     assert sorted(blocks) == [(p, t0, n * min(rounds, cfg.T - t0))
                               for p in (rngmod.BATCH, rngmod.NOISE) for t0 in starts]
     reference, made = stream_backed_run(monkeypatch, cfg, seed)
-    assert "random" in made and "integers" in made  # replays, and forced picks among them
+    assert "random" in made and "integers" in made  # at-slot replays and forced picks
     assert_same_run(bulk, reference)
 
 
@@ -284,22 +289,29 @@ def test_at_calls_are_large_node_slots_replays_and_block_self_checks(monkeypatch
     """A run whose noise rows (dim 21) and larger nodes' batch uniforms
     exceed the bulk caps, at a sampling ratio that empties first draws on
     both sides of the uniforms' cap: every `at` call is one of those slots
-    of a round, a batch replay of an empty first draw, or a derived block's
-    self-check of its node 0, and each of them is one call."""
+    of a round, a batch replay of a larger node's empty first draw, a
+    multi-row bulk node's forced pick, or a derived block's self-check of
+    its node 0, and each of them is one call.  The bulk nodes' retries make
+    none."""
     cfg = make_config(T=7, sampling_ratio=0.05, epsilon=0.01,
                       model=ModelSpec(kind="logistic", features=20, l2=0.01),
                       data=DataSpec(kind="blobs", n_samples=400, alpha_conc=0.3))
     seed = 3
     monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 3 * cfg.n)  # blocks of rounds 0-2, 3-5 and 6
     blocks, calls, real_at = derived_blocks(monkeypatch), [], rngmod.Streams.at
+    rngmod._word_order()  # its once-a-process probe positions a slot of its own
     monkeypatch.setattr(rngmod.Streams, "at", lambda streams, t, node: (
         calls.append((streams.purpose, node, t)), real_at(streams, t, node))[1])
     counts = [node["count"] for node in run(cfg, master_seed=seed).partition["nodes"]]
     large = [i for i, c in enumerate(counts) if c > BULK_ROWS]
-    replays = [(rngmod.BATCH, i, t) for t in range(cfg.T) for i, c in enumerate(counts)
-               if c and not (rngmod.stream(seed, i, t, rngmod.BATCH).random(c) < 0.05).any()]
-    assert large and any(0 < c <= BULK_ROWS for c in counts)
-    assert {i for _, i, _ in replays} & set(large) and {i for _, i, _ in replays} - set(large)
+    tries = {(i, t): (rngmod.stream(seed, i, t, rngmod.BATCH).random(2 * c) < 0.05).reshape(2, c)
+             for t in range(cfg.T) for i, c in enumerate(counts) if c}
+    empty = [(i, t) for (i, t), (first, _) in tries.items() if not first.any()]
+    retried = [(i, t) for i, t in empty if counts[i] <= BULK_ROWS and tries[i, t][1].any()]
+    forced = [(i, t) for i, t in empty if 1 < counts[i] <= BULK_ROWS and not tries[i, t][1].any()]
+    replays = [(rngmod.BATCH, i, t) for i, t in empty if i in large] + [
+        (rngmod.BATCH, i, t) for i, t in forced]
+    assert large and retried and forced and len(replays) > len(forced)
     assert len(blocks) == 6
     assert sorted(calls) == sorted(
         [(rngmod.BATCH, i, t) for t in range(cfg.T) for i in large]
@@ -510,7 +522,7 @@ def test_round_draws_write_each_nodes_span(monkeypatch, kind, purpose):
     scale = np.linspace(0.5, 2.0, width)
     draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, width,
                               starts, counts, scale)
-    assert draws._bulk_nodes == [4, 5, 2]
+    assert draws.bulk_nodes == [4, 5, 2]
     assert draws._at_spans == [(1, int(starts[1]), int(starts[1]) + cap + 1)]
     firsts = []
     for t in range(T):
@@ -610,6 +622,33 @@ def test_bulk_takes_only_double_kinds():
         rngmod.Streams(0, rngmod.NOISE, 4).bulk(0, [1], [2], "normal")
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 + 5])
+def test_retries_are_each_slots_second_random_draw(seed):
+    # counts 1 to BULK_ROWS at random slots, in any order and some repeated,
+    # of a first block of 3 rounds and the block cut at the horizon 5
+    picker, counts = np.random.default_rng(11), list(range(1, BULK_ROWS + 1))
+    with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 5):
+        streams = rngmod.Streams(seed, rngmod.BATCH, 5, horizon=5)
+    for t0, rounds in ((0, 3), (3, 2)):
+        ts = picker.integers(t0, t0 + rounds, len(counts))
+        nodes = picker.integers(0, 5, len(counts))
+        ref = [rngmod.stream(seed, node, t, rngmod.BATCH).random(2 * c)[c:]
+               for t, node, c in zip(ts.tolist(), nodes.tolist(), counts)]
+        assert np.array_equal(streams.retries(ts, nodes, counts), np.concatenate(ref))
+
+
+@pytest.mark.parametrize("ts, nodes, counts", [
+    ([], [], []), ([0], [1], [0]), ([0, 1], [1], [2]), ([0], [5], [1]), ([0], [-1], [1]),
+    ([2, 3], [0, 0], [1, 1]), ([5], [0], [1])])
+def test_retries_take_slots_of_one_block(ts, nodes, counts):
+    # slots of a double each, of the streams' nodes, in one block: blocks of
+    # rounds 0-2 and 3-4
+    with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 5):
+        streams = rngmod.Streams(0, rngmod.BATCH, 5, horizon=5)
+    with pytest.raises(ValueError):
+        streams.retries(ts, nodes, counts)
+
+
 # PCG64's 128-bit LCG multiplier, as the PCG reference implementation gives it
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 WORD128 = st.integers(0, 2**128 - 1)
@@ -662,6 +701,35 @@ def test_step_matches_python_ints():
     hi, lo = rngmod._step(*split(states), *split(incs))
     assert [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())] == [
         (s * PCG_MULT + i) % 2**128 for s, i in zip(states, incs)]
+
+
+def words128(xs):
+    """Python ints below 2^128 as (high, low) uint64 word arrays."""
+    return [np.array([x >> 64 for x in xs], np.uint64),
+            np.array([x % 2**64 for x in xs], np.uint64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WORD128, WORD128, WORD128), min_size=1, max_size=16))
+@example([(2**128 - 1, 2**128 - 1, 2**128 - 1), (2**64 - 1, 2**64 + 1, 2**64 - 1)])
+def test_step_by_any_multiplier_matches_python_ints(cases):
+    # the retries' jumps: multiplier words given per element, every carry
+    states, incs, mults = zip(*cases)
+    mult = [np.array(words, np.uint64) for words in zip(*map(rngmod._multiplier, mults))]
+    hi, lo = rngmod._step(*words128(states), *words128(incs), mult)
+    assert [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())] == [
+        (s * m + i) % 2**128 for s, i, m in cases]
+
+
+def test_jumps_are_that_many_steps():
+    # column j of `_jumps` takes a state j LCG steps on at once, j = 0..64
+    power, series = rngmod._jumps(64)
+    whole = lambda words, j: int(words[0, j]) << 64 | int(words[1, j])
+    state = start = 0x0123456789ABCDEF << 60
+    inc = 0xFEDCBA9876543211
+    for j in range(65):
+        assert (start * whole(power, j) + inc * whole(series, j)) % 2**128 == state
+        state = (state * PCG_MULT + inc) % 2**128
 
 
 @settings(max_examples=60, deadline=None)
