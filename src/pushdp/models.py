@@ -379,13 +379,12 @@ class BatchDraws:
     rows, and one `np.cumsum` where each round's node segments start.  An
     empty first draw is retried: on the node's slot, `random(2 * count)` is
     that draw, then the retry (a double takes one whole word), and
-    `integers` forces the pick.  The bulk nodes' retries come from one
-    `Streams.retries` pass a stream block, over the empty first draws of
-    the block's uniforms, as rows to set in the chunks' masks; a one-row
-    node whose retry is empty too takes its row (`integers(1)` is 0).  A
-    larger node's empty draw, and a multi-row bulk node's forced pick, are
-    replayed on the node's slot, positioned again by `streams.at`, into its
-    span of its round's mask.  The chunk is checked once: every node drew.
+    `integers` forces the pick.  A chunk's empty first draws, of nodes of
+    any size, take their retries from one `Streams.retries` call, as rows to
+    set in the chunk's mask; a one-row node whose retry is empty too takes
+    its row (`integers(1)` is 0), and a multi-row node's forced pick is
+    drawn on its slot, positioned again by `streams.at`.  The chunk is
+    checked once: every node drew.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -399,7 +398,7 @@ class BatchDraws:
         self.uniforms = rngmod.RoundDraws(streams, "random", layout.nodes[sampled],
                                           len(layout.owner), layout.starts[sampled],
                                           layout.counts[sampled])
-        self._t0, self._drawn, self._retried = 0, np.empty((0, len(layout.nodes)), np.intp), None
+        self._t0, self._drawn = 0, np.empty((0, len(layout.nodes)), np.intp)
 
     def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Round t's drawn rows of every occupied node, node after node, where
@@ -413,48 +412,30 @@ class BatchDraws:
     def _build(self, t: int) -> None:
         t0, uniforms = self.uniforms.chunk(t)
         layout, mask = self.layout, uniforms < self._row_ratio
-        if self.uniforms.bulk_nodes:
-            first, block = self.uniforms.block(t)
-            if first != self._retried:
-                self._retry(first, block)
-            i, j = np.searchsorted(self._retry_rounds, [t0, t0 + len(mask)])
-            mask[self._retry_rounds[i:j] - t0, self._retry_places[i:j]] = True
         drawn = np.add.reduceat(mask, layout.starts, axis=1, dtype=np.intp)
+        r, k = np.nonzero(drawn == 0)
+        if len(k):
+            # the retries' rows of the empty first draws, node after node; a
+            # one-row node's forced pick, integers(1) = 0, is its row
+            counts = layout.counts[k]
+            firsts = np.cumsum(counts) - counts  # where each node's retry starts
+            places = np.arange(counts.sum()) + np.repeat(layout.starts[k] - firsts, counts)
+            hit = np.repeat(counts == 1, counts) | (
+                self.streams.retries(t0 + r, layout.nodes[k], counts) < self._row_ratio[places])
+            mask[np.repeat(r, counts)[hit], places[hit]] = True
+            drawn[r, k] = np.add.reduceat(hit, firsts, dtype=np.intp)
         for r, k in np.argwhere(drawn == 0).tolist():
             a, c = layout.starts[k], layout.counts[k]
             gen = self.streams.at(t0 + r, layout.nodes[k])
-            rows = np.less(gen.random(2 * c)[c:], self._row_ratio[a], out=mask[r, a : a + c])
-            if not rows.any():
-                rows[gen.integers(c)] = True
-            drawn[r, k] = np.count_nonzero(rows)
+            gen.random(2 * c)  # the empty first draw and retry
+            mask[r, a + gen.integers(c)] = True
+            drawn[r, k] = np.count_nonzero(mask[r, a : a + c])
         if not drawn.all():
             raise ValueError(f"nodes drew no rows in rounds {t0 + np.flatnonzero(~drawn.all(1))}")
         self._sel = np.flatnonzero(mask)
         self._sel %= mask.shape[1]  # from positions in the chunk to positions in a round
         self._ends = [0, *np.cumsum(drawn.sum(axis=1)).tolist()]
         self._t0, self._starts, self._drawn = t0, np.cumsum(drawn, axis=1) - drawn, drawn
-
-    def _retry(self, first: int, block: np.ndarray) -> None:
-        # the retries of the bulk nodes' empty first draws in the bulk block
-        # of rounds first on, kept as the rounds and row positions of their
-        # rows, by round; a one-row node whose retry is empty too takes its
-        # row, the forced pick integers(1) = 0
-        layout = self.layout
-        bulk = np.searchsorted(layout.nodes, self.uniforms.bulk_nodes)  # their places in the layout
-        sizes = layout.counts[bulk]
-        ratios = np.repeat(self._row_ratio[layout.starts[bulk]], sizes)  # a ratio a column
-        r, j = np.nonzero(np.add.reduceat(block < ratios, np.cumsum(sizes) - sizes, axis=1,
-                                          dtype=np.intp) == 0)
-        k = bulk[j]
-        counts = layout.counts[k]
-        places = np.arange(counts.sum()) + np.repeat(layout.starts[k] - np.cumsum(counts) + counts,
-                                                     counts)
-        hit = np.repeat(counts == 1, counts)
-        if len(k):
-            hit |= (self.streams.retries(first + r, layout.nodes[k], counts)
-                    < self._row_ratio[places])
-        self._retried, self._retry_rounds = first, np.repeat(first + r, counts)[hit]
-        self._retry_places = places[hit]
 
 
 def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,

@@ -9,9 +9,10 @@ slot into it; `Streams.bulk` steps PCG64 in numpy to a whole block's first
 uniforms, or normal rows, of nodes with few doubles (through numpy's
 ziggurat fast path, whose tables are read from the installed numpy, and
 a row with a rejected draw is drawn again whole at its `at` slot);
-`Streams.retries` jumps listed slots of a block to their second draws of
-as many uniforms; and `RoundDraws` draws the round loop's chunks of
-rounds, from a bulk block or round by round at `at` slots, node by node.
+`Streams.retries` jumps listed slots of a block, of any counts, to their
+second draws of as many uniforms; and `RoundDraws` draws the round loop's
+chunks of rounds node by node, from a bulk block or at `at` slots round by
+round, a split that only this module knows.
 """
 
 import ctypes
@@ -121,7 +122,8 @@ def _jumps(k: int):
     """PCG64's LCG j steps at once, for j = 0..k: the state after j steps
     is state * MULT^j + inc * (1 + MULT + ... + MULT^(j-1)), mod 2^128.
     (power, series): `_multiplier` words of MULT^j and of that sum, each a
-    (4, k + 1) uint64 array with column j for j steps."""
+    (4, k + 1) uint64 array with column j for j steps.  `retries` asks for
+    powers of two k, so a process keeps few tables whatever its counts."""
     power, series, words = 1, 0, []
     for _ in range(k + 1):
         words.append((*_multiplier(power), *_multiplier(series)))
@@ -347,7 +349,7 @@ class Streams:
         nodes[k]).random(2 * counts[k])[counts[k]:]` draws.  Each double
         comes from its slot's words jumped straight to the state that draws
         it (`_jumps`): two `_step` calls over all the doubles at once, so
-        the cost hardly grows with the counts."""
+        the cost hardly grows with the counts, of any size."""
         ts, nodes, counts = (np.asarray(a, dtype=np.intp) for a in (ts, nodes, counts))
         if (not 0 < len(ts) == len(nodes) == len(counts) or counts.min() < 1
                 or not 0 <= nodes.min() <= nodes.max() < self.n):
@@ -362,7 +364,7 @@ class Streams:
             np.argsort(_word_order()), axis=0)
         # the steps to each double: counts[k] + 1 to 2 * counts[k] for slot k
         steps = np.arange(counts.sum()) + np.repeat(2 * counts - np.cumsum(counts), counts) + 1
-        power, series = _jumps(2 * int(counts.max()))
+        power, series = _jumps(1 << (2 * int(counts.max()) - 1).bit_length())
         zero = np.uint64(0)
         hi, lo = _step(hi, lo, *_step(inc_hi, inc_lo, zero, zero, series[:, steps]),
                        power[:, steps])
@@ -378,10 +380,10 @@ class RoundDraws:
     at most CHUNK_BYTES of rows, cut at the block's end and the horizon.  It
     is built in the first round that asks for it, into one buffer reused
     from chunk to chunk, so C holds until the next chunk is built.  The
-    nodes of at most BULK_DOUBLES[kind] doubles, `bulk_nodes`, take theirs
-    from one `Streams.bulk` block (`block`), stepped in the first round
-    that needs it, by one scatter a chunk; the others draw round by round
-    at their `at` slots into views of the chunk."""
+    nodes of at most BULK_DOUBLES[kind] doubles take theirs from one
+    `Streams.bulk` block, stepped in the first round that needs it, by one
+    scatter a chunk; the others draw round by round at their `at` slots
+    into views of the chunk."""
 
     def __init__(self, streams: Streams, kind: str, nodes, width: int, starts, counts,
                  scale=None):
@@ -392,7 +394,7 @@ class RoundDraws:
         self._at_spans = list(zip(nodes[~bulk].tolist(), starts[~bulk].tolist(),
                                   (starts + counts)[~bulk].tolist()))  # (node, start, end)
         nodes, starts, counts = nodes[bulk], starts[bulk], counts[bulk]
-        self.bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
+        self._bulk_nodes, self._bulk_counts = nodes.tolist(), counts.tolist()
         # the bulk nodes' positions in a row, node after node
         self._index = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts,
                                                           counts)
@@ -404,15 +406,6 @@ class RoundDraws:
             self._build(t)
         return self._t0, self._chunk
 
-    def block(self, t: int):
-        """(t0, U): the bulk nodes' `Streams.bulk` block that holds round t,
-        stepped in the first round that asks for it."""
-        first = self.streams.block(t)[0]
-        if self._block_t0 != first:
-            self._block_t0, self._block = self.streams.bulk(t, self.bulk_nodes,
-                                                            self._bulk_counts, self.kind)
-        return self._block_t0, self._block
-
     def _build(self, t: int) -> None:
         # chunks start every self._rounds rounds from their stream block's first round
         streams = self.streams
@@ -422,8 +415,11 @@ class RoundDraws:
         if self._buffer is None:  # zero spans stay zero: draws overwrite only their spans
             self._buffer = np.zeros((min(self._rounds, streams.block(0)[1]), self.width))
         chunk = self._buffer[:rounds]
-        if self.bulk_nodes:
-            chunk[:, self._index] = self.block(t)[1][t0 - first :][:rounds]
+        if self._bulk_nodes:
+            if self._block_t0 != first:
+                self._block_t0, self._block = streams.bulk(t, self._bulk_nodes,
+                                                           self._bulk_counts, self.kind)
+            chunk[:, self._index] = self._block[t0 - first :][:rounds]
         for u, row in enumerate(chunk, t0):
             for node, a, b in self._at_spans:
                 getattr(streams.at(u, node), self.kind)(out=row[a:b])

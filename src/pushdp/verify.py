@@ -407,10 +407,10 @@ def streams_suite() -> List[CheckResult]:
     which steps PCG64 in numpy, over a first and a horizon-cut last block of
     one-, two- and three-word seeds, with counts on both sides of the kind's
     BULK_DOUBLES; `Streams.retries` over the same blocks, with counts up to
-    the uniforms' cap; and the scaled rows of `RoundDraws` chunks of both kinds,
-    of nodes drawn in bulk and at `at` slots, over a chunk edge inside a
-    block, a block edge and a horizon cut.  Block sizes come from
-    `Streams.block`."""
+    three times the uniforms' cap; and the scaled rows of `RoundDraws`
+    chunks of both kinds, of nodes drawn in bulk and at `at` slots, over a
+    chunk edge inside a block, a block edge and a horizon cut.  Block sizes
+    come from `Streams.block`."""
     rng, slots, results = np.random.default_rng(17), 40, []
 
     def check(name, misses):
@@ -452,7 +452,7 @@ def streams_suite() -> List[CheckResult]:
         streams = rngmod.Streams(master, rngmod.BATCH, n, rounds + int(rng.integers(1, rounds)))
         for t0, block_rounds in (streams.block(0), streams.block(streams.horizon - 1)):
             ts, nodes = rng.integers(t0, t0 + block_rounds, 8), rng.integers(0, n, 8)
-            counts = rng.integers(1, rngmod.BULK_DOUBLES["random"] + 1, 8)
+            counts = rng.integers(1, 3 * rngmod.BULK_DOUBLES["random"] + 1, 8)
             got, ends = streams.retries(ts, nodes, counts), np.cumsum(counts).tolist()
             misses += sum(not np.array_equal(got[end - c : end], rngmod.stream(
                 master, node, t, rngmod.BATCH).random(2 * c)[c:])

@@ -267,7 +267,7 @@ def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch, T, block
     at the production block size: T = BLOCK_SLOTS // n + 2 runs past the
     first block edge, and the workload's T = 50 derives one block a stream.
     alpha_conc=0.05 leaves nodes of one and two rows, whose empty draws are
-    retried from the block and some of whose picks are forced."""
+    retried and some of whose picks are forced."""
     n, seed = 256, 2**32 + 17
     cfg = make_config(n=n, T=T, algorithm="sdlr",
                       topology=TopologySchedule(kind="exponential-periodic", n=n, J=1),
@@ -281,7 +281,7 @@ def test_engine_run_at_256_nodes_matches_stream_backed_run(monkeypatch, T, block
     assert sorted(blocks) == [(p, t0, n * min(rounds, cfg.T - t0))
                               for p in (rngmod.BATCH, rngmod.NOISE) for t0 in starts]
     reference, made = stream_backed_run(monkeypatch, cfg, seed)
-    assert "random" in made and "integers" in made  # at-slot replays and forced picks
+    assert "random" in made and "integers" in made  # forced picks: both tries, then the pick
     assert_same_run(bulk, reference)
 
 
@@ -289,10 +289,9 @@ def test_at_calls_are_large_node_slots_replays_and_block_self_checks(monkeypatch
     """A run whose noise rows (dim 21) and larger nodes' batch uniforms
     exceed the bulk caps, at a sampling ratio that empties first draws on
     both sides of the uniforms' cap: every `at` call is one of those slots
-    of a round, a batch replay of a larger node's empty first draw, a
-    multi-row bulk node's forced pick, or a derived block's self-check of
-    its node 0, and each of them is one call.  The bulk nodes' retries make
-    none."""
+    of a round, a multi-row node's forced pick, or a derived block's
+    self-check of its node 0, and each of them is one call.  Retries, of
+    bulk and larger nodes alike, make none."""
     cfg = make_config(T=7, sampling_ratio=0.05, epsilon=0.01,
                       model=ModelSpec(kind="logistic", features=20, l2=0.01),
                       data=DataSpec(kind="blobs", n_samples=400, alpha_conc=0.3))
@@ -307,16 +306,14 @@ def test_at_calls_are_large_node_slots_replays_and_block_self_checks(monkeypatch
     tries = {(i, t): (rngmod.stream(seed, i, t, rngmod.BATCH).random(2 * c) < 0.05).reshape(2, c)
              for t in range(cfg.T) for i, c in enumerate(counts) if c}
     empty = [(i, t) for (i, t), (first, _) in tries.items() if not first.any()]
-    retried = [(i, t) for i, t in empty if counts[i] <= BULK_ROWS and tries[i, t][1].any()]
-    forced = [(i, t) for i, t in empty if 1 < counts[i] <= BULK_ROWS and not tries[i, t][1].any()]
-    replays = [(rngmod.BATCH, i, t) for i, t in empty if i in large] + [
-        (rngmod.BATCH, i, t) for i, t in forced]
-    assert large and retried and forced and len(replays) > len(forced)
+    retried = {i in large for i, t in empty if tries[i, t][1].any()}
+    forced = [(rngmod.BATCH, i, t) for i, t in empty if counts[i] > 1 and not tries[i, t][1].any()]
+    assert retried == {False, True} and forced
     assert len(blocks) == 6
     assert sorted(calls) == sorted(
         [(rngmod.BATCH, i, t) for t in range(cfg.T) for i in large]
         + [(rngmod.NOISE, i, t) for t in range(cfg.T) for i, c in enumerate(counts) if c]
-        + replays + [(purpose, 0, t0) for purpose, t0, _ in blocks])
+        + forced + [(purpose, 0, t0) for purpose, t0, _ in blocks])
 
 
 SEEDS_OF_1_TO_3_WORDS = st.sampled_from([1, 2, 3]).flatmap(
@@ -522,7 +519,7 @@ def test_round_draws_write_each_nodes_span(monkeypatch, kind, purpose):
     scale = np.linspace(0.5, 2.0, width)
     draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, width,
                               starts, counts, scale)
-    assert draws.bulk_nodes == [4, 5, 2]
+    assert draws._bulk_nodes == [4, 5, 2]
     assert draws._at_spans == [(1, int(starts[1]), int(starts[1]) + cap + 1)]
     firsts = []
     for t in range(T):
@@ -624,9 +621,10 @@ def test_bulk_takes_only_double_kinds():
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 5])
 def test_retries_are_each_slots_second_random_draw(seed):
-    # counts 1 to BULK_ROWS at random slots, in any order and some repeated,
-    # of a first block of 3 rounds and the block cut at the horizon 5
-    picker, counts = np.random.default_rng(11), list(range(1, BULK_ROWS + 1))
+    # counts 1 to 3 * BULK_ROWS, bulk and larger nodes' alike, at random
+    # slots, in any order and some repeated, of a first block of 3 rounds
+    # and the block cut at the horizon 5
+    picker, counts = np.random.default_rng(11), list(range(1, 3 * BULK_ROWS + 1))
     with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 5):
         streams = rngmod.Streams(seed, rngmod.BATCH, 5, horizon=5)
     for t0, rounds in ((0, 3), (3, 2)):
@@ -635,6 +633,17 @@ def test_retries_are_each_slots_second_random_draw(seed):
         ref = [rngmod.stream(seed, node, t, rngmod.BATCH).random(2 * c)[c:]
                for t, node, c in zip(ts.tolist(), nodes.tolist(), counts)]
         assert np.array_equal(streams.retries(ts, nodes, counts), np.concatenate(ref))
+
+
+def test_retries_keep_few_jump_tables():
+    # a jump table a power of two: counts 1..300 need steps up to 600, in
+    # the 10 tables of 2, 4, ..., 1024 steps
+    streams = rngmod.Streams(0, rngmod.BATCH, 2, horizon=1)
+    rngmod._jumps.cache_clear()
+    for count in range(1, 301):
+        retry = streams.retries([0], [1], [count])
+        assert np.array_equal(retry, rngmod.stream(0, 1, 0, rngmod.BATCH).random(2 * count)[count:])
+    assert rngmod._jumps.cache_info().currsize == 10
 
 
 @pytest.mark.parametrize("ts, nodes, counts", [
