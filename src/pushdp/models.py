@@ -373,8 +373,7 @@ class BatchDraws:
     `sample_batch` (tests/reference.py) over its row positions at its ratio
     on the stream of its round-t slot.  Each sampling node's first draw is
     its span of one uniform per row, in a chunk of rounds of one
-    `rng.RoundDraws` (from bulk blocks for nodes of few rows, else at its
-    `at` slot).  For the whole chunk, one compare makes the masks, one
+    `rng.RoundDraws`.  For the whole chunk, one compare makes the masks, one
     2-D `np.add.reduceat` the drawn counts, one `np.flatnonzero` the drawn
     rows, and one `np.cumsum` where each round's node segments start.  An
     empty first draw is retried: on the node's slot, `random(2 * count)` is

@@ -332,9 +332,9 @@ class TestNodeGrads:
     @example(sizes=list(NODE_SIZES), ratio_picks=[*NODE_RATIOS, 0.3], logistic=True, seed=0)
     @example(sizes=list(NODE_SIZES), ratio_picks=[*NODE_RATIOS, 0.3], logistic=False, seed=0)
     def test_one_reduction_equals_separate_reductions(self, sizes, ratio_picks, logistic, seed):
-        # empty, one-row, ratio-1 and forced-pick (ratio 1e-12, replayed)
-        # nodes; one NodeGrads serves every round, as in a run, so a round
-        # that read what the last one left in its buffers would differ
+        # empty, one-row, ratio-1 and forced-pick (ratio 1e-12, picked at an
+        # `at` slot) nodes; one NodeGrads serves every round, as in a run, so
+        # a round that read what the last one left in its buffers would differ
         rng = np.random.default_rng(seed)
         d, N, rounds = 3, sum(sizes), 3
         model = LogisticModel(n_features=d, l2=0.05) if logistic else make_quadratic_model(d, 5)
@@ -503,10 +503,10 @@ class TestBatchDraws:
         sizes = (0, BULK_ROWS, 1, BULK_ROWS + 1, BULK_ROWS, 2 * BULK_ROWS)
         ratios = (0.5, 0.02, 1e-12, 0.02, 1e-12, 1e-12)
         seed, T = 2**32 + 17, 7
-        replayed = []
+        positioned = []
         real_at = rngmod.Streams.at
         monkeypatch.setattr(rngmod.Streams, "at", lambda streams, t, node: (
-            replayed.append(node), real_at(streams, t, node))[1])
+            positioned.append(node), real_at(streams, t, node))[1])
         with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * len(sizes)):
             streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=T)
         draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
@@ -534,8 +534,8 @@ class TestBatchDraws:
                  for node, both in tries.items()}
         forced = {node: sum(not any(two) for two in both) for node, both in tries.items()}
         assert empty == {1: [0, 3, 4], 3: [0, 1, 3, 4, 6]} and forced == {1: 2, 3: 3}
-        assert replayed.count(1) == forced[1] and replayed.count(3) == T + forced[3]
-        assert replayed.count(2) == 0 and replayed.count(4) == T
+        assert positioned.count(1) == forced[1] and positioned.count(3) == T + forced[3]
+        assert positioned.count(2) == 0 and positioned.count(4) == T
 
     def test_bulk_block_is_stepped_once_in_its_first_round(self, monkeypatch):
         # no stepping when the draws are built (set-up), then one `bulk`

@@ -199,7 +199,7 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 def stream_backed_run(monkeypatch, cfg, seed):
     """cfg's run with every slot that `bulk`, `retries` and `at` would
     position drawn from a fresh `rng.stream` instead, and the draws made on
-    `at` slots: a kind alone for a sized draw (the batch replays), with
+    `at` slots: a kind alone for a sized draw (the forced picks' tries), with
     " into a row" for a draw into a chunk row (the large nodes)."""
     made = []
 

@@ -8,7 +8,7 @@ says why in CHANGES.md.
 
 from pathlib import Path
 
-SRC_LINES = 3599
+SRC_LINES = 3598
 
 
 def test_src_stays_within_its_line_budget():
