@@ -12,10 +12,10 @@ accuracy, mean squared gradient norm, mean clip residual, drift) are
 computed a chunk of rounds at a time, bit for bit as round by round: each
 round keeps its pre-update X and Z, full gradients and clip residuals, and
 writes its clipped occupied rows once into one buffer after its interval's
-earlier rows, and the last round of a chunk (and round T - 1) computes the
-chunk's records with stacked calls.  A chunk is rng.CHUNK_BYTES over one
-round's widest loss-pass plane (rows, times the MLP's hidden width), at
-least one round.
+earlier rows, and the last round of a chunk (and round T - 1) checks the
+chunk's post-mix states for non-finite values, then computes its records
+with stacked calls.  A chunk is rng.CHUNK_BYTES over one round's widest
+loss-pass plane (rows, times the MLP's hidden width), at least one round.
 """
 
 from __future__ import annotations
@@ -215,11 +215,12 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
         X = X - eta_t * F
 
         X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
-        if not np.isfinite(X).all():
-            bad = int(np.argmin(np.isfinite(X).all(axis=1)))
-            raise NumericalBreakdownError(f"non-finite state at iteration {t} (node {bad})")
-
         if len(pending) == chunk or t == T - 1:
+            post = _stacked([p[0] for p in pending[1:]] + [X])  # each round's post-mix X
+            if not np.isfinite(post).all():
+                r, bad = divmod(int(np.argmin(np.isfinite(post).all(axis=2))), n)
+                raise NumericalBreakdownError(
+                    f"non-finite state at iteration {t + 1 - len(post) + r} (node {bad})")
             records += _observe(model, (train_X, train_y), dataset, layout, pending,
                                 rows[: at + 1])
             pending = []

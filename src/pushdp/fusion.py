@@ -32,8 +32,8 @@ class ClipConfig:
     psi: float = 1.0
 
     def __post_init__(self):
-        if self.g0 <= 0:
-            raise ConfigurationError(f"clip.g0: must be > 0, got {self.g0}")
+        if not 0 < self.g0 < np.inf:
+            raise ConfigurationError(f"clip.g0: must be finite and > 0, got {self.g0}")
         if not (0.0 < self.psi <= 1.0):
             raise ConfigurationError(f"clip.psi: must lie in (0,1], got {self.psi}")
 
@@ -55,21 +55,22 @@ def clip(g: np.ndarray, G: float) -> Tuple[np.ndarray, np.ndarray]:
     """Scale every row of the (m, d) array g onto the ball of radius G and
     record the removed mass.
 
-    A row's scaling factor is min(1, G/||row||) and its residual_sq is
-    ||(1 - factor) * row||^2, 0 whenever the row is not clipped.  Returns
-    (clipped, residual_sq), of shapes (m, d) and (m,).  The norms are
-    sqrt(np.vecdot(g, g)) over C-contiguous rows: vecdot then runs each row
-    through the BLAS dot of its 1-D np.linalg.norm, so the result is
-    bit-identical to clipping the rows one at a time.  Strided rows (whose
-    vecdot path differs in the last bits) are copied to C order first.
+    A row's scaling factor is G / fmax(||row||, G), min(1, G/||row||) in one
+    divide (1 at a NaN norm), and its residual_sq is ||(1 - factor) * row||^2,
+    0 whenever the row is not clipped.  Returns (clipped, residual_sq), of
+    shapes (m, d) and (m,).  The norms are sqrt(np.vecdot(g, g)) over
+    C-contiguous rows: vecdot then runs each row through the BLAS dot of its
+    1-D np.linalg.norm, so the result is bit-identical to clipping the rows
+    one at a time.  Strided rows (whose vecdot path differs in the last bits)
+    are copied to C order first.
     """
-    if G <= 0:
-        raise ValueError(f"clip threshold must be > 0, got {G}")
+    if not 0 < G < np.inf:  # G / G is 1 only for finite G
+        raise ValueError(f"clip threshold must be finite and > 0, got {G}")
     g = np.asarray(g, dtype=float, order="C")
     if g.ndim != 2:
         raise ValueError(f"clip expects an (m, d) array of rows, got shape {g.shape}")
     norms = np.sqrt(np.vecdot(g, g))
-    factor = np.divide(G, norms, out=np.ones_like(norms), where=norms > G)
+    factor = G / np.fmax(norms, G)
     return factor[:, None] * g, ((1.0 - factor) * norms) ** 2
 
 

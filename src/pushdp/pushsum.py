@@ -38,7 +38,7 @@ def mix_round(
         raise ValueError(f"mixing matrix shape {P.shape} does not match {n} nodes")
     X = P @ X
     w = P @ w
-    if (w <= 0).any():  # impossible for non-negative P with positive w
+    if w.min() <= 0:  # impossible for non-negative P with positive w
         bad = int(np.argmin(w))
         raise NumericalBreakdownError(f"node {bad}: push-sum weight {w[bad]} <= 0")
     return X, w, X / w[:, None]

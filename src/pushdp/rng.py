@@ -166,7 +166,7 @@ def _word_order():
     probe = Streams(0, INIT, 1)
     known = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x33445566778899AB)
     probe._gen.integers(0, 2**31)  # one 32-bit draw leaves the buffer word full
-    probe._t0, probe._block = 0, np.array(known, np.uint64).data.cast("B")
+    probe._t0, probe._t1, probe._block = 0, 1, np.array(known, np.uint64).data.cast("B")
     got = probe.at(0, 0).bit_generator.state
     read = [*divmod(got["state"]["state"], 2**64), *divmod(got["state"]["inc"], 2**64)]
     if sorted(read) != sorted(known) or got["has_uint32"] or got["uinteger"]:
@@ -241,7 +241,8 @@ class Streams:
         # SeedSequence's uint32 words of an int, low word first (0 is one word)
         self._seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
         self._rounds = max(1, BLOCK_SLOTS // n)
-        self._t0, self._block, self._bitgen = None, None, np.random.PCG64(0)
+        self._t0 = self._t1 = 0  # _block holds rounds t0 <= t < t1: none yet
+        self._block, self._bitgen = None, np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
         # byte views of the PCG64's (state, inc) words and (has_uint32, uinteger) word
         address = self._bitgen.ctypes.state_address
@@ -270,7 +271,8 @@ class Streams:
         entropy[-1] = self.purpose
         pool = _pool_state(entropy)
         # each slot's words in the generator's order, as bytes (`take` keeps rows C-contiguous)
-        self._t0, self._block = t0, _positioned(pool).take(_word_order(), axis=1).data.cast("B")
+        block = _positioned(pool).take(_word_order(), axis=1).data.cast("B")
+        self._t0, self._t1, self._block = t0, t0 + rounds, block
         s_hi, s_lo, i_hi, i_lo = pool[0].tolist()  # self-check: slot 0 via the public getter
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         want = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
@@ -278,12 +280,10 @@ class Streams:
         if (got := self.at(t0, 0).bit_generator.state) != want:
             raise RuntimeError(f"raw PCG64 write gave {got}, not {want}")
 
-    def _base(self, t: int) -> int:
-        # range-check round t, derive its block if need be, and index its node 0
-        t0 = self.block(t)[0]
-        if t0 != self._t0:
-            self._derive(t0)
-        return (t - t0) * self.n
+    def _hold(self, t: int) -> None:
+        # derive round t's block, range-checked, unless it is held (inside the horizon)
+        if not self._t0 <= t < self._t1:
+            self._derive(self.block(t)[0])
 
     def at(self, t: int, node: int) -> np.random.Generator:
         """The reused Generator at the slot (node, t), with an empty 32-bit
@@ -291,7 +291,9 @@ class Streams:
         `at`."""
         if not 0 <= node < self.n:
             raise ValueError(f"node {node} is outside nodes < {self.n}")
-        pos = (self._base(t) + node) * _SLOT
+        if not self._t0 <= t < self._t1:  # `_hold`'s test, inline: most slots are held
+            self._hold(t)
+        pos = ((t - self._t0) * self.n + node) * _SLOT
         self._state[:] = self._block[pos : pos + _SLOT]
         self._buffer[:] = _NO_BUFFER
         return self._gen
@@ -309,7 +311,7 @@ class Streams:
                              f"at least one each, not {kind!r} counts {counts} for nodes {nodes}")
         if not 0 <= min(nodes) <= max(nodes) < self.n:
             raise ValueError(f"nodes {nodes} are outside nodes < {self.n}")
-        self._base(t)
+        self._hold(t)
         counts = np.asarray(counts)
         order = np.argsort(-counts, kind="stable")
         ordered = np.asarray(nodes)[order]
@@ -358,7 +360,7 @@ class Streams:
         t0, rounds = self.block(int(ts.min()))
         if ts.max() >= t0 + rounds:
             raise ValueError(f"rounds {ts} span more than one stream block")
-        self._base(t0)
+        self._hold(t0)
         words = np.frombuffer(self._block, np.uint64).reshape(-1, 4)[(ts - t0) * self.n + nodes]
         hi, lo, inc_hi, inc_lo = np.repeat(words, counts, axis=0).T.take(
             np.argsort(_word_order()), axis=0)

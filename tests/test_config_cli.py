@@ -282,7 +282,8 @@ class TestCliRun:
         ("eta = 1.0", "eta = 0", "lr.eta: must be > 0, got 0.0"),
         ("xi = 0.5", "xi = 1", "lr.xi: must lie in (0,1), got 1.0"),
         ("eta = 1.0\n", "", "lr: give either lr.eta or both lr.K and lr.p"),
-        ("g0 = 0.1", "g0 = 0", "clip.g0: must be > 0, got 0.0"),
+        ("g0 = 0.1", "g0 = 0", "clip.g0: must be finite and > 0, got 0.0"),
+        ("g0 = 0.1", "g0 = inf", "clip.g0: must be finite and > 0, got inf"),
         ("psi = 0.99", "psi = 1.5", "clip.psi: must lie in (0,1], got 1.5"),
         ("theta = 0.5", "theta = 1", "fusion.theta: must lie in [0,1), got 1.0"),
         ("epsilon = 1.0", "epsilon = 0", "privacy.epsilon: must be > 0, got 0.0"),

@@ -138,6 +138,17 @@ class TestFailureModes:
             with np.errstate(over="ignore", invalid="ignore"):
                 run(cfg, master_seed=0)
 
+    def test_breakdown_inside_a_chunk_names_its_first_round(self, monkeypatch):
+        # T = 40 is one observable chunk, checked once at its end: a NaN step
+        # size at round 7 still names round 7, with no warning on the way
+        from pushdp import engine
+
+        real_beta = engine.beta_at
+        monkeypatch.setattr(engine, "beta_at", lambda noise, lr, t: (
+            float("nan") if t == 7 else real_beta(noise, lr, t)))
+        with pytest.raises(NumericalBreakdownError, match=r"iteration 7 \(node 0\)"):
+            run(make_config(T=40), master_seed=0)
+
     @pytest.mark.parametrize("model, labels, bad", [
         (ModelSpec(kind="logistic", features=2), [0, 1, 2, 3, 4], 2),
         (ModelSpec(kind="mlp", features=2, classes=3), [0, 1, 2, -1], -1),

@@ -70,6 +70,12 @@ class TestClip:
                 cos = g @ clipped / (np.linalg.norm(g) * np.linalg.norm(clipped))
                 assert cos == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("G", [0.0, -1.0, np.inf, np.nan])
+    def test_threshold_must_be_finite_and_positive(self, G):
+        # G / max(norm, G) is 1 on an unclipped row only for a finite G
+        with pytest.raises(ValueError, match="finite and > 0"):
+            clip(np.ones((1, 2)), G)
+
 
 def _rows(seed, m, d, scale, layout, zero_rows=(), inf_entries=()):
     """An (m, d) array of normal rows times scale, with the given rows zeroed
@@ -109,6 +115,9 @@ def _same_bits(got, want):
 @example(case=(_rows(0, 256, 6, 1.0, "F"), 0.5))
 @example(case=(_rows(1, 256, 6, 1.0, "strided"), 0.5))
 @example(case=(_rows(2, 64, 1539, 1e-3, "F", zero_rows=(5,), inf_entries=((7, 9),)), 1e-3))
+@example(case=(np.array([[3.0, 4.0]]), 5.0))  # the norm is G exactly
+@example(case=(np.array([[np.nan, 1.0], [0.3, 0.4]]), 0.1))  # a NaN row
+@example(case=(np.array([[0.0, 0.0], [3.0, 4.0]]), 0.5))  # a zero row by a clipped row
 def test_clip_is_the_per_row_norm_formula_bit_for_bit(case):
     # clip against each row's own 1-D np.linalg.norm and the scalar formula,
     # whatever the memory layout of g: without clip's C-order copy, F-ordered
