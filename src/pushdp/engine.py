@@ -7,15 +7,14 @@ with eta/beta(t).  Algorithm "adp-vrsgp" additionally decays the clip
 threshold each round and fuses noisy gradients within noise-constant
 intervals.  Both mix through the per-iteration column-stochastic matrix.
 
-The observables of a record (xbar, consensus error, train loss, test
-accuracy, mean squared gradient norm, mean clip residual, drift) are
-computed a chunk of rounds at a time, bit for bit as round by round: each
-round keeps its pre-update X and Z, full gradients and clip residuals, and
-writes its clipped occupied rows once into one buffer after its interval's
-earlier rows, and the last round of a chunk (and round T - 1) checks the
-chunk's post-mix states for non-finite values, then computes its records
-with stacked calls.  A chunk is rng.CHUNK_BYTES over one round's widest
-loss-pass plane (rows, times the MLP's hidden width), at least one round.
+The round loop walks the chunks of one plan (`rng.Streams.chunk`): a
+chunk's batch draws, which `NodeGrads.load` checks once, and noise rows
+come in one call each, and its rounds index them.  After a chunk's last
+round, and every CHUNK_BYTES of loss-pass plane, come the state check and
+the records' observables (xbar, consensus error, train loss, test
+accuracy, mean squared gradient norm, mean clip residual, drift) from
+stacked calls, bit for bit as round by round, over the rounds' kept
+pre-update X and Z, full gradients, clip residuals and clipped rows.
 """
 
 from __future__ import annotations
@@ -168,10 +167,6 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
     G = config.clip.g0
     F = None  # fused gradients of the previous round
     records: List[MetricsRecord] = []
-    # the observables' inputs of this chunk's rounds (see _observe)
-    chunk = _observable_rounds(model, len(train_X), 0 if dataset.test_labels is None
-                               else len(dataset.test_labels))
-    pending = []
     batches = BatchDraws(layout, [b.sampling_ratio for b in config.budgets],
                          rngmod.Streams(seed, rngmod.BATCH, n, horizon=T))
     grads = NodeGrads(model, (train_X, train_y), layout)
@@ -181,61 +176,60 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
     noise = rngmod.RoundDraws(rngmod.Streams(seed, rngmod.NOISE, n, horizon=T), "standard_normal",
                               noise_nodes, n * model.dim, noise_nodes * model.dim,
                               np.full(len(noise_nodes), model.dim), np.repeat(sigmas, model.dim))
-    # clipped occupied rows of the open interval's earlier rounds, then of this
+    # the rounds whose observables one stacked call takes: CHUNK_BYTES over one round's
+    # widest loss-pass plane, the training or test rows times the model's row width
+    test_rows = 0 if dataset.test_labels is None else len(dataset.test_labels)
+    observed = max(1, rngmod.CHUNK_BYTES // (8 * max(len(train_X), test_rows) * model.row_width))
+    # clipped occupied rows of the open interval's rounds so far, then of this
     # chunk's: round t's are rows[at], its interval's earlier rounds the lag before
-    rows, at, lag = np.empty((0, len(layout.nodes), model.dim)), -1, 0
-    alpha_inj = None
+    rows, at, lag = np.empty((0, len(layout.nodes), model.dim)), -1, -1
+    alpha_inj, t1, pending = None, 0, []  # pending: the inputs of rounds not yet observed
 
-    for t in range(T):
-        eta_t = config.lr.eta / beta_at(config.noise, config.lr, t)
-        # an interval starts where the injected alpha(T - t) changes (privacy.starts_interval)
-        last_alpha, alpha_inj = alpha_inj, alpha_at(config.noise, T - t)
-        new_interval = t == 0 or alpha_inj != last_alpha
-        lag = 0 if new_interval else lag + 1
-        at = 0 if new_interval and not pending else at + 1
-        if not pending and at + min(chunk, T - t) > len(rows):  # the chunk does not fit: move
-            need = lag + min(chunk, T - t)  # the interval's rows to the front, grown if need be
-            room = rows if need <= len(rows) else np.empty((need, *rows.shape[1:]))
-            room[:lag] = rows[at - lag : at]
-            rows, at = room, lag
+    # a non-finite value runs on silently to the next state check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            eta_t = config.lr.eta / beta_at(config.noise, config.lr, t)
+            if t == t1:  # the plan's next chunk [t0, t1): its draws, which its rounds index
+                t0, t1, *draws = batches.draw(t)
+                grads.load(*draws)
+                noise_rows = noise.draw(t0, t1).reshape(t1 - t0, n, -1)
+                # the open interval's rows so far to the front, the buffer grown if need be
+                need, kept = lag + 1 + t1 - t0, rows[at - lag : at + 1]
+                if need > len(rows):
+                    rows = np.empty((need, *rows.shape[1:]))
+                rows[: lag + 1], at = kept, lag
+            # an interval starts where alpha(T - t) changes (privacy.starts_interval)
+            last_alpha, alpha_inj = alpha_inj, alpha_at(config.noise, T - t)
+            new_interval = t == 0 or alpha_inj != last_alpha
+            lag, at = 0 if new_interval else lag + 1, at + 1
 
-        # each occupied node's batch and noise draws (one v1 slot each), then
-        # every node's full and batch gradient at its z_i in one call; empty
-        # nodes keep zero rows
-        Full, Grad = grads.at(Z, *batches.draw(t))
-        t0, noise_rows = noise.chunk(t)
+            # every node's full and batch gradient at its z_i; empty nodes keep zero rows
+            Full, Grad = grads.at(Z, t - t0)
 
-        # clip, perturb, fuse and half-step on all nodes at once
-        clipped, resid = clip(Grad, G)
-        clipped.take(layout.nodes, axis=0, out=rows[at])
-        noisy = perturb(clipped, alpha_inj, noise_rows[t - t0].reshape(n, -1))
-        F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
-        # each round makes new arrays: none of these is written again
-        pending.append((X, Z, Full, resid, (t, G, alpha_inj, eta_t), lag))
-        X = X - eta_t * F
+            # clip, perturb, fuse and half-step on all nodes at once
+            clipped, resid = clip(Grad, G)
+            clipped.take(layout.nodes, axis=0, out=rows[at])
+            noisy = perturb(clipped, alpha_inj, noise_rows[t - t0])
+            F = fuse(noisy, None if new_interval else F, config.fusion.theta) if vrsgp else noisy
+            # each round makes new arrays: none of these is written again
+            pending.append((X, Z, Full, resid, (t, G, alpha_inj, eta_t), lag))
+            X = X - eta_t * F
 
-        X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
-        if len(pending) == chunk or t == T - 1:
-            post = _stacked([p[0] for p in pending[1:]] + [X])  # each round's post-mix X
-            if not np.isfinite(post).all():
-                r, bad = divmod(int(np.argmin(np.isfinite(post).all(axis=2))), n)
-                raise NumericalBreakdownError(
-                    f"non-finite state at iteration {t + 1 - len(post) + r} (node {bad})")
-            records += _observe(model, (train_X, train_y), dataset, layout, pending,
-                                rows[: at + 1])
-            pending = []
-        if vrsgp:
-            G = decay_threshold(config.clip, G)
+            X, w, Z = mix_round(X, w, matrices[t % len(matrices)])
+            if len(pending) == observed or t == t1 - 1:
+                post = _stacked([p[0] for p in pending[1:]] + [X])  # each round's post-mix X
+                if not np.isfinite(post).all():
+                    r, bad = divmod(int(np.argmin(np.isfinite(post).all(axis=2))), n)
+                    raise NumericalBreakdownError(
+                        f"non-finite state at iteration {t + 1 - len(post) + r} (node {bad})")
+                records += _observe(model, (train_X, train_y), dataset, layout, pending,
+                                    rows[: at + 1])
+                pending = []
+            if vrsgp:
+                G = decay_threshold(config.clip, G)
 
     summary = _summarize(config, seed, sigmas, records, theory_summary, theory_params, layout)
     return RunResult(records, summary, partition_report(dataset.labels, dataset.node_indices))
-
-
-def _observable_rounds(model: Model, train_rows: int, test_rows: int) -> int:
-    """Rounds whose observables are computed at once: rng.CHUNK_BYTES over
-    one round's widest loss-pass plane, the training or the test rows times
-    the model's row width."""
-    return max(1, rngmod.CHUNK_BYTES // (8 * max(train_rows, test_rows) * model.row_width))
 
 
 def _drifts(rows: np.ndarray, lags) -> np.ndarray:

@@ -18,7 +18,7 @@ axis of points, one pass a point, each bit for bit the pass at that point.
 The finite-difference, single-sample and per-node oracles in the
 verification suite check every kind.  Per run, `NodeGrads` gives every
 node's gradients at its own point, for logistic and quadratic in one
-gathered, gradient-only pass, and `BatchDraws` draws every node's batch.
+gathered, gradient-only pass, from the batches that `BatchDraws` draws.
 """
 
 from __future__ import annotations
@@ -274,16 +274,16 @@ def row_pass(model: Model, params: np.ndarray, batch: Batch, grad: bool = True) 
 
 class NodeGrads:
     """Every node's full-slice and batch mean gradient at its own Z[i], over
-    one run's node-sorted rows (`layout`): `at(Z, sel, sel_starts, drawn)`
-    takes the draws of `BatchDraws.draw`, checks that the counts split the
-    rows, and gives two (n, dim) arrays, zero for empty nodes.  Logistic and
-    quadratic take one gradient-only pass over all rows and `np.add.reduceat`
-    of the row pieces, bit for bit as per segment: logistic pieces
-    [x_j, 1] * r_j; the quadratic's are the rows, whose full-slice sums are
-    taken once; with every node occupied, Z is the pass's points and the
-    two means are the outputs.  The MLP takes one pass per node (a gathered
-    W1 would be rows x features x hidden), and `Rows.grad` writes the
-    node's two means straight into its rows of the outputs."""
+    one run's node-sorted rows (`layout`): `load` checks a chunk's draws
+    once, and `at(Z, r)` gives round r of it as two (n, dim) arrays, zero
+    for empty nodes.  Logistic and quadratic take one gradient-only pass
+    over all rows and `np.add.reduceat` of the row pieces, bit for bit as
+    per segment: logistic pieces [x_j, 1] * r_j; the quadratic's are the
+    rows, whose full-slice sums are taken once; with every node occupied, Z
+    is the pass's points and the two means are the outputs.  The MLP takes
+    one pass per node (a gathered W1 would be rows x features x hidden), and
+    `Rows.grad` writes the node's two means straight into its rows of the
+    outputs."""
 
     def __init__(self, model: Model, batch: Batch, layout: NodeRows):
         self.model, self.batch, self.layout, X = model, batch, layout, batch[0]
@@ -294,14 +294,24 @@ class NodeGrads:
         elif isinstance(model, QuadraticModel):
             self._full_means = np.add.reduceat(X, layout.starts) / self._counts
 
-    def at(self, Z: np.ndarray, sel: np.ndarray, sel_starts: np.ndarray, drawn: np.ndarray):
-        (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
-        if not 0 < len(drawn) == len(nodes) or drawn.min() < 1 or drawn.sum() != len(sel):
+    def load(self, sel: np.ndarray, drawn: np.ndarray) -> None:
+        """Hand over a chunk's draws (`BatchDraws.draw`): every node must
+        draw a row in every round, and the counts must sum to the rows."""
+        if (not 0 < drawn.shape[1] == len(self.layout.nodes) or drawn.min() < 1
+                or drawn.sum() != len(sel)):
             raise ValueError(f"segments {drawn} do not split {len(sel)} rows")
+        # round r's rows, where each node's start among them, and the batch means' divisor
+        self._sel, self._ends = sel, [0, *np.cumsum(drawn.sum(axis=1)).tolist()]
+        self._starts, self._drawn = np.cumsum(drawn, axis=1) - drawn, drawn[..., None]
+
+    def at(self, Z: np.ndarray, r: int):
+        (X, y), (nodes, starts, counts, owner) = self.batch, self.layout
+        sel = self._sel[self._ends[r] : self._ends[r + 1]]
+        sel_starts, drawn = self._starts[r], self._drawn[r]
         if isinstance(self.model, MlpModel):
             full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
             for i, a, c, s, m in zip(nodes.tolist(), starts.tolist(), counts.tolist(),
-                                     sel_starts.tolist(), drawn.tolist()):
+                                     sel_starts.tolist(), drawn[:, 0].tolist()):
                 rows = row_pass(self.model, Z[i], (X[a : a + c], y[a : a + c]))
                 rows.grad(out=full[i])
                 rows.grad(sel[s : s + m] - a, out=batch_mean[i])
@@ -313,7 +323,7 @@ class NodeGrads:
             pieces = np.multiply(self._aug, rows.blocks[0][1], out=self._pieces)
             full_means = np.add.reduceat(pieces, starts) / self._counts
         means = (rows.const + full_means, rows.const + np.add.reduceat(
-            pieces.take(sel, axis=0), sel_starts) / drawn[:, None])
+            pieces.take(sel, axis=0), sel_starts) / drawn)
         if len(nodes) == len(Z):  # every node holds rows
             return means
         full, batch_mean = np.zeros(Z.shape), np.zeros(Z.shape)
@@ -367,23 +377,22 @@ def node_sorted(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray, NodeRows]:
 
 
 class BatchDraws:
-    """Every occupied node's batch draw of a round, a chunk of rounds at once.
+    """Every occupied node's batch draws, a chunk of rounds at once.
 
     Node layout.nodes[k] draws the same rows as the tests' reference
     `sample_batch` (tests/reference.py) over its row positions at its ratio
     on the stream of its round-t slot.  Each sampling node's first draw is
     its span of one uniform per row, in a chunk of rounds of one
     `rng.RoundDraws`.  For the whole chunk, one compare makes the masks, one
-    2-D `np.add.reduceat` the drawn counts, one `np.flatnonzero` the drawn
-    rows, and one `np.cumsum` where each round's node segments start.  An
-    empty first draw is retried: on the node's slot, `random(2 * count)` is
-    that draw, then the retry (a double takes one whole word), and
-    `integers` forces the pick.  A chunk's empty first draws, of nodes of
-    any size, take their retries from one `Streams.retries` call, as rows to
-    set in the chunk's mask; a one-row node whose retry is empty too takes
-    its row (`integers(1)` is 0), and a multi-row node's forced pick is
-    drawn on its slot, positioned again by `streams.at`.  The chunk is
-    checked once: every node drew.
+    2-D `np.add.reduceat` the drawn counts and one `np.flatnonzero` the
+    drawn rows.  An empty first draw is retried: on the node's slot,
+    `random(2 * count)` is that draw, then the retry (a double takes one
+    whole word), and `integers` forces the pick.  A chunk's empty first
+    draws, of nodes of any size, take their retries from one
+    `Streams.retries` call, as rows to set in the chunk's mask; a one-row
+    node whose retry is empty too takes its row (`integers(1)` is 0), and a
+    multi-row node's forced pick is drawn on its slot, positioned again by
+    `streams.at`.  The chunk is checked once: every node drew.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -397,20 +406,14 @@ class BatchDraws:
         self.uniforms = rngmod.RoundDraws(streams, "random", layout.nodes[sampled],
                                           len(layout.owner), layout.starts[sampled],
                                           layout.counts[sampled])
-        self._t0, self._drawn = 0, np.empty((0, len(layout.nodes)), np.intp)
 
-    def draw(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round t's drawn rows of every occupied node, node after node, where
-        each node's rows start among them, and how many it drew (see
-        `NodeGrads`)."""
-        if not 0 <= t - self._t0 < len(self._drawn):
-            self._build(t)
-        r = t - self._t0
-        return self._sel[self._ends[r] : self._ends[r + 1]], self._starts[r], self._drawn[r]
-
-    def _build(self, t: int) -> None:
-        t0, uniforms = self.uniforms.chunk(t)
-        layout, mask = self.layout, uniforms < self._row_ratio
+    def draw(self, t: int) -> Tuple[int, int, np.ndarray, np.ndarray]:
+        """(t0, t1, sel, drawn): the plan's chunk that holds round t, over one
+        uniform a row.  Round t0 + r drew drawn[r, k] rows of node
+        layout.nodes[k]; sel holds their positions, round after round."""
+        layout = self.layout
+        t0, t1 = self.streams.chunk(t, len(layout.owner))
+        mask = self.uniforms.draw(t0, t1) < self._row_ratio
         drawn = np.add.reduceat(mask, layout.starts, axis=1, dtype=np.intp)
         r, k = np.nonzero(drawn == 0)
         if len(k):
@@ -431,10 +434,9 @@ class BatchDraws:
             drawn[r, k] = np.count_nonzero(mask[r, a : a + c])
         if not drawn.all():
             raise ValueError(f"nodes drew no rows in rounds {t0 + np.flatnonzero(~drawn.all(1))}")
-        self._sel = np.flatnonzero(mask)
-        self._sel %= mask.shape[1]  # from positions in the chunk to positions in a round
-        self._ends = [0, *np.cumsum(drawn.sum(axis=1)).tolist()]
-        self._t0, self._starts, self._drawn = t0, np.cumsum(drawn, axis=1) - drawn, drawn
+        sel = np.flatnonzero(mask)
+        sel %= mask.shape[1]  # from positions in the chunk to positions in a round
+        return t0, t1, sel, drawn
 
 
 def dirichlet_partition(labels: np.ndarray, n: int, alpha_conc: float,

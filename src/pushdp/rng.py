@@ -10,9 +10,9 @@ uniforms, or normal rows, of nodes with few doubles (through numpy's
 ziggurat fast path, whose tables are read from the installed numpy, and
 a row with a rejected draw is drawn again whole at its `at` slot);
 `Streams.retries` jumps listed slots of a block, of any counts, to their
-second draws of as many uniforms; and `RoundDraws` draws the round loop's
-chunks of rounds node by node, from a bulk block or at `at` slots round by
-round, a split that only this module knows.
+second draws of as many uniforms; `Streams.chunk` is the round loop's chunk
+rule, and `RoundDraws` draws its chunks node by node, from a bulk block or
+at `at` slots round by round, a split that only this module knows.
 """
 
 import ctypes
@@ -39,8 +39,8 @@ THEORY = 5
 # 7 MB for the two (see CHANGES.md for the measured sizes)
 BLOCK_SLOTS = 16384
 
-# bytes of a RoundDraws chunk's rows, the rounds it draws at once: its one
-# buffer is reused from chunk to chunk (see CHANGES.md for the measured cap)
+# bytes of a plane that the round loop takes a chunk of rounds at once, and
+# that stacked passes block by (see CHANGES.md for the measured cap)
 CHUNK_BYTES = 2**17
 
 # the most doubles a slot takes from a bulk block, by draw kind; a node with
@@ -261,6 +261,16 @@ class Streams:
         t0 = t - t % self._rounds
         return t0, min(self._rounds, self.horizon - t0)
 
+    def chunk(self, t: int, width: int):
+        """(t0, t1): the round loop's chunk that holds round t, the one chunk
+        rule of a run, over a plane of `width` doubles a round: CHUNK_BYTES
+        of it, one round at least, from each stream block's first round on,
+        cut at the block's end and the horizon."""
+        first, rounds = self.block(t)
+        size = max(1, CHUNK_BYTES // (8 * max(width, 1)))
+        t0 = t - (t - first) % size
+        return t0, min(t0 + size, first + rounds)
+
     def _derive(self, t0: int) -> None:
         # one entropy column (seed words, node, t, purpose) per slot, t-major
         rounds = self.block(t0)[1]
@@ -375,15 +385,13 @@ class Streams:
 
 class RoundDraws:
     """The `kind` draws of the listed nodes a chunk of rounds at a time:
-    `chunk(t)` gives (t0, C), whose row C[r] holds round t0 + r's counts[k]
+    `draw(t0, t1)` gives C, whose row C[r] holds round t0 + r's counts[k]
     doubles of node nodes[k] at C[r, starts[k]:][:counts[k]], as its
     `Streams.at` slot draws them, times `scale` (one factor a double) if given,
-    and 0 elsewhere.  A chunk is a run of rounds inside one stream block,
-    at most CHUNK_BYTES of rows, cut at the block's end and the horizon.  It
-    is built in the first round that asks for it, into one buffer reused
-    from chunk to chunk, so C holds until the next chunk is built.  The
+    and 0 elsewhere: a chunk of the plan (`Streams.chunk`), in one buffer
+    reused from chunk to chunk, so C holds until the next draw.  The
     nodes of at most BULK_DOUBLES[kind] doubles take theirs from one
-    `Streams.bulk` block, stepped in the first round that needs it, by one
+    `Streams.bulk` block, stepped in the first chunk that needs it, by one
     scatter a chunk; the others draw round by round at their `at` slots
     into views of the chunk."""
 
@@ -392,7 +400,6 @@ class RoundDraws:
         nodes, starts, counts = (np.asarray(a, dtype=np.intp) for a in (nodes, starts, counts))
         bulk = counts <= BULK_DOUBLES[kind]
         self.streams, self.kind, self.width, self.scale = streams, kind, width, scale
-        self._rounds = max(1, CHUNK_BYTES // (8 * max(width, 1)))  # a chunk's most rounds
         self._at_spans = list(zip(nodes[~bulk].tolist(), starts[~bulk].tolist(),
                                   (starts + counts)[~bulk].tolist()))  # (node, start, end)
         nodes, starts, counts = nodes[bulk], starts[bulk], counts[bulk]
@@ -400,31 +407,23 @@ class RoundDraws:
         # the bulk nodes' positions in a row, node after node
         self._index = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts,
                                                           counts)
-        self._t0, self._chunk, self._buffer, self._block_t0 = 0, np.empty((0, width)), None, None
+        self._buffer, self._block_t0 = np.empty((0, width)), None
 
-    def chunk(self, t: int):
-        """(t0, C): the chunk that holds round t, whose row t - t0 is round t's."""
-        if not 0 <= t - self._t0 < len(self._chunk):
-            self._build(t)
-        return self._t0, self._chunk
-
-    def _build(self, t: int) -> None:
-        # chunks start every self._rounds rounds from their stream block's first round
+    def draw(self, t0: int, t1: int) -> np.ndarray:
+        """C: the rows of the rounds t0 <= t < t1, round t's at C[t - t0]."""
         streams = self.streams
-        first, block_rounds = streams.block(t)
-        t0 = t - (t - first) % self._rounds
-        rounds = min(self._rounds, first + block_rounds - t0)
-        if self._buffer is None:  # zero spans stay zero: draws overwrite only their spans
-            self._buffer = np.zeros((min(self._rounds, streams.block(0)[1]), self.width))
-        chunk = self._buffer[:rounds]
+        if len(self._buffer) < t1 - t0:  # zero spans stay zero: draws overwrite only their spans
+            self._buffer = np.zeros((t1 - t0, self.width))
+        chunk = self._buffer[: t1 - t0]
         if self._bulk_nodes:
+            first = streams.block(t0)[0]
             if self._block_t0 != first:
-                self._block_t0, self._block = streams.bulk(t, self._bulk_nodes,
+                self._block_t0, self._block = streams.bulk(t0, self._bulk_nodes,
                                                            self._bulk_counts, self.kind)
-            chunk[:, self._index] = self._block[t0 - first :][:rounds]
+            chunk[:, self._index] = self._block[t0 - first : t1 - first]
         for u, row in enumerate(chunk, t0):
             for node, a, b in self._at_spans:
                 getattr(streams.at(u, node), self.kind)(out=row[a:b])
         if self.scale is not None:
             chunk *= self.scale
-        self._t0, self._chunk = t0, chunk
+        return chunk

@@ -180,7 +180,8 @@ def node_draws(rng, sizes=NODE_SIZES, ratios=NODE_RATIOS):
     many each node drew)."""
     layout = node_rows(sizes)
     streams = rngmod.Streams(int(rng.integers(2**32)), rngmod.BATCH, len(sizes), horizon=1)
-    return (layout, *BatchDraws(layout, ratios, streams).draw(0))
+    sel, (drawn,) = BatchDraws(layout, ratios, streams).draw(0)[2:]
+    return layout, sel, np.cumsum(drawn) - drawn, drawn
 
 
 def _gradient_cases(seed: int):
@@ -217,7 +218,9 @@ def gradients_suite() -> List[CheckResult]:
             worst_row = max(worst_row, float(np.max(row_err)))
             Z = rng.normal(size=(len(NODE_SIZES), model.dim))
             draws = node_draws(rng)
-            got = NodeGrads(model, batch, draws[0]).at(Z, *draws[1:])
+            grads = NodeGrads(model, batch, draws[0])
+            grads.load(draws[1], draws[3][None])  # one round's draws
+            got = grads.at(Z, 0)
             for g, ref in zip(got, per_node_grads(model, Z, batch, *draws)):
                 scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)  # empty nodes: 0 / tiny
                 err = np.linalg.norm(g - ref, axis=1) / scale
@@ -384,18 +387,16 @@ def bulk_mismatches(streams, t: int, nodes: list, counts: list, kind: str) -> in
         for r, row in enumerate(block) for node, count, end in zip(nodes, counts, ends))
 
 
-def chunk_mismatches(draws, t: int, nodes: list, starts: list, counts: list, scale) -> int:
-    """How many of the round-t spans of `nodes` in a `RoundDraws` chunk
-    differ from a fresh `rng.stream` draw times `scale`, plus one for a row
-    that is not 0 outside them."""
-    streams, (t0, chunk) = draws.streams, draws.chunk(t)
-    row, outside = chunk[t - t0], np.ones(draws.width, dtype=bool)
-    misses = 0
-    for node, a, c in zip(nodes, starts, counts):
-        outside[a : a + c] = False
-        misses += not np.array_equal(row[a : a + c], scale[a : a + c] * getattr(rngmod.stream(
-            streams.master_seed, node, t, streams.purpose), draws.kind)(c))
-    return misses + bool(row[outside].any())
+def chunk_mismatches(draws, t0: int, t1: int, spans, scale) -> int:
+    """How many rows of a `RoundDraws` chunk [t0, t1) differ from fresh
+    `rng.stream` draws of the (node, start, count) spans times `scale`, and
+    0 outside them."""
+    streams, want = draws.streams, np.zeros((t1 - t0, draws.width))
+    for t, row in enumerate(want, t0):
+        for node, a, c in spans:
+            row[a : a + c] = scale[a : a + c] * getattr(rngmod.stream(
+                streams.master_seed, node, t, streams.purpose), draws.kind)(c)
+    return int(np.count_nonzero((draws.draw(t0, t1) != want).any(axis=1)))
 
 
 def streams_suite() -> List[CheckResult]:
@@ -458,18 +459,18 @@ def streams_suite() -> List[CheckResult]:
                 master, node, t, rngmod.BATCH).random(2 * c)[c:])
                 for t, node, c, end in zip(ts.tolist(), nodes.tolist(), counts.tolist(), ends))
     check("Streams.retries of a first and a horizon-cut block vs rng.stream", misses)
-    # chunks of 3 rounds in blocks of 4 cut at the horizon 6, [0, 3) [3, 4) [4, 6),
-    # the first one asked for by its round 1
+    # the plan's chunks of 3 rounds in blocks of 4 cut at the horizon 6:
+    # [0, 3) [3, 4) [4, 6)
     n, width, misses = rngmod.BLOCK_SLOTS // 4, rngmod.CHUNK_BYTES // 24, 0
     for kind, purpose in (("random", rngmod.BATCH), ("standard_normal", rngmod.NOISE)):
         cap = rngmod.BULK_DOUBLES[kind]
         nodes, counts = rng.permutation(n)[:4].tolist(), [1, cap, cap + 1, 2 * cap]
         starts = (np.cumsum([3, *counts[:-1]]) + np.arange(4)).tolist()
         scale = rng.uniform(0.5, 2.0, width)
-        draws = rngmod.RoundDraws(rngmod.Streams(master, purpose, n, horizon=6), kind, nodes,
-                                  width, starts, counts, scale)
-        misses += sum(chunk_mismatches(draws, t, nodes, starts, counts, scale)
-                      for t in (1, 0, 2, 3, 4, 5))
+        streams = rngmod.Streams(master, purpose, n, horizon=6)
+        draws = rngmod.RoundDraws(streams, kind, nodes, width, starts, counts, scale)
+        misses += sum(chunk_mismatches(draws, *streams.chunk(t, width),
+                                       list(zip(nodes, starts, counts)), scale) for t in (0, 3, 4))
     check("RoundDraws chunk rows, scaled, of bulk and at-slot nodes over chunk, block and "
           "horizon edges vs rng.stream", misses)
     return results

@@ -18,6 +18,16 @@ from conftest import make_config, observed_run, reference_dsgd
 from test_models import reference_mlp_rows, reference_predict
 
 
+def fixed_plan(patch, rounds):
+    """Patch the round loop's plan, `Streams.chunk`, to chunks of `rounds`
+    rounds from round 0, cut at the horizon (no stream block edge falls
+    inside the short horizons that use it)."""
+    from pushdp import rng as rngmod
+
+    patch.setattr(rngmod.Streams, "chunk", lambda streams, t, width: (
+        t - t % rounds, min(t - t % rounds + rounds, streams.horizon)))
+
+
 def degenerate_config(T=60, eta=0.05):
     """All error sources off: sigma = 0, no fusion, no clipping bite,
     constant alpha, doubly stochastic complete graph, full batches."""
@@ -148,6 +158,48 @@ class TestFailureModes:
             float("nan") if t == 7 else real_beta(noise, lr, t)))
         with pytest.raises(NumericalBreakdownError, match=r"iteration 7 \(node 0\)"):
             run(make_config(T=40), master_seed=0)
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec(kind="logistic", features=5, l2=0.01),
+        ModelSpec(kind="mlp", features=5, hidden=6, classes=2),
+        ModelSpec(kind="quadratic", features=5),
+    ], ids=["logistic", "mlp", "quadratic"])
+    def test_infinite_state_names_its_round_under_the_warnings_filter(self, model, monkeypatch):
+        # an inf in X after round 5's mix runs on to the next state check (the
+        # end of the 30-round chunk, or of the MLP's first 14 observed rounds)
+        # under the suite's warnings-as-errors filter: the check names round 5
+        # and node 2, not a numpy RuntimeWarning
+        from pushdp import engine
+
+        real_mix = engine.mix_round
+        rounds = []
+
+        def mix_round(X, w, P):
+            X, w, Z = real_mix(X, w, P)
+            rounds.append(len(rounds))
+            if rounds[-1] == 5:
+                X[2, 0] = np.inf
+            return X, w, Z
+
+        monkeypatch.setattr(engine, "mix_round", mix_round)
+        data = (DataSpec(kind="quadratic", n_samples=240, alpha_conc=1.0)
+                if model.kind == "quadratic" else None)
+        cfg = make_config(T=30, model=model, **({"data": data} if data else {}))
+        with pytest.raises(NumericalBreakdownError, match=r"iteration 5 \(node 2\)"):
+            run(cfg, master_seed=0)
+        assert len(rounds) == (14 if model.kind == "mlp" else 30)
+
+    def test_run_leaves_the_numpy_error_state_as_it_found_it(self, monkeypatch):
+        # the round loop's np.errstate is left on a normal return and on a breakdown
+        from pushdp import engine
+
+        before = np.geterr()
+        run(make_config(T=10), master_seed=0)
+        assert np.geterr() == before
+        monkeypatch.setattr(engine, "beta_at", lambda noise, lr, t: float("nan"))
+        with pytest.raises(NumericalBreakdownError):
+            run(make_config(T=10), master_seed=0)
+        assert np.geterr() == before
 
     @pytest.mark.parametrize("model, labels, bad", [
         (ModelSpec(kind="logistic", features=2), [0, 1, 2, 3, 4], 2),
@@ -349,9 +401,9 @@ class TestNoiseDraws:
 
 
 def test_one_model_pass_per_occupied_node_round(monkeypatch):
-    """Each chunk of observable rounds makes one shared loss-only pass, at
-    every round's xbar, over all training rows: one for the whole run by
-    default here, two at chunks of 4 rounds.  Each round, logistic (and
+    """Each chunk of the plan makes one shared loss-only pass, at every
+    round's xbar, over all training rows: one for the whole run by default
+    here, two at chunks of 4 rounds.  Each round, logistic (and
     quadratic) then make one gathered pass over all rows, each at its node's
     z_i; the MLP makes one pass per occupied node."""
     from pushdp import engine, models
@@ -373,7 +425,7 @@ def test_one_model_pass_per_occupied_node_round(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(kind, "rows", counting_rows)
                 if chunk:
-                    patch.setattr(engine, "_observable_rounds", lambda *args: chunk)
+                    fixed_plan(patch, chunk)
                 result = run(cfg, master_seed=0)
             occupied = cfg.n - len(result.summary["empty_nodes"])
             assert 1 < occupied < cfg.n
@@ -428,6 +480,34 @@ def test_one_round_chunks_write_the_same_run(monkeypatch, features, alpha_conc):
     assert np.array_equal(one_log.trajectory[-1], default_log.trajectory[-1])
 
 
+@pytest.mark.parametrize("model", [ModelSpec(kind="logistic", features=5, l2=0.01),
+                                   ModelSpec(kind="mlp", features=5, hidden=6, classes=2)],
+                         ids=["logistic", "mlp"])
+def test_runs_across_stream_block_edges(monkeypatch, model):
+    """Stream blocks of 12 rounds put two v1 block edges inside a 30-round
+    horizon.  The plan cuts its chunks there at the default CHUNK_BYTES (85
+    rounds over the 192 training rows), and plans of one and of three
+    rounds a chunk run through them: each run writes the records, summary
+    and final state of the run at the default block size."""
+    from pushdp import rng as rngmod
+
+    cfg = make_config(T=30, model=model)
+    default, default_log = observed_run(cfg, master_seed=2)
+    monkeypatch.setattr(rngmod, "BLOCK_SLOTS", 12 * cfg.n)
+    real_chunk = rngmod.Streams.chunk
+    for rounds, chunk_bytes in ((None, rngmod.CHUNK_BYTES), (1, 8 * 192), (3, 3 * 8 * 192)):
+        plan = []
+        monkeypatch.setattr(rngmod, "CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(rngmod.Streams, "chunk", lambda streams, t, width: (
+            plan.append(real_chunk(streams, t, width)), plan[-1])[1])
+        got, log = observed_run(cfg, master_seed=2)
+        assert plan == ([(0, 12), (12, 24), (24, 30)] if rounds is None
+                        else [(t, t + rounds) for t in range(0, 30, rounds)])
+        assert [r.as_dict() for r in got.records] == [r.as_dict() for r in default.records]
+        assert got.summary == default.summary
+        assert np.array_equal(log.trajectory[-1], default_log.trajectory[-1])
+
+
 def reference_round(model, X, Z, train, layout, test):
     """Oracle: (train loss, test accuracy, consensus error) of one round at
     its pre-update X and Z, with the per-round calls the engine made before
@@ -475,14 +555,12 @@ class TestObservableChunks:
 
     @pytest.mark.parametrize("case", CASES)
     def test_chunks_of_one_three_and_all_rounds_write_the_same_run(self, case, monkeypatch):
-        from pushdp import engine
-
         cfg = make_config(T=self.T, **self.CASES[case])
         default, default_log = observed_run(cfg, master_seed=1)
         if case == "empty-node":
             assert default.summary["empty_nodes"]
         for chunk in (1, 3, self.T):  # 3 leaves a last chunk of 2 rounds
-            monkeypatch.setattr(engine, "_observable_rounds", lambda *args: chunk)
+            fixed_plan(monkeypatch, chunk)
             got, log = observed_run(cfg, master_seed=1)
             assert [r.as_dict() for r in got.records] == [r.as_dict() for r in default.records]
             assert got.summary == default.summary
@@ -491,10 +569,8 @@ class TestObservableChunks:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("chunk", [None, 3])
     def test_records_match_the_per_round_oracle(self, case, chunk, monkeypatch):
-        from pushdp import engine
-
         if chunk:
-            monkeypatch.setattr(engine, "_observable_rounds", lambda *args: chunk)
+            fixed_plan(monkeypatch, chunk)
         cfg = make_config(T=self.T, **self.CASES[case])
         result, log = observed_run(cfg, master_seed=4)
         model, dataset = build_model(cfg, 4), build_dataset(cfg, 4)
@@ -509,18 +585,51 @@ class TestObservableChunks:
         if case == "no-test-split" or case.startswith("quadratic"):
             assert result.records[-1].test_accuracy is None
 
-    def test_chunk_rule_on_the_benchmark_shapes(self):
-        # CHUNK_BYTES over 8 bytes a double of the widest plane: ring8's 192
-        # training rows, expo256's 2,560, mlp8's 2,400 x 64 hidden; a test
-        # split larger than the training rows sets the plane instead
+    def test_chunk_rule_on_the_benchmark_shapes(self, monkeypatch):
+        # the plan's chunks hold CHUNK_BYTES of one batch uniform a training
+        # row, 8 bytes a double: ring8's 192 rows give 85 rounds, expo256's
+        # 2,560 and mlp8's 2,400 give 6, and expo256's 64-round stream
+        # blocks cut a chunk of 4.  The observables stack CHUNK_BYTES over
+        # the widest loss-pass plane: 85, 6 and 1 (2,400 x 64 hidden) rounds;
+        # a test split larger than the training rows sets that plane (1,000
+        # test rows: 16 rounds), and so do the MLP's 10 classes over its 3
+        # hidden units (100 rows: 16 rounds)
         from pushdp import engine
+        from pushdp import rng as rngmod
 
-        logistic, mlp = LogisticModel(n_features=5, l2=0.01), MlpModel(20, 64, 3)
-        assert engine._observable_rounds(logistic, 192, 48) == 85
-        assert engine._observable_rounds(logistic, 2560, 640) == 6
-        assert engine._observable_rounds(mlp, 2400, 600) == 1
-        assert engine._observable_rounds(logistic, 10, 1000) == 16
-        assert engine._observable_rounds(MlpModel(2, 3, 10), 100, 0) == 16
+        blobs = dict(kind="blobs", test_fraction=0.2, alpha_conc=1.0)
+        shapes = {
+            "ring8": (make_config(T=90), [(0, 85), (85, 90)], [85, 5]),
+            "expo256": (make_config(n=256, T=70, algorithm="sdlr",
+                                    topology=TopologySchedule(kind="exponential-periodic",
+                                                              n=256, J=1),
+                                    data=DataSpec(n_samples=3200, **blobs)),
+                        [(t, t + 6) for t in range(0, 60, 6)] + [(60, 64), (64, 70)],
+                        [6] * 10 + [4, 6]),
+            "mlp8": (make_config(T=12, algorithm="sdlr", sigma_override=0.1,
+                                 model=ModelSpec(kind="mlp", features=20, hidden=64, classes=3),
+                                 data=DataSpec(n_samples=3000, **blobs)),
+                     [(0, 6), (6, 12)], [1] * 12),
+            "test-split": (make_config(T=20, data=DataSpec(n_samples=1250, kind="blobs",
+                                                           test_fraction=0.8, alpha_conc=1.0)),
+                           [(0, 20)], [16, 4]),
+            "classes": (make_config(T=20, model=ModelSpec(kind="mlp", features=10, hidden=3,
+                                                          classes=10),
+                                    data=DataSpec(n_samples=100, kind="blobs",
+                                                  test_fraction=0.0, alpha_conc=1.0)),
+                        [(0, 20)], [16, 4]),
+        }
+        for name, (cfg, chunks, observed) in shapes.items():
+            seen, stacked = [], []
+            real_chunk, real_observe = rngmod.Streams.chunk, engine._observe
+            with monkeypatch.context() as patch:
+                patch.setattr(rngmod.Streams, "chunk", lambda streams, t, width: (
+                    seen.append(real_chunk(streams, t, width)), seen[-1])[1])
+                patch.setattr(engine, "_observe", lambda *args: (
+                    stacked.append(len(args[4])), real_observe(*args))[1])
+                run(cfg, master_seed=0)
+            assert (seen, stacked) == (chunks, observed), name
+        assert rngmod.Streams(0, rngmod.BATCH, 8, horizon=400).chunk(0, 192) == (0, 85)
 
     def test_mlp_observables_take_one_round_plane(self, monkeypatch):
         # mlp8's shape: 2,400 training rows x 64 hidden is one 1.2 MB plane,
@@ -668,7 +777,7 @@ class TestEmpiricalDTau:
         cfg = make_config(T=self.T, **self.CASES[case])
         if chunk:
             monkeypatch.setattr(rngmod, "CHUNK_BYTES", chunk * 8 * 192)
-            assert engine._observable_rounds(build_model(cfg, 3), 192, 48) == chunk
+            assert rngmod.Streams(3, rngmod.BATCH, cfg.n, horizon=cfg.T).chunk(0, 192) == (0, chunk)
         clipped = []
         real_clip = engine.clip
 

@@ -43,6 +43,25 @@ from reference import sample_batch
 BULK_ROWS = rngmod.BULK_DOUBLES["random"]  # the most rows a node takes from bulk blocks
 
 
+def one_round(grads, Z, sel, drawn):
+    """NodeGrads' two outputs at Z over one round's draws, handed over as
+    a chunk of that round alone."""
+    grads.load(sel, drawn[None])
+    return grads.at(Z, 0)
+
+
+def round_draws(draws, T):
+    """(t, sel, starts, drawn) of every round t < T of a BatchDraws, drawn a
+    chunk of the plan at a time: round t's drawn rows, where each node's
+    rows start among them and how many each node drew."""
+    t1 = 0
+    while t1 < T:
+        t0, t1, sel, drawn = draws.draw(t1)
+        ends = np.cumsum(drawn.sum(axis=1)).tolist()
+        for r, (a, b) in enumerate(zip([0, *ends], ends)):
+            yield t0 + r, sel[a:b], np.cumsum(drawn[r]) - drawn[r], drawn[r]
+
+
 def loss_and_grad(model, params, batch):
     """Mean loss and mean gradient of one row pass over the batch."""
     rows = row_pass(model, params, batch)
@@ -287,7 +306,7 @@ class TestNodeGrads:
             Z = rng.normal(size=(len(self.SIZES), model.dim))
             draws = node_draws(rng, self.SIZES, self.RATIOS)
             assert draws[3][:3].tolist() == [1, 8, 1]  # per occupied node
-            full, drawn = NodeGrads(model, batch, draws[0]).at(Z, *draws[1:])
+            full, drawn = one_round(NodeGrads(model, batch, draws[0]), Z, draws[1], draws[3])
             ref_full, ref_drawn = per_node_grads(model, Z, batch, *draws)
             assert not full[0].any() and not drawn[0].any()
             for got, ref in ((full, ref_full), (drawn, ref_drawn)):
@@ -343,11 +362,11 @@ class TestNodeGrads:
         draws = BatchDraws(layout, ratio_picks[: len(sizes)],
                            rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=rounds))
         grads = NodeGrads(model, batch, layout)
+        grads.load(*draws.draw(0)[2:])  # the one chunk of all rounds
         empty = np.flatnonzero(np.array(sizes) == 0)
-        for t in range(rounds):
+        for t, sel, starts, drawn in round_draws(draws, rounds):
             Z = rng.normal(size=(len(sizes), model.dim))
-            sel, starts, drawn = draws.draw(t)
-            full, drawn_mean = grads.at(Z, sel, starts, drawn)
+            full, drawn_mean = grads.at(Z, t)
             ref_full, ref_drawn = self.separate_reductions(model, Z, batch, layout, sel, drawn)
             assert np.array_equal(full[layout.nodes], ref_full)
             assert np.array_equal(drawn_mean[layout.nodes], ref_drawn)
@@ -384,7 +403,7 @@ class TestNodeGrads:
         for _ in range(5):
             Z = rng.normal(size=(len(sizes), model.dim))
             draws = node_draws(rng, sizes, self.RATIOS)
-            got = grads.at(Z, *draws[1:])
+            got = one_round(grads, Z, draws[1], draws[3])
             want = self.per_node_passes(model, Z, batch, *draws)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert not any(np.shares_memory(a, b) for a, b in ((got[0], Z), (got[1], Z),
@@ -401,8 +420,27 @@ class TestNodeGrads:
         grads = NodeGrads(model, (data.features, data.labels), node_rows([30]))
         drawn = np.array(counts, dtype=np.intp)
         with pytest.raises(ValueError, match="do not split 30 rows"):
-            grads.at(rng.normal(size=(1, model.dim)), np.arange(30), np.cumsum(drawn) - drawn,
-                     drawn)
+            one_round(grads, rng.normal(size=(1, model.dim)), np.arange(30), drawn)
+
+    @pytest.mark.parametrize("model, data", ROW_CASES, ids=["quadratic", "logistic", "mlp"])
+    def test_a_chunk_is_checked_once_when_handed_over(self, model, data, rng):
+        # a three-round chunk of two nodes: a node without a row in the last
+        # round, or counts that do not sum to the chunk's rows, refuse the
+        # whole chunk before any round's gradients; a chunk that passes gives
+        # round r from its own rows, as that round handed over alone does
+        grads = NodeGrads(model, (data.features, data.labels), node_rows([10, 20]))
+        sel = np.array([0, 3, 12, 1, 10, 11, 29, 9, 15])
+        for drawn in ([[2, 1], [1, 3], [2, 0]], [[2, 1], [1, 3], [1, 2]]):
+            with pytest.raises(ValueError, match="do not split 9 rows"):
+                grads.load(sel, np.array(drawn, dtype=np.intp))
+        drawn = np.array([[2, 1], [1, 3], [1, 1]], dtype=np.intp)
+        grads.load(sel, drawn)
+        Z = rng.normal(size=(2, model.dim))
+        got = [grads.at(Z, r) for r in range(3)]
+        alone = NodeGrads(model, (data.features, data.labels), node_rows([10, 20]))
+        for r, (a, b) in enumerate([(0, 3), (3, 7), (7, 9)]):
+            assert all(np.array_equal(g, w) for g, w in zip(
+                got[r], one_round(alone, Z, sel[a:b], drawn[r])))
 
 
 class TestSampleBatch:
@@ -441,8 +479,7 @@ class TestBatchDraws:
         layout = node_rows(NODE_SIZES)
         draws = BatchDraws(layout, NODE_RATIOS, rngmod.Streams(seed, rngmod.BATCH, n, T))
         ends = np.cumsum(NODE_SIZES)
-        for t in range(T):
-            sel, _, drawn = draws.draw(t)
+        for t, sel, _, drawn in round_draws(draws, T):
             ref = [sample_batch(np.arange(end - size, end), ratio,
                                 rngmod.stream(seed, i, t, rngmod.BATCH))
                    for i, (size, end, ratio) in enumerate(zip(NODE_SIZES, ends, NODE_RATIOS))
@@ -483,8 +520,9 @@ class TestBatchDraws:
                 mock.patch.object(rngmod, "CHUNK_BYTES", chunk_rounds * 8 * sum(sizes)):
             streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=rounds)
             draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
-        for t in range(rounds):
-            sel, starts, drawn = draws.draw(t)
+            chunks = list(round_draws(draws, rounds))
+        assert [t for t, *_ in chunks] == list(range(rounds))
+        for t, sel, starts, drawn in chunks:
             ref = [sample_batch(np.arange(end - size, end), ratio,
                                 rngmod.stream(seed, i, t, rngmod.BATCH))
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
@@ -514,8 +552,7 @@ class TestBatchDraws:
         assert (uniforms._bulk_nodes, uniforms._bulk_counts) == ([1, 2, 4],
                                                                 [BULK_ROWS, 1, BULK_ROWS])
         assert [node for node, _, _ in uniforms._at_spans] == [3, 5]
-        for t in range(T):
-            sel, _, drawn = draws.draw(t)
+        for t, sel, _, drawn in round_draws(draws, T):
             ref = [sample_batch(np.arange(end - size, end), ratio,
                                 rngmod.stream(seed, i, t, rngmod.BATCH))
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]

@@ -517,16 +517,17 @@ def test_round_draws_write_each_nodes_span(monkeypatch, kind, purpose):
     width = int(starts[-1] + counts[-1] + 1)
     monkeypatch.setattr(rngmod, "CHUNK_BYTES", 2 * 8 * width)
     scale = np.linspace(0.5, 2.0, width)
-    draws = rngmod.RoundDraws(rngmod.Streams(seed, purpose, 6, horizon=T), kind, nodes, width,
-                              starts, counts, scale)
+    streams = rngmod.Streams(seed, purpose, 6, horizon=T)
+    draws = rngmod.RoundDraws(streams, kind, nodes, width, starts, counts, scale)
     assert draws._bulk_nodes == [4, 5, 2]
     assert draws._at_spans == [(1, int(starts[1]), int(starts[1]) + cap + 1)]
-    firsts = []
-    for t in range(T):
-        t0, chunk = draws.chunk(t)
-        firsts.append(t0)
-        assert_chunk_row(seed, purpose, kind, t, chunk[t - t0],
-                         list(zip(nodes, starts.tolist(), counts)), scale)
+    firsts, t1 = [], 0
+    while t1 < T:  # the plan's chunks
+        t0, t1 = streams.chunk(t1, width)
+        for t, row in enumerate(draws.draw(t0, t1), t0):
+            firsts.append(t0)
+            assert_chunk_row(seed, purpose, kind, t, row,
+                             list(zip(nodes, starts.tolist(), counts)), scale)
     assert firsts == [0, 0, 2, 3, 3, 5, 6]
     assert [t0 for _, t0, _ in blocks] == [0, 3, 6]
 
@@ -557,39 +558,32 @@ def chunk_cases(draw):
           [(2, 0, BULK_NORMALS + 1), (0, BULK_NORMALS + 2, 2)], BULK_NORMALS + 5, True, 3))
 @example((2**32 + 17, "random", 4, 3, 2, 8, [(3, 1, BULK_ROWS), (1, BULK_ROWS + 1, BULK_ROWS + 1)],
           2 * BULK_ROWS + 2, False, 7))
-# the first chunk built is the horizon-cut one-round block [6, 7)
+# the first chunk drawn is the horizon-cut one-round block [6, 7)
 @example((5, "standard_normal", 2, 3, 3, 7, [(1, 0, 2)], 2, False, 6))
 def test_round_draws_chunks_match_fresh_streams(case):
-    # a chunk first asked for by any of its rounds, then every round in turn
+    # the plan's chunk that holds any round first, then every chunk in turn
     # on the same draws: chunks start every chunk_rounds rounds from their
     # block's first round and stop at the block's end and the horizon, and
-    # each is built once, by its first round
+    # the one buffer grows when a later chunk is longer than the first
     seed, kind, n, block_rounds, chunk_rounds, horizon, spans, width, scaled, start = case
     purpose = rngmod.BATCH if kind == "random" else rngmod.NOISE
     scale = np.linspace(0.5, 1.5, width) if scaled else np.ones(width)
     nodes, starts, counts = (list(a) for a in zip(*spans)) if spans else ([], [], [])
-
-    def round_draws():
-        with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n), \
-                mock.patch.object(rngmod, "CHUNK_BYTES", chunk_rounds * 8 * max(width, 1)):
-            return rngmod.RoundDraws(rngmod.Streams(seed, purpose, n, horizon=horizon), kind,
-                                     nodes, width, starts, counts, scale if scaled else None)
-
-    draws, firsts = round_draws(), set()
-    start_t0, chunk = draws.chunk(start)  # the one buffer it builds is sized for every chunk
-    assert_chunk_row(seed, purpose, kind, start, chunk[start - start_t0], spans, scale)
-    with mock.patch.object(rngmod.RoundDraws, "_build", autospec=True,
-                           side_effect=rngmod.RoundDraws._build) as build:
-        for t in range(horizon):
-            t0, chunk = draws.chunk(t)
-            first = t - t % block_rounds
-            assert t0 == t - (t - first) % chunk_rounds
-            assert len(chunk) == min(chunk_rounds, first + block_rounds - t0, horizon - t0)
-            firsts.add(t0)
-            assert_chunk_row(seed, purpose, kind, t, chunk[t - t0], spans, scale)
-    assert build.call_count == len(firsts) - (start_t0 == 0)  # start's chunk is current at t = 0
-    with pytest.raises(ValueError, match=f"t < {horizon}"):
-        draws.chunk(horizon)
+    with mock.patch.object(rngmod, "BLOCK_SLOTS", block_rounds * n), \
+            mock.patch.object(rngmod, "CHUNK_BYTES", chunk_rounds * 8 * max(width, 1)):
+        streams = rngmod.Streams(seed, purpose, n, horizon=horizon)
+        draws = rngmod.RoundDraws(streams, kind, nodes, width, starts, counts,
+                                  scale if scaled else None)
+        plan = [streams.chunk(t, width) for t in range(horizon)]
+        with pytest.raises(ValueError, match=f"t < {horizon}"):
+            streams.chunk(horizon, width)
+    for t, (t0, t1) in enumerate(plan):
+        first = t - t % block_rounds
+        assert t0 == t - (t - first) % chunk_rounds
+        assert t1 - t0 == min(chunk_rounds, first + block_rounds - t0, horizon - t0)
+    for t0, t1 in [plan[start], *sorted(set(plan))]:
+        for t, row in enumerate(draws.draw(t0, t1), t0):
+            assert_chunk_row(seed, purpose, kind, t, row, spans, scale)
 
 
 def test_randoms_read_words_through_the_inverse_order(monkeypatch):
