@@ -177,9 +177,11 @@ def run(config: ExperimentConfig, master_seed: Optional[int] = None) -> RunResul
                               noise_nodes, n * model.dim, noise_nodes * model.dim,
                               np.full(len(noise_nodes), model.dim), np.repeat(sigmas, model.dim))
     # the rounds whose observables one stacked call takes: CHUNK_BYTES over one round's
-    # widest loss-pass plane, the training or test rows times the model's row width
+    # widest plane, the loss pass's (training or test rows times the model's row
+    # width) or a state's (X, Z or the full gradients)
     test_rows = 0 if dataset.test_labels is None else len(dataset.test_labels)
-    observed = max(1, rngmod.CHUNK_BYTES // (8 * max(len(train_X), test_rows) * model.row_width))
+    observed = max(1, rngmod.CHUNK_BYTES // (
+        8 * max(max(len(train_X), test_rows) * model.row_width, n * model.dim)))
     # clipped occupied rows of the open interval's rounds so far, then of this
     # chunk's: round t's are rows[at], its interval's earlier rounds the lag before
     rows, at, lag = np.empty((0, len(layout.nodes), model.dim)), -1, -1
@@ -236,15 +238,14 @@ def _drifts(rows: np.ndarray, lags) -> np.ndarray:
     """empirical_d_tau of the last len(lags) of the (rounds, k, d) clipped
     occupied rows: round r's largest ||row_i - earlier_i||^2 over the lags[r]
     rounds before it, 0.0 if none.  One offset at a time, over views of
-    rows; a difference takes at most rng.CHUNK_BYTES (one round's rows at
-    least), and the exact max keeps a NaN."""
+    rows; a difference takes at most the CHUNK_BYTES that `run` observes
+    at once (k <= n), and the exact max keeps a NaN."""
     lags, p = np.array(lags), len(rows) - len(lags)  # round r's rows are rows[p + r]
-    out, b = np.zeros(len(lags)), max(1, rngmod.CHUNK_BYTES // (8 * rows[0].size))
+    out = np.zeros(len(lags))
     for o in range(1, int(lags.max()) + 1):
-        for a in range(max(0, o - p), len(lags), b):
-            z = min(a + b, len(lags))
-            sq = np.add.reduce((rows[p + a : p + z] - rows[p + a - o : p + z - o]) ** 2, axis=2)
-            np.maximum(out[a:z], sq.max(axis=1), out=out[a:z], where=lags[a:z] >= o)
+        a = max(0, o - p)
+        sq = np.add.reduce((rows[p + a :] - rows[p + a - o : len(rows) - o]) ** 2, axis=2)
+        np.maximum(out[a:], sq.max(axis=1), out=out[a:], where=lags[a:] >= o)
     return out
 
 
@@ -264,9 +265,10 @@ def _observe(model, train, dataset, layout, rounds, rows) -> List[MetricsRecord]
     loss-only pass at every xbar and its segment means, test accuracy, the
     mean squared gradient norm and the mean clip residual over the occupied
     nodes.  A mean is x.sum() / x.size, np.mean's own arithmetic without
-    its dispatch."""
+    its dispatch.  A non-finite value, which a finite but huge state can
+    give, is a NumericalBreakdownError naming the first such round and its
+    field."""
     X, Z, Full, resid, scalars, lags = zip(*rounds)
-    drift = _drifts(rows, lags).tolist()
     # np.take keeps the node axis in C order (a fancy index would put it
     # first in memory), so every sum over it runs as it did round by round
     k = len(layout.nodes)
@@ -282,12 +284,18 @@ def _observe(model, train, dataset, layout, rounds, rows) -> List[MetricsRecord]
                   .segment_losses(layout.starts, layout.counts).sum(axis=1) / k)
     test_acc = (None if dataset.test_features is None
                 else accuracy(model, xbar, dataset.test_features, dataset.test_labels))
+    fields = {"mean_sq_grad_norm": mean_sq, "consensus_error": cons, "train_loss": train_loss,
+              "clip_residual_mean": resid_mean, "empirical_d_tau": _drifts(rows, lags)}
+    values = np.stack(list(fields.values()), axis=1)  # a row a round
+    if not np.isfinite(values).all():
+        r = int(np.argmin(np.isfinite(values).all(axis=1)))
+        name = list(fields)[int(np.argmin(np.isfinite(values[r])))]
+        raise NumericalBreakdownError(f"non-finite {name} at iteration {scalars[r][0]}")
     return [MetricsRecord(t=t, mean_sq_grad_norm=m, consensus_error=c, train_loss=loss,
                           test_accuracy=acc, current_g=G, alpha_injected=alpha, eta_t=eta,
                           clip_residual_mean=r, empirical_d_tau=d)
-            for (t, G, alpha, eta), m, c, loss, acc, r, d in zip(
-                scalars, mean_sq.tolist(), cons.tolist(), train_loss.tolist(),
-                test_acc or [None] * len(scalars), resid_mean.tolist(), drift)]
+            for (t, G, alpha, eta), acc, (m, c, loss, r, d) in zip(
+                scalars, test_acc or [None] * len(scalars), values.tolist())]
 
 
 def _privacy_spent(config, sigmas):

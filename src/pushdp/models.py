@@ -387,12 +387,13 @@ class BatchDraws:
     2-D `np.add.reduceat` the drawn counts and one `np.flatnonzero` the
     drawn rows.  An empty first draw is retried: on the node's slot,
     `random(2 * count)` is that draw, then the retry (a double takes one
-    whole word), and `integers` forces the pick.  A chunk's empty first
-    draws, of nodes of any size, take their retries from one
-    `Streams.retries` call, as rows to set in the chunk's mask; a one-row
-    node whose retry is empty too takes its row (`integers(1)` is 0), and a
-    multi-row node's forced pick is drawn on its slot, positioned again by
-    `streams.at`.  The chunk is checked once: every node drew.
+    whole word), and `integers` forces the pick.  A multi-row node's empty
+    first draw takes its retry at its slot, positioned by `streams.at`, and
+    the chunk's retries, concatenated, set their rows in the chunk's mask
+    with one compare; a one-row node takes its row, whatever its retry
+    (`integers(1)` is 0), and a multi-row node whose retry is empty too
+    draws its forced pick at its slot, positioned again.  The chunk is
+    checked once: every node drew.
     """
 
     def __init__(self, layout: NodeRows, ratios, streams: rngmod.Streams):
@@ -418,12 +419,16 @@ class BatchDraws:
         r, k = np.nonzero(drawn == 0)
         if len(k):
             # the retries' rows of the empty first draws, node after node; a
-            # one-row node's forced pick, integers(1) = 0, is its row
+            # one-row node's forced pick, integers(1) = 0, is its row, so a
+            # uniform 0 stands in for its retry
             counts = layout.counts[k]
             firsts = np.cumsum(counts) - counts  # where each node's retry starts
             places = np.arange(counts.sum()) + np.repeat(layout.starts[k] - firsts, counts)
-            hit = np.repeat(counts == 1, counts) | (
-                self.streams.retries(t0 + r, layout.nodes[k], counts) < self._row_ratio[places])
+            retries = np.concatenate([
+                self.streams.at(u, node).random(2 * c)[c:] if c > 1 else [0.0]
+                for u, node, c in zip((t0 + r).tolist(), layout.nodes[k].tolist(),
+                                      counts.tolist())])
+            hit = retries < self._row_ratio[places]
             mask[np.repeat(r, counts)[hit], places[hit]] = True
             drawn[r, k] = np.add.reduceat(hit, firsts, dtype=np.intp)
         for r, k in np.argwhere(drawn == 0).tolist():

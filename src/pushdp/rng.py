@@ -8,9 +8,8 @@ contract; `Streams` reproduces it a block of rounds at a time (`block`):
 slot into it; `Streams.bulk` steps PCG64 in numpy to a whole block's first
 uniforms, or normal rows, of nodes with few doubles (through numpy's
 ziggurat fast path, whose tables are read from the installed numpy, and
-a row with a rejected draw is drawn again whole at its `at` slot);
-`Streams.retries` jumps listed slots of a block, of any counts, to their
-second draws of as many uniforms; `Streams.chunk` is the round loop's chunk
+a row with a rejected draw is drawn again whole at its `at` slot), so
+`at` positions every other draw; `Streams.chunk` is the round loop's chunk
 rule, and `RoundDraws` draws its chunks node by node, from a bulk block or
 at `at` slots round by round, a split that only this module knows.
 """
@@ -92,22 +91,18 @@ def _pool_state(entropy):
     return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[::2], out[1::2])], axis=1)
 
 
-def _multiplier(m):
-    """The words of a 128-bit multiplier as `_step` takes them: high, low,
-    and the low word's high and low 32 bits."""
-    return m >> 64, m & 2**64 - 1, m >> 32 & _MASK32, m & _MASK32
+# PCG64's LCG multiplier as `_step` takes it: its high and low words, and
+# the low word's high and low 32 bits
+_MULT = tuple(np.uint64(w) for w in (_PCG_MULT >> 64, _PCG_MULT & 2**64 - 1,
+                                     _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32))
 
 
-_MULT = tuple(np.uint64(w) for w in _multiplier(_PCG_MULT))
-
-
-def _step(hi, lo, inc_hi, inc_lo, mult=_MULT):
+def _step(hi, lo, inc_hi, inc_lo):
     """PCG64's LCG step, mod 2^128, on uint64 word arrays, high word first:
-    (hi, lo) * MULT + (inc_hi, inc_lo), or times the `_multiplier` words
-    `mult` of any other multiplier (scalars or arrays)."""
+    (hi, lo) * MULT + (inc_hi, inc_lo)."""
     # the high word of lo * m_lo from 32-bit halves (Hacker's Delight mulhi):
     # no partial sum reaches 2^64
-    m_hi, m_lo, m_lo_hi, m_lo_lo = mult
+    m_hi, m_lo, m_lo_hi, m_lo_lo = _MULT
     a0, a1 = lo & _LOW32, lo >> _32
     mid = a1 * m_lo_lo + (a0 * m_lo_lo >> _32)
     low = (mid & _LOW32) + a0 * m_lo_hi
@@ -115,22 +110,6 @@ def _step(hi, lo, inc_hi, inc_lo, mult=_MULT):
     new_hi = (a1 * m_lo_hi + (mid >> _32) + (low >> _32) + lo * m_hi + hi * m_lo + inc_hi
               + (new_lo < inc_lo))
     return new_hi, new_lo
-
-
-@functools.cache
-def _jumps(k: int):
-    """PCG64's LCG j steps at once, for j = 0..k: the state after j steps
-    is state * MULT^j + inc * (1 + MULT + ... + MULT^(j-1)), mod 2^128.
-    (power, series): `_multiplier` words of MULT^j and of that sum, each a
-    (4, k + 1) uint64 array with column j for j steps.  `retries` asks for
-    powers of two k, so a process keeps few tables whatever its counts."""
-    power, series, words = 1, 0, []
-    for _ in range(k + 1):
-        words.append((*_multiplier(power), *_multiplier(series)))
-        power, series = power * _PCG_MULT & _MASK128, (series * _PCG_MULT + 1) & _MASK128
-    table = np.array(words, dtype=np.uint64).T
-    table.flags.writeable = False
-    return table[:4], table[4:]
 
 
 def _positioned(pool):
@@ -227,9 +206,9 @@ class Streams:
     PCG64's set-seed run vectorised over a block of whole rounds, derived
     when first used and cut at the horizon; `at` copies the slot's 32 bytes
     of (state, inc) words into the generator and zeroes its 32-bit buffer
-    word, which `integers` reads.  `bulk` and `retries` read the block's
-    words, and `bulk` positions the generator only to redraw normal rows
-    with a rejected draw."""
+    word, which `integers` reads.  `bulk` reads the block's words, and
+    positions the generator only to redraw normal rows with a rejected
+    draw."""
 
     def __init__(self, master_seed: int, purpose: int, n: int, horizon: int = 2**32):
         seed = int(master_seed)
@@ -353,34 +332,6 @@ class Streams:
             raise RuntimeError(f"bulk normals of node {nodes[0]}, round {self._t0} differ "
                                f"from the generator's")
         return self._t0, out
-
-    def retries(self, ts, nodes, counts) -> np.ndarray:
-        """The second `random(counts[k])` draws of the slots (ts[k],
-        nodes[k]), all in one block, slot after slot: slot k's doubles
-        counts[k] to 2 * counts[k] - 1, which `at(ts[k],
-        nodes[k]).random(2 * counts[k])[counts[k]:]` draws.  Each double
-        comes from its slot's words jumped straight to the state that draws
-        it (`_jumps`): two `_step` calls over all the doubles at once, so
-        the cost hardly grows with the counts, of any size."""
-        ts, nodes, counts = (np.asarray(a, dtype=np.intp) for a in (ts, nodes, counts))
-        if (not 0 < len(ts) == len(nodes) == len(counts) or counts.min() < 1
-                or not 0 <= nodes.min() <= nodes.max() < self.n):
-            raise ValueError(f"retries take slots of nodes < {self.n} of a double each, not "
-                             f"rounds {ts}, nodes {nodes}, counts {counts}")
-        t0, rounds = self.block(int(ts.min()))
-        if ts.max() >= t0 + rounds:
-            raise ValueError(f"rounds {ts} span more than one stream block")
-        self._hold(t0)
-        words = np.frombuffer(self._block, np.uint64).reshape(-1, 4)[(ts - t0) * self.n + nodes]
-        hi, lo, inc_hi, inc_lo = np.repeat(words, counts, axis=0).T.take(
-            np.argsort(_word_order()), axis=0)
-        # the steps to each double: counts[k] + 1 to 2 * counts[k] for slot k
-        steps = np.arange(counts.sum()) + np.repeat(2 * counts - np.cumsum(counts), counts) + 1
-        power, series = _jumps(1 << (2 * int(counts.max()) - 1).bit_length())
-        zero = np.uint64(0)
-        hi, lo = _step(hi, lo, *_step(inc_hi, inc_lo, zero, zero, series[:, steps]),
-                       power[:, steps])
-        return (_output(hi, lo) >> _11) * 2.0**-53
 
 
 class RoundDraws:

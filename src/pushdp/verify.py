@@ -407,11 +407,10 @@ def streams_suite() -> List[CheckResult]:
     word the previous slot's draws left full; `Streams.bulk` of both kinds,
     which steps PCG64 in numpy, over a first and a horizon-cut last block of
     one-, two- and three-word seeds, with counts on both sides of the kind's
-    BULK_DOUBLES; `Streams.retries` over the same blocks, with counts up to
-    three times the uniforms' cap; and the scaled rows of `RoundDraws`
-    chunks of both kinds, of nodes drawn in bulk and at `at` slots, over a
-    chunk edge inside a block, a block edge and a horizon cut.  Block sizes
-    come from `Streams.block`."""
+    BULK_DOUBLES; and the scaled rows of `RoundDraws` chunks of both kinds,
+    of nodes drawn in bulk and at `at` slots, over a chunk edge inside a
+    block, a block edge and a horizon cut.  Block sizes come from
+    `Streams.block`."""
     rng, slots, results = np.random.default_rng(17), 40, []
 
     def check(name, misses):
@@ -445,20 +444,6 @@ def streams_suite() -> List[CheckResult]:
             for t in (int(rng.integers(rounds)), streams.horizon - 1):
                 misses += bulk_mismatches(streams, t, nodes, counts, kind)
         check(f"Streams.bulk ({kind}) of a first and a horizon-cut block vs rng.stream", misses)
-    misses = 0
-    for words in (1, 2, 3):
-        master = sum(int(rng.integers(1, 2**32)) << 32 * k for k in range(words))
-        n = int(rng.integers(20, 300))
-        rounds = rngmod.Streams(master, rngmod.BATCH, n).block(0)[1]
-        streams = rngmod.Streams(master, rngmod.BATCH, n, rounds + int(rng.integers(1, rounds)))
-        for t0, block_rounds in (streams.block(0), streams.block(streams.horizon - 1)):
-            ts, nodes = rng.integers(t0, t0 + block_rounds, 8), rng.integers(0, n, 8)
-            counts = rng.integers(1, 3 * rngmod.BULK_DOUBLES["random"] + 1, 8)
-            got, ends = streams.retries(ts, nodes, counts), np.cumsum(counts).tolist()
-            misses += sum(not np.array_equal(got[end - c : end], rngmod.stream(
-                master, node, t, rngmod.BATCH).random(2 * c)[c:])
-                for t, node, c, end in zip(ts.tolist(), nodes.tolist(), counts.tolist(), ends))
-    check("Streams.retries of a first and a horizon-cut block vs rng.stream", misses)
     # the plan's chunks of 3 rounds in blocks of 4 cut at the horizon 6:
     # [0, 3) [3, 4) [4, 6)
     n, width, misses = rngmod.BLOCK_SLOTS // 4, rngmod.CHUNK_BYTES // 24, 0

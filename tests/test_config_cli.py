@@ -559,7 +559,6 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert out.count("Streams.at vs rng.stream") == 6  # 1-3-word seeds, BATCH and NOISE
         assert "Streams.bulk (random)" in out and "Streams.bulk (standard_normal)" in out
-        assert "Streams.retries of a first and a horizon-cut block" in out
         assert "RoundDraws chunk rows" in out
 
     def test_all_aggregates_and_fails_on_any_red(self, monkeypatch, capsys):

@@ -189,6 +189,37 @@ class TestFailureModes:
             run(cfg, master_seed=0)
         assert len(rounds) == (14 if model.kind == "mlp" else 30)
 
+    @pytest.mark.parametrize("model", [
+        ModelSpec(kind="logistic", features=5, l2=0.01),
+        ModelSpec(kind="mlp", features=5, hidden=6, classes=2),
+        ModelSpec(kind="quadratic", features=5),
+    ], ids=["logistic", "mlp", "quadratic"])
+    def test_overflowing_observables_name_their_round_and_field(self, model, monkeypatch):
+        # X[2] = 1e200 after round 5's mix is a finite state, but round 6's
+        # consensus error overflows: the chunk's observables check names it
+        # under the suite's warnings-as-errors filter, where the run would
+        # otherwise end with inf records and summary
+        from pushdp import engine
+
+        real_mix = engine.mix_round
+        rounds = []
+
+        def mix_round(X, w, P):
+            X, w, Z = real_mix(X, w, P)
+            rounds.append(len(rounds))
+            if rounds[-1] == 5:
+                X[2, :] = 1e200
+            return X, w, Z
+
+        monkeypatch.setattr(engine, "mix_round", mix_round)
+        data = (DataSpec(kind="quadratic", n_samples=240, alpha_conc=1.0)
+                if model.kind == "quadratic" else None)
+        cfg = make_config(T=30, model=model, **({"data": data} if data else {}))
+        with pytest.raises(NumericalBreakdownError,
+                           match=r"^non-finite consensus_error at iteration 6$"):
+            run(cfg, master_seed=0)
+        assert len(rounds) == (14 if model.kind == "mlp" else 30)
+
     def test_run_leaves_the_numpy_error_state_as_it_found_it(self, monkeypatch):
         # the round loop's np.errstate is left on a normal return and on a breakdown
         from pushdp import engine
@@ -659,6 +690,25 @@ class TestObservableChunks:
             tracemalloc.stop()
         assert len(peaks) == cfg.T
         assert max(peaks) <= 1.2
+
+    def test_wide_states_bound_the_observed_rounds(self, monkeypatch):
+        # 2,000 features: each kept round's X, Z and full gradients are
+        # 8 x 2,001 doubles, wider than its 192-row loss-pass plane, so one
+        # round is observed at a time, under the default plan (85-round
+        # chunks) as under a one-round plan, with the same records
+        from pushdp import engine
+
+        cfg = make_config(T=170, model=ModelSpec(kind="logistic", features=2000, l2=0.01))
+        stacked, records, real = [], [], engine._observe
+        for rounds in (None, 1):
+            with monkeypatch.context() as patch:
+                if rounds:
+                    fixed_plan(patch, rounds)
+                patch.setattr(engine, "_observe", lambda *args: (
+                    stacked.append(len(args[4])), real(*args))[1])
+                records.append([r.as_dict() for r in run(cfg, master_seed=0).records])
+        assert stacked == [1] * 2 * cfg.T
+        assert records[0] == records[1]
 
 
 class TestEmpiricalDTau:

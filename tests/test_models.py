@@ -535,8 +535,8 @@ class TestBatchDraws:
         # nodes of 1, BULK_ROWS and 2 * BULK_ROWS rows at ratio 1e-12 (forced
         # picks) and of BULK_ROWS and BULK_ROWS + 1 rows at 0.02 (retries):
         # first tries from the bulk block below BULK_ROWS + 1 rows, at `at`
-        # slots round by round above, and retries from `Streams.retries` on
-        # both sides (node 0 is empty: only a block derivation's self-check
+        # slots round by round above, and retries at `at` slots on both
+        # sides (node 0 is empty: only a block derivation's self-check
         # positions it)
         sizes = (0, BULK_ROWS, 1, BULK_ROWS + 1, BULK_ROWS, 2 * BULK_ROWS)
         ratios = (0.5, 0.02, 1e-12, 0.02, 1e-12, 1e-12)
@@ -558,12 +558,12 @@ class TestBatchDraws:
                    for i, (size, end, ratio) in enumerate(zip(sizes, ends, ratios)) if size]
             assert drawn.tolist() == [len(rows) for rows in ref]
             assert np.array_equal(sel, np.concatenate(ref))
-        # a retry makes no `at` call, nor does a one-row node's forced pick
-        # (node 2), and a multi-row one's makes one: node 1 comes up empty in
-        # rounds 0, 3 and 4, and its retry too in rounds 3 and 4; node 3 in
-        # rounds 0, 1, 3, 4 and 6, and its retry too in rounds 0, 1 and 3;
-        # node 4 forces its pick every round.  Node 3 takes its first tries
-        # at its slots
+        # a multi-row node's retry makes one `at` call, and so does its
+        # forced pick; a one-row node's (node 2) make none: node 1 comes up
+        # empty in rounds 0, 3 and 4, and its retry too in rounds 3 and 4;
+        # node 3 in rounds 0, 1, 3, 4 and 6, and its retry too in rounds 0,
+        # 1 and 3; node 4 retries and forces its pick every round.  Node 3
+        # takes its first tries at its slots
         tries = {node: [(rngmod.stream(seed, node, t, rngmod.BATCH).random(2 * c) < 0.02).reshape(
             2, -1).any(axis=1).tolist() for t in range(T)] for node, c in ((1, BULK_ROWS),
                                                                       (3, BULK_ROWS + 1))}
@@ -571,8 +571,9 @@ class TestBatchDraws:
                  for node, both in tries.items()}
         forced = {node: sum(not any(two) for two in both) for node, both in tries.items()}
         assert empty == {1: [0, 3, 4], 3: [0, 1, 3, 4, 6]} and forced == {1: 2, 3: 3}
-        assert positioned.count(1) == forced[1] and positioned.count(3) == T + forced[3]
-        assert positioned.count(2) == 0 and positioned.count(4) == T
+        assert positioned.count(1) == len(empty[1]) + forced[1]
+        assert positioned.count(3) == T + len(empty[3]) + forced[3]
+        assert positioned.count(2) == 0 and positioned.count(4) == 2 * T
 
     def test_bulk_block_is_stepped_once_in_its_first_round(self, monkeypatch):
         # no stepping when the draws are built (set-up), then one `bulk`

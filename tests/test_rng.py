@@ -19,9 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 from pushdp import rng as rngmod
 from pushdp.config import DataSpec, ModelSpec, load_config
 from pushdp.engine import run
+from pushdp.models import BatchDraws, node_rows
 from pushdp.topology import TopologySchedule
 
 from conftest import make_config, observed_run
+from reference import sample_batch
+from test_models import round_draws
 
 BULK_ROWS, BULK_NORMALS = rngmod.BULK_DOUBLES["random"], rngmod.BULK_DOUBLES["standard_normal"]
 
@@ -197,10 +200,10 @@ def test_ring_config_derives_only_its_rounds(monkeypatch):
 
 
 def stream_backed_run(monkeypatch, cfg, seed):
-    """cfg's run with every slot that `bulk`, `retries` and `at` would
-    position drawn from a fresh `rng.stream` instead, and the draws made on
-    `at` slots: a kind alone for a sized draw (the forced picks' tries), with
-    " into a row" for a draw into a chunk row (the large nodes)."""
+    """cfg's run with every slot that `bulk` and `at` would position drawn
+    from a fresh `rng.stream` instead, and the draws made on `at` slots: a
+    kind alone for a sized draw (the retries and the forced picks' tries),
+    with " into a row" for a draw into a chunk row (the large nodes)."""
     made = []
 
     class Logged:  # a fresh stream that logs its draws
@@ -228,12 +231,7 @@ def stream_backed_run(monkeypatch, cfg, seed):
             getattr(fresh(streams, u, node), kind)(c)
             for node, c in zip(nodes, counts, strict=True)]) for u in range(t0, t0 + rounds)])
 
-    def stream_retries(streams, ts, nodes, counts):
-        return np.concatenate([fresh(streams, t, node).random(2 * c)[c:]
-                               for t, node, c in zip(ts, nodes, counts, strict=True)])
-
     monkeypatch.setattr(rngmod.Streams, "bulk", stream_bulk)
-    monkeypatch.setattr(rngmod.Streams, "retries", stream_retries)
     monkeypatch.setattr(rngmod.Streams, "at",
                         lambda streams, t, node: Logged(fresh(streams, t, node)))
     return observed_run(cfg, seed), made
@@ -289,9 +287,9 @@ def test_at_calls_are_large_node_slots_replays_and_block_self_checks(monkeypatch
     """A run whose noise rows (dim 21) and larger nodes' batch uniforms
     exceed the bulk caps, at a sampling ratio that empties first draws on
     both sides of the uniforms' cap: every `at` call is one of those slots
-    of a round, a multi-row node's forced pick, or a derived block's
-    self-check of its node 0, and each of them is one call.  Retries, of
-    bulk and larger nodes alike, make none."""
+    of a round, a multi-row node's retry (of bulk and larger nodes alike)
+    or forced pick, or a derived block's self-check of its node 0, and each
+    of them is one call.  A one-row node's retry makes none."""
     cfg = make_config(T=7, sampling_ratio=0.05, epsilon=0.01,
                       model=ModelSpec(kind="logistic", features=20, l2=0.01),
                       data=DataSpec(kind="blobs", n_samples=400, alpha_conc=0.3))
@@ -306,14 +304,14 @@ def test_at_calls_are_large_node_slots_replays_and_block_self_checks(monkeypatch
     tries = {(i, t): (rngmod.stream(seed, i, t, rngmod.BATCH).random(2 * c) < 0.05).reshape(2, c)
              for t in range(cfg.T) for i, c in enumerate(counts) if c}
     empty = [(i, t) for (i, t), (first, _) in tries.items() if not first.any()]
-    retried = {i in large for i, t in empty if tries[i, t][1].any()}
-    forced = [(rngmod.BATCH, i, t) for i, t in empty if counts[i] > 1 and not tries[i, t][1].any()]
-    assert retried == {False, True} and forced
+    retried = [(rngmod.BATCH, i, t) for i, t in empty if counts[i] > 1]
+    forced = [(rngmod.BATCH, i, t) for _, i, t in retried if not tries[i, t][1].any()]
+    assert {i in large for _, i, t in retried if tries[i, t][1].any()} == {False, True} and forced
     assert len(blocks) == 6
     assert sorted(calls) == sorted(
         [(rngmod.BATCH, i, t) for t in range(cfg.T) for i in large]
         + [(rngmod.NOISE, i, t) for t in range(cfg.T) for i, c in enumerate(counts) if c]
-        + forced + [(purpose, 0, t0) for purpose, t0, _ in blocks])
+        + retried + forced + [(purpose, 0, t0) for purpose, t0, _ in blocks])
 
 
 SEEDS_OF_1_TO_3_WORDS = st.sampled_from([1, 2, 3]).flatmap(
@@ -615,41 +613,26 @@ def test_bulk_takes_only_double_kinds():
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 5])
 def test_retries_are_each_slots_second_random_draw(seed):
-    # counts 1 to 3 * BULK_ROWS, bulk and larger nodes' alike, at random
-    # slots, in any order and some repeated, of a first block of 3 rounds
-    # and the block cut at the horizon 5
-    picker, counts = np.random.default_rng(11), list(range(1, 3 * BULK_ROWS + 1))
-    with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 5):
-        streams = rngmod.Streams(seed, rngmod.BATCH, 5, horizon=5)
-    for t0, rounds in ((0, 3), (3, 2)):
-        ts = picker.integers(t0, t0 + rounds, len(counts))
-        nodes = picker.integers(0, 5, len(counts))
-        ref = [rngmod.stream(seed, node, t, rngmod.BATCH).random(2 * c)[c:]
-               for t, node, c in zip(ts.tolist(), nodes.tolist(), counts)]
-        assert np.array_equal(streams.retries(ts, nodes, counts), np.concatenate(ref))
-
-
-def test_retries_keep_few_jump_tables():
-    # a jump table a power of two: counts 1..300 need steps up to 600, in
-    # the 10 tables of 2, 4, ..., 1024 steps
-    streams = rngmod.Streams(0, rngmod.BATCH, 2, horizon=1)
-    rngmod._jumps.cache_clear()
-    for count in range(1, 301):
-        retry = streams.retries([0], [1], [count])
-        assert np.array_equal(retry, rngmod.stream(0, 1, 0, rngmod.BATCH).random(2 * count)[count:])
-    assert rngmod._jumps.cache_info().currsize == 10
-
-
-@pytest.mark.parametrize("ts, nodes, counts", [
-    ([], [], []), ([0], [1], [0]), ([0, 1], [1], [2]), ([0], [5], [1]), ([0], [-1], [1]),
-    ([2, 3], [0, 0], [1, 1]), ([5], [0], [1])])
-def test_retries_take_slots_of_one_block(ts, nodes, counts):
-    # slots of a double each, of the streams' nodes, in one block: blocks of
-    # rounds 0-2 and 3-4
-    with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * 5):
-        streams = rngmod.Streams(0, rngmod.BATCH, 5, horizon=5)
-    with pytest.raises(ValueError):
-        streams.retries(ts, nodes, counts)
+    # `BatchDraws`' retries, each the second random(count) of its `at` slot,
+    # of nodes of 1 to 3 * BULK_ROWS rows (bulk and larger nodes alike),
+    # each at the ratio that empties half its first draws, over a first
+    # block of 3 rounds and the block cut at the horizon 5
+    sizes = np.arange(1, 3 * BULK_ROWS + 1)
+    ratios = 1.0 - 0.5 ** (1.0 / sizes)
+    with mock.patch.object(rngmod, "BLOCK_SLOTS", 3 * len(sizes)):
+        streams = rngmod.Streams(seed, rngmod.BATCH, len(sizes), horizon=5)
+    draws, ends = BatchDraws(node_rows(sizes), ratios, streams), np.cumsum(sizes)
+    retried = set()  # whether a node with a non-empty retry takes its first draw in bulk
+    for t, sel, _, drawn in round_draws(draws, 5):
+        tries = [(rngmod.stream(seed, i, t, rngmod.BATCH).random(2 * c) < q).reshape(2, c)
+                 for i, (c, q) in enumerate(zip(sizes.tolist(), ratios))]
+        retried |= {c > BULK_ROWS for c, (first, retry) in zip(sizes.tolist(), tries)
+                    if c > 1 and not first.any() and retry.any()}
+        ref = [sample_batch(np.arange(end - c, end), q, rngmod.stream(seed, i, t, rngmod.BATCH))
+               for i, (c, end, q) in enumerate(zip(sizes, ends, ratios))]
+        assert drawn.tolist() == [len(rows) for rows in ref]
+        assert np.array_equal(sel, np.concatenate(ref))
+    assert retried == {False, True}
 
 
 # PCG64's 128-bit LCG multiplier, as the PCG reference implementation gives it
@@ -696,7 +679,7 @@ def test_positioned_matches_set_seed(pairs):
 
 
 def test_step_matches_python_ints():
-    # the LCG step of `randoms` and `_positioned`, with carries out of both words
+    # the LCG step of `bulk` and `_positioned`, with carries out of both words
     states = [0, 2**128 - 1, 2**64 - 1, 2**127 + 2**64 - 1, 0x0123456789ABCDEF << 60]
     incs = [1, 2**128 - 1, 2**64 - 1, 2**64 + 1, 0xFEDCBA9876543211]
     split = lambda xs: [np.array([x >> 64 for x in xs], np.uint64),
@@ -713,26 +696,14 @@ def words128(xs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(WORD128, WORD128, WORD128), min_size=1, max_size=16))
-@example([(2**128 - 1, 2**128 - 1, 2**128 - 1), (2**64 - 1, 2**64 + 1, 2**64 - 1)])
-def test_step_by_any_multiplier_matches_python_ints(cases):
-    # the retries' jumps: multiplier words given per element, every carry
-    states, incs, mults = zip(*cases)
-    mult = [np.array(words, np.uint64) for words in zip(*map(rngmod._multiplier, mults))]
-    hi, lo = rngmod._step(*words128(states), *words128(incs), mult)
+@given(st.lists(st.tuples(WORD128, WORD128), min_size=1, max_size=16))
+@example([(2**128 - 1, 2**128 - 1), (2**64 - 1, 2**64 - 1)])
+def test_step_matches_python_ints_at_random_words(cases):
+    # random states and increments, every carry reachable
+    states, incs = zip(*cases)
+    hi, lo = rngmod._step(*words128(states), *words128(incs))
     assert [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())] == [
-        (s * m + i) % 2**128 for s, i, m in cases]
-
-
-def test_jumps_are_that_many_steps():
-    # column j of `_jumps` takes a state j LCG steps on at once, j = 0..64
-    power, series = rngmod._jumps(64)
-    whole = lambda words, j: int(words[0, j]) << 64 | int(words[1, j])
-    state = start = 0x0123456789ABCDEF << 60
-    inc = 0xFEDCBA9876543211
-    for j in range(65):
-        assert (start * whole(power, j) + inc * whole(series, j)) % 2**128 == state
-        state = (state * PCG_MULT + inc) % 2**128
+        (s * PCG_MULT + i) % 2**128 for s, i in cases]
 
 
 @settings(max_examples=60, deadline=None)

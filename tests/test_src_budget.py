@@ -8,7 +8,7 @@ says why in CHANGES.md.
 
 from pathlib import Path
 
-SRC_LINES = 3598
+SRC_LINES = 3547
 
 
 def test_src_stays_within_its_line_budget():

@@ -16,7 +16,8 @@ The output gives each side's median node-rounds a second (n * T * seeds
 over the summed `engine.run` time), the median over alternations of the
 change's time over the base's (the paired median ratio, below 1 when the
 change is faster), how many alternations the change won, and whether the
-two sides' records and summaries were identical in the warm-up.  A run on
+two sides' records, summaries and partitions were identical in the
+warm-up; the tool exits 1 when they were not.  A run on
 one process sees the same CPU state on both sides, so it resolves smaller
 differences than alternating processes do; the figures are not the
 benchmark's, which times whole `pushdp run` invocations.
@@ -43,7 +44,10 @@ from workloads import WORKLOADS  # noqa: E402
 
 def load_package(tree: Path, name: str):
     """The pushdp package under `tree`/src, imported as the package `name`
-    with its submodules (relative imports resolve inside it)."""
+    with its submodules (relative imports resolve inside it), in place of
+    any package loaded under that name before."""
+    for module in [m for m in sys.modules if m.split(".")[0] == name]:
+        del sys.modules[module]
     root = tree / "src" / "pushdp"
     spec = importlib.util.spec_from_file_location(
         name, root / "__init__.py", submodule_search_locations=[str(root)])
@@ -66,7 +70,8 @@ def alternate(packages: dict, config_path: Path, seeds: list, alternations: int)
     warm = {}
     for side, pkg in packages.items():
         results = [pkg.engine.run(configs[side], seed) for seed in seeds]
-        warm[side] = [([r.as_dict() for r in res.records], res.summary) for res in results]
+        warm[side] = [([r.as_dict() for r in res.records], res.summary, res.partition)
+                      for res in results]
     times = {side: [] for side in packages}
     for i in range(alternations):
         for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
@@ -86,7 +91,8 @@ def summary_lines(times: dict) -> list:
              f"node-rounds/s" for side in ("base", "change")]
     lines.append(f"paired median ratio (change time / base time): {statistics.median(ratios):.4f}, "
                  f"change won {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
-    lines.append(f"records and summaries identical: {'yes' if times['identical'] else 'NO'}")
+    lines.append(f"records, summaries and partitions identical: "
+                 f"{'yes' if times['identical'] else 'NO'}")
     return lines
 
 
@@ -112,7 +118,7 @@ def main(argv=None):
         config_path.write_text(workload.config_text)
         times = alternate(packages, config_path, seeds, args.alternations)
     print("\n".join(summary_lines(times)))
-    return 0
+    return 0 if times["identical"] else 1
 
 
 if __name__ == "__main__":
